@@ -1,6 +1,6 @@
 //! Regenerates every experiment table of the PAST reproduction (E1–E13)
 //! at bench scale and prints them. Paper-scale variants live in
-//! `src/bin/exp_*.rs`.
+//! `src/bin/exp.rs`.
 //!
 //! Run: `cargo bench -p past-bench --bench paper_tables`
 

@@ -14,22 +14,22 @@
 //! Usage: `cargo run --release -p past-bench --bin bench_loss --
 //! [--smoke] [--shards K] [--out PATH]`. `--smoke` shrinks the network
 //! so CI can assert the binary runs and emits valid JSON quickly;
-//! `--shards K` runs the sweep on the sharded engine (K worker threads
-//! over a delay-floored sphere).
+//! `--shards K` runs the sweep on K shards over a delay-floored sphere
+//! (K worker threads; `--shards 1` runs inline on that topology).
 
 use past_bench::json;
-use past_core::{BuildMode, ContentRef, PastApp, PastConfig, PastNetwork, PastOut};
+use past_core::{BuildMode, ContentRef, PastConfig, PastNetwork, PastOut};
 use past_crypto::rng::Rng;
-use past_netsim::{FaultConfig, SeriesConfig, ShardConfig, SimBackend, Sphere, TraceConfig};
-use past_pastry::{random_ids, Config as PastryConfig, PastryNode, RecoveryConfig};
+use past_netsim::{FaultConfig, SeriesConfig, ShardConfig, Sphere, TraceConfig};
+use past_pastry::{random_ids, Config as PastryConfig, RecoveryConfig};
 use std::time::Instant;
 
 const MB: u64 = 1 << 20;
 const SEED: u64 = 2026;
 
 /// Delay floor (and shard window) for `--shards` runs; see
-/// `bench_macro` for the rationale. Sequential runs keep the un-floored
-/// sphere so historical numbers stay comparable.
+/// `bench_macro` for the rationale. Runs without `--shards` keep the
+/// un-floored sphere so historical numbers stay comparable.
 const SHARD_FLOOR_US: u64 = 5_000;
 
 /// Flight-recorder window for the per-level drop/duplicate series: one
@@ -78,52 +78,27 @@ fn run_level(loss: f64, n: usize, files: u64, shards: Option<usize>) -> Level {
     let mut rng = Rng::seed_from_u64(SEED);
     let ids = random_ids(n, &mut rng);
     let t = Instant::now();
-    match shards {
-        None => {
-            let mut net = PastNetwork::build(
-                Sphere::new(n, SEED),
-                pastry_cfg(),
-                past_cfg(),
-                SEED,
-                &ids,
-                &vec![400 * MB; n],
-                &vec![4_000 * MB; n],
-                BuildMode::Static,
-            );
-            drive_level(&mut net, loss, n, files, t)
-        }
-        Some(k) => {
-            let mut net = PastNetwork::build_sharded(
-                Sphere::with_delay_floor(n, SEED, SHARD_FLOOR_US),
-                pastry_cfg(),
-                past_cfg(),
-                SEED,
-                &ids,
-                &vec![400 * MB; n],
-                &vec![4_000 * MB; n],
-                BuildMode::Static,
-                ShardConfig {
-                    shards: k,
-                    window_us: SHARD_FLOOR_US,
-                },
-            )
-            .expect("window equals the delay floor, so the sharded build is sound");
-            drive_level(&mut net, loss, n, files, t)
-        }
-    }
-}
-
-/// The per-level workload, generic over the simulation backend.
-fn drive_level<B>(
-    net: &mut PastNetwork<Sphere, B>,
-    loss: f64,
-    n: usize,
-    files: u64,
-    t: Instant,
-) -> Level
-where
-    B: SimBackend<PastryNode<PastApp>, Topo = Sphere>,
-{
+    // Without `--shards`: the plain sphere, inline (the window does not
+    // bind on one shard). With it: K shards over the floored sphere.
+    let topo = match shards {
+        None => Sphere::new(n, SEED),
+        Some(_) => Sphere::with_delay_floor(n, SEED, SHARD_FLOOR_US),
+    };
+    let mut net = PastNetwork::build_sharded(
+        topo,
+        pastry_cfg(),
+        past_cfg(),
+        SEED,
+        &ids,
+        &vec![400 * MB; n],
+        &vec![4_000 * MB; n],
+        BuildMode::Static,
+        ShardConfig {
+            shards: shards.unwrap_or(1),
+            window_us: SHARD_FLOOR_US,
+        },
+    )
+    .expect("the window binds only above one shard, where it equals the delay floor");
     net.sim.set_recovery(RecoveryConfig::default());
     // Metrics only: per-kind drop/duplicate attribution without paying
     // for event records.
@@ -193,16 +168,13 @@ where
             _ => {}
         }
     }
-    {
-        let stats = net.sim.engine.stats();
-        lvl.dropped = stats.dropped;
-        lvl.duplicated = stats.duplicated;
-        lvl.failed_sends = stats.failed_sends;
-        lvl.total_msgs = stats.total_msgs;
-    }
-    // `take_tracer` merges the per-shard sinks on the sharded backend;
-    // reading the harness tracer alone would miss every shard-side
-    // drop/duplicate record.
+    let stats = &net.sim.engine.stats;
+    lvl.dropped = stats.dropped;
+    lvl.duplicated = stats.duplicated;
+    lvl.failed_sends = stats.failed_sends;
+    lvl.total_msgs = stats.total_msgs;
+    // `take_tracer` merges the partition-local sinks; reading the
+    // harness tracer alone would miss every drop/duplicate record.
     let tracer = net.sim.engine.take_tracer();
     let metrics = &tracer.metrics;
     lvl.dropped_by_kind = metrics.dropped_by_kind().filter(|(_, c)| *c > 0).collect();

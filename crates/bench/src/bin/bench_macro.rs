@@ -15,25 +15,24 @@
 //! JSON quickly; `--nodes N` overrides the network size independently,
 //! so `--nodes 100000 --smoke` is the CI scale gate (big overlay, few
 //! routes) and `--nodes 1000000` (no `--smoke`) is the EXPERIMENTS.md
-//! million-node run. `--shards K` runs the overlay on the sharded
-//! engine (K worker threads over a delay-floored sphere); with K > 1
-//! the run is repeated at 1 shard to measure the churn-phase speedup
-//! and to assert the two runs' simulation counters are identical —
-//! shard-count independence measured in anger, not just in unit tests.
+//! million-node run. `--shards K` runs the overlay on K shards over a
+//! delay-floored sphere (K worker threads; `--shards 1` runs inline on
+//! that topology); with K > 1 the run is repeated at 1 shard to measure
+//! the churn-phase speedup and to assert the two runs' simulation
+//! counters are identical — shard-count independence measured in anger,
+//! not just in unit tests.
 
 use past_bench::json;
 use past_crypto::rng::Rng;
-use past_netsim::{SeriesConfig, ShardConfig, SimBackend, Sphere};
-use past_pastry::{
-    random_ids, static_build, static_build_sharded, Config, Id, NullApp, PastryNode, PastrySim,
-};
+use past_netsim::{SeriesConfig, ShardConfig, Sphere};
+use past_pastry::{populate_static, random_ids, Config, Id, NullApp, PastrySim};
 use std::time::Instant;
 
-/// Delay floor (and shard window) for `--shards` runs: the sharded
-/// engine requires `window_us ≤ min_delay_us` and `Sphere::new` has a
-/// 1 µs floor, so sharded runs clamp short links to 5 ms. Sequential
-/// runs keep the un-floored sphere so historical numbers stay
-/// comparable.
+/// Delay floor (and shard window) for `--shards` runs: more than one
+/// shard requires `window_us ≤ min_delay_us` and `Sphere::new` has a
+/// 1 µs floor, so `--shards` runs clamp short links to 5 ms. Runs
+/// without the flag keep the un-floored sphere so historical numbers
+/// stay comparable.
 const SHARD_FLOOR_US: u64 = 5_000;
 
 /// Flight-recorder window for `--series` runs: one simulated second.
@@ -44,8 +43,8 @@ struct Phase {
     wall_ms: f64,
 }
 
-/// Seeded simulation counters; identical across backends and shard
-/// counts for the same topology and seeds.
+/// Seeded simulation counters; identical across shard counts for the
+/// same topology and seeds.
 #[derive(Debug, PartialEq, Eq)]
 struct Counters {
     delivered: u64,
@@ -58,17 +57,14 @@ struct Counters {
 }
 
 /// Phases 2 and 3 (routes, churn + stabilize) on an already-built
-/// overlay, generic over the simulation backend.
-fn routes_and_churn<B>(
-    sim: &mut PastrySim<NullApp, Sphere, B>,
+/// overlay.
+fn routes_and_churn(
+    sim: &mut PastrySim<NullApp, Sphere>,
     n: usize,
     routes: usize,
     kills: usize,
     phases: &mut Vec<Phase>,
-) -> Counters
-where
-    B: SimBackend<PastryNode<NullApp>, Topo = Sphere>,
-{
+) -> Counters {
     // Phase 2: routes.
     let mut key_rng = Rng::seed_from_u64(42);
     let t = Instant::now();
@@ -87,10 +83,7 @@ where
         name: "routes",
         wall_ms: t.elapsed().as_secs_f64() * 1e3,
     });
-    let (route_msgs, route_bytes) = {
-        let st = sim.engine.stats();
-        (st.total_msgs, st.total_bytes)
-    };
+    let (route_msgs, route_bytes) = (sim.engine.stats.total_msgs, sim.engine.stats.total_bytes);
 
     // Phase 3: churn + stabilize.
     let t = Instant::now();
@@ -104,49 +97,48 @@ where
         wall_ms: t.elapsed().as_secs_f64() * 1e3,
     });
 
-    let (total_msgs, total_bytes) = {
-        let st = sim.engine.stats();
-        (st.total_msgs, st.total_bytes)
-    };
     Counters {
         delivered,
         total_hops,
         route_msgs,
         route_bytes,
-        total_msgs,
-        total_bytes,
+        total_msgs: sim.engine.stats.total_msgs,
+        total_bytes: sim.engine.stats.total_bytes,
         final_us: sim.engine.now().as_micros(),
     }
 }
 
-/// One full run (build, routes, churn) on the sharded backend. With
-/// `series` the flight recorder samples the run (observation only:
-/// counters are unaffected) and its `past-series/v1` document is
-/// returned.
-fn sharded_run(
+/// One full run (build, routes, churn): without `shards` on the
+/// un-floored sphere, inline — the historical configuration — and with
+/// it on that many shards over the floored sphere. With `series` the
+/// flight recorder samples the run (observation only: counters are
+/// unaffected) and its `past-series/v1` document is returned.
+fn full_run(
     n: usize,
     routes: usize,
     kills: usize,
-    shards: usize,
+    shards: Option<usize>,
     series: bool,
 ) -> (Vec<Phase>, Counters, Option<String>) {
     let mut rng = Rng::seed_from_u64(2001);
     let ids = random_ids(n, &mut rng);
     let mut phases = Vec::new();
     let t = Instant::now();
-    let mut sim = static_build_sharded(
-        Sphere::with_delay_floor(n, 2001, SHARD_FLOOR_US),
+    let topo = match shards {
+        None => Sphere::new(n, 2001),
+        Some(_) => Sphere::with_delay_floor(n, 2001, SHARD_FLOOR_US),
+    };
+    let mut sim = PastrySim::new_sharded(
+        topo,
         Config::default(),
         2001,
-        &ids,
-        |_| NullApp,
-        3,
         ShardConfig {
-            shards,
+            shards: shards.unwrap_or(1),
             window_us: SHARD_FLOOR_US,
         },
     )
-    .expect("window equals the delay floor, so the sharded build is sound");
+    .expect("the window binds only above one shard, where it equals the delay floor");
+    populate_static(&mut sim, &ids, |_| NullApp, 3);
     phases.push(Phase {
         name: "static_build",
         wall_ms: t.elapsed().as_secs_f64() * 1e3,
@@ -201,64 +193,24 @@ fn main() {
     }
     let kills = n / 20;
 
-    let mut phases: Vec<Phase>;
-    let counters: Counters;
-    let series_doc: Option<String>;
+    let (phases, counters, series_doc) = full_run(n, routes, kills, shards, series.is_some());
     let mut ref_churn_ms: Option<f64> = None;
-    match shards {
-        None => {
-            // Sequential engine on the un-floored sphere: the historical
-            // configuration every BENCH_macro.json so far measured.
-            let mut rng = Rng::seed_from_u64(2001);
-            let ids = random_ids(n, &mut rng);
-            phases = Vec::new();
-            let t = Instant::now();
-            let mut sim = static_build(
-                Sphere::new(n, 2001),
-                Config::default(),
-                2001,
-                &ids,
-                |_| NullApp,
-                3,
-            );
-            phases.push(Phase {
-                name: "static_build",
-                wall_ms: t.elapsed().as_secs_f64() * 1e3,
-            });
-            if series.is_some() {
-                sim.engine.set_series(SeriesConfig::new(SERIES_WINDOW_US));
-            }
-            counters = routes_and_churn(&mut sim, n, routes, kills, &mut phases);
-            series_doc = if series.is_some() {
-                sim.engine.take_tracer().series().map(|s| s.to_json())
-            } else {
-                None
-            };
-        }
-        Some(k) => {
-            let (p, c, sd) = sharded_run(n, routes, kills, k, series.is_some());
-            phases = p;
-            counters = c;
-            series_doc = sd;
-            if k > 1 {
-                // In-process 1-shard reference: same topology, same
-                // seeds, one worker (no series: sampling is observation
-                // only, so the counter comparison also checks that an
-                // instrumented run equals an uninstrumented one). Its
-                // counters must be bit-identical (shard-count
-                // independence); its churn wall time is the speedup
-                // baseline.
-                let (ref_phases, ref_counters, _) = sharded_run(n, routes, kills, 1, false);
-                assert_eq!(
-                    counters, ref_counters,
-                    "{k}-shard and 1-shard runs must produce identical counters"
-                );
-                ref_churn_ms = ref_phases
-                    .iter()
-                    .find(|p| p.name == "churn_stabilize")
-                    .map(|p| p.wall_ms);
-            }
-        }
+    if shards.is_some_and(|k| k > 1) {
+        // In-process 1-shard reference: same topology, same seeds, run
+        // inline (no series: sampling is observation only, so the
+        // counter comparison also checks that an instrumented run
+        // equals an uninstrumented one). Its counters must be
+        // bit-identical (shard-count independence); its churn wall
+        // time is the speedup baseline.
+        let (ref_phases, ref_counters, _) = full_run(n, routes, kills, Some(1), false);
+        assert_eq!(
+            counters, ref_counters,
+            "sharded and 1-shard runs must produce identical counters"
+        );
+        ref_churn_ms = ref_phases
+            .iter()
+            .find(|p| p.name == "churn_stabilize")
+            .map(|p| p.wall_ms);
     }
 
     let mut doc = json::Obj::new()

@@ -6,7 +6,8 @@
 //!   (E1–E13) at bench scale; run with `cargo bench -p past-bench`.
 //! - `benches/micro.rs` holds microbenchmarks of the hot primitives
 //!   (hashing, signatures, routing steps, cache ops).
-//! - `src/bin/exp_*.rs` run individual experiments at paper scale.
+//! - `src/bin/exp.rs` runs individual experiments at paper scale
+//!   (`exp e7`, `exp all`).
 
 pub use past_trace::json;
 pub mod timing;

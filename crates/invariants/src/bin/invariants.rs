@@ -2,72 +2,50 @@
 //!
 //! Each violation is reported as `<invariant> @node <addr>: <detail>`.
 //!
-//! With `--emit-trace PATH`, the lossy-churn scenario runs with the
-//! operation-lifecycle trace classes enabled and its trace is written to
-//! `PATH` as JSONL, ready for `tracecheck --require-clean`.
-//! `--emit-trace-sharded PATH` does the same for the lossy-churn
-//! scenario on the sharded backend. `--emit-series PATH` /
-//! `--emit-series-sharded PATH` additionally write the flight-recorder
-//! series of those traced runs as JSONL, ready for
-//! `obsreport --require-slo`.
+//! `--shards N` (default 1: inline) sets the shard count of the
+//! lossy-churn scenario. With `--emit-trace PATH` that scenario runs
+//! with the operation-lifecycle trace classes enabled and its trace is
+//! written to `PATH` as JSONL, ready for `tracecheck --require-clean`;
+//! `--emit-series PATH` additionally writes the run's flight-recorder
+//! series as JSONL, ready for `obsreport --require-slo`. Both files are
+//! byte-identical under any `--shards` value (the series is written
+//! without its per-shard diagnostics), which `scripts/ci.sh` checks
+//! with `cmp`.
 
 use past_invariants::scenarios::{
-    bulk_join, churn, lossy_churn, lossy_churn_sharded, lossy_churn_sharded_traced,
-    lossy_churn_traced, quota_reclaim, wheel_horizon,
+    bulk_join, churn, lossy_churn, lossy_churn_traced, quota_reclaim, wheel_horizon,
 };
-use past_netsim::{TraceConfig, Tracer};
+use past_netsim::TraceConfig;
 
-/// Writes the tracer's flight-recorder series to `path` as JSONL.
-fn write_series(tracer: &Tracer, path: &str) {
-    let Some(series) = tracer.series() else {
-        eprintln!("invariants: traced run produced no series for {path}");
-        std::process::exit(2);
-    };
-    if let Err(e) = std::fs::write(path, series.to_jsonl()) {
-        eprintln!("invariants: cannot write series to {path}: {e}");
+/// Writes `text` to `path` or exits with the usage status.
+fn write_or_exit(path: &str, what: &str, text: String) {
+    if let Err(e) = std::fs::write(path, text) {
+        eprintln!("invariants: cannot write {what} to {path}: {e}");
         std::process::exit(2);
     }
-    println!(
-        "invariants: wrote {} series window(s) to {path}",
-        series.len()
-    );
 }
 
 fn main() {
     let mut emit_trace: Option<String> = None;
-    let mut emit_trace_sharded: Option<String> = None;
     let mut emit_series: Option<String> = None;
-    let mut emit_series_sharded: Option<String> = None;
+    let mut shards = 1usize;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        let mut value = || {
+            args.next().unwrap_or_else(|| {
+                eprintln!("invariants: {a} needs a value");
+                std::process::exit(2);
+            })
+        };
         match a.as_str() {
-            "--emit-trace" => {
-                let Some(path) = args.next() else {
-                    eprintln!("invariants: --emit-trace needs a path");
+            "--emit-trace" => emit_trace = Some(value()),
+            "--emit-series" => emit_series = Some(value()),
+            "--shards" => {
+                shards = value().parse().unwrap_or(0);
+                if shards == 0 {
+                    eprintln!("invariants: --shards needs a positive integer");
                     std::process::exit(2);
-                };
-                emit_trace = Some(path);
-            }
-            "--emit-trace-sharded" => {
-                let Some(path) = args.next() else {
-                    eprintln!("invariants: --emit-trace-sharded needs a path");
-                    std::process::exit(2);
-                };
-                emit_trace_sharded = Some(path);
-            }
-            "--emit-series" => {
-                let Some(path) = args.next() else {
-                    eprintln!("invariants: --emit-series needs a path");
-                    std::process::exit(2);
-                };
-                emit_series = Some(path);
-            }
-            "--emit-series-sharded" => {
-                let Some(path) = args.next() else {
-                    eprintln!("invariants: --emit-series-sharded needs a path");
-                    std::process::exit(2);
-                };
-                emit_series_sharded = Some(path);
+                }
             }
             other => {
                 eprintln!("invariants: unknown argument {other:?}");
@@ -82,44 +60,30 @@ fn main() {
         ("quota-reclaim", quota_reclaim(3)),
     ];
     if emit_trace.is_some() || emit_series.is_some() {
-        let (violations, tracer) = lossy_churn_traced(4, TraceConfig::lifecycle());
+        let run = lossy_churn_traced(4, shards, TraceConfig::lifecycle());
         if let Some(path) = &emit_trace {
-            if let Err(e) = std::fs::write(path, tracer.to_jsonl()) {
-                eprintln!("invariants: cannot write trace to {path}: {e}");
-                std::process::exit(2);
-            }
+            write_or_exit(path, "trace", run.tracer.to_jsonl());
             println!(
                 "invariants: wrote {} trace record(s) to {path}",
-                tracer.records().len()
+                run.tracer.records().len()
             );
         }
         if let Some(path) = &emit_series {
-            write_series(&tracer, path);
-        }
-        results.push(("lossy-churn", violations));
-    } else {
-        results.push(("lossy-churn", lossy_churn(4)));
-    }
-    results.push(("wheel-horizon", wheel_horizon(5)));
-    if emit_trace_sharded.is_some() || emit_series_sharded.is_some() {
-        let (violations, tracer) = lossy_churn_sharded_traced(6, TraceConfig::lifecycle());
-        if let Some(path) = &emit_trace_sharded {
-            if let Err(e) = std::fs::write(path, tracer.to_jsonl()) {
-                eprintln!("invariants: cannot write trace to {path}: {e}");
+            let Some(series) = run.tracer.series() else {
+                eprintln!("invariants: traced run produced no series for {path}");
                 std::process::exit(2);
-            }
+            };
+            write_or_exit(path, "series", series.to_canonical_jsonl());
             println!(
-                "invariants: wrote {} trace record(s) to {path}",
-                tracer.records().len()
+                "invariants: wrote {} series window(s) to {path}",
+                series.len()
             );
         }
-        if let Some(path) = &emit_series_sharded {
-            write_series(&tracer, path);
-        }
-        results.push(("lossy-churn-sharded", violations));
+        results.push(("lossy-churn", run.violations));
     } else {
-        results.push(("lossy-churn-sharded", lossy_churn_sharded(6)));
+        results.push(("lossy-churn", lossy_churn(4, shards)));
     }
+    results.push(("wheel-horizon", wheel_horizon(5)));
 
     let mut failed = false;
     for (name, violations) in results {

@@ -6,21 +6,18 @@
 //! scenarios back the `invariants` binary run by `scripts/ci.sh`.
 
 use crate::{check_all, Violation};
-use past_core::{
-    BuildMode, ContentRef, PastApp, PastConfig, PastNetwork, PastOut, ShardedPastNetwork,
-};
+use past_core::{BuildMode, ContentRef, PastApp, PastConfig, PastNetwork, PastOut};
 use past_crypto::rng::Rng;
-use past_netsim::{
-    FaultConfig, SeriesConfig, ShardConfig, SimBackend, SimTime, Sphere, TraceConfig, Tracer,
-};
-use past_pastry::{random_ids, Config as PastryConfig, Id, PastryNode, RecoveryConfig};
+use past_netsim::{FaultConfig, SeriesConfig, ShardConfig, SimTime, Sphere, TraceConfig, Tracer};
+use past_pastry::{random_ids, Config as PastryConfig, Id, RecoveryConfig};
 use std::collections::BTreeSet;
 
 const MB: u64 = 1 << 20;
 
-/// Delay floor (and shard window) for sharded scenarios: the sharded
-/// engine requires `window_us ≤ min_delay_us`, and `Sphere::new` has a
-/// 1 µs floor, so sharded runs use the floored variant.
+/// Delay floor (and shard window) of the lossy-churn scenario: more
+/// than one shard requires `window_us ≤ min_delay_us`, and `Sphere::new`
+/// has a 1 µs floor, so the scenario runs on the floored variant at
+/// every shard count.
 const SHARD_FLOOR_US: u64 = 2_000;
 
 fn pastry_cfg() -> PastryConfig {
@@ -35,7 +32,9 @@ fn pastry_cfg() -> PastryConfig {
 }
 
 /// Builds an `n`-node network over a topology with `slots ≥ n` seats
-/// (spare seats allow later joins).
+/// (spare seats allow later joins). `shards: None` is the plain sphere
+/// run inline; `Some(k)` is `k` shards over the delay-floored sphere
+/// (one shard also runs inline, on that same topology).
 fn build_net(
     slots: usize,
     n: usize,
@@ -43,36 +42,16 @@ fn build_net(
     capacity: u64,
     quota: u64,
     past_cfg: PastConfig,
+    shards: Option<usize>,
 ) -> (PastNetwork<Sphere>, Vec<Id>) {
     let mut rng = Rng::seed_from_u64(seed);
     let ids = random_ids(slots, &mut rng);
-    let net = PastNetwork::build(
-        Sphere::new(slots, seed),
-        pastry_cfg(),
-        past_cfg,
-        seed,
-        &ids[..n],
-        &vec![capacity; n],
-        &vec![quota; n],
-        BuildMode::ProtocolJoins,
-    );
-    (net, ids)
-}
-
-/// Like [`build_net`], but on the sharded backend (4 shards over a
-/// delay-floored sphere so the shard window is sound).
-fn build_net_sharded(
-    slots: usize,
-    n: usize,
-    seed: u64,
-    capacity: u64,
-    quota: u64,
-    past_cfg: PastConfig,
-) -> (ShardedPastNetwork<Sphere>, Vec<Id>) {
-    let mut rng = Rng::seed_from_u64(seed);
-    let ids = random_ids(slots, &mut rng);
+    let topo = match shards {
+        None => Sphere::new(slots, seed),
+        Some(_) => Sphere::with_delay_floor(slots, seed, SHARD_FLOOR_US),
+    };
     let net = PastNetwork::build_sharded(
-        Sphere::with_delay_floor(slots, seed, SHARD_FLOOR_US),
+        topo,
         pastry_cfg(),
         past_cfg,
         seed,
@@ -81,18 +60,15 @@ fn build_net_sharded(
         &vec![quota; n],
         BuildMode::ProtocolJoins,
         ShardConfig {
-            shards: 4,
+            shards: shards.unwrap_or(1),
             window_us: SHARD_FLOOR_US,
         },
     )
-    .expect("window equals the delay floor, so the sharded build is sound");
+    .expect("the window binds only above one shard, where it equals the delay floor");
     (net, ids)
 }
 
-fn check_at<B>(context: &str, net: &PastNetwork<Sphere, B>, out: &mut Vec<Violation>)
-where
-    B: SimBackend<PastryNode<PastApp>, Topo = Sphere>,
-{
+fn check_at(context: &str, net: &PastNetwork<Sphere>, out: &mut Vec<Violation>) {
     for mut v in check_all(&net.snapshot()) {
         v.detail = format!("[{context}] {}", v.detail);
         out.push(v);
@@ -104,7 +80,15 @@ where
 /// receipts).
 pub fn bulk_join(seed: u64) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let (mut net, _) = build_net(40, 40, seed, 200 * MB, 2_000 * MB, PastConfig::default());
+    let (mut net, _) = build_net(
+        40,
+        40,
+        seed,
+        200 * MB,
+        2_000 * MB,
+        PastConfig::default(),
+        None,
+    );
     net.run();
     check_at("after bulk join", &net, &mut violations);
 
@@ -146,7 +130,15 @@ pub fn bulk_join(seed: u64) -> Vec<Violation> {
 /// recoveries and fresh joins, checking at every quiesce point.
 pub fn churn(seed: u64) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let (mut net, ids) = build_net(48, 40, seed, 200 * MB, 2_000 * MB, PastConfig::default());
+    let (mut net, ids) = build_net(
+        48,
+        40,
+        seed,
+        200 * MB,
+        2_000 * MB,
+        PastConfig::default(),
+        None,
+    );
 
     for i in 0..6u64 {
         let name = format!("churn-{i}");
@@ -199,7 +191,7 @@ pub fn quota_reclaim(seed: u64) -> Vec<Violation> {
         t_div: 0.55,
         ..PastConfig::default()
     };
-    let (mut net, _) = build_net(30, 30, seed, 12 * MB, 10_000 * MB, cfg);
+    let (mut net, _) = build_net(30, 30, seed, 12 * MB, 10_000 * MB, cfg, None);
 
     let mut rng = Rng::seed_from_u64(seed ^ 2);
     let mut inserted = Vec::new();
@@ -230,35 +222,42 @@ pub fn quota_reclaim(seed: u64) -> Vec<Violation> {
 
 /// Scenario 4 — lossy churn: the churn scenario's shape re-run over a
 /// faulty network (5% loss, 1% duplication, 20 ms jitter) with the
-/// recovery machinery on. Beyond I1–I5 at every quiesce point, it
+/// recovery machinery on, at `shards` shards over a delay-floored
+/// sphere (1 runs inline). Beyond I1–I5 at every quiesce point, it
 /// asserts liveness: every client operation issued under loss must
 /// terminate in an explicit success or failure event (reported as a
 /// synthetic "OP" violation otherwise — a hung request).
-pub fn lossy_churn(seed: u64) -> Vec<Violation> {
+pub fn lossy_churn(seed: u64, shards: usize) -> Vec<Violation> {
     // Tracing never perturbs the simulation, so delegating with tracing
     // off yields exactly the violations a dedicated untraced run would.
-    lossy_churn_traced(seed, TraceConfig::off()).0
+    lossy_churn_traced(seed, shards, TraceConfig::off()).violations
 }
 
-/// [`lossy_churn`] with a trace sink attached: returns the violations
-/// plus the tracer holding the run's records (fed to `tracecheck` by
-/// the CI gate).
-pub fn lossy_churn_traced(seed: u64, trace: TraceConfig) -> (Vec<Violation>, Tracer) {
-    let (mut net, ids) = build_net(48, 40, seed, 400 * MB, 4_000 * MB, lossy_cfg());
-    drive_lossy_churn(&mut net, &ids, seed, trace)
+/// What one lossy-churn run leaves behind.
+pub struct LossyChurnRun {
+    /// I1–I5 and liveness violations (empty = the gate passes).
+    pub violations: Vec<Violation>,
+    /// The run's merged trace (fed to `tracecheck` by the CI gate) and,
+    /// on traced runs, its flight-recorder series.
+    pub tracer: Tracer,
+    /// Every other observable of the run, folded into one comparable
+    /// line: final snapshot, `NetStats`, per-node IO, the drained
+    /// events in order, engine fingerprint and clock. Two runs agree
+    /// bit for bit iff their digests (and trace fingerprints) agree.
+    pub digest: String,
 }
 
-/// Scenario 6 — lossy churn on the sharded backend: the same workload as
-/// [`lossy_churn`] driven through `ShardedEngine` (4 shards over a
-/// delay-floored sphere). I1–I5 and the liveness check must hold there
-/// exactly as on the sequential engine.
-pub fn lossy_churn_sharded(seed: u64) -> Vec<Violation> {
-    lossy_churn_sharded_traced(seed, TraceConfig::off()).0
-}
-
-/// [`lossy_churn_sharded`] with a trace sink attached.
-pub fn lossy_churn_sharded_traced(seed: u64, trace: TraceConfig) -> (Vec<Violation>, Tracer) {
-    let (mut net, ids) = build_net_sharded(48, 40, seed, 400 * MB, 4_000 * MB, lossy_cfg());
+/// [`lossy_churn`] with a trace sink attached.
+pub fn lossy_churn_traced(seed: u64, shards: usize, trace: TraceConfig) -> LossyChurnRun {
+    let (mut net, ids) = build_net(
+        48,
+        40,
+        seed,
+        400 * MB,
+        4_000 * MB,
+        lossy_cfg(),
+        Some(shards),
+    );
     drive_lossy_churn(&mut net, &ids, seed, trace)
 }
 
@@ -270,19 +269,16 @@ fn lossy_cfg() -> PastConfig {
     }
 }
 
-/// The lossy-churn workload, generic over the simulation backend:
-/// inserts under loss, node failures, recoveries, fresh joins, lookups
-/// and reclaims, with I1–I5 checked at every quiesce point and explicit
-/// termination demanded for every issued operation.
-fn drive_lossy_churn<B>(
-    net: &mut PastNetwork<Sphere, B>,
+/// The lossy-churn workload: inserts under loss, node failures,
+/// recoveries, fresh joins, lookups and reclaims, with I1–I5 checked at
+/// every quiesce point and explicit termination demanded for every
+/// issued operation.
+fn drive_lossy_churn(
+    net: &mut PastNetwork<Sphere>,
     ids: &[Id],
     seed: u64,
     trace: TraceConfig,
-) -> (Vec<Violation>, Tracer)
-where
-    B: SimBackend<PastryNode<PastApp>, Topo = Sphere>,
-{
+) -> LossyChurnRun {
     let mut violations = Vec::new();
     // Ample disks and quotas (set by the builders): this scenario
     // stresses message loss, not storage pressure.
@@ -317,7 +313,7 @@ where
     }
     net.sim.stabilize();
     events.extend(net.run());
-    check_at("lossy: after insert workload", &net, &mut violations);
+    check_at("lossy: after insert workload", net, &mut violations);
 
     // Fail 5 nodes; failure detection now needs missed-ack rounds, so run
     // enough heartbeat rounds for every neighbor to pass the limit and
@@ -329,7 +325,7 @@ where
         net.sim.stabilize();
     }
     events.extend(net.run());
-    check_at("lossy: after failing 5 nodes", &net, &mut violations);
+    check_at("lossy: after failing 5 nodes", net, &mut violations);
 
     // Two failed nodes recover with their old state and three brand-new
     // nodes join through the retried join protocol.
@@ -352,7 +348,7 @@ where
     events.extend(net.run());
     check_at(
         "lossy: after recoveries and fresh joins",
-        &net,
+        net,
         &mut violations,
     );
 
@@ -377,7 +373,7 @@ where
     net.sim.stabilize();
     net.sim.stabilize();
     events.extend(net.run());
-    check_at("lossy: final", &net, &mut violations);
+    check_at("lossy: final", net, &mut violations);
 
     // Liveness: every issued operation produced a terminal event.
     let mut insert_done = BTreeSet::new();
@@ -426,7 +422,24 @@ where
             });
         }
     }
-    (violations, net.sim.engine.take_tracer())
+    let engine = &net.sim.engine;
+    let io: Vec<_> = (0..engine.len()).map(|a| engine.node_io(a)).collect();
+    let hash = |dump: String| past_trace::fnv1a(dump.as_bytes());
+    let digest = format!(
+        "snapshot={} stats={:?} io={} events={}/{} engine_fp={} now_us={}",
+        hash(format!("{:?}", net.snapshot())),
+        engine.stats,
+        hash(format!("{io:?}")),
+        events.len(),
+        hash(format!("{events:?}")),
+        engine.fingerprint(),
+        engine.now().as_micros(),
+    );
+    LossyChurnRun {
+        violations,
+        tracer: net.sim.engine.take_tracer(),
+        digest,
+    }
 }
 
 /// Scenario 5 — wheel horizon: rides the deployment across timer-wheel
@@ -437,7 +450,15 @@ where
 /// lookup that never completes.
 pub fn wheel_horizon(seed: u64) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let (mut net, _) = build_net(40, 40, seed, 200 * MB, 2_000 * MB, PastConfig::default());
+    let (mut net, _) = build_net(
+        40,
+        40,
+        seed,
+        200 * MB,
+        2_000 * MB,
+        PastConfig::default(),
+        None,
+    );
     net.run();
     check_at("wheel: after build", &net, &mut violations);
 
@@ -483,16 +504,4 @@ pub fn wheel_horizon(seed: u64) -> Vec<Violation> {
         );
     }
     violations
-}
-
-/// Runs every scenario with its default seed; `(name, violations)` pairs.
-pub fn run_all() -> Vec<(&'static str, Vec<Violation>)> {
-    vec![
-        ("bulk-join", bulk_join(1)),
-        ("churn", churn(2)),
-        ("quota-reclaim", quota_reclaim(3)),
-        ("lossy-churn", lossy_churn(4)),
-        ("wheel-horizon", wheel_horizon(5)),
-        ("lossy-churn-sharded", lossy_churn_sharded(6)),
-    ]
 }

@@ -10,13 +10,13 @@
 //!   geographic distance, or a combination of these"),
 //! - a message [`engine`] with per-link latency, silent node failure and
 //!   timeout notifications, per-kind traffic accounting, and
-//! - full determinism (seeded RNG, totally ordered event queue), so every
-//!   experiment in EXPERIMENTS.md reproduces bit-for-bit.
+//! - full determinism (seeded per-node RNG streams, totally ordered event
+//!   keys), so every experiment in EXPERIMENTS.md reproduces bit-for-bit —
+//!   on one partition run inline or on several run in parallel.
 
 pub mod arena;
-pub mod backend;
 pub mod engine;
-pub mod event;
+mod partition;
 pub mod shard;
 pub mod soa;
 pub mod stats;
@@ -24,15 +24,12 @@ pub mod time;
 pub mod topology;
 pub mod wheel;
 
-pub use backend::{Backend, SimBackend, WindowTooWide};
 pub use engine::{Ctx, Engine, FaultConfig, Message, NetStats, NodeLogic};
-pub use shard::{ShardConfig, ShardedEngine};
+pub use shard::{ShardConfig, WindowTooWide};
 pub use soa::NodeIo;
-pub use stats::{summarize, Histogram, Summary};
+pub use stats::{summarize, Summary};
 pub use time::SimTime;
 pub use topology::{Addr, Plane, Sphere, Topology, TransitStub, UniformRandom};
 // The trace layer's core handles, re-exported so node logic written
 // against this engine can name them without a separate dependency.
-// (`past_trace::Histogram` is *not* re-exported: `stats::Histogram`
-// already owns that name here.)
 pub use past_trace::{OpId, SeriesConfig, TimeSeries, TraceConfig, Tracer};

@@ -1,440 +1,129 @@
-//! Opt-in sharded engine: deterministic parallel simulation.
+//! The barrier driver: several partitions advanced in parallel.
 //!
-//! [`ShardedEngine`] partitions nodes contiguously across worker
+//! [`Engine::new_sharded`] partitions nodes contiguously across worker
 //! threads and advances them in conservative time windows: within a
-//! window every shard executes its own events independently, and every
-//! inter-node message — even between nodes of the same shard — travels
-//! through *sealed batches* that are exchanged at window barriers. The
-//! safety condition is that no inter-node message can arrive inside
-//! the window it was sent in, which holds whenever the minimum
-//! inter-node topology delay is at least [`ShardConfig::window_us`]
-//! (validated against [`Topology::min_delay_us`] at construction and
-//! re-asserted at runtime).
+//! window every partition executes its own events independently, and
+//! every inter-node message — even between nodes of the same partition
+//! — travels through *sealed batches* that are exchanged at window
+//! barriers. The safety condition is that no inter-node message can
+//! arrive inside the window it was sent in, which holds whenever the
+//! minimum inter-node topology delay is at least
+//! [`ShardConfig::window_us`] (validated against
+//! [`Topology::min_delay_us`] at construction and re-asserted at
+//! runtime). A one-partition engine runs inline instead and has no
+//! such constraint: nothing is exchanged, so there is no window.
 //!
-//! ## Determinism model
-//!
-//! The sequential [`Engine`](crate::Engine) orders tied events by a
-//! *global* push counter and draws faults from one shared RNG — an
-//! order that cannot be reproduced by parallel workers. The sharded
-//! engine therefore defines its own deterministic domain:
-//!
-//! - every event carries a key `(time, source node, per-node seq)`;
-//!   keys are totally ordered and unique,
-//! - each node owns a private protocol RNG and a private fault RNG,
-//!   seeded from the run seed and the node address,
-//! - batches merge into destination queues keyed by `(time, key)`, so
-//!   arrival order on the wire is irrelevant.
-//!
-//! Per-node decision streams depend only on the sequence of events each
-//! node observes, which the key order fixes globally — so a run with
-//! one shard and a run with N shards produce bit-identical per-node
-//! state, merged [`NetStats`], outputs, and [`fingerprint`]. That claim
-//! is what the tests at the bottom of this file pin.
-//!
-//! [`fingerprint`]: ShardedEngine::fingerprint
+//! The partitions are the same keyed event cores the inline engine
+//! runs (`partition.rs`), so a run at any shard count is
+//! bit-identical to the inline run — the claim the tests at the bottom
+//! of this file pin.
 
-use crate::arena::Arena;
-use crate::backend::{SimBackend, WindowTooWide};
-use crate::engine::{Ctx, Effect, FaultConfig, Message, NetStats, NodeLogic};
-use crate::soa::{NodeIo, NodeSlots};
-use crate::time::SimTime;
-use crate::topology::{mix64, Addr, Topology};
-use crate::wheel::TimerWheel;
-use past_crypto::rng::Rng;
-use past_trace::{SeriesConfig, TraceConfig, Tracer};
+use crate::engine::{Engine, Limits, NodeLogic};
+use crate::partition::{Partition, Wire};
+use crate::topology::Topology;
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
-/// Sharded-engine tuning knobs.
+/// Parallelism knobs of [`Engine::new_sharded`].
 #[derive(Clone, Copy, Debug)]
 pub struct ShardConfig {
     /// Worker shard count. The engine may use fewer shards than asked
-    /// for if there are not enough nodes to fill them.
+    /// for if there are not enough nodes to fill them; one shard runs
+    /// inline on the caller's thread.
     pub shards: usize,
-    /// Conservative window width in microseconds. Must not exceed the
-    /// minimum inter-node delay of the topology; larger windows mean
-    /// fewer barriers.
+    /// Conservative window width in microseconds. With more than one
+    /// shard it must not exceed the minimum inter-node delay of the
+    /// topology; larger windows mean fewer barriers.
     pub window_us: u64,
 }
 
-/// Event key tie-break: `(source node, per-node sequence)` packed into
-/// the wheel's 128-bit tie. Unique per event, identical under any
-/// shard count.
-fn tie_key(src: Addr, seq: u64) -> u128 {
-    ((src as u128) << 64) | seq as u128
+/// Typed rejection raised at sim-build time when a shard window exceeds
+/// the topology's minimum inter-node delay.
+///
+/// The barrier driver's safety condition is that no inter-node message
+/// can arrive inside the window it was sent in; a window wider than the
+/// minimum delay breaks it. Validating at construction turns what used
+/// to be a mid-run worker panic into an error the caller can handle.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WindowTooWide {
+    /// The requested window width, microseconds.
+    pub window_us: u64,
+    /// The topology's minimum inter-node delay, microseconds.
+    pub min_delay_us: u64,
 }
 
-/// Commutative event digest: folded with wrapping addition so the
-/// shard-local accumulation order cannot matter.
-fn digest(time: u64, tie: u128, salt: u64) -> u64 {
-    mix64(time ^ mix64(tie as u64) ^ mix64((tie >> 64) as u64) ^ salt)
-}
-
-/// Shard-local event record; payloads park in the shard's arena.
-#[derive(Clone, Copy)]
-enum ShardEvent {
-    Deliver { from: u32, to: u32, msg: u32 },
-    SendFailed { at: u32, dest: u32, msg: u32 },
-    Timer { at: u32, kind: u64 },
-}
-
-/// A message crossing a shard boundary (payload travels by value; it
-/// parks in the destination shard's arena on receipt).
-enum WireEvent<M> {
-    Deliver { from: u32, to: u32, msg: M },
-    SendFailed { at: u32, dest: u32, msg: M },
-}
-
-struct Wire<M> {
-    time: u64,
-    tie: u128,
-    ev: WireEvent<M>,
-}
-
-struct Shard<N: NodeLogic, T> {
-    id: usize,
-    /// First global address owned by this shard.
-    base: Addr,
-    topo: T,
-    /// Local node state; local index = global address - `base`.
-    nodes: NodeSlots<N>,
-    /// Per-node protocol RNGs (global address order).
-    rngs: Vec<Rng>,
-    /// Per-node fault RNGs, independent of the protocol streams.
-    fault_rngs: Vec<Rng>,
-    /// Per-node event sequence counters (the key tie-break).
-    seqs: Vec<u64>,
-    queue: TimerWheel<ShardEvent>,
-    arena: Arena<N::Msg>,
-    stats: NetStats,
-    /// Shard-local trace sink: message-plane events recorded here and
-    /// protocol records written by node logic through [`Ctx`] both land
-    /// shard-locally; [`ShardedEngine::take_tracer`] merges every
-    /// shard's records in canonical order. Off by default.
-    tracer: Tracer,
-    /// Emissions tagged `(time, event key, per-event index)` so a
-    /// global merge is order-deterministic.
-    outputs: Vec<(u64, u128, u32, Addr, N::Out)>,
-    /// Outbound wires accumulated during the current window.
-    wire_buf: Vec<Wire<N::Msg>>,
-    now: u64,
-    faults: FaultConfig,
-    fp: u64,
-    events: u64,
-    scratch_effects: Vec<Effect<N::Msg>>,
-    scratch_emitted: Vec<N::Out>,
-}
-
-impl<N: NodeLogic, T: Topology> Shard<N, T> {
-    fn next_seq(&mut self, local: usize) -> u64 {
-        let s = self.seqs[local];
-        self.seqs[local] = s
-            .checked_add(1)
-            .unwrap_or_else(|| panic!("per-node event sequence wrapped u64"));
-        s
-    }
-
-    /// Enqueues an already-keyed event whose payload is in hand.
-    fn receive_wire(&mut self, w: Wire<N::Msg>) {
-        let ev = match w.ev {
-            WireEvent::Deliver { from, to, msg } => {
-                let msg = self.arena.insert(msg);
-                ShardEvent::Deliver { from, to, msg }
-            }
-            WireEvent::SendFailed { at, dest, msg } => {
-                let msg = self.arena.insert(msg);
-                ShardEvent::SendFailed { at, dest, msg }
-            }
-        };
-        self.queue.push(w.time, w.tie, ev);
-    }
-
-    /// Sender-side half of a message send: accounting, fault draws and
-    /// scheduling. Self-sends go straight into the local queue;
-    /// anything inter-node lands in `wire_buf` for the caller to route.
-    /// Mirrors `Engine::dispatch`, with the shared RNG replaced by the
-    /// sender's private fault stream.
-    fn dispatch(&mut self, from: Addr, to: Addr, msg: N::Msg, extra_us: u64) {
-        let li = from - self.base;
-        self.stats.total_msgs += 1;
-        self.stats.total_bytes += msg.wire_size();
-        self.stats.by_kind_mut()[msg.kind_id()] += 1;
-        self.nodes.note_sent(li);
-        if self.tracer.enabled() {
-            self.tracer.msg_send(
-                self.now,
-                msg.op_id(),
-                from,
-                to,
-                msg.kind_id(),
-                msg.wire_size(),
-            );
-        }
-        let base_t = self.now + self.topo.delay_us(from, to) + extra_us;
-        if from == to {
-            let seq = self.next_seq(li);
-            let h = self.arena.insert(msg);
-            self.queue.push(
-                base_t,
-                tie_key(from, seq),
-                ShardEvent::Deliver {
-                    from: from as u32,
-                    to: to as u32,
-                    msg: h,
-                },
-            );
-            return;
-        }
-        let (f32b, t32b) = (from as u32, to as u32);
-        if !self.faults.is_active() {
-            let seq = self.next_seq(li);
-            self.wire_buf.push(Wire {
-                time: base_t,
-                tie: tie_key(from, seq),
-                ev: WireEvent::Deliver {
-                    from: f32b,
-                    to: t32b,
-                    msg,
-                },
-            });
-            return;
-        }
-        // Per-field gating, like the sequential engine: an inactive
-        // fault class draws nothing from the node's fault stream.
-        if self.faults.loss > 0.0 && self.fault_rngs[li].random::<f64>() < self.faults.loss {
-            self.stats.dropped += 1;
-            if self.tracer.enabled() {
-                self.tracer
-                    .msg_drop(self.now, msg.op_id(), from, to, msg.kind_id());
-            }
-            return;
-        }
-        let duplicate = self.faults.duplicate > 0.0
-            && self.fault_rngs[li].random::<f64>() < self.faults.duplicate;
-        let at = base_t + self.draw_jitter(li);
-        if duplicate {
-            self.stats.duplicated += 1;
-            if self.tracer.enabled() {
-                self.tracer
-                    .msg_dup(self.now, msg.op_id(), from, to, msg.kind_id());
-            }
-            let echo = base_t + self.draw_jitter(li);
-            let seq = self.next_seq(li);
-            self.wire_buf.push(Wire {
-                time: echo,
-                tie: tie_key(from, seq),
-                ev: WireEvent::Deliver {
-                    from: f32b,
-                    to: t32b,
-                    msg: msg.clone(),
-                },
-            });
-        }
-        let seq = self.next_seq(li);
-        self.wire_buf.push(Wire {
-            time: at,
-            tie: tie_key(from, seq),
-            ev: WireEvent::Deliver {
-                from: f32b,
-                to: t32b,
-                msg,
-            },
-        });
-    }
-
-    fn draw_jitter(&mut self, local: usize) -> u64 {
-        if self.faults.jitter_us > 0 {
-            self.fault_rngs[local].random_range(0..=self.faults.jitter_us)
-        } else {
-            0
-        }
-    }
-
-    fn invoke<F>(&mut self, at: Addr, cur_tie: u128, f: F)
-    where
-        F: FnOnce(&mut N, &mut Ctx<'_, N::Msg, N::Out>),
-    {
-        let li = at - self.base;
-        let mut effects = std::mem::take(&mut self.scratch_effects);
-        let mut emitted = std::mem::take(&mut self.scratch_emitted);
-        debug_assert!(effects.is_empty() && emitted.is_empty());
-        let mut ctx = Ctx {
-            now: SimTime::from_micros(self.now),
-            me: at,
-            rng: &mut self.rngs[li],
-            tracer: &mut self.tracer,
-            topo: &self.topo,
-            effects: &mut effects,
-            emitted: &mut emitted,
-        };
-        f(self.nodes.logic_mut(li), &mut ctx);
-        for (k, out) in emitted.drain(..).enumerate() {
-            self.outputs.push((self.now, cur_tie, k as u32, at, out));
-        }
-        for eff in effects.drain(..) {
-            match eff {
-                Effect::Send { to, msg, extra_us } => self.dispatch(at, to, msg, extra_us),
-                Effect::Timer { delay_us, kind } => {
-                    let seq = self.next_seq(li);
-                    self.queue.push(
-                        self.now + delay_us,
-                        tie_key(at, seq),
-                        ShardEvent::Timer {
-                            at: at as u32,
-                            kind,
-                        },
-                    );
-                }
-            }
-        }
-        self.scratch_effects = effects;
-        self.scratch_emitted = emitted;
-    }
-
-    /// Executes every local event strictly before `window_end`;
-    /// returns the number executed. Outbound wires accumulate in
-    /// `wire_buf`.
-    fn run_window(&mut self, window_end: u64) -> u64 {
-        let mut count = 0u64;
-        loop {
-            match self.queue.peek_time() {
-                Some(t) if t < window_end => {}
-                _ => break,
-            }
-            let Some((t, tie, ev)) = self.queue.pop() else {
-                break;
-            };
-            self.now = t;
-            self.events += 1;
-            count += 1;
-            // Flight-recorder progress counter, keyed on event time:
-            // the merged per-window totals depend only on the event
-            // multiset, never on the shard layout.
-            if let Some(s) = self.tracer.series_mut() {
-                s.note_event(t);
-            }
-            match ev {
-                ShardEvent::Deliver { from, to, msg } => {
-                    self.fp = self.fp.wrapping_add(digest(t, tie, 1));
-                    let (from, to) = (from as Addr, to as Addr);
-                    let li = to - self.base;
-                    let m = self.arena.take(msg);
-                    if !self.nodes.is_alive(li) {
-                        self.stats.failed_sends += 1;
-                        if self.tracer.enabled() {
-                            self.tracer.msg_fail(t, m.op_id(), from, to, m.kind_id());
-                        }
-                        // Timeout model: bounce a failure notice to the
-                        // sender one further delay later. Unlike the
-                        // sequential engine we cannot consult the
-                        // (possibly remote) sender's liveness here; the
-                        // notice is dropped on arrival if the sender is
-                        // dead, which leaves every counter identical.
-                        if from != to {
-                            let back = self.topo.delay_us(to, from);
-                            let seq = self.next_seq(li);
-                            self.wire_buf.push(Wire {
-                                time: self.now + back,
-                                tie: tie_key(to, seq),
-                                ev: WireEvent::SendFailed {
-                                    at: from as u32,
-                                    dest: to as u32,
-                                    msg: m,
-                                },
-                            });
-                        }
-                        continue;
-                    }
-                    if self.tracer.enabled() {
-                        self.tracer.msg_recv(t, m.op_id(), from, to, m.kind_id());
-                    }
-                    self.nodes.note_recv(li);
-                    self.invoke(to, tie, |node, ctx| node.on_message(from, m, ctx));
-                }
-                ShardEvent::SendFailed { at, dest, msg } => {
-                    self.fp = self.fp.wrapping_add(digest(t, tie, 2));
-                    let (at, dest) = (at as Addr, dest as Addr);
-                    let m = self.arena.take(msg);
-                    if self.nodes.is_alive(at - self.base) {
-                        self.invoke(at, tie, |node, ctx| node.on_send_failed(dest, m, ctx));
-                    }
-                }
-                ShardEvent::Timer { at, kind } => {
-                    self.fp = self.fp.wrapping_add(digest(t, tie, 3 ^ mix64(kind)));
-                    let at = at as Addr;
-                    if self.nodes.is_alive(at - self.base) {
-                        self.invoke(at, tie, |node, ctx| node.on_timer(kind, ctx));
-                    }
-                }
-            }
-        }
-        count
+impl fmt::Display for WindowTooWide {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "shard window ({} µs) exceeds the topology's minimum \
+             inter-node delay ({} µs): a message could arrive inside \
+             the window it was sent in, breaking sealed-batch delivery; \
+             lower ShardConfig::window_us or raise the topology's delay \
+             floor",
+            self.window_us, self.min_delay_us
+        )
     }
 }
 
-/// The sharded parallel engine. See the module docs for the model.
-pub struct ShardedEngine<N: NodeLogic, T: Topology + Clone> {
-    shards: Vec<Shard<N, T>>,
-    /// Topology slots per shard (the last shard may own fewer).
-    chunk: usize,
-    window_us: u64,
-    n: usize,
-    /// Topology capacity: shards are laid out over the full address
-    /// space up front, so node growth never re-partitions.
-    cap: usize,
-    /// Construction seed: per-node protocol RNG streams derive from it.
-    seed: u64,
-    /// Current fault seed: per-node fault streams derive from it, both
-    /// at push time and on [`set_faults`](ShardedEngine::set_faults).
-    fault_seed: u64,
-    faults: FaultConfig,
-    epoch: u64,
-    /// Harness-side RNG, separate from every node's protocol stream but
-    /// seeded like the sequential engine's shared RNG, so harness draw
-    /// sequences match across backends between runs.
-    rng: Rng,
-    /// Harness-side trace sink (op lifecycle records); merged with the
-    /// shard-local sinks by [`take_tracer`](ShardedEngine::take_tracer).
-    harness_tracer: Tracer,
-    /// Reused by [`stats`](ShardedEngine::stats): the per-round merge
-    /// writes into this cache instead of allocating a fresh block.
-    stats_cache: NetStats,
-    /// Reused by [`drain_outputs_into`](ShardedEngine::drain_outputs_into)
-    /// as the merge-and-sort staging buffer.
-    out_scratch: Vec<(u64, u128, u32, Addr, N::Out)>,
-}
+impl std::error::Error for WindowTooWide {}
 
-impl<N, T> ShardedEngine<N, T>
+impl<N, T> Engine<N, T>
 where
     N: NodeLogic + Send,
     N::Msg: Send,
     N::Out: Send,
     T: Topology + Clone + Send,
 {
-    /// Builds an empty sharded engine over the topology's full address
-    /// space, partitioned contiguously into (up to) `cfg.shards`
-    /// shards. Nodes are added with [`push_node`](ShardedEngine::push_node).
+    /// Builds an empty engine over the topology's full address space,
+    /// partitioned contiguously into (up to) `cfg.shards` shards. Nodes
+    /// are added with [`push_node`](Engine::push_node).
     ///
-    /// Rejects a window wider than the topology's minimum inter-node
-    /// delay: such a window could deliver a message inside the window
-    /// it was sent in, which the sealed-batch exchange cannot express.
+    /// With more than one shard, rejects a window wider than the
+    /// topology's minimum inter-node delay: such a window could deliver
+    /// a message inside the window it was sent in, which the
+    /// sealed-batch exchange cannot express.
     ///
     /// # Panics
     ///
-    /// Panics if the topology is empty, exceeds the `u32` address
-    /// space, or the window is zero.
-    pub fn try_new(
+    /// Panics if the topology is empty or the window is zero.
+    pub fn try_new_sharded(
         topo: T,
         seed: u64,
         cfg: ShardConfig,
-    ) -> Result<ShardedEngine<N, T>, WindowTooWide> {
+    ) -> Result<Engine<N, T>, WindowTooWide> {
+        Self::try_with_nodes(topo, Vec::new(), seed, cfg)
+    }
+
+    /// Builds a sharded engine over `nodes`, partitioned contiguously.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` exceeds the topology, the topology is empty,
+    /// the window is zero, or the window is wider than the topology's
+    /// minimum delay (use [`try_new_sharded`](Engine::try_new_sharded)
+    /// to handle that case).
+    pub fn new_sharded(topo: T, nodes: Vec<N>, seed: u64, cfg: ShardConfig) -> Engine<N, T> {
+        Self::try_with_nodes(topo, nodes, seed, cfg).unwrap_or_else(|err| panic!("{err}"))
+    }
+
+    fn try_with_nodes(
+        topo: T,
+        nodes: Vec<N>,
+        seed: u64,
+        cfg: ShardConfig,
+    ) -> Result<Engine<N, T>, WindowTooWide> {
         let cap = topo.len();
         assert!(cap > 0, "sharded engine needs a topology with slots");
-        assert!(
-            cap < u32::MAX as usize,
-            "node address space (u32) exhausted"
-        );
         assert!(cfg.window_us > 0, "shard window must be positive");
+        // Layout is capacity-based (`topo.len()`), not node-count-based,
+        // so growth via `push_node` never needs to re-partition.
+        let chunk = cap.div_ceil(cfg.shards.clamp(1, cap));
+        let count = cap.div_ceil(chunk);
+        if count == 1 {
+            return Ok(Engine::new(topo, nodes, seed));
+        }
         let min_delay_us = topo.min_delay_us();
         if cfg.window_us > min_delay_us {
             return Err(WindowTooWide {
@@ -442,550 +131,14 @@ where
                 min_delay_us,
             });
         }
-        let want = cfg.shards.clamp(1, cap);
-        let chunk = cap.div_ceil(want);
-        let count = cap.div_ceil(chunk);
-        let shards = (0..count)
-            .map(|id| Shard {
-                id,
-                base: id * chunk,
-                topo: topo.clone(),
-                nodes: NodeSlots::new(),
-                rngs: Vec::new(),
-                fault_rngs: Vec::new(),
-                seqs: Vec::new(),
-                queue: TimerWheel::new(),
-                arena: Arena::new(),
-                stats: NetStats::for_kinds(N::Msg::KINDS),
-                tracer: Tracer::for_kinds(N::Msg::KINDS),
-                outputs: Vec::new(),
-                wire_buf: Vec::new(),
-                now: 0,
-                faults: FaultConfig::default(),
-                fp: 0,
-                events: 0,
-                scratch_effects: Vec::new(),
-                scratch_emitted: Vec::new(),
-            })
-            .collect();
-        Ok(ShardedEngine {
-            shards,
-            chunk,
-            window_us: cfg.window_us,
-            n: 0,
-            cap,
+        let topos = (0..count).map(|_| topo.clone()).collect();
+        Ok(Engine::with_parts(
+            topos,
+            cfg.window_us,
             seed,
-            fault_seed: seed,
-            faults: FaultConfig::default(),
-            epoch: 0,
-            rng: Rng::seed_from_u64(seed),
-            harness_tracer: Tracer::for_kinds(N::Msg::KINDS),
-            stats_cache: NetStats::for_kinds(N::Msg::KINDS),
-            out_scratch: Vec::new(),
-        })
-    }
-
-    /// Builds a sharded engine over `nodes`, partitioned contiguously.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is empty, exceeds the topology, the window is
-    /// zero, or the window is wider than the topology's minimum delay
-    /// (use [`try_new`](ShardedEngine::try_new) to handle that case).
-    pub fn new(topo: T, nodes: Vec<N>, seed: u64, cfg: ShardConfig) -> ShardedEngine<N, T> {
-        assert!(!nodes.is_empty(), "sharded engine needs at least one node");
-        assert!(nodes.len() <= topo.len(), "more nodes than topology slots");
-        // Shard layout is capacity-based (`topo.len()`), not
-        // node-count-based: when the node set fills the topology the
-        // chunking is identical to the historical node-count layout,
-        // and when it doesn't, growth via `push_node` never needs to
-        // re-partition.
-        let mut e = Self::try_new(topo, seed, cfg).unwrap_or_else(|err| panic!("{err}"));
-        for node in nodes {
-            e.push_node(node);
-        }
-        e.epoch = 0;
-        e
-    }
-
-    fn shard_of(&self, a: Addr) -> usize {
-        a / self.chunk
-    }
-
-    /// Adds a node (returns its address). Addresses are dense in push
-    /// order; the owning shard is fixed by the contiguous layout. The
-    /// node's protocol stream derives from the construction seed and
-    /// its fault stream from the current fault seed, exactly as if it
-    /// had been present at construction — so growth is shard-count
-    /// independent.
-    pub fn push_node(&mut self, node: N) -> Addr {
-        let addr = self.n;
-        assert!(addr < self.cap, "no topology slot for new node");
-        let sh = addr / self.chunk;
-        let s = &mut self.shards[sh];
-        debug_assert_eq!(s.base + s.nodes.len(), addr, "dense push order");
-        s.nodes.push(node);
-        s.rngs
-            .push(Rng::seed_from_u64(self.seed ^ mix64(addr as u64)));
-        s.fault_rngs.push(Rng::seed_from_u64(
-            self.fault_seed ^ mix64(addr as u64) ^ 0x5eed_fa17,
-        ));
-        s.seqs.push(0);
-        self.n += 1;
-        self.epoch += 1;
-        addr
-    }
-
-    /// Reserves storage in the shards that will receive the next
-    /// `extra` nodes, so bulk builds grow each shard's arrays once.
-    pub fn reserve_nodes(&mut self, extra: usize) {
-        let mut remaining = extra.min(self.cap - self.n);
-        let mut next = self.n;
-        while remaining > 0 {
-            let sh = next / self.chunk;
-            let room = ((sh + 1) * self.chunk).min(self.cap) - next;
-            let take = room.min(remaining);
-            let s = &mut self.shards[sh];
-            s.nodes.reserve(take);
-            s.rngs.reserve(take);
-            s.fault_rngs.reserve(take);
-            s.seqs.reserve(take);
-            next += take;
-            remaining -= take;
-        }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True if the engine has no nodes (never: construction requires
-    /// one, but the pair with [`len`](ShardedEngine::len) is idiomatic).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Number of worker shards actually in use.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Global simulated time: all shards agree between runs.
-    pub fn now(&self) -> SimTime {
-        SimTime::from_micros(self.shards.iter().map(|s| s.now).max().unwrap_or(0))
-    }
-
-    /// Immutable access to a node's state.
-    pub fn node(&self, a: Addr) -> &N {
-        let s = &self.shards[self.shard_of(a)];
-        s.nodes.logic(a - s.base)
-    }
-
-    /// Mutable access to a node's state (harness-side setup only).
-    pub fn node_mut(&mut self, a: Addr) -> &mut N {
-        let sh = self.shard_of(a);
-        let s = &mut self.shards[sh];
-        s.nodes.logic_mut(a - s.base)
-    }
-
-    /// The topology (proximity oracle).
-    pub fn topology(&self) -> &T {
-        &self.shards[0].topo
-    }
-
-    /// Membership epoch: bumped on every push/kill/revive, mirroring
-    /// the sequential engine's cache-invalidation contract.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Addresses of all live nodes, ascending.
-    pub fn live_addrs(&self) -> Vec<Addr> {
-        let mut out = Vec::new();
-        for s in &self.shards {
-            out.extend(s.nodes.live_addrs().into_iter().map(|a| a + s.base));
-        }
-        out
-    }
-
-    /// The harness-side RNG (sampling, id generation). Seeded like the
-    /// sequential engine's shared RNG but never touched by node logic,
-    /// whose draws come from per-node streams.
-    pub fn rng(&mut self) -> &mut Rng {
-        &mut self.rng
-    }
-
-    /// Per-node traffic counters.
-    pub fn node_io(&self, a: Addr) -> NodeIo {
-        let s = &self.shards[self.shard_of(a)];
-        s.nodes.io(a - s.base)
-    }
-
-    /// Liveness of a node.
-    pub fn is_alive(&self, a: Addr) -> bool {
-        let s = &self.shards[self.shard_of(a)];
-        s.nodes.is_alive(a - s.base)
-    }
-
-    /// Marks a node dead (between runs).
-    pub fn kill(&mut self, a: Addr) {
-        let sh = self.shard_of(a);
-        let s = &mut self.shards[sh];
-        s.nodes.set_alive(a - s.base, false);
-        self.epoch += 1;
-    }
-
-    /// Marks a node live again (between runs).
-    pub fn revive(&mut self, a: Addr) {
-        let sh = self.shard_of(a);
-        let s = &mut self.shards[sh];
-        s.nodes.set_alive(a - s.base, true);
-        self.epoch += 1;
-    }
-
-    /// Enables (or reconfigures) link-fault injection. Every node's
-    /// fault stream is reseeded from `seed` and its address; nodes
-    /// pushed later derive their streams from the same seed.
-    pub fn set_faults(&mut self, faults: FaultConfig, seed: u64) {
-        assert!((0.0..=1.0).contains(&faults.loss), "loss out of [0,1]");
-        assert!(
-            (0.0..=1.0).contains(&faults.duplicate),
-            "duplicate out of [0,1]"
-        );
-        self.faults = faults;
-        self.fault_seed = seed;
-        for s in self.shards.iter_mut() {
-            s.faults = faults;
-            for (i, r) in s.fault_rngs.iter_mut().enumerate() {
-                let a = (s.base + i) as u64;
-                *r = Rng::seed_from_u64(seed ^ mix64(a) ^ 0x5eed_fa17);
-            }
-        }
-    }
-
-    /// The fault configuration in force.
-    pub fn faults(&self) -> FaultConfig {
-        self.faults
-    }
-
-    /// Selects which trace event classes are recorded, on the harness
-    /// sink and every shard-local sink.
-    pub fn set_tracing(&mut self, cfg: TraceConfig) {
-        self.harness_tracer.configure(cfg);
-        for s in self.shards.iter_mut() {
-            s.tracer.configure(cfg);
-        }
-    }
-
-    /// Attaches a flight recorder to the harness sink and every
-    /// shard-local sink. Shard series merge into the harness series in
-    /// [`take_tracer`](ShardedEngine::take_tracer); the merged series
-    /// is identical under any shard count (pinned by the differential
-    /// tests).
-    pub fn set_series(&mut self, cfg: SeriesConfig) {
-        self.harness_tracer.set_series(cfg);
-        for s in self.shards.iter_mut() {
-            s.tracer.set_series(cfg);
-        }
-    }
-
-    /// The harness-side trace sink. Shard-local records (message plane,
-    /// per-hop protocol events) are *not* visible here until
-    /// [`take_tracer`](ShardedEngine::take_tracer) merges them.
-    pub fn tracer(&self) -> &Tracer {
-        &self.harness_tracer
-    }
-
-    /// Mutable harness-side trace sink (op lifecycle records).
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.harness_tracer
-    }
-
-    /// Takes the full trace out of the engine: absorbs every shard's
-    /// records and metrics into the harness trace and sorts the result
-    /// canonically, so the merged trace is identical under any shard
-    /// count. Leaves fresh disabled sinks behind.
-    pub fn take_tracer(&mut self) -> Tracer {
-        let mut t = std::mem::replace(&mut self.harness_tracer, Tracer::for_kinds(N::Msg::KINDS));
-        for s in self.shards.iter_mut() {
-            let st = std::mem::replace(&mut s.tracer, Tracer::for_kinds(N::Msg::KINDS));
-            t.absorb(st);
-        }
-        t.sort_canonical();
-        t
-    }
-
-    /// Injects a message from `from` to `to` (between runs). The fault
-    /// model applies, drawn from the sender's fault stream.
-    pub fn inject(&mut self, from: Addr, to: Addr, msg: N::Msg, extra_us: u64) {
-        let sh = self.shard_of(from);
-        self.shards[sh].dispatch(from, to, msg, extra_us);
-        self.route_pending_wires(sh);
-    }
-
-    /// Arms a timer on a node (between runs).
-    pub fn arm_timer(&mut self, at: Addr, delay_us: u64, kind: u64) {
-        let sh = self.shard_of(at);
-        let s = &mut self.shards[sh];
-        let li = at - s.base;
-        let seq = s.next_seq(li);
-        let t = s.now + delay_us;
-        s.queue.push(
-            t,
-            tie_key(at, seq),
-            ShardEvent::Timer {
-                at: at as u32,
-                kind,
-            },
-        );
-    }
-
-    /// Routes wires produced by a between-runs dispatch straight into
-    /// destination queues (no window constraint applies: nothing is
-    /// executing).
-    fn route_pending_wires(&mut self, src: usize) {
-        let wires = std::mem::take(&mut self.shards[src].wire_buf);
-        for w in wires {
-            let to = match &w.ev {
-                WireEvent::Deliver { to, .. } => *to as Addr,
-                WireEvent::SendFailed { at, .. } => *at as Addr,
-            };
-            let sh = self.shard_of(to);
-            self.shards[sh].receive_wire(w);
-        }
-    }
-
-    /// Total pending events across all shards.
-    pub fn pending(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.len()).sum()
-    }
-
-    /// Merged traffic counters across all shards. Adapter loops read
-    /// stats every round, so the merge writes into a reusable cache
-    /// instead of allocating a fresh block per call.
-    pub fn stats(&mut self) -> &NetStats {
-        self.stats_cache.reset();
-        for s in &self.shards {
-            self.stats_cache.merge(&s.stats);
-        }
-        &self.stats_cache
-    }
-
-    /// Commutative run fingerprint: a wrapping sum of per-event key
-    /// digests plus the event count. Identical for identical runs under
-    /// any shard count; any divergence in event times, sources or
-    /// sequence numbers changes it.
-    pub fn fingerprint(&self) -> u64 {
-        let mut fp = 0u64;
-        let mut events = 0u64;
-        for s in &self.shards {
-            fp = fp.wrapping_add(s.fp);
-            events += s.events;
-        }
-        mix64(events).wrapping_add(fp)
-    }
-
-    /// Events executed so far, summed over shards.
-    pub fn events_executed(&self) -> u64 {
-        self.shards.iter().map(|s| s.events).sum()
-    }
-
-    /// Drains emissions from all shards into `out` (cleared first),
-    /// merged in global event-key order (deterministic under any shard
-    /// count). The merge-and-sort staging buffer is engine-owned and
-    /// reused, so a per-round drain allocates nothing once the buffers
-    /// have grown to the working-set size.
-    pub fn drain_outputs_into(&mut self, out: &mut Vec<(SimTime, Addr, N::Out)>) {
-        out.clear();
-        let mut all = std::mem::take(&mut self.out_scratch);
-        debug_assert!(all.is_empty());
-        for s in self.shards.iter_mut() {
-            all.append(&mut s.outputs);
-        }
-        all.sort_by_key(|&(t, tie, k, _, _)| (t, tie, k));
-        out.reserve(all.len());
-        for (t, _, _, a, o) in all.drain(..) {
-            out.push((SimTime::from_micros(t), a, o));
-        }
-        self.out_scratch = all;
-    }
-
-    /// Drains emissions from all shards, merged in global event-key
-    /// order (deterministic under any shard count).
-    pub fn drain_outputs(&mut self) -> Vec<(SimTime, Addr, N::Out)> {
-        let mut out = Vec::new();
-        self.drain_outputs_into(&mut out);
-        out
-    }
-
-    /// Capacity of the engine-owned output staging buffer (observability
-    /// for the zero-alloc drain contract).
-    pub fn out_scratch_capacity(&self) -> usize {
-        self.out_scratch.capacity()
-    }
-
-    /// Runs shards in parallel until the whole simulation quiesces or
-    /// at least `max_events` have executed (checked at window
-    /// boundaries, so slightly more may run). Returns events executed
-    /// this call.
-    pub fn run_until_quiet(&mut self, max_events: u64) -> u64 {
-        let s = self.shards.len();
-        let window = self.window_us;
-        let shared = Shared {
-            barrier: Barrier::new(s),
-            mins: (0..s).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            total: AtomicU64::new(0),
-            mail: (0..s)
-                .map(|_| (0..s).map(|_| Mutex::new(Vec::new())).collect())
-                .collect(),
-            poisoned: AtomicBool::new(false),
-            poison: Mutex::new(None),
-        };
-        let chunk = self.chunk;
-        std::thread::scope(|scope| {
-            for shard in self.shards.iter_mut() {
-                let shared = &shared;
-                scope.spawn(move || {
-                    worker(shard, shared, chunk, window, max_events);
-                });
-            }
-        });
-        // A worker panic (window violation, node-logic bug) is caught in
-        // the worker so its peers can leave the barrier protocol
-        // cleanly; surface it here on the caller's thread.
-        let poison = shared
-            .poison
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner());
-        if let Some(p) = poison {
-            std::panic::resume_unwind(p);
-        }
-        // Re-sync shard clocks so between-run harness actions (inject,
-        // arm_timer) use the same global time under any shard count.
-        let g = self.shards.iter().map(|sh| sh.now).max().unwrap_or(0);
-        for sh in self.shards.iter_mut() {
-            sh.now = g;
-        }
-        shared.total.into_inner()
-    }
-}
-
-impl<N, T> SimBackend<N> for ShardedEngine<N, T>
-where
-    N: NodeLogic + Send,
-    N::Msg: Send,
-    N::Out: Send,
-    T: Topology + Clone + Send,
-{
-    type Topo = T;
-
-    fn len(&self) -> usize {
-        ShardedEngine::len(self)
-    }
-
-    fn now(&self) -> SimTime {
-        ShardedEngine::now(self)
-    }
-
-    fn topology(&self) -> &T {
-        ShardedEngine::topology(self)
-    }
-
-    fn node(&self, a: Addr) -> &N {
-        ShardedEngine::node(self, a)
-    }
-
-    fn node_mut(&mut self, a: Addr) -> &mut N {
-        ShardedEngine::node_mut(self, a)
-    }
-
-    fn node_io(&self, a: Addr) -> NodeIo {
-        ShardedEngine::node_io(self, a)
-    }
-
-    fn reserve_nodes(&mut self, extra: usize) {
-        ShardedEngine::reserve_nodes(self, extra)
-    }
-
-    fn push_node(&mut self, node: N) -> Addr {
-        ShardedEngine::push_node(self, node)
-    }
-
-    fn is_alive(&self, a: Addr) -> bool {
-        ShardedEngine::is_alive(self, a)
-    }
-
-    fn kill(&mut self, a: Addr) {
-        ShardedEngine::kill(self, a)
-    }
-
-    fn revive(&mut self, a: Addr) {
-        ShardedEngine::revive(self, a)
-    }
-
-    fn epoch(&self) -> u64 {
-        ShardedEngine::epoch(self)
-    }
-
-    fn live_addrs(&self) -> Vec<Addr> {
-        ShardedEngine::live_addrs(self)
-    }
-
-    fn rng(&mut self) -> &mut Rng {
-        ShardedEngine::rng(self)
-    }
-
-    fn set_faults(&mut self, faults: FaultConfig, seed: u64) {
-        ShardedEngine::set_faults(self, faults, seed)
-    }
-
-    fn faults(&self) -> FaultConfig {
-        ShardedEngine::faults(self)
-    }
-
-    fn set_tracing(&mut self, cfg: TraceConfig) {
-        ShardedEngine::set_tracing(self, cfg)
-    }
-
-    fn set_series(&mut self, cfg: SeriesConfig) {
-        ShardedEngine::set_series(self, cfg)
-    }
-
-    fn tracer(&self) -> &Tracer {
-        ShardedEngine::tracer(self)
-    }
-
-    fn tracer_mut(&mut self) -> &mut Tracer {
-        ShardedEngine::tracer_mut(self)
-    }
-
-    fn take_tracer(&mut self) -> Tracer {
-        ShardedEngine::take_tracer(self)
-    }
-
-    fn inject(&mut self, from: Addr, to: Addr, msg: N::Msg, extra_us: u64) {
-        ShardedEngine::inject(self, from, to, msg, extra_us)
-    }
-
-    fn arm_timer(&mut self, at: Addr, delay_us: u64, kind: u64) {
-        ShardedEngine::arm_timer(self, at, delay_us, kind)
-    }
-
-    fn run_until_quiet(&mut self, max_events: u64) -> u64 {
-        ShardedEngine::run_until_quiet(self, max_events)
-    }
-
-    fn pending(&self) -> usize {
-        ShardedEngine::pending(self)
-    }
-
-    fn drain_outputs(&mut self) -> Vec<(SimTime, Addr, N::Out)> {
-        ShardedEngine::drain_outputs(self)
-    }
-
-    fn stats(&mut self) -> &NetStats {
-        ShardedEngine::stats(self)
+            drive_windows,
+            nodes,
+        ))
     }
 }
 
@@ -1006,15 +159,61 @@ struct Shared<M> {
     poison: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
+/// Runs the shards in parallel until the whole simulation quiesces,
+/// passes the deadline, or at least `lim.max_events` have executed
+/// (checked at window boundaries, so slightly more may run). Returns
+/// events executed.
+fn drive_windows<N, T>(
+    parts: &mut [Partition<N, T>],
+    chunk: usize,
+    window_us: u64,
+    lim: Limits,
+) -> u64
+where
+    N: NodeLogic + Send,
+    N::Msg: Send,
+    N::Out: Send,
+    T: Topology + Send,
+{
+    let s = parts.len();
+    let shared = Shared {
+        barrier: Barrier::new(s),
+        mins: (0..s).map(|_| AtomicU64::new(u64::MAX)).collect(),
+        total: AtomicU64::new(0),
+        mail: (0..s)
+            .map(|_| (0..s).map(|_| Mutex::new(Vec::new())).collect())
+            .collect(),
+        poisoned: AtomicBool::new(false),
+        poison: Mutex::new(None),
+    };
+    std::thread::scope(|scope| {
+        for shard in parts.iter_mut() {
+            let shared = &shared;
+            scope.spawn(move || worker(shard, shared, chunk, window_us, lim));
+        }
+    });
+    // A worker panic (window violation, node-logic bug) is caught in
+    // the worker so its peers can leave the barrier protocol
+    // cleanly; surface it here on the caller's thread.
+    let poison = shared
+        .poison
+        .into_inner()
+        .unwrap_or_else(|e| e.into_inner());
+    if let Some(p) = poison {
+        std::panic::resume_unwind(p);
+    }
+    shared.total.into_inner()
+}
+
 /// One shard's window loop. All shards execute the same barrier
 /// sequence and read reduction inputs only after a barrier, so every
 /// shard takes the break branches on the same round.
 fn worker<N, T>(
-    shard: &mut Shard<N, T>,
+    shard: &mut Partition<N, T>,
     shared: &Shared<N::Msg>,
     chunk: usize,
     window_us: u64,
-    max_events: u64,
+    lim: Limits,
 ) where
     N: NodeLogic,
     T: Topology,
@@ -1030,7 +229,7 @@ fn worker<N, T>(
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
             for w in inbox.drain(..) {
-                shard.receive_wire(w);
+                shard.enqueue(w);
             }
         }
         shared.mins[me].store(
@@ -1054,41 +253,42 @@ fn worker<N, T>(
             .map(|m| m.load(Ordering::SeqCst))
             .min()
             .unwrap_or(u64::MAX);
-        if gmin == u64::MAX || total >= max_events || poisoned {
+        if gmin == u64::MAX || gmin > lim.deadline || total >= lim.max_events || poisoned {
             break;
-        }
-        // Flight-recorder engine gauges, sampled by *every* shard at
-        // the global minimum `gmin` — the same instant under any shard
-        // count. Mailboxes were absorbed above, so the shard queues
-        // and arenas partition the global pending set: equal-time
-        // samples sum on merge into the global queue depth and
-        // in-flight count, bit-identical from 1 shard to N.
-        if shard.tracer.series_enabled() {
-            let (q, a) = (shard.queue.len() as u64, shard.arena.len() as u64);
-            if let Some(srs) = shard.tracer.series_mut() {
-                srs.gauge(gmin, "queue_depth", q);
-                srs.gauge(gmin, "in_flight_msgs", a);
-                srs.shard_gauge(gmin, me, "queue_depth", q);
-            }
         }
         // Skip ahead: the window starts at the global minimum, so idle
         // stretches cost one barrier round, not one round per window.
-        let window_end = gmin.saturating_add(window_us);
+        let mut last = gmin.saturating_add(window_us - 1).min(lim.deadline);
+        // Flight-recorder engine gauges, sampled by *every* shard at
+        // the global minimum `gmin` — the same instant under any shard
+        // count. Mailboxes were absorbed above, so the shard queues
+        // and arenas partition the global pending set. Windows are cut
+        // at series-window edges, so the first event of each series
+        // window is some round's `gmin`: the instant a sole partition
+        // samples at, too.
+        if let Some(series_us) = shard.tracer.series().map(|srs| srs.window_us()) {
+            last = last.min((gmin - gmin % series_us).saturating_add(series_us - 1));
+            shard.sample_gauges(gmin);
+            let q = shard.queue.len() as u64;
+            if let Some(srs) = shard.tracer.series_mut() {
+                srs.shard_gauge(gmin, me, "queue_depth", q);
+            }
+        }
         // The window body can panic (window-safety violation, a bug in
         // node logic). Catch it so the peers can leave the barrier
         // protocol instead of deadlocking on a dead thread; the payload
-        // is re-thrown by `run_until_quiet` on the caller's thread.
+        // is re-thrown by `drive_windows` on the caller's thread.
         let body = std::panic::AssertUnwindSafe(|| {
-            let count = shard.run_window(window_end);
+            let count = shard.run(last, u64::MAX);
             shared.total.fetch_add(count, Ordering::SeqCst);
             // Per-shard load diagnostic (fingerprint-excluded: the
             // split of events over shards depends on the shard count).
             if count > 0 {
                 if let Some(srs) = shard.tracer.series_mut() {
-                    srs.shard_bump(window_end - 1, me, "events", count);
+                    srs.shard_bump(last, me, "events", count);
                 }
             }
-            ship_window(shard, shared, me, chunk, s, window_end);
+            ship_window(shard, shared, me, chunk, s, last);
         });
         if let Err(p) = std::panic::catch_unwind(body) {
             let mut slot = shared.poison.lock().unwrap_or_else(|e| e.into_inner());
@@ -1102,29 +302,30 @@ fn worker<N, T>(
 }
 
 /// Seals the window's outbound wires into per-destination batches.
+/// `last` is the final instant of the window just executed.
 fn ship_window<N, T>(
-    shard: &mut Shard<N, T>,
+    shard: &mut Partition<N, T>,
     shared: &Shared<N::Msg>,
     me: usize,
     chunk: usize,
     s: usize,
-    window_end: u64,
+    last: u64,
 ) where
     N: NodeLogic,
     T: Topology,
 {
-    let wires = std::mem::take(&mut shard.wire_buf);
+    let wires = std::mem::take(&mut shard.outbox);
     // Sealed-batch size and window-completion lag (how far behind the
     // window edge this shard stopped executing — a barrier-stall
     // proxy, in simulated microseconds). Both are per-shard
     // diagnostics, excluded from the series fingerprint.
     if let Some(srs) = shard.tracer.series_mut() {
-        srs.shard_bump(window_end - 1, me, "batch_msgs", wires.len() as u64);
+        srs.shard_bump(last, me, "batch_msgs", wires.len() as u64);
         srs.shard_gauge(
-            window_end - 1,
+            last,
             me,
             "stall_us",
-            window_end.saturating_sub(shard.now),
+            last.saturating_add(1).saturating_sub(shard.now),
         );
     }
     if wires.is_empty() {
@@ -1133,17 +334,13 @@ fn ship_window<N, T>(
     let mut sorted: Vec<Vec<Wire<N::Msg>>> = (0..s).map(|_| Vec::new()).collect();
     for w in wires {
         assert!(
-            w.time >= window_end,
+            w.time > last,
             "inter-node delay shorter than the shard window \
-             ({} < {window_end}): lower ShardConfig::window_us below \
+             ({} <= {last}): lower ShardConfig::window_us below \
              the topology's minimum inter-node delay",
             w.time
         );
-        let to = match &w.ev {
-            WireEvent::Deliver { to, .. } => *to as Addr,
-            WireEvent::SendFailed { at, .. } => *at as Addr,
-        };
-        sorted[to / chunk].push(w);
+        sorted[w.at as usize / chunk].push(w);
     }
     for (t, batch) in sorted.into_iter().enumerate() {
         if !batch.is_empty() {
@@ -1158,7 +355,11 @@ fn ship_window<N, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::UniformRandom;
+    use crate::engine::{Ctx, FaultConfig, Message};
+    use crate::soa::NodeIo;
+    use crate::time::SimTime;
+    use crate::topology::{Addr, UniformRandom};
+    use past_trace::{SeriesConfig, TraceConfig};
 
     /// A gossip-ish protocol exercising every engine path: randomized
     /// forwarding (per-node RNG), timers, emissions, and send failures.
@@ -1232,9 +433,10 @@ mod tests {
         UniformRandom::new(N, 77, 2_000, 9_000)
     }
 
-    fn engine(shards: usize) -> ShardedEngine<GNode, UniformRandom> {
+    /// `engine(1)` is the inline engine: one partition, no threads.
+    fn engine(shards: usize) -> Engine<GNode, UniformRandom> {
         let nodes = (0..N).map(|_| GNode::default()).collect();
-        ShardedEngine::new(
+        Engine::new_sharded(
             topo(),
             nodes,
             0xface,
@@ -1245,62 +447,49 @@ mod tests {
         )
     }
 
-    /// Folds one full run into a comparable snapshot.
-    fn snapshot(
-        e: &mut ShardedEngine<GNode, UniformRandom>,
-    ) -> (
-        u64,
-        u64,
-        SimTime,
-        Vec<(SimTime, Addr, (u32, Addr))>,
-        Vec<NodeIo>,
-        Vec<Vec<u32>>,
-        u64,
-        u64,
-        u64,
-    ) {
-        let (total_msgs, dropped, duplicated, failed_sends) = {
-            let st = e.stats();
-            (st.total_msgs, st.dropped, st.duplicated, st.failed_sends)
-        };
-        (
-            e.fingerprint(),
-            total_msgs,
-            e.now(),
-            e.drain_outputs(),
-            (0..N).map(|a| e.node_io(a)).collect(),
-            (0..N).map(|a| e.node(a).heard.clone()).collect(),
-            dropped,
-            duplicated,
-            failed_sends,
-        )
+    /// Everything observable about a run, comparable across layouts.
+    #[derive(Debug, PartialEq)]
+    struct Snapshot {
+        fingerprint: u64,
+        total_msgs: u64,
+        now: SimTime,
+        outputs: Vec<(SimTime, Addr, (u32, Addr))>,
+        io: Vec<NodeIo>,
+        heard: Vec<Vec<u32>>,
+        dropped: u64,
+        duplicated: u64,
+        failed_sends: u64,
     }
 
-    fn seeded_run(
-        shards: usize,
-    ) -> (
-        u64,
-        u64,
-        SimTime,
-        Vec<(SimTime, Addr, (u32, Addr))>,
-        Vec<NodeIo>,
-        Vec<Vec<u32>>,
-        u64,
-        u64,
-        u64,
-    ) {
-        let mut e = engine(shards);
-        for i in 0..8 {
-            e.inject(
-                i * 7,
-                (i * 13 + 1) % N,
-                GMsg::Rumor {
-                    ttl: 12,
-                    tag: i as u32,
-                },
-                0,
-            );
+    /// Folds the run so far into a snapshot (draining the outputs).
+    fn snapshot(e: &mut Engine<GNode, UniformRandom>) -> Snapshot {
+        Snapshot {
+            fingerprint: e.fingerprint(),
+            total_msgs: e.stats.total_msgs,
+            now: e.now(),
+            outputs: e.drain_outputs(),
+            io: (0..N).map(|a| e.node_io(a)).collect(),
+            heard: (0..N).map(|a| e.node(a).heard.clone()).collect(),
+            dropped: e.stats.dropped,
+            duplicated: e.stats.duplicated,
+            failed_sends: e.stats.failed_sends,
         }
+    }
+
+    /// Starts eight rumors with a 12-hop budget from scattered nodes.
+    fn start_rumors(e: &mut Engine<GNode, UniformRandom>) {
+        for i in 0..8 {
+            let rumor = GMsg::Rumor {
+                ttl: 12,
+                tag: i as u32,
+            };
+            e.inject(i * 7, (i * 13 + 1) % N, rumor, 0);
+        }
+    }
+
+    fn seeded_run(shards: usize) -> Snapshot {
+        let mut e = engine(shards);
+        start_rumors(&mut e);
         e.run_until_quiet(u64::MAX);
         assert_eq!(e.pending(), 0, "run must quiesce");
         snapshot(&mut e)
@@ -1312,7 +501,7 @@ mod tests {
         for shards in [2, 3, 4, 7] {
             assert_eq!(one, seeded_run(shards), "{shards} shards diverged");
         }
-        assert!(!one.3.is_empty(), "run must produce outputs");
+        assert!(!one.outputs.is_empty(), "run must produce outputs");
     }
 
     #[test]
@@ -1342,8 +531,8 @@ mod tests {
             snapshot(&mut e)
         };
         let one = run(1);
-        assert!(one.6 > 0, "loss must drop something");
-        assert!(one.7 > 0, "duplication must duplicate something");
+        assert!(one.dropped > 0, "loss must drop something");
+        assert!(one.duplicated > 0, "duplication must duplicate something");
         for shards in [2, 4] {
             assert_eq!(one, run(shards), "{shards} shards diverged under faults");
         }
@@ -1402,7 +591,7 @@ mod tests {
             (snapshot(&mut e), failures)
         };
         let one = run(1);
-        assert!(one.0 .8 > 0, "churn must fail some sends");
+        assert!(one.0.failed_sends > 0, "churn must fail some sends");
         assert!(one.1 > 0, "some sender must observe a failure");
         for shards in [2, 5] {
             assert_eq!(one, run(shards), "{shards} shards diverged under churn");
@@ -1415,19 +604,31 @@ mod tests {
     }
 
     #[test]
+    fn deadline_runs_are_shard_count_independent() {
+        // A deadline cuts the run at the same event under any layout
+        // (unlike an event budget, which is window-granular on shards),
+        // parks every clock on it, and leaves the rest queued.
+        let run = |shards: usize| {
+            let mut e = engine(shards);
+            start_rumors(&mut e);
+            let ran = e.run_until(SimTime::from_micros(15_000));
+            assert_eq!(e.now(), SimTime::from_micros(15_000));
+            let pending = e.pending();
+            let mid = snapshot(&mut e);
+            e.run_until_quiet(u64::MAX);
+            (ran, pending, mid, snapshot(&mut e))
+        };
+        let one = run(1);
+        assert!(one.0 > 0 && one.1 > 0, "the deadline must split the run");
+        for shards in [2, 4] {
+            assert_eq!(one, run(shards), "{shards} shards diverged at the deadline");
+        }
+    }
+
+    #[test]
     fn event_budget_stops_at_window_granularity() {
         let mut e = engine(4);
-        for i in 0..8 {
-            e.inject(
-                i * 7,
-                (i * 13 + 1) % N,
-                GMsg::Rumor {
-                    ttl: 12,
-                    tag: i as u32,
-                },
-                0,
-            );
-        }
+        start_rumors(&mut e);
         let ran = e.run_until_quiet(10);
         assert!(ran >= 10 || e.pending() == 0, "must hit budget or quiesce");
         // Resume to quiescence; the combined run must still quiesce.
@@ -1439,7 +640,7 @@ mod tests {
     fn window_wider_than_min_delay_is_rejected() {
         // Min delay 2_000 but window 50_000: unsafe, rejected with a
         // typed error at construction instead of a mid-run panic.
-        let Err(err) = ShardedEngine::<GNode, UniformRandom>::try_new(
+        let Err(err) = Engine::<GNode, UniformRandom>::try_new_sharded(
             topo(),
             1,
             ShardConfig {
@@ -1460,10 +661,27 @@ mod tests {
     }
 
     #[test]
+    fn one_shard_runs_inline_and_accepts_any_window() {
+        // Nothing is exchanged on one partition, so the window
+        // constraint does not bind and no thread is spawned.
+        let e = Engine::<GNode, UniformRandom>::try_new_sharded(
+            topo(),
+            1,
+            ShardConfig {
+                shards: 1,
+                window_us: 50_000,
+            },
+        )
+        .unwrap_or_else(|err| panic!("{err}"));
+        assert_eq!(e.shard_count(), 1);
+        assert!(e.is_empty());
+    }
+
+    #[test]
     #[should_panic(expected = "exceeds the topology's minimum")]
     fn new_panics_on_too_wide_window() {
         let nodes = (0..N).map(|_| GNode::default()).collect();
-        let _: ShardedEngine<GNode, UniformRandom> = ShardedEngine::new(
+        let _: Engine<GNode, UniformRandom> = Engine::new_sharded(
             topo(),
             nodes,
             1,
@@ -1479,7 +697,7 @@ mod tests {
         // `push_node` growth must be bit-identical to handing every
         // node to the constructor, and addresses must be dense, stable
         // and in push order.
-        let mut e: ShardedEngine<GNode, UniformRandom> = ShardedEngine::try_new(
+        let mut e: Engine<GNode, UniformRandom> = Engine::try_new_sharded(
             topo(),
             0xface,
             ShardConfig {
@@ -1492,17 +710,7 @@ mod tests {
         for i in 0..N {
             assert_eq!(e.push_node(GNode::default()), i, "addresses are stable");
         }
-        for i in 0..8 {
-            e.inject(
-                i * 7,
-                (i * 13 + 1) % N,
-                GMsg::Rumor {
-                    ttl: 12,
-                    tag: i as u32,
-                },
-                0,
-            );
-        }
+        start_rumors(&mut e);
         e.run_until_quiet(u64::MAX);
         assert_eq!(snapshot(&mut e), seeded_run(4), "growth diverged");
     }
@@ -1525,50 +733,6 @@ mod tests {
         e.revive(10);
         assert_eq!(e.epoch(), 3);
         assert!(e.live_addrs().contains(&10));
-    }
-
-    #[test]
-    fn per_round_stats_and_drains_reuse_buffers() {
-        let mut e = engine(4);
-        let mut buf = Vec::new();
-        let stir = |e: &mut ShardedEngine<GNode, UniformRandom>, base: u32| {
-            for i in 0..8usize {
-                e.inject(
-                    i * 7,
-                    (i * 13 + 1) % N,
-                    GMsg::Rumor {
-                        ttl: 6,
-                        tag: base + i as u32,
-                    },
-                    0,
-                );
-            }
-            e.run_until_quiet(u64::MAX);
-        };
-        stir(&mut e, 0);
-        let first = {
-            let st = e.stats();
-            (st.total_msgs, st.total_bytes)
-        };
-        let again = {
-            let st = e.stats();
-            (st.total_msgs, st.total_bytes)
-        };
-        assert_eq!(first, again, "stats() must be a pure merge");
-        e.drain_outputs_into(&mut buf);
-        assert!(!buf.is_empty());
-        let drained = buf.len();
-        assert!(
-            e.out_scratch_capacity() >= drained,
-            "staging buffer must be retained for the next round"
-        );
-        e.drain_outputs_into(&mut buf);
-        assert!(buf.is_empty(), "a second drain finds nothing");
-        // Another round reuses both the caller's and the engine's
-        // buffers; the results must match the allocating path.
-        stir(&mut e, 100);
-        e.drain_outputs_into(&mut buf);
-        assert!(!buf.is_empty());
     }
 
     #[test]

@@ -67,122 +67,6 @@ pub fn summarize(values: &[f64]) -> Option<Summary> {
     })
 }
 
-/// A fixed-bucket histogram over `[0, max)` used for hop/size distributions.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    bucket_width: f64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` buckets of width `bucket_width`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets == 0` or `bucket_width <= 0`.
-    pub fn new(buckets: usize, bucket_width: f64) -> Histogram {
-        assert!(buckets > 0 && bucket_width > 0.0);
-        Histogram {
-            buckets: vec![0; buckets],
-            bucket_width,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: f64) {
-        self.count += 1;
-        if value < 0.0 {
-            self.overflow += 1;
-            return;
-        }
-        let idx = (value / self.bucket_width) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Fraction of observations in bucket `i`.
-    pub fn fraction(&self, i: usize) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.buckets[i] as f64 / self.count as f64
-        }
-    }
-
-    /// Raw bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Observations outside the bucket range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// True if any observation missed the bucket range, i.e. reported
-    /// upper percentiles are clamped to the range top.
-    pub fn saturated(&self) -> bool {
-        self.overflow > 0
-    }
-
-    /// Nearest-rank percentile over the bucketed sample: the lower
-    /// edge of the bucket holding the `⌈p/100 · count⌉`-th smallest
-    /// observation (`None` on an empty histogram).
-    ///
-    /// The `overflow` count participates in the rank walk as a final
-    /// unbounded bucket — without it, p95/p99 silently under-report
-    /// as soon as any sample exceeds the range. When the rank lands
-    /// in overflow the range top (`buckets · width`) is returned and
-    /// [`saturated`](Histogram::saturated) is the caller's cue that
-    /// the true value lies beyond it.
-    pub fn percentile(&self, p: u32) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let p = u128::from(p.clamp(1, 100));
-        let rank = (u128::from(self.count) * p).div_ceil(100).max(1);
-        let mut cum = 0u128;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            cum += u128::from(c);
-            if cum >= rank {
-                return Some(i as f64 * self.bucket_width);
-            }
-        }
-        Some(self.buckets.len() as f64 * self.bucket_width)
-    }
-
-    /// Serializes the histogram (percentiles, saturation, raw counts)
-    /// as one JSON object; the output validates under
-    /// [`past_trace::json::validate`].
-    pub fn to_json(&self) -> String {
-        past_trace::json::Obj::new()
-            .num("bucket_width", self.bucket_width)
-            .int("count", self.count)
-            .int("overflow", self.overflow)
-            .bool("saturated", self.saturated())
-            .num("p50", self.percentile(50).unwrap_or(0.0))
-            .num("p95", self.percentile(95).unwrap_or(0.0))
-            .num("p99", self.percentile(99).unwrap_or(0.0))
-            .raw(
-                "buckets",
-                &past_trace::json::array(self.buckets.iter().map(|c| c.to_string())),
-            )
-            .build()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,18 +104,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(4, 1.0);
-        for v in [0.5, 1.5, 1.9, 3.0, 10.0, -1.0] {
-            h.record(v);
-        }
-        assert_eq!(h.counts(), &[1, 2, 0, 1]);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.count(), 6);
-        assert!((h.fraction(1) - 2.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn percentile_nearest_rank_exact_on_small_n() {
         // 10 samples 1..=10: nearest-rank p-th percentile of this
         // sample is ⌈p/10⌉, with no interpolation.
@@ -243,40 +115,5 @@ mod tests {
         // Two samples: p50 must be the first, not the midpoint.
         let s = summarize(&[1.0, 9.0]).unwrap();
         assert_eq!(s.p50, 1.0);
-    }
-
-    #[test]
-    fn histogram_percentile_counts_overflow() {
-        let mut h = Histogram::new(10, 1.0);
-        // 90 in-range samples and 10 beyond the range: p50 must rank
-        // across all 100, and p99 land in the overflow bucket.
-        for i in 0..90 {
-            h.record(f64::from(i % 10));
-        }
-        for _ in 0..10 {
-            h.record(1_000.0);
-        }
-        assert_eq!(h.percentile(50), Some(5.0));
-        assert_eq!(h.percentile(99), Some(10.0));
-        assert!(h.saturated());
-        // Without overflow samples the same ranks stay in range.
-        let mut h = Histogram::new(10, 1.0);
-        for i in 0..100 {
-            h.record(f64::from(i % 10));
-        }
-        assert_eq!(h.percentile(99), Some(9.0));
-        assert!(!h.saturated());
-        assert_eq!(Histogram::new(4, 1.0).percentile(50), None);
-    }
-
-    #[test]
-    fn histogram_json_surfaces_saturation() {
-        let mut h = Histogram::new(2, 1.0);
-        h.record(0.5);
-        h.record(99.0);
-        let doc = h.to_json();
-        past_trace::json::validate(&doc).expect("histogram JSON must validate");
-        assert!(doc.contains("\"saturated\": true"));
-        assert!(doc.contains("\"overflow\": 1"));
     }
 }

@@ -28,10 +28,10 @@
 //! `tie` before delivery, and same-tick pushes that happen *while the
 //! tick is being drained* (a handler scheduling a zero-delay event)
 //! are inserted into the live buffer at their sorted position. Callers
-//! supply the tie key: the sequential engine uses a global push
-//! counter (insertion order, matching the old binary heap bit for
-//! bit), the sharded engine uses `(source node, per-source seq)` so
-//! the order is independent of how nodes are partitioned over shards.
+//! supply the tie key: the engine uses `(source node, per-source seq)`
+//! so the order is independent of how nodes are partitioned. The
+//! binary heap the wheel replaced survives as the reference of the
+//! differential test at the bottom of this file.
 //!
 //! ## Clocks: delivery floor vs. cascade position
 //!
@@ -41,9 +41,8 @@
 //! the slot bookkeeping has advanced to — [`peek_time`] may push it
 //! all the way to the earliest pending event, which can sit far in
 //! the future. A push between the floor and the cascade position is
-//! legitimate (the sharded engine absorbs batches whose times precede
-//! an idle shard's distant first event) and lands, sorted, in the
-//! current buffer.
+//! legitimate (a partition absorbs batches whose times precede its
+//! own distant first event) and lands, sorted, in the current buffer.
 //!
 //! [`peek_time`]: TimerWheel::peek_time
 
@@ -135,8 +134,8 @@ impl<E> TimerWheel<E> {
             // At or before the cascade position (same tick as the one
             // being delivered, or behind a peek that ran ahead):
             // insert at the sorted position among the not-yet-delivered
-            // entries. For monotone keys at one tick (the sequential
-            // engine) this is always the back, i.e. O(1).
+            // entries. For keys that only grow within a tick this is
+            // always the back, i.e. O(1).
             let at = self
                 .current
                 .partition_point(|&(t, k, _)| (t, k) < (time, tie));
@@ -300,7 +299,7 @@ mod tests {
 
     #[test]
     fn same_tick_insert_sorts_below_pending() {
-        // Sharded tie keys are (src, seq): a mid-tick insert can sort
+        // Engine tie keys are (src, seq): a mid-tick insert can sort
         // *before* an already pending same-tick entry.
         let mut w = TimerWheel::new();
         w.push(5, 10, "a");
@@ -406,11 +405,51 @@ mod tests {
         }
     }
 
+    /// Differential test: wheel vs. the binary heap it replaced, through
+    /// an identical seeded schedule of interleaved pushes and pops,
+    /// including ties and cascade-boundary times. Any order divergence
+    /// fails.
+    #[test]
+    fn wheel_matches_reference_heap() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        for round in 0..20u64 {
+            let mut rng = Rng::seed_from_u64(0xd1ff + round);
+            let mut wheel = TimerWheel::new();
+            let mut heap = BinaryHeap::new();
+            let mut now = 0u64;
+            let mut n = 0u128;
+            for step in 0..600u32 {
+                if step % 3 != 2 {
+                    // Mix ties, near times, and boundary-straddling
+                    // far jumps.
+                    let t = match rng.random_range(0..4u32) {
+                        0 => now,
+                        1 => now + rng.random_range(0..10u64),
+                        2 => (now / 64 + 1) * 64 + rng.random_range(0..2u64),
+                        _ => now + rng.random_range(0..100_000u64),
+                    };
+                    wheel.push(t, n, n);
+                    heap.push(Reverse((t, n)));
+                    n += 1;
+                } else {
+                    let expect = heap.pop().map(|Reverse((t, k))| (t, k, k));
+                    assert_eq!(wheel.pop(), expect, "wheel diverged from heap");
+                    now = expect.map_or(now, |(t, _, _)| t);
+                }
+            }
+            while let Some(Reverse((t, k))) = heap.pop() {
+                assert_eq!(wheel.pop(), Some((t, k, k)), "wheel diverged from heap");
+            }
+            assert_eq!(wheel.pop(), None);
+        }
+    }
+
     /// A peek may cascade the wheel's internal position far into the
     /// future (to a distant first event); a later push *behind* that
     /// position but ahead of everything delivered is legitimate and
-    /// must pop first, in order. This is the idle-shard absorb pattern
-    /// of the sharded engine.
+    /// must pop first, in order. This is the idle-partition absorb
+    /// pattern of the barrier driver.
     #[test]
     fn push_behind_cascade_position_after_peek() {
         let mut w = TimerWheel::new();

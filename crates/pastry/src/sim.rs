@@ -12,13 +12,9 @@ use crate::leafset::Side;
 use crate::msg::{PastryMsg, RouteEnvelope};
 use crate::node::{PastryNode, RecoveryConfig, TIMER_HEARTBEAT, TIMER_JOIN_RETRY};
 use past_crypto::rng::Rng;
-use past_netsim::{
-    Addr, Ctx, Engine, NodeLogic, ShardConfig, ShardedEngine, SimBackend, SimTime, Topology,
-    WindowTooWide,
-};
+use past_netsim::{Addr, Ctx, Engine, NodeLogic, ShardConfig, SimTime, Topology, WindowTooWide};
 use past_wire::Input;
 use std::cell::RefCell;
-use std::marker::PhantomData;
 
 /// Default cap on events per quiet-run (guards against runaway loops).
 const QUIET_BUDGET: u64 = 50_000_000;
@@ -110,15 +106,13 @@ impl OverlaySnapshot {
 
 /// A Pastry overlay running inside the discrete-event engine.
 ///
-/// Generic over the simulation backend `B`: the default is the
-/// sequential [`Engine`]; [`ShardedPastrySim`] runs the same adapter on
-/// the multi-core [`ShardedEngine`]. The two backends draw RNGs in
-/// different orders (shared streams vs per-node streams), so their runs
-/// differ; the guarantee the differential tests pin is that a sharded
-/// run is bit-identical under any shard count.
-pub struct PastrySim<A: App, T: Topology, B = Engine<PastryNode<A>, T>> {
+/// [`PastrySim::new`] runs the engine inline on the caller's thread;
+/// [`PastrySim::new_sharded`] spreads it over worker threads. The two
+/// are the same simulation: a run is bit-identical under any shard
+/// count, which the differential tests pin.
+pub struct PastrySim<A: App, T: Topology> {
     /// The underlying engine (exposed for kill/revive, stats, outputs).
-    pub engine: B,
+    pub engine: Engine<PastryNode<A>, T>,
     /// The shared protocol configuration.
     pub cfg: Config,
     /// Loss-recovery parameters applied to every node; `None` (default)
@@ -128,40 +122,20 @@ pub struct PastrySim<A: App, T: Topology, B = Engine<PastryNode<A>, T>> {
     /// membership epoch moves; `true_root` answers from this index with a
     /// binary search instead of scanning every node per query.
     root_index: RefCell<(u64, Vec<NodeHandle>)>,
-    /// `A` and `T` only name the backend's node/topology types.
-    marker: PhantomData<(fn() -> A, fn() -> T)>,
 }
-
-/// A Pastry overlay on the sharded multi-core engine.
-pub type ShardedPastrySim<A, T> = PastrySim<A, T, ShardedEngine<PastryNode<A>, T>>;
 
 /// Epoch sentinel forcing the first `true_root` call to build the index
 /// (engine epochs count up from zero and never reach it).
 const STALE_EPOCH: u64 = u64::MAX;
 
 impl<A: App, T: Topology> PastrySim<A, T> {
-    /// Creates an empty overlay on `topo`, on the sequential engine.
+    /// Creates an empty overlay on `topo`, run inline.
     pub fn new(topo: T, cfg: Config, seed: u64) -> PastrySim<A, T> {
-        cfg.validate();
-        PastrySim {
-            engine: Engine::new(topo, Vec::new(), seed),
-            cfg,
-            recovery: None,
-            root_index: RefCell::new((STALE_EPOCH, Vec::new())),
-            marker: PhantomData,
-        }
+        Self::on_engine(Engine::new(topo, Vec::new(), seed), cfg)
     }
-}
 
-impl<A, T> ShardedPastrySim<A, T>
-where
-    A: App,
-    T: Topology + Clone + Send,
-    PastryNode<A>: Send,
-    <PastryNode<A> as NodeLogic>::Msg: Send,
-    <PastryNode<A> as NodeLogic>::Out: Send,
-{
-    /// Creates an empty overlay on `topo`, on the sharded engine.
+    /// Creates an empty overlay on `topo`, on `shard_cfg.shards` worker
+    /// threads.
     ///
     /// Rejects a shard window wider than the topology's minimum
     /// inter-node delay (the sealed-batch safety condition).
@@ -170,24 +144,27 @@ where
         cfg: Config,
         seed: u64,
         shard_cfg: ShardConfig,
-    ) -> Result<ShardedPastrySim<A, T>, WindowTooWide> {
+    ) -> Result<PastrySim<A, T>, WindowTooWide>
+    where
+        T: Clone + Send,
+        PastryNode<A>: Send,
+        <PastryNode<A> as NodeLogic>::Msg: Send,
+        <PastryNode<A> as NodeLogic>::Out: Send,
+    {
+        let engine = Engine::try_new_sharded(topo, seed, shard_cfg)?;
+        Ok(Self::on_engine(engine, cfg))
+    }
+
+    fn on_engine(engine: Engine<PastryNode<A>, T>, cfg: Config) -> PastrySim<A, T> {
         cfg.validate();
-        Ok(PastrySim {
-            engine: ShardedEngine::try_new(topo, seed, shard_cfg)?,
+        PastrySim {
+            engine,
             cfg,
             recovery: None,
             root_index: RefCell::new((STALE_EPOCH, Vec::new())),
-            marker: PhantomData,
-        })
+        }
     }
-}
 
-impl<A, T, B> PastrySim<A, T, B>
-where
-    A: App,
-    T: Topology,
-    B: SimBackend<PastryNode<A>, Topo = T>,
-{
     /// Installs loss-recovery parameters on every current and future node
     /// (ack-tracked heartbeats, anti-entropy rounds, join retries).
     pub fn set_recovery(&mut self, rc: RecoveryConfig) {
@@ -531,57 +508,29 @@ where
     T: Topology,
     F: FnMut(usize) -> A,
 {
-    cfg.validate();
-    assert!(locality_samples >= 1);
-    let mut sim: PastrySim<A, T> = PastrySim::new(topo, cfg, seed);
+    let mut sim = PastrySim::new(topo, cfg, seed);
     populate_static(&mut sim, ids, mk_app, locality_samples);
     sim
 }
 
-/// [`static_build`] on the sharded multi-core engine.
+/// The body of [`static_build`], for an empty overlay the caller
+/// constructed.
 ///
-/// The build itself is harness-side and sequential either way; what the
-/// sharded backend buys is the *run* that follows (routes, churn,
-/// stabilization) executing on multiple cores. Both builders draw the
-/// same harness RNG sequence, so the constructed overlay state is
-/// identical across backends.
-#[allow(clippy::too_many_arguments)]
-pub fn static_build_sharded<A, T, F>(
-    topo: T,
-    cfg: Config,
-    seed: u64,
-    ids: &[Id],
-    mk_app: F,
-    locality_samples: usize,
-    shard_cfg: ShardConfig,
-) -> Result<ShardedPastrySim<A, T>, WindowTooWide>
-where
-    A: App,
-    T: Topology + Clone + Send,
-    PastryNode<A>: Send,
-    <PastryNode<A> as NodeLogic>::Msg: Send,
-    <PastryNode<A> as NodeLogic>::Out: Send,
-    F: FnMut(usize) -> A,
-{
-    cfg.validate();
-    assert!(locality_samples >= 1);
-    let mut sim = ShardedPastrySim::new_sharded(topo, cfg, seed, shard_cfg)?;
-    populate_static(&mut sim, ids, mk_app, locality_samples);
-    Ok(sim)
-}
-
-/// The backend-generic body of the static builders.
-fn populate_static<A, T, B, F>(
-    sim: &mut PastrySim<A, T, B>,
+/// The build is harness-side and sequential on any engine; what a
+/// sharded overlay ([`PastrySim::new_sharded`]) buys is the *run* that
+/// follows (routes, churn, stabilization) executing on multiple cores.
+pub fn populate_static<A, T, F>(
+    sim: &mut PastrySim<A, T>,
     ids: &[Id],
     mut mk_app: F,
     locality_samples: usize,
 ) where
     A: App,
     T: Topology,
-    B: SimBackend<PastryNode<A>, Topo = T>,
     F: FnMut(usize) -> A,
 {
+    assert!(sim.engine.is_empty(), "static build needs an empty overlay");
+    assert!(locality_samples >= 1);
     let cfg = sim.cfg;
     let n = ids.len();
     // One allocation per struct-of-arrays column up front: at 100k+

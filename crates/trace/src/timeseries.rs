@@ -360,6 +360,17 @@ impl TimeSeries {
     /// Parses back through
     /// [`analyze::parse_jsonl`](crate::analyze::parse_jsonl).
     pub fn to_jsonl(&self) -> String {
+        self.jsonl(true)
+    }
+
+    /// [`to_jsonl`](Self::to_jsonl) without the per-shard diagnostic
+    /// fields: byte-identical for the same simulation under any shard
+    /// count, so two runs' files can be compared with `cmp`.
+    pub fn to_canonical_jsonl(&self) -> String {
+        self.jsonl(false)
+    }
+
+    fn jsonl(&self, shards: bool) -> String {
         let mut out = String::new();
         wfmt(
             &mut out,
@@ -371,7 +382,7 @@ impl TimeSeries {
             ),
         );
         for (&start, w) in &self.windows {
-            self.write_window_line(&mut out, start, w, true);
+            self.write_window_line(&mut out, start, w, shards);
             out.push('\n');
         }
         out

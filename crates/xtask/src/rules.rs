@@ -549,30 +549,23 @@ const L1_ENGINE_TYPES: &[&str] = &[
     "Engine",
     "NetStats",
     "FaultConfig",
-    "EventQueue",
-    "ShardedEngine",
     "ShardConfig",
     "TimerWheel",
 ];
 const L1_MODULE_PATHS: &[&[&str]] = &[
     &["past_netsim", ":", ":", "engine"],
-    &["past_netsim", ":", ":", "event"],
     &["past_netsim", ":", ":", "shard"],
     &["past_netsim", ":", ":", "wheel"],
-    &["past_netsim", ":", ":", "backend"],
     &["netsim", ":", ":", "engine"],
     &["netsim", ":", ":", "shard"],
-    &["netsim", ":", ":", "backend"],
 ];
 
 /// L1: protocol crates must stay sans-io — they may use netsim's
 /// vocabulary types (`Addr`, `SimTime`, `OpId`, the `Message` /
-/// `NodeLogic` traits) and the backend abstraction's crate-root
-/// re-exports (`SimBackend`, `Backend`, `WindowTooWide`, for code
-/// generic over the sequential and sharded engines) but not drive or
-/// inspect a concrete engine, nor spell out `past_netsim::backend`
-/// module paths. The two sim adapters are the explicit, allowlisted
-/// exceptions.
+/// `NodeLogic` traits) and the crate-root `WindowTooWide` error, but
+/// not drive or inspect the engine, nor spell out its module paths
+/// instead of the root re-exports. The two sim adapters are the
+/// explicit, allowlisted exceptions.
 fn rule_l1(cx: &FileCx<'_>, out: &mut Vec<Diagnostic>) {
     let mut dedup = LineDedup::new();
     for i in 0..cx.lx.len() {

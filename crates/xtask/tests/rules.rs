@@ -288,7 +288,7 @@ fn l1_triggers_on_engine_types_and_module_paths() {
 
 #[test]
 fn l1_triggers_on_sharded_engine_and_wheel() {
-    let src = "use past_netsim::shard::ShardedEngine;\n";
+    let src = "use past_netsim::shard::ShardConfig;\n";
     assert_eq!(rules("crates/pastry/src/x.rs", src), vec!["L1"]);
     let src = "fn f(cfg: ShardConfig) -> ShardConfig { cfg }\n";
     assert_eq!(rules("crates/core/src/x.rs", src), vec!["L1"]);
@@ -297,10 +297,10 @@ fn l1_triggers_on_sharded_engine_and_wheel() {
 }
 
 #[test]
-fn l1_triggers_on_backend_module_path() {
-    let src = "use past_netsim::backend::SimBackend;\n";
+fn l1_triggers_on_shard_module_path() {
+    let src = "use past_netsim::shard::WindowTooWide;\n";
     assert_eq!(rules("crates/pastry/src/x.rs", src), vec!["L1"]);
-    let src = "use netsim::backend::WindowTooWide;\n";
+    let src = "use netsim::shard::WindowTooWide;\n";
     assert_eq!(rules("crates/core/src/x.rs", src), vec!["L1"]);
 }
 
@@ -316,15 +316,12 @@ fn l1_passes_vocabulary_types_and_other_crates() {
 }
 
 #[test]
-fn l1_passes_backend_abstraction_reexports() {
-    // Backend-generic protocol code is sanctioned as long as it goes
-    // through the crate-root re-exports, not the backend module path.
-    let src = "use past_netsim::{SimBackend, WindowTooWide};\n\
-               fn f<B: SimBackend<N, Topo = T>>(b: &B) -> usize { b.len() }\n";
+fn l1_passes_window_error_reexport() {
+    // Naming the build-time window error is sanctioned as long as it
+    // goes through the crate-root re-export, not the shard module path.
+    let src = "use past_netsim::WindowTooWide;\n\
+               fn f(e: WindowTooWide) -> u64 { e.window_us }\n";
     assert_clean("crates/pastry/src/x.rs", src);
-    let src = "use past_netsim::Backend;\n\
-               fn pick(b: Backend) -> Backend { b }\n";
-    assert_clean("crates/core/src/x.rs", src);
 }
 
 // ------------------------------------------------------------------ M1

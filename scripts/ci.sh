@@ -19,27 +19,38 @@ if ! cargo run --offline -q -p xtask -- check --format json > target/xtask_check
   exit 1
 fi
 
-echo "== invariant gate (I1-I5 over bulk-join / churn / quota-reclaim / lossy-churn, sequential + sharded)"
+echo "== invariant gate (I1-I5 over bulk-join / churn / quota-reclaim / lossy-churn / wheel-horizon, inline + 4 shards)"
 mkdir -p target
-cargo run --offline -q -p past-invariants --bin invariants -- \
-  --emit-trace target/trace_lossy.jsonl \
-  --emit-trace-sharded target/trace_lossy_sharded.jsonl \
-  --emit-series target/series_lossy.jsonl \
-  --emit-series-sharded target/series_lossy_sharded.jsonl
+for shards in 1 4; do
+  cargo run --offline -q -p past-invariants --bin invariants -- --shards "$shards" \
+    --emit-trace "target/trace_lossy.$shards.jsonl" \
+    --emit-series "target/series_lossy.$shards.jsonl"
+done
+
+# One engine: the inline run and the 4-shard run are the same simulation,
+# so their trace and series files must be the same bytes.
+echo "== inline vs 4-shard trace and series (byte-identical)"
+cmp target/trace_lossy.1.jsonl target/trace_lossy.4.jsonl
+cmp target/series_lossy.1.jsonl target/series_lossy.4.jsonl
 
 echo "== tracecheck (no stuck ops, insert fan-out == k, hops vs log2^b N)"
-cargo run --offline -q -p past-trace --bin tracecheck -- --require-clean target/trace_lossy.jsonl
-cargo run --offline -q -p past-trace --bin tracecheck -- --require-clean target/trace_lossy_sharded.jsonl
+cargo run --offline -q -p past-trace --bin tracecheck -- --require-clean target/trace_lossy.1.jsonl
 
 echo "== obsreport (flight-recorder SLO gate: no stalled windows, rejection/utilization in bounds)"
-cargo run --offline -q -p past-trace --bin obsreport -- --require-slo target/series_lossy.jsonl
-cargo run --offline -q -p past-trace --bin obsreport -- --require-slo target/series_lossy_sharded.jsonl
+cargo run --offline -q -p past-trace --bin obsreport -- --require-slo target/series_lossy.1.jsonl
 
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 
 echo "== cargo test -q"
 cargo test --offline -q --workspace
+
+# pastbench is a package of its own, outside the workspace: build and
+# run it here so an engine API change cannot break the benchmark
+# silently.
+echo "== pastbench (tests + smoke run against the workspace crates)"
+cargo test --release --offline -q --manifest-path pastbench/Cargo.toml
+cargo run --release --offline -q --manifest-path pastbench/Cargo.toml -- --smoke
 
 echo "== codec fuzz smoke (wire decode must be total on mutated frames)"
 cargo test --offline -q -p past --test wire decode_never_panics_on_mutated_frames
@@ -55,11 +66,11 @@ grep -q '"schema": "past-bench/v1"' target/BENCH_loss.smoke.json
 grep -q '"schema": "past-series/v1"' target/BENCH_series.json
 
 # Scale gate: a 100k-node overlay must build, route, and survive churn
-# on the sharded backend inside the wall-clock budget (the budget only
-# catches order-of-magnitude regressions in the event loop). The run
-# also repeats the churn phase at 1 shard in-process and asserts the
-# simulation counters are identical — shard-count independence at
-# 100k-node scale on every CI run. The JSON (with the 1-shard churn
+# on 4 shards inside the wall-clock budget (the budget only catches
+# order-of-magnitude regressions in the event loop). The run also
+# repeats itself inline (1 shard) in-process and asserts the simulation
+# counters are identical — shard-count independence at 100k-node scale
+# on every CI run. The JSON (with the 1-shard churn
 # reference and speedup) is archived in target/.
 echo "== bench macro 100k sharded scale gate (budget ${BENCH_MACRO_BUDGET_S:-120}s)"
 timeout "${BENCH_MACRO_BUDGET_S:-120}" \
