@@ -12,7 +12,7 @@
 //! JSON; timings in smoke mode are meaningless).
 
 use past_bench::{json, Bench, Measurement};
-use past_crypto::modmath::{mulmod, powmod};
+use past_crypto::modmath::{mulmod, powmod, powmod2};
 use past_crypto::rng::Rng;
 use past_crypto::u256::U256;
 use past_crypto::KeyPair;
@@ -75,6 +75,26 @@ fn bench_crypto(b: &mut Bench) {
     });
     b.run("powmod", || {
         black_box(powmod(black_box(&a), black_box(&e), black_box(&p)))
+    });
+    // Full-width exponents, as a signature check hands them over (`s`,
+    // `p − 1 − e`): 255 random bits each.
+    let mut exp255 = || {
+        U256([
+            rng.random(),
+            rng.random(),
+            rng.random(),
+            rng.random::<u64>() >> 1,
+        ])
+    };
+    let (x, y) = (exp255(), exp255());
+    b.run("powmod2", || {
+        black_box(powmod2(
+            black_box(&a),
+            black_box(&x),
+            black_box(&c),
+            black_box(&y),
+            black_box(&p),
+        ))
     });
 }
 

@@ -65,6 +65,11 @@ impl Cache {
         self.misses
     }
 
+    /// Total admissions.
+    pub fn insertions(&self) -> u64 {
+        self.insertions
+    }
+
     /// Total evictions.
     pub fn evictions(&self) -> u64 {
         self.evictions
@@ -97,16 +102,24 @@ impl Cache {
         self.entries.contains_key(id)
     }
 
+    /// False when [`Cache::offer`] would refuse `cert` whatever the
+    /// incumbents' credits: an empty file, one larger than the whole
+    /// `budget`, or one already cached. Reads no counter and changes
+    /// nothing, so callers can test it before paying for anything else.
+    pub fn admissible(&self, cert: &FileCertificate, budget: u64) -> bool {
+        cert.size != 0 && cert.size <= budget && !self.entries.contains_key(&cert.file_id)
+    }
+
     /// Offers a file for caching within `budget` total bytes.
     ///
     /// Evicts lowest-credit entries to fit; refuses files that would not
     /// fit even after evicting everything, or whose credit is below every
     /// incumbent's (GD-S admission).
     pub fn offer(&mut self, cert: &FileCertificate, budget: u64) -> bool {
-        let size = cert.size;
-        if size == 0 || size > budget || self.entries.contains_key(&cert.file_id) {
+        if !self.admissible(cert, budget) {
             return false;
         }
+        let size = cert.size;
         let new_h = self.credit(size);
         // Evict until it fits, but never evict an entry more valuable than
         // the newcomer.

@@ -223,6 +223,44 @@ mod tests {
     }
 
     #[test]
+    fn known_answer_certificate_chain() {
+        // Recorded before verification became a double exponentiation:
+        // issuance is byte-identical and the chain still verifies.
+        fn hex(bytes: &[u8]) -> String {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        let mut broker = Broker::new(b"kat-broker");
+        let mut card = broker.issue_card(b"kat-user", 10 << 20, 0);
+        let content = ContentRef::from_bytes(b"kat-payload");
+        let cert = card
+            .issue_file_certificate("kat-file", &content, 3, 7, 42)
+            .unwrap();
+        assert_eq!(
+            hex(&broker.public().to_bytes()),
+            "2082c92f76756ea9bd83bcd2353fee1bb148391f1c9b0102006418f31575b49f"
+        );
+        assert_eq!(
+            hex(&cert.owner.card_key.to_bytes()),
+            "611e5e1029d45daebbd5a52a204ebe7a3edde0e72ac8a3e27132f615b41be99d"
+        );
+        assert_eq!(
+            hex(&cert.owner.broker_sig.to_bytes()),
+            "44051a0d1e77c09ede0709d86403d4e4d298d1df490e061626509fcbfafa3598\
+             0143a985a3b03f9fb8d5fee3403ba1a5a597a4c3e73e33b405a7a63414ac451c"
+        );
+        assert_eq!(
+            hex(cert.file_id.as_bytes()),
+            "a0bb9511b4dd57e64a22049fa09ff12b2ca8958a"
+        );
+        assert_eq!(
+            hex(&cert.signature.to_bytes()),
+            "3aa184206abcc9d1b4038ab45922af75c4c4ab518a64ce28dcacc2ce5787ee3c\
+             166305a65a51f2996c78e110de2cae6a669cc41cab4d7b6b3a8af9cb21df5bb8"
+        );
+        assert!(cert.verify(&broker.public()));
+    }
+
+    #[test]
     fn tampered_certificate_rejected() {
         let mut broker = Broker::new(b"broker");
         let mut card = broker.issue_card(b"user", 10 << 20, 0);

@@ -356,9 +356,11 @@ impl<T: Topology> PastNetwork<T> {
         for a in self.sim.engine.live_addrs() {
             cache_used += self.sim.engine.node(a).app.store.cache.used();
         }
+        // Saturating: unlimited-quota cards (`u64::MAX / 2` each) would
+        // overflow a plain sum; the gauge pegs at `u64::MAX` instead.
         let mut headroom = 0u64;
         for a in 0..self.sim.engine.len() {
-            headroom += self.sim.engine.node(a).app.card.quota_remaining();
+            headroom = headroom.saturating_add(self.sim.engine.node(a).app.card.quota_remaining());
         }
         let now = self.sim.engine.now().as_micros();
         let Some(s) = self.sim.engine.tracer_mut().series_mut() else {

@@ -1412,7 +1412,10 @@ impl App for PastApp {
                 cx.emit(PastOut::ReclaimDenied { file_id });
             }
             PastMsg::CachePush { cert } => {
+                // Two signature checks are only worth paying for a file
+                // the cache could take at all.
                 if self.cfg.cache_enabled
+                    && self.store.cache_admissible(&cert, self.cfg.cache_fraction)
                     && (!self.cfg.crypto_checks || cert.verify(&self.broker_key))
                 {
                     self.store.offer_cache(&cert, self.cfg.cache_fraction);

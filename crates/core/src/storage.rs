@@ -208,13 +208,28 @@ impl Store {
         self.cache.lookup(id).map(|c| (c, true))
     }
 
+    /// Bytes the cache may occupy: `max_fraction` of current free space.
+    fn cache_budget(&self, max_fraction: f64) -> u64 {
+        let budget = (self.free() as f64 * max_fraction.clamp(0.0, 1.0)) as u64;
+        budget.min(self.free())
+    }
+
+    /// False when [`Store::offer_cache`] would refuse `cert` outright:
+    /// the node already holds the file as a replica or in its cache, or
+    /// the file is empty or larger than the cache budget. Side-effect
+    /// free, so it can gate work (a signature check) that only an
+    /// admissible file is worth.
+    pub fn cache_admissible(&self, cert: &FileCertificate, max_fraction: f64) -> bool {
+        !self.files.contains_key(&cert.file_id)
+            && self.cache.admissible(cert, self.cache_budget(max_fraction))
+    }
+
     /// Offers a passing file to the cache (bounded by current free space).
     pub fn offer_cache(&mut self, cert: &FileCertificate, max_fraction: f64) -> bool {
         if self.files.contains_key(&cert.file_id) {
             return false;
         }
-        let budget = (self.free() as f64 * max_fraction.clamp(0.0, 1.0)) as u64;
-        self.cache.offer(cert, budget.min(self.free()))
+        self.cache.offer(cert, self.cache_budget(max_fraction))
     }
 }
 
@@ -329,6 +344,28 @@ mod tests {
         assert!(s.insert(&primary, ReplicaKind::Primary).is_ok());
         assert!(s.cache.used() <= s.free());
         assert!(!s.cache.contains(&cached.file_id));
+    }
+
+    #[test]
+    fn cache_admissible_names_the_outright_refusals() {
+        let mut s = Store::new(1000, 1.0, 1.0);
+        let replica = cert_of(100, 1);
+        s.insert(&replica, ReplicaKind::Primary).unwrap();
+        let cached = cert_of(100, 2);
+        assert!(s.cache_admissible(&cached, 0.5));
+        assert!(s.offer_cache(&cached, 0.5));
+        // Free space is 900, so the budget at 0.5 is 450 bytes.
+        let refused = [replica, cached, cert_of(0, 3), cert_of(451, 4)];
+        let before = (s.cache.insertions(), s.cache.evictions(), s.cache.used());
+        for c in &refused {
+            assert!(!s.cache_admissible(c, 0.5), "size {}", c.size);
+            assert!(!s.offer_cache(c, 0.5));
+        }
+        assert_eq!(
+            (s.cache.insertions(), s.cache.evictions(), s.cache.used()),
+            before
+        );
+        assert!(s.cache_admissible(&cert_of(450, 5), 0.5));
     }
 
     #[test]

@@ -663,3 +663,80 @@ fn duplicate_insert_conserves_quota_exactly() {
     assert_eq!(q2, q1, "duplicate insert must not leak quota");
     assert_clean("after duplicate insert", &check_quota(&net.snapshot()));
 }
+
+#[test]
+fn cache_push_for_a_held_file_performs_no_admission() {
+    use past_core::PastMsg;
+    use past_pastry::PastryMsg;
+    // Certificate checks are on (the default): a push is verified only
+    // once the cache could take the file at all.
+    let mut net = build(20, 31, 100 * MB, 1_000 * MB, PastConfig::default());
+    net.insert(0, "pushed", ContentRef::synthetic(19, "pushed", MB), 3)
+        .unwrap();
+    let fid = insert_ok(&net.run())[0].1;
+    let holder = net.replica_holders(&fid)[0];
+    let cert = net
+        .sim
+        .engine
+        .node(holder)
+        .app
+        .store
+        .get(&fid)
+        .unwrap()
+        .cert;
+    let idle = (0..20)
+        .find(|&a| !net.sim.engine.node(a).app.store.can_serve(&fid))
+        .unwrap();
+    let counters = |net: &PastNetwork<Sphere>, a| {
+        let cache = &net.sim.engine.node(a).app.store.cache;
+        (cache.insertions(), cache.evictions(), cache.len())
+    };
+    let push = |net: &mut PastNetwork<Sphere>, to, cert| {
+        let payload = PastMsg::CachePush { cert };
+        net.sim
+            .engine
+            .inject(holder, to, PastryMsg::AppDirect { payload }, 0);
+        net.run();
+    };
+
+    // A forged certificate for a file the node could cache is still refused.
+    let before = counters(&net, idle);
+    let mut forged = cert;
+    forged.size += 1;
+    push(&mut net, idle, forged);
+    assert_eq!(counters(&net, idle), before);
+
+    // The genuine one is admitted once...
+    push(&mut net, idle, cert);
+    let cached = (before.0 + 1, before.1, before.2 + 1);
+    assert_eq!(counters(&net, idle), cached, "first push is cached");
+    // ...and a repeat, or a push to a replica holder, changes nothing.
+    push(&mut net, idle, cert);
+    assert_eq!(counters(&net, idle), cached);
+    let at_holder = counters(&net, holder);
+    push(&mut net, holder, cert);
+    assert_eq!(counters(&net, holder), at_holder);
+}
+
+#[test]
+fn quota_headroom_gauge_saturates_instead_of_overflowing() {
+    use past_netsim::SeriesConfig;
+    // Regression: four unlimited-quota cards sum past u64::MAX; the
+    // sampler used to panic (debug) or wrap (release).
+    let mut net = build(4, 33, 100 * MB, u64::MAX / 2, PastConfig::default());
+    net.sim.engine.set_series(SeriesConfig::new(1_000_000));
+    net.insert(
+        0,
+        "big-quota",
+        ContentRef::synthetic(20, "big-quota", MB),
+        2,
+    )
+    .unwrap();
+    assert_eq!(insert_ok(&net.run()).len(), 1);
+    let series = net.sim.engine.tracer().series().unwrap();
+    let headroom = series
+        .windows()
+        .filter_map(|(_, w)| w.gauge("quota_headroom"))
+        .last();
+    assert_eq!(headroom, Some(u64::MAX));
+}

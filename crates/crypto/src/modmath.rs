@@ -153,20 +153,46 @@ pub fn mulmod(a: &U256, b: &U256, m: &U256) -> U256 {
 ///
 /// Panics if `m` is zero.
 pub fn powmod(base: &U256, exp: &U256, m: &U256) -> U256 {
+    pow_product([(base, exp)], m)
+}
+
+/// Computes `a^x · b^y mod m` as one interleaved double exponentiation
+/// (Straus, a.k.a. Shamir's trick): both exponents are walked over the
+/// same 4-bit windows, so the chain of squarings is paid once instead of
+/// once per base — about 252 + 2·(14 + 60) multiplies for two 256-bit
+/// exponents, versus 2·(252 + 14 + 60) for two [`powmod`]s and a product.
+/// `0^0` counts as 1, as in [`powmod`].
+///
+/// # Panics
+///
+/// Panics if `m` is zero.
+pub fn powmod2(a: &U256, x: &U256, b: &U256, y: &U256, m: &U256) -> U256 {
+    pow_product([(a, x), (b, y)], m)
+}
+
+/// The window-4 product of powers `∏ baseᵢ^expᵢ mod m` behind [`powmod`]
+/// (one term) and [`powmod2`] (two): per term a table `base^0..base^15`,
+/// then from the top window of the longest exponent down, four squarings
+/// of the shared accumulator and one table multiply per term whose
+/// window digit is non-zero.
+fn pow_product<const N: usize>(terms: [(&U256, &U256); N], m: &U256) -> U256 {
     assert!(!m.is_zero(), "zero modulus");
     if *m == U256::ONE {
         return U256::ZERO;
     }
-    let top = exp.bits();
+    let top = terms.iter().map(|(_, exp)| exp.bits()).max().unwrap_or(0);
     if top == 0 {
         return U256::ONE;
     }
-    let b = rem256(base, m);
-    let mut table = [U256::ONE; 16];
-    table[1] = b;
-    for i in 2..16 {
-        table[i] = mulmod(&table[i - 1], &b, m);
-    }
+    let tables = terms.map(|(base, _)| {
+        let b = rem256(base, m);
+        let mut table = [U256::ONE; 16];
+        table[1] = b;
+        for i in 2..16 {
+            table[i] = mulmod(&table[i - 1], &b, m);
+        }
+        table
+    });
     let windows = top.div_ceil(4);
     let mut result = U256::ONE;
     for w in (0..windows).rev() {
@@ -175,16 +201,13 @@ pub fn powmod(base: &U256, exp: &U256, m: &U256) -> U256 {
                 result = mulmod(&result, &result, m);
             }
         }
-        let mut digit = 0usize;
-        for bit in (0..4).rev() {
-            let i = w * 4 + bit;
-            digit <<= 1;
-            if i < 256 && exp.bit(i) {
-                digit |= 1;
+        for ((_, exp), table) in terms.iter().zip(&tables) {
+            // Bits 4w..4w+3 of the exponent; `windows <= 64` keeps the
+            // limb index in range.
+            let digit = (exp.0[w / 16] >> (w % 16 * 4)) as usize & 0xf;
+            if digit != 0 {
+                result = mulmod(&result, &table[digit], m);
             }
-        }
-        if digit != 0 {
-            result = mulmod(&result, &table[digit], m);
         }
     }
     result
@@ -354,6 +377,96 @@ mod tests {
             let b = u(0xabcdef);
             assert_eq!(powmod(&b, &u(e), &p), powmod_ladder(&b, &u(e), &p));
         }
+    }
+
+    /// `a^x · b^y mod m` the long way round: two `powmod`s and a product.
+    fn powmod2_naive(a: &U256, x: &U256, b: &U256, y: &U256, m: &U256) -> U256 {
+        mulmod(&powmod(a, x, m), &powmod(b, y, m), m)
+    }
+
+    #[test]
+    fn powmod2_matches_two_powmods_on_random_inputs() {
+        let mut rng = Rng::seed_from_u64(0x57_4a05);
+        let mut wide = |limbs: usize| {
+            let mut v = U256(std::array::from_fn(|_| rng.next_u64()));
+            for l in v.0.iter_mut().skip(limbs) {
+                *l = 0;
+            }
+            v
+        };
+        let p = crate::schnorr::group_p();
+        for round in 0..2_400 {
+            // A third of the rounds use the signature group; the rest
+            // sweep odd and even moduli of every limb count.
+            let m = if round % 3 == 0 {
+                p
+            } else {
+                let mut m = wide(1 + round % 4);
+                m.0[0] = (m.0[0] & !1) | ((round as u64 / 4) & 1);
+                if m.is_zero() {
+                    m = u(2);
+                }
+                m
+            };
+            // Exponent widths vary independently, so one exponent's top
+            // window is often far below the other's.
+            let (a, b) = (wide(4), wide(4));
+            let x = wide(1 + round / 5 % 4);
+            let y = wide(1 + round / 7 % 4);
+            assert_eq!(
+                powmod2(&a, &x, &b, &y, &m),
+                powmod2_naive(&a, &x, &b, &y, &m),
+                "a={a:?} x={x:?} b={b:?} y={y:?} m={m:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn powmod2_edge_operands() {
+        let p = crate::schnorr::group_p();
+        let q = crate::schnorr::group_q();
+        let (p_minus_1, _) = p.overflowing_sub(&U256::ONE);
+        let (q_minus_1, _) = q.overflowing_sub(&U256::ONE);
+        let exps = [
+            u(0),
+            u(1),
+            u(15),
+            u(16),
+            u(17),
+            U256([0, 1, 0, 0]),
+            q_minus_1,
+            q,
+            U256::MAX,
+        ];
+        let bases = [u(0), u(1), u(4), u(0xabcdef), p_minus_1, p, U256::MAX];
+        let moduli = [U256::ONE, u(2), u(97), U256([0, 1, 0, 0]), q, p, U256::MAX];
+        for m in &moduli {
+            for a in &bases {
+                for b in &bases {
+                    for x in &exps {
+                        for y in &exps {
+                            assert_eq!(
+                                powmod2(a, x, b, y, m),
+                                powmod2_naive(a, x, b, y, m),
+                                "a={a:?} x={x:?} b={b:?} y={y:?} m={m:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(powmod2(&u(5), &u(3), &u(7), &u(2), &U256::ONE), U256::ZERO);
+        assert_eq!(powmod2(&u(0), &u(0), &u(0), &u(0), &u(7)), U256::ONE);
+        assert_eq!(
+            powmod2(&u(2), &u(10), &u(3), &u(4), &u(1_000_000)),
+            u(82_944)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "zero modulus")]
+    fn powmod2_zero_modulus_panics() {
+        powmod2(&u(2), &u(3), &u(5), &u(7), &U256::ZERO);
     }
 
     #[test]

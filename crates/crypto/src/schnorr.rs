@@ -9,7 +9,7 @@
 //! deterministically from the secret key and the message (RFC-6979 style),
 //! which keeps simulations reproducible and avoids nonce-reuse pitfalls.
 
-use crate::modmath::{addmod, mulmod, powmod, rem256};
+use crate::modmath::{addmod, mulmod, powmod, powmod2, rem256};
 use crate::sha256::Sha256;
 use crate::u256::U256;
 
@@ -149,22 +149,74 @@ fn challenge(commitment: &U256, public: &PublicKey, msg: &[u8]) -> U256 {
 }
 
 impl PublicKey {
-    /// Verifies `sig` over `msg`: checks `g^s ≡ R · y^e (mod p)`.
+    /// Verifies `sig` over `msg`: checks `g^s · y^(p−1−e) ≡ R (mod p)`,
+    /// one interleaved double exponentiation ([`powmod2`]).
+    ///
+    /// That is `g^s ≡ R · y^e` with `y^e` moved across: the range checks
+    /// put `y` in `Z_p^*`, where `y^(p−1) = 1` whether or not `y` lies in
+    /// the order-`q` subgroup, so `y^(p−1−e)` is the inverse of `y^e`;
+    /// and `0 < e < q < p−1` keeps the exponent positive. A response
+    /// `s ≥ q` is refused: `g` has order `q`, so `(R, s + q)` would
+    /// satisfy the equation whenever `(R, s)` does, and a signature must
+    /// have one encoding.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
         let p = group_p();
-        if sig.commitment.is_zero() || sig.commitment >= p || self.0.is_zero() || self.0 >= p {
+        if sig.commitment.is_zero()
+            || sig.commitment >= p
+            || self.0.is_zero()
+            || self.0 >= p
+            || sig.response >= group_q()
+        {
             return false;
         }
         let e = challenge(&sig.commitment, self, msg);
-        let lhs = powmod(&group_g(), &sig.response, &p);
-        let rhs = mulmod(&sig.commitment, &powmod(&self.0, &e, &p), &p);
-        lhs == rhs
+        let (p_minus_1, _) = p.overflowing_sub(&U256::ONE);
+        let (neg_e, _) = p_minus_1.overflowing_sub(&e);
+        powmod2(&group_g(), &sig.response, &self.0, &neg_e, &p) == sig.commitment
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng;
+
+    /// The verification equation as it stood before the double
+    /// exponentiation — `g^s ≡ R · y^e` with two independent `powmod`s
+    /// and no bound on `s` — kept as the oracle `verify` is checked
+    /// against.
+    fn verify_two_powmods(key: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
+        let p = group_p();
+        if sig.commitment.is_zero() || sig.commitment >= p || key.0.is_zero() || key.0 >= p {
+            return false;
+        }
+        let e = challenge(&sig.commitment, key, msg);
+        let lhs = powmod(&group_g(), &sig.response, &p);
+        let rhs = mulmod(&sig.commitment, &powmod(&key.0, &e, &p), &p);
+        lhs == rhs
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn known_answer_key_and_signature() {
+        // Recorded on the two-`powmod` code: key generation and signing
+        // must stay byte-identical under any change to verification.
+        let kp = KeyPair::from_seed(b"kat-1");
+        assert_eq!(
+            hex(&kp.public.to_bytes()),
+            "0124cc36ce969601dd507f88d72ef61fc96166eb308433838ac28737e110d352"
+        );
+        let sig = kp.sign(b"past-kat");
+        assert_eq!(
+            hex(&sig.to_bytes()),
+            "0993330c1ca7e96088d3bcc275cce4c4da2858925202ccf0b5922420acb28fa6\
+             17b9008a4d6c3d98af7fa807d181e115f8df020f4be31558b1457a7b04ee5819"
+        );
+        assert!(kp.public.verify(b"past-kat", &sig));
+    }
 
     #[test]
     fn sign_verify_roundtrip() {
@@ -197,6 +249,88 @@ mod tests {
         let mut sig2 = kp.sign(b"msg");
         sig2.commitment = mulmod(&sig2.commitment, &group_g(), &group_p());
         assert!(!kp.public.verify(b"msg", &sig2));
+    }
+
+    #[test]
+    fn malleated_response_rejected() {
+        // g has order q and s + q < 2^256, so (R, s + q) satisfies the
+        // verification equation too; it must not be a second valid
+        // encoding of the same signature.
+        let kp = KeyPair::from_seed(b"user-1");
+        let sig = kp.sign(b"msg");
+        let (shifted, carry) = sig.response.overflowing_add(&group_q());
+        assert!(!carry);
+        let malleated = Signature {
+            commitment: sig.commitment,
+            response: shifted,
+        };
+        assert!(verify_two_powmods(&kp.public, b"msg", &malleated));
+        assert!(!kp.public.verify(b"msg", &malleated));
+        assert!(kp.public.verify(b"msg", &sig));
+    }
+
+    #[test]
+    fn verify_matches_two_powmod_oracle() {
+        let p = group_p();
+        let q = group_q();
+        let (p_minus_1, _) = p.overflowing_sub(&U256::ONE);
+        // The smallest quadratic non-residue: outside the order-q subgroup.
+        let non_residue = (2..)
+            .map(U256::from_u64)
+            .find(|n| powmod(n, &q, &p) == p_minus_1)
+            .unwrap();
+        let outliers = [U256::ZERO, U256::ONE, non_residue, p_minus_1, p, U256::MAX];
+        let mut rng = Rng::seed_from_u64(0x5c4_0a11);
+        let (mut accepted, mut accepted_outside, mut over_q) = (0, 0, 0);
+        for case in 0..1_200u32 {
+            let kp = KeyPair::from_seed(&rng.next_u64().to_be_bytes());
+            let mut msg = rng.next_u64().to_be_bytes().to_vec();
+            let mut sig = kp.sign(&msg);
+            let mut key = kp.public;
+            let pick = rng.next_u64() as usize;
+            let flip = |v: &mut U256| v.0[pick % 4] ^= 1 << (pick / 4 % 64);
+            match case % 12 {
+                0..=2 => {}
+                3 => msg[pick % 8] ^= 1 << (pick / 8 % 8),
+                4 => flip(&mut sig.commitment),
+                5 => flip(&mut sig.response),
+                6 => flip(&mut key.0),
+                7 => sig.commitment = outliers[pick % outliers.len()],
+                8 => key.0 = outliers[pick % outliers.len()],
+                9 => sig.response = sig.response.overflowing_add(&q).0,
+                10 => sig.commitment = mulmod(&sig.commitment, &p_minus_1, &p),
+                _ => {
+                    // A key outside the subgroup, y = −g^x, and a signature
+                    // made for it with x: (−1)^e · g^(xe) = y^e, so the old
+                    // equation holds exactly when e is even — the new one
+                    // must accept those too, not only agree on rejects.
+                    key.0 = mulmod(&key.0, &p_minus_1, &p);
+                    let k = U256::from_u64(rng.next_u64() | 1);
+                    let commitment = powmod(&group_g(), &k, &p);
+                    let e = challenge(&commitment, &key, &msg);
+                    let response = addmod(&k, &mulmod(&e, &kp.secret, &q), &q);
+                    sig = Signature {
+                        commitment,
+                        response,
+                    };
+                }
+            }
+            let want = verify_two_powmods(&key, &msg, &sig);
+            let got = key.verify(&msg, &sig);
+            if sig.response >= q {
+                // The one permitted disagreement: s >= q is always refused.
+                assert!(!got, "case {case}: s >= q accepted");
+                over_q += 1;
+            } else {
+                assert_eq!(got, want, "case {case}: key={key:?} sig={sig:?}");
+            }
+            accepted += got as u32;
+            accepted_outside += (got && case % 12 == 11) as u32;
+        }
+        assert!(
+            accepted >= 300 && accepted_outside >= 20 && over_q >= 100,
+            "{accepted} {accepted_outside} {over_q}"
+        );
     }
 
     #[test]

@@ -45,6 +45,12 @@ cargo build --offline --release --workspace
 echo "== cargo test -q"
 cargo test --offline -q --workspace
 
+# The benchmark runs past-crypto at release optimisation, where a limb
+# carry that debug overflow checks would turn into a panic wraps instead:
+# the arithmetic's tests must pass there too.
+echo "== past-crypto tests, release profile"
+cargo test --offline -q --release -p past-crypto
+
 # pastbench is a package of its own, outside the workspace: build and
 # run it here so an engine API change cannot break the benchmark
 # silently.
