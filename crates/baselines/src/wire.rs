@@ -9,109 +9,65 @@
 
 use crate::can::{CanLookup, CanMsg};
 use crate::chord::{ChordLookup, ChordMsg};
-use past_pastry::Id;
-use past_wire::{
-    get_bool, get_u32, get_u64, get_vec, put_bool, put_u32, put_u64, put_u8, put_vec, tail,
-    DecodeError, Wire, WIRE_VERSION,
-};
-
-/// `[version:1][kind:1]`, shared by both baseline frames.
-const HEADER: u64 = 2;
-
-fn check_header(buf: &[u8], pos: &mut usize) -> Result<(), DecodeError> {
-    let version = past_wire::get_u8(buf, pos)?;
-    if version != WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    match past_wire::get_u8(buf, pos)? {
-        0 => Ok(()),
-        kind => Err(DecodeError::UnknownKind(kind)),
-    }
-}
+use past_netsim::Message;
+use past_wire::{DecodeError, Reader, Sink, Wire, WIRE_VERSION};
 
 impl Wire for ChordMsg {
     const MIN_WIRE_LEN: usize = 2;
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u8(out, WIRE_VERSION);
+    fn encode<S: Sink>(&self, out: &mut S) {
+        out.put(&[WIRE_VERSION, self.kind_id() as u8]);
         let ChordMsg::Lookup(lk) = self;
-        put_u8(out, 0);
         lk.key.encode(out);
-        put_u64(out, lk.origin as u64);
-        put_u32(out, lk.hops);
-        put_u64(out, lk.path_us);
-        put_bool(out, lk.terminal);
+        lk.origin.encode(out);
+        lk.hops.encode(out);
+        lk.path_us.encode(out);
+        lk.terminal.encode(out);
     }
 
-    fn decode(buf: &[u8]) -> Result<(ChordMsg, usize), DecodeError> {
-        let mut pos = 0;
-        check_header(buf, &mut pos)?;
-        let (key, used) = Id::decode(tail(buf, pos))?;
-        pos += used;
-        let origin = get_u64(buf, &mut pos)? as usize;
-        let hops = get_u32(buf, &mut pos)?;
-        let path_us = get_u64(buf, &mut pos)?;
-        let terminal = get_bool(buf, &mut pos)?;
-        Ok((
-            ChordMsg::Lookup(ChordLookup {
-                key,
-                origin,
-                hops,
-                path_us,
-                terminal,
-            }),
-            pos,
-        ))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        // key(16) origin(8) hops(4) path_us(8) terminal(1)
-        let ChordMsg::Lookup(_) = self;
-        HEADER + 37
+    fn read(r: &mut Reader<'_>) -> Result<ChordMsg, DecodeError> {
+        match r.kind()? {
+            0 => Ok(ChordMsg::Lookup(ChordLookup {
+                key: r.get()?,
+                origin: r.get()?,
+                hops: r.get()?,
+                path_us: r.get()?,
+                terminal: r.get()?,
+            })),
+            other => Err(DecodeError::UnknownKind(other)),
+        }
     }
 }
 
 impl Wire for CanMsg {
     const MIN_WIRE_LEN: usize = 2;
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u8(out, WIRE_VERSION);
+    fn encode<S: Sink>(&self, out: &mut S) {
+        out.put(&[WIRE_VERSION, self.kind_id() as u8]);
         let CanMsg::Lookup(lk) = self;
-        put_u8(out, 0);
-        put_vec(out, &lk.target);
-        put_u64(out, lk.origin as u64);
-        put_u32(out, lk.hops);
-        put_u64(out, lk.path_us);
+        lk.target.encode(out);
+        lk.origin.encode(out);
+        lk.hops.encode(out);
+        lk.path_us.encode(out);
     }
 
-    fn decode(buf: &[u8]) -> Result<(CanMsg, usize), DecodeError> {
-        let mut pos = 0;
-        check_header(buf, &mut pos)?;
-        let target = get_vec(buf, &mut pos)?;
-        let origin = get_u64(buf, &mut pos)? as usize;
-        let hops = get_u32(buf, &mut pos)?;
-        let path_us = get_u64(buf, &mut pos)?;
-        Ok((
-            CanMsg::Lookup(CanLookup {
-                target,
-                origin,
-                hops,
-                path_us,
-            }),
-            pos,
-        ))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        // target(4 + 8d) origin(8) hops(4) path_us(8)
-        let CanMsg::Lookup(lk) = self;
-        HEADER + 4 + 8 * lk.target.len() as u64 + 20
+    fn read(r: &mut Reader<'_>) -> Result<CanMsg, DecodeError> {
+        match r.kind()? {
+            0 => Ok(CanMsg::Lookup(CanLookup {
+                target: r.get()?,
+                origin: r.get()?,
+                hops: r.get()?,
+                path_us: r.get()?,
+            })),
+            other => Err(DecodeError::UnknownKind(other)),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use past_pastry::Id;
 
     #[test]
     fn baseline_frames_have_versioned_headers() {

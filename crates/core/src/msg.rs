@@ -4,8 +4,8 @@
 use crate::cert::{FileCertificate, ReclaimCertificate, ReclaimReceipt, StoreReceipt};
 use crate::fileid::{ContentRef, FileId};
 use past_crypto::Digest256;
-use past_netsim::{Addr, OpId};
 use past_pastry::PayloadSize;
+use past_wire::{Addr, OpId};
 
 /// Why an insertion response was negative.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -202,9 +202,6 @@ pub enum PastMsg {
 }
 
 impl PayloadSize for PastMsg {
-    // payload_size() is the trait default: the exact encoded length from
-    // the codec in `crate::wire` (content bodies included).
-
     fn op_id(&self) -> OpId {
         match self {
             PastMsg::Insert { op, .. }
@@ -243,8 +240,9 @@ mod tests {
     }
 
     #[test]
-    fn payload_sizes_track_content() {
+    fn sizes_track_content() {
         use crate::broker::Broker;
+        use past_wire::Wire;
         let mut broker = Broker::new(b"b");
         let mut card = broker.issue_card(b"u", u64::MAX / 2, 0);
         let content = ContentRef::synthetic(0, "f", 10_000);
@@ -255,13 +253,13 @@ mod tests {
             client: 0,
             op: OpId(7),
         };
-        assert!(insert.payload_size() > 10_000);
+        assert!(insert.encoded_len() > 10_000);
         assert_eq!(insert.op_id(), OpId(7));
         let miss = PastMsg::LookupMiss {
             file_id: cert.file_id,
             op: OpId::NONE,
         };
-        assert!(miss.payload_size() < 100);
+        assert!(miss.encoded_len() < 100);
         assert_eq!(miss.op_id(), OpId::NONE);
         let push = PastMsg::CachePush { cert };
         assert_eq!(push.op_id(), OpId::NONE);

@@ -15,8 +15,8 @@ use crate::msg::{NackReason, PastMsg};
 use crate::smartcard::{CardError, Smartcard};
 use crate::storage::{ReplicaKind, Store};
 use past_crypto::{Digest256, PublicKey};
-use past_netsim::{Addr, OpId};
 use past_pastry::{App, AppCtx, Id, NodeHandle, PastryState, RouteEnvelope, RouteInfo};
+use past_wire::{Addr, OpId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Tunable PAST parameters.
@@ -36,8 +36,6 @@ pub struct PastConfig {
     pub divert_candidates: usize,
     /// Master switch for caching.
     pub cache_enabled: bool,
-    /// Fraction of a node's free space the cache may occupy.
-    pub cache_fraction: f64,
     /// Route-path nodes a serving node pushes a cache copy to.
     pub cache_push: usize,
     /// Cache files passing through on the insert path.
@@ -71,7 +69,6 @@ impl Default for PastConfig {
             max_insert_attempts: 4,
             divert_candidates: 3,
             cache_enabled: true,
-            cache_fraction: 1.0,
             cache_push: 1,
             cache_on_insert_path: true,
             crypto_checks: true,
@@ -1147,7 +1144,7 @@ impl App for PastApp {
                     content.hash = h;
                 }
                 if self.cfg.cache_enabled && self.cfg.cache_on_insert_path {
-                    self.store.offer_cache(cert, self.cfg.cache_fraction);
+                    self.store.offer_cache(cert);
                 }
                 true
             }
@@ -1415,10 +1412,10 @@ impl App for PastApp {
                 // Two signature checks are only worth paying for a file
                 // the cache could take at all.
                 if self.cfg.cache_enabled
-                    && self.store.cache_admissible(&cert, self.cfg.cache_fraction)
+                    && self.store.cache_admissible(&cert)
                     && (!self.cfg.crypto_checks || cert.verify(&self.broker_key))
                 {
-                    self.store.offer_cache(&cert, self.cfg.cache_fraction);
+                    self.store.offer_cache(&cert);
                 }
             }
             PastMsg::AuditChallenge { file_id, nonce } => {
@@ -1567,7 +1564,7 @@ impl App for PastApp {
                 // copies from the members that remain.
                 self.store.remove(&cert.file_id);
                 if self.cfg.cache_enabled {
-                    self.store.offer_cache(&cert, self.cfg.cache_fraction);
+                    self.store.offer_cache(&cert);
                 }
                 continue;
             }

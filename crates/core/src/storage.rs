@@ -16,7 +16,7 @@
 use crate::cache::Cache;
 use crate::cert::FileCertificate;
 use crate::fileid::FileId;
-use past_netsim::Addr;
+use past_wire::Addr;
 use std::collections::BTreeMap;
 
 /// Why an insertion was refused by the local policy.
@@ -208,28 +208,21 @@ impl Store {
         self.cache.lookup(id).map(|c| (c, true))
     }
 
-    /// Bytes the cache may occupy: `max_fraction` of current free space.
-    fn cache_budget(&self, max_fraction: f64) -> u64 {
-        let budget = (self.free() as f64 * max_fraction.clamp(0.0, 1.0)) as u64;
-        budget.min(self.free())
-    }
-
     /// False when [`Store::offer_cache`] would refuse `cert` outright:
     /// the node already holds the file as a replica or in its cache, or
-    /// the file is empty or larger than the cache budget. Side-effect
-    /// free, so it can gate work (a signature check) that only an
-    /// admissible file is worth.
-    pub fn cache_admissible(&self, cert: &FileCertificate, max_fraction: f64) -> bool {
-        !self.files.contains_key(&cert.file_id)
-            && self.cache.admissible(cert, self.cache_budget(max_fraction))
+    /// the file is empty or larger than the free space the cache may
+    /// borrow. Side-effect free, so it can gate work (a signature check)
+    /// that only an admissible file is worth.
+    pub fn cache_admissible(&self, cert: &FileCertificate) -> bool {
+        !self.files.contains_key(&cert.file_id) && self.cache.admissible(cert, self.free())
     }
 
     /// Offers a passing file to the cache (bounded by current free space).
-    pub fn offer_cache(&mut self, cert: &FileCertificate, max_fraction: f64) -> bool {
+    pub fn offer_cache(&mut self, cert: &FileCertificate) -> bool {
         if self.files.contains_key(&cert.file_id) {
             return false;
         }
-        self.cache.offer(cert, self.cache_budget(max_fraction))
+        self.cache.offer(cert, self.free())
     }
 }
 
@@ -337,7 +330,7 @@ mod tests {
     fn cache_borrows_free_space_and_yields_it() {
         let mut s = Store::new(1000, 1.0, 1.0);
         let cached = cert_of(500, 1);
-        assert!(s.offer_cache(&cached, 1.0));
+        assert!(s.offer_cache(&cached));
         assert_eq!(s.cache.used(), 500);
         // Primary insert still sees the full free space and evicts cache.
         let primary = cert_of(900, 2);
@@ -352,20 +345,20 @@ mod tests {
         let replica = cert_of(100, 1);
         s.insert(&replica, ReplicaKind::Primary).unwrap();
         let cached = cert_of(100, 2);
-        assert!(s.cache_admissible(&cached, 0.5));
-        assert!(s.offer_cache(&cached, 0.5));
-        // Free space is 900, so the budget at 0.5 is 450 bytes.
-        let refused = [replica, cached, cert_of(0, 3), cert_of(451, 4)];
+        assert!(s.cache_admissible(&cached));
+        assert!(s.offer_cache(&cached));
+        // The replica left 900 bytes free: that is the cache's budget.
+        let refused = [replica, cached, cert_of(0, 3), cert_of(901, 4)];
         let before = (s.cache.insertions(), s.cache.evictions(), s.cache.used());
         for c in &refused {
-            assert!(!s.cache_admissible(c, 0.5), "size {}", c.size);
-            assert!(!s.offer_cache(c, 0.5));
+            assert!(!s.cache_admissible(c), "size {}", c.size);
+            assert!(!s.offer_cache(c));
         }
         assert_eq!(
             (s.cache.insertions(), s.cache.evictions(), s.cache.used()),
             before
         );
-        assert!(s.cache_admissible(&cert_of(450, 5), 0.5));
+        assert!(s.cache_admissible(&cert_of(900, 5)));
     }
 
     #[test]
@@ -377,7 +370,7 @@ mod tests {
         assert_eq!(got.file_id, c.file_id);
         assert!(!from_cache);
         let d = cert_of(50, 2);
-        assert!(s.offer_cache(&d, 1.0));
+        assert!(s.offer_cache(&d));
         let (_, from_cache) = s.serve(&d.file_id).unwrap();
         assert!(from_cache);
         assert!(s.serve(&cert_of(10, 3).file_id).is_none());
@@ -387,7 +380,7 @@ mod tests {
     fn inserting_a_cached_file_drops_the_cache_copy() {
         let mut s = Store::new(1000, 1.0, 1.0);
         let c = cert_of(100, 1);
-        assert!(s.offer_cache(&c, 1.0));
+        assert!(s.offer_cache(&c));
         assert!(s.insert(&c, ReplicaKind::Primary).is_ok());
         assert!(!s.cache.contains(&c.file_id));
         assert!(s.can_serve(&c.file_id));

@@ -21,290 +21,176 @@
 use crate::cert::{CardCert, FileCertificate, ReclaimCertificate, ReclaimReceipt, StoreReceipt};
 use crate::fileid::{ContentRef, FileId};
 use crate::msg::{NackReason, PastMsg};
-use past_crypto::{Digest160, Digest256, PublicKey, Signature};
-use past_netsim::OpId;
-use past_wire::{
-    get_bool, get_u64, get_u8, get_vec, put_bool, put_u64, put_u8, put_vec, tail, DecodeError,
-    Wire, WIRE_VERSION,
-};
-
-/// Appends a content body of `size` filler bytes (the simulator's
-/// stand-in for actual file bytes).
-fn put_body(out: &mut Vec<u8>, size: u64) {
-    out.resize(out.len() + size as usize, 0);
-}
-
-/// Skips a content body of declared `size`, validating it against the
-/// remaining frame without copying.
-fn skip_body(buf: &[u8], pos: &mut usize, size: u64) -> Result<(), DecodeError> {
-    let n = usize::try_from(size).map_err(|_| DecodeError::LengthOverflow)?;
-    if n > buf.len().saturating_sub(*pos) {
-        return Err(DecodeError::LengthOverflow);
-    }
-    *pos += n;
-    Ok(())
-}
+use past_wire::{DecodeError, Reader, Sink, Wire, WIRE_VERSION};
 
 impl Wire for FileId {
     const MIN_WIRE_LEN: usize = 20;
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         self.0.encode(out);
     }
 
-    fn decode(buf: &[u8]) -> Result<(FileId, usize), DecodeError> {
-        let (d, used) = Digest160::decode(buf)?;
-        Ok((FileId(d), used))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        20
+    fn read(r: &mut Reader<'_>) -> Result<FileId, DecodeError> {
+        Ok(FileId(r.get()?))
     }
 }
 
 impl Wire for ContentRef {
     const MIN_WIRE_LEN: usize = 40;
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         self.hash.encode(out);
-        put_u64(out, self.size);
-        put_body(out, self.size);
+        self.size.encode(out);
+        out.body(self.size);
     }
 
-    fn decode(buf: &[u8]) -> Result<(ContentRef, usize), DecodeError> {
-        let mut pos = 0;
-        let (hash, used) = Digest256::decode(buf)?;
-        pos += used;
-        let size = get_u64(buf, &mut pos)?;
-        skip_body(buf, &mut pos, size)?;
-        Ok((ContentRef { hash, size }, pos))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        40 + self.size
+    fn read(r: &mut Reader<'_>) -> Result<ContentRef, DecodeError> {
+        let content = ContentRef {
+            hash: r.get()?,
+            size: r.get()?,
+        };
+        r.skip_body(content.size)?;
+        Ok(content)
     }
 }
 
 impl Wire for CardCert {
     const MIN_WIRE_LEN: usize = 128;
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         self.card_key.encode(out);
         self.broker_key.encode(out);
         self.broker_sig.encode(out);
     }
 
-    fn decode(buf: &[u8]) -> Result<(CardCert, usize), DecodeError> {
-        let mut pos = 0;
-        let (card_key, used) = PublicKey::decode(tail(buf, pos))?;
-        pos += used;
-        let (broker_key, used) = PublicKey::decode(tail(buf, pos))?;
-        pos += used;
-        let (broker_sig, used) = Signature::decode(tail(buf, pos))?;
-        pos += used;
-        Ok((
-            CardCert {
-                card_key,
-                broker_key,
-                broker_sig,
-            },
-            pos,
-        ))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        128
+    fn read(r: &mut Reader<'_>) -> Result<CardCert, DecodeError> {
+        Ok(CardCert {
+            card_key: r.get()?,
+            broker_key: r.get()?,
+            broker_sig: r.get()?,
+        })
     }
 }
 
 impl Wire for FileCertificate {
     const MIN_WIRE_LEN: usize = 269;
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         self.file_id.encode(out);
         self.content_hash.encode(out);
-        put_u64(out, self.size);
-        put_u8(out, self.replication);
-        put_u64(out, self.salt);
-        put_u64(out, self.inserted_at);
+        self.size.encode(out);
+        self.replication.encode(out);
+        self.salt.encode(out);
+        self.inserted_at.encode(out);
         self.owner.encode(out);
         self.signature.encode(out);
     }
 
-    fn decode(buf: &[u8]) -> Result<(FileCertificate, usize), DecodeError> {
-        let mut pos = 0;
-        let (file_id, used) = FileId::decode(tail(buf, pos))?;
-        pos += used;
-        let (content_hash, used) = Digest256::decode(tail(buf, pos))?;
-        pos += used;
-        let size = get_u64(buf, &mut pos)?;
-        let replication = get_u8(buf, &mut pos)?;
-        let salt = get_u64(buf, &mut pos)?;
-        let inserted_at = get_u64(buf, &mut pos)?;
-        let (owner, used) = CardCert::decode(tail(buf, pos))?;
-        pos += used;
-        let (signature, used) = Signature::decode(tail(buf, pos))?;
-        pos += used;
-        Ok((
-            FileCertificate {
-                file_id,
-                content_hash,
-                size,
-                replication,
-                salt,
-                inserted_at,
-                owner,
-                signature,
-            },
-            pos,
-        ))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        269
+    fn read(r: &mut Reader<'_>) -> Result<FileCertificate, DecodeError> {
+        Ok(FileCertificate {
+            file_id: r.get()?,
+            content_hash: r.get()?,
+            size: r.get()?,
+            replication: r.get()?,
+            salt: r.get()?,
+            inserted_at: r.get()?,
+            owner: r.get()?,
+            signature: r.get()?,
+        })
     }
 }
 
 impl Wire for StoreReceipt {
     const MIN_WIRE_LEN: usize = 221;
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         self.file_id.encode(out);
-        put_u64(out, self.stored);
-        put_bool(out, self.diverted);
+        self.stored.encode(out);
+        self.diverted.encode(out);
         self.storer.encode(out);
         self.signature.encode(out);
     }
 
-    fn decode(buf: &[u8]) -> Result<(StoreReceipt, usize), DecodeError> {
-        let mut pos = 0;
-        let (file_id, used) = FileId::decode(tail(buf, pos))?;
-        pos += used;
-        let stored = get_u64(buf, &mut pos)?;
-        let diverted = get_bool(buf, &mut pos)?;
-        let (storer, used) = CardCert::decode(tail(buf, pos))?;
-        pos += used;
-        let (signature, used) = Signature::decode(tail(buf, pos))?;
-        pos += used;
-        Ok((
-            StoreReceipt {
-                file_id,
-                stored,
-                diverted,
-                storer,
-                signature,
-            },
-            pos,
-        ))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        221
+    fn read(r: &mut Reader<'_>) -> Result<StoreReceipt, DecodeError> {
+        Ok(StoreReceipt {
+            file_id: r.get()?,
+            stored: r.get()?,
+            diverted: r.get()?,
+            storer: r.get()?,
+            signature: r.get()?,
+        })
     }
 }
 
 impl Wire for ReclaimCertificate {
     const MIN_WIRE_LEN: usize = 212;
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         self.file_id.encode(out);
         self.owner.encode(out);
         self.signature.encode(out);
     }
 
-    fn decode(buf: &[u8]) -> Result<(ReclaimCertificate, usize), DecodeError> {
-        let mut pos = 0;
-        let (file_id, used) = FileId::decode(tail(buf, pos))?;
-        pos += used;
-        let (owner, used) = CardCert::decode(tail(buf, pos))?;
-        pos += used;
-        let (signature, used) = Signature::decode(tail(buf, pos))?;
-        pos += used;
-        Ok((
-            ReclaimCertificate {
-                file_id,
-                owner,
-                signature,
-            },
-            pos,
-        ))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        212
+    fn read(r: &mut Reader<'_>) -> Result<ReclaimCertificate, DecodeError> {
+        Ok(ReclaimCertificate {
+            file_id: r.get()?,
+            owner: r.get()?,
+            signature: r.get()?,
+        })
     }
 }
 
 impl Wire for ReclaimReceipt {
     const MIN_WIRE_LEN: usize = 220;
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         self.file_id.encode(out);
-        put_u64(out, self.freed);
+        self.freed.encode(out);
         self.storer.encode(out);
         self.signature.encode(out);
     }
 
-    fn decode(buf: &[u8]) -> Result<(ReclaimReceipt, usize), DecodeError> {
-        let mut pos = 0;
-        let (file_id, used) = FileId::decode(tail(buf, pos))?;
-        pos += used;
-        let freed = get_u64(buf, &mut pos)?;
-        let (storer, used) = CardCert::decode(tail(buf, pos))?;
-        pos += used;
-        let (signature, used) = Signature::decode(tail(buf, pos))?;
-        pos += used;
-        Ok((
-            ReclaimReceipt {
-                file_id,
-                freed,
-                storer,
-                signature,
-            },
-            pos,
-        ))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        220
+    fn read(r: &mut Reader<'_>) -> Result<ReclaimReceipt, DecodeError> {
+        Ok(ReclaimReceipt {
+            file_id: r.get()?,
+            freed: r.get()?,
+            storer: r.get()?,
+            signature: r.get()?,
+        })
     }
 }
 
 impl Wire for NackReason {
     const MIN_WIRE_LEN: usize = 1;
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag = match self {
+    fn encode<S: Sink>(&self, out: &mut S) {
+        let tag: u8 = match self {
             NackReason::BadCertificate => 0,
             NackReason::StoreRefused => 1,
             NackReason::TargetDead => 2,
             NackReason::InsufficientNodes => 3,
         };
-        put_u8(out, tag);
+        tag.encode(out);
     }
 
-    fn decode(buf: &[u8]) -> Result<(NackReason, usize), DecodeError> {
-        let mut pos = 0;
-        let reason = match get_u8(buf, &mut pos)? {
-            0 => NackReason::BadCertificate,
+    fn read(r: &mut Reader<'_>) -> Result<NackReason, DecodeError> {
+        Ok(match r.get()? {
+            0u8 => NackReason::BadCertificate,
             1 => NackReason::StoreRefused,
             2 => NackReason::TargetDead,
             3 => NackReason::InsufficientNodes,
             tag => return Err(DecodeError::UnknownKind(tag)),
-        };
-        Ok((reason, pos))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        1
+        })
     }
 }
 
 impl Wire for PastMsg {
     const MIN_WIRE_LEN: usize = 2;
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u8(out, WIRE_VERSION);
+    // Inlined into `encoded_len`, the one codec call the simulator makes
+    // per send, so that the count stays in a register.
+    #[inline]
+    fn encode<S: Sink>(&self, out: &mut S) {
         match self {
             PastMsg::Insert {
                 cert,
@@ -312,10 +198,10 @@ impl Wire for PastMsg {
                 client,
                 op,
             } => {
-                put_u8(out, 0);
+                out.put(&[WIRE_VERSION, 0]);
                 cert.encode(out);
                 content.encode(out);
-                put_u64(out, *client as u64);
+                client.encode(out);
                 op.encode(out);
             }
             PastMsg::Lookup {
@@ -325,17 +211,17 @@ impl Wire for PastMsg {
                 redirected,
                 op,
             } => {
-                put_u8(out, 1);
+                out.put(&[WIRE_VERSION, 1]);
                 file_id.encode(out);
-                put_u64(out, *client as u64);
-                put_vec(out, path);
-                put_bool(out, *redirected);
+                client.encode(out);
+                path.encode(out);
+                redirected.encode(out);
                 op.encode(out);
             }
             PastMsg::Reclaim { rcert, client, op } => {
-                put_u8(out, 2);
+                out.put(&[WIRE_VERSION, 2]);
                 rcert.encode(out);
-                put_u64(out, *client as u64);
+                client.encode(out);
                 op.encode(out);
             }
             PastMsg::Replicate {
@@ -344,7 +230,7 @@ impl Wire for PastMsg {
                 client,
                 op,
             } => {
-                put_u8(out, 3);
+                out.put(&[WIRE_VERSION, 3]);
                 cert.encode(out);
                 content.encode(out);
                 client.encode(out);
@@ -357,25 +243,25 @@ impl Wire for PastMsg {
                 client,
                 op,
             } => {
-                put_u8(out, 4);
+                out.put(&[WIRE_VERSION, 4]);
                 cert.encode(out);
                 content.encode(out);
-                put_u64(out, *primary as u64);
-                put_u64(out, *client as u64);
+                primary.encode(out);
+                client.encode(out);
                 op.encode(out);
             }
             PastMsg::DivertAck { file_id, op } => {
-                put_u8(out, 5);
+                out.put(&[WIRE_VERSION, 5]);
                 file_id.encode(out);
                 op.encode(out);
             }
             PastMsg::DivertNack { file_id, op } => {
-                put_u8(out, 6);
+                out.put(&[WIRE_VERSION, 6]);
                 file_id.encode(out);
                 op.encode(out);
             }
             PastMsg::StoreAck { receipt, op } => {
-                put_u8(out, 7);
+                out.put(&[WIRE_VERSION, 7]);
                 receipt.encode(out);
                 op.encode(out);
             }
@@ -384,7 +270,7 @@ impl Wire for PastMsg {
                 reason,
                 op,
             } => {
-                put_u8(out, 8);
+                out.put(&[WIRE_VERSION, 8]);
                 file_id.encode(out);
                 reason.encode(out);
                 op.encode(out);
@@ -396,11 +282,11 @@ impl Wire for PastMsg {
                 terminal,
                 op,
             } => {
-                put_u8(out, 9);
+                out.put(&[WIRE_VERSION, 9]);
                 file_id.encode(out);
-                put_u64(out, *client as u64);
-                put_vec(out, path);
-                put_bool(out, *terminal);
+                client.encode(out);
+                path.encode(out);
+                terminal.encode(out);
                 op.encode(out);
             }
             PastMsg::FileReply {
@@ -408,281 +294,150 @@ impl Wire for PastMsg {
                 from_cache,
                 op,
             } => {
-                put_u8(out, 10);
+                out.put(&[WIRE_VERSION, 10]);
                 cert.encode(out);
-                put_bool(out, *from_cache);
+                from_cache.encode(out);
                 op.encode(out);
-                put_body(out, cert.size);
+                out.body(cert.size);
             }
             PastMsg::LookupMiss { file_id, op } => {
-                put_u8(out, 11);
+                out.put(&[WIRE_VERSION, 11]);
                 file_id.encode(out);
                 op.encode(out);
             }
             PastMsg::ReclaimFree { rcert, client, op } => {
-                put_u8(out, 12);
+                out.put(&[WIRE_VERSION, 12]);
                 rcert.encode(out);
-                put_u64(out, *client as u64);
+                client.encode(out);
                 op.encode(out);
             }
             PastMsg::ReclaimAck { receipt, op } => {
-                put_u8(out, 13);
+                out.put(&[WIRE_VERSION, 13]);
                 receipt.encode(out);
                 op.encode(out);
             }
             PastMsg::ReclaimDenied { file_id, op } => {
-                put_u8(out, 14);
+                out.put(&[WIRE_VERSION, 14]);
                 file_id.encode(out);
                 op.encode(out);
             }
             PastMsg::CachePush { cert } => {
-                put_u8(out, 15);
+                out.put(&[WIRE_VERSION, 15]);
                 cert.encode(out);
-                put_body(out, cert.size);
+                out.body(cert.size);
             }
             PastMsg::AuditChallenge { file_id, nonce } => {
-                put_u8(out, 16);
+                out.put(&[WIRE_VERSION, 16]);
                 file_id.encode(out);
-                put_u64(out, *nonce);
+                nonce.encode(out);
             }
             PastMsg::AuditProof { file_id, proof } => {
-                put_u8(out, 17);
+                out.put(&[WIRE_VERSION, 17]);
                 file_id.encode(out);
                 proof.encode(out);
             }
         }
     }
 
-    fn decode(buf: &[u8]) -> Result<(PastMsg, usize), DecodeError> {
-        let mut pos = 0;
-        let version = get_u8(buf, &mut pos)?;
-        if version != WIRE_VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let kind = get_u8(buf, &mut pos)?;
-        let msg = match kind {
-            0 => {
-                let (cert, used) = FileCertificate::decode(tail(buf, pos))?;
-                pos += used;
-                let (content, used) = ContentRef::decode(tail(buf, pos))?;
-                pos += used;
-                let client = get_u64(buf, &mut pos)? as usize;
-                let (op, used) = OpId::decode(tail(buf, pos))?;
-                pos += used;
-                PastMsg::Insert {
-                    cert,
-                    content,
-                    client,
-                    op,
-                }
-            }
-            1 => {
-                let (file_id, used) = FileId::decode(tail(buf, pos))?;
-                pos += used;
-                let client = get_u64(buf, &mut pos)? as usize;
-                let path = get_vec(buf, &mut pos)?;
-                let redirected = get_bool(buf, &mut pos)?;
-                let (op, used) = OpId::decode(tail(buf, pos))?;
-                pos += used;
-                PastMsg::Lookup {
-                    file_id,
-                    client,
-                    path,
-                    redirected,
-                    op,
-                }
-            }
-            2 => {
-                let (rcert, used) = ReclaimCertificate::decode(tail(buf, pos))?;
-                pos += used;
-                let client = get_u64(buf, &mut pos)? as usize;
-                let (op, used) = OpId::decode(tail(buf, pos))?;
-                pos += used;
-                PastMsg::Reclaim { rcert, client, op }
-            }
-            3 => {
-                let (cert, used) = FileCertificate::decode(tail(buf, pos))?;
-                pos += used;
-                let (content, used) = ContentRef::decode(tail(buf, pos))?;
-                pos += used;
-                let (client, used) = Option::<usize>::decode(tail(buf, pos))?;
-                pos += used;
-                let (op, used) = OpId::decode(tail(buf, pos))?;
-                pos += used;
-                PastMsg::Replicate {
-                    cert,
-                    content,
-                    client,
-                    op,
-                }
-            }
-            4 => {
-                let (cert, used) = FileCertificate::decode(tail(buf, pos))?;
-                pos += used;
-                let (content, used) = ContentRef::decode(tail(buf, pos))?;
-                pos += used;
-                let primary = get_u64(buf, &mut pos)? as usize;
-                let client = get_u64(buf, &mut pos)? as usize;
-                let (op, used) = OpId::decode(tail(buf, pos))?;
-                pos += used;
-                PastMsg::DivertStore {
-                    cert,
-                    content,
-                    primary,
-                    client,
-                    op,
-                }
-            }
-            5 => {
-                let (file_id, used) = FileId::decode(tail(buf, pos))?;
-                pos += used;
-                let (op, used) = OpId::decode(tail(buf, pos))?;
-                pos += used;
-                PastMsg::DivertAck { file_id, op }
-            }
-            6 => {
-                let (file_id, used) = FileId::decode(tail(buf, pos))?;
-                pos += used;
-                let (op, used) = OpId::decode(tail(buf, pos))?;
-                pos += used;
-                PastMsg::DivertNack { file_id, op }
-            }
-            7 => {
-                let (receipt, used) = StoreReceipt::decode(tail(buf, pos))?;
-                pos += used;
-                let (op, used) = OpId::decode(tail(buf, pos))?;
-                pos += used;
-                PastMsg::StoreAck { receipt, op }
-            }
-            8 => {
-                let (file_id, used) = FileId::decode(tail(buf, pos))?;
-                pos += used;
-                let (reason, used) = NackReason::decode(tail(buf, pos))?;
-                pos += used;
-                let (op, used) = OpId::decode(tail(buf, pos))?;
-                pos += used;
-                PastMsg::InsertNack {
-                    file_id,
-                    reason,
-                    op,
-                }
-            }
-            9 => {
-                let (file_id, used) = FileId::decode(tail(buf, pos))?;
-                pos += used;
-                let client = get_u64(buf, &mut pos)? as usize;
-                let path = get_vec(buf, &mut pos)?;
-                let terminal = get_bool(buf, &mut pos)?;
-                let (op, used) = OpId::decode(tail(buf, pos))?;
-                pos += used;
-                PastMsg::LookupHop {
-                    file_id,
-                    client,
-                    path,
-                    terminal,
-                    op,
-                }
-            }
+    fn read(r: &mut Reader<'_>) -> Result<PastMsg, DecodeError> {
+        Ok(match r.kind()? {
+            0 => PastMsg::Insert {
+                cert: r.get()?,
+                content: r.get()?,
+                client: r.get()?,
+                op: r.get()?,
+            },
+            1 => PastMsg::Lookup {
+                file_id: r.get()?,
+                client: r.get()?,
+                path: r.get()?,
+                redirected: r.get()?,
+                op: r.get()?,
+            },
+            2 => PastMsg::Reclaim {
+                rcert: r.get()?,
+                client: r.get()?,
+                op: r.get()?,
+            },
+            3 => PastMsg::Replicate {
+                cert: r.get()?,
+                content: r.get()?,
+                client: r.get()?,
+                op: r.get()?,
+            },
+            4 => PastMsg::DivertStore {
+                cert: r.get()?,
+                content: r.get()?,
+                primary: r.get()?,
+                client: r.get()?,
+                op: r.get()?,
+            },
+            5 => PastMsg::DivertAck {
+                file_id: r.get()?,
+                op: r.get()?,
+            },
+            6 => PastMsg::DivertNack {
+                file_id: r.get()?,
+                op: r.get()?,
+            },
+            7 => PastMsg::StoreAck {
+                receipt: r.get()?,
+                op: r.get()?,
+            },
+            8 => PastMsg::InsertNack {
+                file_id: r.get()?,
+                reason: r.get()?,
+                op: r.get()?,
+            },
+            9 => PastMsg::LookupHop {
+                file_id: r.get()?,
+                client: r.get()?,
+                path: r.get()?,
+                terminal: r.get()?,
+                op: r.get()?,
+            },
             10 => {
-                let (cert, used) = FileCertificate::decode(tail(buf, pos))?;
-                pos += used;
-                let from_cache = get_bool(buf, &mut pos)?;
-                let (op, used) = OpId::decode(tail(buf, pos))?;
-                pos += used;
-                skip_body(buf, &mut pos, cert.size)?;
+                let cert: FileCertificate = r.get()?;
+                let (from_cache, op) = (r.get()?, r.get()?);
+                r.skip_body(cert.size)?;
                 PastMsg::FileReply {
                     cert,
                     from_cache,
                     op,
                 }
             }
-            11 => {
-                let (file_id, used) = FileId::decode(tail(buf, pos))?;
-                pos += used;
-                let (op, used) = OpId::decode(tail(buf, pos))?;
-                pos += used;
-                PastMsg::LookupMiss { file_id, op }
-            }
-            12 => {
-                let (rcert, used) = ReclaimCertificate::decode(tail(buf, pos))?;
-                pos += used;
-                let client = get_u64(buf, &mut pos)? as usize;
-                let (op, used) = OpId::decode(tail(buf, pos))?;
-                pos += used;
-                PastMsg::ReclaimFree { rcert, client, op }
-            }
-            13 => {
-                let (receipt, used) = ReclaimReceipt::decode(tail(buf, pos))?;
-                pos += used;
-                let (op, used) = OpId::decode(tail(buf, pos))?;
-                pos += used;
-                PastMsg::ReclaimAck { receipt, op }
-            }
-            14 => {
-                let (file_id, used) = FileId::decode(tail(buf, pos))?;
-                pos += used;
-                let (op, used) = OpId::decode(tail(buf, pos))?;
-                pos += used;
-                PastMsg::ReclaimDenied { file_id, op }
-            }
+            11 => PastMsg::LookupMiss {
+                file_id: r.get()?,
+                op: r.get()?,
+            },
+            12 => PastMsg::ReclaimFree {
+                rcert: r.get()?,
+                client: r.get()?,
+                op: r.get()?,
+            },
+            13 => PastMsg::ReclaimAck {
+                receipt: r.get()?,
+                op: r.get()?,
+            },
+            14 => PastMsg::ReclaimDenied {
+                file_id: r.get()?,
+                op: r.get()?,
+            },
             15 => {
-                let (cert, used) = FileCertificate::decode(tail(buf, pos))?;
-                pos += used;
-                skip_body(buf, &mut pos, cert.size)?;
+                let cert: FileCertificate = r.get()?;
+                r.skip_body(cert.size)?;
                 PastMsg::CachePush { cert }
             }
-            16 => {
-                let (file_id, used) = FileId::decode(tail(buf, pos))?;
-                pos += used;
-                let nonce = get_u64(buf, &mut pos)?;
-                PastMsg::AuditChallenge { file_id, nonce }
-            }
-            17 => {
-                let (file_id, used) = FileId::decode(tail(buf, pos))?;
-                pos += used;
-                let (proof, used) = Option::<Digest256>::decode(tail(buf, pos))?;
-                pos += used;
-                PastMsg::AuditProof { file_id, proof }
-            }
+            16 => PastMsg::AuditChallenge {
+                file_id: r.get()?,
+                nonce: r.get()?,
+            },
+            17 => PastMsg::AuditProof {
+                file_id: r.get()?,
+                proof: r.get()?,
+            },
             other => return Err(DecodeError::UnknownKind(other)),
-        };
-        Ok((msg, pos))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        const HEADER: u64 = 2;
-        const FID: u64 = 20;
-        const CERT: u64 = 269;
-        const RCERT: u64 = 212;
-        const RECEIPT: u64 = 221;
-        const RRECEIPT: u64 = 220;
-        const ADDR: u64 = 8;
-        const OP: u64 = 8;
-        HEADER
-            + match self {
-                // Content bodies travel with inserts, replications,
-                // diversions, replies, and cache pushes.
-                PastMsg::Insert { content, .. } => CERT + 40 + content.size + ADDR + OP,
-                PastMsg::Lookup { path, .. } => FID + ADDR + 4 + 8 * path.len() as u64 + 1 + OP,
-                PastMsg::Reclaim { .. } => RCERT + ADDR + OP,
-                PastMsg::Replicate {
-                    content, client, ..
-                } => CERT + 40 + content.size + client.encoded_len() + OP,
-                PastMsg::DivertStore { content, .. } => CERT + 40 + content.size + 2 * ADDR + OP,
-                PastMsg::DivertAck { .. } => FID + OP,
-                PastMsg::DivertNack { .. } => FID + OP,
-                PastMsg::StoreAck { .. } => RECEIPT + OP,
-                PastMsg::InsertNack { .. } => FID + 1 + OP,
-                PastMsg::LookupHop { path, .. } => FID + ADDR + 4 + 8 * path.len() as u64 + 1 + OP,
-                PastMsg::FileReply { cert, .. } => CERT + 1 + OP + cert.size,
-                PastMsg::LookupMiss { .. } => FID + OP,
-                PastMsg::ReclaimFree { .. } => RCERT + ADDR + OP,
-                PastMsg::ReclaimAck { .. } => RRECEIPT + OP,
-                PastMsg::ReclaimDenied { .. } => FID + OP,
-                PastMsg::CachePush { cert } => CERT + cert.size,
-                PastMsg::AuditChallenge { .. } => FID + 8,
-                PastMsg::AuditProof { proof, .. } => FID + proof.encoded_len(),
-            }
+        })
     }
 }
 

@@ -138,6 +138,9 @@ impl U256 {
     }
 
     /// Serializes to a big-endian 32-byte array.
+    // Inlined across crates so that `past_wire`'s counting sink, which
+    // only takes the array's length, pays nothing for the conversion.
+    #[inline]
     pub fn to_be_bytes(&self) -> [u8; 32] {
         let mut out = [0u8; 32];
         for i in 0..4 {

@@ -264,19 +264,14 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
     /// sends so both face the same network.
     pub(crate) fn dispatch(&mut self, from: Addr, to: Addr, msg: N::Msg, extra_us: u64) {
         let li = from - self.base;
+        let bytes = msg.wire_size();
         self.stats.total_msgs += 1;
-        self.stats.total_bytes += msg.wire_size();
+        self.stats.total_bytes += bytes;
         self.stats.by_kind_mut()[msg.kind_id()] += 1;
         self.nodes.note_sent(li);
         if self.tracer.enabled() {
-            self.tracer.msg_send(
-                self.now,
-                msg.op_id(),
-                from,
-                to,
-                msg.kind_id(),
-                msg.wire_size(),
-            );
+            self.tracer
+                .msg_send(self.now, msg.op_id(), from, to, msg.kind_id(), bytes);
         }
         let base_t = self.now + self.topo.delay_us(from, to) + extra_us;
         if from == to || !self.faults.is_active() {

@@ -5,7 +5,7 @@
 //! address"; in the simulator the address is a topology slot index.
 
 use crate::id::Id;
-use past_netsim::Addr;
+use past_wire::Addr;
 use std::fmt;
 
 /// A reference to a remote node: its id and simulator address.

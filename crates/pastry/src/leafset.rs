@@ -7,7 +7,7 @@
 
 use crate::handle::NodeHandle;
 use crate::id::Id;
-use past_netsim::Addr;
+use past_wire::Addr;
 
 /// Which half of the leaf set a node falls in.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

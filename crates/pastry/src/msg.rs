@@ -2,8 +2,8 @@
 
 use crate::handle::NodeHandle;
 use crate::id::Id;
-use past_netsim::{Addr, Message, OpId};
-use past_wire::Wire;
+use past_netsim::Message;
+use past_wire::{Addr, OpId, Wire};
 
 /// A routed application message in flight.
 #[derive(Clone, Debug)]
@@ -102,6 +102,30 @@ pub enum PastryMsg<P> {
     },
 }
 
+impl<P> PastryMsg<P> {
+    /// The variant's index in [`Message::KINDS`], which is also the kind
+    /// byte of its frame (crate::wire).
+    pub fn kind_id(&self) -> usize {
+        match self {
+            PastryMsg::Route(_) => 0,
+            PastryMsg::JoinRequest { .. } => 1,
+            PastryMsg::JoinReply { .. } => 2,
+            PastryMsg::NeighborhoodRequest => 3,
+            PastryMsg::NeighborhoodReply { .. } => 4,
+            PastryMsg::Announce { .. } => 5,
+            PastryMsg::LeafRequest => 6,
+            PastryMsg::LeafReply { .. } => 7,
+            PastryMsg::RowRequest { .. } => 8,
+            PastryMsg::RowReply { .. } => 9,
+            PastryMsg::RepairRequest { .. } => 10,
+            PastryMsg::RepairReply { .. } => 11,
+            PastryMsg::Heartbeat => 12,
+            PastryMsg::HeartbeatAck => 13,
+            PastryMsg::AppDirect { .. } => 14,
+        }
+    }
+}
+
 impl<P: Clone + PayloadSize> Message for PastryMsg<P> {
     const KINDS: &'static [&'static str] = &[
         "route",
@@ -122,30 +146,11 @@ impl<P: Clone + PayloadSize> Message for PastryMsg<P> {
     ];
 
     fn kind_id(&self) -> usize {
-        match self {
-            PastryMsg::Route(_) => 0,
-            PastryMsg::JoinRequest { .. } => 1,
-            PastryMsg::JoinReply { .. } => 2,
-            PastryMsg::NeighborhoodRequest => 3,
-            PastryMsg::NeighborhoodReply { .. } => 4,
-            PastryMsg::Announce { .. } => 5,
-            PastryMsg::LeafRequest => 6,
-            PastryMsg::LeafReply { .. } => 7,
-            PastryMsg::RowRequest { .. } => 8,
-            PastryMsg::RowReply { .. } => 9,
-            PastryMsg::RepairRequest { .. } => 10,
-            PastryMsg::RepairReply { .. } => 11,
-            PastryMsg::Heartbeat => 12,
-            PastryMsg::HeartbeatAck => 13,
-            PastryMsg::AppDirect { .. } => 14,
-        }
+        PastryMsg::kind_id(self)
     }
 
     fn wire_size(&self) -> u64 {
-        // Not an estimate: the exact length `Wire::encode` produces.
-        // The per-variant arithmetic lives in `encoded_len`
-        // (crate::wire), which the codec round-trip tests pin against
-        // `encode().len()` for every variant.
+        // Not an estimate: `Wire::encode` (crate::wire) into a counter.
         self.encoded_len()
     }
 
@@ -178,14 +183,8 @@ impl<P: Clone + PayloadSize> Message for PastryMsg<P> {
 ///
 /// `Wire` is a supertrait so that a `PastryMsg<P>` frame (and with it
 /// the engine's bandwidth accounting) always has an exact encoded
-/// length; `payload_size` is that length, kept as a named method for
-/// harness code that reasons about payloads without framing.
+/// length.
 pub trait PayloadSize: Wire {
-    /// Exact encoded size in bytes.
-    fn payload_size(&self) -> u64 {
-        self.encoded_len()
-    }
-
     /// The client operation this payload belongs to, for causal trace
     /// attribution (default: none). Carried up into
     /// [`Message::op_id`] by both routed and direct Pastry frames.

@@ -5,7 +5,7 @@
 //! node joins ("X then obtains ... the neighborhood set from A").
 
 use crate::handle::NodeHandle;
-use past_netsim::Addr;
+use past_wire::Addr;
 
 /// The proximity-nearest set of one node.
 #[derive(Clone, Debug)]

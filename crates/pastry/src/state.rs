@@ -5,7 +5,7 @@ use crate::id::Config;
 use crate::leafset::{LeafSet, Side};
 use crate::neighborhood::NeighborhoodSet;
 use crate::table::RoutingTable;
-use past_netsim::Addr;
+use past_wire::Addr;
 
 /// The three routing structures of a node: routing table, leaf set and
 /// neighborhood set.

@@ -10,7 +10,7 @@
 
 use crate::handle::NodeHandle;
 use crate::id::{Config, Id};
-use past_netsim::Addr;
+use past_wire::Addr;
 
 /// One routing-table slot: the chosen node and its measured proximity.
 #[derive(Clone, Copy, Debug)]

@@ -1,7 +1,8 @@
 //! Byte-level codec for the Pastry message set (DESIGN.md §13.2).
 //!
-//! Frame layout: `[version:1][kind:1]` followed by the variant's fields
-//! in declaration order — little-endian integers, 24-byte node handles
+//! Frame layout: `[version:1][kind:1]` (the kind byte is `kind_id()`),
+//! then the variant's fields in the order `encode` writes them, vectors
+//! and the payload last — little-endian integers, 24-byte node handles
 //! (16-byte id + 8-byte address), `u32` length-prefixed handle vectors.
 //! Row/column coordinates travel as `u16` (the id space has at most 128
 //! digit rows and `2^b ≤ 256` columns). The application payload `P` is
@@ -11,111 +12,86 @@
 use crate::handle::NodeHandle;
 use crate::id::Id;
 use crate::msg::{PastryMsg, RouteEnvelope};
-use past_wire::{
-    get_u128, get_u16, get_u32, get_u64, get_u8, get_vec, put_u128, put_u16, put_u32, put_u64,
-    put_u8, put_vec, tail, DecodeError, Wire, WIRE_VERSION,
-};
+use past_wire::{DecodeError, Reader, Sink, Wire, WIRE_VERSION};
 
 impl Wire for Id {
     const MIN_WIRE_LEN: usize = 16;
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u128(out, self.0);
+    fn encode<S: Sink>(&self, out: &mut S) {
+        out.put(&self.0.to_le_bytes());
     }
 
-    fn decode(buf: &[u8]) -> Result<(Id, usize), DecodeError> {
-        let mut pos = 0;
-        Ok((Id(get_u128(buf, &mut pos)?), pos))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        16
+    fn read(r: &mut Reader<'_>) -> Result<Id, DecodeError> {
+        Ok(Id(u128::from_le_bytes(r.array()?)))
     }
 }
 
 impl Wire for NodeHandle {
     const MIN_WIRE_LEN: usize = 24;
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         self.id.encode(out);
-        put_u64(out, self.addr as u64);
+        self.addr.encode(out);
     }
 
-    fn decode(buf: &[u8]) -> Result<(NodeHandle, usize), DecodeError> {
-        let mut pos = 0;
-        let (id, used) = Id::decode(buf)?;
-        pos += used;
-        let addr = get_u64(buf, &mut pos)? as usize;
-        Ok((NodeHandle { id, addr }, pos))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        24
+    fn read(r: &mut Reader<'_>) -> Result<NodeHandle, DecodeError> {
+        Ok(NodeHandle {
+            id: r.get()?,
+            addr: r.get()?,
+        })
     }
 }
 
 impl<P: Wire> Wire for RouteEnvelope<P> {
     const MIN_WIRE_LEN: usize = 36 + P::MIN_WIRE_LEN;
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    // Inlined (here and on `PastryMsg`) into `encoded_len`, the one codec
+    // call the simulator makes per send: the count stays in a register.
+    #[inline]
+    fn encode<S: Sink>(&self, out: &mut S) {
         self.key.encode(out);
-        put_u64(out, self.origin as u64);
-        put_u32(out, self.hops);
-        put_u64(out, self.path_us);
+        self.origin.encode(out);
+        self.hops.encode(out);
+        self.path_us.encode(out);
         self.payload.encode(out);
     }
 
-    fn decode(buf: &[u8]) -> Result<(RouteEnvelope<P>, usize), DecodeError> {
-        let mut pos = 0;
-        let (key, used) = Id::decode(buf)?;
-        pos += used;
-        let origin = get_u64(buf, &mut pos)? as usize;
-        let hops = get_u32(buf, &mut pos)?;
-        let path_us = get_u64(buf, &mut pos)?;
-        let (payload, used) = P::decode(tail(buf, pos))?;
-        pos += used;
-        Ok((
-            RouteEnvelope {
-                key,
-                payload,
-                origin,
-                hops,
-                path_us,
-            },
-            pos,
-        ))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        36 + self.payload.encoded_len()
+    fn read(r: &mut Reader<'_>) -> Result<RouteEnvelope<P>, DecodeError> {
+        // Wire order, not declaration order: the payload travels last.
+        Ok(RouteEnvelope {
+            key: r.get()?,
+            origin: r.get()?,
+            hops: r.get()?,
+            path_us: r.get()?,
+            payload: r.get()?,
+        })
     }
 }
 
-/// `[version][kind]` frame header length.
-const HEADER: u64 = 2;
+/// A row, column or row count as the `u16` it travels as.
+fn narrow(index: usize) -> u16 {
+    debug_assert!(index <= u16::MAX as usize);
+    index as u16
+}
 
 impl<P: Wire> Wire for PastryMsg<P> {
     const MIN_WIRE_LEN: usize = 2;
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u8(out, WIRE_VERSION);
+    #[inline]
+    fn encode<S: Sink>(&self, out: &mut S) {
+        out.put(&[WIRE_VERSION, self.kind_id() as u8]);
         match self {
-            PastryMsg::Route(env) => {
-                put_u8(out, 0);
-                env.encode(out);
-            }
+            PastryMsg::Route(env) => env.encode(out),
             PastryMsg::JoinRequest {
                 joiner,
                 rows,
                 rows_done,
                 hops,
             } => {
-                put_u8(out, 1);
                 joiner.encode(out);
-                debug_assert!(*rows_done <= u16::MAX as usize);
-                put_u16(out, *rows_done as u16);
-                put_u32(out, *hops);
-                put_vec(out, rows);
+                narrow(*rows_done).encode(out);
+                hops.encode(out);
+                rows.encode(out);
             }
             PastryMsg::JoinReply {
                 z,
@@ -123,159 +99,63 @@ impl<P: Wire> Wire for PastryMsg<P> {
                 leaf,
                 hops,
             } => {
-                put_u8(out, 2);
                 z.encode(out);
-                put_u32(out, *hops);
-                put_vec(out, rows);
-                put_vec(out, leaf);
+                hops.encode(out);
+                rows.encode(out);
+                leaf.encode(out);
             }
-            PastryMsg::NeighborhoodRequest => put_u8(out, 3),
-            PastryMsg::NeighborhoodReply { members } => {
-                put_u8(out, 4);
-                put_vec(out, members);
-            }
-            PastryMsg::Announce { from } => {
-                put_u8(out, 5);
-                from.encode(out);
-            }
-            PastryMsg::LeafRequest => put_u8(out, 6),
-            PastryMsg::LeafReply { members } => {
-                put_u8(out, 7);
-                put_vec(out, members);
-            }
-            PastryMsg::RowRequest { row } => {
-                put_u8(out, 8);
-                debug_assert!(*row <= u16::MAX as usize);
-                put_u16(out, *row as u16);
-            }
-            PastryMsg::RowReply { entries } => {
-                put_u8(out, 9);
-                put_vec(out, entries);
-            }
+            PastryMsg::NeighborhoodReply { members } => members.encode(out),
+            PastryMsg::Announce { from } => from.encode(out),
+            PastryMsg::LeafReply { members } => members.encode(out),
+            PastryMsg::RowRequest { row } => narrow(*row).encode(out),
+            PastryMsg::RowReply { entries } => entries.encode(out),
             PastryMsg::RepairRequest { row, col } => {
-                put_u8(out, 10);
-                debug_assert!(*row <= u16::MAX as usize && *col <= u16::MAX as usize);
-                put_u16(out, *row as u16);
-                put_u16(out, *col as u16);
+                narrow(*row).encode(out);
+                narrow(*col).encode(out);
             }
-            PastryMsg::RepairReply { entry } => {
-                put_u8(out, 11);
-                entry.encode(out);
-            }
-            PastryMsg::Heartbeat => put_u8(out, 12),
-            PastryMsg::HeartbeatAck => put_u8(out, 13),
-            PastryMsg::AppDirect { payload } => {
-                put_u8(out, 14);
-                payload.encode(out);
-            }
+            PastryMsg::RepairReply { entry } => entry.encode(out),
+            PastryMsg::AppDirect { payload } => payload.encode(out),
+            PastryMsg::NeighborhoodRequest
+            | PastryMsg::LeafRequest
+            | PastryMsg::Heartbeat
+            | PastryMsg::HeartbeatAck => {}
         }
     }
 
-    fn decode(buf: &[u8]) -> Result<(PastryMsg<P>, usize), DecodeError> {
-        let mut pos = 0;
-        let version = get_u8(buf, &mut pos)?;
-        if version != WIRE_VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let kind = get_u8(buf, &mut pos)?;
-        let msg = match kind {
-            0 => {
-                let (env, used) = RouteEnvelope::decode(tail(buf, pos))?;
-                pos += used;
-                PastryMsg::Route(env)
-            }
-            1 => {
-                let (joiner, used) = NodeHandle::decode(tail(buf, pos))?;
-                pos += used;
-                let rows_done = get_u16(buf, &mut pos)? as usize;
-                let hops = get_u32(buf, &mut pos)?;
-                let rows = get_vec(buf, &mut pos)?;
-                PastryMsg::JoinRequest {
-                    joiner,
-                    rows,
-                    rows_done,
-                    hops,
-                }
-            }
-            2 => {
-                let (z, used) = NodeHandle::decode(tail(buf, pos))?;
-                pos += used;
-                let hops = get_u32(buf, &mut pos)?;
-                let rows = get_vec(buf, &mut pos)?;
-                let leaf = get_vec(buf, &mut pos)?;
-                PastryMsg::JoinReply {
-                    z,
-                    rows,
-                    leaf,
-                    hops,
-                }
-            }
+    fn read(r: &mut Reader<'_>) -> Result<PastryMsg<P>, DecodeError> {
+        Ok(match r.kind()? {
+            0 => PastryMsg::Route(r.get()?),
+            1 => PastryMsg::JoinRequest {
+                joiner: r.get()?,
+                rows_done: r.get::<u16>()? as usize,
+                hops: r.get()?,
+                rows: r.get()?,
+            },
+            2 => PastryMsg::JoinReply {
+                z: r.get()?,
+                hops: r.get()?,
+                rows: r.get()?,
+                leaf: r.get()?,
+            },
             3 => PastryMsg::NeighborhoodRequest,
-            4 => PastryMsg::NeighborhoodReply {
-                members: get_vec(buf, &mut pos)?,
-            },
-            5 => {
-                let (from, used) = NodeHandle::decode(tail(buf, pos))?;
-                pos += used;
-                PastryMsg::Announce { from }
-            }
+            4 => PastryMsg::NeighborhoodReply { members: r.get()? },
+            5 => PastryMsg::Announce { from: r.get()? },
             6 => PastryMsg::LeafRequest,
-            7 => PastryMsg::LeafReply {
-                members: get_vec(buf, &mut pos)?,
-            },
+            7 => PastryMsg::LeafReply { members: r.get()? },
             8 => PastryMsg::RowRequest {
-                row: get_u16(buf, &mut pos)? as usize,
+                row: r.get::<u16>()? as usize,
             },
-            9 => PastryMsg::RowReply {
-                entries: get_vec(buf, &mut pos)?,
+            9 => PastryMsg::RowReply { entries: r.get()? },
+            10 => PastryMsg::RepairRequest {
+                row: r.get::<u16>()? as usize,
+                col: r.get::<u16>()? as usize,
             },
-            10 => {
-                let row = get_u16(buf, &mut pos)? as usize;
-                let col = get_u16(buf, &mut pos)? as usize;
-                PastryMsg::RepairRequest { row, col }
-            }
-            11 => {
-                let (entry, used) = Option::<NodeHandle>::decode(tail(buf, pos))?;
-                pos += used;
-                PastryMsg::RepairReply { entry }
-            }
+            11 => PastryMsg::RepairReply { entry: r.get()? },
             12 => PastryMsg::Heartbeat,
             13 => PastryMsg::HeartbeatAck,
-            14 => {
-                let (payload, used) = P::decode(tail(buf, pos))?;
-                pos += used;
-                PastryMsg::AppDirect { payload }
-            }
+            14 => PastryMsg::AppDirect { payload: r.get()? },
             other => return Err(DecodeError::UnknownKind(other)),
-        };
-        Ok((msg, pos))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        const HANDLE: u64 = 24;
-        const VEC: u64 = 4;
-        HEADER
-            + match self {
-                PastryMsg::Route(env) => env.encoded_len(),
-                PastryMsg::JoinRequest { rows, .. } => {
-                    HANDLE + 2 + 4 + VEC + HANDLE * rows.len() as u64
-                }
-                PastryMsg::JoinReply { rows, leaf, .. } => {
-                    HANDLE + 4 + 2 * VEC + HANDLE * (rows.len() + leaf.len()) as u64
-                }
-                PastryMsg::NeighborhoodRequest => 0,
-                PastryMsg::NeighborhoodReply { members } => VEC + HANDLE * members.len() as u64,
-                PastryMsg::Announce { .. } => HANDLE,
-                PastryMsg::LeafRequest => 0,
-                PastryMsg::LeafReply { members } => VEC + HANDLE * members.len() as u64,
-                PastryMsg::RowRequest { .. } => 2,
-                PastryMsg::RowReply { entries } => VEC + HANDLE * entries.len() as u64,
-                PastryMsg::RepairRequest { .. } => 4,
-                PastryMsg::RepairReply { entry } => 1 + HANDLE * entry.is_some() as u64,
-                PastryMsg::Heartbeat => 0,
-                PastryMsg::HeartbeatAck => 0,
-                PastryMsg::AppDirect { payload } => payload.encoded_len(),
-            }
+        })
     }
 }
 

@@ -3,16 +3,24 @@
 //! Conventions, normative for every message codec in the workspace:
 //!
 //! - all integers are **little-endian**, fixed width;
+//! - a `bool` is one byte, `0` or `1`; any other value is rejected, so
+//!   every accepted frame re-encodes to the bytes it was decoded from
+//!   (content bodies aside: they are skipped, not held);
 //! - vectors are prefixed by their element count as a `u32`;
-//! - `Option<T>` is a one-byte presence tag (`0` absent, `1` present)
-//!   followed by the payload when present;
+//! - `Option<T>` is a `bool` presence tag followed by the payload when
+//!   present;
 //! - every **top-level** message enum leads with `[version][kind]`, one
 //!   byte each ([`WIRE_VERSION`] and the enum's `kind_id`); nested
 //!   structs are encoded inline with no version or kind byte;
 //! - cryptographic digests, keys, and signatures are their canonical
 //!   big-endian byte arrays (matching the signed-message encodings).
 //!
-//! Decoding is total: every helper returns a typed [`DecodeError`]
+//! A layout is stated twice and no more: [`Wire::encode`] writes the
+//! fields into a [`Sink`], [`Wire::read`] reads them back through a
+//! [`Reader`], in the same order. [`Wire::encoded_len`] is `encode` into
+//! a counting sink, so a size cannot disagree with the bytes.
+//!
+//! Decoding is total: every read returns a typed [`DecodeError`]
 //! instead of panicking, and length prefixes are validated against the
 //! remaining input *before* any allocation, so hostile frames cannot
 //! drive memory use past the size of the frame itself.
@@ -53,25 +61,118 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// Where [`Wire::encode`] writes: a buffer that takes the bytes, or a
+/// counter that takes only their number.
+pub trait Sink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+
+    /// Appends a content body of `size` bytes: zero filler in the
+    /// simulator, which never materializes file bytes; the file itself
+    /// in a deployment.
+    fn body(&mut self, size: u64);
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn body(&mut self, size: u64) {
+        self.resize(self.len() + size as usize, 0);
+    }
+}
+
+/// The counting sink behind [`Wire::encoded_len`]: it only adds, so a
+/// body of any size costs one addition and no memory.
+impl Sink for u64 {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        *self += bytes.len() as u64;
+    }
+
+    #[inline]
+    fn body(&mut self, size: u64) {
+        *self += size;
+    }
+}
+
+/// The unread rest of a frame. Every read consumes from the front and
+/// fails with a typed error rather than running past the end.
+pub struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        if n > self.0.len() {
+            return Err(DecodeError::Truncated);
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    /// Reads `N` raw bytes.
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let mut b = [0u8; N];
+        b.copy_from_slice(self.take(N)?);
+        Ok(b)
+    }
+
+    /// Reads the next field; its type is the one the caller assigns to.
+    pub fn get<T: Wire>(&mut self) -> Result<T, DecodeError> {
+        T::read(self)
+    }
+
+    /// Reads the `[version][kind]` header of a top-level frame and
+    /// returns the kind byte.
+    pub fn kind(&mut self) -> Result<u8, DecodeError> {
+        let version = self.get()?;
+        if version != WIRE_VERSION {
+            return Err(DecodeError::BadVersion(version));
+        }
+        self.get()
+    }
+
+    /// Skips a content body of declared `size` without copying it; a
+    /// size the frame cannot hold is a [`DecodeError::LengthOverflow`].
+    pub fn skip_body(&mut self, size: u64) -> Result<(), DecodeError> {
+        let n = usize::try_from(size).map_err(|_| DecodeError::LengthOverflow)?;
+        self.0 = self.0.get(n..).ok_or(DecodeError::LengthOverflow)?;
+        Ok(())
+    }
+}
+
 /// A value with a byte-level encoding.
 ///
-/// `decode` returns the value and the number of bytes consumed; trailing
-/// bytes are the caller's concern (composition consumes sub-frames in
-/// field order). Implementations must never panic on any input.
+/// An impl states the layout in `encode` and again in `read`, field by
+/// field in wire order; sizes and framing are provided on top of those.
+/// Implementations must never panic on any input.
 pub trait Wire: Sized {
     /// Minimum encoded size in bytes, used to bound vector length
     /// prefixes before allocating.
     const MIN_WIRE_LEN: usize;
 
-    /// Appends the encoding of `self` to `out`.
-    fn encode(&self, out: &mut Vec<u8>);
+    /// Writes the encoding of `self` to `out`.
+    fn encode<S: Sink>(&self, out: &mut S);
 
-    /// Decodes one value from the front of `buf`.
-    fn decode(buf: &[u8]) -> Result<(Self, usize), DecodeError>;
+    /// Reads one value from the front of `r`.
+    fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
 
-    /// Exact encoded size in bytes: `self.encoded_len() as usize` always
-    /// equals the length `encode` appends.
-    fn encoded_len(&self) -> u64;
+    /// Decodes one value from the front of `buf` and returns it with the
+    /// number of bytes consumed; trailing bytes are the caller's concern.
+    fn decode(buf: &[u8]) -> Result<(Self, usize), DecodeError> {
+        let mut r = Reader(buf);
+        let v = Self::read(&mut r)?;
+        Ok((v, buf.len() - r.0.len()))
+    }
+
+    /// Exact encoded size in bytes: what `encode` writes, counted.
+    fn encoded_len(&self) -> u64 {
+        let mut n = 0u64;
+        self.encode(&mut n);
+        n
+    }
 
     /// Convenience: encodes into a fresh buffer.
     fn to_wire(&self) -> Vec<u8> {
@@ -81,185 +182,64 @@ pub trait Wire: Sized {
     }
 }
 
-// ---------------- put/get primitives --------------------------------
-
-/// Appends one byte.
-pub fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-/// Appends a `u16`, little-endian.
-pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a `u32`, little-endian.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a `u64`, little-endian.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a `u128`, little-endian.
-pub fn put_u128(out: &mut Vec<u8>, v: u128) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a bool as one byte (`0` or `1`).
-pub fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
-}
-
-/// Appends raw bytes (no length prefix).
-pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(bytes);
-}
-
-/// The unread remainder of `buf`; empty if `pos` ran past the end.
-pub fn tail(buf: &[u8], pos: usize) -> &[u8] {
-    buf.get(pos..).unwrap_or(&[])
-}
-
-fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], DecodeError> {
-    let s = buf
-        .get(*pos..)
-        .and_then(|rest| rest.get(..n))
-        .ok_or(DecodeError::Truncated)?;
-    *pos += n;
-    Ok(s)
-}
-
-/// Reads one byte.
-pub fn get_u8(buf: &[u8], pos: &mut usize) -> Result<u8, DecodeError> {
-    Ok(take(buf, pos, 1)?[0])
-}
-
-/// Reads a little-endian `u16`.
-pub fn get_u16(buf: &[u8], pos: &mut usize) -> Result<u16, DecodeError> {
-    let s = take(buf, pos, 2)?;
-    Ok(u16::from_le_bytes([s[0], s[1]]))
-}
-
-/// Reads a little-endian `u32`.
-pub fn get_u32(buf: &[u8], pos: &mut usize) -> Result<u32, DecodeError> {
-    let s = take(buf, pos, 4)?;
-    Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-}
-
-/// Reads a little-endian `u64`.
-pub fn get_u64(buf: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(take(buf, pos, 8)?);
-    Ok(u64::from_le_bytes(b))
-}
-
-/// Reads a little-endian `u128`.
-pub fn get_u128(buf: &[u8], pos: &mut usize) -> Result<u128, DecodeError> {
-    let mut b = [0u8; 16];
-    b.copy_from_slice(take(buf, pos, 16)?);
-    Ok(u128::from_le_bytes(b))
-}
-
-/// Reads a bool byte (any non-zero is `true`).
-pub fn get_bool(buf: &[u8], pos: &mut usize) -> Result<bool, DecodeError> {
-    Ok(get_u8(buf, pos)? != 0)
-}
-
-/// Reads `n` raw bytes.
-pub fn get_bytes<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], DecodeError> {
-    take(buf, pos, n)
-}
-
-fn get_array<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N], DecodeError> {
-    let mut b = [0u8; N];
-    b.copy_from_slice(take(buf, pos, N)?);
-    Ok(b)
-}
-
-/// Reads a vector length prefix and validates it against the remaining
-/// input assuming each element occupies at least `min_elem` bytes, so a
-/// hostile prefix cannot force an allocation larger than the frame.
-pub fn get_len(buf: &[u8], pos: &mut usize, min_elem: usize) -> Result<usize, DecodeError> {
-    let n = get_u32(buf, pos)? as usize;
-    let remaining = buf.len().saturating_sub(*pos);
-    let need = n.checked_mul(min_elem.max(1));
-    if need.map_or(true, |need| need > remaining) {
-        return Err(DecodeError::LengthOverflow);
-    }
-    Ok(n)
-}
-
-/// Appends a `u32` length prefix followed by each element in order.
-pub fn put_vec<T: Wire>(out: &mut Vec<u8>, items: &[T]) {
-    debug_assert!(items.len() <= u32::MAX as usize);
-    put_u32(out, items.len() as u32);
-    for item in items {
-        item.encode(out);
-    }
-}
-
-/// Reads a length-prefixed vector of `T`.
-pub fn get_vec<T: Wire>(buf: &[u8], pos: &mut usize) -> Result<Vec<T>, DecodeError> {
-    let n = get_len(buf, pos, T::MIN_WIRE_LEN)?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (item, used) = T::decode(tail(buf, *pos))?;
-        *pos += used;
-        v.push(item);
-    }
-    Ok(v)
-}
-
 // ---------------- Wire impls for primitives -------------------------
 
 impl Wire for () {
     const MIN_WIRE_LEN: usize = 0;
 
-    fn encode(&self, _out: &mut Vec<u8>) {}
+    fn encode<S: Sink>(&self, _out: &mut S) {}
 
-    fn decode(_buf: &[u8]) -> Result<((), usize), DecodeError> {
-        Ok(((), 0))
+    fn read(_r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        Ok(())
+    }
+}
+
+impl Wire for u8 {
+    const MIN_WIRE_LEN: usize = 1;
+
+    fn encode<S: Sink>(&self, out: &mut S) {
+        out.put(&[*self]);
     }
 
-    fn encoded_len(&self) -> u64 {
-        0
+    fn read(r: &mut Reader<'_>) -> Result<u8, DecodeError> {
+        let [b] = r.array()?;
+        Ok(b)
+    }
+}
+
+impl Wire for u16 {
+    const MIN_WIRE_LEN: usize = 2;
+
+    fn encode<S: Sink>(&self, out: &mut S) {
+        out.put(&self.to_le_bytes());
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<u16, DecodeError> {
+        Ok(u16::from_le_bytes(r.array()?))
     }
 }
 
 impl Wire for u32 {
     const MIN_WIRE_LEN: usize = 4;
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u32(out, *self);
+    fn encode<S: Sink>(&self, out: &mut S) {
+        out.put(&self.to_le_bytes());
     }
 
-    fn decode(buf: &[u8]) -> Result<(u32, usize), DecodeError> {
-        let mut pos = 0;
-        Ok((get_u32(buf, &mut pos)?, pos))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        4
+    fn read(r: &mut Reader<'_>) -> Result<u32, DecodeError> {
+        Ok(u32::from_le_bytes(r.array()?))
     }
 }
 
 impl Wire for u64 {
     const MIN_WIRE_LEN: usize = 8;
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, *self);
+    fn encode<S: Sink>(&self, out: &mut S) {
+        out.put(&self.to_le_bytes());
     }
 
-    fn decode(buf: &[u8]) -> Result<(u64, usize), DecodeError> {
-        let mut pos = 0;
-        Ok((get_u64(buf, &mut pos)?, pos))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        8
+    fn read(r: &mut Reader<'_>) -> Result<u64, DecodeError> {
+        Ok(u64::from_le_bytes(r.array()?))
     }
 }
 
@@ -267,20 +247,12 @@ impl Wire for u64 {
 impl Wire for usize {
     const MIN_WIRE_LEN: usize = 8;
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, *self as u64);
+    fn encode<S: Sink>(&self, out: &mut S) {
+        (*self as u64).encode(out);
     }
 
-    fn decode(buf: &[u8]) -> Result<(usize, usize), DecodeError> {
-        let mut pos = 0;
-        let v = get_u64(buf, &mut pos)?;
-        usize::try_from(v)
-            .map(|v| (v, pos))
-            .map_err(|_| DecodeError::LengthOverflow)
-    }
-
-    fn encoded_len(&self) -> u64 {
-        8
+    fn read(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
+        usize::try_from(u64::read(r)?).map_err(|_| DecodeError::LengthOverflow)
     }
 }
 
@@ -288,68 +260,70 @@ impl Wire for usize {
 impl Wire for f64 {
     const MIN_WIRE_LEN: usize = 8;
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.to_bits());
+    fn encode<S: Sink>(&self, out: &mut S) {
+        self.to_bits().encode(out);
     }
 
-    fn decode(buf: &[u8]) -> Result<(f64, usize), DecodeError> {
-        let mut pos = 0;
-        Ok((f64::from_bits(get_u64(buf, &mut pos)?), pos))
+    fn read(r: &mut Reader<'_>) -> Result<f64, DecodeError> {
+        Ok(f64::from_bits(r.get()?))
+    }
+}
+
+impl Wire for bool {
+    const MIN_WIRE_LEN: usize = 1;
+
+    fn encode<S: Sink>(&self, out: &mut S) {
+        out.put(&[*self as u8]);
     }
 
-    fn encoded_len(&self) -> u64 {
-        8
+    fn read(r: &mut Reader<'_>) -> Result<bool, DecodeError> {
+        match r.get()? {
+            0u8 => Ok(false),
+            1 => Ok(true),
+            tag => Err(DecodeError::UnknownKind(tag)),
+        }
     }
 }
 
 impl<T: Wire> Wire for Option<T> {
     const MIN_WIRE_LEN: usize = 1;
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            None => put_u8(out, 0),
-            Some(v) => {
-                put_u8(out, 1);
-                v.encode(out);
-            }
+    fn encode<S: Sink>(&self, out: &mut S) {
+        self.is_some().encode(out);
+        if let Some(v) = self {
+            v.encode(out);
         }
     }
 
-    fn decode(buf: &[u8]) -> Result<(Option<T>, usize), DecodeError> {
-        let mut pos = 0;
-        match get_u8(buf, &mut pos)? {
-            0 => Ok((None, pos)),
-            1 => {
-                let (v, used) = T::decode(tail(buf, pos))?;
-                Ok((Some(v), pos + used))
-            }
-            tag => Err(DecodeError::UnknownKind(tag)),
-        }
-    }
-
-    fn encoded_len(&self) -> u64 {
-        match self {
-            None => 1,
-            Some(v) => 1 + v.encoded_len(),
-        }
+    fn read(r: &mut Reader<'_>) -> Result<Option<T>, DecodeError> {
+        bool::read(r)?.then(|| T::read(r)).transpose()
     }
 }
 
 impl<T: Wire> Wire for Vec<T> {
     const MIN_WIRE_LEN: usize = 4;
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_vec(out, self);
+    fn encode<S: Sink>(&self, out: &mut S) {
+        debug_assert!(self.len() <= u32::MAX as usize);
+        (self.len() as u32).encode(out);
+        for item in self {
+            item.encode(out);
+        }
     }
 
-    fn decode(buf: &[u8]) -> Result<(Vec<T>, usize), DecodeError> {
-        let mut pos = 0;
-        let v = get_vec(buf, &mut pos)?;
-        Ok((v, pos))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        4 + self.iter().map(Wire::encoded_len).sum::<u64>()
+    fn read(r: &mut Reader<'_>) -> Result<Vec<T>, DecodeError> {
+        let n = u32::read(r)? as usize;
+        // Each element occupies at least `MIN_WIRE_LEN` bytes, so a
+        // hostile prefix cannot force an allocation larger than the frame.
+        let need = n.checked_mul(T::MIN_WIRE_LEN.max(1));
+        if need.is_none_or(|need| need > r.0.len()) {
+            return Err(DecodeError::LengthOverflow);
+        }
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::read(r)?);
+        }
+        Ok(v)
     }
 }
 
@@ -358,113 +332,76 @@ impl<T: Wire> Wire for Vec<T> {
 impl Wire for Digest256 {
     const MIN_WIRE_LEN: usize = 32;
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_bytes(out, &self.0);
+    fn encode<S: Sink>(&self, out: &mut S) {
+        out.put(&self.0);
     }
 
-    fn decode(buf: &[u8]) -> Result<(Digest256, usize), DecodeError> {
-        let mut pos = 0;
-        Ok((Digest256(get_array::<32>(buf, &mut pos)?), pos))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        32
+    fn read(r: &mut Reader<'_>) -> Result<Digest256, DecodeError> {
+        Ok(Digest256(r.array()?))
     }
 }
 
 impl Wire for Digest160 {
     const MIN_WIRE_LEN: usize = 20;
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_bytes(out, &self.0);
+    fn encode<S: Sink>(&self, out: &mut S) {
+        out.put(&self.0);
     }
 
-    fn decode(buf: &[u8]) -> Result<(Digest160, usize), DecodeError> {
-        let mut pos = 0;
-        Ok((Digest160(get_array::<20>(buf, &mut pos)?), pos))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        20
+    fn read(r: &mut Reader<'_>) -> Result<Digest160, DecodeError> {
+        Ok(Digest160(r.array()?))
     }
 }
 
 impl Wire for U256 {
     const MIN_WIRE_LEN: usize = 32;
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_bytes(out, &self.to_be_bytes());
+    fn encode<S: Sink>(&self, out: &mut S) {
+        out.put(&self.to_be_bytes());
     }
 
-    fn decode(buf: &[u8]) -> Result<(U256, usize), DecodeError> {
-        let mut pos = 0;
-        Ok((U256::from_be_bytes(&get_array::<32>(buf, &mut pos)?), pos))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        32
+    fn read(r: &mut Reader<'_>) -> Result<U256, DecodeError> {
+        Ok(U256::from_be_bytes(&r.array()?))
     }
 }
 
 impl Wire for PublicKey {
     const MIN_WIRE_LEN: usize = 32;
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         self.0.encode(out);
     }
 
-    fn decode(buf: &[u8]) -> Result<(PublicKey, usize), DecodeError> {
-        let (v, used) = U256::decode(buf)?;
-        Ok((PublicKey(v), used))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        32
+    fn read(r: &mut Reader<'_>) -> Result<PublicKey, DecodeError> {
+        Ok(PublicKey(r.get()?))
     }
 }
 
 impl Wire for Signature {
     const MIN_WIRE_LEN: usize = 64;
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         self.commitment.encode(out);
         self.response.encode(out);
     }
 
-    fn decode(buf: &[u8]) -> Result<(Signature, usize), DecodeError> {
-        let mut pos = 0;
-        let (commitment, used) = U256::decode(tail(buf, pos))?;
-        pos += used;
-        let (response, used) = U256::decode(tail(buf, pos))?;
-        pos += used;
-        Ok((
-            Signature {
-                commitment,
-                response,
-            },
-            pos,
-        ))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        64
+    fn read(r: &mut Reader<'_>) -> Result<Signature, DecodeError> {
+        Ok(Signature {
+            commitment: r.get()?,
+            response: r.get()?,
+        })
     }
 }
 
 impl Wire for OpId {
     const MIN_WIRE_LEN: usize = 8;
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.0);
+    fn encode<S: Sink>(&self, out: &mut S) {
+        self.0.encode(out);
     }
 
-    fn decode(buf: &[u8]) -> Result<(OpId, usize), DecodeError> {
-        let mut pos = 0;
-        Ok((OpId(get_u64(buf, &mut pos)?), pos))
-    }
-
-    fn encoded_len(&self) -> u64 {
-        8
+    fn read(r: &mut Reader<'_>) -> Result<OpId, DecodeError> {
+        Ok(OpId(r.get()?))
     }
 }
 
@@ -475,38 +412,55 @@ mod tests {
     #[test]
     fn primitives_round_trip() {
         let mut out = Vec::new();
-        put_u8(&mut out, 0xab);
-        put_u16(&mut out, 0x1234);
-        put_u32(&mut out, 0xdead_beef);
-        put_u64(&mut out, 0x0123_4567_89ab_cdef);
-        put_u128(&mut out, u128::MAX - 7);
-        put_bool(&mut out, true);
-        let mut pos = 0;
-        assert_eq!(get_u8(&out, &mut pos), Ok(0xab));
-        assert_eq!(get_u16(&out, &mut pos), Ok(0x1234));
-        assert_eq!(get_u32(&out, &mut pos), Ok(0xdead_beef));
-        assert_eq!(get_u64(&out, &mut pos), Ok(0x0123_4567_89ab_cdef));
-        assert_eq!(get_u128(&out, &mut pos), Ok(u128::MAX - 7));
-        assert_eq!(get_bool(&out, &mut pos), Ok(true));
-        assert_eq!(pos, out.len());
-        assert_eq!(get_u8(&out, &mut pos), Err(DecodeError::Truncated));
+        0xabu8.encode(&mut out);
+        0x1234u16.encode(&mut out);
+        0xdead_beefu32.encode(&mut out);
+        0x0123_4567_89ab_cdefu64.encode(&mut out);
+        true.encode(&mut out);
+        let mut r = Reader(&out);
+        assert_eq!(r.get(), Ok(0xabu8));
+        assert_eq!(r.get(), Ok(0x1234u16));
+        assert_eq!(r.get(), Ok(0xdead_beefu32));
+        assert_eq!(r.get(), Ok(0x0123_4567_89ab_cdefu64));
+        assert_eq!(r.get(), Ok(true));
+        assert!(r.0.is_empty());
+        assert_eq!(r.get::<u8>(), Err(DecodeError::Truncated));
     }
 
     #[test]
     fn little_endian_on_the_wire() {
-        let mut out = Vec::new();
-        put_u32(&mut out, 0x0403_0201);
-        assert_eq!(out, [1, 2, 3, 4]);
+        assert_eq!(0x0403_0201u32.to_wire(), [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn bool_bytes_other_than_0_and_1_are_rejected() {
+        assert_eq!(bool::decode(&[0]), Ok((false, 1)));
+        assert_eq!(bool::decode(&[1]), Ok((true, 1)));
+        assert_eq!(bool::decode(&[2]), Err(DecodeError::UnknownKind(2)));
+        assert_eq!(bool::decode(&[0xff]), Err(DecodeError::UnknownKind(0xff)));
     }
 
     #[test]
     fn length_prefix_is_validated_before_allocation() {
         // Prefix claims 2^32-1 8-byte elements in a 12-byte buffer.
-        let mut buf = Vec::new();
-        put_u32(&mut buf, u32::MAX);
-        put_u64(&mut buf, 0);
-        let mut pos = 0;
-        assert_eq!(get_len(&buf, &mut pos, 8), Err(DecodeError::LengthOverflow));
+        let mut buf = u32::MAX.to_wire();
+        0u64.encode(&mut buf);
+        assert_eq!(Vec::<u64>::decode(&buf), Err(DecodeError::LengthOverflow));
+    }
+
+    #[test]
+    fn body_is_counted_without_being_written_and_skipped_without_a_copy() {
+        let mut n = 0u64;
+        n.body(1 << 40);
+        assert_eq!(n, 1 << 40);
+        let mut out = vec![7u8];
+        out.body(3);
+        assert_eq!(out, [7, 0, 0, 0]);
+        let mut r = Reader(&out);
+        assert_eq!(r.skip_body(5), Err(DecodeError::LengthOverflow));
+        assert_eq!(r.skip_body(u64::MAX), Err(DecodeError::LengthOverflow));
+        assert_eq!(r.skip_body(4), Ok(()));
+        assert!(r.0.is_empty());
     }
 
     #[test]

@@ -18,11 +18,7 @@
 pub mod codec;
 pub mod sansio;
 
-pub use codec::{
-    get_bool, get_bytes, get_len, get_u128, get_u16, get_u32, get_u64, get_u8, get_vec, put_bool,
-    put_bytes, put_u128, put_u16, put_u32, put_u64, put_u8, put_vec, tail, DecodeError, Wire,
-    WIRE_VERSION,
-};
+pub use codec::{DecodeError, Reader, Sink, Wire, WIRE_VERSION};
 pub use sansio::{Effect, Input, Io, Proximity, StepIo};
 
 // The handles node logic needs, re-exported so a sans-io protocol crate

@@ -20,7 +20,7 @@
 //! | O1   | library crate code            | `println!`-family output |
 //! | E1   | library crate code            | `let _ =` over a call (silently dropped `Result`s) |
 //! | L1   | protocol crates (`core`, `pastry`) | reaching into `netsim::engine` internals |
-//! | M1   | wire-message enums            | variants missing from `wire_size`/`kind_id`/`KINDS`/`op_id` coverage |
+//! | M1   | wire-message enums            | variants missing from `encode`/`read`/`kind_id`/`KINDS`/`op_id` coverage |
 //!
 //! The full catalog — rationale, scope, and suppression mechanics per
 //! rule — lives in DESIGN.md §9. Justified exceptions go in

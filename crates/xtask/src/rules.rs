@@ -629,32 +629,32 @@ struct MsgSpec {
     kinds: bool,
 }
 
-/// The wire-message enums under M1 hygiene. Since the byte codec
-/// became the single source of wire truth (`wire_size()` and
-/// `payload_size()` both delegate to `encoded_len()`), the covered
-/// fns are the codec triple — `encode`/`decode`/`encoded_len` — plus
-/// trace attribution (`op_id`) and engine kind labels (`kind_id`).
+/// The wire-message enums under M1 hygiene. The byte codec is the
+/// single source of wire truth (`wire_size()` is `encoded_len()`, which
+/// is `encode` into a counting sink), so the covered fns are the codec
+/// pair — `encode`/`read` — plus trace attribution (`op_id`) and engine
+/// kind labels (`kind_id`, also the kind byte `encode` writes).
 /// `PastryMsg` implements the engine's `Message` trait directly;
 /// `PastMsg` rides inside it as a payload.
 const MESSAGE_SPECS: &[MsgSpec] = &[
     MsgSpec {
         enum_name: "PastryMsg",
-        cover_fns: &["kind_id", "encode", "decode", "encoded_len", "op_id"],
+        cover_fns: &["kind_id", "encode", "read", "op_id"],
         kinds: true,
     },
     MsgSpec {
         enum_name: "PastMsg",
-        cover_fns: &["encode", "decode", "encoded_len", "op_id"],
+        cover_fns: &["encode", "read", "op_id"],
         kinds: false,
     },
     MsgSpec {
         enum_name: "ChordMsg",
-        cover_fns: &["kind_id", "encode", "decode", "encoded_len"],
+        cover_fns: &["kind_id", "encode", "read"],
         kinds: true,
     },
     MsgSpec {
         enum_name: "CanMsg",
-        cover_fns: &["kind_id", "encode", "decode", "encoded_len"],
+        cover_fns: &["kind_id", "encode", "read"],
         kinds: true,
     },
 ];

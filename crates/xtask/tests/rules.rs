@@ -327,7 +327,7 @@ fn l1_passes_window_error_reexport() {
 // ------------------------------------------------------------------ M1
 
 /// A complete, hygienic message enum: every variant named in every
-/// covering fn (the codec triple plus `kind_id`), KINDS arity matches.
+/// covering fn (the codec pair plus `kind_id`), KINDS arity matches.
 const M1_CLEAN: &str = "pub enum ChordMsg { Lookup(Q), Probe }\n\
     impl Message for ChordMsg {\n\
         const KINDS: &'static [&'static str] = &[\"lookup\", \"probe\"];\n\
@@ -336,14 +336,11 @@ const M1_CLEAN: &str = "pub enum ChordMsg { Lookup(Q), Probe }\n\
         }\n\
     }\n\
     impl Wire for ChordMsg {\n\
-        fn encode(&self, out: &mut Vec<u8>) {\n\
-            match self { ChordMsg::Lookup(_) => out.push(0), ChordMsg::Probe => out.push(1) }\n\
+        fn encode<S: Sink>(&self, out: &mut S) {\n\
+            match self { ChordMsg::Lookup(q) => q.encode(out), ChordMsg::Probe => {} }\n\
         }\n\
-        fn decode(buf: &[u8]) -> Result<(ChordMsg, usize), DecodeError> {\n\
-            match buf[1] { 0 => Ok((ChordMsg::Lookup(q()), 2)), _ => Ok((ChordMsg::Probe, 2)) }\n\
-        }\n\
-        fn encoded_len(&self) -> u64 {\n\
-            match self { ChordMsg::Lookup(_) => 39, ChordMsg::Probe => 2 }\n\
+        fn read(r: &mut Reader<'_>) -> Result<ChordMsg, DecodeError> {\n\
+            match r.kind()? { 0 => Ok(ChordMsg::Lookup(r.get()?)), _ => Ok(ChordMsg::Probe) }\n\
         }\n\
     }\n";
 
@@ -368,28 +365,29 @@ fn m1_triggers_on_wildcard_hidden_variant() {
 
 #[test]
 fn m1_triggers_on_variant_missing_from_codec_fn() {
-    // A decode that never constructs `Probe` (e.g. maps its tag onto
+    // A `read` that never constructs `Probe` (e.g. maps its tag onto
     // `Lookup`) is exactly the drift the codec obligation exists to
     // catch: the variant would encode but silently stop decoding.
     let src = M1_CLEAN.replace(
-        "_ => Ok((ChordMsg::Probe, 2))",
-        "_ => Ok((ChordMsg::Lookup(q()), 2))",
+        "_ => Ok(ChordMsg::Probe)",
+        "_ => Ok(ChordMsg::Lookup(r.get()?))",
     );
     let d = diags("crates/baselines/src/x.rs", &src);
     assert_eq!(d.len(), 1, "{d:?}");
     assert_eq!(d[0].rule, "M1");
     assert!(d[0].msg.contains("ChordMsg::Probe"), "{}", d[0].msg);
-    assert!(d[0].msg.contains("decode"), "{}", d[0].msg);
+    assert!(d[0].msg.contains("`read()`"), "{}", d[0].msg);
 }
 
 #[test]
 fn m1_triggers_on_missing_covering_fn() {
-    // Strip the whole `impl Wire` block: all three codec obligations
-    // (`encode`, `decode`, `encoded_len`) are reported missing.
+    // Strip the whole `impl Wire` block: both codec obligations
+    // (`encode`, `read`) are reported missing. `encoded_len` and
+    // `decode` are provided by the trait and are nobody's obligation.
     let src = &M1_CLEAN[..M1_CLEAN.find("impl Wire").unwrap()];
     let d = diags("crates/baselines/src/x.rs", src);
-    assert_eq!(d.len(), 3, "{d:?}");
-    for (x, fname) in d.iter().zip(["encode", "decode", "encoded_len"]) {
+    assert_eq!(d.len(), 2, "{d:?}");
+    for (x, fname) in d.iter().zip(["encode", "read"]) {
         assert_eq!(x.rule, "M1");
         assert!(x.msg.contains(fname), "{}", x.msg);
     }
@@ -416,14 +414,11 @@ fn m1_is_cross_file_and_accepts_self_paths() {
         }\n\
     }\n\
     impl Wire for ChordMsg {\n\
-        fn encode(&self, out: &mut Vec<u8>) {\n\
-            match self { Self::Lookup(_) => out.push(0), Self::Probe => out.push(1) }\n\
+        fn encode<S: Sink>(&self, out: &mut S) {\n\
+            match self { Self::Lookup(q) => q.encode(out), Self::Probe => {} }\n\
         }\n\
-        fn decode(buf: &[u8]) -> Result<(ChordMsg, usize), DecodeError> {\n\
-            match buf[1] { 0 => Ok((Self::Lookup(q()), 2)), _ => Ok((Self::Probe, 2)) }\n\
-        }\n\
-        fn encoded_len(&self) -> u64 {\n\
-            match self { Self::Lookup(_) => 39, Self::Probe => 2 }\n\
+        fn read(r: &mut Reader<'_>) -> Result<ChordMsg, DecodeError> {\n\
+            match r.kind()? { 0 => Ok(Self::Lookup(r.get()?)), _ => Ok(Self::Probe) }\n\
         }\n\
     }\n";
     let d = analyze_sources(

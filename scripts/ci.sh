@@ -58,8 +58,13 @@ echo "== pastbench (tests + smoke run against the workspace crates)"
 cargo test --release --offline -q --manifest-path pastbench/Cargo.toml
 cargo run --release --offline -q --manifest-path pastbench/Cargo.toml -- --smoke
 
-echo "== codec fuzz smoke (wire decode must be total on mutated frames)"
-cargo test --offline -q -p past --test wire decode_never_panics_on_mutated_frames
+# The workspace run above covered tests/wire.rs in the debug profile.
+# Run it again optimised: the codec's `usize -> u16/u32` narrowings are
+# `debug_assert`-guarded and wrap silently only here, and the seeded
+# fuzzer (total decoding, canonical form, non-canonical bools refused)
+# must hold on the code the benchmark builds.
+echo "== codec conformance, release profile (round-trip, goldens, fuzz: total + canonical)"
+cargo test --offline -q --release -p past --test wire
 
 echo "== bench smoke (binaries run and emit valid BENCH_*.json)"
 ./target/release/bench_micro --smoke --out target/BENCH_micro.smoke.json

@@ -1,16 +1,20 @@
 //! Wire-codec conformance for every protocol message (DESIGN.md §13).
 //!
-//! Three obligations, enforced per variant of all four message enums
+//! Four obligations, enforced per variant of all four message enums
 //! (`PastryMsg`, `PastMsg`, `ChordMsg`, `CanMsg`):
 //!
 //! 1. **Exact round-trip** — `decode(encode(m))` reconstructs an equal
 //!    value and consumes exactly the encoded bytes.
-//! 2. **Honest sizes** — `wire_size()` / `payload_size()` equal
+//! 2. **Honest sizes** — `wire_size()` / `encoded_len()` equal
 //!    `encode().len()`. These counters feed every bandwidth number in
 //!    EXPERIMENTS.md; an estimate that drifts from the codec is a bug.
 //! 3. **Total decoding** — `decode` on arbitrary mutated frames returns
 //!    `Ok` or a typed `DecodeError`, never panics (seeded corpus of
 //!    >10 000 truncations, bit flips, and length-prefix splices).
+//! 4. **Canonical form** — every frame of that corpus that decodes
+//!    re-encodes to exactly the bytes it was decoded from, so no two
+//!    frames stand for the same message (content bodies aside: the
+//!    decoder skips them and the message value does not hold them).
 //!
 //! Golden hex vectors pin one frame of every kind so accidental layout
 //! changes (field order, endianness, header bytes) fail loudly even if
@@ -26,7 +30,7 @@ use past::crypto::rng::Rng;
 use past::crypto::u256::U256;
 use past::crypto::{Digest160, Digest256, PublicKey, Signature};
 use past::netsim::{Message, OpId};
-use past::pastry::{Id, NodeHandle, PastryMsg, PayloadSize, RouteEnvelope};
+use past::pastry::{Id, NodeHandle, PastryMsg, RouteEnvelope};
 use past::wire::{DecodeError, Wire, WIRE_VERSION};
 
 // ---------------------------------------------------------- fixtures
@@ -394,9 +398,9 @@ fn every_past_variant_roundtrips_and_sizes_honestly() {
             let what = format!("PastMsg tag {i} (round {round})");
             assert_roundtrip(m, &what);
             assert_eq!(
-                m.payload_size(),
+                m.encoded_len(),
                 m.to_wire().len() as u64,
-                "{what}: payload_size() lies"
+                "{what}: encoded_len() lies"
             );
             assert_eq!(m.to_wire()[1], i as u8, "{what}: kind byte");
         }
@@ -449,15 +453,50 @@ impl Frame {
         }
     }
 
-    /// Decoding must be total: `Ok` or a typed error, never a panic,
-    /// and a successful decode never claims more bytes than it got.
+    /// Decoding must be total: `Ok` or a typed error, never a panic.
+    /// A successful decode never claims more bytes than it got, and the
+    /// message it returns re-encodes to exactly the bytes it claimed —
+    /// outside the content body, which the decoder skips and the
+    /// simulator's message value does not hold (it re-encodes as filler).
     fn try_decode(&self, buf: &[u8]) -> Result<usize, DecodeError> {
-        match self {
-            Frame::Pastry(_) => PastryMsg::<PastMsg>::decode(buf).map(|(_, n)| n),
-            Frame::Past(_) => PastMsg::decode(buf).map(|(_, n)| n),
-            Frame::Chord(_) => ChordMsg::decode(buf).map(|(_, n)| n),
-            Frame::Can(_) => CanMsg::decode(buf).map(|(_, n)| n),
+        fn canonical<T: Wire>(
+            buf: &[u8],
+            body: impl Fn(&T) -> Option<(usize, u64)>,
+        ) -> Result<usize, DecodeError> {
+            let (m, used) = T::decode(buf)?;
+            assert!(used <= buf.len(), "decode claimed {used} of {}", buf.len());
+            let mut claimed = buf[..used].to_vec();
+            if let Some((at, len)) = body(&m) {
+                claimed[at..at + len as usize].fill(0);
+            }
+            assert!(m.to_wire() == claimed, "accepted frame is not canonical");
+            Ok(used)
         }
+        match self {
+            Frame::Pastry(_) => canonical(buf, |m: &PastryMsg<PastMsg>| match m {
+                // header(2) key(16) origin(8) hops(4) path_us(8)
+                PastryMsg::Route(env) => body_span(&env.payload).map(|(at, n)| (38 + at, n)),
+                PastryMsg::AppDirect { payload } => body_span(payload).map(|(at, n)| (2 + at, n)),
+                _ => None,
+            }),
+            Frame::Past(_) => canonical(buf, body_span),
+            Frame::Chord(_) => canonical(buf, |_: &ChordMsg| None),
+            Frame::Can(_) => canonical(buf, |_: &CanMsg| None),
+        }
+    }
+}
+
+/// Where a PAST frame carries its content body: `(offset, length)`.
+fn body_span(m: &PastMsg) -> Option<(usize, u64)> {
+    match m {
+        // header(2) cert(269) content hash(32) size(8)
+        PastMsg::Insert { content, .. }
+        | PastMsg::Replicate { content, .. }
+        | PastMsg::DivertStore { content, .. } => Some((311, content.size)),
+        // header(2) cert(269) from_cache(1) op(8)
+        PastMsg::FileReply { cert, .. } => Some((280, cert.size)),
+        PastMsg::CachePush { cert } => Some((271, cert.size)),
+        _ => None,
     }
 }
 
@@ -530,10 +569,7 @@ fn decode_never_panics_on_mutated_frames() {
         for cut in 0..=b.len() {
             attempts += 1;
             match frame.try_decode(&b[..cut]) {
-                Ok(n) => {
-                    assert!(n <= cut, "decode claimed {n} bytes of a {cut}-byte frame");
-                    oks += 1;
-                }
+                Ok(_) => oks += 1,
                 Err(_) => errs += 1,
             }
         }
@@ -582,10 +618,7 @@ fn decode_never_panics_on_mutated_frames() {
             }
         }
         match frame.try_decode(&b) {
-            Ok(n) => {
-                assert!(n <= b.len(), "decode claimed {n} bytes of {}", b.len());
-                oks += 1;
-            }
+            Ok(_) => oks += 1,
             Err(_) => errs += 1,
         }
     }
@@ -631,6 +664,58 @@ fn typed_errors_name_the_failure() {
         PastMsg::decode(&bytes).unwrap_err(),
         DecodeError::LengthOverflow
     ));
+}
+
+/// A bool byte is `0` or `1`: a `Lookup` frame whose `redirected` byte
+/// is `2` used to decode to the same message as the frame with `1`.
+#[test]
+fn non_canonical_bool_is_rejected() {
+    let mut rng = Rng::seed_from_u64(0x3133_0006);
+    let lk = PastMsg::Lookup {
+        file_id: FileId(d160(&mut rng)),
+        client: 1,
+        path: addrs(&mut rng, 2),
+        redirected: true,
+        op: OpId(9),
+    };
+    let mut bytes = lk.to_wire();
+    let off = 2 + 20 + 8 + 4 + 2 * 8; // header, file_id, client, path
+    assert_eq!(bytes[off], 1, "offset of the `redirected` byte");
+    assert!(PastMsg::decode(&bytes).is_ok());
+    bytes[off] = 2;
+    assert_eq!(
+        PastMsg::decode(&bytes).unwrap_err(),
+        DecodeError::UnknownKind(2)
+    );
+}
+
+/// `encoded_len` counts a content body with one addition. Were the
+/// counting sink ever handed the body's bytes, these terabyte bodies
+/// would abort the test on allocation.
+#[test]
+fn encoded_len_never_materialises_a_body() {
+    const BODY: u64 = 1 << 40;
+    let mut rng = Rng::seed_from_u64(0x3133_0007);
+    assert_eq!(content(&mut rng, BODY).encoded_len(), 40 + BODY);
+    let reply = PastMsg::FileReply {
+        cert: fcert(&mut rng, BODY),
+        from_cache: false,
+        op: OpId(3),
+    };
+    // header(2) cert(269) from_cache(1) op(8), then the body.
+    assert_eq!(reply.encoded_len(), 280 + BODY);
+    let push = PastMsg::CachePush {
+        cert: fcert(&mut rng, BODY),
+    };
+    assert_eq!(push.encoded_len(), 271 + BODY);
+    let routed = PastryMsg::Route(RouteEnvelope {
+        key: Id(1),
+        payload: push,
+        origin: 0,
+        hops: 0,
+        path_us: 0,
+    });
+    assert_eq!(routed.wire_size(), 2 + 36 + 271 + BODY);
 }
 
 // ---------------------------------------------------- golden vectors
