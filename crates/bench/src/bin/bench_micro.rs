@@ -14,6 +14,7 @@
 use past_bench::{json, Bench, Measurement};
 use past_crypto::modmath::{mulmod, powmod, powmod2};
 use past_crypto::rng::Rng;
+use past_crypto::schnorr::pow_g;
 use past_crypto::u256::U256;
 use past_crypto::KeyPair;
 use past_netsim::{Addr, Ctx, Engine, Message, NodeLogic, Plane, Sphere, Topology, UniformRandom};
@@ -56,6 +57,9 @@ impl NodeLogic for PingNode {
 
 fn bench_crypto(b: &mut Bench) {
     b.group("crypto/schnorr");
+    b.run("keygen", || {
+        black_box(KeyPair::from_seed(black_box(b"bench")))
+    });
     let kp = KeyPair::from_seed(b"bench");
     let msg = b"a store receipt-sized message for signing benchmarks";
     b.run("sign", || black_box(kp.sign(black_box(msg))));
@@ -96,6 +100,9 @@ fn bench_crypto(b: &mut Bench) {
             black_box(&p),
         ))
     });
+    // The fixed-base comb under `sign` and `keygen`, at the width their
+    // scalars have (the `powmod` row above keeps its 192-bit exponent).
+    b.run("pow_g", || black_box(pow_g(black_box(&x))));
 }
 
 fn routing_state(n: usize, seed: u64, randomization: f64) -> PastryState {

@@ -211,6 +211,10 @@ mod tests {
     use crate::broker::Broker;
     use crate::fileid::ContentRef;
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     #[test]
     fn file_certificate_chain_verifies() {
         let mut broker = Broker::new(b"broker");
@@ -226,9 +230,6 @@ mod tests {
     fn known_answer_certificate_chain() {
         // Recorded before verification became a double exponentiation:
         // issuance is byte-identical and the chain still verifies.
-        fn hex(bytes: &[u8]) -> String {
-            bytes.iter().map(|b| format!("{b:02x}")).collect()
-        }
         let mut broker = Broker::new(b"kat-broker");
         let mut card = broker.issue_card(b"kat-user", 10 << 20, 0);
         let content = ContentRef::from_bytes(b"kat-payload");
@@ -258,6 +259,53 @@ mod tests {
              166305a65a51f2996c78e110de2cae6a669cc41cab4d7b6b3a8af9cb21df5bb8"
         );
         assert!(cert.verify(&broker.public()));
+    }
+
+    #[test]
+    fn known_answer_receipts() {
+        // Recorded on the window-4 `powmod` signer, before `g` got a
+        // fixed-base table: the storing node's card credential, its store
+        // receipt and its reclaim receipt are byte-identical under any
+        // change to how `g^k` is computed.
+        let mut broker = Broker::new(b"kat-broker");
+        let mut owner = broker.issue_card(b"kat-user", 10 << 20, 0);
+        let storer = broker.issue_card(b"kat-node", 0, 1 << 30);
+        let content = ContentRef::from_bytes(b"kat-payload");
+        let cert = owner
+            .issue_file_certificate("kat-file", &content, 3, 7, 42)
+            .unwrap();
+        let credential = storer.credential();
+        assert_eq!(
+            hex(&credential.card_key.to_bytes()),
+            "34dcb2763d421863fef62123f81d24eb080ab42910e410e6ac6aa4430ffbc475"
+        );
+        assert_eq!(
+            hex(&credential.broker_sig.to_bytes()),
+            "232dfb95c2a1579e45dd5e5eaed94eada3629c0035af7b2c63e337f0141fe26b\
+             38fbb91027b380ef3f403c8db200f98f10c28239e63abdde0277b11fb6a89e67"
+        );
+        let stored = storer.issue_store_receipt(&cert.file_id, content.size, true);
+        assert_eq!(
+            hex(&stored.signature.to_bytes()),
+            "24f09f18b79ecae14f0c9690f2d239a44df99eda06bae26b452219af39b7e91a\
+             2d97fc6322c67439d2720c804e962cdb8ddbfc6e2936ad5f13c2aba782a75277"
+        );
+        let reclaim = owner.issue_reclaim_certificate(&cert.file_id);
+        assert_eq!(
+            hex(&reclaim.signature.to_bytes()),
+            "60d37bf9f3a64a76049274b8ddb790d9d9862a7488b378c00049407ef9721da1\
+             2a6b1f21ebef4e10f9aa6778dcc82c024f778ed26f32fe1b1f06966e5c23ae6f"
+        );
+        let freed = storer.issue_reclaim_receipt(&cert.file_id, content.size);
+        assert_eq!(
+            hex(&freed.signature.to_bytes()),
+            "7a21f2f6a5e54718680f22122a4d06f447b32c89af526daa83777161c22ab828\
+             32e359c9735f0b090da7b2adcdfec37dadaed7526837fb0293d6d3412e899e8f"
+        );
+        assert!(credential.verify(&broker.public()));
+        assert!(stored.verify(&broker.public()));
+        assert!(reclaim.verify(&broker.public()));
+        assert!(freed.verify(&broker.public()));
     }
 
     #[test]

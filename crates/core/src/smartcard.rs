@@ -173,7 +173,10 @@ impl Smartcard {
     /// any copy was stored; the debit for unstored copies is returned).
     pub fn credit(&mut self, bytes: u64) {
         let before = self.quota_remaining;
-        self.quota_remaining = (self.quota_remaining + bytes).min(self.quota_issued);
+        self.quota_remaining = self
+            .quota_remaining
+            .saturating_add(bytes)
+            .min(self.quota_issued);
         self.credited_total += self.quota_remaining - before;
     }
 
@@ -311,6 +314,24 @@ mod tests {
         let (_b, mut card) = setup();
         card.credit(5000);
         assert_eq!(card.quota_remaining(), 1000);
+    }
+
+    #[test]
+    fn hostile_freed_amount_saturates() {
+        // `freed` comes off the wire: a certified storage node may sign
+        // any value, and the sum must not wrap past the issued quota.
+        let mut broker = Broker::new(b"b");
+        let mut card = broker.issue_card(b"u", u64::MAX / 2, 0);
+        let storer = broker.issue_card(b"node", 0, 500);
+        let content = ContentRef::synthetic(0, "f", 100);
+        let cert = card.issue_file_certificate("f", &content, 3, 0, 0).unwrap();
+        let receipt = storer.issue_reclaim_receipt(&cert.file_id, u64::MAX);
+        assert_eq!(
+            card.credit_reclaim(&receipt, &broker.public()),
+            Ok(u64::MAX)
+        );
+        assert_eq!(card.quota_remaining(), card.quota_issued());
+        assert_eq!(card.credited_total(), 300);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! deterministically from the secret key and the message (RFC-6979 style),
 //! which keeps simulations reproducible and avoids nonce-reuse pitfalls.
 
-use crate::modmath::{addmod, mulmod, powmod, powmod2, rem256};
+use crate::modmath::{addmod, mulmod, powmod2, rem256};
 use crate::sha256::Sha256;
 use crate::u256::U256;
 
@@ -36,6 +36,59 @@ pub fn group_q() -> U256 {
 /// The subgroup generator `g = 4 = 2^2`, a quadratic residue of order `q`.
 pub fn group_g() -> U256 {
     U256::from_u64(4)
+}
+
+/// Fixed-base table for [`group_g`]: a Lim–Lee comb over the four 64-bit
+/// limbs of a scalar. Entry `j` is the product of `g^(2^(64·i)) mod p`
+/// over the set bits `i` of `j`, so one lookup contributes the same bit
+/// position of all four limbs at once. A constant of the group like `p`
+/// and `q` (re-derived from `powmod` by a test), not a cache.
+#[rustfmt::skip]
+const G_COMB: [U256; 16] = [
+    U256([0x0000000000000001, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000]),
+    U256([0x0000000000000004, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000]),
+    U256([0xa75b66e256b4b8ff, 0x236b2dd2f2a01d39, 0x4c1a9753bc9a6b26, 0x6dcdad628a95e6ad]),
+    U256([0x547cfc62ee69b95e, 0xc38dae2d8414a85a, 0xd48719d93481d726, 0x862fca092082be82]),
+    U256([0xb71484e269f901f8, 0x3ffadfc612454721, 0xc5b56fafbb295725, 0x3111a573a23a3bda]),
+    U256([0xb7d9c3f671af7291, 0x1adbfa8925df3640, 0xe8e41d040db171dc, 0x2bc3200e03fe8151]),
+    U256([0x02cb3928ade34d24, 0x6df70ed78b97b4de, 0xb137decd6c25b0f1, 0x709c1b902f5705ef]),
+    U256([0xc23c457c4b2409f2, 0xedbd323fe7f306eb, 0x68fc37bff2aeee53, 0x916982bfb3873b8c]),
+    U256([0x69f7920cc3df1840, 0x41bd781e25a08476, 0x4d018191e0ad1705, 0x3000bf3186243f12]),
+    U256([0x8365f89fd947cbb1, 0x21e65be9734c2b93, 0x0614648ca3c0715c, 0x277f870593a68e30]),
+    U256([0x34d927f690ce7971, 0xf87f56bd9062cd0b, 0x745fbf0dfae4ca69, 0x4e7bb4ee32e553a0]),
+    U256([0x8a7400b3d6d0bb26, 0x17de51d7fb1f67a0, 0x759bb8c22dab5436, 0x08e7e837c1c0724f]),
+    U256([0xc7365faf9b921291, 0xf43f04e9af0afcc9, 0xa22e07c8d6ea3a73, 0x387d188863af0a94]),
+    U256([0xf8612f2b3813b4f5, 0xebec8f1798f60ce0, 0x5ac67d687cb4ff16, 0x4970ec6109d1bc39]),
+    U256([0x1fbfcdf3841e5c14, 0x064bf0fcf1795bbc, 0xd323e916a54fb091, 0x36d33a5f456899f8]),
+    U256([0x5a86e83ada44db01, 0x34203f64a2af88aa, 0x1e9e029fb64ad78b, 0x42c973bc90b7f9ca]),
+];
+
+/// Computes `g^exp mod p` for the generator [`group_g`] with the
+/// fixed-base comb [`G_COMB`]: for bit column 63 down to 0, square the
+/// accumulator and multiply by the entry selected by that bit of each
+/// limb — 63 squarings and at most 64 multiplies for any 256-bit scalar,
+/// against about 330 for `modmath::powmod`, which must build a window
+/// table for a base it has never seen and walk all 252 squarings. Equal
+/// to `powmod(&group_g(), exp, &group_p())` for every `exp`, and
+/// variable-time like it.
+pub fn pow_g(exp: &U256) -> U256 {
+    let p = group_p();
+    let columns = 64 - exp.0.iter().fold(0, |all, limb| all | limb).leading_zeros();
+    let mut result = U256::ONE;
+    for col in (0..columns).rev() {
+        if col + 1 < columns {
+            result = mulmod(&result, &result, &p);
+        }
+        // Bit `col` of limb `i` is bit `i` of the digit.
+        let mut digit = 0;
+        for limb in exp.0.iter().rev() {
+            digit = digit << 1 | (limb >> col & 1) as usize;
+        }
+        if digit != 0 {
+            result = mulmod(&result, &G_COMB[digit], &p);
+        }
+    }
+    result
 }
 
 /// A public verification key (a group element `y = g^x mod p`).
@@ -120,16 +173,15 @@ impl KeyPair {
     /// ```
     pub fn from_seed(seed: &[u8]) -> KeyPair {
         let secret = hash_to_scalar(b"past-keygen-v1", &[seed]);
-        let public = PublicKey(powmod(&group_g(), &secret, &group_p()));
+        let public = PublicKey(pow_g(&secret));
         KeyPair { secret, public }
     }
 
     /// Signs a message with a deterministic nonce.
     pub fn sign(&self, msg: &[u8]) -> Signature {
-        let p = group_p();
         let q = group_q();
         let k = hash_to_scalar(b"past-nonce-v1", &[&self.secret.to_be_bytes(), msg]);
-        let commitment = powmod(&group_g(), &k, &p);
+        let commitment = pow_g(&k);
         let e = challenge(&commitment, &self.public, msg);
         // s = k + e·x mod q.
         let response = addmod(&k, &mulmod(&e, &self.secret, &q), &q);
@@ -179,6 +231,7 @@ impl PublicKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modmath::powmod;
     use crate::rng::Rng;
 
     /// The verification equation as it stood before the double
@@ -216,6 +269,102 @@ mod tests {
              17b9008a4d6c3d98af7fa807d181e115f8df020f4be31558b1457a7b04ee5819"
         );
         assert!(kp.public.verify(b"past-kat", &sig));
+    }
+
+    /// `from_seed` and `sign` as they stood before the comb — `g^x` and
+    /// `g^k` by the generic window-4 `powmod` — kept as the oracle the
+    /// fixed-base path is checked against.
+    fn from_seed_powmod(seed: &[u8]) -> KeyPair {
+        let secret = hash_to_scalar(b"past-keygen-v1", &[seed]);
+        let public = PublicKey(powmod(&group_g(), &secret, &group_p()));
+        KeyPair { secret, public }
+    }
+
+    fn sign_powmod(kp: &KeyPair, msg: &[u8]) -> Signature {
+        let q = group_q();
+        let k = hash_to_scalar(b"past-nonce-v1", &[&kp.secret.to_be_bytes(), msg]);
+        let commitment = powmod(&group_g(), &k, &group_p());
+        let e = challenge(&commitment, &kp.public, msg);
+        let response = addmod(&k, &mulmod(&e, &kp.secret, &q), &q);
+        Signature {
+            commitment,
+            response,
+        }
+    }
+
+    #[test]
+    fn comb_table_rederives_from_powmod() {
+        let p = group_p();
+        // g^(2^(64·i)): the scalar whose only set bit is bit 0 of limb i.
+        let limb_bases: [U256; 4] = std::array::from_fn(|i| {
+            let mut e = U256::ZERO;
+            e.0[i] = 1;
+            powmod(&group_g(), &e, &p)
+        });
+        for (j, entry) in G_COMB.iter().enumerate() {
+            let want = (0..4)
+                .filter(|i| j >> i & 1 == 1)
+                .fold(U256::ONE, |acc, i| mulmod(&acc, &limb_bases[i], &p));
+            assert_eq!(*entry, want, "G_COMB[{j}]");
+        }
+    }
+
+    #[test]
+    fn comb_matches_powmod_on_edge_and_random_scalars() {
+        let p = group_p();
+        let q = group_q();
+        let check = |k: U256| assert_eq!(pow_g(&k), powmod(&group_g(), &k, &p), "k={k:?}");
+        for i in 0..256 {
+            let mut k = U256::ZERO;
+            k.0[i / 64] = 1 << (i % 64);
+            check(k);
+        }
+        let (q_minus_1, _) = q.overflowing_sub(&U256::ONE);
+        for k in [
+            U256::ZERO,
+            U256::ONE,
+            q_minus_1,
+            q,
+            U256([u64::MAX, 0, 0, 0]),        // 2^64 − 1
+            U256([0, 1, 0, 0]),               // 2^64
+            U256([u64::MAX, u64::MAX, 0, 0]), // 2^128 − 1
+            U256([0, 0, 1, 0]),               // 2^128
+            U256([0, 0, 0, 1]),               // 2^192
+            U256::MAX,
+        ] {
+            check(k);
+        }
+        // One limb all-ones, the rest zero — and the complement.
+        for i in 0..4 {
+            let mut k = U256::ZERO;
+            k.0[i] = u64::MAX;
+            check(k);
+            check(U256(k.0.map(|l| !l)));
+        }
+        // Each limb's width drawn independently, so columns where only
+        // some limbs still have bits — and whole zero limbs — are common.
+        let mut rng = Rng::seed_from_u64(0xc04b);
+        for _ in 0..2_400 {
+            check(U256(std::array::from_fn(|_| match rng.next_u64() % 65 {
+                0 => 0,
+                width => rng.next_u64() >> (64 - width),
+            })));
+        }
+    }
+
+    #[test]
+    fn keys_and_signatures_match_the_powmod_signer() {
+        let mut rng = Rng::seed_from_u64(0xf13d_ba5e);
+        for _ in 0..500 {
+            let seed = rng.next_u64().to_be_bytes();
+            let msg = rng.next_u64().to_be_bytes();
+            let kp = KeyPair::from_seed(&seed);
+            let old = from_seed_powmod(&seed);
+            assert_eq!((kp.secret, kp.public), (old.secret, old.public));
+            let sig = kp.sign(&msg);
+            assert_eq!(sig, sign_powmod(&old, &msg));
+            assert!(kp.public.verify(&msg, &sig));
+        }
     }
 
     #[test]

@@ -72,6 +72,10 @@ echo "== bench smoke (binaries run and emit valid BENCH_*.json)"
   --series target/BENCH_series.json
 ./target/release/bench_loss --smoke --out target/BENCH_loss.smoke.json
 grep -q '"schema": "past-bench/v1"' target/BENCH_micro.smoke.json
+# The fixed-base rows are what the sign/keygen numbers are read against:
+# a rename must not drop them silently.
+grep -q '"name": "crypto/schnorr/keygen"' target/BENCH_micro.smoke.json
+grep -q '"name": "crypto/modmath/pow_g"' target/BENCH_micro.smoke.json
 grep -q '"schema": "past-bench/v1"' target/BENCH_macro.smoke.json
 grep -q '"schema": "past-bench/v1"' target/BENCH_loss.smoke.json
 grep -q '"schema": "past-series/v1"' target/BENCH_series.json
