@@ -8,6 +8,9 @@
 //! phase plus the simulation's own counters (hops, messages, bytes) give
 //! future PRs a macro-level perf trajectory; the counters double as a
 //! coarse determinism check (same seed ⇒ same counters on any machine).
+//! After the stabilize round the engine's memory gauges are printed per
+//! node (`bytes_per_node.*`) beside the process's resident set and its
+//! peak (`peak_rss_kb`).
 //!
 //! Usage: `cargo run --release -p past-bench --bin bench_macro --
 //! [--smoke] [--nodes N] [--shards K] [--out PATH]`. `--smoke` shrinks
@@ -24,7 +27,7 @@
 
 use past_bench::json;
 use past_crypto::rng::Rng;
-use past_netsim::{SeriesConfig, ShardConfig, Sphere};
+use past_netsim::{Memory, SeriesConfig, ShardConfig, Sphere};
 use past_pastry::{populate_static, random_ids, Config, Id, NullApp, PastrySim};
 use std::time::Instant;
 
@@ -54,6 +57,26 @@ struct Counters {
     total_msgs: u64,
     total_bytes: u64,
     final_us: u64,
+}
+
+/// What the measured run held once its stabilize round had drained: the
+/// engine's own gauges and the process's resident set at that moment,
+/// so the JSON shows how much of the latter the former explain.
+struct Footprint {
+    memory: Memory,
+    rss_kb: u64,
+}
+
+/// A `kB` field of `/proc/self/status` (`VmRSS`, `VmHWM`); 0 where the
+/// file or the field does not exist.
+fn proc_status_kb(field: &str) -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with(field))?;
+            line.split_whitespace().nth(1)?.parse().ok()
+        })
+        .unwrap_or(0)
 }
 
 /// Phases 2 and 3 (routes, churn + stabilize) on an already-built
@@ -119,7 +142,7 @@ fn full_run(
     kills: usize,
     shards: Option<usize>,
     series: bool,
-) -> (Vec<Phase>, Counters, Option<String>) {
+) -> (Vec<Phase>, Counters, Option<String>, Footprint) {
     let mut rng = Rng::seed_from_u64(2001);
     let ids = random_ids(n, &mut rng);
     let mut phases = Vec::new();
@@ -147,12 +170,16 @@ fn full_run(
         sim.engine.set_series(SeriesConfig::new(SERIES_WINDOW_US));
     }
     let counters = routes_and_churn(&mut sim, n, routes, kills, &mut phases);
+    let footprint = Footprint {
+        memory: sim.engine.memory(),
+        rss_kb: proc_status_kb("VmRSS:"),
+    };
     let series_doc = if series {
         sim.engine.take_tracer().series().map(|s| s.to_json())
     } else {
         None
     };
-    (phases, counters, series_doc)
+    (phases, counters, series_doc, footprint)
 }
 
 fn main() {
@@ -193,7 +220,10 @@ fn main() {
     }
     let kills = n / 20;
 
-    let (phases, counters, series_doc) = full_run(n, routes, kills, shards, series.is_some());
+    let (phases, counters, series_doc, footprint) =
+        full_run(n, routes, kills, shards, series.is_some());
+    // Read before the 1-shard reference below runs in this process.
+    let peak_rss_kb = proc_status_kb("VmHWM:");
     let mut ref_churn_ms: Option<f64> = None;
     if shards.is_some_and(|k| k > 1) {
         // In-process 1-shard reference: same topology, same seeds, run
@@ -202,7 +232,7 @@ fn main() {
         // equals an uninstrumented one). Its counters must be
         // bit-identical (shard-count independence); its churn wall
         // time is the speedup baseline.
-        let (ref_phases, ref_counters, _) = full_run(n, routes, kills, Some(1), false);
+        let (ref_phases, ref_counters, _, _) = full_run(n, routes, kills, Some(1), false);
         assert_eq!(
             counters, ref_counters,
             "sharded and 1-shard runs must produce identical counters"
@@ -245,6 +275,25 @@ fn main() {
                 .int("final_us", counters.final_us)
                 .build(),
         );
+    // Where a node's bytes go (ROADMAP item M): the engine's gauges after
+    // the stabilize round, per node, beside the resident set they are a
+    // part of.
+    let bytes_per_node: Vec<(&str, f64)> = footprint
+        .memory
+        .rows()
+        .into_iter()
+        .chain([
+            ("gauged", footprint.memory.total()),
+            ("rss", footprint.rss_kb as usize * 1024),
+        ])
+        .map(|(name, bytes)| (name, bytes as f64 / n as f64))
+        .collect();
+    let rows = bytes_per_node
+        .iter()
+        .fold(json::Obj::new(), |o, &(name, v)| o.num(name, v));
+    doc = doc
+        .raw("bytes_per_node", &rows.build())
+        .int("peak_rss_kb", peak_rss_kb);
     if let Some(ref_ms) = ref_churn_ms {
         let churn_ms = phases
             .iter()
@@ -278,6 +327,10 @@ fn main() {
             ref_ms / churn_ms.max(f64::MIN_POSITIVE)
         );
     }
+    for (name, v) in &bytes_per_node {
+        println!("bytes_per_node.{name:<17} {v:10.1}");
+    }
+    println!("peak_rss_kb {peak_rss_kb}");
     println!(
         "routes delivered {}, mean hops {:.3}",
         counters.delivered,

@@ -3,7 +3,8 @@
 //!
 //! Covers the three paths the performance work targets: the crypto layer
 //! (Schnorr sign/verify and the modular reduction under them), the Pastry
-//! routing step, and the simulator engine / topology proximity queries.
+//! routing step and routing-table update, and the simulator engine, its
+//! timer wheel under a burst, and topology proximity queries.
 //! Successive PRs regenerate the file, leaving a perf trajectory.
 //!
 //! Usage: `cargo run --release -p past-bench --bin bench_micro --
@@ -17,6 +18,7 @@ use past_crypto::rng::Rng;
 use past_crypto::schnorr::pow_g;
 use past_crypto::u256::U256;
 use past_crypto::KeyPair;
+use past_netsim::wheel::TimerWheel;
 use past_netsim::{Addr, Ctx, Engine, Message, NodeLogic, Plane, Sphere, Topology, UniformRandom};
 use past_pastry::{next_hop, Config, Id, NodeHandle, PastryState};
 use std::hint::black_box;
@@ -135,6 +137,47 @@ fn bench_routing(b: &mut Bench) {
     });
 }
 
+fn bench_table(b: &mut Bench) {
+    b.group("pastry/table");
+    // pastbench's `pastry.table_insert_ns` loop: offer a stranger to a
+    // populated table and, if it was installed, purge its address again
+    // (one scan of every allocated slot), so each iteration meets the
+    // same table.
+    let mut st = routing_state(1_000, 7, 0.0);
+    let mut rng = Rng::seed_from_u64(13);
+    let strangers: Vec<NodeHandle> = (0..2_000)
+        .map(|a| NodeHandle::new(Id(rng.random()), 1_000 + a))
+        .collect();
+    let mut i = 0usize;
+    b.run("consider_remove", || {
+        i = (i + 1) % strangers.len();
+        if st.table.consider(strangers[i], 50) {
+            black_box(st.table.remove_addr(strangers[i].addr));
+        }
+    });
+}
+
+fn bench_wheel(b: &mut Bench) {
+    b.group("netsim/wheel");
+    // A 100k-node stabilize round in miniature: a million events land
+    // within 120 ms of now and are delivered in order. The wheel lives
+    // across iterations, so buffers it keeps are reused and buffers it
+    // gives back are paid for again.
+    let mut wheel: TimerWheel<[u32; 4]> = TimerWheel::new();
+    let mut rng = Rng::seed_from_u64(19);
+    let (mut now, mut tie) = (0u64, 0u128);
+    b.run("burst_drain_1m", || {
+        for _ in 0..1_000_000 {
+            tie += 1;
+            wheel.push(now + rng.random_range(1..=120_000u64), tie, [0; 4]);
+        }
+        while let Some((t, _, _)) = wheel.pop() {
+            now = t;
+        }
+        now
+    });
+}
+
 fn bench_engine(b: &mut Bench) {
     b.group("netsim/engine");
     // 128 events per iteration: one injected ping bounces 127 times.
@@ -202,7 +245,9 @@ fn main() {
     }
     bench_crypto(&mut b);
     bench_routing(&mut b);
+    bench_table(&mut b);
     bench_engine(&mut b);
+    bench_wheel(&mut b);
     bench_topology(&mut b);
 
     let doc = json::Obj::new()

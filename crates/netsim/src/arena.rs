@@ -104,6 +104,13 @@ impl<T> Arena<T> {
     pub fn capacity_slots(&self) -> usize {
         self.slots.len()
     }
+
+    /// Bytes of heap the arena holds: slot and free-list capacity (what
+    /// a parked value owns on the heap itself is not counted).
+    pub fn capacity_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Option<T>>()
+            + self.free.capacity() * std::mem::size_of::<u32>()
+    }
 }
 
 #[cfg(test)]

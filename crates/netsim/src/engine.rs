@@ -75,6 +75,52 @@ pub trait NodeLogic {
 
     /// Handles a timer previously set with [`Ctx::set_timer`].
     fn on_timer(&mut self, _kind: u64, _ctx: &mut Ctx<'_, Self::Msg, Self::Out>) {}
+
+    /// Bytes of heap this node owns beyond `size_of::<Self>()`, for
+    /// [`Engine::memory`]; the default counts none.
+    fn heap_bytes(&self) -> usize {
+        0
+    }
+}
+
+/// What the engine holds, in bytes, by structure ([`Engine::memory`]).
+///
+/// Every figure is `capacity() × size_of` of the buffers named — what
+/// the allocator was asked for, not what is populated — so the parts
+/// add up to the engine's share of the process's resident set. Not
+/// counted: the topology, trace sinks, and heap owned by parked
+/// messages.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Memory {
+    /// The node structs themselves (`size_of::<N>()` per slot).
+    pub node_inline: usize,
+    /// Heap the nodes report through [`NodeLogic::heap_bytes`].
+    pub node_heap: usize,
+    /// In-flight payload slots and their free list.
+    pub arena: usize,
+    /// Event-queue buffers.
+    pub wheel: usize,
+    /// The per-node columns beside the node structs: two RNG states,
+    /// the sequence counter, liveness and traffic counters.
+    pub per_node_columns: usize,
+}
+
+impl Memory {
+    /// The parts as `(name, bytes)` rows, in declaration order.
+    pub fn rows(&self) -> [(&'static str, usize); 5] {
+        [
+            ("node_inline", self.node_inline),
+            ("node_heap", self.node_heap),
+            ("arena", self.arena),
+            ("wheel", self.wheel),
+            ("per_node_columns", self.per_node_columns),
+        ]
+    }
+
+    /// Sum of the parts.
+    pub fn total(&self) -> usize {
+        self.rows().iter().map(|&(_, v)| v).sum()
+    }
 }
 
 /// Link-fault injection parameters.
@@ -750,6 +796,43 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
     /// Number of message payloads currently parked in flight.
     pub fn in_flight_msgs(&self) -> usize {
         self.parts.iter().map(|p| p.arena.len()).sum()
+    }
+
+    /// What the engine holds right now, summed over partitions.
+    pub fn memory(&self) -> Memory {
+        self.parts.iter().fold(Memory::default(), |acc, p| {
+            let m = p.memory();
+            Memory {
+                node_inline: acc.node_inline + m.node_inline,
+                node_heap: acc.node_heap + m.node_heap,
+                arena: acc.arena + m.arena,
+                wheel: acc.wheel + m.wheel,
+                per_node_columns: acc.per_node_columns + m.per_node_columns,
+            }
+        })
+    }
+
+    /// Records each partition's [`Memory`] in the flight recorder at the
+    /// current time, as per-shard diagnostics (`shard{i}.mem_*`): buffer
+    /// capacities legitimately differ with the partition count, so they
+    /// stay out of the canonical series. No-op without a series.
+    pub fn sample_memory(&mut self) {
+        let Some(series) = self.tracer.series_mut() else {
+            return;
+        };
+        for (i, p) in self.parts.iter().enumerate() {
+            let m = p.memory();
+            series.shard_gauge(self.now, i, "mem_node_inline", m.node_inline as u64);
+            series.shard_gauge(self.now, i, "mem_node_heap", m.node_heap as u64);
+            series.shard_gauge(self.now, i, "mem_arena", m.arena as u64);
+            series.shard_gauge(self.now, i, "mem_wheel", m.wheel as u64);
+            series.shard_gauge(
+                self.now,
+                i,
+                "mem_per_node_columns",
+                m.per_node_columns as u64,
+            );
+        }
     }
 
     /// Events executed so far.

@@ -24,7 +24,7 @@ pub mod time;
 pub mod topology;
 pub mod wheel;
 
-pub use engine::{Ctx, Engine, FaultConfig, Message, NetStats, NodeLogic};
+pub use engine::{Ctx, Engine, FaultConfig, Memory, Message, NetStats, NodeLogic};
 pub use shard::{ShardConfig, WindowTooWide};
 pub use soa::NodeIo;
 pub use stats::{summarize, Summary};

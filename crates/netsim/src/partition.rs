@@ -26,7 +26,7 @@
 //! [`fingerprint`](crate::Engine::fingerprint).
 
 use crate::arena::Arena;
-use crate::engine::{Ctx, Effect, FaultConfig, Message, NetStats, NodeLogic};
+use crate::engine::{Ctx, Effect, FaultConfig, Memory, Message, NetStats, NodeLogic};
 use crate::soa::NodeSlots;
 use crate::time::SimTime;
 use crate::topology::{mix64, Addr, Topology};
@@ -183,6 +183,20 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
         self.rngs.reserve(extra);
         self.fault_rngs.reserve(extra);
         self.seqs.reserve(extra);
+    }
+
+    /// This partition's share of [`Engine::memory`](crate::Engine::memory).
+    pub(crate) fn memory(&self) -> Memory {
+        use std::mem::size_of;
+        Memory {
+            node_inline: self.nodes.inline_bytes(),
+            node_heap: self.nodes.iter().map(N::heap_bytes).sum(),
+            arena: self.arena.capacity_bytes(),
+            wheel: self.queue.capacity_bytes(),
+            per_node_columns: self.nodes.column_bytes()
+                + (self.rngs.capacity() + self.fault_rngs.capacity()) * size_of::<Rng>()
+                + self.seqs.capacity() * size_of::<u64>(),
+        }
     }
 
     /// Installs a fault configuration and reseeds every node's fault

@@ -105,6 +105,22 @@ impl<N> NodeSlots<N> {
         self.recv.reserve(extra);
     }
 
+    /// The nodes' logic states, in address order.
+    pub fn iter(&self) -> impl Iterator<Item = &N> {
+        self.logic.iter()
+    }
+
+    /// Bytes the logic array holds (`size_of::<N>()` per reserved slot).
+    pub fn inline_bytes(&self) -> usize {
+        self.logic.capacity() * std::mem::size_of::<N>()
+    }
+
+    /// Bytes the liveness and counter columns hold.
+    pub fn column_bytes(&self) -> usize {
+        (self.alive.capacity() + self.sent.capacity() + self.recv.capacity())
+            * std::mem::size_of::<u64>()
+    }
+
     /// Liveness of node `a`.
     #[inline]
     pub fn is_alive(&self, a: Addr) -> bool {

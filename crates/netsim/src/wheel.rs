@@ -52,6 +52,18 @@ const SLOTS: usize = 64;
 const BITS: u32 = 6;
 /// Levels; `ceil(64 / 6) = 11` covers the full `u64` tick range.
 const LEVELS: usize = 11;
+/// A drained slot whose buffer has room for more entries than this
+/// gives the buffer back to the allocator; a smaller one keeps it for
+/// the next event filed there. So a burst's coarse slots (tens of
+/// thousands of entries each) cost their memory only while they hold
+/// it, and the slots retain at most `LEVELS * SLOTS` buffers of this
+/// many entries however large the burst was. The current-tick buffer
+/// is not bounded on its own: it is given back only when a burst slot
+/// is drained after it (a round's timers, armed at one instant, fill
+/// both). Timers armed at one instant whose follow-up events all fall
+/// into small buckets leave it at its high-water size, which
+/// [`TimerWheel::capacity_bytes`] counts.
+const KEEP_ENTRIES: usize = 1024;
 
 struct Entry<E> {
     time: u64,
@@ -109,6 +121,15 @@ impl<E> TimerWheel<E> {
     /// True if nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Bytes of heap the wheel holds: the capacity of every slot buffer,
+    /// the current-tick buffer and the cascade scratch.
+    pub fn capacity_bytes(&self) -> usize {
+        let entries = self.slots.iter().map(Vec::capacity).sum::<usize>() + self.scratch.capacity();
+        entries * std::mem::size_of::<Entry<E>>()
+            + self.current.capacity() * std::mem::size_of::<(u64, u128, E)>()
+            + self.slots.capacity() * std::mem::size_of::<Vec<Entry<E>>>()
     }
 
     /// The wheel's current time (last delivered tick).
@@ -196,9 +217,26 @@ impl<E> TimerWheel<E> {
             // level's width, so cascading terminates).
             self.now = self.now.max(start);
             self.occ[level] &= !(1 << slot);
-            let mut batch = std::mem::take(&mut self.scratch);
-            debug_assert!(batch.is_empty());
-            batch.append(&mut self.slots[level * SLOTS + slot]);
+            let bucket = &mut self.slots[level * SLOTS + slot];
+            let keep = bucket.capacity() <= KEEP_ENTRIES;
+            let mut batch = if keep {
+                // Steady state: move the entries into the reused
+                // scratch buffer, so neither side allocates.
+                let mut scratch = std::mem::take(&mut self.scratch);
+                debug_assert!(scratch.is_empty());
+                scratch.append(bucket);
+                scratch
+            } else {
+                // A burst's bucket: re-file straight out of it and let
+                // it drop (see `KEEP_ENTRIES`). So with the current-tick
+                // buffer, empty here, if the instant that armed the
+                // burst left it burst-sized; checking on this path
+                // keeps the steady state free of the test.
+                if self.current.capacity() > KEEP_ENTRIES {
+                    self.current = std::collections::VecDeque::new();
+                }
+                std::mem::take(bucket)
+            };
             // Sorting here keeps `current` insertion linear: entries
             // arrive in ascending tie order and append at the back.
             batch.sort_unstable_by_key(|e| (e.time, e.tie));
@@ -212,7 +250,9 @@ impl<E> TimerWheel<E> {
                     self.file(e);
                 }
             }
-            self.scratch = batch;
+            if keep {
+                self.scratch = batch;
+            }
         }
     }
 
@@ -475,5 +515,61 @@ mod tests {
         w.push(far, 0, "far");
         assert_eq!(w.peek_time(), Some(far));
         assert_eq!(w.pop(), Some((far, 0, "far")));
+    }
+
+    /// A burst the size of a 100k-node stabilize round, then the
+    /// one-route-in-flight steady state, against the buffer policy of
+    /// [`KEEP_ENTRIES`].
+    #[test]
+    fn burst_buffers_are_given_back_and_small_ones_kept() {
+        // 16 bytes, like the engine's event record.
+        type Payload = [u32; 4];
+        assert_eq!(std::mem::size_of::<Entry<Payload>>(), 48);
+        let mut rng = Rng::seed_from_u64(0xb0757);
+        let mut w: TimerWheel<Payload> = TimerWheel::new();
+        let mut tie = 0u128;
+        // The round's timers, armed at one instant...
+        for _ in 0..100_000 {
+            w.push(0, tie, [0; 4]);
+            tie += 1;
+        }
+        // ...and the messages they send.
+        for _ in 0..1_000_000 {
+            w.push(rng.random_range(1..=120_000u64), tie, [0; 4]);
+            tie += 1;
+        }
+        let mut now = 0;
+        while let Some((t, _, _)) = w.pop() {
+            assert!(t >= now);
+            now = t;
+        }
+        // 48 MB of entries went through; each coarse slot they sat in
+        // would otherwise keep its doubled buffer (> 100 MB in all).
+        let retained = w.capacity_bytes();
+        assert!(retained <= 16 << 20, "retained {retained} bytes");
+        assert!(w.current.capacity() <= KEEP_ENTRIES);
+
+        let caps = |w: &TimerWheel<Payload>| -> Vec<usize> {
+            w.slots
+                .iter()
+                .map(Vec::capacity)
+                .chain([w.scratch.capacity(), w.current.capacity()])
+                .collect()
+        };
+        let before = caps(&w);
+        for _ in 0..100_000 {
+            now += rng.random_range(1..=120_000u64);
+            w.push(now, tie, [0; 4]);
+            tie += 1;
+            assert_eq!(w.pop().map(|(t, _, _)| t), Some(now));
+        }
+        // The steady state allocates nothing per event: no buffer
+        // shrank (a small one is never dropped) and none grew, except
+        // that a slot with no buffer — given back after the burst, or
+        // never reached by the clock before — takes `Vec`'s first
+        // four entries once.
+        for (i, (b, a)) in before.iter().zip(caps(&w)).enumerate() {
+            assert!(a == *b || (*b == 0 && a == 4), "buffer {i}: {b} -> {a}");
+        }
     }
 }

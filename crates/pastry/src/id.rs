@@ -139,12 +139,14 @@ impl Config {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid configuration (non-divisor `b`, odd leaf set).
+    /// Panics on an invalid configuration (`b` not a divisor of 128 or
+    /// above 8, odd leaf set).
     pub fn validate(&self) {
         assert!(
             self.b > 0 && 128 % self.b as usize == 0,
             "b must divide 128"
         );
+        assert!(self.b <= 8, "b must be at most 8 (a digit is a u8)");
         assert!(
             self.leaf_len >= 2 && self.leaf_len % 2 == 0,
             "leaf set size must be even and >= 2"
@@ -244,6 +246,16 @@ mod tests {
     fn bad_b_rejected() {
         Config {
             b: 3,
+            ..Config::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8")]
+    fn b_wider_than_a_digit_rejected() {
+        Config {
+            b: 16,
             ..Config::default()
         }
         .validate();

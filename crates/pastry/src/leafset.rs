@@ -49,11 +49,13 @@ impl LeafSet {
     /// Panics if `leaf_len` is odd or zero.
     pub fn new(own: Id, leaf_len: usize) -> LeafSet {
         assert!(leaf_len >= 2 && leaf_len % 2 == 0);
+        let half = leaf_len / 2;
+        // One spare slot: `insert` at a full half pushes, then pops.
         LeafSet {
             own,
-            half: leaf_len / 2,
-            smaller: Vec::new(),
-            larger: Vec::new(),
+            half,
+            smaller: Vec::with_capacity(half + 1),
+            larger: Vec::with_capacity(half + 1),
         }
     }
 
@@ -171,6 +173,11 @@ impl LeafSet {
             Side::Smaller => &self.smaller,
             Side::Larger => &self.larger,
         }
+    }
+
+    /// Bytes of heap both halves hold (capacity, not population).
+    pub fn heap_bytes(&self) -> usize {
+        (self.smaller.capacity() + self.larger.capacity()) * std::mem::size_of::<NodeHandle>()
     }
 
     /// True if `key` falls within the id segment covered by the leaf set.
@@ -358,5 +365,21 @@ mod tests {
             .map(|m| m.addr)
             .collect();
         assert_eq!(order, vec![2, 1, 3]);
+    }
+
+    #[test]
+    fn full_halves_hold_one_spare_slot_each() {
+        // The insert-then-pop at a full half needs one slot of headroom;
+        // anything more is `Vec` doubling (16 per half at l = 16).
+        let own = 1u128 << 100;
+        let mut ls = LeafSet::new(Id(own), 16);
+        // Nearer and nearer nodes on both sides: every insert past the
+        // eighth on a side displaces a member.
+        for i in 0..64u128 {
+            assert!(ls.insert(h(own + 1000 - i, i as Addr)).changed);
+            assert!(ls.insert(h(own - 1000 + i, 100 + i as Addr)).changed);
+        }
+        assert_eq!(ls.len(), 16);
+        assert_eq!(ls.heap_bytes(), 2 * 9 * std::mem::size_of::<NodeHandle>());
     }
 }

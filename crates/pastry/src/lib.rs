@@ -36,7 +36,7 @@ pub use app::{App, AppCtx, NullApp, PastryOut, RouteInfo};
 pub use handle::NodeHandle;
 pub use id::{Config, Id};
 pub use leafset::{LeafInsert, LeafSet, Side};
-pub use msg::{PastryMsg, PayloadSize, RouteEnvelope};
+pub use msg::{JoinReply, JoinRequest, PastryMsg, PayloadSize, RouteEnvelope};
 pub use node::{Behavior, PastryNode, RecoveryConfig, APP_TIMER_BASE};
 pub use route::{next_hop, NextHop};
 pub use sim::{

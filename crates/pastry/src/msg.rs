@@ -20,35 +20,48 @@ pub struct RouteEnvelope<P> {
     pub path_us: u64,
 }
 
+/// The body of [`PastryMsg::JoinRequest`].
+#[derive(Clone, Debug)]
+pub struct JoinRequest {
+    /// The joining node.
+    pub joiner: NodeHandle,
+    /// Routing-table entries collected along the path ("the i-th row
+    /// of the routing table from the i-th node encountered").
+    pub rows: Vec<NodeHandle>,
+    /// Highest row index already contributed.
+    pub rows_done: usize,
+    /// Hops taken so far.
+    pub hops: u32,
+}
+
+/// The body of [`PastryMsg::JoinReply`].
+#[derive(Clone, Debug)]
+pub struct JoinReply {
+    /// The numerically closest existing node.
+    pub z: NodeHandle,
+    /// Entries collected along the join route.
+    pub rows: Vec<NodeHandle>,
+    /// Z's leaf set (plus Z itself).
+    pub leaf: Vec<NodeHandle>,
+    /// Join route length.
+    pub hops: u32,
+}
+
 /// The Pastry protocol message set, generic over the application payload.
+///
+/// The two join bodies are boxed: they are the only variants wider than
+/// a routed envelope, and every in-flight message — a stabilize round
+/// parks one heartbeat per leaf-set member per node — pays for the
+/// widest variant in its arena slot.
 #[derive(Clone, Debug)]
 pub enum PastryMsg<P> {
     /// A routed application message.
     Route(RouteEnvelope<P>),
     /// A join request being routed toward the joiner's id, accumulating
     /// routing-table rows along the path.
-    JoinRequest {
-        /// The joining node.
-        joiner: NodeHandle,
-        /// Routing-table entries collected along the path ("the i-th row
-        /// of the routing table from the i-th node encountered").
-        rows: Vec<NodeHandle>,
-        /// Highest row index already contributed.
-        rows_done: usize,
-        /// Hops taken so far.
-        hops: u32,
-    },
+    JoinRequest(Box<JoinRequest>),
     /// Z's answer to the joiner: collected rows plus Z's leaf set.
-    JoinReply {
-        /// The numerically closest existing node.
-        z: NodeHandle,
-        /// Entries collected along the join route.
-        rows: Vec<NodeHandle>,
-        /// Z's leaf set (plus Z itself).
-        leaf: Vec<NodeHandle>,
-        /// Join route length.
-        hops: u32,
-    },
+    JoinReply(Box<JoinReply>),
     /// Ask a nearby node for its neighborhood set.
     NeighborhoodRequest,
     /// The neighborhood set (plus the replying node).
@@ -108,8 +121,8 @@ impl<P> PastryMsg<P> {
     pub fn kind_id(&self) -> usize {
         match self {
             PastryMsg::Route(_) => 0,
-            PastryMsg::JoinRequest { .. } => 1,
-            PastryMsg::JoinReply { .. } => 2,
+            PastryMsg::JoinRequest(_) => 1,
+            PastryMsg::JoinReply(_) => 2,
             PastryMsg::NeighborhoodRequest => 3,
             PastryMsg::NeighborhoodReply { .. } => 4,
             PastryMsg::Announce { .. } => 5,
@@ -162,8 +175,8 @@ impl<P: Clone + PayloadSize> Message for PastryMsg<P> {
         match self {
             PastryMsg::Route(env) => env.payload.op_id(),
             PastryMsg::AppDirect { payload } => payload.op_id(),
-            PastryMsg::JoinRequest { .. }
-            | PastryMsg::JoinReply { .. }
+            PastryMsg::JoinRequest(_)
+            | PastryMsg::JoinReply(_)
             | PastryMsg::NeighborhoodRequest
             | PastryMsg::NeighborhoodReply { .. }
             | PastryMsg::Announce { .. }
@@ -235,18 +248,18 @@ mod tests {
                 hops: 0,
                 path_us: 0,
             }),
-            PastryMsg::JoinRequest {
+            PastryMsg::JoinRequest(Box::new(JoinRequest {
                 joiner: h,
                 rows: vec![],
                 rows_done: 0,
                 hops: 0,
-            },
-            PastryMsg::JoinReply {
+            })),
+            PastryMsg::JoinReply(Box::new(JoinReply {
                 z: h,
                 rows: vec![],
                 leaf: vec![],
                 hops: 0,
-            },
+            })),
             PastryMsg::NeighborhoodRequest,
             PastryMsg::NeighborhoodReply { members: vec![] },
             PastryMsg::Announce { from: h },
@@ -263,8 +276,8 @@ mod tests {
         for m in &samples {
             match m {
                 PastryMsg::Route(_)
-                | PastryMsg::JoinRequest { .. }
-                | PastryMsg::JoinReply { .. }
+                | PastryMsg::JoinRequest(_)
+                | PastryMsg::JoinReply(_)
                 | PastryMsg::NeighborhoodRequest
                 | PastryMsg::NeighborhoodReply { .. }
                 | PastryMsg::Announce { .. }
@@ -308,6 +321,12 @@ mod tests {
         for m in all_variants() {
             assert_eq!(m.op_id(), OpId::NONE, "u32 payloads carry no op id");
         }
+    }
+
+    /// Every in-flight message occupies an arena slot of this size.
+    #[test]
+    fn arena_slot_stays_within_64_bytes() {
+        assert!(std::mem::size_of::<PastryMsg<()>>() <= 64);
     }
 
     #[test]

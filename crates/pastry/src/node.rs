@@ -14,7 +14,7 @@
 use crate::app::{App, AppCtx, PastryOut, RouteInfo};
 use crate::handle::NodeHandle;
 use crate::id::Config;
-use crate::msg::{PastryMsg, PayloadSize, RouteEnvelope};
+use crate::msg::{JoinReply, JoinRequest, PastryMsg, PayloadSize, RouteEnvelope};
 use crate::route::{next_hop, NextHop};
 use crate::state::PastryState;
 use past_wire::{Addr, Input, Io};
@@ -141,6 +141,15 @@ impl<A: App> PastryNode<A> {
     /// True if this node currently suspects `addr` of being dead.
     pub fn suspects(&self, addr: Addr) -> bool {
         self.suspected.contains(&addr)
+    }
+
+    /// Bytes of heap this node's routing state and suspicion set hold
+    /// (capacity × entry size). Not counted: the application's own heap
+    /// and the two B-tree recovery maps, which have no capacity to read
+    /// and are empty outside loss-recovery rounds.
+    pub fn heap_bytes(&self) -> usize {
+        // One control byte per hash bucket beside the key.
+        self.state.heap_bytes() + self.suspected.capacity() * (std::mem::size_of::<Addr>() + 1)
     }
 
     /// Registers a join through `contact`; the harness arms
@@ -285,6 +294,32 @@ impl<A: App> PastryNode<A> {
         }
     }
 
+    /// Sends a join request held by this node onward: answered as Z when
+    /// the route ends here, forwarded one hop otherwise.
+    fn pass_join(&self, mut req: Box<JoinRequest>, decision: NextHop, io: &mut PastryIo<'_, A>) {
+        match decision {
+            NextHop::DeliverHere => {
+                let JoinRequest {
+                    joiner, rows, hops, ..
+                } = *req;
+                let leaf: Vec<NodeHandle> = self.state.leaf.members().copied().collect();
+                io.send(
+                    joiner.addr,
+                    PastryMsg::JoinReply(Box::new(JoinReply {
+                        z: self.state.me,
+                        rows,
+                        leaf,
+                        hops,
+                    })),
+                );
+            }
+            NextHop::Forward(next) => {
+                req.hops += 1;
+                io.send(next.addr, PastryMsg::JoinRequest(req));
+            }
+        }
+    }
+
     fn on_message(&mut self, from: Addr, msg: PastryMsg<A::Payload>, io: &mut PastryIo<'_, A>) {
         // Hearing from a peer proves it alive: drop any suspicion, settle
         // the current heartbeat round, and reset its missed-ack count.
@@ -298,62 +333,35 @@ impl<A: App> PastryNode<A> {
                 }
                 self.route_env(env, io);
             }
-            PastryMsg::JoinRequest {
-                joiner,
-                mut rows,
-                mut rows_done,
-                hops,
-            } => {
+            PastryMsg::JoinRequest(mut req) => {
                 // Contribute our routing-table rows usable by the joiner:
                 // rows up to the shared-prefix length.
+                let joiner = req.joiner;
                 let p = self.state.me.id.prefix_len(&joiner.id, self.state.cfg.b);
                 let max_row = p.min(self.state.cfg.digits() - 1);
-                while rows_done <= max_row {
-                    rows.extend(self.state.table.row_entries(rows_done));
-                    rows_done += 1;
+                while req.rows_done <= max_row {
+                    req.rows.extend(self.state.table.row_entries(req.rows_done));
+                    req.rows_done += 1;
                 }
-                rows.push(self.state.me);
+                req.rows.push(self.state.me);
                 // Decide before learning the joiner, so we never forward
                 // the join to the joiner itself. Past the hop TTL (cycle
                 // through damaged state), answer as Z instead of looping.
-                let decision = if hops > self.state.cfg.max_route_hops {
+                let decision = if req.hops > self.state.cfg.max_route_hops {
                     NextHop::DeliverHere
                 } else {
                     next_hop(&self.state, &joiner.id, io.rng())
                 };
-                match decision {
-                    NextHop::DeliverHere => {
-                        let leaf: Vec<NodeHandle> = self.state.leaf.members().copied().collect();
-                        io.send(
-                            joiner.addr,
-                            PastryMsg::JoinReply {
-                                z: self.state.me,
-                                rows,
-                                leaf,
-                                hops,
-                            },
-                        );
-                    }
-                    NextHop::Forward(next) => {
-                        io.send(
-                            next.addr,
-                            PastryMsg::JoinRequest {
-                                joiner,
-                                rows,
-                                rows_done,
-                                hops: hops + 1,
-                            },
-                        );
-                    }
-                }
+                self.pass_join(req, decision, io);
                 self.learn(joiner, io);
             }
-            PastryMsg::JoinReply {
-                z,
-                rows,
-                leaf,
-                hops,
-            } => {
+            PastryMsg::JoinReply(reply) => {
+                let JoinReply {
+                    z,
+                    rows,
+                    leaf,
+                    hops,
+                } = *reply;
                 let mut all = rows;
                 all.extend(leaf);
                 all.push(z);
@@ -378,8 +386,7 @@ impl<A: App> PastryNode<A> {
                 io.emit(PastryOut::JoinComplete { hops });
             }
             PastryMsg::NeighborhoodRequest => {
-                let mut members: Vec<NodeHandle> =
-                    self.state.neighborhood.members().copied().collect();
+                let mut members: Vec<NodeHandle> = self.state.neighborhood.members().collect();
                 members.push(self.state.me);
                 io.send(from, PastryMsg::NeighborhoodReply { members });
             }
@@ -436,38 +443,10 @@ impl<A: App> PastryNode<A> {
                 // the dead node (it is no longer in our state).
                 self.route_env(env, io);
             }
-            PastryMsg::JoinRequest {
-                joiner,
-                rows,
-                rows_done,
-                hops,
-            } => {
+            PastryMsg::JoinRequest(req) => {
                 // Re-route the join with our updated state.
-                match next_hop(&self.state, &joiner.id, io.rng()) {
-                    NextHop::DeliverHere => {
-                        let leaf: Vec<NodeHandle> = self.state.leaf.members().copied().collect();
-                        io.send(
-                            joiner.addr,
-                            PastryMsg::JoinReply {
-                                z: self.state.me,
-                                rows,
-                                leaf,
-                                hops,
-                            },
-                        );
-                    }
-                    NextHop::Forward(next) => {
-                        io.send(
-                            next.addr,
-                            PastryMsg::JoinRequest {
-                                joiner,
-                                rows,
-                                rows_done,
-                                hops: hops + 1,
-                            },
-                        );
-                    }
-                }
+                let decision = next_hop(&self.state, &req.joiner.id, io.rng());
+                self.pass_join(req, decision, io);
             }
             PastryMsg::AppDirect { payload } => {
                 let mut cx = AppCtx { io: &mut *io };
@@ -556,12 +535,12 @@ impl<A: App> PastryNode<A> {
                 io.send(contact, PastryMsg::NeighborhoodRequest);
                 io.send(
                     contact,
-                    PastryMsg::JoinRequest {
+                    PastryMsg::JoinRequest(Box::new(JoinRequest {
                         joiner,
                         rows: Vec::new(),
                         rows_done: 0,
                         hops: 0,
-                    },
+                    })),
                 );
                 io.set_timer(rc.join_timeout_us, TIMER_JOIN_RETRY);
             }

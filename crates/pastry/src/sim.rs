@@ -9,7 +9,7 @@ use crate::app::{App, PastryOut};
 use crate::handle::NodeHandle;
 use crate::id::{Config, Id};
 use crate::leafset::Side;
-use crate::msg::{PastryMsg, RouteEnvelope};
+use crate::msg::{JoinRequest, PastryMsg, RouteEnvelope};
 use crate::node::{PastryNode, RecoveryConfig, TIMER_HEARTBEAT, TIMER_JOIN_RETRY};
 use past_crypto::rng::Rng;
 use past_netsim::{Addr, Ctx, Engine, NodeLogic, ShardConfig, SimTime, Topology, WindowTooWide};
@@ -44,6 +44,10 @@ impl<A: App> NodeLogic for PastryNode<A> {
 
     fn on_timer(&mut self, kind: u64, ctx: &mut Ctx<'_, Self::Msg, Self::Out>) {
         self.step(Input::Timer { kind }, ctx);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        PastryNode::heap_bytes(self)
     }
 }
 
@@ -218,12 +222,12 @@ impl<A: App, T: Topology> PastrySim<A, T> {
             self.engine.inject(
                 addr,
                 contact,
-                PastryMsg::JoinRequest {
+                PastryMsg::JoinRequest(Box::new(JoinRequest {
                     joiner,
                     rows: Vec::new(),
                     rows_done: 0,
                     hops: 0,
-                },
+                })),
                 0,
             );
             self.engine.run_until_quiet(QUIET_BUDGET);
@@ -391,6 +395,7 @@ impl<A: App, T: Topology> PastrySim<A, T> {
             if let Some(s) = self.engine.tracer_mut().series_mut() {
                 s.gauge(t, "live_nodes", live);
             }
+            self.engine.sample_memory();
         }
     }
 

@@ -92,7 +92,7 @@ impl PastryState {
             .members()
             .copied()
             .chain(self.table.entries())
-            .chain(self.neighborhood.members().copied())
+            .chain(self.neighborhood.members())
     }
 
     /// Every node this one currently knows (deduplicated by address,
@@ -107,6 +107,12 @@ impl PastryState {
             }
         }
         out
+    }
+
+    /// Bytes of heap the three structures hold (capacity × entry size;
+    /// the `PastryState` struct itself is not counted).
+    pub fn heap_bytes(&self) -> usize {
+        self.table.heap_bytes() + self.leaf.heap_bytes() + self.neighborhood.heap_bytes()
     }
 
     /// Total populated entries across the three structures (the paper's

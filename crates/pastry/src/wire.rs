@@ -11,7 +11,7 @@
 
 use crate::handle::NodeHandle;
 use crate::id::Id;
-use crate::msg::{PastryMsg, RouteEnvelope};
+use crate::msg::{JoinReply, JoinRequest, PastryMsg, RouteEnvelope};
 use past_wire::{DecodeError, Reader, Sink, Wire, WIRE_VERSION};
 
 impl Wire for Id {
@@ -82,27 +82,17 @@ impl<P: Wire> Wire for PastryMsg<P> {
         out.put(&[WIRE_VERSION, self.kind_id() as u8]);
         match self {
             PastryMsg::Route(env) => env.encode(out),
-            PastryMsg::JoinRequest {
-                joiner,
-                rows,
-                rows_done,
-                hops,
-            } => {
-                joiner.encode(out);
-                narrow(*rows_done).encode(out);
-                hops.encode(out);
-                rows.encode(out);
+            PastryMsg::JoinRequest(req) => {
+                req.joiner.encode(out);
+                narrow(req.rows_done).encode(out);
+                req.hops.encode(out);
+                req.rows.encode(out);
             }
-            PastryMsg::JoinReply {
-                z,
-                rows,
-                leaf,
-                hops,
-            } => {
-                z.encode(out);
-                hops.encode(out);
-                rows.encode(out);
-                leaf.encode(out);
+            PastryMsg::JoinReply(rep) => {
+                rep.z.encode(out);
+                rep.hops.encode(out);
+                rep.rows.encode(out);
+                rep.leaf.encode(out);
             }
             PastryMsg::NeighborhoodReply { members } => members.encode(out),
             PastryMsg::Announce { from } => from.encode(out),
@@ -125,18 +115,18 @@ impl<P: Wire> Wire for PastryMsg<P> {
     fn read(r: &mut Reader<'_>) -> Result<PastryMsg<P>, DecodeError> {
         Ok(match r.kind()? {
             0 => PastryMsg::Route(r.get()?),
-            1 => PastryMsg::JoinRequest {
+            1 => PastryMsg::JoinRequest(Box::new(JoinRequest {
                 joiner: r.get()?,
                 rows_done: r.get::<u16>()? as usize,
                 hops: r.get()?,
                 rows: r.get()?,
-            },
-            2 => PastryMsg::JoinReply {
+            })),
+            2 => PastryMsg::JoinReply(Box::new(JoinReply {
                 z: r.get()?,
                 hops: r.get()?,
                 rows: r.get()?,
                 leaf: r.get()?,
-            },
+            })),
             3 => PastryMsg::NeighborhoodRequest,
             4 => PastryMsg::NeighborhoodReply { members: r.get()? },
             5 => PastryMsg::Announce { from: r.get()? },

@@ -156,6 +156,49 @@ fn static_build_routes_correctly() {
     }
 }
 
+/// What a node weighs: a 10 000-node default-config ring holds about
+/// 4 routing-table rows of 16 packed slots, two 9-handle leaf halves
+/// and a 17-entry neighbourhood per node. A stabilize round parks a
+/// heartbeat per leaf member in the arena and the wheel; the wheel
+/// gives its burst buffers back, the arena keeps its slots.
+#[test]
+fn memory_gauges_decompose_a_static_build() {
+    let n = 10_000;
+    let mut rng = Rng::seed_from_u64(41);
+    let ids = random_ids(n, &mut rng);
+    let mut sim = static_build(
+        Sphere::new(n, 41),
+        Config::default(),
+        41,
+        &ids,
+        |_| NullApp,
+        3,
+    );
+    let built = sim.engine.memory();
+    assert!(
+        built.node_heap / n <= 3_500,
+        "routing state is {} B/node",
+        built.node_heap / n
+    );
+    assert_eq!(
+        built.node_heap,
+        (0..n)
+            .map(|a| sim.engine.node(a).state.heap_bytes())
+            .sum::<usize>()
+    );
+    assert_eq!(built.arena, 0, "nothing was ever in flight");
+    assert!(built.node_inline >= n * std::mem::size_of_val(sim.engine.node(0)));
+
+    sim.stabilize();
+    let after = sim.engine.memory();
+    assert_eq!(after.node_heap, built.node_heap, "nobody failed");
+    // 16 heartbeats per node were in flight at once...
+    let slot = std::mem::size_of::<past_pastry::PastryMsg<()>>();
+    assert!(after.arena >= 16 * n * slot, "arena {}", after.arena);
+    // ...and the wheel's coarse slots held them, then let go.
+    assert!(after.wheel <= 4 << 20, "wheel {}", after.wheel);
+}
+
 #[test]
 fn static_build_hops_scale_logarithmically() {
     let mut results = Vec::new();

@@ -49,6 +49,10 @@ pub struct Row {
     pub table_rows: f64,
     /// Mean leaf-set members per node.
     pub leaf: f64,
+    /// Mean bytes of heap the table, leaf set and neighbourhood set
+    /// hold per node (`PastryState::heap_bytes`): the cost of the
+    /// entries counted to the left.
+    pub state_bytes: f64,
     /// The paper's bound `(2^b − 1)·⌈log_2^b N⌉ + 2l`.
     pub bound: f64,
 }
@@ -70,11 +74,13 @@ pub fn run(p: &Params) -> Result {
         let mut entries = 0usize;
         let mut trows = 0usize;
         let mut leaf = 0usize;
+        let mut bytes = 0usize;
         for a in 0..n {
             let st = &sim.engine.node(a).state;
             entries += st.table.populated();
             trows += st.table.populated_rows();
             leaf += st.leaf.len();
+            bytes += st.heap_bytes();
         }
         let levels = (n as f64).log(p.cfg.cols() as f64).ceil();
         rows.push(Row {
@@ -82,6 +88,7 @@ pub fn run(p: &Params) -> Result {
             table_entries: entries as f64 / n as f64,
             table_rows: trows as f64 / n as f64,
             leaf: leaf as f64 / n as f64,
+            state_bytes: bytes as f64 / n as f64,
             bound: (p.cfg.cols() as f64 - 1.0) * levels + 2.0 * (p.cfg.leaf_len as f64 / 2.0),
         });
     }
@@ -96,7 +103,14 @@ impl Result {
     pub fn table(&self) -> ExpTable {
         let mut t = ExpTable::new(
             format!("E2: per-node state (l={})", self.leaf_len),
-            &["N", "table entries", "table rows", "leaf", "paper bound"],
+            &[
+                "N",
+                "table entries",
+                "table rows",
+                "leaf",
+                "paper bound",
+                "state bytes",
+            ],
         );
         for r in &self.rows {
             t.row(vec![
@@ -105,9 +119,11 @@ impl Result {
                 f2(r.table_rows),
                 f2(r.leaf),
                 f2(r.bound),
+                f2(r.state_bytes),
             ]);
         }
         t.note("paper: (2^b - 1) * ceil(log_2^b N) + 2l entries");
+        t.note("state bytes: heap held by table + leaf set + neighbourhood set, per node");
         t
     }
 }
@@ -132,6 +148,14 @@ mod tests {
                 row.bound
             );
             assert_eq!(row.leaf, p.cfg.leaf_len as f64, "leaf sets full");
+            // 24 bytes a table or neighbourhood entry, 32 a leaf handle,
+            // and whole rows of 16: under 3 KB at these sizes.
+            assert!(
+                (1_000.0..3_000.0).contains(&row.state_bytes),
+                "n={}: {} B of routing state",
+                row.n,
+                row.state_bytes
+            );
         }
         // 16x nodes adds about one routing-table row, not 16x entries.
         let ratio = r.rows[1].table_entries / r.rows[0].table_entries;

@@ -66,6 +66,13 @@ cargo run --release --offline -q --manifest-path pastbench/Cargo.toml -- --smoke
 echo "== codec conformance, release profile (round-trip, goldens, fuzz: total + canonical)"
 cargo test --offline -q --release -p past --test wire
 
+# The packed routing state narrows 8-byte wire addresses to 4 and µs
+# proximities to u32: the hostile-address, saturation and column-bound
+# tests (and the differential tests against the old representation)
+# must hold where overflow checks are off, too.
+echo "== packed routing state, release profile (hostile addresses, saturation, differential)"
+cargo test --offline -q --release -p past-pastry --lib --test sansio
+
 echo "== bench smoke (binaries run and emit valid BENCH_*.json)"
 ./target/release/bench_micro --smoke --out target/BENCH_micro.smoke.json
 ./target/release/bench_macro --smoke --out target/BENCH_macro.smoke.json \
@@ -76,7 +83,14 @@ grep -q '"schema": "past-bench/v1"' target/BENCH_micro.smoke.json
 # a rename must not drop them silently.
 grep -q '"name": "crypto/schnorr/keygen"' target/BENCH_micro.smoke.json
 grep -q '"name": "crypto/modmath/pow_g"' target/BENCH_micro.smoke.json
+# Likewise the rows the memory work is read against.
+grep -q '"name": "pastry/table/consider_remove"' target/BENCH_micro.smoke.json
+grep -q '"name": "netsim/wheel/burst_drain_1m"' target/BENCH_micro.smoke.json
 grep -q '"schema": "past-bench/v1"' target/BENCH_macro.smoke.json
+for row in node_inline node_heap arena wheel per_node_columns gauged rss; do
+  grep -q "\"bytes_per_node\": {[^}]*\"$row\":" target/BENCH_macro.smoke.json
+done
+grep -q '"peak_rss_kb":' target/BENCH_macro.smoke.json
 grep -q '"schema": "past-bench/v1"' target/BENCH_loss.smoke.json
 grep -q '"schema": "past-series/v1"' target/BENCH_series.json
 
@@ -87,9 +101,23 @@ grep -q '"schema": "past-series/v1"' target/BENCH_series.json
 # counters are identical — shard-count independence at 100k-node scale
 # on every CI run. The JSON (with the 1-shard churn
 # reference and speedup) is archived in target/.
-echo "== bench macro 100k sharded scale gate (budget ${BENCH_MACRO_BUDGET_S:-120}s)"
+#
+# Beside the wall clock, a memory budget: the measured run's peak
+# resident set (read before the in-process reference run starts) was
+# 778-804 MB when the budget was set and 1 470 MB the commit before
+# (64-byte table slots, a wheel that kept every burst buffer); the
+# budget is the former plus a quarter, so losing half of that gain
+# fails the gate.
+rss_budget_kb=985000
+echo "== bench macro 100k sharded scale gate (budget ${BENCH_MACRO_BUDGET_S:-120}s, ${rss_budget_kb} kB)"
 timeout "${BENCH_MACRO_BUDGET_S:-120}" \
   ./target/release/bench_macro --nodes 100000 --smoke --shards 4 --out target/BENCH_macro.100k.json
 grep -q '"schema": "past-bench/v1"' target/BENCH_macro.100k.json
+peak_rss_kb=$(grep -o '"peak_rss_kb": [0-9]*' target/BENCH_macro.100k.json | grep -o '[0-9]*$')
+if [ "$peak_rss_kb" -gt "$rss_budget_kb" ]; then
+  echo "100k scale gate: peak RSS ${peak_rss_kb} kB exceeds the ${rss_budget_kb} kB budget"
+  exit 1
+fi
+echo "100k scale gate: peak RSS ${peak_rss_kb} kB"
 
 echo "tier-1: all green"

@@ -30,7 +30,7 @@ use past::crypto::rng::Rng;
 use past::crypto::u256::U256;
 use past::crypto::{Digest160, Digest256, PublicKey, Signature};
 use past::netsim::{Message, OpId};
-use past::pastry::{Id, NodeHandle, PastryMsg, RouteEnvelope};
+use past::pastry::{Id, JoinReply, JoinRequest, NodeHandle, PastryMsg, RouteEnvelope};
 use past::wire::{DecodeError, Wire, WIRE_VERSION};
 
 // ---------------------------------------------------------- fixtures
@@ -138,18 +138,18 @@ fn pastry_samples(rng: &mut Rng) -> Vec<PastryMsg<u64>> {
             hops: rng.random_range(0..8) as u32,
             path_us: rng.random(),
         }),
-        PastryMsg::JoinRequest {
+        PastryMsg::JoinRequest(Box::new(JoinRequest {
             joiner: handle(rng),
             rows: handles(rng, 5),
             rows_done: rng.random_range(0..32) as usize,
             hops: rng.random_range(0..8) as u32,
-        },
-        PastryMsg::JoinReply {
+        })),
+        PastryMsg::JoinReply(Box::new(JoinReply {
             z: handle(rng),
             rows: handles(rng, 4),
             leaf: handles(rng, 3),
             hops: rng.random_range(0..8) as u32,
-        },
+        })),
         PastryMsg::NeighborhoodRequest,
         PastryMsg::NeighborhoodReply {
             members: handles(rng, 3),
@@ -515,18 +515,18 @@ fn corpus(rng: &mut Rng) -> Vec<Frame> {
     }
     // Pastry maintenance frames, with the PAST payload type plugged in.
     let maint: Vec<PastryMsg<PastMsg>> = vec![
-        PastryMsg::JoinRequest {
+        PastryMsg::JoinRequest(Box::new(JoinRequest {
             joiner: handle(rng),
             rows: handles(rng, 6),
             rows_done: 3,
             hops: 2,
-        },
-        PastryMsg::JoinReply {
+        })),
+        PastryMsg::JoinReply(Box::new(JoinReply {
             z: handle(rng),
             rows: handles(rng, 6),
             leaf: handles(rng, 4),
             hops: 3,
-        },
+        })),
         PastryMsg::NeighborhoodRequest,
         PastryMsg::NeighborhoodReply {
             members: handles(rng, 4),
