@@ -4,8 +4,8 @@
 //!   bench framework, so `cargo bench` needs no registry access).
 //! - `benches/paper_tables.rs` regenerates every experiment table
 //!   (E1–E13) at bench scale; run with `cargo bench -p past-bench`.
-//! - `benches/micro.rs` holds microbenchmarks of the hot primitives
-//!   (hashing, signatures, routing steps, cache ops).
+//! - `src/bin/bench_micro.rs` times the hot primitives (hashing,
+//!   signatures, routing steps, cache ops) into `BENCH_micro.json`.
 //! - `src/bin/exp.rs` runs individual experiments at paper scale
 //!   (`exp e7`, `exp all`).
 

@@ -14,7 +14,7 @@
 //! credential ([`CardCert`]), so any node can verify the chain
 //! broker → card → certificate offline.
 
-use crate::fileid::FileId;
+use crate::fileid::{ContentRef, FileId};
 use past_crypto::{Digest256, PublicKey, Signature};
 
 /// A smartcard credential: the card's public key signed by its broker.
@@ -90,6 +90,14 @@ impl FileCertificate {
         m.extend_from_slice(&salt.to_be_bytes());
         m.extend_from_slice(&inserted_at.to_be_bytes());
         m
+    }
+
+    /// The content this certificate commits to.
+    pub fn content(&self) -> ContentRef {
+        ContentRef {
+            hash: self.content_hash,
+            size: self.size,
+        }
     }
 
     /// Verifies the full chain: broker → owner card → certificate.

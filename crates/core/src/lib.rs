@@ -9,7 +9,8 @@
 //!   [`broker`]) enforcing quotas and authenticity end to end,
 //! - k-fold replication on the k nodes with numerically closest nodeIds,
 //!   with replica diversion, file diversion, and automatic replica
-//!   restoration under churn ([`node`], [`storage`]),
+//!   restoration under churn ([`node`], [`client`], `holder`,
+//!   [`storage`]),
 //! - caching of popular files along lookup/insert routes with
 //!   GreedyDual-Size eviction ([`cache`]), and
 //! - random storage audits exposing cheating nodes ([`fileid::audit_proof`],
@@ -21,7 +22,9 @@
 pub mod broker;
 pub mod cache;
 pub mod cert;
+pub mod client;
 pub mod fileid;
+mod holder;
 pub mod msg;
 pub mod network;
 pub mod node;
@@ -31,11 +34,12 @@ pub mod wire;
 
 pub use broker::Broker;
 pub use cert::{CardCert, FileCertificate, ReclaimCertificate, ReclaimReceipt, StoreReceipt};
+pub use client::Request;
 pub use fileid::{audit_proof, ContentRef, FileId};
 pub use msg::{NackReason, PastMsg};
 pub use network::{
     BuildMode, CardSnapshot, FileSnapshot, PastEvent, PastNetwork, PastSnapshot, StoreSnapshot,
 };
-pub use node::{PastApp, PastConfig, PastOut, RetryOp};
+pub use node::{PastApp, PastConfig, PastOut};
 pub use smartcard::{CardError, Smartcard};
 pub use storage::{ReplicaKind, Store, StoredFile};

@@ -7,11 +7,12 @@
 //! and whole-system accounting.
 
 use crate::broker::Broker;
+use crate::client::Request;
 use crate::fileid::{ContentRef, FileId};
 use crate::msg::PastMsg;
-use crate::node::{PastApp, PastConfig, PastOut, RetryOp};
+use crate::node::{PastApp, PastConfig, PastOut};
 use crate::smartcard::CardError;
-use crate::storage::ReplicaKind;
+use crate::storage::{ReplicaKind, Store};
 use past_crypto::Digest256;
 use past_netsim::{Addr, OpId, ShardConfig, SimTime, Topology, WindowTooWide};
 use past_pastry::{
@@ -201,16 +202,24 @@ impl<T: Topology> PastNetwork<T> {
         self.past_cfg
     }
 
-    /// Arms a client-side retransmission timer for `op` when the retry
-    /// layer is configured (no-op otherwise).
-    fn arm_request_timer(&mut self, client: Addr, op: RetryOp) {
-        let Some(delay) = self.past_cfg.request_timeout_us else {
-            return;
-        };
-        let token = self.sim.engine.node_mut(client).app.register_retry(op);
+    /// The one submission path of the three client operations: registers
+    /// `req` at `client`, opens its trace span over `fanout` replicas, arms
+    /// its timer (under the retry layer) and routes its frame toward the
+    /// fileId.
+    fn submit(&mut self, client: Addr, req: Request, fanout: u32) {
+        let now = self.sim.engine.now().as_micros();
+        let (op, kind, rid) = (req.op, req.kind().name(), req.file_id.routing_id());
+        let (frame, timer) = self.sim.engine.node_mut(client).app.begin(client, req);
         self.sim
             .engine
-            .arm_timer(client, delay, APP_TIMER_BASE + token);
+            .tracer_mut()
+            .op_start(now, op, client, kind, rid.0, fanout);
+        if let Some((token, delay)) = timer {
+            self.sim
+                .engine
+                .arm_timer(client, delay, APP_TIMER_BASE + token);
+        }
+        self.sim.route(client, rid, frame);
     }
 
     /// Client operation: insert a file with replication `k`.
@@ -226,31 +235,9 @@ impl<T: Topology> PastNetwork<T> {
     ) -> Result<u64, CardError> {
         let now = self.sim.engine.now().as_micros();
         let op = self.alloc_op();
-        let (request_id, cert) = self
-            .sim
-            .engine
-            .node_mut(client)
-            .app
-            .begin_insert(name, content, k, now, op)?;
-        self.sim.engine.tracer_mut().op_start(
-            now,
-            op,
-            client,
-            "insert",
-            cert.file_id.routing_id().0,
-            u32::from(k),
-        );
-        self.arm_request_timer(client, RetryOp::Insert(cert.file_id));
-        self.sim.route(
-            client,
-            cert.file_id.routing_id(),
-            PastMsg::Insert {
-                cert,
-                content,
-                client,
-                op,
-            },
-        );
+        let app = &mut self.sim.engine.node_mut(client).app;
+        let (request_id, req) = app.insert_request(name, content, k, now, op)?;
+        self.submit(client, req, u32::from(k));
         Ok(request_id)
     }
 
@@ -258,53 +245,19 @@ impl<T: Topology> PastNetwork<T> {
     pub fn lookup(&mut self, client: Addr, file_id: FileId) {
         let now = self.sim.engine.now().as_micros();
         let op = self.alloc_op();
-        self.sim
-            .engine
-            .node_mut(client)
-            .app
-            .begin_lookup(file_id, now, op);
-        self.sim
-            .engine
-            .tracer_mut()
-            .op_start(now, op, client, "lookup", file_id.routing_id().0, 1);
-        self.arm_request_timer(client, RetryOp::Lookup(file_id));
-        self.sim.route(
-            client,
-            file_id.routing_id(),
-            PastMsg::Lookup {
-                file_id,
-                client,
-                path: Vec::new(),
-                redirected: false,
-                op,
-            },
-        );
+        self.submit(client, Request::lookup(file_id, now, op), 1);
     }
 
     /// Client operation: reclaim a file's storage.
     pub fn reclaim(&mut self, client: Addr, file_id: FileId) {
-        let now = self.sim.engine.now().as_micros();
         let op = self.alloc_op();
-        let rcert = self
+        let req = self
             .sim
             .engine
-            .node_mut(client)
+            .node(client)
             .app
-            .begin_reclaim(file_id, op);
-        self.sim.engine.tracer_mut().op_start(
-            now,
-            op,
-            client,
-            "reclaim",
-            file_id.routing_id().0,
-            1,
-        );
-        self.arm_request_timer(client, RetryOp::Reclaim(file_id));
-        self.sim.route(
-            client,
-            file_id.routing_id(),
-            PastMsg::Reclaim { rcert, client, op },
-        );
+            .reclaim_request(file_id, op);
+        self.submit(client, req, 1);
     }
 
     /// Audits `target`'s possession of `file_id` (challenge–response).
@@ -462,27 +415,21 @@ impl<T: Topology> PastNetwork<T> {
         }
     }
 
+    /// Live nodes whose store satisfies `pred`.
+    fn nodes_where(&self, pred: impl Fn(&Store) -> bool) -> Vec<Addr> {
+        let mut nodes = self.sim.engine.live_addrs();
+        nodes.retain(|&a| pred(&self.sim.engine.node(a).app.store));
+        nodes
+    }
+
     /// Live nodes currently holding a replica of `file_id` (ground truth
     /// for tests; not a protocol operation).
     pub fn replica_holders(&self, file_id: &FileId) -> Vec<Addr> {
-        self.sim
-            .engine
-            .live_addrs()
-            .into_iter()
-            .filter(|&a| self.sim.engine.node(a).app.store.get(file_id).is_some())
-            .collect()
+        self.nodes_where(|st| st.get(file_id).is_some())
     }
 
     /// Live nodes holding `file_id` in cache only.
     pub fn cache_holders(&self, file_id: &FileId) -> Vec<Addr> {
-        self.sim
-            .engine
-            .live_addrs()
-            .into_iter()
-            .filter(|&a| {
-                let st = &self.sim.engine.node(a).app.store;
-                st.get(file_id).is_none() && st.cache.contains(file_id)
-            })
-            .collect()
+        self.nodes_where(|st| st.get(file_id).is_none() && st.cache.contains(file_id))
     }
 }

@@ -125,6 +125,23 @@ fn lookup_returns_file_and_verifies_certificate() {
 }
 
 #[test]
+fn concurrent_lookups_of_one_file_by_one_client_each_complete() {
+    let mut net = build(40, 2, 100 * MB, 1_000 * MB, PastConfig::default());
+    let content = ContentRef::synthetic(1, "file-a", MB);
+    net.insert(0, "file-a", content, 3).unwrap();
+    let fid = insert_ok(&net.run())[0].1;
+
+    net.lookup(5, fid);
+    net.lookup(5, fid);
+    let events = net.run();
+    let completed = events
+        .iter()
+        .filter(|(_, _, e)| matches!(e, PastOut::LookupOk { .. }))
+        .count();
+    assert_eq!(completed, 2, "two lookups started: {events:?}");
+}
+
+#[test]
 fn lookup_of_absent_file_fails_cleanly() {
     let mut net = build(30, 3, 100 * MB, 1_000 * MB, PastConfig::default());
     let ghost = FileId::derive(

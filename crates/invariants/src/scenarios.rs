@@ -422,10 +422,20 @@ fn drive_lossy_churn(
             });
         }
     }
+    LossyChurnRun {
+        violations,
+        digest: run_digest(net, &events),
+        tracer: net.sim.engine.take_tracer(),
+    }
+}
+
+/// Every non-trace observable of a finished run folded into one line
+/// (see [`LossyChurnRun::digest`]).
+fn run_digest(net: &PastNetwork<Sphere>, events: &[past_core::PastEvent]) -> String {
     let engine = &net.sim.engine;
     let io: Vec<_> = (0..engine.len()).map(|a| engine.node_io(a)).collect();
     let hash = |dump: String| past_trace::fnv1a(dump.as_bytes());
-    let digest = format!(
+    format!(
         "snapshot={} stats={:?} io={} events={}/{} engine_fp={} now_us={}",
         hash(format!("{:?}", net.snapshot())),
         engine.stats,
@@ -434,11 +444,87 @@ fn drive_lossy_churn(
         hash(format!("{events:?}")),
         engine.fingerprint(),
         engine.now().as_micros(),
-    );
+    )
+}
+
+/// Scenario 4b — diversion, retry layer off: 30 small disks filled past
+/// `t_pri` over a lossless network, so inserts are placed by replica
+/// diversion, re-salted by file diversion and finally refused; then
+/// lookups and reclaims of what got in. The golden run of the PAST layer
+/// without timers: it reports (as "OP" violations) if it ever stops
+/// exercising a diverted replica, a multi-attempt `InsertOk` or an
+/// `InsertFailed`.
+pub fn diversion_traced(seed: u64, trace: TraceConfig) -> LossyChurnRun {
+    let cfg = PastConfig {
+        t_pri: 0.6,
+        t_div: 0.55,
+        ..PastConfig::default()
+    };
+    let (mut net, _) = build_net(30, 30, seed, 12 * MB, 10_000 * MB, cfg, None);
+    let mut violations = Vec::new();
+    net.sim.engine.set_tracing(trace);
+    if trace.any() {
+        net.sim.engine.set_series(SeriesConfig::new(1_000_000));
+    }
+    let mut events = net.run();
+
+    let mut rng = Rng::seed_from_u64(seed ^ 5);
+    let mut inserted = Vec::new();
+    let (mut resalted, mut refused) = (false, false);
+    for i in 0..60u64 {
+        let name = format!("fill-{i}");
+        let content = ContentRef::synthetic((seed ^ 6) as usize, &name, (2 + i % 4) * MB);
+        let client = rng.random_range(0..30);
+        if net.insert(client, &name, content, 3).is_err() {
+            continue;
+        }
+        let batch = net.run();
+        for (_, _, e) in &batch {
+            match e {
+                PastOut::InsertOk {
+                    file_id, attempts, ..
+                } => {
+                    inserted.push((client, *file_id));
+                    resalted |= *attempts > 1;
+                }
+                PastOut::InsertFailed { .. } => refused = true,
+                _ => {}
+            }
+        }
+        events.extend(batch);
+    }
+    check_at("diversion: after fill", &net, &mut violations);
+    let diverted = net
+        .snapshot()
+        .stores
+        .iter()
+        .any(|s| s.files.iter().any(|f| f.diverted));
+    for (seen, what) in [
+        (diverted, "a diverted replica"),
+        (resalted, "an InsertOk after a re-salt"),
+        (refused, "an InsertFailed"),
+    ] {
+        if !seen {
+            violations.push(Violation {
+                invariant: "OP",
+                addr: None,
+                detail: format!("[diversion] the fill never produced {what}"),
+            });
+        }
+    }
+
+    for (i, (client, fid)) in inserted.iter().enumerate() {
+        net.lookup((i * 7) % 30, *fid);
+        if i % 2 == 0 {
+            net.reclaim(*client, *fid);
+        }
+        events.extend(net.run());
+    }
+    check_at("diversion: after reclaims", &net, &mut violations);
     LossyChurnRun {
         violations,
+        digest: run_digest(&net, &events),
         tracer: net.sim.engine.take_tracer(),
-        digest,
     }
 }
 

@@ -178,29 +178,21 @@ pub fn run(p: &Params) -> Result {
             let name = format!("forged-{i}");
             let content = ContentRef::synthetic(3, &name, 1 << 16);
             let now = net.sim.engine.now().as_micros();
-            let (_, mut cert) = net
-                .sim
-                .engine
-                .node_mut(3)
-                .app
-                .begin_insert(&name, content, 3, now, past_netsim::OpId::NONE)
+            let app = &mut net.sim.engine.node_mut(3).app;
+            let (_, req) = app
+                .insert_request(&name, content, 3, now, past_netsim::OpId::NONE)
                 .expect("quota");
+            let (mut frame, _) = app.begin(3, req);
             // Forge: point the fileId at an arbitrary target region.
+            let PastMsg::Insert { cert, .. } = &mut frame else {
+                unreachable!("an insert request transmits an Insert frame");
+            };
             let mut raw = *cert.file_id.as_bytes();
             raw[0] ^= 0x55;
             raw[1] ^= 0xaa;
             cert.file_id = past_core::FileId(past_crypto::Digest160(raw));
             let fid = cert.file_id;
-            net.sim.route(
-                3,
-                fid.routing_id(),
-                PastMsg::Insert {
-                    cert,
-                    content,
-                    client: 3,
-                    op: past_netsim::OpId::NONE,
-                },
-            );
+            net.sim.route(3, fid.routing_id(), frame);
             net.run();
             attempted += 1;
             if net.replica_holders(&fid).is_empty() {

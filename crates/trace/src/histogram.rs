@@ -1,0 +1,174 @@
+//! Fixed-bucket integer histograms with exact rank-based percentiles.
+
+use crate::json;
+
+/// A fixed-bucket integer histogram with a saturating last bucket.
+///
+/// Values land in bucket `min(v / width, n - 1)`; the final bucket
+/// absorbs everything at or above `width * (n - 1)`. Percentiles are
+/// rank-based — [`Histogram::percentile`] returns the lower bound of
+/// the bucket containing the `⌈p/100 · count⌉`-th smallest sample,
+/// which is *exact* for width-1 histograms.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Histogram {
+    width: u64,
+    buckets: Vec<u64>,
+    count: u64,
+}
+
+impl Default for Histogram {
+    fn default() -> Histogram {
+        Histogram::new(1, 1)
+    }
+}
+
+impl Histogram {
+    /// A histogram of `nbuckets` buckets of `width` each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` or `nbuckets` is zero.
+    pub fn new(width: u64, nbuckets: usize) -> Histogram {
+        assert!(width > 0, "bucket width must be positive");
+        assert!(nbuckets > 0, "need at least one bucket");
+        Histogram {
+            width,
+            buckets: vec![0; nbuckets],
+            count: 0,
+        }
+    }
+
+    /// Records one sample.
+    pub fn record(&mut self, v: u64) {
+        let i = ((v / self.width) as usize).min(self.buckets.len() - 1);
+        self.buckets[i] += 1;
+        self.count += 1;
+    }
+
+    /// Number of samples recorded.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Bucket width.
+    pub fn width(&self) -> u64 {
+        self.width
+    }
+
+    /// Raw bucket counts (last bucket saturates).
+    pub fn buckets(&self) -> &[u64] {
+        &self.buckets
+    }
+
+    /// True if any sample landed in the saturating last bucket, i.e.
+    /// reported upper percentiles may be clipped.
+    pub fn saturated(&self) -> bool {
+        self.buckets.last().is_some_and(|&c| c > 0)
+    }
+
+    /// Lower bound of the bucket holding the `⌈p/100 · count⌉`-th
+    /// smallest sample (`p` in `1..=100`); `None` on an empty
+    /// histogram.
+    pub fn percentile(&self, p: u32) -> Option<u64> {
+        if self.count == 0 {
+            return None;
+        }
+        // Rank in u128: `count * p` overflows u64 once count exceeds
+        // u64::MAX / 100, which a long-lived aggregated histogram can
+        // legitimately reach.
+        let p = u128::from(p.clamp(1, 100));
+        let rank = (u128::from(self.count) * p).div_ceil(100).max(1);
+        let mut cum = 0u128;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            cum += u128::from(c);
+            if cum >= rank {
+                return Some(i as u64 * self.width);
+            }
+        }
+        Some((self.buckets.len() as u64 - 1) * self.width)
+    }
+
+    /// Folds another histogram into this one (summing buckets).
+    ///
+    /// Shape mismatches (different bucket width or count) are a
+    /// caller bug — mixing scales would silently corrupt every
+    /// percentile — so they surface as a typed [`ShapeMismatch`]
+    /// error instead of blending; `self` is left untouched on error.
+    pub fn merge(&mut self, other: &Histogram) -> Result<(), ShapeMismatch> {
+        if self.width != other.width || self.buckets.len() != other.buckets.len() {
+            return Err(ShapeMismatch {
+                expected: (self.width, self.buckets.len()),
+                got: (other.width, other.buckets.len()),
+            });
+        }
+        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        Ok(())
+    }
+
+    pub(crate) fn to_json(&self) -> String {
+        let (p50, p95, p99) = (
+            self.percentile(50).unwrap_or(0),
+            self.percentile(95).unwrap_or(0),
+            self.percentile(99).unwrap_or(0),
+        );
+        json::Obj::new()
+            .int("width", self.width)
+            .int("count", self.count)
+            .int("p50", p50)
+            .int("p95", p95)
+            .int("p99", p99)
+            // Clipped upper percentiles are invisible in the numbers
+            // alone; readers must be able to see the last bucket
+            // saturated without re-deriving it from `buckets`.
+            .bool("saturated", self.saturated())
+            .raw(
+                "buckets",
+                &json::array(self.buckets.iter().map(|c| c.to_string())),
+            )
+            .build()
+    }
+}
+
+/// Two histograms with different bucket geometry were asked to merge
+/// (see [`Histogram::merge`]). Shapes are `(bucket_width, buckets)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ShapeMismatch {
+    /// Shape of the receiving histogram.
+    pub expected: (u64, usize),
+    /// Shape of the histogram being merged in.
+    pub got: (u64, usize),
+}
+
+impl std::fmt::Display for ShapeMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "cannot merge histograms with different shapes: \
+             width {} x {} buckets vs width {} x {} buckets",
+            self.expected.0, self.expected.1, self.got.0, self.got.1
+        )
+    }
+}
+
+impl std::error::Error for ShapeMismatch {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn percentile_rank_survives_huge_counts() {
+        // A count near u64::MAX used to overflow `count * p` and
+        // panic (debug) or mis-rank (release); rank math is u128 now.
+        let mut h = Histogram::new(1, 4);
+        h.buckets = vec![u64::MAX / 2, u64::MAX / 2 - 2, 2, 1];
+        h.count = u64::MAX;
+        // rank(50) = 2^63, one past the first bucket's 2^63 - 1.
+        assert_eq!(h.percentile(50), Some(1));
+        assert_eq!(h.percentile(99), Some(1));
+        assert_eq!(h.percentile(100), Some(3));
+    }
+}

@@ -9,10 +9,9 @@
 //!   phases, suspicion, operation lifecycle) stamped with **simulated
 //!   time** — never wall clock — and a causal [`OpId`] so one client
 //!   insert can be reconstructed hop by hop across nodes;
-//! - a [`Metrics`] registry: per-message-kind and per-node counters,
-//!   gauges, and fixed-bucket integer [`Histogram`]s (route latency,
-//!   hop count, retry count) with exact rank-based percentile
-//!   extraction;
+//! - a [`Metrics`] registry: per-message-kind counters and
+//!   fixed-bucket integer [`Histogram`]s (route latency, hop count,
+//!   retry count) with exact rank-based percentile extraction;
 //! - the analyzer ([`analyze`] + the `tracecheck` binary) that rebuilds
 //!   per-operation timelines from a JSONL trace and reports stuck
 //!   operations, replica fan-out vs. `k`, and the hop distribution vs.
@@ -27,11 +26,13 @@
 //! an untraced run.
 
 pub mod analyze;
+mod histogram;
 pub mod json;
+mod metrics;
 pub mod timeseries;
 
-use std::collections::BTreeMap;
-
+pub use histogram::{Histogram, ShapeMismatch};
+pub use metrics::Metrics;
 pub use timeseries::{SeriesConfig, TimeSeries};
 
 /// A causal operation identifier threaded through message envelopes.
@@ -263,353 +264,6 @@ pub struct TraceRecord {
     pub ev: TraceEvent,
 }
 
-/// A fixed-bucket integer histogram with a saturating last bucket.
-///
-/// Values land in bucket `min(v / width, n - 1)`; the final bucket
-/// absorbs everything at or above `width * (n - 1)`. Percentiles are
-/// rank-based — [`Histogram::percentile`] returns the lower bound of
-/// the bucket containing the `⌈p/100 · count⌉`-th smallest sample,
-/// which is *exact* for width-1 histograms.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Histogram {
-    width: u64,
-    buckets: Vec<u64>,
-    count: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram::new(1, 1)
-    }
-}
-
-impl Histogram {
-    /// A histogram of `nbuckets` buckets of `width` each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` or `nbuckets` is zero.
-    pub fn new(width: u64, nbuckets: usize) -> Histogram {
-        assert!(width > 0, "bucket width must be positive");
-        assert!(nbuckets > 0, "need at least one bucket");
-        Histogram {
-            width,
-            buckets: vec![0; nbuckets],
-            count: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
-        let i = ((v / self.width) as usize).min(self.buckets.len() - 1);
-        self.buckets[i] += 1;
-        self.count += 1;
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Bucket width.
-    pub fn width(&self) -> u64 {
-        self.width
-    }
-
-    /// Raw bucket counts (last bucket saturates).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// True if any sample landed in the saturating last bucket, i.e.
-    /// reported upper percentiles may be clipped.
-    pub fn saturated(&self) -> bool {
-        self.buckets.last().is_some_and(|&c| c > 0)
-    }
-
-    /// Lower bound of the bucket holding the `⌈p/100 · count⌉`-th
-    /// smallest sample (`p` in `1..=100`); `None` on an empty
-    /// histogram.
-    pub fn percentile(&self, p: u32) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        // Rank in u128: `count * p` overflows u64 once count exceeds
-        // u64::MAX / 100, which a long-lived aggregated histogram can
-        // legitimately reach.
-        let p = u128::from(p.clamp(1, 100));
-        let rank = (u128::from(self.count) * p).div_ceil(100).max(1);
-        let mut cum = 0u128;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            cum += u128::from(c);
-            if cum >= rank {
-                return Some(i as u64 * self.width);
-            }
-        }
-        Some((self.buckets.len() as u64 - 1) * self.width)
-    }
-
-    /// Folds another histogram into this one (summing buckets).
-    ///
-    /// Shape mismatches (different bucket width or count) are a
-    /// caller bug — mixing scales would silently corrupt every
-    /// percentile — so they surface as a typed [`ShapeMismatch`]
-    /// error instead of blending; `self` is left untouched on error.
-    pub fn merge(&mut self, other: &Histogram) -> Result<(), ShapeMismatch> {
-        if self.width != other.width || self.buckets.len() != other.buckets.len() {
-            return Err(ShapeMismatch {
-                expected: (self.width, self.buckets.len()),
-                got: (other.width, other.buckets.len()),
-            });
-        }
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        Ok(())
-    }
-
-    fn to_json(&self) -> String {
-        let (p50, p95, p99) = (
-            self.percentile(50).unwrap_or(0),
-            self.percentile(95).unwrap_or(0),
-            self.percentile(99).unwrap_or(0),
-        );
-        json::Obj::new()
-            .int("width", self.width)
-            .int("count", self.count)
-            .int("p50", p50)
-            .int("p95", p95)
-            .int("p99", p99)
-            // Clipped upper percentiles are invisible in the numbers
-            // alone; readers must be able to see the last bucket
-            // saturated without re-deriving it from `buckets`.
-            .bool("saturated", self.saturated())
-            .raw(
-                "buckets",
-                &json::array(self.buckets.iter().map(|c| c.to_string())),
-            )
-            .build()
-    }
-}
-
-/// Two histograms with different bucket geometry were asked to merge
-/// (see [`Histogram::merge`]). Shapes are `(bucket_width, buckets)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShapeMismatch {
-    /// Shape of the receiving histogram.
-    pub expected: (u64, usize),
-    /// Shape of the histogram being merged in.
-    pub got: (u64, usize),
-}
-
-impl std::fmt::Display for ShapeMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cannot merge histograms with different shapes: \
-             width {} x {} buckets vs width {} x {} buckets",
-            self.expected.0, self.expected.1, self.got.0, self.got.1
-        )
-    }
-}
-
-impl std::error::Error for ShapeMismatch {}
-
-/// Per-node traffic counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NodeCounters {
-    /// Messages sent by this node.
-    pub sent: u64,
-    /// Messages received by this node.
-    pub recv: u64,
-}
-
-/// The metrics registry: per-kind and per-node counters, named gauges,
-/// and the standard latency/hop/retry histograms. Updated by the
-/// [`Tracer`] when [`TraceConfig::metrics`] is on.
-#[derive(Clone, Debug, Default)]
-pub struct Metrics {
-    kinds: &'static [&'static str],
-    sent_by_kind: Vec<u64>,
-    recv_by_kind: Vec<u64>,
-    dropped_by_kind: Vec<u64>,
-    duplicated_by_kind: Vec<u64>,
-    failed_by_kind: Vec<u64>,
-    per_node: BTreeMap<usize, NodeCounters>,
-    gauges: BTreeMap<(&'static str, usize), u64>,
-    /// Route path latency, 1 ms buckets up to 512 ms.
-    pub route_latency_us: Histogram,
-    /// Overlay hops per delivered route, width 1.
-    pub hop_count: Histogram,
-    /// Retransmission attempt numbers, width 1.
-    pub retry_count: Histogram,
-}
-
-impl Metrics {
-    fn for_kinds(kinds: &'static [&'static str]) -> Metrics {
-        Metrics {
-            kinds,
-            sent_by_kind: vec![0; kinds.len()],
-            recv_by_kind: vec![0; kinds.len()],
-            dropped_by_kind: vec![0; kinds.len()],
-            duplicated_by_kind: vec![0; kinds.len()],
-            failed_by_kind: vec![0; kinds.len()],
-            per_node: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            route_latency_us: Histogram::new(1_000, 512),
-            hop_count: Histogram::new(1, 32),
-            retry_count: Histogram::new(1, 16),
-        }
-    }
-
-    fn bump(v: &mut [u64], kind: usize) {
-        if let Some(c) = v.get_mut(kind) {
-            *c += 1;
-        }
-    }
-
-    /// `(kind, count)` pairs for one per-kind counter family, in
-    /// `Message::KINDS` order.
-    fn kind_pairs<'a>(&'a self, v: &'a [u64]) -> impl Iterator<Item = (&'static str, u64)> + 'a {
-        self.kinds.iter().copied().zip(v.iter().copied())
-    }
-
-    /// Messages sent per kind, in `Message::KINDS` order.
-    pub fn sent_by_kind(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.kind_pairs(&self.sent_by_kind)
-    }
-
-    /// Messages received per kind, in `Message::KINDS` order.
-    pub fn recv_by_kind(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.kind_pairs(&self.recv_by_kind)
-    }
-
-    /// Fault-injected drops per kind, in `Message::KINDS` order.
-    pub fn dropped_by_kind(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.kind_pairs(&self.dropped_by_kind)
-    }
-
-    /// Fault-injected duplicates per kind, in `Message::KINDS` order.
-    pub fn duplicated_by_kind(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.kind_pairs(&self.duplicated_by_kind)
-    }
-
-    /// Dead-destination failures per kind, in `Message::KINDS` order.
-    pub fn failed_by_kind(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.kind_pairs(&self.failed_by_kind)
-    }
-
-    /// Per-node sent/received counters.
-    pub fn node_counters(&self) -> impl Iterator<Item = (usize, NodeCounters)> + '_ {
-        self.per_node.iter().map(|(&a, &c)| (a, c))
-    }
-
-    /// Folds another registry into this one: counters and histograms
-    /// sum, per-node counters add, and gauges combine under an explicit
-    /// **monotonic max** policy — the merged gauge is the maximum of
-    /// the two values. "Other wins" would make a merged gauge depend on
-    /// shard merge order; max is commutative and associative, so any
-    /// merge order yields the same registry. (Within one registry,
-    /// [`Metrics::set_gauge`] stays last-write-wins.) Per-node counter
-    /// keys are disjoint across shards, so the combination is
-    /// order-independent there too.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two registries count different kind tables.
-    pub fn merge(&mut self, other: &Metrics) {
-        assert!(
-            self.kinds == other.kinds,
-            "cannot merge metrics over different kind tables"
-        );
-        let sum = |mine: &mut Vec<u64>, theirs: &[u64]| {
-            for (m, t) in mine.iter_mut().zip(theirs.iter()) {
-                *m += t;
-            }
-        };
-        sum(&mut self.sent_by_kind, &other.sent_by_kind);
-        sum(&mut self.recv_by_kind, &other.recv_by_kind);
-        sum(&mut self.dropped_by_kind, &other.dropped_by_kind);
-        sum(&mut self.duplicated_by_kind, &other.duplicated_by_kind);
-        sum(&mut self.failed_by_kind, &other.failed_by_kind);
-        for (&node, c) in &other.per_node {
-            let mine = self.per_node.entry(node).or_default();
-            mine.sent += c.sent;
-            mine.recv += c.recv;
-        }
-        for (&key, &v) in &other.gauges {
-            let mine = self.gauges.entry(key).or_insert(0);
-            *mine = (*mine).max(v);
-        }
-        // The registry constructs every histogram with a fixed shape,
-        // so a mismatch here is unreachable.
-        self.route_latency_us
-            .merge(&other.route_latency_us)
-            .expect("registry histograms share shape by construction");
-        self.hop_count
-            .merge(&other.hop_count)
-            .expect("registry histograms share shape by construction");
-        self.retry_count
-            .merge(&other.retry_count)
-            .expect("registry histograms share shape by construction");
-    }
-
-    /// Sets a named per-node gauge to `value` (last write wins).
-    pub fn set_gauge(&mut self, name: &'static str, node: usize, value: u64) {
-        self.gauges.insert((name, node), value);
-    }
-
-    /// Reads a named per-node gauge.
-    pub fn gauge(&self, name: &'static str, node: usize) -> Option<u64> {
-        self.gauges.get(&(name, node)).copied()
-    }
-
-    /// Serializes the registry as one `past-trace/v1` JSON document.
-    pub fn to_json(&self) -> String {
-        let kind_obj = |v: &[u64]| {
-            let mut o = json::Obj::new();
-            for (k, c) in self.kind_pairs(v) {
-                if c > 0 {
-                    o = o.int(k, c);
-                }
-            }
-            o.build()
-        };
-        json::Obj::new()
-            .str("schema", "past-trace/v1")
-            .raw("sent_by_kind", &kind_obj(&self.sent_by_kind))
-            .raw("recv_by_kind", &kind_obj(&self.recv_by_kind))
-            .raw("dropped_by_kind", &kind_obj(&self.dropped_by_kind))
-            .raw("duplicated_by_kind", &kind_obj(&self.duplicated_by_kind))
-            .raw("failed_by_kind", &kind_obj(&self.failed_by_kind))
-            .raw(
-                "nodes",
-                &json::array(self.per_node.iter().map(|(&a, c)| {
-                    json::Obj::new()
-                        .int("node", a as u64)
-                        .int("sent", c.sent)
-                        .int("recv", c.recv)
-                        .build()
-                })),
-            )
-            .raw(
-                "gauges",
-                &json::array(self.gauges.iter().map(|(&(name, node), &v)| {
-                    json::Obj::new()
-                        .str("name", name)
-                        .int("node", node as u64)
-                        .int("value", v)
-                        .build()
-                })),
-            )
-            .raw("route_latency_us", &self.route_latency_us.to_json())
-            .raw("hop_count", &self.hop_count.to_json())
-            .raw("retry_count", &self.retry_count.to_json())
-            .build()
-    }
-}
-
 /// FNV-1a 64-bit hash (trace fingerprints).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -725,10 +379,6 @@ impl Tracer {
     /// A message was accounted and scheduled.
     #[inline]
     pub fn msg_send(&mut self, t: u64, op: OpId, from: usize, to: usize, kind: usize, bytes: u64) {
-        if self.cfg.metrics {
-            Metrics::bump(&mut self.metrics.sent_by_kind, kind);
-            self.metrics.per_node.entry(from).or_default().sent += 1;
-        }
         if let Some(s) = &mut self.series {
             s.bump(t, "sent", 1);
             s.bump(t, "sent_bytes", bytes);
@@ -756,7 +406,6 @@ impl Tracer {
     pub fn msg_recv(&mut self, t: u64, op: OpId, from: usize, to: usize, kind: usize) {
         if self.cfg.metrics {
             Metrics::bump(&mut self.metrics.recv_by_kind, kind);
-            self.metrics.per_node.entry(to).or_default().recv += 1;
         }
         if let Some(s) = &mut self.series {
             s.bump(t, "recv", 1);
@@ -1177,378 +826,4 @@ impl Tracer {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    const KINDS: &[&str] = &["ping", "pong"];
-
-    // -- histogram -----------------------------------------------------
-
-    #[test]
-    fn histogram_bucket_boundaries() {
-        let mut h = Histogram::new(10, 4);
-        // 0..=9 → bucket 0, 10..=19 → bucket 1, 29/30 straddle bucket 2/3,
-        // and everything ≥ 30 saturates into the last bucket.
-        for v in [0, 9, 10, 19, 20, 29, 30, 31, 1_000] {
-            h.record(v);
-        }
-        assert_eq!(h.buckets(), &[2, 2, 2, 3]);
-        assert_eq!(h.count(), 9);
-        assert!(h.saturated());
-    }
-
-    #[test]
-    fn percentile_on_empty_histogram_is_none() {
-        let h = Histogram::new(1, 8);
-        assert_eq!(h.percentile(50), None);
-        assert_eq!(h.percentile(99), None);
-        assert!(!h.saturated());
-    }
-
-    #[test]
-    fn percentile_on_single_element() {
-        let mut h = Histogram::new(1, 8);
-        h.record(5);
-        for p in [1, 50, 95, 99, 100] {
-            assert_eq!(h.percentile(p), Some(5));
-        }
-    }
-
-    #[test]
-    fn percentiles_are_exact_at_width_one() {
-        let mut h = Histogram::new(1, 101);
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        // Rank-based: p-th percentile of 1..=100 is exactly p.
-        assert_eq!(h.percentile(50), Some(50));
-        assert_eq!(h.percentile(95), Some(95));
-        assert_eq!(h.percentile(99), Some(99));
-        assert_eq!(h.percentile(100), Some(100));
-    }
-
-    #[test]
-    fn percentile_on_saturated_histogram_clips_to_last_bucket() {
-        let mut h = Histogram::new(10, 3);
-        for _ in 0..10 {
-            h.record(500); // all land in the saturating bucket at 20+
-        }
-        assert!(h.saturated());
-        assert_eq!(h.percentile(50), Some(20));
-        assert_eq!(h.percentile(99), Some(20));
-        assert!(h.to_json().contains("\"saturated\": true"));
-    }
-
-    #[test]
-    fn percentile_rank_survives_huge_counts() {
-        // A count near u64::MAX used to overflow `count * p` and
-        // panic (debug) or mis-rank (release); rank math is u128 now.
-        let mut h = Histogram::new(1, 4);
-        h.buckets = vec![u64::MAX / 2, u64::MAX / 2 - 2, 2, 1];
-        h.count = u64::MAX;
-        // rank(50) = 2^63, one past the first bucket's 2^63 - 1.
-        assert_eq!(h.percentile(50), Some(1));
-        assert_eq!(h.percentile(99), Some(1));
-        assert_eq!(h.percentile(100), Some(3));
-    }
-
-    #[test]
-    fn histogram_json_validates() {
-        let mut h = Histogram::new(2, 4);
-        h.record(0);
-        h.record(3);
-        h.record(5);
-        let doc = h.to_json();
-        json::validate(&doc).expect("histogram JSON must validate");
-        assert!(doc.contains("\"saturated\": false"));
-    }
-
-    // -- tracer gating -------------------------------------------------
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let mut t = Tracer::for_kinds(KINDS);
-        t.msg_send(1, OpId(1), 0, 1, 0, 64);
-        t.route_deliver(2, OpId(1), 1, 42, 3, 999);
-        t.op_start(3, OpId(1), 0, "insert", 42, 5);
-        assert!(t.records().is_empty());
-        assert_eq!(t.metrics.hop_count.count(), 0);
-        assert_eq!(t.to_jsonl(), "");
-    }
-
-    #[test]
-    fn class_filters_gate_independently() {
-        let mut t = Tracer::for_kinds(KINDS);
-        t.configure(TraceConfig::lifecycle());
-        t.msg_send(1, OpId::NONE, 0, 1, 0, 64); // messages: off
-        t.route_hop(2, OpId(7), 3, 42, 0, 1); // routes: on
-        t.op_start(3, OpId(7), 0, "insert", 42, 5); // ops: on
-        t.join_phase(4, 9, "start"); // overlay: off
-        assert_eq!(t.records().len(), 2);
-        assert_eq!(t.metrics.sent_by_kind().map(|(_, c)| c).sum::<u64>(), 0);
-    }
-
-    #[test]
-    fn op_events_with_no_op_id_are_skipped() {
-        let mut t = Tracer::for_kinds(KINDS);
-        t.configure(TraceConfig::full());
-        t.op_start(1, OpId::NONE, 0, "reclaim", 42, 0);
-        t.op_end(2, OpId::NONE, 0, "reclaim", true, 0);
-        t.replica_stored(3, OpId::NONE, 1, 42, false);
-        assert!(t.records().is_empty());
-    }
-
-    #[test]
-    fn metrics_only_counts_without_recording() {
-        let mut t = Tracer::for_kinds(KINDS);
-        t.configure(TraceConfig::metrics_only());
-        t.msg_send(1, OpId::NONE, 0, 1, 0, 64);
-        t.msg_send(2, OpId::NONE, 0, 1, 1, 32);
-        t.msg_recv(3, OpId::NONE, 0, 1, 0);
-        t.msg_drop(4, OpId::NONE, 0, 1, 1);
-        t.msg_dup(5, OpId::NONE, 0, 1, 1);
-        t.route_deliver(6, OpId::NONE, 1, 42, 3, 2_500);
-        assert!(t.records().is_empty());
-        let dropped: Vec<_> = t.metrics.dropped_by_kind().collect();
-        assert_eq!(dropped, vec![("ping", 0), ("pong", 1)]);
-        let dup: u64 = t.metrics.duplicated_by_kind().map(|(_, c)| c).sum();
-        assert_eq!(dup, 1);
-        assert_eq!(t.metrics.hop_count.percentile(50), Some(3));
-        assert_eq!(t.metrics.route_latency_us.percentile(50), Some(2_000));
-        let nodes: Vec<_> = t.metrics.node_counters().collect();
-        assert_eq!(nodes[0], (0, NodeCounters { sent: 2, recv: 0 }));
-        assert_eq!(nodes[1], (1, NodeCounters { sent: 0, recv: 1 }));
-    }
-
-    #[test]
-    fn gauges_read_back_last_write() {
-        let mut t = Tracer::for_kinds(KINDS);
-        t.configure(TraceConfig::metrics_only());
-        t.metrics.set_gauge("used_bytes", 3, 100);
-        t.metrics.set_gauge("used_bytes", 3, 250);
-        assert_eq!(t.metrics.gauge("used_bytes", 3), Some(250));
-        assert_eq!(t.metrics.gauge("used_bytes", 4), None);
-    }
-
-    // -- serialization -------------------------------------------------
-
-    #[test]
-    fn jsonl_lines_are_valid_json_and_fingerprint_is_stable() {
-        let build = || {
-            let mut t = Tracer::for_kinds(KINDS);
-            t.configure(TraceConfig::full());
-            t.msg_send(10, OpId(1), 0, 1, 0, 64);
-            t.msg_recv(20, OpId(1), 0, 1, 0);
-            t.route_hop(20, OpId(1), 1, 0xfeed_beef, 0, 2);
-            t.route_deliver(30, OpId(1), 2, 0xfeed_beef, 1, 12_345);
-            t.join_phase(40, 7, "complete");
-            t.suspect(50, 7, 8, 3);
-            t.op_start(60, OpId(1), 0, "insert", 0xfeed_beef, 5);
-            t.op_retry(70, OpId(1), 0, "insert", 1);
-            t.op_end(80, OpId(1), 0, "insert", true, 5);
-            t.replica_stored(80, OpId(1), 2, 0xfeed_beef, true);
-            t
-        };
-        let t = build();
-        for line in t.to_jsonl().lines() {
-            json::validate(line).expect("every trace line must be valid JSON");
-        }
-        assert_eq!(t.fingerprint(), build().fingerprint());
-        assert_ne!(t.fingerprint(), fnv1a(b""));
-    }
-
-    #[test]
-    fn metrics_json_validates() {
-        let mut t = Tracer::for_kinds(KINDS);
-        t.configure(TraceConfig::full());
-        t.msg_send(1, OpId::NONE, 0, 1, 0, 64);
-        t.metrics.set_gauge("used_bytes", 0, 9);
-        json::validate(&t.metrics.to_json()).expect("metrics JSON must validate");
-    }
-
-    // -- merging -------------------------------------------------------
-
-    #[test]
-    fn histogram_merge_sums_buckets_and_count() {
-        let mut a = Histogram::new(10, 4);
-        let mut b = Histogram::new(10, 4);
-        for v in [0, 15, 500] {
-            a.record(v);
-        }
-        for v in [5, 15] {
-            b.record(v);
-        }
-        a.merge(&b).expect("same-shape merge must succeed");
-        assert_eq!(a.buckets(), &[2, 2, 0, 1]);
-        assert_eq!(a.count(), 5);
-    }
-
-    #[test]
-    fn histogram_merge_rejects_shape_mismatch() {
-        let mut a = Histogram::new(10, 4);
-        a.record(7);
-        let err = a
-            .merge(&Histogram::new(5, 4))
-            .expect_err("width mismatch must be rejected");
-        assert_eq!(err.expected, (10, 4));
-        assert_eq!(err.got, (5, 4));
-        assert!(err.to_string().contains("different shapes"));
-        let err = a
-            .merge(&Histogram::new(10, 8))
-            .expect_err("bucket-count mismatch must be rejected");
-        assert_eq!(err.got, (10, 8));
-        // The receiver is untouched on error.
-        assert_eq!(a.count(), 1);
-        assert_eq!(a.buckets(), &[1, 0, 0, 0]);
-    }
-
-    /// Merged gauges follow the max policy, so shard merge order
-    /// cannot change the combined registry.
-    #[test]
-    fn metrics_gauge_merge_is_order_independent() {
-        let mk = |v0: u64, v2: u64| {
-            let mut m = Metrics::for_kinds(KINDS);
-            m.set_gauge("used", 0, v0);
-            m.set_gauge("used", 2, v2);
-            m
-        };
-        let (a, b) = (mk(10, 3), mk(4, 90));
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        for m in [&ab, &ba] {
-            assert_eq!(m.gauge("used", 0), Some(10));
-            assert_eq!(m.gauge("used", 2), Some(90));
-        }
-        assert_eq!(ab.to_json(), ba.to_json());
-    }
-
-    #[test]
-    fn metrics_merge_combines_all_families() {
-        let mut a = Tracer::for_kinds(KINDS);
-        a.configure(TraceConfig::metrics_only());
-        a.msg_send(1, OpId::NONE, 0, 1, 0, 64);
-        a.route_deliver(2, OpId::NONE, 1, 42, 3, 2_500);
-        a.metrics.set_gauge("used", 0, 10);
-        let mut b = Tracer::for_kinds(KINDS);
-        b.configure(TraceConfig::metrics_only());
-        b.msg_send(3, OpId::NONE, 2, 0, 0, 64);
-        b.msg_send(3, OpId::NONE, 0, 2, 1, 32);
-        b.msg_drop(4, OpId::NONE, 2, 0, 1);
-        b.metrics.set_gauge("used", 2, 7);
-        a.metrics.merge(&b.metrics);
-        let sent: Vec<_> = a.metrics.sent_by_kind().collect();
-        assert_eq!(sent, vec![("ping", 2), ("pong", 1)]);
-        let dropped: u64 = a.metrics.dropped_by_kind().map(|(_, c)| c).sum();
-        assert_eq!(dropped, 1);
-        let nodes: Vec<_> = a.metrics.node_counters().collect();
-        assert_eq!(nodes[0], (0, NodeCounters { sent: 2, recv: 0 }));
-        assert_eq!(nodes[1], (2, NodeCounters { sent: 1, recv: 0 }));
-        assert_eq!(a.metrics.hop_count.count(), 1);
-        assert_eq!(a.metrics.gauge("used", 0), Some(10));
-        assert_eq!(a.metrics.gauge("used", 2), Some(7));
-    }
-
-    /// Splitting one record stream across two tracers, absorbing, and
-    /// canonically sorting must reproduce the single-tracer
-    /// serialization bit for bit — the property the sharded engine's
-    /// per-shard tracers rely on.
-    #[test]
-    fn absorb_plus_canonical_sort_is_partition_independent() {
-        let record = |t: &mut Tracer, which: usize| {
-            if which == 0 {
-                t.msg_send(10, OpId(1), 0, 1, 0, 64);
-                t.route_hop(20, OpId(1), 1, 42, 0, 1);
-                t.op_start(20, OpId(1), 0, "insert", 42, 3);
-            } else {
-                t.msg_send(10, OpId(2), 2, 3, 1, 32);
-                t.msg_recv(20, OpId(2), 2, 3, 1);
-                t.join_phase(30, 3, "start");
-            }
-        };
-        let mut whole = Tracer::for_kinds(KINDS);
-        whole.configure(TraceConfig::full());
-        record(&mut whole, 0);
-        record(&mut whole, 1);
-        whole.sort_canonical();
-        // Partitioned: each half in its own tracer, absorbed in the
-        // opposite order.
-        let mut half_a = Tracer::for_kinds(KINDS);
-        half_a.configure(TraceConfig::full());
-        record(&mut half_a, 1);
-        let mut half_b = Tracer::for_kinds(KINDS);
-        half_b.configure(TraceConfig::full());
-        record(&mut half_b, 0);
-        half_a.absorb(half_b);
-        half_a.sort_canonical();
-        assert_eq!(whole.to_jsonl(), half_a.to_jsonl());
-        assert_eq!(whole.fingerprint(), half_a.fingerprint());
-    }
-
-    /// A same-microsecond lifecycle (op served from the local store)
-    /// must stay `op_start` → work → `op_end` after the canonical sort,
-    /// even though "op_end" < "op_start" lexicographically.
-    #[test]
-    fn canonical_sort_keeps_same_time_lifecycles_causal() {
-        let mut t = Tracer::for_kinds(KINDS);
-        t.configure(TraceConfig::full());
-        t.op_end(50, OpId(1), 0, "lookup", true, 0);
-        t.msg_send(50, OpId(1), 0, 1, 0, 64);
-        t.op_start(50, OpId(1), 0, "lookup", 42, 1);
-        t.sort_canonical();
-        let jsonl = t.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().map(|l| l.trim()).collect();
-        assert!(lines[0].contains("op_start"), "got {:?}", lines[0]);
-        assert!(lines[1].contains("send"), "got {:?}", lines[1]);
-        assert!(lines[2].contains("op_end"), "got {:?}", lines[2]);
-    }
-
-    /// A series-only tracer (all trace classes off) still reports
-    /// enabled, collects windowed counters from the hooks, and merges
-    /// across tracers in `absorb` — the sharded-engine path.
-    #[test]
-    fn series_flows_through_hooks_and_absorb() {
-        let mk = || {
-            let mut t = Tracer::for_kinds(KINDS);
-            t.set_series(SeriesConfig::new(1_000));
-            t
-        };
-        let mut a = mk();
-        assert!(a.enabled(), "series-only tracer must count as enabled");
-        assert!(!a.config().any());
-        a.msg_send(10, OpId(1), 0, 1, 0, 64);
-        a.route_deliver(30, OpId(1), 2, 42, 1, 12_345);
-        let mut b = mk();
-        b.msg_send(1_500, OpId(2), 2, 3, 1, 32);
-        b.msg_drop(1_600, OpId(2), 2, 3, 1);
-        a.absorb(b);
-        assert!(a.records().is_empty(), "no classes on, no records");
-        let s = a.series().expect("series survives absorb");
-        let w: Vec<(u64, u64, u64, u64)> = s
-            .windows()
-            .map(|(t, w)| {
-                (
-                    t,
-                    w.counter("sent"),
-                    w.counter("dropped"),
-                    w.counter("delivered"),
-                )
-            })
-            .collect();
-        assert_eq!(w, vec![(0, 1, 0, 1), (1_000, 1, 1, 0)]);
-    }
-
-    #[test]
-    fn clear_resets_records_and_metrics() {
-        let mut t = Tracer::for_kinds(KINDS);
-        t.configure(TraceConfig::full());
-        t.msg_send(1, OpId(1), 0, 1, 0, 64);
-        t.clear();
-        assert!(t.records().is_empty());
-        assert_eq!(t.metrics.sent_by_kind().map(|(_, c)| c).sum::<u64>(), 0);
-        // Still bound to the kind table after a clear.
-        t.msg_send(2, OpId(1), 0, 1, 1, 32);
-        assert_eq!(t.metrics.sent_by_kind().map(|(_, c)| c).sum::<u64>(), 1);
-    }
-}
+mod tests;
