@@ -210,9 +210,11 @@ impl PastApp {
         (frame, timer)
     }
 
-    /// Registers an expected audit answer before challenging a node.
-    pub fn begin_audit(&mut self, file_id: FileId, content_hash: Digest256, nonce: u64) {
+    /// Registers an expected audit answer; returns the challenge to send
+    /// the audited node.
+    pub fn begin_audit(&mut self, file_id: FileId, content_hash: Digest256, nonce: u64) -> PastMsg {
         self.pending_audits.insert(file_id, (content_hash, nonce));
+        PastMsg::AuditChallenge { file_id, nonce }
     }
 
     /// Number of outstanding client inserts (for harness draining).

@@ -9,15 +9,13 @@
 use crate::broker::Broker;
 use crate::client::Request;
 use crate::fileid::{ContentRef, FileId};
-use crate::msg::PastMsg;
 use crate::node::{PastApp, PastConfig, PastOut};
 use crate::smartcard::CardError;
 use crate::storage::{ReplicaKind, Store};
 use past_crypto::Digest256;
 use past_netsim::{Addr, OpId, ShardConfig, SimTime, Topology, WindowTooWide};
 use past_pastry::{
-    populate_static, Config as PastryConfig, Id, OverlaySnapshot, PastryMsg, PastrySim,
-    APP_TIMER_BASE,
+    populate_static, AppCtx, Config as PastryConfig, Id, OverlaySnapshot, PastrySim,
 };
 
 /// A timestamped application event.
@@ -209,17 +207,18 @@ impl<T: Topology> PastNetwork<T> {
     fn submit(&mut self, client: Addr, req: Request, fanout: u32) {
         let now = self.sim.engine.now().as_micros();
         let (op, kind, rid) = (req.op, req.kind().name(), req.file_id.routing_id());
-        let (frame, timer) = self.sim.engine.node_mut(client).app.begin(client, req);
         self.sim
             .engine
             .tracer_mut()
             .op_start(now, op, client, kind, rid.0, fanout);
-        if let Some((token, delay)) = timer {
-            self.sim
-                .engine
-                .arm_timer(client, delay, APP_TIMER_BASE + token);
-        }
-        self.sim.route(client, rid, frame);
+        self.sim.engine.act(client, |node, ctx| {
+            let (frame, timer) = node.app.begin(client, req);
+            let mut cx = AppCtx::new(ctx);
+            if let Some((token, delay)) = timer {
+                cx.set_app_timer(delay, token);
+            }
+            cx.route(rid, frame);
+        });
     }
 
     /// Client operation: insert a file with replication `k`.
@@ -272,19 +271,10 @@ impl<T: Topology> PastNetwork<T> {
         content_hash: Digest256,
         nonce: u64,
     ) {
-        self.sim
-            .engine
-            .node_mut(auditor)
-            .app
-            .begin_audit(file_id, content_hash, nonce);
-        self.sim.engine.inject(
-            auditor,
-            target,
-            PastryMsg::AppDirect {
-                payload: PastMsg::AuditChallenge { file_id, nonce },
-            },
-            0,
-        );
+        self.sim.engine.act(auditor, |node, ctx| {
+            let challenge = node.app.begin_audit(file_id, content_hash, nonce);
+            AppCtx::new(ctx).send_direct(target, challenge);
+        });
     }
 
     /// Runs the network to quiescence and returns application events.

@@ -26,6 +26,11 @@
 //!   cumulative credits equals the bytes currently stored on the card's
 //!   behalf (across all live nodes) plus bytes still in flight; credits
 //!   never exceed debits (no double-credit).
+//! - **I6 — routes end at the root.** From every live joined node and for
+//!   every key, following the routing decision hop by hop terminates
+//!   within the hop limit, never revisits a node, and ends at the
+//!   numerically closest live node. Checked on the nodes' routing state
+//!   directly ([`check_routes`]), with no message sent.
 //!
 //! Checks run at quiesce points; transient states mid-join or mid-repair
 //! are allowed to violate them.
@@ -33,14 +38,17 @@
 pub mod scenarios;
 
 use past_core::PastSnapshot;
-use past_netsim::Addr;
-use past_pastry::{Id, NodeSnapshot, OverlaySnapshot};
+use past_crypto::rng::Rng;
+use past_netsim::{Addr, Topology};
+use past_pastry::{
+    next_hop, App, Id, NextHop, NodeSnapshot, OverlaySnapshot, PastrySim, PastryState,
+};
 use std::collections::BTreeMap;
 
 /// One invariant violation: which invariant, where, and a counterexample.
 #[derive(Clone, Debug)]
 pub struct Violation {
-    /// Invariant id ("I1".."I5").
+    /// Invariant id ("I1".."I6").
     pub invariant: &'static str,
     /// The node the violation was observed at, if any.
     pub addr: Option<Addr>,
@@ -345,7 +353,86 @@ pub fn check_quota(snap: &PastSnapshot) -> Vec<Violation> {
     violations
 }
 
-/// Runs every invariant (I1–I5) over a full PAST snapshot.
+/// The keys [`check_routes`] is worth running on: every live id, the
+/// midpoint between each pair of ring-adjacent live ids and its two
+/// neighbours (where the owner changes), and `extra` keys drawn from
+/// `seed`.
+pub fn route_keys<A: App, T: Topology>(sim: &PastrySim<A, T>, seed: u64, extra: usize) -> Vec<Id> {
+    let mut ring: Vec<u128> = sim.live_handles().iter().map(|h| h.id.0).collect();
+    ring.sort_unstable();
+    let mut keys = Vec::with_capacity(4 * ring.len() + extra);
+    for (i, &id) in ring.iter().enumerate() {
+        let next = ring[(i + 1) % ring.len()];
+        let mid = id.wrapping_add(next.wrapping_sub(id) / 2);
+        keys.extend([id, mid.wrapping_sub(1), mid, mid.wrapping_add(1)].map(Id));
+    }
+    let mut rng = Rng::seed_from_u64(seed);
+    keys.extend((0..extra).map(|_| Id(rng.random())));
+    keys
+}
+
+/// Checks I6: walks [`next_hop`] over the nodes' routing state from
+/// every live joined node toward every key.
+///
+/// A hop that names a dead node is taken the way the protocol takes it:
+/// the send fails, the sender purges the dead peer and routes again —
+/// here on a purged copy of its state, kept for the rest of the check.
+/// Routing randomization must be off (the walk draws from a fixed RNG).
+pub fn check_routes<A: App, T: Topology>(sim: &PastrySim<A, T>, keys: &[Id]) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    let mut rng = Rng::seed_from_u64(0);
+    let mut purged: BTreeMap<Addr, PastryState> = BTreeMap::new();
+    let max_hops = sim.cfg.max_route_hops as usize;
+    let starts: Vec<Addr> = sim
+        .engine
+        .live_addrs()
+        .into_iter()
+        .filter(|&a| sim.engine.node(a).joined)
+        .collect();
+    for key in keys {
+        let root = sim.true_root(key);
+        for &start in &starts {
+            let mut path = vec![start];
+            let failure = loop {
+                let at = path[path.len() - 1];
+                let state = purged.get(&at).unwrap_or(&sim.engine.node(at).state);
+                let next = match next_hop(state, key, &mut rng) {
+                    NextHop::DeliverHere => {
+                        break (Some(at) != root.map(|r| r.addr)).then(|| {
+                            format!(
+                                "ends at node {at}, but the closest live node is {}",
+                                root.map_or("none".to_string(), |r| r.addr.to_string())
+                            )
+                        });
+                    }
+                    NextHop::Forward(next) => next.addr,
+                };
+                if !sim.engine.is_alive(next) {
+                    purged
+                        .entry(at)
+                        .or_insert_with(|| sim.engine.node(at).state.clone())
+                        .remove_addr(next);
+                } else if path.contains(&next) {
+                    break Some(format!("revisits node {next}"));
+                } else if path.len() > max_hops {
+                    break Some(format!("exceeds the {max_hops}-hop limit"));
+                } else {
+                    path.push(next);
+                }
+            };
+            if let Some(what) = failure {
+                violations.push(Violation {
+                    invariant: "I6",
+                    addr: Some(start),
+                    detail: format!("route for key {} {what} (path {path:?})", hex(key)),
+                });
+            }
+        }
+    }
+    violations
+}
+
+/// Runs every snapshot invariant (I1–I5) over a full PAST snapshot.
 pub fn check_all(snap: &PastSnapshot) -> Vec<Violation> {
     let mut v = check_overlay(&snap.overlay);
     v.extend(check_storage(snap));

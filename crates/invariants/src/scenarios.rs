@@ -1,11 +1,11 @@
 //! Canned simulation scenarios for the CI invariant gate.
 //!
 //! Each scenario builds a PAST deployment, drives a workload to
-//! quiescence, snapshots the whole system, and returns every I1–I5
-//! violation found (an empty vector means the gate passes). The same
-//! scenarios back the `invariants` binary run by `scripts/ci.sh`.
+//! quiescence, snapshots the whole system, and returns every I1–I6
+//! violation found. The same scenarios back the `invariants` binary run
+//! by `scripts/ci.sh`.
 
-use crate::{check_all, Violation};
+use crate::{check_all, check_routes, route_keys, Violation};
 use past_core::{BuildMode, ContentRef, PastApp, PastConfig, PastNetwork, PastOut};
 use past_crypto::rng::Rng;
 use past_netsim::{FaultConfig, SeriesConfig, ShardConfig, SimTime, Sphere, TraceConfig, Tracer};
@@ -68,18 +68,35 @@ fn build_net(
     (net, ids)
 }
 
-fn check_at(context: &str, net: &PastNetwork<Sphere>, out: &mut Vec<Violation>) {
-    for mut v in check_all(&net.snapshot()) {
+/// What a scenario's quiesce-point checks found.
+#[derive(Default)]
+pub struct Findings {
+    /// I1–I5 and liveness ("OP") violations: empty, or the gate fails.
+    pub violations: Vec<Violation>,
+    /// I6 route failures, kept apart because whether they fail the gate
+    /// depends on the scenario: one that joins nodes after others failed
+    /// walks into roadmap item E's bug, and only reports them.
+    pub misroutes: Vec<Violation>,
+}
+
+fn check_at(context: &str, net: &PastNetwork<Sphere>, out: &mut Findings) {
+    let tag = |mut v: Violation| {
         v.detail = format!("[{context}] {}", v.detail);
-        out.push(v);
-    }
+        v
+    };
+    let snapshot = check_all(&net.snapshot());
+    out.violations.extend(snapshot.into_iter().map(tag));
+    // Beside the live ids and owner-change midpoints: the same eight
+    // seeded keys at every quiesce point.
+    let routes = check_routes(&net.sim, &route_keys(&net.sim, 6, 8));
+    out.misroutes.extend(routes.into_iter().map(tag));
 }
 
 /// Scenario 1 — bulk join: 40 protocol joins, an insert/lookup workload,
 /// and a duplicate insert (which must conserve quota via zero-`stored`
 /// receipts).
-pub fn bulk_join(seed: u64) -> Vec<Violation> {
-    let mut violations = Vec::new();
+pub fn bulk_join(seed: u64) -> Findings {
+    let mut findings = Findings::default();
     let (mut net, _) = build_net(
         40,
         40,
@@ -90,7 +107,7 @@ pub fn bulk_join(seed: u64) -> Vec<Violation> {
         None,
     );
     net.run();
-    check_at("after bulk join", &net, &mut violations);
+    check_at("after bulk join", &net, &mut findings);
 
     let mut fids = Vec::new();
     for i in 0..8u64 {
@@ -110,7 +127,7 @@ pub fn bulk_join(seed: u64) -> Vec<Violation> {
         net.lookup(7, *fid);
     }
     net.run();
-    check_at("after insert/lookup workload", &net, &mut violations);
+    check_at("after insert/lookup workload", &net, &mut findings);
 
     // Re-insert an existing file: holders answer with zero-`stored`
     // receipts and the duplicate debit must be returned in full.
@@ -121,15 +138,15 @@ pub fn bulk_join(seed: u64) -> Vec<Violation> {
         net.insert(*client, name, *content, 5)
             .expect("duplicate insert submission accepted");
         net.run();
-        check_at("after duplicate insert", &net, &mut violations);
+        check_at("after duplicate insert", &net, &mut findings);
     }
-    violations
+    findings
 }
 
 /// Scenario 2 — churn: an insert workload, then node failures, repair,
 /// recoveries and fresh joins, checking at every quiesce point.
-pub fn churn(seed: u64) -> Vec<Violation> {
-    let mut violations = Vec::new();
+pub fn churn(seed: u64) -> Findings {
+    let mut findings = Findings::default();
     let (mut net, ids) = build_net(
         48,
         40,
@@ -147,7 +164,7 @@ pub fn churn(seed: u64) -> Vec<Violation> {
             .expect("churn insert submission accepted");
     }
     net.run();
-    check_at("after insert workload", &net, &mut violations);
+    check_at("after insert workload", &net, &mut findings);
 
     // Fail 5 nodes (disjoint from the client set 0..6).
     for a in 20..25 {
@@ -156,7 +173,7 @@ pub fn churn(seed: u64) -> Vec<Violation> {
     net.sim.stabilize();
     net.sim.stabilize();
     net.run();
-    check_at("after failing 5 nodes", &net, &mut violations);
+    check_at("after failing 5 nodes", &net, &mut findings);
 
     // Two failed nodes come back with their old state...
     for a in 20..22 {
@@ -164,7 +181,7 @@ pub fn churn(seed: u64) -> Vec<Violation> {
     }
     net.sim.stabilize();
     net.run();
-    check_at("after recovering 2 nodes", &net, &mut violations);
+    check_at("after recovering 2 nodes", &net, &mut findings);
 
     // ...and 3 brand-new nodes join.
     for (j, id) in ids[40..43].iter().enumerate() {
@@ -177,15 +194,15 @@ pub fn churn(seed: u64) -> Vec<Violation> {
     }
     net.sim.stabilize();
     net.run();
-    check_at("after 3 fresh joins", &net, &mut violations);
-    violations
+    check_at("after 3 fresh joins", &net, &mut findings);
+    findings
 }
 
 /// Scenario 3 — quota/reclaim under storage pressure: tiny disks force
 /// replica diversion (pointers), then reclaims must settle every card's
 /// quota exactly.
-pub fn quota_reclaim(seed: u64) -> Vec<Violation> {
-    let mut violations = Vec::new();
+pub fn quota_reclaim(seed: u64) -> Findings {
+    let mut findings = Findings::default();
     let cfg = PastConfig {
         t_pri: 0.6,
         t_div: 0.55,
@@ -209,15 +226,15 @@ pub fn quota_reclaim(seed: u64) -> Vec<Violation> {
             }
         }
     }
-    check_at("after pressure workload", &net, &mut violations);
+    check_at("after pressure workload", &net, &mut findings);
 
     // Reclaim every other successful insert.
     for (client, fid) in inserted.iter().step_by(2) {
         net.reclaim(*client, *fid);
         net.run();
     }
-    check_at("after reclaims", &net, &mut violations);
-    violations
+    check_at("after reclaims", &net, &mut findings);
+    findings
 }
 
 /// Scenario 4 — lossy churn: the churn scenario's shape re-run over a
@@ -227,16 +244,16 @@ pub fn quota_reclaim(seed: u64) -> Vec<Violation> {
 /// asserts liveness: every client operation issued under loss must
 /// terminate in an explicit success or failure event (reported as a
 /// synthetic "OP" violation otherwise — a hung request).
-pub fn lossy_churn(seed: u64, shards: usize) -> Vec<Violation> {
+pub fn lossy_churn(seed: u64, shards: usize) -> Findings {
     // Tracing never perturbs the simulation, so delegating with tracing
     // off yields exactly the violations a dedicated untraced run would.
-    lossy_churn_traced(seed, shards, TraceConfig::off()).violations
+    lossy_churn_traced(seed, shards, TraceConfig::off()).findings
 }
 
 /// What one lossy-churn run leaves behind.
 pub struct LossyChurnRun {
-    /// I1–I5 and liveness violations (empty = the gate passes).
-    pub violations: Vec<Violation>,
+    /// What the quiesce-point and liveness checks found.
+    pub findings: Findings,
     /// The run's merged trace (fed to `tracecheck` by the CI gate) and,
     /// on traced runs, its flight-recorder series.
     pub tracer: Tracer,
@@ -279,7 +296,7 @@ fn drive_lossy_churn(
     seed: u64,
     trace: TraceConfig,
 ) -> LossyChurnRun {
-    let mut violations = Vec::new();
+    let mut findings = Findings::default();
     // Ample disks and quotas (set by the builders): this scenario
     // stresses message loss, not storage pressure.
     net.sim.engine.set_tracing(trace);
@@ -313,7 +330,7 @@ fn drive_lossy_churn(
     }
     net.sim.stabilize();
     events.extend(net.run());
-    check_at("lossy: after insert workload", net, &mut violations);
+    check_at("lossy: after insert workload", net, &mut findings);
 
     // Fail 5 nodes; failure detection now needs missed-ack rounds, so run
     // enough heartbeat rounds for every neighbor to pass the limit and
@@ -325,7 +342,7 @@ fn drive_lossy_churn(
         net.sim.stabilize();
     }
     events.extend(net.run());
-    check_at("lossy: after failing 5 nodes", net, &mut violations);
+    check_at("lossy: after failing 5 nodes", net, &mut findings);
 
     // Two failed nodes recover with their old state and three brand-new
     // nodes join through the retried join protocol.
@@ -349,7 +366,7 @@ fn drive_lossy_churn(
     check_at(
         "lossy: after recoveries and fresh joins",
         net,
-        &mut violations,
+        &mut findings,
     );
 
     // Look up everything inserted, reclaim every other file, and demand
@@ -373,7 +390,7 @@ fn drive_lossy_churn(
     net.sim.stabilize();
     net.sim.stabilize();
     events.extend(net.run());
-    check_at("lossy: final", net, &mut violations);
+    check_at("lossy: final", net, &mut findings);
 
     // Liveness: every issued operation produced a terminal event.
     let mut insert_done = BTreeSet::new();
@@ -397,7 +414,7 @@ fn drive_lossy_churn(
     }
     for req in &insert_reqs {
         if !insert_done.contains(req) {
-            violations.push(Violation {
+            findings.violations.push(Violation {
                 invariant: "OP",
                 addr: None,
                 detail: format!("[lossy] insert request {req} never terminated"),
@@ -406,7 +423,7 @@ fn drive_lossy_churn(
     }
     for fid in &inserted {
         if !lookup_done.contains(fid) {
-            violations.push(Violation {
+            findings.violations.push(Violation {
                 invariant: "OP",
                 addr: None,
                 detail: format!("[lossy] lookup of {fid:?} never terminated"),
@@ -415,7 +432,7 @@ fn drive_lossy_churn(
     }
     for fid in &reclaimed {
         if !reclaim_done.contains(fid) {
-            violations.push(Violation {
+            findings.violations.push(Violation {
                 invariant: "OP",
                 addr: None,
                 detail: format!("[lossy] reclaim of {fid:?} never terminated"),
@@ -423,7 +440,7 @@ fn drive_lossy_churn(
         }
     }
     LossyChurnRun {
-        violations,
+        findings,
         digest: run_digest(net, &events),
         tracer: net.sim.engine.take_tracer(),
     }
@@ -461,7 +478,7 @@ pub fn diversion_traced(seed: u64, trace: TraceConfig) -> LossyChurnRun {
         ..PastConfig::default()
     };
     let (mut net, _) = build_net(30, 30, seed, 12 * MB, 10_000 * MB, cfg, None);
-    let mut violations = Vec::new();
+    let mut findings = Findings::default();
     net.sim.engine.set_tracing(trace);
     if trace.any() {
         net.sim.engine.set_series(SeriesConfig::new(1_000_000));
@@ -493,7 +510,7 @@ pub fn diversion_traced(seed: u64, trace: TraceConfig) -> LossyChurnRun {
         }
         events.extend(batch);
     }
-    check_at("diversion: after fill", &net, &mut violations);
+    check_at("diversion: after fill", &net, &mut findings);
     let diverted = net
         .snapshot()
         .stores
@@ -505,7 +522,7 @@ pub fn diversion_traced(seed: u64, trace: TraceConfig) -> LossyChurnRun {
         (refused, "an InsertFailed"),
     ] {
         if !seen {
-            violations.push(Violation {
+            findings.violations.push(Violation {
                 invariant: "OP",
                 addr: None,
                 detail: format!("[diversion] the fill never produced {what}"),
@@ -520,9 +537,9 @@ pub fn diversion_traced(seed: u64, trace: TraceConfig) -> LossyChurnRun {
         }
         events.extend(net.run());
     }
-    check_at("diversion: after reclaims", &net, &mut violations);
+    check_at("diversion: after reclaims", &net, &mut findings);
     LossyChurnRun {
-        violations,
+        findings,
         digest: run_digest(&net, &events),
         tracer: net.sim.engine.take_tracer(),
     }
@@ -534,8 +551,8 @@ pub fn diversion_traced(seed: u64, trace: TraceConfig) -> LossyChurnRun {
 /// where a filing bug would reorder or drop timers; it would surface
 /// here as stuck heartbeats, failed repair (I1–I5 violations) or a
 /// lookup that never completes.
-pub fn wheel_horizon(seed: u64) -> Vec<Violation> {
-    let mut violations = Vec::new();
+pub fn wheel_horizon(seed: u64) -> Findings {
+    let mut findings = Findings::default();
     let (mut net, _) = build_net(
         40,
         40,
@@ -546,7 +563,7 @@ pub fn wheel_horizon(seed: u64) -> Vec<Violation> {
         None,
     );
     net.run();
-    check_at("wheel: after build", &net, &mut violations);
+    check_at("wheel: after build", &net, &mut findings);
 
     // Cross a level-1 (64² µs), level-2 (64³ µs) and level-3
     // (64⁴ µs ≈ 17 s of simulated time) slot edge in turn, each with a
@@ -577,7 +594,7 @@ pub fn wheel_horizon(seed: u64) -> Vec<Violation> {
             }
         }
         if !found {
-            violations.push(Violation {
+            findings.violations.push(Violation {
                 invariant: "OP",
                 addr: None,
                 detail: format!("[wheel] lookup issued after the {span} µs edge never succeeded"),
@@ -586,8 +603,8 @@ pub fn wheel_horizon(seed: u64) -> Vec<Violation> {
         check_at(
             &format!("wheel: after the {span} µs edge"),
             &net,
-            &mut violations,
+            &mut findings,
         );
     }
-    violations
+    findings
 }

@@ -1,12 +1,19 @@
-//! Unit tests for the I1–I5 checkers: each test hand-builds a snapshot
-//! with one planted defect and asserts that exactly the right invariant
-//! fires (and that the clean baseline passes everything).
+//! Unit tests for the I1–I6 checkers: each test hand-builds a snapshot
+//! (for I6, an overlay) with one planted defect and asserts that exactly
+//! the right invariant fires (and that the clean baseline passes
+//! everything).
 
 use past_core::{CardSnapshot, FileId, FileSnapshot, PastSnapshot, StoreSnapshot};
 use past_crypto::digest::Digest160;
-use past_invariants::{assert_clean, check_overlay, check_quota, check_storage, Violation};
-use past_netsim::Addr;
-use past_pastry::{Id, NodeHandle, NodeSnapshot, OverlaySnapshot};
+use past_crypto::rng::Rng;
+use past_invariants::{
+    assert_clean, check_overlay, check_quota, check_routes, check_storage, route_keys, Violation,
+};
+use past_netsim::{Addr, Sphere};
+use past_pastry::{
+    random_ids, static_build, Config, Id, NodeHandle, NodeSnapshot, NullApp, OverlaySnapshot,
+    PastrySim, Side,
+};
 
 const Q: u128 = 1 << 126;
 
@@ -272,6 +279,46 @@ fn i5_detects_unbacked_debit() {
 fn i5_counts_in_flight_bytes_as_backed() {
     let snap = full(clean_overlay(), Vec::new(), vec![card(0, 9, 50, 0, 50)]);
     assert!(check_quota(&snap).is_empty());
+}
+
+/// A 48-node static build: global knowledge, so every route is right.
+fn static_overlay() -> PastrySim<NullApp, Sphere> {
+    let cfg = Config {
+        leaf_len: 8,
+        ..Config::default()
+    };
+    let ids = random_ids(48, &mut Rng::seed_from_u64(11));
+    static_build(Sphere::new(48, 11), cfg, 11, &ids, |_| NullApp, 2)
+}
+
+#[test]
+fn i6_holds_on_a_static_build() {
+    let sim = static_overlay();
+    let keys = route_keys(&sim, 3, 16);
+    assert_eq!(keys.len(), 4 * 48 + 16);
+    assert_clean("static build", &check_routes(&sim, &keys));
+}
+
+#[test]
+fn i6_detects_a_missing_leaf_entry() {
+    let mut sim = static_overlay();
+    // Node 0 forgets its ring successor. A key just on the successor's
+    // side of the midpoint between them is the successor's, but of the
+    // nodes 0 still knows, 0 itself is the closest: it delivers locally.
+    let state = &mut sim.engine.node_mut(0).state;
+    let succ = state.leaf.side_members(Side::Larger)[0];
+    state.leaf.remove_addr(succ.addr);
+    let me = state.me.id.0;
+    let key = Id(me.wrapping_add(succ.id.0.wrapping_sub(me) / 2 + 1));
+    let v = check_routes(&sim, &[key]);
+    assert!(!v.is_empty(), "the planted gap went unnoticed");
+    assert!(v.iter().all(|v| v.invariant == "I6"), "got {v:?}");
+    let closest = format!("the closest live node is {}", succ.addr);
+    assert!(
+        v.iter()
+            .any(|v| v.addr == Some(0) && v.detail.contains(&closest)),
+        "got {v:?}"
+    );
 }
 
 #[test]

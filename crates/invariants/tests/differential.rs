@@ -66,9 +66,9 @@ fn observe(run: &LossyChurnRun) -> (String, u64, String) {
 fn inline_two_shard_and_four_shard_past_runs_are_bit_identical() {
     let inline = lossy_churn_traced(6, 1, TraceConfig::lifecycle());
     assert!(
-        inline.violations.is_empty(),
+        inline.findings.violations.is_empty(),
         "I1-I5 / liveness violated: {:?}",
-        inline.violations
+        inline.findings.violations
     );
     assert!(
         !inline.tracer.records().is_empty(),
@@ -79,7 +79,7 @@ fn inline_two_shard_and_four_shard_past_runs_are_bit_identical() {
     for shards in [2, 4] {
         let run = lossy_churn_traced(6, shards, TraceConfig::lifecycle());
         assert_eq!(expect, observe(&run), "{shards} shards diverged");
-        assert!(run.violations.is_empty());
+        assert!(run.findings.violations.is_empty());
     }
     // Same seed, same run.
     let replay = lossy_churn_traced(6, 1, TraceConfig::lifecycle());
@@ -99,9 +99,16 @@ fn inline_two_shard_and_four_shard_past_runs_are_bit_identical() {
 fn diversion_run_matches_its_golden() {
     let run = diversion_traced(6, TraceConfig::lifecycle());
     assert!(
-        run.violations.is_empty(),
+        run.findings.violations.is_empty(),
         "I1-I5 / coverage violated: {:?}",
-        run.violations
+        run.findings.violations
+    );
+    // Nothing fails and nothing joins in this run: every route must end
+    // at its root (I6).
+    assert!(
+        run.findings.misroutes.is_empty(),
+        "{:?}",
+        run.findings.misroutes
     );
     assert_eq!(golden(&run), DIVERSION_GOLDEN);
 }

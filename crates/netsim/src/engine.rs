@@ -16,41 +16,8 @@ use crate::soa::NodeIo;
 use crate::time::SimTime;
 use crate::topology::{mix64, Addr, Topology};
 use past_crypto::rng::Rng;
-use past_trace::{OpId, SeriesConfig, TraceConfig, Tracer};
-
-/// A simulated wire message.
-pub trait Message: Clone {
-    /// Every kind label this message type can produce, in [`kind_id`]
-    /// order. The engine's per-kind traffic counters are a flat array
-    /// indexed by `kind_id`, so accounting is an array bump instead of a
-    /// string-keyed hash lookup per message.
-    ///
-    /// [`kind_id`]: Message::kind_id
-    const KINDS: &'static [&'static str];
-
-    /// Index of this message's kind within [`Message::KINDS`].
-    fn kind_id(&self) -> usize;
-
-    /// A short static label used for per-kind traffic accounting.
-    fn kind(&self) -> &'static str {
-        Self::KINDS[self.kind_id()]
-    }
-
-    /// Wire size in bytes, used for bandwidth accounting and per-send
-    /// trace records. Message types with a codec must answer their exact
-    /// encoded length (`past_wire::Wire::encoded_len`); the default is a
-    /// placeholder for codec-less test messages only.
-    fn wire_size(&self) -> u64 {
-        64
-    }
-
-    /// The client operation this message belongs to, for causal trace
-    /// attribution. Protocol messages that are not part of a client
-    /// operation (the default) answer [`OpId::NONE`].
-    fn op_id(&self) -> OpId {
-        OpId::NONE
-    }
-}
+use past_trace::{SeriesConfig, TraceConfig, Tracer};
+use past_wire::{Input, Machine, Message};
 
 /// Per-node protocol logic driven by the engine.
 pub trait NodeLogic {
@@ -80,6 +47,32 @@ pub trait NodeLogic {
     /// [`Engine::memory`]; the default counts none.
     fn heap_bytes(&self) -> usize {
         0
+    }
+}
+
+/// The one adapter from the sans-io boundary onto the engine: every
+/// engine callback becomes an [`Input`] applied through
+/// [`Machine::step`], with the engine's [`Ctx`] as the effect sink. A
+/// protocol crate implements `Machine` (from `past-wire`) and never
+/// names this crate.
+impl<S: Machine> NodeLogic for S {
+    type Msg = S::Msg;
+    type Out = S::Out;
+
+    fn on_message(&mut self, from: Addr, msg: S::Msg, ctx: &mut Ctx<'_, S::Msg, S::Out>) {
+        self.step(Input::Message { from, msg }, ctx);
+    }
+
+    fn on_send_failed(&mut self, to: Addr, msg: S::Msg, ctx: &mut Ctx<'_, S::Msg, S::Out>) {
+        self.step(Input::SendFailed { to, msg }, ctx);
+    }
+
+    fn on_timer(&mut self, kind: u64, ctx: &mut Ctx<'_, S::Msg, S::Out>) {
+        self.step(Input::Timer { kind }, ctx);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        Machine::heap_bytes(self)
     }
 }
 
@@ -705,6 +698,21 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
     pub fn inject(&mut self, from: Addr, to: Addr, msg: N::Msg, extra_us: u64) {
         self.part_mut(from).dispatch(from, to, msg, extra_us);
         self.settle();
+    }
+
+    /// Runs `f` on node `a` with a live [`Ctx`] at the current time, and
+    /// schedules what it wrote exactly as if an event had run it: the
+    /// way a harness starts a protocol action the node itself owns (a
+    /// join, a revival, a client request). The node's liveness is not
+    /// consulted.
+    pub fn act<R>(
+        &mut self,
+        a: Addr,
+        f: impl FnOnce(&mut N, &mut Ctx<'_, N::Msg, N::Out>) -> R,
+    ) -> R {
+        let ret = self.part_mut(a).act(a, f);
+        self.settle();
+        ret
     }
 
     /// Arms a timer on a node from the harness side.

@@ -24,7 +24,10 @@ pub mod time;
 pub mod topology;
 pub mod wheel;
 
-pub use engine::{Ctx, Engine, FaultConfig, Memory, Message, NetStats, NodeLogic};
+pub use engine::{Ctx, Engine, FaultConfig, Memory, NetStats, NodeLogic};
+// Defined in the vocabulary crate so a protocol crate can implement it
+// without an edge to the simulator; re-exported for engine users.
+pub use past_wire::Message;
 pub use shard::{ShardConfig, WindowTooWide};
 pub use soa::NodeIo;
 pub use stats::{summarize, Summary};

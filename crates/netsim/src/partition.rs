@@ -26,13 +26,14 @@
 //! [`fingerprint`](crate::Engine::fingerprint).
 
 use crate::arena::Arena;
-use crate::engine::{Ctx, Effect, FaultConfig, Memory, Message, NetStats, NodeLogic};
+use crate::engine::{Ctx, Effect, FaultConfig, Memory, NetStats, NodeLogic};
 use crate::soa::NodeSlots;
 use crate::time::SimTime;
 use crate::topology::{mix64, Addr, Topology};
 use crate::wheel::TimerWheel;
 use past_crypto::rng::Rng;
 use past_trace::Tracer;
+use past_wire::Message;
 
 /// Event key tie-break: `(source node, per-node sequence)` packed into
 /// the wheel's 128-bit tie. Unique per event, identical under any
@@ -326,10 +327,24 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
         }
     }
 
-    fn invoke<F>(&mut self, at: Addr, cur_tie: u128, f: F)
-    where
-        F: FnOnce(&mut N, &mut Ctx<'_, N::Msg, N::Out>),
-    {
+    /// Runs a harness action on the local node `at`, now. What it emits
+    /// is keyed by the node's next sequence number: after everything
+    /// the node has caused so far, not after what the action schedules.
+    pub(crate) fn act<R>(
+        &mut self,
+        at: Addr,
+        f: impl FnOnce(&mut N, &mut Ctx<'_, N::Msg, N::Out>) -> R,
+    ) -> R {
+        let tie = tie_key(at, self.seqs[at - self.base]);
+        self.invoke(at, tie, f)
+    }
+
+    fn invoke<R>(
+        &mut self,
+        at: Addr,
+        cur_tie: u128,
+        f: impl FnOnce(&mut N, &mut Ctx<'_, N::Msg, N::Out>) -> R,
+    ) -> R {
         let li = at - self.base;
         // Move the scratch buffers into the context for the duration
         // of the handler, then drain and restore them. Handlers run
@@ -347,7 +362,7 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
             effects: &mut effects,
             emitted: &mut emitted,
         };
-        f(self.nodes.logic_mut(li), &mut ctx);
+        let ret = f(self.nodes.logic_mut(li), &mut ctx);
         for (k, out) in emitted.drain(..).enumerate() {
             self.outputs.push((self.now, cur_tie, k as u32, at, out));
         }
@@ -359,6 +374,7 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
         }
         self.scratch_effects = effects;
         self.scratch_emitted = emitted;
+        ret
     }
 
     /// Flight-recorder engine gauges: one sample per series window,

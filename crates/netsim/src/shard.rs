@@ -355,11 +355,12 @@ fn ship_window<N, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Ctx, FaultConfig, Message};
+    use crate::engine::{Ctx, FaultConfig};
     use crate::soa::NodeIo;
     use crate::time::SimTime;
     use crate::topology::{Addr, UniformRandom};
     use past_trace::{SeriesConfig, TraceConfig};
+    use past_wire::Message;
 
     /// A gossip-ish protocol exercising every engine path: randomized
     /// forwarding (per-node RNG), timers, emissions, and send failures.

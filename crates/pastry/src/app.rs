@@ -72,7 +72,14 @@ pub struct AppCtx<'a, 'b, P: Clone + PayloadSize, O> {
     pub(crate) io: &'a mut (dyn Io<PastryMsg<P>, PastryOut<O>> + 'b),
 }
 
-impl<P: Clone + PayloadSize, O> AppCtx<'_, '_, P, O> {
+impl<'a, 'b, P: Clone + PayloadSize, O> AppCtx<'a, 'b, P, O> {
+    /// The application's view of `io`: how whoever drives a node starts
+    /// an application action on it (a route, a direct send) with the
+    /// same code the application's own callbacks use.
+    pub fn new(io: &'a mut (dyn Io<PastryMsg<P>, PastryOut<O>> + 'b)) -> Self {
+        AppCtx { io }
+    }
+
     /// This node's address.
     pub fn me(&self) -> Addr {
         self.io.me()

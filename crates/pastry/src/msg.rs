@@ -2,8 +2,7 @@
 
 use crate::handle::NodeHandle;
 use crate::id::Id;
-use past_netsim::Message;
-use past_wire::{Addr, OpId, Wire};
+use past_wire::{Addr, Message, OpId, Wire};
 
 /// A routed application message in flight.
 #[derive(Clone, Debug)]

@@ -6,10 +6,13 @@
 //!
 //! The logic is **sans-io**: [`PastryNode::step`] is a pure transition
 //! function `(state, Input) → effects` whose only coupling to the
-//! outside world is the [`Io`] effect sink it writes through. The
-//! simulator adapts it onto the engine in [`crate::sim`] (the
-//! L1-sanctioned adapter); an engine-free driver (`past_wire::StepIo`)
-//! runs the same machine in pure tests and, later, socket transports.
+//! outside world is the [`Io`] effect sink it writes through. Every
+//! protocol action is written here once, the ones a harness starts
+//! included: [`PastryNode::start_join`], the two halves of revival,
+//! [`PastryNode::probe_row`]. The node is a [`Machine`]; the simulator's
+//! blanket adapter runs it under the engine, and an engine-free driver
+//! (`past_wire::StepIo`) runs the same machine in pure tests and, later,
+//! socket transports.
 
 use crate::app::{App, AppCtx, PastryOut, RouteInfo};
 use crate::handle::NodeHandle;
@@ -17,7 +20,7 @@ use crate::id::Config;
 use crate::msg::{JoinReply, JoinRequest, PastryMsg, PayloadSize, RouteEnvelope};
 use crate::route::{next_hop, NextHop};
 use crate::state::PastryState;
-use past_wire::{Addr, Input, Io};
+use past_wire::{Addr, Input, Io, Machine};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Timer id for leaf-set heartbeats.
@@ -74,6 +77,19 @@ struct PendingJoin {
     attempts: u32,
 }
 
+/// What a node holds only in loss-recovery mode.
+#[derive(Default)]
+struct Recovery {
+    cfg: RecoveryConfig,
+    /// Leaf-set peers probed in the current heartbeat round that have not
+    /// answered yet.
+    awaiting_ack: BTreeSet<Addr>,
+    /// Consecutive heartbeat rounds each peer has stayed silent.
+    missed_acks: BTreeMap<Addr, u32>,
+    /// The join this node is still trying to complete.
+    pending_join: Option<PendingJoin>,
+}
+
 /// Failure-injection behavior of a node.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Behavior {
@@ -99,25 +115,16 @@ pub struct PastryNode<A: App> {
     pub behavior: Behavior,
     /// True once the join protocol has completed (or for bootstrap nodes).
     pub joined: bool,
-    /// If set, heartbeats re-arm with this period.
-    pub heartbeat_interval_us: Option<u64>,
     /// Hops taken by this node's join request, once joined.
     pub join_hops: Option<u32>,
-    /// Loss-recovery parameters; `None` keeps crash-only behavior.
-    pub recovery: Option<RecoveryConfig>,
     /// Peers this node has observed failing. State offered by other nodes
     /// (leaf-set merges, repair replies) is ignored for suspected peers,
     /// or the gossip would keep re-installing dead entries and the repair
     /// traffic would never converge. Hearing *from* a peer clears the
     /// suspicion (it is evidently alive again).
     suspected: HashSet<Addr>,
-    /// Leaf-set peers probed in the current heartbeat round that have not
-    /// answered yet (recovery mode only).
-    awaiting_ack: BTreeSet<Addr>,
-    /// Consecutive heartbeat rounds each peer has stayed silent.
-    missed_acks: BTreeMap<Addr, u32>,
-    /// The join this node is still trying to complete.
-    pending_join: Option<PendingJoin>,
+    /// Loss-recovery mode; `None` keeps crash-only behavior.
+    recovery: Option<Box<Recovery>>,
 }
 
 impl<A: App> PastryNode<A> {
@@ -128,14 +135,16 @@ impl<A: App> PastryNode<A> {
             app,
             behavior: Behavior::Normal,
             joined: false,
-            heartbeat_interval_us: None,
             join_hops: None,
-            recovery: None,
             suspected: HashSet::new(),
-            awaiting_ack: BTreeSet::new(),
-            missed_acks: BTreeMap::new(),
-            pending_join: None,
+            recovery: None,
         }
+    }
+
+    /// Puts this node in loss-recovery mode with `cfg` (or replaces the
+    /// parameters of a node already in it).
+    pub fn set_recovery(&mut self, cfg: RecoveryConfig) {
+        self.recovery.get_or_insert_with(Box::default).cfg = cfg;
     }
 
     /// True if this node currently suspects `addr` of being dead.
@@ -143,32 +152,97 @@ impl<A: App> PastryNode<A> {
         self.suspected.contains(&addr)
     }
 
-    /// Bytes of heap this node's routing state and suspicion set hold
-    /// (capacity × entry size). Not counted: the application's own heap
-    /// and the two B-tree recovery maps, which have no capacity to read
-    /// and are empty outside loss-recovery rounds.
+    /// Bytes of heap this node's routing state, suspicion set and
+    /// recovery-mode block hold (capacity × entry size). Not counted: the
+    /// application's own heap and the nodes of the two B-tree recovery
+    /// maps, which have no capacity to read and are empty outside
+    /// loss-recovery rounds.
     pub fn heap_bytes(&self) -> usize {
         // One control byte per hash bucket beside the key.
-        self.state.heap_bytes() + self.suspected.capacity() * (std::mem::size_of::<Addr>() + 1)
+        self.state.heap_bytes()
+            + self.suspected.capacity() * (std::mem::size_of::<Addr>() + 1)
+            + self
+                .recovery
+                .as_ref()
+                .map_or(0, |r| std::mem::size_of_val(&**r))
     }
 
-    /// Registers a join through `contact`; the harness arms
-    /// [`TIMER_JOIN_RETRY`] at delay 0 to start the first attempt
-    /// (recovery mode only — crash-only joins inject directly).
-    pub fn begin_join(&mut self, contact: Addr) {
-        self.pending_join = Some(PendingJoin {
+    /// Starts this node's join through `contact` ("an arriving node ...
+    /// can initialize its state by contacting a nearby node A"). In
+    /// loss-recovery mode the join runs off [`TIMER_JOIN_RETRY`], so
+    /// lost requests and replies are retried with a deadline.
+    pub fn start_join(&mut self, contact: Addr, io: &mut PastryIo<'_, A>) {
+        match &mut self.recovery {
+            Some(r) => {
+                r.pending_join = Some(PendingJoin {
+                    contact,
+                    attempts: 0,
+                });
+                io.set_timer(0, TIMER_JOIN_RETRY);
+            }
+            None => self.send_join(contact, "start", io),
+        }
+    }
+
+    /// One join attempt: the neighborhood request and the join request
+    /// that `contact` routes toward this node's id.
+    fn send_join(&self, contact: Addr, phase: &'static str, io: &mut PastryIo<'_, A>) {
+        let (now, me) = (io.now_us(), io.me());
+        io.tracer().join_phase(now, me, phase);
+        io.send(contact, PastryMsg::NeighborhoodRequest);
+        io.send(
             contact,
-            attempts: 0,
-        });
+            PastryMsg::JoinRequest(Box::new(JoinRequest {
+                joiner: self.state.me,
+                rows: Vec::new(),
+                rows_done: 0,
+                hops: 0,
+            })),
+        );
+    }
+
+    /// First half of a revival ("a recovering node contacts the nodes in
+    /// its last known leaf set, obtains their current leaf sets ... and
+    /// then notifies the members of its presence"). Returns the peers
+    /// contacted, for [`Self::finish_revival`].
+    pub fn begin_revival(&self, io: &mut PastryIo<'_, A>) -> Vec<Addr> {
+        let me = self.state.me;
+        let last_leaf: Vec<Addr> = self.state.leaf.members().map(|h| h.addr).collect();
+        for &peer in &last_leaf {
+            io.send(peer, PastryMsg::LeafRequest);
+            io.send(peer, PastryMsg::Announce { from: me });
+        }
+        last_leaf
+    }
+
+    /// Second half of a revival, once the replies to the first are in:
+    /// announces this node to the leaf members it has learned since. The
+    /// pre-death leaf set can miss true ring neighbors (a slot held by a
+    /// peer that died at the same time hides the node beyond it), and
+    /// every current neighbor must learn of the revival (leaf-set
+    /// symmetry, invariant I1).
+    pub fn finish_revival(&self, contacted: &[Addr], io: &mut PastryIo<'_, A>) {
+        let me = self.state.me;
+        for h in self.state.leaf.members() {
+            if !contacted.contains(&h.addr) {
+                io.send(h.addr, PastryMsg::Announce { from: me });
+            }
+        }
+    }
+
+    /// Asks `peer` for its routing-table row `row` (the Pastry paper's
+    /// locality-improvement maintenance; whoever drives the node picks
+    /// the peer among that row's entries).
+    pub fn probe_row(&self, row: usize, peer: Addr, io: &mut PastryIo<'_, A>) {
+        io.send(peer, PastryMsg::RowRequest { row });
     }
 
     /// Applies one protocol input to this node, writing every resulting
     /// effect (sends, timers, observations) through `io` in call order.
     ///
-    /// This is the node's entire interface to the outside world — the
-    /// sans-io transition function. The engine adapter
-    /// (`impl NodeLogic` in [`crate::sim`]) and pure test drivers both
-    /// funnel through here.
+    /// This is the node's transition function; its [`Machine`] impl, and
+    /// through it the engine adapter and pure test drivers, funnel
+    /// through here.
     pub fn step(&mut self, input: Input<PastryMsg<A::Payload>>, io: &mut PastryIo<'_, A>) {
         match input {
             Input::Message { from, msg } => self.on_message(from, msg, io),
@@ -324,8 +398,10 @@ impl<A: App> PastryNode<A> {
         // Hearing from a peer proves it alive: drop any suspicion, settle
         // the current heartbeat round, and reset its missed-ack count.
         self.suspected.remove(&from);
-        self.awaiting_ack.remove(&from);
-        self.missed_acks.remove(&from);
+        if let Some(r) = &mut self.recovery {
+            r.awaiting_ack.remove(&from);
+            r.missed_acks.remove(&from);
+        }
         match msg {
             PastryMsg::Route(env) => {
                 if self.behavior == Behavior::DropRoutes && env.origin != io.me() {
@@ -333,6 +409,13 @@ impl<A: App> PastryNode<A> {
                 }
                 self.route_env(env, io);
             }
+            // A node that has not completed its own join has no state to
+            // seed another's with: answering would make it Z of a ring of
+            // one. Dropped, so the joiner's retry deadline reports it. (Its
+            // own retried request, routed back by nodes that learned it
+            // on a lost attempt, is still handled below, as it always was.)
+            PastryMsg::NeighborhoodRequest if !self.joined => {}
+            PastryMsg::JoinRequest(req) if !self.joined && req.joiner.addr != io.me() => {}
             PastryMsg::JoinRequest(mut req) => {
                 // Contribute our routing-table rows usable by the joiner:
                 // rows up to the shared-prefix length.
@@ -374,7 +457,9 @@ impl<A: App> PastryNode<A> {
                 }
                 self.joined = true;
                 self.join_hops = Some(hops);
-                self.pending_join = None;
+                if let Some(r) = &mut self.recovery {
+                    r.pending_join = None;
+                }
                 let (now, me) = (io.now_us(), io.me());
                 io.tracer().join_phase(now, me, "complete");
                 // "Notify interested nodes that need to know of its
@@ -466,61 +551,59 @@ impl<A: App> PastryNode<A> {
         match kind {
             TIMER_HEARTBEAT => {
                 let members: Vec<Addr> = self.state.leaf.members().map(|m| m.addr).collect();
-                if let Some(rc) = self.recovery {
+                if let Some(r) = &mut self.recovery {
                     // Loss-aware round: remember who owes an ack, and
                     // piggyback anti-entropy — re-announcing ourselves and
                     // pulling each member's leaf set re-teaches state that
                     // lossy links may have swallowed (dropped Announces
                     // leave asymmetric leaf sets that nothing else heals).
-                    self.awaiting_ack.clear();
+                    r.awaiting_ack.clear();
                     let me = self.state.me;
                     for &addr in &members {
                         io.send(addr, PastryMsg::Heartbeat);
                         io.send(addr, PastryMsg::Announce { from: me });
                         io.send(addr, PastryMsg::LeafRequest);
-                        self.awaiting_ack.insert(addr);
+                        r.awaiting_ack.insert(addr);
                     }
                     if !members.is_empty() {
-                        io.set_timer(rc.heartbeat_timeout_us, TIMER_HEARTBEAT_CHECK);
+                        io.set_timer(r.cfg.heartbeat_timeout_us, TIMER_HEARTBEAT_CHECK);
                     }
                 } else {
                     for addr in members {
                         io.send(addr, PastryMsg::Heartbeat);
                     }
                 }
-                if let Some(period) = self.heartbeat_interval_us {
-                    io.set_timer(period, TIMER_HEARTBEAT);
-                }
             }
             TIMER_HEARTBEAT_CHECK => {
-                let Some(rc) = self.recovery else { return };
+                let Some(r) = &mut self.recovery else { return };
                 // Anyone still owing an ack stayed silent the whole round.
-                let overdue: Vec<Addr> =
-                    std::mem::take(&mut self.awaiting_ack).into_iter().collect();
-                for addr in overdue {
-                    let missed = self.missed_acks.entry(addr).or_insert(0);
+                let mut suspects = Vec::new();
+                for addr in std::mem::take(&mut r.awaiting_ack) {
+                    let missed = r.missed_acks.entry(addr).or_insert(0);
                     *missed += 1;
-                    if *missed >= rc.missed_ack_limit {
-                        let rounds = *missed;
-                        self.missed_acks.remove(&addr);
-                        let (now, me) = (io.now_us(), io.me());
-                        io.tracer().suspect(now, me, addr, rounds);
-                        self.handle_peer_failure(addr, io);
+                    if *missed >= r.cfg.missed_ack_limit {
+                        suspects.push((addr, *missed));
+                        r.missed_acks.remove(&addr);
                     }
+                }
+                for (addr, rounds) in suspects {
+                    let (now, me) = (io.now_us(), io.me());
+                    io.tracer().suspect(now, me, addr, rounds);
+                    self.handle_peer_failure(addr, io);
                 }
             }
             TIMER_JOIN_RETRY => {
+                let Some(r) = &mut self.recovery else { return };
                 if self.joined {
-                    self.pending_join = None;
+                    r.pending_join = None;
                     return;
                 }
-                let Some(rc) = self.recovery else { return };
-                let Some(pj) = &mut self.pending_join else {
+                let Some(pj) = &mut r.pending_join else {
                     return;
                 };
-                if pj.attempts >= rc.join_attempts {
+                if pj.attempts >= r.cfg.join_attempts {
                     let attempts = pj.attempts;
-                    self.pending_join = None;
+                    r.pending_join = None;
                     let (now, me) = (io.now_us(), io.me());
                     io.tracer().join_phase(now, me, "failed");
                     io.emit(PastryOut::JoinFailed { attempts });
@@ -528,23 +611,24 @@ impl<A: App> PastryNode<A> {
                 }
                 pj.attempts += 1;
                 let phase = if pj.attempts == 1 { "start" } else { "retry" };
-                let (now, me) = (io.now_us(), io.me());
-                io.tracer().join_phase(now, me, phase);
-                let contact = pj.contact;
-                let joiner = self.state.me;
-                io.send(contact, PastryMsg::NeighborhoodRequest);
-                io.send(
-                    contact,
-                    PastryMsg::JoinRequest(Box::new(JoinRequest {
-                        joiner,
-                        rows: Vec::new(),
-                        rows_done: 0,
-                        hops: 0,
-                    })),
-                );
-                io.set_timer(rc.join_timeout_us, TIMER_JOIN_RETRY);
+                let (contact, timeout_us) = (pj.contact, r.cfg.join_timeout_us);
+                self.send_join(contact, phase, io);
+                io.set_timer(timeout_us, TIMER_JOIN_RETRY);
             }
             _ => {}
         }
+    }
+}
+
+impl<A: App> Machine for PastryNode<A> {
+    type Msg = PastryMsg<A::Payload>;
+    type Out = PastryOut<A::Out>;
+
+    fn step(&mut self, input: Input<Self::Msg>, io: &mut dyn Io<Self::Msg, Self::Out>) {
+        PastryNode::step(self, input, io);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        PastryNode::heap_bytes(self)
     }
 }

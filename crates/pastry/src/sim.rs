@@ -4,52 +4,23 @@
 //! Pastry paper built its simulated networks), a fast static builder for
 //! very large hop-count experiments, routing helpers, and maintenance
 //! rounds (heartbeats, routing-table improvement).
+//!
+//! This is harness work only: owning the engine, choosing contacts and
+//! victims, deciding *when* a node acts, snapshots, the static build.
+//! What a node then does is the node's ([`PastryNode::start_join`] and
+//! friends), entered through [`Engine::act`]; no message is built here.
 
-use crate::app::{App, PastryOut};
+use crate::app::{App, AppCtx, PastryOut};
 use crate::handle::NodeHandle;
 use crate::id::{Config, Id};
 use crate::leafset::Side;
-use crate::msg::{JoinRequest, PastryMsg, RouteEnvelope};
-use crate::node::{PastryNode, RecoveryConfig, TIMER_HEARTBEAT, TIMER_JOIN_RETRY};
+use crate::node::{PastryNode, RecoveryConfig, TIMER_HEARTBEAT};
 use past_crypto::rng::Rng;
-use past_netsim::{Addr, Ctx, Engine, NodeLogic, ShardConfig, SimTime, Topology, WindowTooWide};
-use past_wire::Input;
+use past_netsim::{Addr, Engine, NodeLogic, ShardConfig, SimTime, Topology, WindowTooWide};
 use std::cell::RefCell;
 
 /// Default cap on events per quiet-run (guards against runaway loops).
 const QUIET_BUDGET: u64 = 50_000_000;
-
-/// The engine-side adapter for the sans-io node logic: every engine
-/// callback becomes a [`past_wire::Input`] applied through
-/// [`PastryNode::step`], with the engine's `Ctx` (an
-/// [`past_wire::Io`] implementor) as the effect sink. This impl —
-/// not the node — is what couples Pastry to the simulator, which is
-/// why it lives in the sanctioned adapter module.
-impl<A: App> NodeLogic for PastryNode<A> {
-    type Msg = PastryMsg<A::Payload>;
-    type Out = PastryOut<A::Out>;
-
-    fn on_message(&mut self, from: Addr, msg: Self::Msg, ctx: &mut Ctx<'_, Self::Msg, Self::Out>) {
-        self.step(Input::Message { from, msg }, ctx);
-    }
-
-    fn on_send_failed(
-        &mut self,
-        to: Addr,
-        msg: Self::Msg,
-        ctx: &mut Ctx<'_, Self::Msg, Self::Out>,
-    ) {
-        self.step(Input::SendFailed { to, msg }, ctx);
-    }
-
-    fn on_timer(&mut self, kind: u64, ctx: &mut Ctx<'_, Self::Msg, Self::Out>) {
-        self.step(Input::Timer { kind }, ctx);
-    }
-
-    fn heap_bytes(&self) -> usize {
-        PastryNode::heap_bytes(self)
-    }
-}
 
 /// A record of one completed route, as observed by the harness.
 #[derive(Clone, Copy, Debug)]
@@ -119,8 +90,8 @@ pub struct PastrySim<A: App, T: Topology> {
     pub engine: Engine<PastryNode<A>, T>,
     /// The shared protocol configuration.
     pub cfg: Config,
-    /// Loss-recovery parameters applied to every node; `None` (default)
-    /// keeps the crash-only maintenance protocol.
+    /// Loss-recovery parameters every node is created with; `None`
+    /// (default) keeps the crash-only maintenance protocol.
     recovery: Option<RecoveryConfig>,
     /// Live handles sorted by id, rebuilt lazily whenever the engine's
     /// membership epoch moves; `true_root` answers from this index with a
@@ -174,7 +145,7 @@ impl<A: App, T: Topology> PastrySim<A, T> {
     pub fn set_recovery(&mut self, rc: RecoveryConfig) {
         self.recovery = Some(rc);
         for a in 0..self.engine.len() {
-            self.engine.node_mut(a).recovery = Some(rc);
+            self.engine.node_mut(a).set_recovery(rc);
         }
     }
 
@@ -183,65 +154,50 @@ impl<A: App, T: Topology> PastrySim<A, T> {
         self.recovery
     }
 
+    /// Pushes a node with the next address, in the recovery mode in
+    /// force.
+    fn push_node(&mut self, id: Id, app: A, joined: bool) -> Addr {
+        let me = NodeHandle::new(id, self.engine.len());
+        let mut node = PastryNode::new(self.cfg, me, app);
+        node.joined = joined;
+        if let Some(rc) = self.recovery {
+            node.set_recovery(rc);
+        }
+        self.engine.push_node(node)
+    }
+
     /// Adds the first node of the network (no join needed).
     pub fn bootstrap_node(&mut self, id: Id, app: A) -> Addr {
-        let addr = self.engine.push_node(PastryNode::new(
-            self.cfg,
-            NodeHandle::new(id, self.engine.len()),
-            app,
-        ));
-        self.engine.node_mut(addr).joined = true;
-        self.engine.node_mut(addr).recovery = self.recovery;
-        addr
+        self.push_node(id, app, true)
     }
 
     /// Adds a node and runs the full join protocol through `contact`.
     ///
     /// Runs the engine until quiet, so joins are sequential as in the
-    /// paper's evaluation. Returns the new node's address.
+    /// paper's evaluation. Returns the new node's address. In
+    /// loss-recovery mode the join may fail (`PastryOut::JoinFailed`);
+    /// without loss it cannot.
     pub fn join_node_via(&mut self, id: Id, app: A, contact: Addr) -> Addr {
-        // The next address is the current node count; construct the node
-        // once with its real handle instead of rebuilding state afterwards.
-        let joiner = NodeHandle::new(id, self.engine.len());
-        let addr = self
-            .engine
-            .push_node(PastryNode::new(self.cfg, joiner, app));
-        debug_assert_eq!(addr, joiner.addr);
-        if self.recovery.is_some() {
-            // Loss-recovery mode: the node drives its own join from a
-            // timer so lost requests/replies are retried with a deadline.
-            self.engine.node_mut(addr).recovery = self.recovery;
-            self.engine.node_mut(addr).begin_join(contact);
-            self.engine.arm_timer(addr, 0, TIMER_JOIN_RETRY);
-            self.engine.run_until_quiet(QUIET_BUDGET);
-        } else {
-            let now = self.engine.now().as_micros();
-            self.engine.tracer_mut().join_phase(now, addr, "start");
-            self.engine
-                .inject(addr, contact, PastryMsg::NeighborhoodRequest, 0);
-            self.engine.inject(
-                addr,
-                contact,
-                PastryMsg::JoinRequest(Box::new(JoinRequest {
-                    joiner,
-                    rows: Vec::new(),
-                    rows_done: 0,
-                    hops: 0,
-                })),
-                0,
-            );
-            self.engine.run_until_quiet(QUIET_BUDGET);
-            debug_assert!(self.engine.node(addr).joined, "join did not complete");
-        }
+        let addr = self.push_node(id, app, false);
+        self.engine
+            .act(addr, |node, ctx| node.start_join(contact, ctx));
+        self.engine.run_until_quiet(QUIET_BUDGET);
+        debug_assert!(
+            self.recovery.is_some() || self.engine.node(addr).joined,
+            "join did not complete"
+        );
         addr
     }
 
     /// Adds a node, choosing a *nearby* contact as the paper prescribes
     /// ("an arriving node ... can initialize its state by contacting a
     /// nearby node A"): samples `sample` live nodes and picks the
-    /// proximity-nearest, modeling an expanding-ring search.
+    /// proximity-nearest, modeling an expanding-ring search. Only nodes
+    /// that completed their own join are candidates: one that did not
+    /// has no ring to admit anyone to.
     pub fn join_node_nearby(&mut self, id: Id, app: A, sample: usize) -> Addr {
-        let live = self.engine.live_addrs();
+        let mut live = self.engine.live_addrs();
+        live.retain(|&a| self.engine.node(a).joined);
         assert!(!live.is_empty(), "need a bootstrap node first");
         let next_addr = self.engine.len();
         let mut contact = live[self.engine.rng().random_range(0..live.len())];
@@ -281,18 +237,8 @@ impl<A: App, T: Topology> PastrySim<A, T> {
     where
         A::Payload: Clone,
     {
-        self.engine.inject(
-            from,
-            from,
-            PastryMsg::Route(RouteEnvelope {
-                key,
-                payload,
-                origin: from,
-                hops: 0,
-                path_us: 0,
-            }),
-            0,
-        );
+        self.engine
+            .act(from, |_, ctx| AppCtx::new(ctx).route(key, payload));
     }
 
     /// Runs the engine until quiet and returns route-delivery records.
@@ -340,42 +286,12 @@ impl<A: App, T: Topology> PastrySim<A, T> {
     /// Runs the engine to quiescence. Returns the peers contacted.
     pub fn recover_node(&mut self, addr: Addr) -> usize {
         self.engine.revive(addr);
-        let me = self.engine.node(addr).state.me;
-        let last_leaf: Vec<Addr> = self
-            .engine
-            .node(addr)
-            .state
-            .leaf
-            .members()
-            .map(|h| h.addr)
-            .collect();
-        for &peer in &last_leaf {
-            self.engine.inject(addr, peer, PastryMsg::LeafRequest, 0);
-            self.engine
-                .inject(addr, peer, PastryMsg::Announce { from: me }, 0);
-        }
+        let contacted = self.engine.act(addr, |node, ctx| node.begin_revival(ctx));
         self.engine.run_until_quiet(QUIET_BUDGET);
-        // The pre-death leaf set can miss true ring neighbors: a slot may
-        // have been held by a peer that died at the same time, hiding the
-        // node beyond it. Announce once more to the *refreshed* leaf set
-        // so every current neighbor learns of the revival (leaf-set
-        // symmetry, invariant I1).
-        let current_leaf: Vec<Addr> = self
-            .engine
-            .node(addr)
-            .state
-            .leaf
-            .members()
-            .map(|h| h.addr)
-            .collect();
-        for &peer in &current_leaf {
-            if !last_leaf.contains(&peer) {
-                self.engine
-                    .inject(addr, peer, PastryMsg::Announce { from: me }, 0);
-            }
-        }
+        self.engine
+            .act(addr, |node, ctx| node.finish_revival(&contacted, ctx));
         self.engine.run_until_quiet(QUIET_BUDGET);
-        last_leaf.len()
+        contacted.len()
     }
 
     /// Triggers one leaf-set heartbeat round on every live node and runs
@@ -413,12 +329,9 @@ impl<A: App, T: Topology> PastrySim<A, T> {
                     .collect()
             };
             for (row, entries) in rows {
-                let peer = {
-                    let idx = self.engine.rng().random_range(0..entries.len());
-                    entries[idx]
-                };
+                let peer = entries[self.engine.rng().random_range(0..entries.len())].addr;
                 self.engine
-                    .inject(addr, peer.addr, PastryMsg::RowRequest { row }, 0);
+                    .act(addr, |node, ctx| node.probe_row(row, peer, ctx));
             }
         }
         self.engine.run_until_quiet(QUIET_BUDGET);
@@ -542,12 +455,7 @@ pub fn populate_static<A, T, F>(
     // nodes the incremental doubling during the push loop is measurable.
     sim.engine.reserve_nodes(n);
     for (addr, &id) in ids.iter().enumerate() {
-        let a = sim.engine.push_node(PastryNode::new(
-            cfg,
-            NodeHandle::new(id, addr),
-            mk_app(addr),
-        ));
-        sim.engine.node_mut(a).joined = true;
+        sim.push_node(id, mk_app(addr), true);
     }
 
     // Ring order.

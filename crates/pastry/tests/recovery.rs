@@ -193,3 +193,71 @@ fn lossy_runs_replay_bit_identically() {
     assert_eq!(a, b, "same seed must replay identically");
     assert_ne!(a, c, "different fault seed should perturb the run");
 }
+
+/// An `n`-node ring plus `x`, whose join ran under total loss and failed:
+/// alive, in `live_addrs`, never joined. Loss is off again on return.
+fn ring_with_a_failed_joiner(n: usize, slots: usize) -> (PastrySim<NullApp, Sphere>, usize) {
+    let mut sim = build_with_slots(n, slots, 59);
+    sim.engine.set_faults(
+        FaultConfig {
+            loss: 1.0,
+            ..FaultConfig::default()
+        },
+        5,
+    );
+    let x = sim.join_node_via(Id(0x5555_0000_1111_2222), NullApp, 0);
+    sim.engine.set_faults(FaultConfig::default(), 5);
+    assert!(!sim.engine.node(x).joined && sim.engine.is_alive(x));
+    sim.engine.drain_outputs();
+    (sim, x)
+}
+
+/// A node whose own join failed has no ring to admit anyone to: asked to
+/// be a contact it stays silent, so the joiner fails explicitly instead
+/// of "joining" a ring of one.
+#[test]
+fn an_unjoined_contact_does_not_answer_join_requests() {
+    let (mut sim, x) = ring_with_a_failed_joiner(10, 12);
+    let y = sim.join_node_via(Id(0x7777_0000_3333_4444), NullApp, x);
+    assert!(
+        !sim.engine.node(y).joined,
+        "y joined through a contact that never joined (leaf set of {})",
+        sim.engine.node(y).state.leaf.len()
+    );
+    let failed = sim
+        .engine
+        .drain_outputs()
+        .into_iter()
+        .any(|(_, at, out)| at == y && matches!(out, PastryOut::JoinFailed { .. }));
+    assert!(
+        failed,
+        "the refused join must end in an explicit JoinFailed"
+    );
+}
+
+/// `join_node_nearby` never offers such a node as the contact, however
+/// near it is: every later join completes and routes from the newcomers
+/// end at the true root.
+#[test]
+fn nearby_contacts_are_drawn_from_joined_nodes_only() {
+    // Three candidates, one of them `x`; a sample this large all but
+    // surely draws each every time, so `x` is the contact whenever it is
+    // the nearest.
+    let (mut sim, _) = ring_with_a_failed_joiner(2, 11);
+    let mut rng = Rng::seed_from_u64(3);
+    let late: Vec<usize> = (0..8)
+        .map(|_| sim.join_node_nearby(Id(rng.random()), NullApp, 64))
+        .collect();
+    for &y in &late {
+        assert!(sim.engine.node(y).joined, "late joiner {y} did not join");
+        for owner in (0..2).chain(late.iter().copied()) {
+            sim.route(y, sim.handle(owner).id, ());
+        }
+    }
+    let recs = sim.drain_deliveries();
+    assert_eq!(recs.len(), late.len() * (2 + late.len()));
+    for rec in recs {
+        let root = sim.true_root(&rec.key).map(|h| h.addr);
+        assert_eq!(Some(rec.delivered_at), root, "misdelivered: {rec:?}");
+    }
+}

@@ -3,15 +3,18 @@
 //! The sans-io refactor's point, demonstrated: a `PastryNode` is driven
 //! by [`PastryNode::step`] with a [`StepIo`] effect collector — no
 //! simulator, no event queue, no topology. The same transition
-//! functions run under the engine via the `NodeLogic` adapter in
-//! `sim.rs`; here they run against a plain vector.
+//! functions run under the engine via the simulator's blanket `Machine`
+//! adapter; here they run against a plain vector, and in
+//! [`overlay_life_cycle_without_an_engine`] a whole overlay does.
 
 use past_crypto::rng::Rng;
+use past_pastry::node::TIMER_HEARTBEAT;
 use past_pastry::{
-    Config, Effect, Id, Input, JoinReply, NodeHandle, NullApp, PastryMsg, PastryNode, PastryOut,
-    StepIo, Wire,
+    AppCtx, Config, Effect, Id, Input, JoinReply, NodeHandle, NullApp, PastryMsg, PastryNode,
+    PastryOut, StepIo, Wire,
 };
 use past_trace::Tracer;
+use std::collections::BTreeMap;
 
 type Msg = PastryMsg<()>;
 type Out = PastryOut<()>;
@@ -251,4 +254,177 @@ fn repair_request_past_the_row_end_finds_nothing() {
             "({row}, {col}): {effects:?}"
         );
     }
+}
+
+/// One-way delay between two nodes of [`Ring`] (none to oneself).
+fn delay(a: usize, b: usize) -> u64 {
+    if a == b {
+        0
+    } else {
+        1_000 + 100 * (a ^ b) as u64
+    }
+}
+
+/// A few nodes and a FIFO keyed `(time, source, per-source sequence)` as
+/// the engine's is — the whole of a driver. A silenced node handles
+/// nothing: a message to it comes back to the sender as
+/// [`Input::SendFailed`] one delay later.
+struct Ring {
+    nodes: Vec<PastryNode<NullApp>>,
+    silent: Vec<bool>,
+    rngs: Vec<Rng>,
+    seqs: Vec<u64>,
+    tracer: Tracer,
+    now: u64,
+    queue: BTreeMap<(u64, usize, u64), (usize, Input<Msg>)>,
+    outs: Vec<(usize, Out)>,
+}
+
+impl Ring {
+    fn new(ids: &[u128]) -> Ring {
+        let n = ids.len();
+        Ring {
+            nodes: (0..n).map(|a| node(a, ids[a])).collect(),
+            silent: vec![false; n],
+            rngs: (0..n).map(|a| Rng::seed_from_u64(a as u64)).collect(),
+            seqs: vec![0; n],
+            tracer: Tracer::default(),
+            now: 0,
+            queue: BTreeMap::new(),
+            outs: Vec::new(),
+        }
+    }
+
+    fn post(&mut self, time: u64, src: usize, at: usize, input: Input<Msg>) {
+        self.queue.insert((time, src, self.seqs[src]), (at, input));
+        self.seqs[src] += 1;
+    }
+
+    /// Runs `f` on node `at` now and files what it wrote.
+    fn act<R>(
+        &mut self,
+        at: usize,
+        f: impl FnOnce(&mut PastryNode<NullApp>, &mut StepIo<'_, Msg, Out>) -> R,
+    ) -> R {
+        let mut effects = Vec::new();
+        let mut io = StepIo {
+            now_us: self.now,
+            me: at,
+            rng: &mut self.rngs[at],
+            tracer: &mut self.tracer,
+            proximity: &delay,
+            effects: &mut effects,
+        };
+        let ret = f(&mut self.nodes[at], &mut io);
+        for effect in effects {
+            match effect {
+                Effect::Send { to, msg, extra_us } => {
+                    let input = Input::Message { from: at, msg };
+                    self.post(self.now + delay(at, to) + extra_us, at, to, input);
+                }
+                Effect::Timer { delay_us, kind } => {
+                    self.post(self.now + delay_us, at, at, Input::Timer { kind });
+                }
+                Effect::Out(out) => self.outs.push((at, out)),
+            }
+        }
+        ret
+    }
+
+    fn run_until_quiet(&mut self) {
+        while let Some(((time, _, _), (at, input))) = self.queue.pop_first() {
+            self.now = time;
+            if !self.silent[at] {
+                self.act(at, |node, io| node.step(input, io));
+            } else if let Input::Message { from, msg } = input {
+                let notice = Input::SendFailed { to: at, msg };
+                self.post(time + delay(at, from), at, from, notice);
+            }
+        }
+    }
+
+    fn leaf_addrs(&self, at: usize) -> Vec<usize> {
+        let mut addrs: Vec<usize> = self.nodes[at]
+            .state
+            .leaf
+            .members()
+            .map(|h| h.addr)
+            .collect();
+        addrs.sort_unstable();
+        addrs
+    }
+}
+
+/// Bootstrap, three joins, a failure found by a heartbeat round, the
+/// failed node's revival: every action an overlay's life consists of is
+/// the node's own, so `step`, a `StepIo` and a queue drive all of it.
+#[test]
+fn overlay_life_cycle_without_an_engine() {
+    let ids = [0x1a << 120, 0x5b << 120, 0x8c << 120, 0xdd << 120];
+    let mut ring = Ring::new(&ids);
+    let others = |a: usize| (0..4).filter(|&b| b != a).collect::<Vec<_>>();
+
+    ring.nodes[0].joined = true;
+    for joiner in 1..4 {
+        ring.act(joiner, |node, io| node.start_join(joiner - 1, io));
+        ring.run_until_quiet();
+        assert!(ring.nodes[joiner].joined, "node {joiner} did not join");
+    }
+    for a in 0..4 {
+        assert_eq!(ring.leaf_addrs(a), others(a), "after the joins, node {a}");
+    }
+
+    ring.silent[2] = true;
+    for a in others(2) {
+        ring.act(a, |node, io| {
+            node.step(
+                Input::Timer {
+                    kind: TIMER_HEARTBEAT,
+                },
+                io,
+            )
+        });
+    }
+    ring.run_until_quiet();
+    for a in others(2) {
+        assert!(ring.nodes[a].suspects(2), "node {a} missed the failure");
+        assert!(!ring.leaf_addrs(a).contains(&2), "node {a} kept the dead");
+    }
+
+    ring.silent[2] = false;
+    let contacted = ring.act(2, |node, io| node.begin_revival(io));
+    assert_eq!(contacted.len(), 3);
+    ring.run_until_quiet();
+    ring.act(2, |node, io| node.finish_revival(&contacted, io));
+    ring.run_until_quiet();
+    for a in 0..4 {
+        assert_eq!(ring.leaf_addrs(a), others(a), "after the revival, node {a}");
+        assert!(!ring.nodes[a].suspects(2));
+    }
+
+    ring.outs.clear();
+    for from in 0..4 {
+        for key in ids {
+            ring.act(from, |_, io| AppCtx::<(), ()>::new(io).route(Id(key), ()));
+        }
+    }
+    ring.run_until_quiet();
+    let mut delivered: Vec<(usize, usize)> = ring
+        .outs
+        .iter()
+        .map(|(at, out)| match out {
+            PastryOut::Delivered { key, origin, .. } => {
+                assert_eq!(
+                    key.0, ids[*at],
+                    "key delivered at a node that is not its owner"
+                );
+                (*origin, *at)
+            }
+            other => panic!("unexpected observation at node {at}: {other:?}"),
+        })
+        .collect();
+    delivered.sort_unstable();
+    let every_pair: Vec<(usize, usize)> =
+        (0..4).flat_map(|f| (0..4).map(move |o| (f, o))).collect();
+    assert_eq!(delivered, every_pair);
 }

@@ -5,8 +5,8 @@
 //! DESIGN.md): a `Params` struct with bench-scale defaults and a
 //! `Params::paper()` variant, a `run` function returning a typed result,
 //! and a `table()` renderer producing the row/series the paper reports.
-//! The `past-bench` crate drives these from criterion benches and from
-//! paper-scale binaries.
+//! The `past-bench` crate drives these from its in-tree `paper_tables`
+//! bench and from the paper-scale `exp` binary.
 
 pub mod common;
 pub mod experiments;

@@ -10,16 +10,17 @@
 //!   malformed input a value, never a panic. DESIGN.md §13 is the
 //!   normative spec.
 //! - [`sansio`]: the [`Io`] effect sink and [`Input`] event type that
-//!   protocol state machines are written against, so the same
-//!   `(state, input) → effects` transition functions run under the
-//!   deterministic simulator today and real sockets later. [`StepIo`]
-//!   is the engine-free driver used by pure tests.
+//!   protocol state machines are written against, the [`Machine`] trait
+//!   they implement and the [`Message`] trait their frames implement, so
+//!   the same `(state, input) → effects` transition functions run under
+//!   the deterministic simulator today and real sockets later.
+//!   [`StepIo`] is the engine-free driver used by pure tests.
 
 pub mod codec;
 pub mod sansio;
 
 pub use codec::{DecodeError, Reader, Sink, Wire, WIRE_VERSION};
-pub use sansio::{Effect, Input, Io, Proximity, StepIo};
+pub use sansio::{Effect, Input, Io, Machine, Message, Proximity, StepIo};
 
 // The handles node logic needs, re-exported so a sans-io protocol crate
 // can name them without depending on the simulator.

@@ -10,7 +10,41 @@
 
 use crate::Addr;
 use past_crypto::rng::Rng;
-use past_trace::Tracer;
+use past_trace::{OpId, Tracer};
+
+/// A wire message, as a transport accounts for it.
+pub trait Message: Clone {
+    /// Every kind label this message type can produce, in [`kind_id`]
+    /// order. The engine's per-kind traffic counters are a flat array
+    /// indexed by `kind_id`, so accounting is an array bump instead of a
+    /// string-keyed hash lookup per message.
+    ///
+    /// [`kind_id`]: Message::kind_id
+    const KINDS: &'static [&'static str];
+
+    /// Index of this message's kind within [`Message::KINDS`].
+    fn kind_id(&self) -> usize;
+
+    /// A short static label used for per-kind traffic accounting.
+    fn kind(&self) -> &'static str {
+        Self::KINDS[self.kind_id()]
+    }
+
+    /// Wire size in bytes, used for bandwidth accounting and per-send
+    /// trace records. Message types with a codec must answer their exact
+    /// encoded length ([`Wire::encoded_len`](crate::Wire::encoded_len));
+    /// the default is a placeholder for codec-less test messages only.
+    fn wire_size(&self) -> u64 {
+        64
+    }
+
+    /// The client operation this message belongs to, for causal trace
+    /// attribution. Protocol messages that are not part of a client
+    /// operation (the default) answer [`OpId::NONE`].
+    fn op_id(&self) -> OpId {
+        OpId::NONE
+    }
+}
 
 /// One protocol event delivered to a node.
 #[derive(Clone, Debug)]
@@ -34,6 +68,31 @@ pub enum Input<M> {
         /// The timer kind.
         kind: u64,
     },
+}
+
+/// A sans-io protocol state machine: one transition function over
+/// [`Input`], every effect written through [`Io`].
+///
+/// This is the whole boundary between a protocol and whatever runs it.
+/// The simulator adapts every `Machine` onto its engine with one blanket
+/// impl, a pure test steps it against a [`StepIo`], and a socket
+/// transport would be a third [`Io`] — none of them named here.
+pub trait Machine {
+    /// The wire message type.
+    type Msg: Message;
+    /// Observations surfaced to whoever drives the machine (delivery
+    /// records, receipts, rejections, ...).
+    type Out;
+
+    /// Applies one input, writing the resulting effects through `io` in
+    /// call order.
+    fn step(&mut self, input: Input<Self::Msg>, io: &mut dyn Io<Self::Msg, Self::Out>);
+
+    /// Bytes of heap this machine owns beyond `size_of::<Self>()`; the
+    /// default counts none.
+    fn heap_bytes(&self) -> usize {
+        0
+    }
 }
 
 /// The effect sink a transition function writes through.

@@ -19,7 +19,7 @@
 //! | U1   | every `.rs` file              | `unsafe` |
 //! | O1   | library crate code            | `println!`-family output |
 //! | E1   | library crate code            | `let _ =` over a call (silently dropped `Result`s) |
-//! | L1   | protocol crates (`core`, `pastry`) | reaching into `netsim::engine` internals |
+//! | L1   | protocol crates (`core`, `pastry`) | naming `past_netsim` at all (the vocabulary is `past_wire`'s) |
 //! | M1   | wire-message enums            | variants missing from `encode`/`read`/`kind_id`/`KINDS`/`op_id` coverage |
 //!
 //! The full catalog — rationale, scope, and suppression mechanics per

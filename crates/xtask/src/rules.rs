@@ -545,27 +545,12 @@ fn rule_e1(cx: &FileCx<'_>, out: &mut Vec<Diagnostic>) {
 
 // ---------------------------------------------------------------- L1
 
-const L1_ENGINE_TYPES: &[&str] = &[
-    "Engine",
-    "NetStats",
-    "FaultConfig",
-    "ShardConfig",
-    "TimerWheel",
-];
-const L1_MODULE_PATHS: &[&[&str]] = &[
-    &["past_netsim", ":", ":", "engine"],
-    &["past_netsim", ":", ":", "shard"],
-    &["past_netsim", ":", ":", "wheel"],
-    &["netsim", ":", ":", "engine"],
-    &["netsim", ":", ":", "shard"],
-];
-
-/// L1: protocol crates must stay sans-io — they may use netsim's
-/// vocabulary types (`Addr`, `SimTime`, `OpId`, the `Message` /
-/// `NodeLogic` traits) and the crate-root `WindowTooWide` error, but
-/// not drive or inspect the engine, nor spell out its module paths
-/// instead of the root re-exports. The two sim adapters are the
-/// explicit, allowlisted exceptions.
+/// L1: protocol crates must stay sans-io. Everything they may name of
+/// the outside world — `Addr`, `OpId`, `Io`, the `Message` and `Machine`
+/// traits — lives in `past-wire`, so the fence is one token: the path
+/// `past_netsim` does not appear, and nothing reaches through an
+/// adapter's `engine` field. The two sim adapters are the explicit,
+/// allowlisted exceptions.
 fn rule_l1(cx: &FileCx<'_>, out: &mut Vec<Diagnostic>) {
     let mut dedup = LineDedup::new();
     for i in 0..cx.lx.len() {
@@ -573,36 +558,18 @@ fn rule_l1(cx: &FileCx<'_>, out: &mut Vec<Diagnostic>) {
             continue;
         }
         let t = cx.t(i);
-        if cx.is_ident(i) && L1_ENGINE_TYPES.contains(&t) {
+        if cx.is_ident(i) && t == "past_netsim" {
             dedup.push(
                 out,
                 cx.diag(
                     "L1",
                     i,
-                    format!(
-                        "engine-internal type `{t}` referenced from a protocol crate; keep \
-                         protocol logic sans-io and drive the engine from the sim adapter"
-                    ),
+                    "protocol crate names `past_netsim`; keep protocol logic sans-io (the \
+                     vocabulary lives in `past_wire`) and drive the engine from the sim adapter"
+                        .to_string(),
                 ),
             );
             continue;
-        }
-        for pat in L1_MODULE_PATHS {
-            if cx.is_ident(i) && cx.seq(i, pat) {
-                dedup.push(
-                    out,
-                    cx.diag(
-                        "L1",
-                        i,
-                        format!(
-                            "protocol crate reaches into `{}::{}` internals; depend on the \
-                             crate-root re-exports only",
-                            pat[0],
-                            pat[pat.len() - 1]
-                        ),
-                    ),
-                );
-            }
         }
         if t == "." && cx.t(i + 1) == "engine" {
             dedup.push(

@@ -282,7 +282,7 @@ fn l1_triggers_on_engine_types_and_module_paths() {
     let src = "use past_netsim::engine::Engine;\n";
     let r = rules("crates/pastry/src/x.rs", src);
     assert_eq!(r, vec!["L1"], "one diagnostic per line, not per pattern");
-    let src = "pub struct Sim { eng: Engine<Node, Mesh> }\n";
+    let src = "pub struct Sim { eng: past_netsim::Engine<Node, Mesh> }\n";
     assert_eq!(rules("crates/pastry/src/x.rs", src), vec!["L1"]);
 }
 
@@ -290,7 +290,7 @@ fn l1_triggers_on_engine_types_and_module_paths() {
 fn l1_triggers_on_sharded_engine_and_wheel() {
     let src = "use past_netsim::shard::ShardConfig;\n";
     assert_eq!(rules("crates/pastry/src/x.rs", src), vec!["L1"]);
-    let src = "fn f(cfg: ShardConfig) -> ShardConfig { cfg }\n";
+    let src = "fn f(cfg: past_netsim::ShardConfig) -> past_netsim::ShardConfig { cfg }\n";
     assert_eq!(rules("crates/core/src/x.rs", src), vec!["L1"]);
     let src = "use past_netsim::wheel::TimerWheel;\n";
     assert_eq!(rules("crates/pastry/src/x.rs", src), vec!["L1"]);
@@ -300,28 +300,39 @@ fn l1_triggers_on_sharded_engine_and_wheel() {
 fn l1_triggers_on_shard_module_path() {
     let src = "use past_netsim::shard::WindowTooWide;\n";
     assert_eq!(rules("crates/pastry/src/x.rs", src), vec!["L1"]);
-    let src = "use netsim::shard::WindowTooWide;\n";
     assert_eq!(rules("crates/core/src/x.rs", src), vec!["L1"]);
+}
+
+/// The fence is the crate path itself: what used to be the sanctioned
+/// vocabulary imports (`Message` lived in the engine crate) and the
+/// crate-root error re-export are triggers now that `past-wire` holds
+/// everything a protocol file may name.
+#[test]
+fn l1_triggers_on_crate_root_reexports() {
+    let src = "use past_netsim::Message;\n";
+    assert_eq!(rules("crates/pastry/src/x.rs", src), vec!["L1"]);
+    let src = "use past_netsim::{Addr, OpId, SimTime};\n";
+    assert_eq!(rules("crates/core/src/x.rs", src), vec!["L1"]);
+    let src = "use past_netsim::WindowTooWide;\n\
+               fn f(e: WindowTooWide) -> u64 { e.window_us }\n";
+    assert_eq!(rules("crates/pastry/src/x.rs", src), vec!["L1"]);
 }
 
 #[test]
 fn l1_passes_vocabulary_types_and_other_crates() {
-    // Addr/SimTime/OpId/Message are the sanctioned sans-io surface.
-    let src = "use past_netsim::{Addr, Message, OpId, SimTime};\n\
-               fn f(a: Addr, t: SimTime) -> Addr { a }\n";
+    // Addr/OpId/Message/Machine from the vocabulary crate are the
+    // sanctioned sans-io surface; a local type that happens to be called
+    // `Engine` is nobody's business.
+    let src = "use past_wire::{Addr, Machine, Message, OpId};\n\
+               fn f(a: Addr, e: &Engine) -> Addr { a }\n";
     assert_clean("crates/pastry/src/x.rs", src);
+    // Test modules of a protocol file may build an engine to test on.
+    let src = "#[cfg(test)]\nmod tests {\n    use past_netsim::Engine;\n}\n";
+    assert_clean("crates/core/src/x.rs", src);
     // The same engine-driving code is fine outside the protocol crates.
-    let src = "fn step(sim: &mut Harness) { sim.engine.step(); }\n";
+    let src = "use past_netsim::Engine;\n\
+               fn step(sim: &mut Harness) { sim.engine.step(); }\n";
     assert_clean("crates/sim/src/x.rs", src);
-}
-
-#[test]
-fn l1_passes_window_error_reexport() {
-    // Naming the build-time window error is sanctioned as long as it
-    // goes through the crate-root re-export, not the shard module path.
-    let src = "use past_netsim::WindowTooWide;\n\
-               fn f(e: WindowTooWide) -> u64 { e.window_us }\n";
-    assert_clean("crates/pastry/src/x.rs", src);
 }
 
 // ------------------------------------------------------------------ M1

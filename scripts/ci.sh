@@ -19,7 +19,9 @@ if ! cargo run --offline -q -p xtask -- check --format json > target/xtask_check
   exit 1
 fi
 
-echo "== invariant gate (I1-I5 over bulk-join / churn / quota-reclaim / lossy-churn / wheel-horizon, inline + 4 shards)"
+# I6 (every route ends at the closest live node) gates bulk-join,
+# quota-reclaim and wheel-horizon; churn and lossy-churn print its count.
+echo "== invariant gate (I1-I6 over bulk-join / churn / quota-reclaim / lossy-churn / wheel-horizon, inline + 4 shards)"
 mkdir -p target
 for shards in 1 4; do
   cargo run --offline -q -p past-invariants --bin invariants -- --shards "$shards" \
@@ -69,8 +71,10 @@ cargo test --offline -q --release -p past --test wire
 # The packed routing state narrows 8-byte wire addresses to 4 and µs
 # proximities to u32: the hostile-address, saturation and column-bound
 # tests (and the differential tests against the old representation)
-# must hold where overflow checks are off, too.
-echo "== packed routing state, release profile (hostile addresses, saturation, differential)"
+# must hold where overflow checks are off, too. tests/sansio.rs also
+# carries the engine-free overlay life cycle (joins, failure, revival
+# over `step` + `StepIo` only), so that runs optimised here as well.
+echo "== packed routing state + engine-free life cycle, release profile (hostile addresses, saturation, differential)"
 cargo test --offline -q --release -p past-pastry --lib --test sansio
 
 echo "== bench smoke (binaries run and emit valid BENCH_*.json)"
