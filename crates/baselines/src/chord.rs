@@ -7,6 +7,11 @@
 //! implements Chord's finger-table routing over the same simulator and
 //! topologies so the comparison (E11) runs on equal footing.
 
+// No wildcard arms: a new variant must be named wherever messages are
+// matched, or it silently escapes the codec, kind ids and trace attribution.
+#![deny(clippy::wildcard_enum_match_arm)]
+#![deny(clippy::match_wildcard_for_single_variants)]
+
 use past_netsim::{Addr, Ctx, Engine, Message, NodeLogic, SimTime, Topology};
 use past_pastry::Id;
 

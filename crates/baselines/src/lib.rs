@@ -7,6 +7,10 @@
 //! topologies so experiment E11 compares hop counts and locality on equal
 //! footing.
 
+// Library code prints nothing and drops no `#[must_use]` result (DESIGN.md §9).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::let_underscore_must_use)]
+
 pub mod can;
 pub mod chord;
 pub mod wire;

@@ -7,6 +7,11 @@
 //! vector of `f64` coordinates (the dimension is a per-experiment
 //! constant, but the frame stays self-describing).
 
+// No wildcard arms: a new variant must be named wherever messages are
+// matched, or it silently escapes the codec, kind ids and trace attribution.
+#![deny(clippy::wildcard_enum_match_arm)]
+#![deny(clippy::match_wildcard_for_single_variants)]
+
 use crate::can::{CanLookup, CanMsg};
 use crate::chord::{ChordLookup, ChordMsg};
 use past_netsim::Message;

@@ -4,6 +4,11 @@
 //!
 //! Run: `cargo bench -p past-bench --bench paper_tables`
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the bench reports elapsed wall time per experiment table"
+)]
+
 use past_sim::experiments::*;
 use std::time::Instant;
 

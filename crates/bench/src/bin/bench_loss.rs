@@ -17,6 +17,11 @@
 //! `--shards K` runs the sweep on K shards over a delay-floored sphere
 //! (K worker threads; `--shards 1` runs inline on that topology).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "loss-sweep benchmark entry point times each loss level for BENCH_loss.json"
+)]
+
 use past_bench::json;
 use past_core::{BuildMode, ContentRef, PastConfig, PastNetwork, PastOut};
 use past_crypto::rng::Rng;

@@ -25,6 +25,11 @@
 //! counters are identical — shard-count independence measured in anger,
 //! not just in unit tests.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "macro-benchmark entry point times its build/route/churn phases for BENCH_macro.json"
+)]
+
 use past_bench::json;
 use past_crypto::rng::Rng;
 use past_netsim::{Memory, SeriesConfig, ShardConfig, Sphere};

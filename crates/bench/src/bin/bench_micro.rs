@@ -108,8 +108,10 @@ fn bench_crypto(b: &mut Bench) {
 }
 
 fn routing_state(n: usize, seed: u64, randomization: f64) -> PastryState {
-    let mut cfg = Config::default();
-    cfg.route_randomization = randomization;
+    let cfg = Config {
+        route_randomization: randomization,
+        ..Config::default()
+    };
     let mut rng = Rng::seed_from_u64(seed);
     let mut st = PastryState::new(cfg, NodeHandle::new(Id(rng.random()), 0));
     for i in 1..n {

@@ -9,6 +9,10 @@
 //! - `src/bin/exp.rs` runs individual experiments at paper scale
 //!   (`exp e7`, `exp all`).
 
+// Library code prints nothing and drops no `#[must_use]` result (DESIGN.md §9).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::let_underscore_must_use)]
+
 pub use past_trace::json;
 pub mod timing;
 

@@ -3,10 +3,19 @@
 //! Replaces the external `criterion` dependency with the ~hundred lines
 //! the workspace actually needs: warm-up, automatic iteration-count
 //! calibration, a handful of timed samples, and a median/min report.
-//! This is the one place in the workspace allowed to read the wall clock
-//! (`std::time::Instant`); everything else is simulated time, and the
-//! `xtask check` D1 rule enforces that mechanically via an allowlist
-//! entry for this file.
+//! This is the one library module allowed to read the wall clock
+//! (`std::time::Instant`); everything else is simulated time, and
+//! `clippy.toml`'s `disallowed_types` enforces that mechanically — the
+//! `#![expect]` below is the sanctioned exception.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the wall-clock benchmark harness is the one sanctioned Instant user; everything else runs on simulated time"
+)]
+#![expect(
+    clippy::print_stdout,
+    reason = "the measurement harness prints its own table to stdout by design; it has no trace context"
+)]
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -24,7 +24,7 @@ struct CacheEntry {
 #[derive(Clone, Debug, Default)]
 pub struct Cache {
     // BTreeMap, not HashMap: eviction scans the entries, and hash order
-    // would leak into victim choice on credit ties (xtask rule D3).
+    // would leak into victim choice on credit ties (rule D3, `clippy.toml`).
     entries: BTreeMap<FileId, CacheEntry>,
     used: u64,
     aging_floor: f64,

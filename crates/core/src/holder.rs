@@ -281,10 +281,8 @@ impl PastApp {
                 content,
                 client,
                 op,
-            } => {
-                if self.check_insert(&cert, &content, client, op, cx) {
-                    self.store_primary(cert, client, op, state, cx);
-                }
+            } if self.check_insert(&cert, &content, client, op, cx) => {
+                self.store_primary(cert, client, op, state, cx);
             }
             PastMsg::DivertStore {
                 cert,
@@ -316,10 +314,10 @@ impl PastApp {
                     cx.send_direct(primary, PastMsg::DivertNack { file_id, op });
                 }
             }
-            PastMsg::DivertAck { file_id, .. } => {
-                if self.pending_diverts.remove(&file_id).is_some() {
-                    self.store.add_pointer(file_id, from);
-                }
+            PastMsg::DivertAck { file_id, .. }
+                if self.pending_diverts.remove(&file_id).is_some() =>
+            {
+                self.store.add_pointer(file_id, from);
             }
             PastMsg::DivertNack { file_id, .. } => self.divert_refused(file_id, cx),
             PastMsg::LookupHop {
@@ -343,15 +341,14 @@ impl PastApp {
             PastMsg::ReclaimFree { rcert, client, op } => {
                 self.handle_reclaim(rcert, client, op, false, state, cx);
             }
-            PastMsg::CachePush { cert } => {
-                // Two signature checks are only worth paying for a file
-                // the cache could take at all.
+            // Two signature checks are only worth paying for a file the
+            // cache could take at all.
+            PastMsg::CachePush { cert }
                 if self.cfg.cache_enabled
                     && self.store.cache_admissible(&cert)
-                    && (!self.cfg.crypto_checks || cert.verify(&self.broker_key))
-                {
-                    self.store.offer_cache(&cert);
-                }
+                    && (!self.cfg.crypto_checks || cert.verify(&self.broker_key)) =>
+            {
+                self.store.offer_cache(&cert);
             }
             PastMsg::AuditChallenge { file_id, nonce } => {
                 let proof = if self.drops_stored_files {

@@ -19,6 +19,19 @@
 //! The [`network::PastNetwork`] type is the top-level API: build a
 //! network, then `insert` / `lookup` / `reclaim` / `audit` and `run`.
 
+// Library code prints nothing and drops no `#[must_use]` result (DESIGN.md §9).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::let_underscore_must_use)]
+// Protocol code surfaces errors as values; it never aborts a node.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod broker;
 pub mod cache;
 pub mod cert;

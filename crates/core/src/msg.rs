@@ -1,6 +1,11 @@
 //! PAST application messages, carried by Pastry as routed or direct
 //! payloads.
 
+// No wildcard arms: a new variant must be named wherever messages are
+// matched, or it silently escapes the codec, kind ids and trace attribution.
+#![deny(clippy::wildcard_enum_match_arm)]
+#![deny(clippy::match_wildcard_for_single_variants)]
+
 use crate::cert::{FileCertificate, ReclaimCertificate, ReclaimReceipt, StoreReceipt};
 use crate::fileid::{ContentRef, FileId};
 use past_crypto::Digest256;

@@ -115,6 +115,10 @@ impl<T: Topology> PastNetwork<T> {
     /// # Panics
     ///
     /// Panics if the slices disagree in length or are empty.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the public constructor the benchmark and every experiment call positionally"
+    )]
     pub fn build(
         topo: T,
         pastry_cfg: PastryConfig,

@@ -24,7 +24,7 @@ use crate::storage::Store;
 use past_crypto::{Digest256, PublicKey};
 use past_pastry::{App, AppCtx, Id, NodeHandle, PastryState, RouteEnvelope, RouteInfo};
 use past_wire::Addr;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Tunable PAST parameters.
 #[derive(Clone, Copy, Debug)]
@@ -185,8 +185,8 @@ pub struct PastApp {
     pub(crate) request_timers: BTreeMap<u64, RequestKey>,
     pub(crate) next_timer_token: u64,
     pub(crate) next_request_id: u64,
-    pub(crate) pending_audits: HashMap<FileId, (Digest256, u64)>,
-    pub(crate) pending_diverts: HashMap<FileId, DivertState>,
+    pub(crate) pending_audits: BTreeMap<FileId, (Digest256, u64)>,
+    pub(crate) pending_diverts: BTreeMap<FileId, DivertState>,
     /// Failed insert attempts: the storer keys whose receipts were
     /// counted before the attempt concluded. Reclaim receipts from any
     /// *other* storer of these files are quota-suppressed — their share
@@ -219,8 +219,8 @@ impl PastApp {
             request_timers: BTreeMap::new(),
             next_timer_token: 0,
             next_request_id: 0,
-            pending_audits: HashMap::new(),
-            pending_diverts: HashMap::new(),
+            pending_audits: BTreeMap::new(),
+            pending_diverts: BTreeMap::new(),
             settled: BTreeMap::new(),
             issued_reclaim_receipts: BTreeMap::new(),
             reclaim_seen: BTreeSet::new(),

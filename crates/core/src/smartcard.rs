@@ -15,7 +15,7 @@
 use crate::cert::{CardCert, FileCertificate, ReclaimCertificate, ReclaimReceipt, StoreReceipt};
 use crate::fileid::{ContentRef, FileId};
 use past_crypto::{KeyPair, PublicKey};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Errors raised by smartcard operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -64,7 +64,7 @@ pub struct Smartcard {
     /// quota is capped at the issued quota).
     credited_total: u64,
     /// Receipts already credited, to prevent replay: (fileId, storer key).
-    credited: HashSet<(FileId, [u8; 32])>,
+    credited: BTreeSet<(FileId, [u8; 32])>,
 }
 
 impl Smartcard {
@@ -83,7 +83,7 @@ impl Smartcard {
             contributed,
             debited_total: 0,
             credited_total: 0,
-            credited: HashSet::new(),
+            credited: BTreeSet::new(),
         }
     }
 

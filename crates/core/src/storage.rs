@@ -54,7 +54,8 @@ pub struct Store {
     capacity: u64,
     used: u64,
     // BTreeMaps, not HashMaps: replica maintenance iterates `files`, and
-    // hash order would leak into which replicas move first (xtask rule D3).
+    // hash order would leak into which replicas move first (rule D3,
+    // `clippy.toml`).
     files: BTreeMap<FileId, StoredFile>,
     /// fileId → node holding the replica this node diverted.
     pointers: BTreeMap<FileId, Addr>,

@@ -18,6 +18,11 @@
 //! the remaining frame, so a hostile size field is a clean
 //! [`DecodeError::LengthOverflow`], never an allocation or a panic.
 
+// No wildcard arms: a new variant must be named wherever messages are
+// matched, or it silently escapes the codec, kind ids and trace attribution.
+#![deny(clippy::wildcard_enum_match_arm)]
+#![deny(clippy::match_wildcard_for_single_variants)]
+
 use crate::cert::{CardCert, FileCertificate, ReclaimCertificate, ReclaimReceipt, StoreReceipt};
 use crate::fileid::{ContentRef, FileId};
 use crate::msg::{NackReason, PastMsg};

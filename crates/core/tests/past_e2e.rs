@@ -67,8 +67,8 @@ fn insert_stores_k_replicas_on_closest_nodes() {
     let rid = fid.routing_id();
     let mut all = net.sim.live_handles();
     all.sort_by_key(|h| (h.id.ring_dist(&rid), h.id.0));
-    let expect: std::collections::HashSet<_> = all[..5].iter().map(|h| h.addr).collect();
-    let got: std::collections::HashSet<_> = holders.into_iter().collect();
+    let expect: std::collections::BTreeSet<_> = all[..5].iter().map(|h| h.addr).collect();
+    let got: std::collections::BTreeSet<_> = holders.into_iter().collect();
     assert_eq!(got, expect, "replicas on the k numerically closest nodes");
 }
 
@@ -255,15 +255,13 @@ fn new_nodes_receive_replicas_for_keys_they_now_cover() {
     // Join 20 fresh nodes; some will slot into the fileId's k-set.
     let mut rng = Rng::seed_from_u64(99);
     let new_ids = random_ids(60, &mut rng);
-    let mut broker_card_idx = 1000;
-    for id in new_ids.into_iter().take(20) {
+    for (broker_card_idx, id) in (1000..).zip(new_ids.into_iter().take(20)) {
         // Build an app for the newcomer from the same broker.
         let card = net.broker.issue_card(
             format!("late-{broker_card_idx}").as_bytes(),
             1_000 * MB,
             100 * MB,
         );
-        broker_card_idx += 1;
         let app = past_core::PastApp::new(PastConfig::default(), card, 100 * MB, &net.broker);
         if net.sim.engine.len() >= net.sim.engine.topology().len() {
             break; // topology slots exhausted

@@ -20,6 +20,10 @@
 //! (256-bit discrete log, SHA-1 identifiers) and must not be used to protect
 //! real data.
 
+// Library code prints nothing and drops no `#[must_use]` result (DESIGN.md §9).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::let_underscore_must_use)]
+
 pub mod digest;
 pub mod modmath;
 pub mod rng;

@@ -307,7 +307,7 @@ mod tests {
 
     #[test]
     fn rem512_matches_bitserial_on_random_inputs() {
-        let mut rng = Rng::seed_from_u64(0x5eed_d1f);
+        let mut rng = Rng::seed_from_u64(0x05ee_dd1f);
         for round in 0..2_000 {
             let x = U512(std::array::from_fn(|_| rng.next_u64()));
             // Sweep modulus widths so every limb count (and its qhat

@@ -4,7 +4,8 @@
 //! else: no OS entropy, no `rand` crate, no global state. Every
 //! simulation, test, and workload generator threads an explicit [`Rng`]
 //! seeded from a `u64`, so any run is exactly reproducible from its seed
-//! — the property the `xtask check` determinism rules (D2) enforce
+//! — the property `clippy.toml` (rule D2: no `RandomState`) and the
+//! lockfile check in `tests/policy.rs` (rule H1: no `rand` crate) enforce
 //! mechanically.
 //!
 //! The generator is xoshiro256** (Blackman & Vigna), a small, fast,

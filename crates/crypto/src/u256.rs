@@ -64,6 +64,10 @@ impl U256 {
     }
 
     /// Wrapping addition, returning `(sum mod 2^256, carry_out)`.
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "one index walks the limbs of both operands and the result; hot code the micro rows time"
+    )]
     pub fn overflowing_add(&self, rhs: &U256) -> (U256, bool) {
         let mut out = [0u64; 4];
         let mut carry = 0u64;
@@ -77,6 +81,10 @@ impl U256 {
     }
 
     /// Wrapping subtraction, returning `(diff mod 2^256, borrow_out)`.
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "one index walks the limbs of both operands and the result; hot code the micro rows time"
+    )]
     pub fn overflowing_sub(&self, rhs: &U256) -> (U256, bool) {
         let mut out = [0u64; 4];
         let mut borrow = 0u64;
@@ -105,6 +113,10 @@ impl U256 {
     }
 
     /// Shifts left by one bit, returning `(value << 1 mod 2^256, carry_out)`.
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "one index walks the limbs of both operands and the result; hot code the micro rows time"
+    )]
     pub fn shl1(&self) -> (U256, bool) {
         let mut out = [0u64; 4];
         let mut carry = 0u64;

@@ -35,6 +35,10 @@
 //! Checks run at quiesce points; transient states mid-join or mid-repair
 //! are allowed to violate them.
 
+// Library code prints nothing and drops no `#[must_use]` result (DESIGN.md §9).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::let_underscore_must_use)]
+
 pub mod scenarios;
 
 use past_core::PastSnapshot;

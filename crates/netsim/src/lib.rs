@@ -14,6 +14,10 @@
 //!   keys), so every experiment in EXPERIMENTS.md reproduces bit-for-bit —
 //!   on one partition run inline or on several run in parallel.
 
+// Library code prints nothing and drops no `#[must_use]` result (DESIGN.md §9).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::let_underscore_must_use)]
+
 pub mod arena;
 pub mod engine;
 mod partition;

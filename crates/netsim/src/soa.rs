@@ -67,7 +67,7 @@ impl<N> NodeSlots<N> {
         };
         // Clear the tail bits beyond `n` so popcount-style scans and
         // `live_addrs` never see phantom nodes.
-        if n % 64 != 0 {
+        if !n.is_multiple_of(64) {
             if let Some(last) = slots.alive.last_mut() {
                 *last &= (1u64 << (n % 64)) - 1;
             }
@@ -89,7 +89,7 @@ impl<N> NodeSlots<N> {
     pub fn push(&mut self, node: N) -> Addr {
         let a = self.logic.len();
         self.logic.push(node);
-        if a % 64 == 0 {
+        if a.is_multiple_of(64) {
             self.alive.push(0);
         }
         self.alive[a / 64] |= 1 << (a % 64);

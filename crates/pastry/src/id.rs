@@ -148,7 +148,7 @@ impl Config {
         );
         assert!(self.b <= 8, "b must be at most 8 (a digit is a u8)");
         assert!(
-            self.leaf_len >= 2 && self.leaf_len % 2 == 0,
+            self.leaf_len >= 2 && self.leaf_len.is_multiple_of(2),
             "leaf set size must be even and >= 2"
         );
         assert!(

@@ -48,7 +48,7 @@ impl LeafSet {
     ///
     /// Panics if `leaf_len` is odd or zero.
     pub fn new(own: Id, leaf_len: usize) -> LeafSet {
-        assert!(leaf_len >= 2 && leaf_len % 2 == 0);
+        assert!(leaf_len >= 2 && leaf_len.is_multiple_of(2));
         let half = leaf_len / 2;
         // One spare slot: `insert` at a full half pushes, then pops.
         LeafSet {
@@ -87,6 +87,10 @@ impl LeafSet {
         }
         let own = self.own;
         let half = self.half;
+        #[expect(
+            clippy::type_complexity,
+            reason = "a side's members beside its distance key, bound once and used only here"
+        )]
         let (vec, key): (&mut Vec<NodeHandle>, fn(&Id, &Id) -> u128) = match self.side_of(&h.id) {
             Side::Larger => (&mut self.larger, |own, id| own.cw_dist(id)),
             Side::Smaller => (&mut self.smaller, |own, id| id.cw_dist(own)),

@@ -1,5 +1,10 @@
 //! Pastry wire messages.
 
+// No wildcard arms: a new variant must be named wherever messages are
+// matched, or it silently escapes the codec, kind ids and trace attribution.
+#![deny(clippy::wildcard_enum_match_arm)]
+#![deny(clippy::match_wildcard_for_single_variants)]
+
 use crate::handle::NodeHandle;
 use crate::id::Id;
 use past_wire::{Addr, Message, OpId, Wire};
@@ -229,7 +234,7 @@ mod tests {
             PastryMsg::HeartbeatAck,
             PastryMsg::AppDirect { payload: 7 },
         ];
-        let kinds: std::collections::HashSet<&str> = msgs.iter().map(|m| m.kind()).collect();
+        let kinds: std::collections::BTreeSet<&str> = msgs.iter().map(|m| m.kind()).collect();
         assert_eq!(kinds.len(), msgs.len());
     }
 

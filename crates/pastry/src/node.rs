@@ -21,7 +21,7 @@ use crate::msg::{JoinReply, JoinRequest, PastryMsg, PayloadSize, RouteEnvelope};
 use crate::route::{next_hop, NextHop};
 use crate::state::PastryState;
 use past_wire::{Addr, Input, Io, Machine};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Timer id for leaf-set heartbeats.
 pub const TIMER_HEARTBEAT: u64 = 1;
@@ -122,7 +122,7 @@ pub struct PastryNode<A: App> {
     /// or the gossip would keep re-installing dead entries and the repair
     /// traffic would never converge. Hearing *from* a peer clears the
     /// suspicion (it is evidently alive again).
-    suspected: HashSet<Addr>,
+    suspected: BTreeSet<Addr>,
     /// Loss-recovery mode; `None` keeps crash-only behavior.
     recovery: Option<Box<Recovery>>,
 }
@@ -136,7 +136,7 @@ impl<A: App> PastryNode<A> {
             behavior: Behavior::Normal,
             joined: false,
             join_hops: None,
-            suspected: HashSet::new(),
+            suspected: BTreeSet::new(),
             recovery: None,
         }
     }
@@ -153,14 +153,21 @@ impl<A: App> PastryNode<A> {
     }
 
     /// Bytes of heap this node's routing state, suspicion set and
-    /// recovery-mode block hold (capacity × entry size). Not counted: the
-    /// application's own heap and the nodes of the two B-tree recovery
-    /// maps, which have no capacity to read and are empty outside
-    /// loss-recovery rounds.
+    /// recovery-mode block hold. The routing state is exact (capacity ×
+    /// entry size); a B-tree has no capacity to read, so the suspicion set
+    /// is estimated from its length. Not counted: the application's own
+    /// heap and the nodes of the two B-tree recovery maps, which are empty
+    /// outside loss-recovery rounds.
     pub fn heap_bytes(&self) -> usize {
-        // One control byte per hash bucket beside the key.
+        // std's B-tree node: up to 11 keys beside a parent pointer and two
+        // `u16` counters. Assumes full nodes and leaves out the internal
+        // level (one node per 12 leaves), so it errs low.
+        const KEYS_PER_NODE: usize = 11;
+        let node_bytes =
+            (std::mem::size_of::<usize>() + 4 + KEYS_PER_NODE * std::mem::size_of::<Addr>())
+                .next_multiple_of(std::mem::align_of::<usize>());
         self.state.heap_bytes()
-            + self.suspected.capacity() * (std::mem::size_of::<Addr>() + 1)
+            + self.suspected.len().div_ceil(KEYS_PER_NODE) * node_bytes
             + self
                 .recovery
                 .as_ref()

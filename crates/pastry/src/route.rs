@@ -119,6 +119,10 @@ pub fn next_hop(state: &PastryState, key: &Id, rng: &mut Rng) -> NextHop {
     // (for determinism) the smallest id. Distinct nodes never compare
     // equal (ids are unique), so taking the first strict maximum matches
     // the previous collect-then-max behavior.
+    #[expect(
+        clippy::type_complexity,
+        reason = "the fold's running best, its sort key beside its node, lives only in this loop"
+    )]
     let mut best: Option<((usize, Reverse<u128>, Reverse<u128>), NodeHandle)> = None;
     for n in state.known_nodes_iter() {
         if let Some((p, d)) = step_key(&n) {
@@ -288,7 +292,7 @@ mod tests {
         let mut s = state_with(own, 2, &others);
         s.cfg.route_randomization = 0.5;
         let key = Id(0xff00_0000_0000_0000_0000_0000_0000_0000);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let mut r = rng();
         for _ in 0..200 {
             if let NextHop::Forward(h) = next_hop(&s, &key, &mut r) {

@@ -558,7 +558,7 @@ pub fn populate_static<A, T, F>(
 
 /// Generates `n` distinct pseudo-random ids from a seed.
 pub fn random_ids(n: usize, rng: &mut Rng) -> Vec<Id> {
-    let mut set = std::collections::HashSet::with_capacity(n);
+    let mut set = std::collections::BTreeSet::new();
     let mut out = Vec::with_capacity(n);
     while out.len() < n {
         let id = Id(rng.random());

@@ -9,6 +9,11 @@
 //! encoded inline by its own [`Wire`] impl; its length is implied by its
 //! content, not prefixed.
 
+// No wildcard arms: a new variant must be named wherever messages are
+// matched, or it silently escapes the codec, kind ids and trace attribution.
+#![deny(clippy::wildcard_enum_match_arm)]
+#![deny(clippy::match_wildcard_for_single_variants)]
+
 use crate::handle::NodeHandle;
 use crate::id::Id;
 use crate::msg::{JoinReply, JoinRequest, PastryMsg, RouteEnvelope};

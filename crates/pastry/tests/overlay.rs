@@ -89,7 +89,7 @@ fn routing_survives_node_failures_after_stabilize() {
     let mut sim = build_network(n, 19, cfg);
     // Kill 10% of nodes (but never node 0, our probe origin).
     let mut rng = Rng::seed_from_u64(7);
-    let mut killed = std::collections::HashSet::new();
+    let mut killed = std::collections::BTreeSet::new();
     while killed.len() < n / 10 {
         let v = rng.random_range(1..n);
         if killed.insert(v) {

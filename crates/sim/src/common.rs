@@ -92,7 +92,7 @@ mod tests {
         let a = ids(100, 7);
         let b = ids(100, 7);
         assert_eq!(a, b);
-        let set: std::collections::HashSet<u128> = a.iter().map(|i| i.0).collect();
+        let set: std::collections::BTreeSet<u128> = a.iter().map(|i| i.0).collect();
         assert_eq!(set.len(), 100);
     }
 

@@ -9,7 +9,7 @@ use crate::report::{f2, pct, ExpTable};
 use past_core::{BuildMode, ContentRef, PastConfig, PastOut};
 use past_pastry::Config;
 use past_workload::Zipf;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Parameters for E8.
 #[derive(Clone, Debug)]
@@ -128,7 +128,7 @@ fn run_variant(p: &Params, label: &str, cache: bool) -> Row {
     let mut latencies = Vec::new();
     let mut hits = 0usize;
     let mut succ = 0usize;
-    let mut serve_counts: HashMap<usize, u64> = HashMap::new();
+    let mut serve_counts: BTreeMap<usize, u64> = BTreeMap::new();
     for _ in 0..p.lookups {
         let (fid, client) = {
             let r = net.sim.engine.rng();

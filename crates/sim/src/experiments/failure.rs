@@ -8,7 +8,7 @@
 use crate::common::pastry_joined;
 use crate::report::{pct, ExpTable};
 use past_pastry::{Config, Id};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Parameters for E5.
 #[derive(Clone, Debug)]
@@ -87,9 +87,7 @@ fn probe(
         sim.route(from, key, ());
         let recs = sim.drain_deliveries();
         if let Some(rec) = recs.first() {
-            if !check_root {
-                ok += 1;
-            } else if Some(rec.delivered_at) == sim.true_root(&key).map(|h| h.addr) {
+            if !check_root || Some(rec.delivered_at) == sim.true_root(&key).map(|h| h.addr) {
                 ok += 1;
             }
         }
@@ -106,7 +104,7 @@ pub fn run(p: &Params) -> Result {
     for (i, &frac) in p.fail_fractions.iter().enumerate() {
         let mut sim = pastry_joined(p.n, p.seed + i as u64, p.cfg);
         let kill_count = ((p.n as f64) * frac) as usize;
-        let mut killed = HashSet::new();
+        let mut killed = BTreeSet::new();
         while killed.len() < kill_count {
             let v = sim.engine.rng().random_range(0..p.n);
             if killed.insert(v) {

@@ -187,7 +187,7 @@ mod tests {
             .hop_dist
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN"))
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .expect("non-empty")
             .0;
         assert!(mode_small <= 2, "mode {mode_small} too high for n=128");

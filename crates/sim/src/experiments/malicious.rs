@@ -9,7 +9,7 @@
 use crate::common::pastry_joined;
 use crate::report::{pct, ExpTable};
 use past_pastry::{Behavior, Config, Id};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Parameters for E9.
 #[derive(Clone, Debug)]
@@ -84,7 +84,7 @@ pub fn run(p: &Params) -> Result {
         let mut sim = pastry_joined(p.n, p.seed + i as u64, p.cfg);
         // Mark malicious nodes.
         let bad_count = ((p.n as f64) * frac) as usize;
-        let mut bad = HashSet::new();
+        let mut bad = BTreeSet::new();
         while bad.len() < bad_count {
             let v = sim.engine.rng().random_range(0..p.n);
             if bad.insert(v) {

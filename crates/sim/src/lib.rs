@@ -8,6 +8,10 @@
 //! The `past-bench` crate drives these from its in-tree `paper_tables`
 //! bench and from the paper-scale `exp` binary.
 
+// Library code prints nothing and drops no `#[must_use]` result (DESIGN.md §9).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::let_underscore_must_use)]
+
 pub mod common;
 pub mod experiments;
 pub mod report;

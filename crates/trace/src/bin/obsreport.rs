@@ -126,8 +126,7 @@ fn main() -> ExitCode {
     // -- rejection-rate trajectory.
     let sum = |name: &str| -> u64 { windows.iter().map(|w| w.u(name).unwrap_or(0)).sum() };
     let (ok, failed) = (sum("insert_ok"), sum("insert_failed"));
-    if ok + failed > 0 {
-        let reject_bp = failed * 10_000 / (ok + failed);
+    if let Some(reject_bp) = (failed * 10_000).checked_div(ok + failed) {
         println!("  inserts: ok={ok} failed={failed} reject_bp={reject_bp} (slo<={max_reject_bp})");
         if reject_bp > max_reject_bp {
             violations.push(format!(
@@ -145,8 +144,7 @@ fn main() -> ExitCode {
             w.u("store_used").unwrap_or(0),
             w.u("store_capacity").unwrap_or(0),
         );
-        if cap > 0 {
-            let bp = used * 10_000 / cap;
+        if let Some(bp) = (used * 10_000).checked_div(cap) {
             if bp >= worst_util_bp {
                 (worst_util_bp, worst_util_t) = (bp, w.t);
             }

@@ -25,6 +25,10 @@
 //! trace ([`Tracer::fingerprint`]) and the same simulation outcome as
 //! an untraced run.
 
+// Library code prints nothing and drops no `#[must_use]` result (DESIGN.md §9).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::let_underscore_must_use)]
+
 pub mod analyze;
 mod histogram;
 pub mod json;

@@ -16,6 +16,10 @@
 //!   the deterministic simulator today and real sockets later.
 //!   [`StepIo`] is the engine-free driver used by pure tests.
 
+// Library code prints nothing and drops no `#[must_use]` result (DESIGN.md §9).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::let_underscore_must_use)]
+
 pub mod codec;
 pub mod sansio;
 

@@ -7,6 +7,10 @@
 //! ([`popularity::Zipf`]), churn schedules ([`churn`]), and deterministic
 //! file names/contents ([`names`]).
 
+// Library code prints nothing and drops no `#[must_use]` result (DESIGN.md §9).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::let_underscore_must_use)]
+
 pub mod churn;
 pub mod names;
 pub mod popularity;

@@ -75,7 +75,7 @@ mod tests {
     fn uniform_when_s_zero() {
         let z = Zipf::new(50, 0.0);
         let mut rng = Rng::seed_from_u64(2);
-        let mut counts = vec![0u32; 50];
+        let mut counts = [0u32; 50];
         for _ in 0..50_000 {
             counts[z.sample(&mut rng)] += 1;
         }

@@ -45,6 +45,10 @@
 //! assert!(stored);
 //! ```
 
+// Library code prints nothing and drops no `#[must_use]` result (DESIGN.md §9).
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::let_underscore_must_use)]
+
 pub use past_baselines as baselines;
 pub use past_core as core;
 pub use past_crypto as crypto;

@@ -557,7 +557,7 @@ fn corpus(rng: &mut Rng) -> Vec<Frame> {
 
 #[test]
 fn decode_never_panics_on_mutated_frames() {
-    let mut rng = Rng::seed_from_u64(0xF022_1234_5678_9abc);
+    let mut rng = Rng::seed_from_u64(0xf022_1234_5678_9abc);
     let corpus = corpus(&mut rng);
     let mut attempts = 0u64;
     let mut oks = 0u64;
