@@ -16,6 +16,7 @@
 
 use crate::fileid::{ContentRef, FileId};
 use past_crypto::{Digest256, PublicKey, Signature};
+use std::sync::Arc;
 
 /// A smartcard credential: the card's public key signed by its broker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,6 +116,33 @@ impl FileCertificate {
                 &self.signature,
             )
     }
+}
+
+/// A file certificate as a node holds and forwards it: one immutable
+/// allocation per issuance, shared by the replicas, cache entries and
+/// messages that carry it (§2.1 returns the certificate "along with the
+/// file", so one issuance is held on every replica and cache).
+///
+/// Sharing saves copies, never checks: nodes model separate machines, so
+/// a receiver verifies what it receives, and nothing about a check is
+/// recorded on the allocation. The wire form is the certificate's own.
+pub type SharedCert = Arc<FileCertificate>;
+
+/// A plain certificate becomes shared by copying it into a fresh
+/// allocation, so the store and cache take `impl Into<SharedCert>`:
+/// a handle is kept as it is, a value or a reference is wrapped.
+impl From<&FileCertificate> for SharedCert {
+    fn from(cert: &FileCertificate) -> SharedCert {
+        Arc::new(*cert)
+    }
+}
+
+/// This holder's share of a shared certificate's heap: the allocation
+/// split evenly over its handles, so a sum over every holder counts it
+/// once. Handles in messages still in flight take a share too, so the
+/// sum over stores and caches errs low.
+pub(crate) fn cert_share(cert: &SharedCert) -> usize {
+    std::mem::size_of::<FileCertificate>() / Arc::strong_count(cert)
 }
 
 /// A signed acknowledgment that a node stored one copy of a file.

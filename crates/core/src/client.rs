@@ -14,7 +14,7 @@ use crate::msg::{NackReason, PastMsg};
 use crate::node::{Cx, PastApp, PastOut};
 use crate::smartcard::CardError;
 use past_crypto::Digest256;
-use past_wire::{Addr, OpId};
+use past_wire::{btree_heap_bytes, Addr, OpId};
 use std::collections::BTreeSet;
 
 /// The three client operations (§2).
@@ -124,6 +124,19 @@ impl Request {
 
     fn key(&self) -> RequestKey {
         (self.kind(), self.file_id, self.op)
+    }
+
+    /// Heap behind the table entry: a boxed insert or reclaim state.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match &self.state {
+            State::Insert(p) => {
+                std::mem::size_of::<InsertState>()
+                    + p.name.capacity()
+                    + btree_heap_bytes::<[u8; 32], ()>(p.receipt_keys.len())
+            }
+            State::Lookup { .. } => 0,
+            State::Reclaim(_) => std::mem::size_of::<ReclaimCertificate>(),
+        }
     }
 
     /// The frame this request routes toward its fileId — the first

@@ -5,7 +5,7 @@
 //! pointers and the cache), honoring reclaims, answering audits, and
 //! keeping k copies alive as the leaf set changes.
 
-use crate::cert::{FileCertificate, ReclaimCertificate, ReclaimReceipt};
+use crate::cert::{FileCertificate, ReclaimCertificate, ReclaimReceipt, SharedCert};
 use crate::fileid::{audit_proof, ContentRef, FileId};
 use crate::msg::{NackReason, PastMsg};
 use crate::node::{Cx, PastApp};
@@ -15,7 +15,7 @@ use past_wire::{Addr, OpId};
 
 /// Replica-diversion state at a full primary.
 pub(crate) struct DivertState {
-    cert: FileCertificate,
+    cert: SharedCert,
     client: Addr,
     /// The client operation the diversion serves.
     op: OpId,
@@ -47,13 +47,13 @@ fn nack(client: Addr, file_id: FileId, reason: NackReason, op: OpId, cx: &mut Cx
 }
 
 /// Asks `to` to hold a replica this node has no room for.
-fn divert_store(to: Addr, cert: FileCertificate, client: Addr, op: OpId, cx: &mut Cx) {
-    let primary = cx.me();
+fn divert_store(to: Addr, cert: SharedCert, client: Addr, op: OpId, cx: &mut Cx) {
+    let (primary, content) = (cx.me(), cert.content());
     cx.send_direct(
         to,
         PastMsg::DivertStore {
             cert,
-            content: cert.content(),
+            content,
             primary,
             client,
             op,
@@ -126,9 +126,12 @@ impl PastApp {
                 if !self.check_insert(&cert, &content, Some(client), op, cx) {
                     return;
                 }
+                // The one allocation of this issuance: every replica,
+                // cache entry and message from here on shares it.
+                let cert = SharedCert::new(cert);
                 // Fan the copies out to the k-set and store this node's own.
                 let copy = PastMsg::Replicate {
-                    cert,
+                    cert: cert.clone(),
                     content,
                     client: Some(client),
                     op,
@@ -213,7 +216,7 @@ impl PastApp {
                     content.hash.0[0] ^= 0xff;
                 }
                 if self.cfg.cache_enabled && self.cfg.cache_on_insert_path {
-                    self.store.offer_cache(cert);
+                    self.store.offer_cache(*cert);
                 }
                 true
             }
@@ -301,7 +304,10 @@ impl PastApp {
                     && self.check_insert(&cert, &content, None, op, cx)
                     && self.store.get(&file_id).is_none()
                     && !self.drops_stored_files
-                    && self.store.insert(&cert, ReplicaKind::Diverted).is_ok();
+                    && self
+                        .store
+                        .insert(cert.clone(), ReplicaKind::Diverted)
+                        .is_ok();
                 if admitted {
                     let (now, me) = (cx.now_us(), cx.me());
                     cx.tracer()
@@ -348,7 +354,7 @@ impl PastApp {
                     && self.store.cache_admissible(&cert)
                     && (!self.cfg.crypto_checks || cert.verify(&self.broker_key)) =>
             {
-                self.store.offer_cache(&cert);
+                self.store.offer_cache(cert);
             }
             PastMsg::AuditChallenge { file_id, nonce } => {
                 let proof = if self.drops_stored_files {
@@ -386,6 +392,7 @@ impl PastApp {
                 // idempotent, the client deduplicates receipts by storer).
                 // Only when no live peer remains does the client learn of
                 // the shortfall.
+                let (fid, k) = (cert.file_id, cert.replication);
                 let copy = PastMsg::Replicate {
                     cert,
                     content,
@@ -394,14 +401,14 @@ impl PastApp {
                 };
                 let me = cx.me();
                 let mut refanned = false;
-                for h in kset(state, cert.file_id.routing_id(), cert.replication) {
+                for h in kset(state, fid.routing_id(), k) {
                     if h.addr != me && h.addr != dead {
                         cx.send_direct(h.addr, copy.clone());
                         refanned = true;
                     }
                 }
                 if !refanned {
-                    nack(client, cert.file_id, NackReason::TargetDead, op, cx);
+                    nack(client, fid, NackReason::TargetDead, op, cx);
                 }
             }
             PastMsg::DivertStore { cert, .. } => self.divert_refused(cert.file_id, cx),
@@ -422,7 +429,7 @@ impl PastApp {
     /// refusal. `client: None` is a maintenance copy.
     fn store_primary(
         &mut self,
-        cert: FileCertificate,
+        cert: SharedCert,
         client: Option<Addr>,
         op: OpId,
         state: &PastryState,
@@ -471,7 +478,7 @@ impl PastApp {
                 return;
             }
         }
-        match self.store.insert(&cert, ReplicaKind::Primary) {
+        match self.store.insert(cert.clone(), ReplicaKind::Primary) {
             Ok(()) => {
                 let (now, me) = (cx.now_us(), cx.me());
                 cx.tracer()
@@ -492,7 +499,7 @@ impl PastApp {
     /// Begins replica diversion: probe leaf-set nodes outside the k-set.
     fn start_diversion(
         &mut self,
-        cert: FileCertificate,
+        cert: SharedCert,
         client: Addr,
         op: OpId,
         state: &PastryState,
@@ -511,14 +518,15 @@ impl PastApp {
             candidates.swap(i, j);
         }
         candidates.truncate(self.cfg.divert_candidates);
+        let fid = cert.file_id;
         let st = DivertState {
             cert,
             client,
             op,
             candidates,
         };
-        self.pending_diverts.insert(cert.file_id, st);
-        self.probe_divert(cert.file_id, cx);
+        self.pending_diverts.insert(fid, st);
+        self.probe_divert(fid, cx);
     }
 
     /// Probes the front diversion candidate, or gives up with a nack when
@@ -528,7 +536,7 @@ impl PastApp {
             return;
         };
         match st.candidates.first() {
-            Some(&next) => divert_store(next, st.cert, st.client, st.op, cx),
+            Some(&next) => divert_store(next, st.cert.clone(), st.client, st.op, cx),
             None => {
                 nack(st.client, fid, NackReason::StoreRefused, st.op, cx);
                 self.pending_diverts.remove(&fid);
@@ -563,7 +571,7 @@ impl PastApp {
         cx.send_direct(
             client,
             PastMsg::FileReply {
-                cert,
+                cert: cert.clone(),
                 from_cache,
                 op,
             },
@@ -576,7 +584,7 @@ impl PastApp {
                 .filter(|&&p| p != client && p != me)
                 .take(self.cfg.cache_push)
             {
-                cx.send_direct(p, PastMsg::CachePush { cert });
+                cx.send_direct(p, PastMsg::CachePush { cert: cert.clone() });
             }
         }
         true
@@ -669,11 +677,11 @@ impl PastApp {
             return;
         }
         let me = state.me.addr;
-        let my_files: Vec<FileCertificate> = self
+        let my_files: Vec<SharedCert> = self
             .store
-            .files()
+            .replicas()
             .filter(|(_, f)| f.kind == ReplicaKind::Primary)
-            .map(|(_, f)| f.cert)
+            .map(|(_, f)| f.cert.clone())
             .collect();
         for cert in my_files {
             let kset = kset(state, cert.file_id.routing_id(), cert.replication);
@@ -685,7 +693,7 @@ impl PastApp {
                 // copies from the members that remain.
                 self.store.remove(&cert.file_id);
                 if self.cfg.cache_enabled {
-                    self.store.offer_cache(&cert);
+                    self.store.offer_cache(cert);
                 }
                 continue;
             }
@@ -705,7 +713,7 @@ impl PastApp {
                 cx.send_direct(
                     h.addr,
                     PastMsg::Replicate {
-                        cert,
+                        cert: cert.clone(),
                         content: cert.content(),
                         client: None,
                         op: OpId::NONE,

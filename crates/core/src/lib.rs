@@ -46,7 +46,9 @@ pub mod storage;
 pub mod wire;
 
 pub use broker::Broker;
-pub use cert::{CardCert, FileCertificate, ReclaimCertificate, ReclaimReceipt, StoreReceipt};
+pub use cert::{
+    CardCert, FileCertificate, ReclaimCertificate, ReclaimReceipt, SharedCert, StoreReceipt,
+};
 pub use client::Request;
 pub use fileid::{audit_proof, ContentRef, FileId};
 pub use msg::{NackReason, PastMsg};
@@ -55,4 +57,4 @@ pub use network::{
 };
 pub use node::{PastApp, PastConfig, PastOut};
 pub use smartcard::{CardError, Smartcard};
-pub use storage::{ReplicaKind, Store, StoredFile};
+pub use storage::{FileCopy, ReplicaKind, Store, StoredFile};

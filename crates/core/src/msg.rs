@@ -6,7 +6,7 @@
 #![deny(clippy::wildcard_enum_match_arm)]
 #![deny(clippy::match_wildcard_for_single_variants)]
 
-use crate::cert::{FileCertificate, ReclaimCertificate, ReclaimReceipt, StoreReceipt};
+use crate::cert::{FileCertificate, ReclaimCertificate, ReclaimReceipt, SharedCert, StoreReceipt};
 use crate::fileid::{ContentRef, FileId};
 use past_crypto::Digest256;
 use past_pastry::PayloadSize;
@@ -38,7 +38,9 @@ impl NackReason {
 pub enum PastMsg {
     // --- Routed toward the fileId's root -------------------------------
     /// Insert request: certificate plus the content as transferred (the
-    /// hash may be corrupted en route; the certificate exposes that).
+    /// hash may be corrupted en route; the certificate exposes that). The
+    /// root wraps the certificate into a [`SharedCert`] once it checks out;
+    /// every message after it carries that handle.
     Insert {
         /// The owner-signed file certificate.
         cert: FileCertificate,
@@ -78,7 +80,7 @@ pub enum PastMsg {
     /// maintenance replication (no receipts expected).
     Replicate {
         /// The file certificate.
-        cert: FileCertificate,
+        cert: SharedCert,
         /// The content as held by the sender.
         content: ContentRef,
         /// The client awaiting receipts, if any.
@@ -91,7 +93,7 @@ pub enum PastMsg {
     /// (replica diversion).
     DivertStore {
         /// The file certificate.
-        cert: FileCertificate,
+        cert: SharedCert,
         /// The content.
         content: ContentRef,
         /// The diverting primary (receives the ack/nack).
@@ -148,7 +150,7 @@ pub enum PastMsg {
     /// Storage node → client: the file (certificate stands in for content).
     FileReply {
         /// The certificate, "returned along with the file".
-        cert: FileCertificate,
+        cert: SharedCert,
         /// Whether a cached copy served the request.
         from_cache: bool,
         /// The client operation being answered.
@@ -188,7 +190,7 @@ pub enum PastMsg {
     /// Push a file into a nearby node's cache (sent to route-path nodes).
     CachePush {
         /// The certificate of the cached file.
-        cert: FileCertificate,
+        cert: SharedCert,
     },
     /// Random storage audit: prove you hold the file.
     AuditChallenge {
@@ -266,7 +268,7 @@ mod tests {
         };
         assert!(miss.encoded_len() < 100);
         assert_eq!(miss.op_id(), OpId::NONE);
-        let push = PastMsg::CachePush { cert };
+        let push = PastMsg::CachePush { cert: cert.into() };
         assert_eq!(push.op_id(), OpId::NONE);
     }
 }

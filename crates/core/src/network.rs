@@ -375,7 +375,7 @@ impl<T: Topology> PastNetwork<T> {
                     capacity: st.capacity(),
                     cache_used: st.cache.used(),
                     files: st
-                        .files()
+                        .replicas()
                         .map(|(id, f)| FileSnapshot {
                             file_id: *id,
                             size: f.cert.size,

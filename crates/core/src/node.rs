@@ -23,7 +23,7 @@ use crate::smartcard::Smartcard;
 use crate::storage::Store;
 use past_crypto::{Digest256, PublicKey};
 use past_pastry::{App, AppCtx, Id, NodeHandle, PastryState, RouteEnvelope, RouteInfo};
-use past_wire::Addr;
+use past_wire::{btree_heap_bytes, Addr};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Tunable PAST parameters.
@@ -282,5 +282,30 @@ impl App for PastApp {
         cx: &mut Cx,
     ) {
         self.maintain_replicas(state, added, removed, cx);
+    }
+
+    /// The store (replicas, pointers, cache) and every per-node table,
+    /// B-trees estimated from their lengths.
+    fn heap_bytes(&self) -> usize {
+        self.store.heap_bytes()
+            + btree_heap_bytes::<RequestKey, Request>(self.requests.len())
+            + self
+                .requests
+                .values()
+                .map(Request::heap_bytes)
+                .sum::<usize>()
+            + btree_heap_bytes::<u64, RequestKey>(self.request_timers.len())
+            + btree_heap_bytes::<FileId, (Digest256, u64)>(self.pending_audits.len())
+            + btree_heap_bytes::<FileId, DivertState>(self.pending_diverts.len())
+            + btree_heap_bytes::<FileId, BTreeSet<[u8; 32]>>(self.settled.len())
+            + self
+                .settled
+                .values()
+                .map(|keys| btree_heap_bytes::<[u8; 32], ()>(keys.len()))
+                .sum::<usize>()
+            + btree_heap_bytes::<FileId, ([u8; 32], ReclaimReceipt)>(
+                self.issued_reclaim_receipts.len(),
+            )
+            + btree_heap_bytes::<(FileId, [u8; 32]), ()>(self.reclaim_seen.len())
     }
 }

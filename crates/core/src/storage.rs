@@ -14,9 +14,9 @@
 //! large files".
 
 use crate::cache::Cache;
-use crate::cert::FileCertificate;
+use crate::cert::{cert_share, FileCertificate, SharedCert};
 use crate::fileid::FileId;
-use past_wire::Addr;
+use past_wire::{btree_heap_bytes, Addr};
 use std::collections::BTreeMap;
 
 /// Why an insertion was refused by the local policy.
@@ -42,7 +42,17 @@ pub enum ReplicaKind {
 /// A stored replica.
 #[derive(Clone, Debug)]
 pub struct StoredFile {
-    /// The file's certificate (carries size and content hash).
+    /// The file's certificate (carries size and content hash), shared
+    /// with every other holder of the same issuance.
+    pub cert: SharedCert,
+    /// Primary or diverted.
+    pub kind: ReplicaKind,
+}
+
+/// A stored replica by value, as [`Store::files`] yields it.
+#[derive(Clone, Copy, Debug)]
+pub struct FileCopy {
+    /// The file's certificate.
     pub cert: FileCertificate,
     /// Primary or diverted.
     pub kind: ReplicaKind,
@@ -121,9 +131,20 @@ impl Store {
         self.pointers.get(id).copied()
     }
 
-    /// Iterates over stored replicas.
-    pub fn files(&self) -> impl Iterator<Item = (&FileId, &StoredFile)> {
+    /// Iterates over stored replicas, handles and all.
+    pub fn replicas(&self) -> impl Iterator<Item = (&FileId, &StoredFile)> {
         self.files.iter()
+    }
+
+    /// Iterates over stored replicas by value. The benchmark harness reads
+    /// `cert` here as a plain `FileCertificate`; once it builds against the
+    /// `past-sim` aliases (ROADMAP item L, its benchmark step) this view
+    /// folds into [`Store::replicas`].
+    pub fn files(&self) -> impl Iterator<Item = (&FileId, FileCopy)> {
+        self.files.iter().map(|(id, f)| {
+            let (cert, kind) = (*f.cert, f.kind);
+            (id, FileCopy { cert, kind })
+        })
     }
 
     /// Iterates over diversion pointers (snapshot/invariant support).
@@ -148,12 +169,14 @@ impl Store {
     }
 
     /// Stores a replica if the policy admits it, shrinking the cache to
-    /// make room.
+    /// make room. A handle is kept as is; a plain certificate is copied
+    /// into a fresh allocation.
     pub fn insert(
         &mut self,
-        cert: &FileCertificate,
+        cert: impl Into<SharedCert>,
         kind: ReplicaKind,
     ) -> Result<(), RefuseReason> {
+        let cert = cert.into();
         if self.files.contains_key(&cert.file_id) {
             return Err(RefuseReason::AlreadyStored);
         }
@@ -162,8 +185,7 @@ impl Store {
         // The cache borrows free space only; give it back.
         self.cache.shrink_to(self.free());
         self.cache.invalidate(&cert.file_id);
-        self.files
-            .insert(cert.file_id, StoredFile { cert: *cert, kind });
+        self.files.insert(cert.file_id, StoredFile { cert, kind });
         Ok(())
     }
 
@@ -202,11 +224,11 @@ impl Store {
 
     /// The certificate to serve for `id`, marking cache hits.
     /// Returns `(certificate, from_cache)`.
-    pub fn serve(&mut self, id: &FileId) -> Option<(FileCertificate, bool)> {
+    pub fn serve(&mut self, id: &FileId) -> Option<(SharedCert, bool)> {
         if let Some(f) = self.files.get(id) {
-            return Some((f.cert, false));
+            return Some((f.cert.clone(), false));
         }
-        self.cache.lookup(id).map(|c| (c, true))
+        self.cache.lookup(id).map(|c| (c.clone(), true))
     }
 
     /// False when [`Store::offer_cache`] would refuse `cert` outright:
@@ -219,11 +241,26 @@ impl Store {
     }
 
     /// Offers a passing file to the cache (bounded by current free space).
-    pub fn offer_cache(&mut self, cert: &FileCertificate) -> bool {
+    pub fn offer_cache(&mut self, cert: impl Into<SharedCert>) -> bool {
+        let cert = cert.into();
         if self.files.contains_key(&cert.file_id) {
             return false;
         }
         self.cache.offer(cert, self.free())
+    }
+
+    /// Estimated heap held: the replica and pointer maps' nodes, this
+    /// store's share of each certificate it holds a handle on, and the
+    /// cache.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        btree_heap_bytes::<FileId, StoredFile>(self.files.len())
+            + self
+                .files
+                .values()
+                .map(|f| cert_share(&f.cert))
+                .sum::<usize>()
+            + btree_heap_bytes::<FileId, Addr>(self.pointers.len())
+            + self.cache.heap_bytes()
     }
 }
 
@@ -265,14 +302,14 @@ mod tests {
     #[test]
     fn threshold_tightens_as_disk_fills() {
         let mut s = Store::new(1000, 0.5, 0.25);
-        assert!(s.insert(&cert_of(400, 1), ReplicaKind::Primary).is_ok());
+        assert!(s.insert(cert_of(400, 1), ReplicaKind::Primary).is_ok());
         assert_eq!(s.free(), 600);
         // 301/600 > 0.5 refused, 300/600 accepted.
         assert_eq!(
             s.admits(301, ReplicaKind::Primary),
             Err(RefuseReason::Threshold)
         );
-        assert!(s.insert(&cert_of(300, 2), ReplicaKind::Primary).is_ok());
+        assert!(s.insert(cert_of(300, 2), ReplicaKind::Primary).is_ok());
         assert_eq!(s.used(), 700);
         assert!((s.utilization() - 0.7).abs() < 1e-9);
     }
@@ -281,9 +318,9 @@ mod tests {
     fn duplicate_insert_refused() {
         let mut s = Store::new(1000, 1.0, 1.0);
         let c = cert_of(100, 1);
-        assert!(s.insert(&c, ReplicaKind::Primary).is_ok());
+        assert!(s.insert(c, ReplicaKind::Primary).is_ok());
         assert_eq!(
-            s.insert(&c, ReplicaKind::Primary),
+            s.insert(c, ReplicaKind::Primary),
             Err(RefuseReason::AlreadyStored)
         );
         assert_eq!(s.used(), 100);
@@ -293,7 +330,7 @@ mod tests {
     fn remove_frees_space() {
         let mut s = Store::new(1000, 1.0, 1.0);
         let c = cert_of(100, 1);
-        s.insert(&c, ReplicaKind::Primary).unwrap();
+        s.insert(c, ReplicaKind::Primary).unwrap();
         assert_eq!(s.remove(&c.file_id), 100);
         assert_eq!(s.used(), 0);
         assert_eq!(s.remove(&c.file_id), 0);
@@ -306,11 +343,11 @@ mod tests {
         // file could still be served or chased through the pointer.
         let mut s = Store::new(1000, 1.0, 1.0);
         let c = cert_of(100, 1);
-        s.insert(&c, ReplicaKind::Primary).unwrap();
+        s.insert(c, ReplicaKind::Primary).unwrap();
         s.add_pointer(c.file_id, 42);
         // Force a cache copy alongside (simulates a pre-insert cached copy
         // plus a pointer left by an earlier diversion of the same id).
-        assert!(s.cache.offer(&c, 500));
+        assert!(s.cache.offer(c, 500));
         assert_eq!(s.remove(&c.file_id), 100);
         assert!(!s.cache.contains(&c.file_id), "cache copy invalidated");
         assert_eq!(s.pointer(&c.file_id), None, "diversion pointer dropped");
@@ -331,11 +368,11 @@ mod tests {
     fn cache_borrows_free_space_and_yields_it() {
         let mut s = Store::new(1000, 1.0, 1.0);
         let cached = cert_of(500, 1);
-        assert!(s.offer_cache(&cached));
+        assert!(s.offer_cache(cached));
         assert_eq!(s.cache.used(), 500);
         // Primary insert still sees the full free space and evicts cache.
         let primary = cert_of(900, 2);
-        assert!(s.insert(&primary, ReplicaKind::Primary).is_ok());
+        assert!(s.insert(primary, ReplicaKind::Primary).is_ok());
         assert!(s.cache.used() <= s.free());
         assert!(!s.cache.contains(&cached.file_id));
     }
@@ -344,10 +381,10 @@ mod tests {
     fn cache_admissible_names_the_outright_refusals() {
         let mut s = Store::new(1000, 1.0, 1.0);
         let replica = cert_of(100, 1);
-        s.insert(&replica, ReplicaKind::Primary).unwrap();
+        s.insert(replica, ReplicaKind::Primary).unwrap();
         let cached = cert_of(100, 2);
         assert!(s.cache_admissible(&cached));
-        assert!(s.offer_cache(&cached));
+        assert!(s.offer_cache(cached));
         // The replica left 900 bytes free: that is the cache's budget.
         let refused = [replica, cached, cert_of(0, 3), cert_of(901, 4)];
         let before = (s.cache.insertions(), s.cache.evictions(), s.cache.used());
@@ -366,12 +403,12 @@ mod tests {
     fn serve_prefers_replica_over_cache() {
         let mut s = Store::new(1000, 1.0, 1.0);
         let c = cert_of(100, 1);
-        s.insert(&c, ReplicaKind::Primary).unwrap();
+        s.insert(c, ReplicaKind::Primary).unwrap();
         let (got, from_cache) = s.serve(&c.file_id).unwrap();
         assert_eq!(got.file_id, c.file_id);
         assert!(!from_cache);
         let d = cert_of(50, 2);
-        assert!(s.offer_cache(&d));
+        assert!(s.offer_cache(d));
         let (_, from_cache) = s.serve(&d.file_id).unwrap();
         assert!(from_cache);
         assert!(s.serve(&cert_of(10, 3).file_id).is_none());
@@ -381,10 +418,46 @@ mod tests {
     fn inserting_a_cached_file_drops_the_cache_copy() {
         let mut s = Store::new(1000, 1.0, 1.0);
         let c = cert_of(100, 1);
-        assert!(s.offer_cache(&c));
-        assert!(s.insert(&c, ReplicaKind::Primary).is_ok());
+        assert!(s.offer_cache(c));
+        assert!(s.insert(c, ReplicaKind::Primary).is_ok());
         assert!(!s.cache.contains(&c.file_id));
         assert!(s.can_serve(&c.file_id));
+    }
+
+    #[test]
+    fn heap_bytes_count_replicas_and_give_them_back() {
+        const N: u64 = 40;
+        let mut s = Store::new(1 << 30, 1.0, 1.0);
+        let empty = s.heap_bytes();
+        let certs: Vec<_> = (0..N).map(|i| cert_of(10, i)).collect();
+        for c in &certs {
+            s.insert(c, ReplicaKind::Primary).unwrap();
+        }
+        // Each replica's own certificate counts whole: no other handle.
+        let entry = std::mem::size_of::<(FileId, StoredFile)>();
+        let per_cert = entry + std::mem::size_of::<FileCertificate>();
+        let full = s.heap_bytes();
+        assert!(full - empty >= N as usize * per_cert);
+        // A second handle on each certificate halves the store's share.
+        let held: Vec<SharedCert> = s.replicas().map(|(_, f)| f.cert.clone()).collect();
+        assert!(s.heap_bytes() < full);
+        drop(held);
+        for c in &certs {
+            s.remove(&c.file_id);
+        }
+        assert_eq!(s.heap_bytes(), empty);
+    }
+
+    #[test]
+    fn files_yield_the_replicas_by_value() {
+        let mut s = Store::new(1000, 1.0, 1.0);
+        let c = cert_of(100, 1);
+        s.insert(c, ReplicaKind::Diverted).unwrap();
+        let (id, copy) = s.files().next().unwrap();
+        assert_eq!(
+            (*id, copy.cert, copy.kind),
+            (c.file_id, c, ReplicaKind::Diverted)
+        );
     }
 
     #[test]

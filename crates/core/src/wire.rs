@@ -5,7 +5,8 @@
 //! `u32` length-prefixed vectors, canonical big-endian crypto material.
 //! Certificates and receipts are fixed-size structures (a [`CardCert`]
 //! credential is 128 bytes, a [`FileCertificate`] 269, receipts 220/221,
-//! a [`ReclaimCertificate`] 212).
+//! a [`ReclaimCertificate`] 212). A [`SharedCert`] is encoded as the
+//! certificate it points at, and decoded into a fresh allocation.
 //!
 //! **Content bodies.** The simulator never materializes file bytes; a
 //! [`ContentRef`] stands in for "the content as transferred". On the
@@ -23,7 +24,9 @@
 #![deny(clippy::wildcard_enum_match_arm)]
 #![deny(clippy::match_wildcard_for_single_variants)]
 
-use crate::cert::{CardCert, FileCertificate, ReclaimCertificate, ReclaimReceipt, StoreReceipt};
+use crate::cert::{
+    CardCert, FileCertificate, ReclaimCertificate, ReclaimReceipt, SharedCert, StoreReceipt,
+};
 use crate::fileid::{ContentRef, FileId};
 use crate::msg::{NackReason, PastMsg};
 use past_wire::{DecodeError, Reader, Sink, Wire, WIRE_VERSION};
@@ -402,7 +405,7 @@ impl Wire for PastMsg {
                 op: r.get()?,
             },
             10 => {
-                let cert: FileCertificate = r.get()?;
+                let cert: SharedCert = r.get()?;
                 let (from_cache, op) = (r.get()?, r.get()?);
                 r.skip_body(cert.size)?;
                 PastMsg::FileReply {
@@ -429,7 +432,7 @@ impl Wire for PastMsg {
                 op: r.get()?,
             },
             15 => {
-                let cert: FileCertificate = r.get()?;
+                let cert: SharedCert = r.get()?;
                 r.skip_body(cert.size)?;
                 PastMsg::CachePush { cert }
             }

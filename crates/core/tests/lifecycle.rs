@@ -91,7 +91,8 @@ fn response(frame: &PastMsg, storer: &mut Smartcard, content: &ContentRef) -> Pa
         PastMsg::Lookup { .. } => PastMsg::FileReply {
             cert: storer
                 .issue_file_certificate("held", content, 1, 0, 0)
-                .expect("quota"),
+                .expect("quota")
+                .into(),
             from_cache: false,
             op,
         },

@@ -2,7 +2,7 @@
 //! insert/lookup/reclaim, replication, diversion, churn recovery, quotas,
 //! caching, and the security fault injections of §2.1.
 
-use past_core::{BuildMode, ContentRef, FileId, PastConfig, PastNetwork, PastOut};
+use past_core::{BuildMode, ContentRef, FileCertificate, FileId, PastConfig, PastNetwork, PastOut};
 use past_crypto::rng::Rng;
 use past_netsim::{Sphere, Topology};
 use past_pastry::{random_ids, Config as PastryConfig};
@@ -690,7 +690,7 @@ fn cache_push_for_a_held_file_performs_no_admission() {
         .unwrap();
     let fid = insert_ok(&net.run())[0].1;
     let holder = net.replica_holders(&fid)[0];
-    let cert = net
+    let cert = *net
         .sim
         .engine
         .node(holder)
@@ -706,8 +706,8 @@ fn cache_push_for_a_held_file_performs_no_admission() {
         let cache = &net.sim.engine.node(a).app.store.cache;
         (cache.insertions(), cache.evictions(), cache.len())
     };
-    let push = |net: &mut PastNetwork<Sphere>, to, cert| {
-        let payload = PastMsg::CachePush { cert };
+    let push = |net: &mut PastNetwork<Sphere>, to, cert: FileCertificate| {
+        let payload = PastMsg::CachePush { cert: cert.into() };
         net.sim
             .engine
             .inject(holder, to, PastryMsg::AppDirect { payload }, 0);

@@ -218,6 +218,13 @@ pub trait App: Sized {
         cx: &mut AppCtx<'_, '_, Self::Payload, Self::Out>,
     ) {
     }
+
+    /// Bytes of heap the application owns beyond `size_of::<Self>()`,
+    /// added to [`PastryNode::heap_bytes`](crate::PastryNode::heap_bytes);
+    /// the default counts none.
+    fn heap_bytes(&self) -> usize {
+        0
+    }
 }
 
 /// The trivial application: does nothing on delivery.

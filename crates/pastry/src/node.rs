@@ -20,7 +20,7 @@ use crate::id::Config;
 use crate::msg::{JoinReply, JoinRequest, PastryMsg, PayloadSize, RouteEnvelope};
 use crate::route::{next_hop, NextHop};
 use crate::state::PastryState;
-use past_wire::{Addr, Input, Io, Machine};
+use past_wire::{btree_heap_bytes, Addr, Input, Io, Machine};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Timer id for leaf-set heartbeats.
@@ -152,26 +152,20 @@ impl<A: App> PastryNode<A> {
         self.suspected.contains(&addr)
     }
 
-    /// Bytes of heap this node's routing state, suspicion set and
-    /// recovery-mode block hold. The routing state is exact (capacity ×
-    /// entry size); a B-tree has no capacity to read, so the suspicion set
-    /// is estimated from its length. Not counted: the application's own
-    /// heap and the nodes of the two B-tree recovery maps, which are empty
-    /// outside loss-recovery rounds.
+    /// Bytes of heap this node's routing state, suspicion set,
+    /// recovery-mode block and application hold. The routing state is
+    /// exact (capacity × entry size); a B-tree has no capacity to read, so
+    /// the suspicion set is estimated from its length
+    /// ([`btree_heap_bytes`]). Not counted: the nodes of the two B-tree
+    /// recovery maps, which are empty outside loss-recovery rounds.
     pub fn heap_bytes(&self) -> usize {
-        // std's B-tree node: up to 11 keys beside a parent pointer and two
-        // `u16` counters. Assumes full nodes and leaves out the internal
-        // level (one node per 12 leaves), so it errs low.
-        const KEYS_PER_NODE: usize = 11;
-        let node_bytes =
-            (std::mem::size_of::<usize>() + 4 + KEYS_PER_NODE * std::mem::size_of::<Addr>())
-                .next_multiple_of(std::mem::align_of::<usize>());
         self.state.heap_bytes()
-            + self.suspected.len().div_ceil(KEYS_PER_NODE) * node_bytes
+            + btree_heap_bytes::<Addr, ()>(self.suspected.len())
             + self
                 .recovery
                 .as_ref()
                 .map_or(0, |r| std::mem::size_of_val(&**r))
+            + self.app.heap_bytes()
     }
 
     /// Starts this node's join through `contact` ("an arriving node ...

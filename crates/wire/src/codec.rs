@@ -28,6 +28,7 @@
 use past_crypto::u256::U256;
 use past_crypto::{Digest160, Digest256, PublicKey, Signature};
 use past_trace::OpId;
+use std::sync::Arc;
 
 /// Version byte leading every top-level message frame. Bump on any
 /// incompatible layout change; decoders reject other versions with
@@ -300,6 +301,22 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+/// A shared value encodes as the value itself: sharing is how a node
+/// holds it in memory, never part of the frame. Decoding allocates a
+/// fresh one, as a receiving machine would.
+impl<T: Wire> Wire for Arc<T> {
+    const MIN_WIRE_LEN: usize = T::MIN_WIRE_LEN;
+
+    #[inline]
+    fn encode<S: Sink>(&self, out: &mut S) {
+        (**self).encode(out);
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<Arc<T>, DecodeError> {
+        T::read(r).map(Arc::new)
+    }
+}
+
 impl<T: Wire> Wire for Vec<T> {
     const MIN_WIRE_LEN: usize = 4;
 
@@ -478,6 +495,15 @@ mod tests {
             Option::<u32>::decode(&[9u8]),
             Err(DecodeError::UnknownKind(9))
         );
+    }
+
+    #[test]
+    fn a_shared_value_encodes_as_the_value() {
+        let shared = Arc::new(0x0123_4567_89ab_cdefu64);
+        assert_eq!(shared.to_wire(), 0x0123_4567_89ab_cdefu64.to_wire());
+        assert_eq!(shared.encoded_len(), 8);
+        let (back, used) = Arc::<u64>::decode(&shared.to_wire()).unwrap();
+        assert_eq!((back, used), (shared, 8));
     }
 
     #[test]

@@ -95,6 +95,25 @@ pub trait Machine {
     }
 }
 
+/// Estimated heap of a `BTreeMap<K, V>` (or, with `V = ()`, a
+/// `BTreeSet<K>`) holding `len` entries, for [`Machine::heap_bytes`].
+///
+/// A B-tree has no capacity to read. std's leaf node holds up to 11 keys
+/// and values beside a parent pointer and two `u16` counters; this
+/// assumes full leaves and leaves out the internal level (one node per 12
+/// leaves), so it errs low.
+pub fn btree_heap_bytes<K, V>(len: usize) -> usize {
+    const KEYS_PER_NODE: usize = 11;
+    let align = std::mem::align_of::<usize>()
+        .max(std::mem::align_of::<K>())
+        .max(std::mem::align_of::<V>());
+    let node_bytes = (std::mem::size_of::<usize>()
+        + 4
+        + KEYS_PER_NODE * (std::mem::size_of::<K>() + std::mem::size_of::<V>()))
+    .next_multiple_of(align);
+    len.div_ceil(KEYS_PER_NODE) * node_bytes
+}
+
 /// The effect sink a transition function writes through.
 ///
 /// Implemented by the simulator's `Ctx` (effects enter the event queue)

@@ -57,6 +57,23 @@ echo "== pastbench (tests + smoke run against the workspace crates)"
 cargo test --release --offline -q --manifest-path pastbench/Cargo.toml
 cargo run --release --offline -q --manifest-path pastbench/Cargo.toml -- --smoke
 
+# A PAST memory budget beside the overlay's 100k gate below: a short
+# `zipf_read` run, whose caches hold one certificate per issuance rather
+# than one per copy. Its `rss_kb_per_node` (VmHWM / nodes) read 20.5 KiB
+# when the budget was set and 59.1 the commit before (a private
+# certificate copy in every replica and cache entry); the budget is the
+# former plus a quarter, so losing half of that gain fails the gate.
+past_rss_budget_kb_per_node=25.6
+echo "== PAST memory gate (zipf_read, ${past_rss_budget_kb_per_node} KiB per node)"
+past_rss=$(cargo run --release --offline -q --manifest-path pastbench/Cargo.toml -- \
+  --workload zipf_read --seed 7 --seconds 2 --trace 0 | tail -1 |
+  grep -o '"rss_kb_per_node": {"value": [0-9.]*' | grep -o '[0-9.]*$')
+if awk -v r="$past_rss" -v b="$past_rss_budget_kb_per_node" 'BEGIN { exit !(r == "" || r > b) }'; then
+  echo "PAST memory gate: zipf_read rss_kb_per_node '${past_rss}' exceeds ${past_rss_budget_kb_per_node} KiB"
+  exit 1
+fi
+echo "PAST memory gate: zipf_read rss_kb_per_node ${past_rss} KiB"
+
 # The workspace run above covered tests/wire.rs in the debug profile.
 # Run it again optimised: the codec's `usize -> u16/u32` narrowings are
 # `debug_assert`-guarded and wrap silently only here, and the seeded

@@ -343,7 +343,7 @@ fn store_accounting_is_conserved() {
                 let cert = card
                     .issue_file_certificate(&name, &content, 1, i as u64, 0)
                     .expect("quota");
-                if store.insert(&cert, ReplicaKind::Primary).is_ok() {
+                if store.insert(cert, ReplicaKind::Primary).is_ok() {
                     expected_used += size;
                     live.push((cert.file_id, size));
                 }
@@ -373,7 +373,7 @@ fn cache_never_exceeds_budget() {
             let cert = card
                 .issue_file_certificate(&name, &content, 1, i as u64, 0)
                 .expect("quota");
-            cache.offer(&cert, budget);
+            cache.offer(cert, budget);
             assert!(
                 cache.used() <= budget,
                 "cache {} over budget {}",

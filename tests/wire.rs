@@ -207,7 +207,7 @@ fn past_samples(rng: &mut Rng) -> Vec<PastMsg> {
             op: OpId(rng.random()),
         },
         PastMsg::Replicate {
-            cert: fcert(rng, size),
+            cert: fcert(rng, size).into(),
             content: content(rng, size),
             client: if rng.random_range(0..2) == 1 {
                 Some(rng.random_range(0..512) as usize)
@@ -217,7 +217,7 @@ fn past_samples(rng: &mut Rng) -> Vec<PastMsg> {
             op: OpId(rng.random()),
         },
         PastMsg::DivertStore {
-            cert: fcert(rng, size),
+            cert: fcert(rng, size).into(),
             content: content(rng, size),
             primary: rng.random_range(0..512) as usize,
             client: rng.random_range(0..512) as usize,
@@ -253,7 +253,7 @@ fn past_samples(rng: &mut Rng) -> Vec<PastMsg> {
             op: OpId(rng.random()),
         },
         PastMsg::FileReply {
-            cert: fcert(rng, size),
+            cert: fcert(rng, size).into(),
             from_cache: rng.random_range(0..2) == 1,
             op: OpId(rng.random()),
         },
@@ -275,7 +275,7 @@ fn past_samples(rng: &mut Rng) -> Vec<PastMsg> {
             op: OpId(rng.random()),
         },
         PastMsg::CachePush {
-            cert: fcert(rng, size),
+            cert: fcert(rng, size).into(),
         },
         PastMsg::AuditChallenge {
             file_id: FileId(d160(rng)),
@@ -698,14 +698,14 @@ fn encoded_len_never_materialises_a_body() {
     let mut rng = Rng::seed_from_u64(0x3133_0007);
     assert_eq!(content(&mut rng, BODY).encoded_len(), 40 + BODY);
     let reply = PastMsg::FileReply {
-        cert: fcert(&mut rng, BODY),
+        cert: fcert(&mut rng, BODY).into(),
         from_cache: false,
         op: OpId(3),
     };
     // header(2) cert(269) from_cache(1) op(8), then the body.
     assert_eq!(reply.encoded_len(), 280 + BODY);
     let push = PastMsg::CachePush {
-        cert: fcert(&mut rng, BODY),
+        cert: fcert(&mut rng, BODY).into(),
     };
     assert_eq!(push.encoded_len(), 271 + BODY);
     let routed = PastryMsg::Route(RouteEnvelope {
