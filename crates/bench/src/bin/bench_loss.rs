@@ -12,10 +12,8 @@
 //! at loss 0 and its effectiveness under loss.
 //!
 //! Usage: `cargo run --release -p past-bench --bin bench_loss --
-//! [--smoke] [--shards K] [--out PATH]`. `--smoke` shrinks the network
-//! so CI can assert the binary runs and emits valid JSON quickly;
-//! `--shards K` runs the sweep on K shards over a delay-floored sphere
-//! (K worker threads; `--shards 1` runs inline on that topology).
+//! [--smoke] [--out PATH]`. `--smoke` shrinks the network so CI can
+//! assert the binary runs and emits valid JSON quickly.
 
 #![expect(
     clippy::disallowed_types,
@@ -25,17 +23,12 @@
 use past_bench::json;
 use past_core::{BuildMode, ContentRef, PastConfig, PastNetwork, PastOut};
 use past_crypto::rng::Rng;
-use past_netsim::{FaultConfig, SeriesConfig, ShardConfig, Sphere, TraceConfig};
+use past_netsim::{FaultConfig, SeriesConfig, Sphere, TraceConfig};
 use past_pastry::{random_ids, Config as PastryConfig, RecoveryConfig};
 use std::time::Instant;
 
 const MB: u64 = 1 << 20;
 const SEED: u64 = 2026;
-
-/// Delay floor (and shard window) for `--shards` runs; see
-/// `bench_macro` for the rationale. Runs without `--shards` keep the
-/// un-floored sphere so historical numbers stay comparable.
-const SHARD_FLOOR_US: u64 = 5_000;
 
 /// Flight-recorder window for the per-level drop/duplicate series: one
 /// simulated second.
@@ -79,18 +72,12 @@ fn past_cfg() -> PastConfig {
     }
 }
 
-fn run_level(loss: f64, n: usize, files: u64, shards: Option<usize>) -> Level {
+fn run_level(loss: f64, n: usize, files: u64) -> Level {
     let mut rng = Rng::seed_from_u64(SEED);
     let ids = random_ids(n, &mut rng);
     let t = Instant::now();
-    // Without `--shards`: the plain sphere, inline (the window does not
-    // bind on one shard). With it: K shards over the floored sphere.
-    let topo = match shards {
-        None => Sphere::new(n, SEED),
-        Some(_) => Sphere::with_delay_floor(n, SEED, SHARD_FLOOR_US),
-    };
-    let mut net = PastNetwork::build_sharded(
-        topo,
+    let mut net = PastNetwork::build(
+        Sphere::new(n, SEED),
         pastry_cfg(),
         past_cfg(),
         SEED,
@@ -98,12 +85,7 @@ fn run_level(loss: f64, n: usize, files: u64, shards: Option<usize>) -> Level {
         &vec![400 * MB; n],
         &vec![4_000 * MB; n],
         BuildMode::Static,
-        ShardConfig {
-            shards: shards.unwrap_or(1),
-            window_us: SHARD_FLOOR_US,
-        },
-    )
-    .expect("the window binds only above one shard, where it equals the delay floor");
+    );
     net.sim.set_recovery(RecoveryConfig::default());
     // Metrics only: per-kind drop/duplicate attribution without paying
     // for event records.
@@ -178,8 +160,8 @@ fn run_level(loss: f64, n: usize, files: u64, shards: Option<usize>) -> Level {
     lvl.duplicated = stats.duplicated;
     lvl.failed_sends = stats.failed_sends;
     lvl.total_msgs = stats.total_msgs;
-    // `take_tracer` merges the partition-local sinks; reading the
-    // harness tracer alone would miss every drop/duplicate record.
+    // `take_tracer` merges the node-side sink; reading the harness
+    // tracer alone would miss every drop/duplicate record.
     let tracer = net.sim.engine.take_tracer();
     let metrics = &tracer.metrics;
     lvl.dropped_by_kind = metrics.dropped_by_kind().filter(|(_, c)| *c > 0).collect();
@@ -217,26 +199,19 @@ fn kind_obj(pairs: &[(&'static str, u64)]) -> String {
 
 fn main() {
     let mut smoke = false;
-    let mut shards: Option<usize> = None;
     let mut out = format!("{}/../../BENCH_loss.json", env!("CARGO_MANIFEST_DIR"));
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--shards" => {
-                let v = args.next().expect("--shards needs a count");
-                let k: usize = v.parse().expect("--shards must be an integer");
-                assert!(k > 0, "--shards must be positive");
-                shards = Some(k);
-            }
             "--out" => out = args.next().expect("--out needs a path"),
-            other => panic!("unknown flag {other}; supported: --smoke, --shards K, --out PATH"),
+            other => panic!("unknown flag {other}; supported: --smoke, --out PATH"),
         }
     }
     let (n, files) = if smoke { (30, 6) } else { (150, 40) };
     let levels: Vec<Level> = [0.0, 0.01, 0.05]
         .iter()
-        .map(|&loss| run_level(loss, n, files, shards))
+        .map(|&loss| run_level(loss, n, files))
         .collect();
 
     let doc = json::Obj::new()
@@ -245,7 +220,6 @@ fn main() {
         .str("mode", if smoke { "smoke" } else { "full" })
         .int("nodes", n as u64)
         .int("files", files)
-        .int("shards", shards.unwrap_or(0) as u64)
         .raw(
             "levels",
             &json::array(levels.iter().map(|l| {

@@ -13,17 +13,13 @@
 //! peak (`peak_rss_kb`).
 //!
 //! Usage: `cargo run --release -p past-bench --bin bench_macro --
-//! [--smoke] [--nodes N] [--shards K] [--out PATH]`. `--smoke` shrinks
-//! the route count so CI can assert the binary runs and emits valid
-//! JSON quickly; `--nodes N` overrides the network size independently,
-//! so `--nodes 100000 --smoke` is the CI scale gate (big overlay, few
-//! routes) and `--nodes 1000000` (no `--smoke`) is the EXPERIMENTS.md
-//! million-node run. `--shards K` runs the overlay on K shards over a
-//! delay-floored sphere (K worker threads; `--shards 1` runs inline on
-//! that topology); with K > 1 the run is repeated at 1 shard to measure
-//! the churn-phase speedup and to assert the two runs' simulation
-//! counters are identical — shard-count independence measured in anger,
-//! not just in unit tests.
+//! [--smoke] [--nodes N] [--out PATH] [--series PATH]`. `--smoke`
+//! shrinks the route count so CI can assert the binary runs and emits
+//! valid JSON quickly; `--nodes N` overrides the network size
+//! independently, so `--nodes 100000 --smoke` is the CI scale gate (big
+//! overlay, few routes) and `--nodes 1000000 --smoke` is the
+//! EXPERIMENTS.md million-node run. `--series PATH` writes the run's
+//! flight-recorder series as a `past-series/v1` document.
 
 #![expect(
     clippy::disallowed_types,
@@ -32,16 +28,9 @@
 
 use past_bench::json;
 use past_crypto::rng::Rng;
-use past_netsim::{Memory, SeriesConfig, ShardConfig, Sphere};
-use past_pastry::{populate_static, random_ids, Config, Id, NullApp, PastrySim};
+use past_netsim::{Memory, SeriesConfig, Sphere};
+use past_pastry::{random_ids, static_build, Config, Id, NullApp, PastrySim};
 use std::time::Instant;
-
-/// Delay floor (and shard window) for `--shards` runs: more than one
-/// shard requires `window_us ≤ min_delay_us` and `Sphere::new` has a
-/// 1 µs floor, so `--shards` runs clamp short links to 5 ms. Runs
-/// without the flag keep the un-floored sphere so historical numbers
-/// stay comparable.
-const SHARD_FLOOR_US: u64 = 5_000;
 
 /// Flight-recorder window for `--series` runs: one simulated second.
 const SERIES_WINDOW_US: u64 = 1_000_000;
@@ -51,9 +40,8 @@ struct Phase {
     wall_ms: f64,
 }
 
-/// Seeded simulation counters; identical across shard counts for the
-/// same topology and seeds.
-#[derive(Debug, PartialEq, Eq)]
+/// Seeded simulation counters: the same seeds give the same counters on
+/// any machine.
 struct Counters {
     delivered: u64,
     total_hops: u64,
@@ -136,37 +124,21 @@ fn routes_and_churn(
     }
 }
 
-/// One full run (build, routes, churn): without `shards` on the
-/// un-floored sphere, inline — the historical configuration — and with
-/// it on that many shards over the floored sphere. With `series` the
+/// One full run (build, routes, churn) on the sphere. With `series` the
 /// flight recorder samples the run (observation only: counters are
 /// unaffected) and its `past-series/v1` document is returned.
 fn full_run(
     n: usize,
     routes: usize,
     kills: usize,
-    shards: Option<usize>,
     series: bool,
 ) -> (Vec<Phase>, Counters, Option<String>, Footprint) {
     let mut rng = Rng::seed_from_u64(2001);
     let ids = random_ids(n, &mut rng);
     let mut phases = Vec::new();
     let t = Instant::now();
-    let topo = match shards {
-        None => Sphere::new(n, 2001),
-        Some(_) => Sphere::with_delay_floor(n, 2001, SHARD_FLOOR_US),
-    };
-    let mut sim = PastrySim::new_sharded(
-        topo,
-        Config::default(),
-        2001,
-        ShardConfig {
-            shards: shards.unwrap_or(1),
-            window_us: SHARD_FLOOR_US,
-        },
-    )
-    .expect("the window binds only above one shard, where it equals the delay floor");
-    populate_static(&mut sim, &ids, |_| NullApp, 3);
+    let topo = Sphere::new(n, 2001);
+    let mut sim = static_build(topo, Config::default(), 2001, &ids, |_| NullApp, 3);
     phases.push(Phase {
         name: "static_build",
         wall_ms: t.elapsed().as_secs_f64() * 1e3,
@@ -190,7 +162,6 @@ fn full_run(
 fn main() {
     let mut smoke = false;
     let mut nodes: Option<usize> = None;
-    let mut shards: Option<usize> = None;
     let mut series: Option<String> = None;
     let mut out = format!("{}/../../BENCH_macro.json", env!("CARGO_MANIFEST_DIR"));
     let mut args = std::env::args().skip(1);
@@ -201,16 +172,12 @@ fn main() {
                 let v = args.next().expect("--nodes needs a count");
                 nodes = Some(v.parse().expect("--nodes must be an integer"));
             }
-            "--shards" => {
-                let v = args.next().expect("--shards needs a count");
-                shards = Some(v.parse().expect("--shards must be an integer"));
-            }
             "--out" => out = args.next().expect("--out needs a path"),
             "--series" => series = Some(args.next().expect("--series needs a path")),
             other => {
                 panic!(
-                    "unknown flag {other}; supported: --smoke, --nodes N, --shards K, \
-                     --out PATH, --series PATH"
+                    "unknown flag {other}; supported: --smoke, --nodes N, --out PATH, \
+                     --series PATH"
                 )
             }
         }
@@ -220,42 +187,34 @@ fn main() {
         assert!(v > 0, "--nodes must be positive");
         n = v;
     }
-    if let Some(k) = shards {
-        assert!(k > 0, "--shards must be positive");
-    }
     let kills = n / 20;
 
-    let (phases, counters, series_doc, footprint) =
-        full_run(n, routes, kills, shards, series.is_some());
-    // Read before the 1-shard reference below runs in this process.
+    let (phases, counters, series_doc, footprint) = full_run(n, routes, kills, series.is_some());
     let peak_rss_kb = proc_status_kb("VmHWM:");
-    let mut ref_churn_ms: Option<f64> = None;
-    if shards.is_some_and(|k| k > 1) {
-        // In-process 1-shard reference: same topology, same seeds, run
-        // inline (no series: sampling is observation only, so the
-        // counter comparison also checks that an instrumented run
-        // equals an uninstrumented one). Its counters must be
-        // bit-identical (shard-count independence); its churn wall
-        // time is the speedup baseline.
-        let (ref_phases, ref_counters, _, _) = full_run(n, routes, kills, Some(1), false);
-        assert_eq!(
-            counters, ref_counters,
-            "sharded and 1-shard runs must produce identical counters"
-        );
-        ref_churn_ms = ref_phases
-            .iter()
-            .find(|p| p.name == "churn_stabilize")
-            .map(|p| p.wall_ms);
-    }
 
-    let mut doc = json::Obj::new()
+    // Where a node's bytes go (ROADMAP item M): the engine's gauges after
+    // the stabilize round, per node, beside the resident set they are a
+    // part of.
+    let bytes_per_node: Vec<(&str, f64)> = footprint
+        .memory
+        .rows()
+        .into_iter()
+        .chain([
+            ("gauged", footprint.memory.total()),
+            ("rss", footprint.rss_kb as usize * 1024),
+        ])
+        .map(|(name, bytes)| (name, bytes as f64 / n as f64))
+        .collect();
+    let rows = bytes_per_node
+        .iter()
+        .fold(json::Obj::new(), |o, &(name, v)| o.num(name, v));
+    let doc = json::Obj::new()
         .str("schema", "past-bench/v1")
         .str("bench", "macro")
         .str("mode", if smoke { "smoke" } else { "full" })
         .int("nodes", n as u64)
         .int("routes", routes as u64)
         .int("kills", kills as u64)
-        .int("shards", shards.unwrap_or(0) as u64)
         .raw(
             "phases",
             &json::array(phases.iter().map(|p| {
@@ -279,37 +238,10 @@ fn main() {
                 .int("total_bytes", counters.total_bytes)
                 .int("final_us", counters.final_us)
                 .build(),
-        );
-    // Where a node's bytes go (ROADMAP item M): the engine's gauges after
-    // the stabilize round, per node, beside the resident set they are a
-    // part of.
-    let bytes_per_node: Vec<(&str, f64)> = footprint
-        .memory
-        .rows()
-        .into_iter()
-        .chain([
-            ("gauged", footprint.memory.total()),
-            ("rss", footprint.rss_kb as usize * 1024),
-        ])
-        .map(|(name, bytes)| (name, bytes as f64 / n as f64))
-        .collect();
-    let rows = bytes_per_node
-        .iter()
-        .fold(json::Obj::new(), |o, &(name, v)| o.num(name, v));
-    doc = doc
+        )
         .raw("bytes_per_node", &rows.build())
-        .int("peak_rss_kb", peak_rss_kb);
-    if let Some(ref_ms) = ref_churn_ms {
-        let churn_ms = phases
-            .iter()
-            .find(|p| p.name == "churn_stabilize")
-            .map(|p| p.wall_ms)
-            .unwrap_or(0.0);
-        doc = doc
-            .num("churn_stabilize_1shard_ms", ref_ms)
-            .num("churn_speedup", ref_ms / churn_ms.max(f64::MIN_POSITIVE));
-    }
-    let doc = doc.build();
+        .int("peak_rss_kb", peak_rss_kb)
+        .build();
     json::validate(&doc).expect("bench output must be valid JSON");
     std::fs::write(&out, format!("{doc}\n")).expect("write bench output");
     if let Some(series_path) = &series {
@@ -320,17 +252,6 @@ fn main() {
     }
     for p in &phases {
         println!("{:<16} {:10.1} ms", p.name, p.wall_ms);
-    }
-    if let Some(ref_ms) = ref_churn_ms {
-        let churn_ms = phases
-            .iter()
-            .find(|p| p.name == "churn_stabilize")
-            .map(|p| p.wall_ms)
-            .unwrap_or(0.0);
-        println!(
-            "churn 1-shard ref {ref_ms:8.1} ms (speedup {:.2}x, counters identical)",
-            ref_ms / churn_ms.max(f64::MIN_POSITIVE)
-        );
     }
     for (name, v) in &bytes_per_node {
         println!("bytes_per_node.{name:<17} {v:10.1}");

@@ -13,7 +13,7 @@ use crate::node::{PastApp, PastConfig, PastOut};
 use crate::smartcard::CardError;
 use crate::storage::{ReplicaKind, Store};
 use past_crypto::Digest256;
-use past_netsim::{Addr, OpId, ShardConfig, SimTime, Topology, WindowTooWide};
+use past_netsim::{Addr, OpId, SimTime, Topology};
 use past_pastry::{
     populate_static, AppCtx, Config as PastryConfig, Id, OverlaySnapshot, PastrySim,
 };
@@ -107,7 +107,7 @@ pub enum BuildMode {
 }
 
 impl<T: Topology> PastNetwork<T> {
-    /// Builds an `n`-node PAST network, run inline.
+    /// Builds an `n`-node PAST network.
     ///
     /// Node `i` gets id `ids[i]`, storage capacity `capacities[i]`, and a
     /// smartcard with usage quota `quotas[i]`.
@@ -129,50 +129,10 @@ impl<T: Topology> PastNetwork<T> {
         quotas: &[u64],
         mode: BuildMode,
     ) -> PastNetwork<T> {
-        let sim = PastrySim::new(topo, pastry_cfg, seed);
-        Self::populate(sim, past_cfg, seed, ids, capacities, quotas, mode)
-    }
-
-    /// [`build`](PastNetwork::build) on `shard_cfg.shards` worker
-    /// threads.
-    ///
-    /// Rejects a shard window wider than the topology's minimum
-    /// inter-node delay. Build work is harness-side either way;
-    /// sharding parallelizes the runs that follow.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_sharded(
-        topo: T,
-        pastry_cfg: PastryConfig,
-        past_cfg: PastConfig,
-        seed: u64,
-        ids: &[Id],
-        capacities: &[u64],
-        quotas: &[u64],
-        mode: BuildMode,
-        shard_cfg: ShardConfig,
-    ) -> Result<PastNetwork<T>, WindowTooWide>
-    where
-        T: Clone + Send,
-    {
-        let sim = PastrySim::new_sharded(topo, pastry_cfg, seed, shard_cfg)?;
-        Ok(Self::populate(
-            sim, past_cfg, seed, ids, capacities, quotas, mode,
-        ))
-    }
-
-    /// Fills an empty overlay with `ids.len()` PAST nodes.
-    fn populate(
-        mut sim: PastrySim<PastApp, T>,
-        past_cfg: PastConfig,
-        seed: u64,
-        ids: &[Id],
-        capacities: &[u64],
-        quotas: &[u64],
-        mode: BuildMode,
-    ) -> PastNetwork<T> {
         assert!(!ids.is_empty());
         assert_eq!(ids.len(), capacities.len());
         assert_eq!(ids.len(), quotas.len());
+        let mut sim = PastrySim::new(topo, pastry_cfg, seed);
         let mut broker = Broker::new(&seed.to_be_bytes());
         let mk_app = |i: usize| {
             let card =
@@ -292,8 +252,7 @@ impl<T: Topology> PastNetwork<T> {
     /// Flight-recorder storage samplers: operation outcomes counted at
     /// each event's own simulated time, plus store / cache / quota
     /// gauges at the quiesced clock. Everything derives from drained
-    /// events and end-of-run state, both shard-count invariant, so the
-    /// sampled series is too. No-op without an attached series.
+    /// events and end-of-run state. No-op without an attached series.
     fn sample_series(&mut self, events: &[PastEvent]) {
         if !self.sim.engine.tracer().series_enabled() {
             return;

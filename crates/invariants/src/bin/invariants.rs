@@ -6,15 +6,12 @@
 //! nodes after others failed, which is where roadmap item E's bug
 //! lives, so there the I6 count is printed and does not fail the run.
 //!
-//! `--shards N` (default 1: inline) sets the shard count of the
-//! lossy-churn scenario. With `--emit-trace PATH` that scenario runs
-//! with the operation-lifecycle trace classes enabled and its trace is
-//! written to `PATH` as JSONL, ready for `tracecheck --require-clean`;
+//! With `--emit-trace PATH` the lossy-churn scenario runs with the
+//! operation-lifecycle trace classes enabled and its trace is written
+//! to `PATH` as JSONL, ready for `tracecheck --require-clean`;
 //! `--emit-series PATH` additionally writes the run's flight-recorder
-//! series as JSONL, ready for `obsreport --require-slo`. Both files are
-//! byte-identical under any `--shards` value (the series is written
-//! without its per-shard diagnostics), which `scripts/ci.sh` checks
-//! with `cmp`.
+//! series as JSONL (canonical lines only, without diagnostic gauges),
+//! ready for `obsreport --require-slo`.
 
 use past_invariants::scenarios::{
     bulk_join, churn, lossy_churn, lossy_churn_traced, quota_reclaim, wheel_horizon, Findings,
@@ -32,7 +29,6 @@ fn write_or_exit(path: &str, what: &str, text: String) {
 fn main() {
     let mut emit_trace: Option<String> = None;
     let mut emit_series: Option<String> = None;
-    let mut shards = 1usize;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let mut value = || {
@@ -44,13 +40,6 @@ fn main() {
         match a.as_str() {
             "--emit-trace" => emit_trace = Some(value()),
             "--emit-series" => emit_series = Some(value()),
-            "--shards" => {
-                shards = value().parse().unwrap_or(0);
-                if shards == 0 {
-                    eprintln!("invariants: --shards needs a positive integer");
-                    std::process::exit(2);
-                }
-            }
             other => {
                 eprintln!("invariants: unknown argument {other:?}");
                 std::process::exit(2);
@@ -65,7 +54,7 @@ fn main() {
         ("quota-reclaim", quota_reclaim(3), true),
     ];
     if emit_trace.is_some() || emit_series.is_some() {
-        let run = lossy_churn_traced(4, shards, TraceConfig::lifecycle());
+        let run = lossy_churn_traced(4, TraceConfig::lifecycle());
         if let Some(path) = &emit_trace {
             write_or_exit(path, "trace", run.tracer.to_jsonl());
             println!(
@@ -86,7 +75,7 @@ fn main() {
         }
         results.push(("lossy-churn", run.findings, false));
     } else {
-        results.push(("lossy-churn", lossy_churn(4, shards), false));
+        results.push(("lossy-churn", lossy_churn(4), false));
     }
     results.push(("wheel-horizon", wheel_horizon(5), true));
 

@@ -8,17 +8,15 @@
 use crate::{check_all, check_routes, route_keys, Violation};
 use past_core::{BuildMode, ContentRef, PastApp, PastConfig, PastNetwork, PastOut};
 use past_crypto::rng::Rng;
-use past_netsim::{FaultConfig, SeriesConfig, ShardConfig, SimTime, Sphere, TraceConfig, Tracer};
+use past_netsim::{FaultConfig, SeriesConfig, SimTime, Sphere, Topology, TraceConfig, Tracer};
 use past_pastry::{random_ids, Config as PastryConfig, Id, RecoveryConfig};
 use std::collections::BTreeSet;
 
 const MB: u64 = 1 << 20;
 
-/// Delay floor (and shard window) of the lossy-churn scenario: more
-/// than one shard requires `window_us ≤ min_delay_us`, and `Sphere::new`
-/// has a 1 µs floor, so the scenario runs on the floored variant at
-/// every shard count.
-const SHARD_FLOOR_US: u64 = 2_000;
+/// Delay floor of the lossy-churn scenario's sphere, where its goldens
+/// were recorded: no two nodes are closer than a LAN round-trip.
+const LOSSY_FLOOR_US: u64 = 2_000;
 
 fn pastry_cfg() -> PastryConfig {
     // l = 16 keeps k ≤ l/2 for k = 5 (the paper's configuration): a k-set
@@ -31,26 +29,19 @@ fn pastry_cfg() -> PastryConfig {
     }
 }
 
-/// Builds an `n`-node network over a topology with `slots ≥ n` seats
-/// (spare seats allow later joins). `shards: None` is the plain sphere
-/// run inline; `Some(k)` is `k` shards over the delay-floored sphere
-/// (one shard also runs inline, on that same topology).
+/// Builds an `n`-node network over a topology with `topo.len() ≥ n`
+/// seats (spare seats allow later joins).
 fn build_net(
-    slots: usize,
+    topo: Sphere,
     n: usize,
     seed: u64,
     capacity: u64,
     quota: u64,
     past_cfg: PastConfig,
-    shards: Option<usize>,
 ) -> (PastNetwork<Sphere>, Vec<Id>) {
     let mut rng = Rng::seed_from_u64(seed);
-    let ids = random_ids(slots, &mut rng);
-    let topo = match shards {
-        None => Sphere::new(slots, seed),
-        Some(_) => Sphere::with_delay_floor(slots, seed, SHARD_FLOOR_US),
-    };
-    let net = PastNetwork::build_sharded(
+    let ids = random_ids(topo.len(), &mut rng);
+    let net = PastNetwork::build(
         topo,
         pastry_cfg(),
         past_cfg,
@@ -59,12 +50,7 @@ fn build_net(
         &vec![capacity; n],
         &vec![quota; n],
         BuildMode::ProtocolJoins,
-        ShardConfig {
-            shards: shards.unwrap_or(1),
-            window_us: SHARD_FLOOR_US,
-        },
-    )
-    .expect("the window binds only above one shard, where it equals the delay floor");
+    );
     (net, ids)
 }
 
@@ -98,13 +84,12 @@ fn check_at(context: &str, net: &PastNetwork<Sphere>, out: &mut Findings) {
 pub fn bulk_join(seed: u64) -> Findings {
     let mut findings = Findings::default();
     let (mut net, _) = build_net(
-        40,
+        Sphere::new(40, seed),
         40,
         seed,
         200 * MB,
         2_000 * MB,
         PastConfig::default(),
-        None,
     );
     net.run();
     check_at("after bulk join", &net, &mut findings);
@@ -148,13 +133,12 @@ pub fn bulk_join(seed: u64) -> Findings {
 pub fn churn(seed: u64) -> Findings {
     let mut findings = Findings::default();
     let (mut net, ids) = build_net(
-        48,
+        Sphere::new(48, seed),
         40,
         seed,
         200 * MB,
         2_000 * MB,
         PastConfig::default(),
-        None,
     );
 
     for i in 0..6u64 {
@@ -208,7 +192,7 @@ pub fn quota_reclaim(seed: u64) -> Findings {
         t_div: 0.55,
         ..PastConfig::default()
     };
-    let (mut net, _) = build_net(30, 30, seed, 12 * MB, 10_000 * MB, cfg, None);
+    let (mut net, _) = build_net(Sphere::new(30, seed), 30, seed, 12 * MB, 10_000 * MB, cfg);
 
     let mut rng = Rng::seed_from_u64(seed ^ 2);
     let mut inserted = Vec::new();
@@ -239,15 +223,15 @@ pub fn quota_reclaim(seed: u64) -> Findings {
 
 /// Scenario 4 — lossy churn: the churn scenario's shape re-run over a
 /// faulty network (5% loss, 1% duplication, 20 ms jitter) with the
-/// recovery machinery on, at `shards` shards over a delay-floored
-/// sphere (1 runs inline). Beyond I1–I5 at every quiesce point, it
+/// recovery machinery on, over a delay-floored sphere. Beyond I1–I5 at
+/// every quiesce point, it
 /// asserts liveness: every client operation issued under loss must
 /// terminate in an explicit success or failure event (reported as a
 /// synthetic "OP" violation otherwise — a hung request).
-pub fn lossy_churn(seed: u64, shards: usize) -> Findings {
+pub fn lossy_churn(seed: u64) -> Findings {
     // Tracing never perturbs the simulation, so delegating with tracing
     // off yields exactly the violations a dedicated untraced run would.
-    lossy_churn_traced(seed, shards, TraceConfig::off()).findings
+    lossy_churn_traced(seed, TraceConfig::off()).findings
 }
 
 /// What one lossy-churn run leaves behind.
@@ -265,15 +249,14 @@ pub struct LossyChurnRun {
 }
 
 /// [`lossy_churn`] with a trace sink attached.
-pub fn lossy_churn_traced(seed: u64, shards: usize, trace: TraceConfig) -> LossyChurnRun {
+pub fn lossy_churn_traced(seed: u64, trace: TraceConfig) -> LossyChurnRun {
     let (mut net, ids) = build_net(
-        48,
+        Sphere::with_delay_floor(48, seed, LOSSY_FLOOR_US),
         40,
         seed,
         400 * MB,
         4_000 * MB,
         lossy_cfg(),
-        Some(shards),
     );
     drive_lossy_churn(&mut net, &ids, seed, trace)
 }
@@ -477,7 +460,7 @@ pub fn diversion_traced(seed: u64, trace: TraceConfig) -> LossyChurnRun {
         t_div: 0.55,
         ..PastConfig::default()
     };
-    let (mut net, _) = build_net(30, 30, seed, 12 * MB, 10_000 * MB, cfg, None);
+    let (mut net, _) = build_net(Sphere::new(30, seed), 30, seed, 12 * MB, 10_000 * MB, cfg);
     let mut findings = Findings::default();
     net.sim.engine.set_tracing(trace);
     if trace.any() {
@@ -554,13 +537,12 @@ pub fn diversion_traced(seed: u64, trace: TraceConfig) -> LossyChurnRun {
 pub fn wheel_horizon(seed: u64) -> Findings {
     let mut findings = Findings::default();
     let (mut net, _) = build_net(
-        40,
+        Sphere::new(40, seed),
         40,
         seed,
         200 * MB,
         2_000 * MB,
         PastConfig::default(),
-        None,
     );
     net.run();
     check_at("wheel: after build", &net, &mut findings);

@@ -1,9 +1,9 @@
-//! The full-stack half of the one differential suite (the overlay half
-//! is `crates/pastry/tests/differential.rs`): the 48-node PAST
-//! lossy-churn scenario — inserts, lookups and reclaims over 5 % loss
-//! with retries, node failures, recoveries and fresh joins — executed
-//! inline and at 2 and 4 shards must agree bit for bit on everything
-//! observable, and must pass I1–I5 and the liveness check at every
+//! The full-stack half of the replay suite (the overlay half is
+//! `crates/pastry/tests/differential.rs`): the 48-node PAST lossy-churn
+//! scenario — inserts, lookups and reclaims over 5 % loss with retries,
+//! node failures, recoveries and fresh joins — must reproduce its
+//! golden, replay bit for bit, leave every non-trace observable alone
+//! when tracing is off, and pass I1–I5 and the liveness check at every
 //! quiesce point on the way.
 
 use past_invariants::scenarios::{diversion_traced, lossy_churn_traced, LossyChurnRun};
@@ -12,7 +12,7 @@ use past_netsim::TraceConfig;
 /// PAST-layer goldens, recorded on the code as it stood before the
 /// client-request lifecycle was unified (PR 22) and never re-derived by
 /// it: digest, trace fingerprint and `fnv1a` of the canonical series of
-/// `lossy_churn_traced(6, 1, lifecycle)` (timers, retransmissions,
+/// `lossy_churn_traced(6, lifecycle)` (timers, retransmissions,
 /// cleanup reclaims) and of `diversion_traced(6, lifecycle)` (retry
 /// layer off; replica diversion, re-salts, refusals). A change that
 /// moves one of them has changed the protocol's message flow, timer
@@ -63,36 +63,23 @@ fn observe(run: &LossyChurnRun) -> (String, u64, String) {
 }
 
 #[test]
-fn inline_two_shard_and_four_shard_past_runs_are_bit_identical() {
-    let inline = lossy_churn_traced(6, 1, TraceConfig::lifecycle());
+fn past_lossy_churn_run_matches_its_golden_and_replays() {
+    let run = lossy_churn_traced(6, TraceConfig::lifecycle());
     assert!(
-        inline.findings.violations.is_empty(),
+        run.findings.violations.is_empty(),
         "I1-I5 / liveness violated: {:?}",
-        inline.findings.violations
+        run.findings.violations
     );
-    assert!(
-        !inline.tracer.records().is_empty(),
-        "lifecycle trace is empty"
-    );
-    assert_eq!(golden(&inline), LOSSY_GOLDEN);
-    let expect = observe(&inline);
-    for shards in [2, 4] {
-        let run = lossy_churn_traced(6, shards, TraceConfig::lifecycle());
-        assert_eq!(expect, observe(&run), "{shards} shards diverged");
-        assert!(run.findings.violations.is_empty());
-    }
+    assert!(!run.tracer.records().is_empty(), "lifecycle trace is empty");
+    assert_eq!(golden(&run), LOSSY_GOLDEN);
+    let expect = observe(&run);
     // Same seed, same run.
-    let replay = lossy_churn_traced(6, 1, TraceConfig::lifecycle());
+    let replay = lossy_churn_traced(6, TraceConfig::lifecycle());
     assert_eq!(expect, observe(&replay), "replay diverged");
     // Observation is pure: with tracing and the series off, every
-    // non-trace observable stays identical, inline and on threads.
-    for shards in [1, 4] {
-        let untraced = lossy_churn_traced(6, shards, TraceConfig::off());
-        assert_eq!(
-            expect.0, untraced.digest,
-            "tracing perturbed the {shards}-shard run"
-        );
-    }
+    // non-trace observable stays identical.
+    let untraced = lossy_churn_traced(6, TraceConfig::off());
+    assert_eq!(expect.0, untraced.digest, "tracing perturbed the run");
 }
 
 #[test]

@@ -11,7 +11,7 @@
 //! `partition.rs` for the model and DESIGN.md §12 for why that key,
 //! rather than a global push counter, is the one order.
 
-use crate::partition::{Partition, Tagged};
+use crate::partition::Partition;
 use crate::soa::NodeIo;
 use crate::time::SimTime;
 use crate::topology::{mix64, Addr, Topology};
@@ -311,14 +311,14 @@ impl NetStats {
         self.failed_sends = 0;
     }
 
-    /// Mutable per-kind counters (partitions account sends on their
-    /// own stats blocks).
+    /// Mutable per-kind counters (the event core accounts sends on its
+    /// own stats block).
     pub(crate) fn by_kind_mut(&mut self) -> &mut [u64] {
         &mut self.by_kind
     }
 
     /// Folds another stats block into this one (summing every counter).
-    /// Used to combine per-partition counters into a run total.
+    /// Used to fold the event core's counters into the engine's total.
     ///
     /// # Panics
     ///
@@ -352,93 +352,36 @@ impl NetStats {
     }
 }
 
-/// How far one [`Engine`] run may go.
-#[derive(Clone, Copy)]
-pub(crate) struct Limits {
-    /// Stop once this many events have executed.
-    pub(crate) max_events: u64,
-    /// Leave events later than this queued.
-    pub(crate) deadline: u64,
-}
-
-/// Advances the partitions within `Limits`; returns events executed.
-/// Arguments: partitions, topology slots per partition, window width.
-pub(crate) type Driver<N, T> = fn(&mut [Partition<N, T>], usize, u64, Limits) -> u64;
-
-/// The one-partition driver: the caller's thread runs the queue dry, one
-/// event at a time in key order — no thread, no barrier, no window.
-fn drive_inline<N: NodeLogic, T: Topology>(
-    parts: &mut [Partition<N, T>],
-    _chunk: usize,
-    _window_us: u64,
-    lim: Limits,
-) -> u64 {
-    parts[0].run(lim.deadline, lim.max_events)
-}
-
 /// The discrete-event engine binding nodes, topology and the event
-/// queue.
-///
-/// The node space is split into contiguous partitions, each a keyed
-/// event core (`partition.rs`). [`Engine::new`] makes one and runs it
-/// inline; [`Engine::new_sharded`] makes
-/// [`ShardConfig::shards`](crate::ShardConfig::shards) of them and
-/// advances them on worker threads in conservative windows
-/// ([`crate::shard`]). Event order, RNG streams and every observable
-/// are the same either way.
+/// queue: one keyed event core (`partition.rs`) run inline on the
+/// caller's thread, plus the harness-side RNG, trace sink and counters.
 pub struct Engine<N: NodeLogic, T: Topology> {
-    parts: Vec<Partition<N, T>>,
-    /// Topology slots per partition (the last may own fewer).
-    chunk: usize,
-    window_us: u64,
-    /// Chosen at construction, where the `Send` bounds the barrier
-    /// driver needs are in scope — so an inline engine asks nothing of
-    /// its node and topology types.
-    drive: Driver<N, T>,
-    n: usize,
-    /// Topology capacity: partitions are laid out over the full address
-    /// space up front, so node growth never re-partitions.
-    cap: usize,
+    core: Partition<N, T>,
     /// Construction seed: per-node protocol RNG streams derive from it.
     seed: u64,
     /// Current fault seed: per-node fault streams derive from it, both
     /// at push time and on [`set_faults`](Engine::set_faults).
     fault_seed: u64,
     epoch: u64,
-    now: u64,
     /// Harness-side RNG, separate from every node's protocol stream.
     rng: Rng,
     /// Harness-side trace sink (op lifecycle records); merged with the
-    /// partition-local sinks by [`take_tracer`](Engine::take_tracer).
+    /// node-side sink by [`take_tracer`](Engine::take_tracer).
     tracer: Tracer,
     /// Traffic counters (public so harnesses can reset/read them);
     /// current whenever the engine is not running.
     pub stats: NetStats,
-    /// Merge-and-sort staging buffer of [`drain_outputs`](Engine::drain_outputs).
-    out_scratch: Vec<Tagged<N::Out>>,
 }
 
 impl<N: NodeLogic, T: Topology> Engine<N, T> {
-    /// Creates a one-partition engine over `nodes` (one per topology
-    /// slot prefix), run inline on the caller's thread.
+    /// Creates an engine over `nodes` (one per topology slot prefix),
+    /// run inline on the caller's thread.
     ///
     /// # Panics
     ///
     /// Panics if there are more nodes than topology slots.
     pub fn new(topo: T, nodes: Vec<N>, seed: u64) -> Engine<N, T> {
-        Self::with_parts(vec![topo], 0, seed, drive_inline, nodes)
-    }
-
-    /// Lays one partition per (identical) topology copy over the
-    /// topology's address slots.
-    pub(crate) fn with_parts(
-        topos: Vec<T>,
-        window_us: u64,
-        seed: u64,
-        drive: Driver<N, T>,
-        nodes: Vec<N>,
-    ) -> Engine<N, T> {
-        let cap = topos[0].len();
+        let cap = topo.len();
         assert!(
             nodes.len() <= cap,
             "more nodes ({}) than topology slots ({cap})",
@@ -448,28 +391,14 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
             cap < u32::MAX as usize,
             "node address space (u32) exhausted"
         );
-        let solo = topos.len() == 1;
-        let chunk = cap.div_ceil(topos.len()).max(1);
-        let parts = topos
-            .into_iter()
-            .enumerate()
-            .map(|(id, topo)| Partition::new(id, id * chunk, solo, topo))
-            .collect();
         let mut e = Engine {
-            parts,
-            chunk,
-            window_us,
-            drive,
-            n: 0,
-            cap,
+            core: Partition::new(topo),
             seed,
             fault_seed: seed,
             epoch: 0,
-            now: 0,
             rng: Rng::seed_from_u64(seed),
             tracer: Tracer::for_kinds(N::Msg::KINDS),
             stats: NetStats::for_kinds(N::Msg::KINDS),
-            out_scratch: Vec::new(),
         };
         e.reserve_nodes(nodes.len());
         for node in nodes {
@@ -479,102 +408,67 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
         e
     }
 
-    /// Index of the partition owning address `a`.
-    fn owner(&self, a: Addr) -> usize {
-        a / self.chunk
-    }
-
-    fn part(&self, a: Addr) -> &Partition<N, T> {
-        &self.parts[self.owner(a)]
-    }
-
-    fn part_mut(&mut self, a: Addr) -> &mut Partition<N, T> {
-        let i = self.owner(a);
-        &mut self.parts[i]
-    }
-
-    /// Current simulated time (all partitions agree between runs).
+    /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        SimTime::from_micros(self.now)
+        SimTime::from_micros(self.core.now)
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.n
+        self.core.nodes.len()
     }
 
     /// Returns true if the engine has no nodes (the state every
     /// overlay builder starts from).
     pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Number of partitions actually in use (an engine may use fewer
-    /// than asked for if there are not enough topology slots).
-    pub fn shard_count(&self) -> usize {
-        self.parts.len()
+        self.len() == 0
     }
 
     /// The topology (proximity oracle).
     pub fn topology(&self) -> &T {
-        &self.parts[0].topo
+        &self.core.topo
     }
 
     /// Immutable access to a node's state.
     pub fn node(&self, a: Addr) -> &N {
-        let p = self.part(a);
-        p.nodes.logic(a - p.base)
+        self.core.nodes.logic(a)
     }
 
     /// Mutable access to a node's state (harness-side setup only).
     pub fn node_mut(&mut self, a: Addr) -> &mut N {
-        let p = self.part_mut(a);
-        p.nodes.logic_mut(a - p.base)
+        self.core.nodes.logic_mut(a)
     }
 
     /// Per-node traffic counters (messages sent / received).
     pub fn node_io(&self, a: Addr) -> NodeIo {
-        let p = self.part(a);
-        p.nodes.io(a - p.base)
+        self.core.nodes.io(a)
     }
 
-    /// Reserves storage in the partitions that will receive the next
-    /// `extra` nodes, so bulk builds (e.g. a 100k-node overlay) grow
-    /// the node arrays once instead of doubling through them.
+    /// Reserves storage for the next `extra` nodes, so bulk builds
+    /// (e.g. a 100k-node overlay) grow the node arrays once instead of
+    /// doubling through them.
     pub fn reserve_nodes(&mut self, extra: usize) {
-        let mut remaining = extra.min(self.cap - self.n);
-        let mut next = self.n;
-        while remaining > 0 {
-            let room = ((next / self.chunk + 1) * self.chunk).min(self.cap) - next;
-            let take = room.min(remaining);
-            self.part_mut(next).reserve(take);
-            next += take;
-            remaining -= take;
-        }
+        let room = self.core.topo.len() - self.len();
+        self.core.reserve(extra.min(room));
     }
 
     /// Adds a node (returns its address). Addresses are dense in push
-    /// order; the owning partition is fixed by the contiguous layout.
-    /// The topology must already have a slot for it.
+    /// order. The topology must already have a slot for it.
     pub fn push_node(&mut self, node: N) -> Addr {
-        let addr = self.n;
-        assert!(addr < self.cap, "no topology slot for new node");
-        let (seed, fault_seed) = (self.seed, self.fault_seed);
-        self.part_mut(addr).push_node(node, seed, fault_seed);
-        self.n += 1;
+        let addr = self.len();
+        assert!(addr < self.core.topo.len(), "no topology slot for new node");
+        self.core.push_node(node, self.seed, self.fault_seed);
         self.epoch += 1;
         addr
     }
 
     /// Liveness of a node.
     pub fn is_alive(&self, a: Addr) -> bool {
-        let p = self.part(a);
-        p.nodes.is_alive(a - p.base)
+        self.core.nodes.is_alive(a)
     }
 
     fn set_alive(&mut self, a: Addr, alive: bool) {
-        let p = self.part_mut(a);
-        p.nodes.set_alive(a - p.base, alive);
+        self.core.nodes.set_alive(a, alive);
         self.epoch += 1;
     }
 
@@ -601,11 +495,7 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
 
     /// Addresses of all live nodes, ascending.
     pub fn live_addrs(&self) -> Vec<Addr> {
-        let mut out = Vec::new();
-        for p in &self.parts {
-            out.extend(p.nodes.live_addrs().into_iter().map(|a| a + p.base));
-        }
-        out
+        self.core.nodes.live_addrs()
     }
 
     /// The harness-side RNG (sampling, id generation). Never touched by
@@ -628,45 +518,39 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
             "duplicate out of [0,1]"
         );
         self.fault_seed = seed;
-        for p in &mut self.parts {
-            p.set_faults(faults, seed);
-        }
+        self.core.set_faults(faults, seed);
     }
 
     /// The fault configuration in force.
     pub fn faults(&self) -> FaultConfig {
-        self.parts[0].faults
+        self.core.faults
     }
 
     /// Selects which trace event classes are recorded, on the harness
-    /// sink and every partition-local sink. The default is everything
-    /// off: record calls return after one branch, no allocation
-    /// happens, and simulation outcomes are bit-identical to an engine
-    /// that never heard of tracing. Tracing draws no randomness, so
-    /// enabling it never perturbs outcomes either.
+    /// sink and the node-side sink. The default is everything off:
+    /// record calls return after one branch, no allocation happens, and
+    /// simulation outcomes are bit-identical to an engine that never
+    /// heard of tracing. Tracing draws no randomness, so enabling it
+    /// never perturbs outcomes either.
     pub fn set_tracing(&mut self, cfg: TraceConfig) {
         self.tracer.configure(cfg);
-        for p in &mut self.parts {
-            p.tracer.configure(cfg);
-        }
+        self.core.tracer.configure(cfg);
     }
 
-    /// Attaches a flight recorder (sim-time windowed series) to every
-    /// trace sink. Like tracing, sampling is observation only: it draws
+    /// Attaches a flight recorder (sim-time windowed series) to both
+    /// trace sinks. Like tracing, sampling is observation only: it draws
     /// no randomness and never perturbs event order, so golden
-    /// fingerprints stay bit-identical with a series attached.
-    /// Partition series merge into the harness series in
+    /// fingerprints stay bit-identical with a series attached. The
+    /// node-side series merges into the harness series in
     /// [`take_tracer`](Engine::take_tracer).
     pub fn set_series(&mut self, cfg: SeriesConfig) {
         self.tracer.set_series(cfg);
-        for p in &mut self.parts {
-            p.tracer.set_series(cfg);
-            p.reset_sampling();
-        }
+        self.core.tracer.set_series(cfg);
+        self.core.reset_sampling();
     }
 
-    /// The harness-side trace sink. Partition-local records (message
-    /// plane, per-hop protocol events) are *not* visible here until
+    /// The harness-side trace sink. Node-side records (message plane,
+    /// per-hop protocol events) are *not* visible here until
     /// [`take_tracer`](Engine::take_tracer) merges them.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
@@ -678,16 +562,14 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
     }
 
     /// Takes the full trace out of the engine (for post-run analysis):
-    /// absorbs every partition's records and metrics into the harness
-    /// trace and sorts the result canonically, so the merged trace is
-    /// identical under any partition count. Leaves fresh disabled
-    /// sinks behind.
+    /// absorbs the node-side records and metrics into the harness trace
+    /// and sorts the result canonically, so harness and node records
+    /// interleave in one defined order. Leaves fresh disabled sinks
+    /// behind.
     pub fn take_tracer(&mut self) -> Tracer {
         let fresh = || Tracer::for_kinds(N::Msg::KINDS);
         let mut t = std::mem::replace(&mut self.tracer, fresh());
-        for p in &mut self.parts {
-            t.absorb(std::mem::replace(&mut p.tracer, fresh()));
-        }
+        t.absorb(std::mem::replace(&mut self.core.tracer, fresh()));
         t.sort_canonical();
         t
     }
@@ -696,8 +578,8 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
     /// the topology delay (plus `extra_us`). The fault model applies,
     /// drawn from the sender's fault stream.
     pub fn inject(&mut self, from: Addr, to: Addr, msg: N::Msg, extra_us: u64) {
-        self.part_mut(from).dispatch(from, to, msg, extra_us);
-        self.settle();
+        self.core.dispatch(from, to, msg, extra_us);
+        self.fold_stats();
     }
 
     /// Runs `f` on node `a` with a live [`Ctx`] at the current time, and
@@ -710,151 +592,99 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
         a: Addr,
         f: impl FnOnce(&mut N, &mut Ctx<'_, N::Msg, N::Out>) -> R,
     ) -> R {
-        let ret = self.part_mut(a).act(a, f);
-        self.settle();
+        let ret = self.core.act(a, f);
+        self.fold_stats();
         ret
     }
 
     /// Arms a timer on a node from the harness side.
     pub fn arm_timer(&mut self, at: Addr, delay_us: u64, kind: u64) {
-        self.part_mut(at).push_timer(at, delay_us, kind);
+        self.core.push_timer(at, delay_us, kind);
     }
 
-    /// Restores the between-runs state after partitions have moved:
-    /// wires still in an outbox go straight into their destination
-    /// queues (no window constraint applies: nothing is executing),
-    /// partition counters fold into [`stats`](Engine::stats), and the
-    /// clocks re-sync so harness actions use the same global time
-    /// under any partition count.
-    fn settle(&mut self) {
-        for src in 0..self.parts.len() {
-            for w in std::mem::take(&mut self.parts[src].outbox) {
-                let to = self.owner(w.at as usize);
-                self.parts[to].enqueue(w);
-            }
-        }
-        for p in &mut self.parts {
-            self.stats.merge(&p.stats);
-            p.stats.reset();
-            self.now = self.now.max(p.now);
-        }
-        for p in &mut self.parts {
-            p.now = self.now;
-        }
+    /// Folds the core's counters into [`stats`](Engine::stats), which a
+    /// harness may reset or read between runs.
+    fn fold_stats(&mut self) {
+        self.stats.merge(&self.core.stats);
+        self.core.stats.reset();
     }
 
     /// Drains observations emitted by node logic since the last call,
-    /// merged in global event-key order (execution order on one
-    /// partition, and the same order under any partition count).
+    /// in event-key order: execution order, except that a harness
+    /// [`act`](Engine::act)'s emissions, keyed by the node's next
+    /// sequence number, take their place among same-time events.
     pub fn drain_outputs(&mut self) -> Vec<(SimTime, Addr, N::Out)> {
-        let mut all = std::mem::take(&mut self.out_scratch);
-        for p in &mut self.parts {
-            all.append(&mut p.outputs);
-        }
-        all.sort_by_key(|&(t, tie, k, _, _)| (t, tie, k));
-        let out = all
+        let outputs = &mut self.core.outputs;
+        outputs.sort_by_key(|&(t, tie, k, _, _)| (t, tie, k));
+        outputs
             .drain(..)
             .map(|(t, _, _, a, o)| (SimTime::from_micros(t), a, o))
-            .collect();
-        self.out_scratch = all;
-        out
+            .collect()
     }
 
-    fn run(&mut self, lim: Limits) -> u64 {
-        let n = (self.drive)(&mut self.parts, self.chunk, self.window_us, lim);
-        self.settle();
+    fn run(&mut self, deadline: u64, max_events: u64) -> u64 {
+        let n = self.core.run(deadline, max_events);
+        self.fold_stats();
         n
     }
 
     /// Runs until the queue drains or `max_events` is hit; returns the
-    /// number of events processed.
-    ///
-    /// On one partition the run stops on the exact event. On several
-    /// the budget is checked at window barriers, so up to one window's
-    /// worth of extra events may run; a budget-limited run is therefore
-    /// the one place where partition counts differ observably.
+    /// number of events processed. The run stops on the exact event.
     pub fn run_until_quiet(&mut self, max_events: u64) -> u64 {
-        self.run(Limits {
-            max_events,
-            deadline: u64::MAX,
-        })
+        self.run(u64::MAX, max_events)
     }
 
     /// Runs until simulated time reaches `deadline` (events at later times
     /// stay queued); returns events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let n = self.run(Limits {
-            max_events: u64::MAX,
-            deadline: deadline.as_micros(),
-        });
-        if self.now < deadline.as_micros() {
-            self.now = deadline.as_micros();
-            for p in &mut self.parts {
-                p.now = self.now;
-            }
-        }
+        let n = self.run(deadline.as_micros(), u64::MAX);
+        self.core.now = self.core.now.max(deadline.as_micros());
         n
     }
 
     /// Number of pending events.
     pub fn pending(&self) -> usize {
-        self.parts.iter().map(|p| p.queue.len()).sum()
+        self.core.queue.len()
     }
 
     /// Number of message payloads currently parked in flight.
     pub fn in_flight_msgs(&self) -> usize {
-        self.parts.iter().map(|p| p.arena.len()).sum()
+        self.core.arena.len()
     }
 
-    /// What the engine holds right now, summed over partitions.
+    /// What the engine holds right now.
     pub fn memory(&self) -> Memory {
-        self.parts.iter().fold(Memory::default(), |acc, p| {
-            let m = p.memory();
-            Memory {
-                node_inline: acc.node_inline + m.node_inline,
-                node_heap: acc.node_heap + m.node_heap,
-                arena: acc.arena + m.arena,
-                wheel: acc.wheel + m.wheel,
-                per_node_columns: acc.per_node_columns + m.per_node_columns,
-            }
-        })
+        self.core.memory()
     }
 
-    /// Records each partition's [`Memory`] in the flight recorder at the
-    /// current time, as per-shard diagnostics (`shard{i}.mem_*`): buffer
-    /// capacities legitimately differ with the partition count, so they
-    /// stay out of the canonical series. No-op without a series.
+    /// Records the engine's [`Memory`] in the flight recorder at the
+    /// current time, as `mem_*` diagnostics: buffer capacities move
+    /// with every allocation-policy change, so they stay out of the
+    /// canonical series and its fingerprint. No-op without a series.
     pub fn sample_memory(&mut self) {
+        let now = self.core.now;
+        let m = self.core.memory();
         let Some(series) = self.tracer.series_mut() else {
             return;
         };
-        for (i, p) in self.parts.iter().enumerate() {
-            let m = p.memory();
-            series.shard_gauge(self.now, i, "mem_node_inline", m.node_inline as u64);
-            series.shard_gauge(self.now, i, "mem_node_heap", m.node_heap as u64);
-            series.shard_gauge(self.now, i, "mem_arena", m.arena as u64);
-            series.shard_gauge(self.now, i, "mem_wheel", m.wheel as u64);
-            series.shard_gauge(
-                self.now,
-                i,
-                "mem_per_node_columns",
-                m.per_node_columns as u64,
-            );
-        }
+        series.diag_gauge(now, "mem_node_inline", m.node_inline as u64);
+        series.diag_gauge(now, "mem_node_heap", m.node_heap as u64);
+        series.diag_gauge(now, "mem_arena", m.arena as u64);
+        series.diag_gauge(now, "mem_wheel", m.wheel as u64);
+        series.diag_gauge(now, "mem_per_node_columns", m.per_node_columns as u64);
     }
 
     /// Events executed so far.
     pub fn events_executed(&self) -> u64 {
-        self.parts.iter().map(|p| p.events).sum()
+        self.core.events
     }
 
     /// Commutative run fingerprint: a wrapping sum of per-event key
-    /// digests plus the event count. Identical for identical runs under
-    /// any partition count; any divergence in event times, sources or
-    /// sequence numbers changes it.
+    /// digests plus the event count. Identical for identical runs; any
+    /// divergence in event times, sources or sequence numbers changes
+    /// it.
     pub fn fingerprint(&self) -> u64 {
-        let fp = self.parts.iter().fold(0u64, |fp, p| fp.wrapping_add(p.fp));
-        mix64(self.events_executed()).wrapping_add(fp)
+        mix64(self.events_executed()).wrapping_add(self.core.fp)
     }
 }
 
@@ -1243,7 +1073,7 @@ mod tests {
         e.inject(0, 1, PingMsg::Ping(1), 0);
         e.inject(0, 2, PingMsg::Ping(1), 0);
         e.run_until_quiet(100);
-        // Message-plane records land partition-locally; the merged
+        // Message-plane records land in the node-side sink; the merged
         // trace is what `take_tracer` hands out.
         let t = e.take_tracer();
         let has = |f: &dyn Fn(&TraceEvent) -> bool| t.records().iter().any(|r| f(&r.ev));
@@ -1255,5 +1085,61 @@ mod tests {
         assert!(has(&|ev| matches!(ev, TraceEvent::MsgFail { to: 2, .. })));
         // The per-kind metrics saw the same traffic.
         assert_eq!(t.metrics.failed_by_kind().next(), Some(("ping", 1)));
+    }
+
+    #[test]
+    fn grown_engine_matches_constructed_engine() {
+        // `push_node` growth must be bit-identical to handing every
+        // node to the constructor, and addresses must be dense, stable
+        // and in push order.
+        let mut grown = Engine::new(UniformRandom::new(8, 42, 1_000, 5_000), Vec::new(), 7);
+        grown.reserve_nodes(8);
+        for i in 0..8 {
+            assert_eq!(
+                grown.push_node(PingNode::default()),
+                i,
+                "addresses are stable"
+            );
+        }
+        let mut built = engine(8);
+        assert_eq!(flood(&mut grown), flood(&mut built), "growth diverged");
+        assert_eq!(grown.fingerprint(), built.fingerprint());
+        assert_eq!(grown.drain_outputs(), built.drain_outputs());
+    }
+
+    #[test]
+    fn epoch_and_live_addrs_track_membership() {
+        let mut e = engine(64);
+        assert_eq!(e.epoch(), 0, "constructed engines start at epoch 0");
+        assert_eq!(e.live_addrs().len(), 64);
+        e.kill(10);
+        e.kill(40);
+        assert_eq!(e.epoch(), 2);
+        let live = e.live_addrs();
+        assert_eq!(live.len(), 62);
+        assert!(!live.contains(&10) && !live.contains(&40));
+        assert!(live.windows(2).all(|w| w[0] < w[1]), "ascending");
+        e.revive(10);
+        assert_eq!(e.epoch(), 3);
+        assert!(e.live_addrs().contains(&10));
+    }
+
+    /// `run_until` short of a distant timer peeks at it, which cascades
+    /// the wheel's position ahead to the timer; a message injected
+    /// afterwards that lands before the timer must still be delivered
+    /// first (`wheel.rs`, "delivery floor vs. cascade position").
+    #[test]
+    fn message_injected_behind_a_peeked_timer_is_delivered_first() {
+        let mut e = engine(2);
+        e.arm_timer(0, 50_000, 9);
+        assert_eq!(e.run_until(SimTime::from_micros(1_000)), 0);
+        // Both legs of the round trip are at most 5 ms.
+        e.inject(0, 1, PingMsg::Ping(0), 0);
+        e.run_until(SimTime::from_micros(49_999));
+        assert_eq!(e.node(0).pongs, vec![1], "the pong came back first");
+        assert!(e.node(0).timers.is_empty());
+        e.run_until_quiet(10);
+        assert_eq!(e.node(0).timers, vec![9]);
+        assert_eq!(e.now(), SimTime::from_micros(50_000));
     }
 }

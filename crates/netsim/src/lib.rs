@@ -11,8 +11,7 @@
 //! - a message [`engine`] with per-link latency, silent node failure and
 //!   timeout notifications, per-kind traffic accounting, and
 //! - full determinism (seeded per-node RNG streams, totally ordered event
-//!   keys), so every experiment in EXPERIMENTS.md reproduces bit-for-bit —
-//!   on one partition run inline or on several run in parallel.
+//!   keys), so every experiment in EXPERIMENTS.md reproduces bit-for-bit.
 
 // Library code prints nothing and drops no `#[must_use]` result (DESIGN.md §9).
 #![deny(clippy::print_stdout, clippy::print_stderr)]
@@ -21,7 +20,6 @@
 pub mod arena;
 pub mod engine;
 mod partition;
-pub mod shard;
 pub mod soa;
 pub mod stats;
 pub mod time;
@@ -32,7 +30,6 @@ pub use engine::{Ctx, Engine, FaultConfig, Memory, NetStats, NodeLogic};
 // Defined in the vocabulary crate so a protocol crate can implement it
 // without an edge to the simulator; re-exported for engine users.
 pub use past_wire::Message;
-pub use shard::{ShardConfig, WindowTooWide};
 pub use soa::NodeIo;
 pub use stats::{summarize, Summary};
 pub use time::SimTime;

@@ -1,14 +1,12 @@
-//! The keyed event core: one partition of the node space.
+//! The keyed event core.
 //!
-//! A [`Partition`] owns a contiguous range of nodes, their private RNG
-//! streams, an event queue and an arena of in-flight payloads, and it
-//! holds the engine's only implementation of message dispatch
-//! (accounting, fault draws, scheduling), handler invocation (scratch
-//! buffers, effect application) and the deliver / send-failed / timer
-//! step. The [`Engine`](crate::Engine) is one partition run inline on
-//! the caller's thread, or several advanced in lock-step by the
-//! barrier driver in [`crate::shard`]; the code below is the same in
-//! both cases.
+//! A [`Partition`] owns the nodes, their private RNG streams, the event
+//! queue and an arena of in-flight payloads, and it holds the engine's
+//! only implementation of message dispatch (accounting, fault draws,
+//! scheduling), handler invocation (scratch buffers, effect
+//! application) and the deliver / send-failed / timer step. The
+//! [`Engine`](crate::Engine) is one partition run inline on the
+//! caller's thread, plus the harness-side state around it.
 //!
 //! ## Determinism model
 //!
@@ -16,14 +14,13 @@
 //!   keys are totally ordered and unique,
 //! - each node owns a private protocol RNG and a private fault RNG,
 //!   seeded from the run seed and the node address,
-//! - events merge into destination queues keyed by `(time, key)`, so
-//!   arrival order on the wire is irrelevant.
+//! - the queue pops in key order, so the order in which events were
+//!   pushed never matters.
 //!
 //! Per-node decision streams depend only on the sequence of events each
-//! node observes, which the key order fixes globally — so a run on one
-//! partition and a run on N produce bit-identical per-node state,
-//! merged [`NetStats`], outputs, traces and
-//! [`fingerprint`](crate::Engine::fingerprint).
+//! node observes, which the key order fixes — so a run replays bit for
+//! bit, and the commutative [`fingerprint`](crate::Engine::fingerprint)
+//! is a digest of the event multiset, not of an accumulation order.
 
 use crate::arena::Arena;
 use crate::engine::{Ctx, Effect, FaultConfig, Memory, NetStats, NodeLogic};
@@ -36,21 +33,20 @@ use past_trace::Tracer;
 use past_wire::Message;
 
 /// Event key tie-break: `(source node, per-node sequence)` packed into
-/// the wheel's 128-bit tie. Unique per event, identical under any
-/// partition count.
+/// the wheel's 128-bit tie. Unique per event.
 fn tie_key(src: Addr, seq: u64) -> u128 {
     ((src as u128) << 64) | seq as u128
 }
 
 /// Commutative event digest: folded with wrapping addition so the
-/// partition-local accumulation order cannot matter.
+/// accumulation order cannot matter.
 fn digest(time: u64, tie: u128, salt: u64) -> u64 {
     mix64(time ^ mix64(tie as u64) ^ mix64((tie >> 64) as u64) ^ salt)
 }
 
 /// Compact `Copy` event record carried by the queue.
 ///
-/// Message payloads park in the partition's [`Arena`]; the record holds
+/// Message payloads park in the [`Arena`]; the record holds
 /// only the `u32` slot handle, so the queue moves fixed-size records
 /// instead of full protocol messages and queue growth never re-copies
 /// payloads. Addresses are `u32` for the same reason (the engine
@@ -72,32 +68,13 @@ pub(crate) enum EventRec {
     },
 }
 
-/// An already-keyed inter-node event in transit between partitions (the
-/// payload travels by value; it parks in the destination partition's
-/// arena on receipt). Fields as in [`EventRec::Msg`].
-pub(crate) struct Wire<M> {
-    pub(crate) time: u64,
-    tie: u128,
-    pub(crate) at: u32,
-    peer: u32,
-    bounce: bool,
-    msg: M,
-}
-
 /// One emission, tagged `(time, event key, per-event index)` so a
-/// global merge is order-deterministic.
-pub(crate) type Tagged<O> = (u64, u128, u32, Addr, O);
+/// drain can put it in key order.
+type Tagged<O> = (u64, u128, u32, Addr, O);
 
 pub(crate) struct Partition<N: NodeLogic, T> {
-    pub(crate) id: usize,
-    /// First global address owned by this partition.
-    pub(crate) base: Addr,
-    /// True when this is the engine's only partition: inter-node sends
-    /// are pushed straight into the queue. Otherwise they wait in
-    /// `outbox` for the driver to route.
-    solo: bool,
     pub(crate) topo: T,
-    /// Local node state; local index = global address - `base`.
+    /// Node state, indexed by address.
     pub(crate) nodes: NodeSlots<N>,
     /// Per-node protocol RNGs.
     rngs: Vec<Rng>,
@@ -114,14 +91,14 @@ pub(crate) struct Partition<N: NodeLogic, T> {
     /// Counters accumulated since the engine last folded them into its
     /// public total.
     pub(crate) stats: NetStats,
-    /// Partition-local trace sink: message-plane events recorded here
-    /// and protocol records written by node logic through [`Ctx`] both
-    /// land locally; `Engine::take_tracer` merges every partition's
-    /// records in canonical order. Off by default.
+    /// Node-side trace sink: message-plane events recorded here and
+    /// protocol records written by node logic through [`Ctx`] both land
+    /// here; `Engine::take_tracer` merges it with the harness sink in
+    /// canonical order. Off by default.
     pub(crate) tracer: Tracer,
     pub(crate) outputs: Vec<Tagged<N::Out>>,
-    /// Inter-node events awaiting routing (always empty when `solo`).
-    pub(crate) outbox: Vec<Wire<N::Msg>>,
+    /// The simulation clock: the time of the last executed event, or
+    /// of the deadline a run was parked on.
     pub(crate) now: u64,
     pub(crate) faults: FaultConfig,
     /// Series window (index) the engine gauges were last sampled in.
@@ -135,11 +112,8 @@ pub(crate) struct Partition<N: NodeLogic, T> {
 }
 
 impl<N: NodeLogic, T: Topology> Partition<N, T> {
-    pub(crate) fn new(id: usize, base: Addr, solo: bool, topo: T) -> Partition<N, T> {
+    pub(crate) fn new(topo: T) -> Partition<N, T> {
         Partition {
-            id,
-            base,
-            solo,
             topo,
             nodes: NodeSlots::new(),
             rngs: Vec::new(),
@@ -150,7 +124,6 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
             stats: NetStats::for_kinds(N::Msg::KINDS),
             tracer: Tracer::for_kinds(N::Msg::KINDS),
             outputs: Vec::new(),
-            outbox: Vec::new(),
             now: 0,
             faults: FaultConfig::default(),
             sampled_window: None,
@@ -165,13 +138,11 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
         Rng::seed_from_u64(fault_seed ^ mix64(addr as u64) ^ 0x5eed_fa17)
     }
 
-    /// Appends the node with the next address in this partition's
-    /// range. Its protocol stream derives from the run seed and its
-    /// fault stream from the current fault seed, exactly as if it had
-    /// been present at construction — so growth is partition-count
-    /// independent.
+    /// Appends the node with the next address. Its protocol stream
+    /// derives from the run seed and its fault stream from the current
+    /// fault seed, exactly as if it had been present at construction.
     pub(crate) fn push_node(&mut self, node: N, seed: u64, fault_seed: u64) {
-        let addr = self.base + self.nodes.len();
+        let addr = self.nodes.len();
         self.nodes.push(node);
         self.rngs
             .push(Rng::seed_from_u64(seed ^ mix64(addr as u64)));
@@ -186,7 +157,7 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
         self.seqs.reserve(extra);
     }
 
-    /// This partition's share of [`Engine::memory`](crate::Engine::memory).
+    /// What [`Engine::memory`](crate::Engine::memory) reports.
     pub(crate) fn memory(&self) -> Memory {
         use std::mem::size_of;
         Memory {
@@ -204,8 +175,8 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
     /// stream from `fault_seed` and its address.
     pub(crate) fn set_faults(&mut self, faults: FaultConfig, fault_seed: u64) {
         self.faults = faults;
-        for (i, r) in self.fault_rngs.iter_mut().enumerate() {
-            *r = Self::fault_rng(fault_seed, self.base + i);
+        for (addr, r) in self.fault_rngs.iter_mut().enumerate() {
+            *r = Self::fault_rng(fault_seed, addr);
         }
     }
 
@@ -214,57 +185,39 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
         self.sampled_window = None;
     }
 
-    fn next_seq(&mut self, local: usize) -> u64 {
-        let s = self.seqs[local];
+    fn next_seq(&mut self, addr: Addr) -> u64 {
+        let s = self.seqs[addr];
         // Explicit wrap policy: a wrapped counter would silently
         // reorder ties rather than crash — the worst failure mode for
         // a deterministic simulator — so fail loudly instead.
-        self.seqs[local] = s
+        self.seqs[addr] = s
             .checked_add(1)
             .unwrap_or_else(|| panic!("per-node event sequence wrapped u64"));
         s
     }
 
-    /// Parks an already-keyed event's payload and enqueues it.
-    pub(crate) fn enqueue(&mut self, w: Wire<N::Msg>) {
-        let msg = self.arena.insert(w.msg);
+    /// Keys a message event with `src`'s next sequence number, parks
+    /// its payload and enqueues it.
+    fn post(&mut self, time: u64, src: Addr, at: Addr, bounce: bool, msg: N::Msg) {
+        let seq = self.next_seq(src);
+        let msg = self.arena.insert(msg);
+        // The peer of a delivery is its sender; the peer of a bounce is
+        // the dead destination it comes back from. Either way, `src`.
         self.queue.push(
-            w.time,
-            w.tie,
+            time,
+            tie_key(src, seq),
             EventRec::Msg {
-                at: w.at,
-                peer: w.peer,
-                bounce: w.bounce,
+                at: at as u32,
+                peer: src as u32,
+                bounce,
                 msg,
             },
         );
     }
 
-    /// Keys a message event with `src`'s next sequence number and
-    /// schedules it: straight into the local queue for a self-send or a
-    /// sole partition, into `outbox` otherwise.
-    fn post(&mut self, time: u64, src: Addr, at: Addr, bounce: bool, msg: N::Msg) {
-        let seq = self.next_seq(src - self.base);
-        // The peer of a delivery is its sender; the peer of a bounce is
-        // the dead destination it comes back from. Either way, `src`.
-        let w = Wire {
-            time,
-            tie: tie_key(src, seq),
-            at: at as u32,
-            peer: src as u32,
-            bounce,
-            msg,
-        };
-        if self.solo || at == src {
-            self.enqueue(w);
-        } else {
-            self.outbox.push(w);
-        }
-    }
-
-    /// Schedules a timer on the local node `at`.
+    /// Schedules a timer on node `at`.
     pub(crate) fn push_timer(&mut self, at: Addr, delay_us: u64, kind: u64) {
-        let seq = self.next_seq(at - self.base);
+        let seq = self.next_seq(at);
         let at32 = at as u32;
         self.queue.push(
             self.now + delay_us,
@@ -273,17 +226,16 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
         );
     }
 
-    /// Accounts and schedules one message from the local node `from`,
+    /// Accounts and schedules one message from node `from`,
     /// applying the fault model to anything that crosses a link
     /// (`from != to`). Shared by harness injection and node-effect
     /// sends so both face the same network.
     pub(crate) fn dispatch(&mut self, from: Addr, to: Addr, msg: N::Msg, extra_us: u64) {
-        let li = from - self.base;
         let bytes = msg.wire_size();
         self.stats.total_msgs += 1;
         self.stats.total_bytes += bytes;
         self.stats.by_kind_mut()[msg.kind_id()] += 1;
-        self.nodes.note_sent(li);
+        self.nodes.note_sent(from);
         if self.tracer.enabled() {
             self.tracer
                 .msg_send(self.now, msg.op_id(), from, to, msg.kind_id(), bytes);
@@ -296,7 +248,7 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
         // Per-field gating: an inactive fault class draws nothing from
         // the node's fault stream, so a partially-enabled config stays
         // reproducible field by field.
-        if self.faults.loss > 0.0 && self.fault_rngs[li].random::<f64>() < self.faults.loss {
+        if self.faults.loss > 0.0 && self.fault_rngs[from].random::<f64>() < self.faults.loss {
             self.stats.dropped += 1;
             if self.tracer.enabled() {
                 self.tracer
@@ -305,29 +257,29 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
             return;
         }
         let duplicate = self.faults.duplicate > 0.0
-            && self.fault_rngs[li].random::<f64>() < self.faults.duplicate;
-        let at = base_t + self.draw_jitter(li);
+            && self.fault_rngs[from].random::<f64>() < self.faults.duplicate;
+        let at = base_t + self.draw_jitter(from);
         if duplicate {
             self.stats.duplicated += 1;
             if self.tracer.enabled() {
                 self.tracer
                     .msg_dup(self.now, msg.op_id(), from, to, msg.kind_id());
             }
-            let echo = base_t + self.draw_jitter(li);
+            let echo = base_t + self.draw_jitter(from);
             self.post(echo, from, to, false, msg.clone());
         }
         self.post(at, from, to, false, msg);
     }
 
-    fn draw_jitter(&mut self, local: usize) -> u64 {
+    fn draw_jitter(&mut self, from: Addr) -> u64 {
         if self.faults.jitter_us > 0 {
-            self.fault_rngs[local].random_range(0..=self.faults.jitter_us)
+            self.fault_rngs[from].random_range(0..=self.faults.jitter_us)
         } else {
             0
         }
     }
 
-    /// Runs a harness action on the local node `at`, now. What it emits
+    /// Runs a harness action on node `at`, now. What it emits
     /// is keyed by the node's next sequence number: after everything
     /// the node has caused so far, not after what the action schedules.
     pub(crate) fn act<R>(
@@ -335,7 +287,7 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
         at: Addr,
         f: impl FnOnce(&mut N, &mut Ctx<'_, N::Msg, N::Out>) -> R,
     ) -> R {
-        let tie = tie_key(at, self.seqs[at - self.base]);
+        let tie = tie_key(at, self.seqs[at]);
         self.invoke(at, tie, f)
     }
 
@@ -345,7 +297,6 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
         cur_tie: u128,
         f: impl FnOnce(&mut N, &mut Ctx<'_, N::Msg, N::Out>) -> R,
     ) -> R {
-        let li = at - self.base;
         // Move the scratch buffers into the context for the duration
         // of the handler, then drain and restore them. Handlers run
         // once per event, so reusing the buffers removes two heap
@@ -356,13 +307,13 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
         let mut ctx = Ctx {
             now: SimTime::from_micros(self.now),
             me: at,
-            rng: &mut self.rngs[li],
+            rng: &mut self.rngs[at],
             tracer: &mut self.tracer,
             topo: &self.topo,
             effects: &mut effects,
             emitted: &mut emitted,
         };
-        let ret = f(self.nodes.logic_mut(li), &mut ctx);
+        let ret = f(self.nodes.logic_mut(at), &mut ctx);
         for (k, out) in emitted.drain(..).enumerate() {
             self.outputs.push((self.now, cur_tie, k as u32, at, out));
         }
@@ -378,12 +329,9 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
     }
 
     /// Flight-recorder engine gauges: one sample per series window,
-    /// taken at `t`, the time of the window's first event *across all
-    /// partitions*, before that event runs. The partitions' queues and
-    /// arenas split the global pending set, and equal-time samples sum
-    /// on merge, so the merged gauge is the global queue depth and
-    /// in-flight count under any partition count.
-    pub(crate) fn sample_gauges(&mut self, t: u64) {
+    /// taken at `t`, the time of the window's first event, before that
+    /// event runs.
+    fn sample_gauges(&mut self, t: u64) {
         let (q, a) = (self.queue.len() as u64, self.arena.len() as u64);
         let Some(s) = self.tracer.series_mut() else {
             return;
@@ -396,21 +344,13 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
         }
     }
 
-    /// Executes local events with time `<= last`, at most `max_events`
-    /// of them; returns the number executed. Inter-node sends
-    /// accumulate in `outbox` unless this is the sole partition.
+    /// Executes events with time `<= last`, at most `max_events` of
+    /// them; returns the number executed.
     pub(crate) fn run(&mut self, last: u64, max_events: u64) -> u64 {
         let mut count = 0u64;
         while count < max_events {
             match self.queue.peek_time() {
-                Some(t) if t <= last => {
-                    // A sole partition sees every event, so it finds
-                    // the series-window edges itself; the barrier
-                    // driver samples on behalf of several.
-                    if self.solo {
-                        self.sample_gauges(t);
-                    }
-                }
+                Some(t) if t <= last => self.sample_gauges(t),
                 _ => break,
             }
             let Some((t, tie, ev)) = self.queue.pop() else {
@@ -427,8 +367,7 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
         self.now = t;
         self.events += 1;
         // Flight-recorder progress counter, keyed on event time: the
-        // merged per-window totals depend only on the event multiset,
-        // never on the partition layout.
+        // per-window totals depend only on the event multiset.
         if let Some(s) = self.tracer.series_mut() {
             s.note_event(t);
         }
@@ -441,14 +380,13 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
             } => {
                 self.fp = self.fp.wrapping_add(digest(t, tie, 1 + u64::from(bounce)));
                 let (at, peer) = (at as Addr, peer as Addr);
-                let li = at - self.base;
                 let m = self.arena.take(msg);
-                match (self.nodes.is_alive(li), bounce) {
+                match (self.nodes.is_alive(at), bounce) {
                     (true, false) => {
                         if self.tracer.enabled() {
                             self.tracer.msg_recv(t, m.op_id(), peer, at, m.kind_id());
                         }
-                        self.nodes.note_recv(li);
+                        self.nodes.note_recv(at);
                         self.invoke(at, tie, |node, ctx| node.on_message(peer, m, ctx));
                     }
                     (true, true) => {
@@ -461,10 +399,10 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
                         }
                         // Timeout model: the sender learns of the
                         // failure one further delay later (round-trip
-                        // worth in total). The sender may live on
-                        // another partition, so its liveness is not
+                        // worth in total). The sender's liveness is not
                         // consulted here: the notice always travels and
-                        // is dropped on arrival if the sender is dead.
+                        // is dropped on arrival if the sender is dead
+                        // by then, whatever happened to it meanwhile.
                         if peer != at {
                             let back = self.topo.delay_us(at, peer);
                             self.post(t + back, at, peer, true, m);
@@ -477,7 +415,7 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
             EventRec::Timer { at, kind } => {
                 self.fp = self.fp.wrapping_add(digest(t, tie, 3 ^ mix64(kind)));
                 let at = at as Addr;
-                if self.nodes.is_alive(at - self.base) {
+                if self.nodes.is_alive(at) {
                     self.invoke(at, tie, |node, ctx| node.on_timer(kind, ctx));
                 }
             }

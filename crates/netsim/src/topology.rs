@@ -71,19 +71,6 @@ pub trait Topology {
     /// Must be symmetric and zero iff `a == b`.
     fn delay_us(&self, a: Addr, b: Addr) -> u64;
 
-    /// A lower bound on the delay between any two *distinct* nodes.
-    ///
-    /// The sharded engine's window invariant ("no inter-node message
-    /// arrives inside the window it was sent in") is checked against
-    /// this bound at build time: `ShardConfig::window_us` must not
-    /// exceed it. The conservative default is 1 µs — always sound,
-    /// since distinct nodes are at non-zero delay, but it forces
-    /// one-microsecond windows; topologies with a real floor override
-    /// it.
-    fn min_delay_us(&self) -> u64 {
-        1
-    }
-
     /// Returns true if the topology has no node slots.
     fn is_empty(&self) -> bool {
         self.len() == 0
@@ -114,11 +101,11 @@ impl Sphere {
     /// `floor_us`: the layout is identical to [`Sphere::new`] with the
     /// same seed, but no two distinct nodes are closer than the floor.
     ///
-    /// At large `n` the closest sphere pair is only microseconds apart,
-    /// which would force the sharded engine into degenerate 1 µs
-    /// windows; a floor models the reality that even nearby hosts pay a
-    /// LAN round-trip, and lets [`Topology::min_delay_us`] promise a
-    /// usable window bound.
+    /// At large `n` the closest sphere pair is only microseconds apart;
+    /// a floor models the reality that even nearby hosts pay a LAN
+    /// round-trip. The lossy-churn invariant scenario and the overlay
+    /// replay suite run on a 2 ms floor, and their goldens were
+    /// recorded there.
     pub fn with_delay_floor(n: usize, seed: u64, floor_us: u64) -> Sphere {
         let mut s = Sphere::new(n, seed);
         s.floor_us = floor_us;
@@ -171,10 +158,6 @@ impl Topology for Sphere {
             // Add 1 to keep distinct nodes at non-zero delay.
             ((frac * self.max_delay_us as f64) as u64 + 1).max(self.floor_us)
         })
-    }
-
-    fn min_delay_us(&self) -> u64 {
-        self.floor_us.max(1)
     }
 }
 
@@ -285,11 +268,6 @@ impl Topology for TransitStub {
         let d = ((pa[0] - pb[0]).powi(2) + (pa[1] - pb[1]).powi(2)).sqrt();
         self.lan_us + 2 * self.stub_us + (d * self.transit_scale_us) as u64 + 1
     }
-
-    fn min_delay_us(&self) -> u64 {
-        // Same-LAN pairs are the cheapest class.
-        self.lan_us
-    }
 }
 
 /// Symmetric pseudo-random pairwise delays in `[min_us, max_us]`.
@@ -338,10 +316,6 @@ impl Topology for UniformRandom {
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         let h = mix64(self.seed ^ mix64((lo as u64) << 32 | hi as u64));
         self.min_us + h % (self.max_us - self.min_us + 1)
-    }
-
-    fn min_delay_us(&self) -> u64 {
-        self.min_us
     }
 }
 
@@ -425,7 +399,6 @@ mod tests {
     fn sphere_delay_floor_clamps_without_moving_points() {
         let plain = Sphere::new(80, 5);
         let floored = Sphere::with_delay_floor(80, 5, 3_000);
-        assert_eq!(floored.min_delay_us(), 3_000);
         for a in 0..80 {
             assert_eq!(floored.delay_us(a, a), 0, "self-delay stays zero");
             for b in 0..80 {
@@ -438,32 +411,6 @@ mod tests {
             }
         }
         check_metric(&floored);
-    }
-
-    #[test]
-    fn min_delay_bounds_hold() {
-        // Default (conservative) bound for geometry without a floor.
-        assert_eq!(Sphere::new(10, 1).min_delay_us(), 1);
-        assert_eq!(Plane::new(10, 1, 60_000).min_delay_us(), 1);
-        let u = UniformRandom::new(32, 9, 1_500, 9_000);
-        assert_eq!(u.min_delay_us(), 1_500);
-        let t = TransitStub::new(64, 3, 4, 4);
-        assert_eq!(t.min_delay_us(), 500);
-        // The promise itself: every distinct pair respects the bound.
-        for a in 0..32 {
-            for b in 0..32 {
-                if a != b {
-                    assert!(u.delay_us(a, b) >= u.min_delay_us());
-                }
-            }
-        }
-        for a in 0..64 {
-            for b in 0..64 {
-                if a != b {
-                    assert!(t.delay_us(a, b) >= t.min_delay_us());
-                }
-            }
-        }
     }
 
     #[test]

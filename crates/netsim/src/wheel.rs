@@ -29,8 +29,8 @@
 //! tick is being drained* (a handler scheduling a zero-delay event)
 //! are inserted into the live buffer at their sorted position. Callers
 //! supply the tie key: the engine uses `(source node, per-source seq)`
-//! so the order is independent of how nodes are partitioned. The
-//! binary heap the wheel replaced survives as the reference of the
+//! so the order is a property of the events, not of when they were
+//! pushed. The binary heap the wheel replaced survives as the reference of the
 //! differential test at the bottom of this file.
 //!
 //! ## Clocks: delivery floor vs. cascade position
@@ -41,8 +41,9 @@
 //! the slot bookkeeping has advanced to — [`peek_time`] may push it
 //! all the way to the earliest pending event, which can sit far in
 //! the future. A push between the floor and the cascade position is
-//! legitimate (a partition absorbs batches whose times precede its
-//! own distant first event) and lands, sorted, in the current buffer.
+//! legitimate and lands, sorted, in the current buffer: the engine's
+//! `run_until` stops short of a distant timer after peeking at it, and
+//! a message the harness injects next may land before that timer.
 //!
 //! [`peek_time`]: TimerWheel::peek_time
 
@@ -488,8 +489,9 @@ mod tests {
     /// A peek may cascade the wheel's internal position far into the
     /// future (to a distant first event); a later push *behind* that
     /// position but ahead of everything delivered is legitimate and
-    /// must pop first, in order. This is the idle-partition absorb
-    /// pattern of the barrier driver.
+    /// must pop first, in order. This is the engine's inline case of a
+    /// `run_until` that stops short of a distant timer, followed by an
+    /// injected message landing before it.
     #[test]
     fn push_behind_cascade_position_after_peek() {
         let mut w = TimerWheel::new();

@@ -16,7 +16,7 @@ use crate::id::{Config, Id};
 use crate::leafset::Side;
 use crate::node::{PastryNode, RecoveryConfig, TIMER_HEARTBEAT};
 use past_crypto::rng::Rng;
-use past_netsim::{Addr, Engine, NodeLogic, ShardConfig, SimTime, Topology, WindowTooWide};
+use past_netsim::{Addr, Engine, SimTime, Topology};
 use std::cell::RefCell;
 
 /// Default cap on events per quiet-run (guards against runaway loops).
@@ -80,11 +80,6 @@ impl OverlaySnapshot {
 }
 
 /// A Pastry overlay running inside the discrete-event engine.
-///
-/// [`PastrySim::new`] runs the engine inline on the caller's thread;
-/// [`PastrySim::new_sharded`] spreads it over worker threads. The two
-/// are the same simulation: a run is bit-identical under any shard
-/// count, which the differential tests pin.
 pub struct PastrySim<A: App, T: Topology> {
     /// The underlying engine (exposed for kill/revive, stats, outputs).
     pub engine: Engine<PastryNode<A>, T>,
@@ -104,36 +99,11 @@ pub struct PastrySim<A: App, T: Topology> {
 const STALE_EPOCH: u64 = u64::MAX;
 
 impl<A: App, T: Topology> PastrySim<A, T> {
-    /// Creates an empty overlay on `topo`, run inline.
+    /// Creates an empty overlay on `topo`.
     pub fn new(topo: T, cfg: Config, seed: u64) -> PastrySim<A, T> {
-        Self::on_engine(Engine::new(topo, Vec::new(), seed), cfg)
-    }
-
-    /// Creates an empty overlay on `topo`, on `shard_cfg.shards` worker
-    /// threads.
-    ///
-    /// Rejects a shard window wider than the topology's minimum
-    /// inter-node delay (the sealed-batch safety condition).
-    pub fn new_sharded(
-        topo: T,
-        cfg: Config,
-        seed: u64,
-        shard_cfg: ShardConfig,
-    ) -> Result<PastrySim<A, T>, WindowTooWide>
-    where
-        T: Clone + Send,
-        PastryNode<A>: Send,
-        <PastryNode<A> as NodeLogic>::Msg: Send,
-        <PastryNode<A> as NodeLogic>::Out: Send,
-    {
-        let engine = Engine::try_new_sharded(topo, seed, shard_cfg)?;
-        Ok(Self::on_engine(engine, cfg))
-    }
-
-    fn on_engine(engine: Engine<PastryNode<A>, T>, cfg: Config) -> PastrySim<A, T> {
         cfg.validate();
         PastrySim {
-            engine,
+            engine: Engine::new(topo, Vec::new(), seed),
             cfg,
             recovery: None,
             root_index: RefCell::new((STALE_EPOCH, Vec::new())),
@@ -302,8 +272,7 @@ impl<A: App, T: Topology> PastrySim<A, T> {
         }
         self.engine.run_until_quiet(QUIET_BUDGET);
         // Flight-recorder overlay gauge: live membership after the
-        // round, stamped with the (shard-count invariant) quiesced
-        // clock. Suspicions and repair traffic are already counted by
+        // round, stamped with the quiesced clock. Suspicions and repair traffic are already counted by
         // the tracer hooks.
         if self.engine.tracer().series_enabled() {
             let live = self.engine.live_addrs().len() as u64;
@@ -432,11 +401,7 @@ where
 }
 
 /// The body of [`static_build`], for an empty overlay the caller
-/// constructed.
-///
-/// The build is harness-side and sequential on any engine; what a
-/// sharded overlay ([`PastrySim::new_sharded`]) buys is the *run* that
-/// follows (routes, churn, stabilization) executing on multiple cores.
+/// constructed (a PAST network fills one with its own applications).
 pub fn populate_static<A, T, F>(
     sim: &mut PastrySim<A, T>,
     ids: &[Id],

@@ -17,10 +17,8 @@
 //! the estimates overstated routed `()` frames at 80 bytes vs the real
 //! 38, so `total_bytes` dropped ~52% with identical message counts.
 //!
-//! There is one golden set: the inline engine and the sharded one are
-//! the same simulation (`differential.rs` pins inline ≡ 2 ≡ 4 shards).
 //! Two goldens were re-derived when the sequential engine became the
-//! one-partition case of the keyed core (DESIGN.md §12): randomized
+//! keyed event core (DESIGN.md §12): randomized
 //! routing now draws from per-node streams instead of one shared RNG
 //! (hist `[5, 60, 466, 306, 126, 28, 5, 3, 1]` → `[5, 59, 469, 323,
 //! 112, 27, 4, 1]`, total_msgs 3613 → 3580, now_us 127710951 →

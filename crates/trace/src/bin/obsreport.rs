@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! obsreport [--require-slo] [--slo-max-reject-bp N] [--slo-max-util-bp N]
-//!           [--slo-max-imbalance X.Y] [--slo-p99-us N] SERIES.jsonl
+//!           [--slo-p99-us N] SERIES.jsonl
 //! ```
 //!
 //! Reads the windowed series emitted by `TimeSeries::to_jsonl` and
@@ -18,8 +18,6 @@
 //!   10%, PAST §2.3's <5% claim leaves headroom for lossy runs);
 //! - the utilization trajectory (`store_used` / `store_capacity`),
 //!   gated against `--slo-max-util-bp` (default 9800 = 98%);
-//! - the shard load-imbalance factor (max/mean of per-shard event
-//!   totals), gated only when `--slo-max-imbalance` is given;
 //! - per-window route-latency percentiles, with the worst p99 gated
 //!   only when `--slo-p99-us` is given.
 //!
@@ -27,14 +25,12 @@
 //! on any enforced violation; without it the report is informational.
 
 use past_trace::analyze::{parse_jsonl, Rec};
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: obsreport [--require-slo] [--slo-max-reject-bp N] \
-         [--slo-max-util-bp N] [--slo-max-imbalance X.Y] \
-         [--slo-p99-us N] SERIES.jsonl"
+         [--slo-max-util-bp N] [--slo-p99-us N] SERIES.jsonl"
     );
     ExitCode::FAILURE
 }
@@ -43,7 +39,6 @@ fn main() -> ExitCode {
     let mut require_slo = false;
     let mut max_reject_bp = 1_000u64;
     let mut max_util_bp = 9_800u64;
-    let mut max_imbalance: Option<f64> = None;
     let mut max_p99_us: Option<u64> = None;
     let mut path: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -57,10 +52,6 @@ fn main() -> ExitCode {
             "--slo-max-util-bp" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) => max_util_bp = v,
                 None => return usage(),
-            },
-            "--slo-max-imbalance" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1.0 => max_imbalance = Some(v),
-                _ => return usage(),
             },
             "--slo-p99-us" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) => max_p99_us = Some(v),
@@ -156,36 +147,6 @@ fn main() -> ExitCode {
             violations.push(format!(
                 "utilization {worst_util_bp} bp at t={worst_util_t} exceeds SLO {max_util_bp} bp"
             ));
-        }
-    }
-
-    // -- shard load imbalance: max/mean of per-shard event totals.
-    let mut per_shard: BTreeMap<String, u64> = BTreeMap::new();
-    for w in &windows {
-        for (k, v) in &w.fields {
-            if let (Some(shard), Some(n)) = (
-                k.strip_prefix("shard")
-                    .and_then(|s| s.strip_suffix(".events")),
-                v.as_u64(),
-            ) {
-                *per_shard.entry(shard.to_string()).or_insert(0) += n;
-            }
-        }
-    }
-    if !per_shard.is_empty() {
-        let max = per_shard.values().copied().max().unwrap_or(0);
-        let mean = per_shard.values().sum::<u64>() as f64 / per_shard.len() as f64;
-        let factor = if mean > 0.0 { max as f64 / mean } else { 1.0 };
-        println!(
-            "  shard_imbalance: shards={} max_events={max} factor={factor:.3}",
-            per_shard.len()
-        );
-        if let Some(limit) = max_imbalance {
-            if factor > limit {
-                violations.push(format!(
-                    "shard imbalance factor {factor:.3} exceeds SLO {limit:.3}"
-                ));
-            }
         }
     }
 

@@ -632,7 +632,7 @@ impl Tracer {
     /// Folds another tracer's records and metrics into this one. The
     /// combined record buffer is a concatenation; call
     /// [`Tracer::sort_canonical`] afterwards if a deterministic order
-    /// is needed (e.g. after merging per-shard tracers).
+    /// is needed (e.g. after merging the engine's two sinks).
     pub fn absorb(&mut self, mut other: Tracer) {
         self.records.append(&mut other.records);
         self.metrics.merge(&other.metrics);
@@ -651,8 +651,9 @@ impl Tracer {
     /// rank, serialized line)`. Records with equal time and equal
     /// content are identical, so this order depends only on the
     /// *multiset* of records — two runs that produced the same records
-    /// in different interleavings (e.g. one shard vs. many) serialize
-    /// and fingerprint identically after this call.
+    /// in different interleavings (e.g. split over the engine's
+    /// harness and node-side sinks) serialize and fingerprint
+    /// identically after this call.
     ///
     /// The causal rank keeps same-microsecond lifecycles analyzable:
     /// `op_start` sorts before the records it caused and `op_end` after

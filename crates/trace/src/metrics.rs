@@ -71,7 +71,7 @@ impl Metrics {
     }
 
     /// Folds another registry into this one: counters and histograms
-    /// sum, so any shard merge order yields the same registry.
+    /// sum, so any merge order yields the same registry.
     ///
     /// # Panics
     ///

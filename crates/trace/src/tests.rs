@@ -220,8 +220,8 @@ fn metrics_merge_combines_all_families() {
 
 /// Splitting one record stream across two tracers, absorbing, and
 /// canonically sorting must reproduce the single-tracer
-/// serialization bit for bit — the property the sharded engine's
-/// per-shard tracers rely on.
+/// serialization bit for bit — the property the engine's harness and
+/// node-side sinks rely on.
 #[test]
 fn absorb_plus_canonical_sort_is_partition_independent() {
     let record = |t: &mut Tracer, which: usize| {
@@ -274,7 +274,7 @@ fn canonical_sort_keeps_same_time_lifecycles_causal() {
 
 /// A series-only tracer (all trace classes off) still reports
 /// enabled, collects windowed counters from the hooks, and merges
-/// across tracers in `absorb` — the sharded-engine path.
+/// across tracers in `absorb` — the engine's `take_tracer` path.
 #[test]
 fn series_flows_through_hooks_and_absorb() {
     let mk = || {

@@ -8,14 +8,13 @@
 //! record call takes the simulated time explicitly, so the series can
 //! never observe a wall clock and is bit-reproducible across runs.
 //!
-//! Series merge across shards: counters sum, gauges follow a
-//! latest-sample-wins-or-sum rule (see [`TimeSeries::merge`]), and
-//! histograms sum buckets. The merge is commutative and associative,
-//! so the combined series is identical under any shard count or merge
-//! order. Per-shard diagnostics (`shard_bump`/`shard_gauge`) are kept
-//! separately and are *excluded* from the [`fingerprint`]: they
-//! legitimately differ between a 1-shard and an N-shard run of the
-//! same simulation, while everything fingerprinted must not.
+//! The engine's harness-side and node-side sinks each keep a series,
+//! merged when the trace is taken: counters sum, gauges take the newest
+//! sample (see [`TimeSeries::merge`]), and histograms sum buckets.
+//! Diagnostic gauges ([`TimeSeries::diag_gauge`]: allocator capacities
+//! and the like) are kept separately and are *excluded* from the
+//! [`fingerprint`]: they move whenever an allocation policy does, while
+//! everything fingerprinted is a property of the simulation alone.
 //!
 //! [`fingerprint`]: TimeSeries::fingerprint
 
@@ -55,7 +54,7 @@ struct GaugeCell {
 }
 
 /// Histogram shape registry: series histograms must agree on shape
-/// across shards so windows merge; shapes are fixed by name here.
+/// across sinks so windows merge; shapes are fixed by name here.
 /// `route_latency_us` mirrors the `Metrics` registry histogram (1 ms
 /// buckets up to 512 ms); everything else gets width-1 with 64
 /// buckets.
@@ -66,15 +65,14 @@ fn hist_shape(name: &str) -> (u64, usize) {
     }
 }
 
-/// One sampling window: counters, gauges and histograms keyed by
-/// static names, plus per-shard diagnostics keyed by `(shard, name)`.
+/// One sampling window: counters, gauges, histograms and diagnostic
+/// gauges, keyed by static names.
 #[derive(Clone, Debug, Default)]
 pub struct Window {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, GaugeCell>,
     hists: BTreeMap<&'static str, Histogram>,
-    shard_counters: BTreeMap<(usize, &'static str), u64>,
-    shard_gauges: BTreeMap<(usize, &'static str), GaugeCell>,
+    diag: BTreeMap<&'static str, GaugeCell>,
 }
 
 impl Window {
@@ -97,25 +95,12 @@ impl Window {
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(&k, &v)| (k, v))
     }
-
-    /// Reads a per-shard diagnostic counter.
-    pub fn shard_counter(&self, shard: usize, name: &str) -> u64 {
-        self.shard_counters
-            .get(&(shard, name))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Per-shard diagnostic counters, in `(shard, name)` order.
-    pub fn shard_counters(&self) -> impl Iterator<Item = (usize, &'static str, u64)> + '_ {
-        self.shard_counters.iter().map(|(&(s, k), &v)| (s, k, v))
-    }
 }
 
-/// Records one gauge sample locally: the latest sample wins, and a
-/// re-sample of the same instant *overwrites* (a producer taking two
-/// looks at the same simulated time reports one value, not a sum).
-fn record_gauge<K: Ord>(map: &mut BTreeMap<K, GaugeCell>, key: K, cell: GaugeCell) {
+/// Records one gauge sample: the latest sample wins, and a re-sample of
+/// the same instant *overwrites* (a producer taking two looks at the
+/// same simulated time reports one value, not a sum).
+fn record_gauge(map: &mut BTreeMap<&'static str, GaugeCell>, key: &'static str, cell: GaugeCell) {
     match map.entry(key) {
         std::collections::btree_map::Entry::Vacant(e) => {
             e.insert(cell);
@@ -123,28 +108,6 @@ fn record_gauge<K: Ord>(map: &mut BTreeMap<K, GaugeCell>, key: K, cell: GaugeCel
         std::collections::btree_map::Entry::Occupied(mut e) => {
             if cell.t >= e.get().t {
                 *e.get_mut() = cell;
-            }
-        }
-    }
-}
-
-/// Merges one gauge sample into a cell map under merge semantics:
-/// the newer sample wins outright; *equal-time* samples sum, because
-/// shards sampling the same global instant each contribute a partial
-/// value (queue depth, arena occupancy) whose total is the global one.
-/// This rule is commutative and associative, so shard merge order
-/// cannot change the result.
-fn merge_gauge<K: Ord>(map: &mut BTreeMap<K, GaugeCell>, key: K, cell: GaugeCell) {
-    match map.entry(key) {
-        std::collections::btree_map::Entry::Vacant(e) => {
-            e.insert(cell);
-        }
-        std::collections::btree_map::Entry::Occupied(mut e) => {
-            let cur = e.get_mut();
-            match cell.t.cmp(&cur.t) {
-                std::cmp::Ordering::Greater => *cur = cell,
-                std::cmp::Ordering::Equal => cur.v += cell.v,
-                std::cmp::Ordering::Less => {}
             }
         }
     }
@@ -229,32 +192,19 @@ impl TimeSeries {
         h.record(sample);
     }
 
-    /// Adds `by` to a per-shard diagnostic counter (excluded from the
-    /// fingerprint).
-    pub fn shard_bump(&mut self, t: u64, shard: usize, name: &'static str, by: u64) {
-        *self
-            .window_mut(t)
-            .shard_counters
-            .entry((shard, name))
-            .or_insert(0) += by;
-    }
-
-    /// Records a per-shard diagnostic gauge sample (excluded from the
-    /// fingerprint). Latest sample wins, as with [`TimeSeries::gauge`].
-    pub fn shard_gauge(&mut self, t: u64, shard: usize, name: &'static str, v: u64) {
-        record_gauge(
-            &mut self.window_mut(t).shard_gauges,
-            (shard, name),
-            GaugeCell { t, v },
-        );
+    /// Records a diagnostic gauge sample (excluded from the canonical
+    /// lines and the fingerprint). Latest sample wins, as with
+    /// [`TimeSeries::gauge`].
+    pub fn diag_gauge(&mut self, t: u64, name: &'static str, v: u64) {
+        record_gauge(&mut self.window_mut(t).diag, name, GaugeCell { t, v });
     }
 
     /// Folds another series into this one: counters and histograms
-    /// sum, gauges take the newest sample — with *equal-time* samples
-    /// summing, so shards that sampled partial values (their share of
-    /// queue depth or in-flight messages) at the same global instant
-    /// combine into the global value. Both rules are commutative and
-    /// associative: any merge order yields the same series.
+    /// sum, gauges take the newest sample. Each gauge name has one
+    /// producer (the engine samples `queue_depth` and `in_flight_msgs`
+    /// on the node-side sink, harnesses sample theirs on the other), so
+    /// two series never hold one name at one instant and the merge is
+    /// order-independent.
     ///
     /// # Panics
     ///
@@ -270,7 +220,7 @@ impl TimeSeries {
                 *mine.counters.entry(k).or_insert(0) += v;
             }
             for (&k, &cell) in &w.gauges {
-                merge_gauge(&mut mine.gauges, k, cell);
+                record_gauge(&mut mine.gauges, k, cell);
             }
             for (&k, h) in &w.hists {
                 mine.hists
@@ -282,21 +232,18 @@ impl TimeSeries {
                     .merge(h)
                     .expect("series histograms share shape by the name registry");
             }
-            for (&k, &v) in &w.shard_counters {
-                *mine.shard_counters.entry(k).or_insert(0) += v;
-            }
-            for (&k, &cell) in &w.shard_gauges {
-                merge_gauge(&mut mine.shard_gauges, k, cell);
+            for (&k, &cell) in &w.diag {
+                record_gauge(&mut mine.diag, k, cell);
             }
         }
     }
 
     /// Writes one window as a flat JSONL object (the format
     /// [`analyze::parse_line`](crate::analyze::parse_line) reads:
-    /// no spaces, no escapes). `shards` controls whether per-shard
-    /// diagnostic fields are included — the fingerprint hashes the
-    /// line *without* them.
-    fn write_window_line(&self, out: &mut String, start: u64, w: &Window, shards: bool) {
+    /// no spaces, no escapes). `diag` controls whether diagnostic
+    /// gauges are included — the fingerprint hashes the line *without*
+    /// them.
+    fn write_window_line(&self, out: &mut String, start: u64, w: &Window, diag: bool) {
         wfmt(
             out,
             format_args!("{{\"t\":{start},\"op\":0,\"ev\":\"window\""),
@@ -319,20 +266,17 @@ impl TimeSeries {
                 ),
             );
         }
-        if shards {
-            for (&(s, k), &v) in &w.shard_counters {
-                wfmt(out, format_args!(",\"shard{s}.{k}\":{v}"));
-            }
-            for (&(s, k), cell) in &w.shard_gauges {
-                wfmt(out, format_args!(",\"shard{s}.{k}\":{}", cell.v));
+        if diag {
+            for (&k, cell) in &w.diag {
+                wfmt(out, format_args!(",\"{k}\":{}", cell.v));
             }
         }
         out.push('}');
     }
 
-    /// A 64-bit FNV-1a fingerprint of the series content that must be
-    /// shard-count invariant: window width plus every window line
-    /// *without* the per-shard diagnostic fields. Two runs whose
+    /// A 64-bit FNV-1a fingerprint of the simulation's series: window
+    /// width plus every window line *without* the diagnostic gauges.
+    /// Two runs whose
     /// fingerprints match produced identical windowed counters,
     /// gauges and histogram summaries.
     pub fn fingerprint(&self) -> u64 {
@@ -341,9 +285,9 @@ impl TimeSeries {
 
     /// The exact byte stream the [`fingerprint`](Self::fingerprint)
     /// hashes: the window width plus one line per window *without*
-    /// per-shard diagnostics. Differential tests compare this across
-    /// shard counts — unlike the bare fingerprint, a mismatch shows
-    /// *which* window diverged.
+    /// diagnostic gauges. Replay tests compare this between runs —
+    /// unlike the bare fingerprint, a mismatch shows *which* window
+    /// diverged.
     pub fn canonical_lines(&self) -> String {
         let mut buf = String::new();
         wfmt(&mut buf, format_args!("window_us={}\n", self.window_us));
@@ -356,21 +300,21 @@ impl TimeSeries {
 
     /// Serializes the series as JSONL: one `ev:"series"` header line
     /// (window width, window count, fingerprint), then one flat
-    /// `ev:"window"` line per window including per-shard diagnostics.
+    /// `ev:"window"` line per window including diagnostic gauges.
     /// Parses back through
     /// [`analyze::parse_jsonl`](crate::analyze::parse_jsonl).
     pub fn to_jsonl(&self) -> String {
         self.jsonl(true)
     }
 
-    /// [`to_jsonl`](Self::to_jsonl) without the per-shard diagnostic
-    /// fields: byte-identical for the same simulation under any shard
-    /// count, so two runs' files can be compared with `cmp`.
+    /// [`to_jsonl`](Self::to_jsonl) without the diagnostic gauges:
+    /// byte-identical for the same simulation whatever its allocation
+    /// policies, so two runs' files can be compared with `cmp`.
     pub fn to_canonical_jsonl(&self) -> String {
         self.jsonl(false)
     }
 
-    fn jsonl(&self, shards: bool) -> String {
+    fn jsonl(&self, diag: bool) -> String {
         let mut out = String::new();
         wfmt(
             &mut out,
@@ -382,7 +326,7 @@ impl TimeSeries {
             ),
         );
         for (&start, w) in &self.windows {
-            self.write_window_line(&mut out, start, w, shards);
+            self.write_window_line(&mut out, start, w, diag);
             out.push('\n');
         }
         out
@@ -406,11 +350,8 @@ impl TimeSeries {
                     .int(&format!("{k}_p95"), h.percentile(95).unwrap_or(0))
                     .int(&format!("{k}_p99"), h.percentile(99).unwrap_or(0));
             }
-            for (&(s, k), &v) in &w.shard_counters {
-                o = o.int(&format!("shard{s}.{k}"), v);
-            }
-            for (&(s, k), cell) in &w.shard_gauges {
-                o = o.int(&format!("shard{s}.{k}"), cell.v);
+            for (&k, cell) in &w.diag {
+                o = o.int(k, cell.v);
             }
             o.build()
         }));
@@ -478,12 +419,10 @@ mod tests {
             let mk = |i: usize| {
                 let mut s = TimeSeries::new(cfg());
                 s.bump(i as u64 * 10, "events", i as u64 + 1);
-                // Same-instant partial gauges must sum; an older sample
-                // must lose regardless of merge order.
-                s.gauge(500, "depth", (i as u64 + 1) * 100);
-                s.gauge(400 + i as u64 * 50, "stale", i as u64);
+                // An older sample must lose regardless of merge order.
+                s.gauge(400 + i as u64 * 50, "depth", i as u64);
+                s.diag_gauge(400 + i as u64 * 50, "mem", i as u64);
                 s.hist(100, "lat", i as u64);
-                s.shard_bump(100, i, "batch", 1);
                 s
             };
             let mut acc = mk(order[0]);
@@ -497,23 +436,23 @@ mod tests {
         let c = build(&[1, 2, 0]);
         assert_eq!(a, b);
         assert_eq!(a, c);
-        // Equal-time partials summed: 100 + 200 + 300.
-        assert!(a.contains("\"depth\":600"), "{a}");
-        // Newest sample won: shard 2 sampled "stale" at t=500.
-        assert!(a.contains("\"stale\":2"), "{a}");
+        // Counters summed: 1 + 2 + 3.
+        assert!(a.contains("\"events\":6"), "{a}");
+        // Newest sample won: series 2 sampled at t=500.
+        assert!(a.contains("\"depth\":2"), "{a}");
+        assert!(a.contains("\"mem\":2"), "{a}");
     }
 
     #[test]
-    fn fingerprint_is_deterministic_and_ignores_shard_diagnostics() {
-        let mk = |shard_noise: bool| {
+    fn fingerprint_is_deterministic_and_ignores_diagnostics() {
+        let mk = |diag: bool| {
             let mut s = TimeSeries::new(cfg());
             s.bump(10, "sent", 4);
             s.gauge(700, "depth", 11);
             s.hist(10, "route_latency_us", 2_500);
-            if shard_noise {
-                s.shard_bump(10, 0, "events", 3);
-                s.shard_bump(10, 1, "events", 1);
-                s.shard_gauge(700, 1, "stall_us", 40);
+            if diag {
+                s.diag_gauge(10, "mem_wheel", 3);
+                s.diag_gauge(700, "mem_arena", 40);
             }
             s
         };
@@ -521,7 +460,7 @@ mod tests {
         assert_eq!(
             mk(false).fingerprint(),
             mk(true).fingerprint(),
-            "per-shard diagnostics must not affect the series fingerprint"
+            "diagnostic gauges must not affect the series fingerprint"
         );
         let mut other = mk(false);
         other.bump(10, "sent", 1);
@@ -535,7 +474,7 @@ mod tests {
         s.note_event(10);
         s.gauge(700, "queue_depth", 11);
         s.hist(10, "route_latency_us", 2_500);
-        s.shard_bump(10, 0, "batch_msgs", 3);
+        s.diag_gauge(10, "mem_wheel", 3);
         let recs = analyze::parse_jsonl(&s.to_jsonl()).expect("series JSONL must parse");
         assert_eq!(recs[0].ev, "series");
         assert_eq!(recs[0].u("window_us"), Some(1_000));
@@ -548,7 +487,13 @@ mod tests {
         assert_eq!(recs[1].u("queue_depth"), Some(11));
         assert_eq!(recs[1].u("route_latency_us_count"), Some(1));
         assert_eq!(recs[1].u("route_latency_us_p99"), Some(2_000));
-        assert_eq!(recs[1].u("shard0.batch_msgs"), Some(3));
+        assert_eq!(recs[1].u("mem_wheel"), Some(3));
+        let canonical = analyze::parse_jsonl(&s.to_canonical_jsonl()).expect("must parse");
+        assert_eq!(
+            canonical[1].u("mem_wheel"),
+            None,
+            "diagnostics are not canonical"
+        );
     }
 
     #[test]
@@ -566,7 +511,7 @@ mod tests {
         s.bump(10, "sent", 4);
         s.gauge(700, "depth", 11);
         s.hist(10, "lat", 3);
-        s.shard_gauge(700, 2, "stall_us", 5);
+        s.diag_gauge(700, "mem_arena", 5);
         let doc = s.to_json();
         json::validate(&doc).expect("series JSON must validate");
         assert!(doc.contains("\"schema\": \"past-series/v1\""));

@@ -18,25 +18,16 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # I6 (every route ends at the closest live node) gates bulk-join,
 # quota-reclaim and wheel-horizon; churn and lossy-churn print its count.
-echo "== invariant gate (I1-I6 over bulk-join / churn / quota-reclaim / lossy-churn / wheel-horizon, inline + 4 shards)"
+echo "== invariant gate (I1-I6 over bulk-join / churn / quota-reclaim / lossy-churn / wheel-horizon)"
 mkdir -p target
-for shards in 1 4; do
-  cargo run --offline -q -p past-invariants --bin invariants -- --shards "$shards" \
-    --emit-trace "target/trace_lossy.$shards.jsonl" \
-    --emit-series "target/series_lossy.$shards.jsonl"
-done
-
-# One engine: the inline run and the 4-shard run are the same simulation,
-# so their trace and series files must be the same bytes.
-echo "== inline vs 4-shard trace and series (byte-identical)"
-cmp target/trace_lossy.1.jsonl target/trace_lossy.4.jsonl
-cmp target/series_lossy.1.jsonl target/series_lossy.4.jsonl
+cargo run --offline -q -p past-invariants --bin invariants -- \
+  --emit-trace target/trace_lossy.jsonl --emit-series target/series_lossy.jsonl
 
 echo "== tracecheck (no stuck ops, insert fan-out == k, hops vs log2^b N)"
-cargo run --offline -q -p past-trace --bin tracecheck -- --require-clean target/trace_lossy.1.jsonl
+cargo run --offline -q -p past-trace --bin tracecheck -- --require-clean target/trace_lossy.jsonl
 
 echo "== obsreport (flight-recorder SLO gate: no stalled windows, rejection/utilization in bounds)"
-cargo run --offline -q -p past-trace --bin obsreport -- --require-slo target/series_lossy.1.jsonl
+cargo run --offline -q -p past-trace --bin obsreport -- --require-slo target/series_lossy.jsonl
 
 echo "== cargo build --release"
 cargo build --offline --release --workspace
@@ -113,23 +104,18 @@ grep -q '"schema": "past-bench/v1"' target/BENCH_loss.smoke.json
 grep -q '"schema": "past-series/v1"' target/BENCH_series.json
 
 # Scale gate: a 100k-node overlay must build, route, and survive churn
-# on 4 shards inside the wall-clock budget (the budget only catches
-# order-of-magnitude regressions in the event loop). The run also
-# repeats itself inline (1 shard) in-process and asserts the simulation
-# counters are identical — shard-count independence at 100k-node scale
-# on every CI run. The JSON (with the 1-shard churn
-# reference and speedup) is archived in target/.
+# inside the wall-clock budget (the budget only catches
+# order-of-magnitude regressions in the event loop). The JSON is
+# archived in target/.
 #
-# Beside the wall clock, a memory budget: the measured run's peak
-# resident set (read before the in-process reference run starts) was
-# 778-804 MB when the budget was set and 1 470 MB the commit before
-# (64-byte table slots, a wheel that kept every burst buffer); the
-# budget is the former plus a quarter, so losing half of that gain
-# fails the gate.
-rss_budget_kb=985000
-echo "== bench macro 100k sharded scale gate (budget ${BENCH_MACRO_BUDGET_S:-120}s, ${rss_budget_kb} kB)"
+# Beside the wall clock, a memory budget: the run's peak resident set
+# read 538 652 and 538 732 kB when the budget was set (the deleted
+# 4-thread driver read 760-791 MB on the same run); the budget is that
+# plus a quarter, so growing the footprint by a quarter fails the gate.
+rss_budget_kb=674000
+echo "== bench macro 100k scale gate (budget ${BENCH_MACRO_BUDGET_S:-120}s, ${rss_budget_kb} kB)"
 timeout "${BENCH_MACRO_BUDGET_S:-120}" \
-  ./target/release/bench_macro --nodes 100000 --smoke --shards 4 --out target/BENCH_macro.100k.json
+  ./target/release/bench_macro --nodes 100000 --smoke --out target/BENCH_macro.100k.json
 grep -q '"schema": "past-bench/v1"' target/BENCH_macro.100k.json
 peak_rss_kb=$(grep -o '"peak_rss_kb": [0-9]*' target/BENCH_macro.100k.json | grep -o '[0-9]*$')
 if [ "$peak_rss_kb" -gt "$rss_budget_kb" ]; then

@@ -88,17 +88,17 @@ fn l1_triggers_on_engine_types_and_module_paths() {
 
 #[test]
 fn l1_triggers_on_sharded_engine_and_wheel() {
-    let src = "use past_netsim::shard::ShardConfig;\n";
-    assert_eq!(engine_reaches("crates/pastry/src/x.rs", src), vec![1]);
-    let src = "fn f(cfg: past_netsim::ShardConfig) -> past_netsim::ShardConfig { cfg }\n";
-    assert_eq!(engine_reaches("crates/core/src/x.rs", src), vec![1]);
     let src = "use past_netsim::wheel::TimerWheel;\n";
+    assert_eq!(engine_reaches("crates/pastry/src/x.rs", src), vec![1]);
+    let src = "fn f(q: past_netsim::wheel::TimerWheel<u32>) -> usize { q.len() }\n";
+    assert_eq!(engine_reaches("crates/core/src/x.rs", src), vec![1]);
+    let src = "use past_netsim::arena::Arena;\n";
     assert_eq!(engine_reaches("crates/pastry/src/x.rs", src), vec![1]);
 }
 
 #[test]
 fn l1_triggers_on_shard_module_path() {
-    let src = "use past_netsim::shard::WindowTooWide;\n";
+    let src = "use past_netsim::topology::Sphere;\n";
     assert_eq!(engine_reaches("crates/pastry/src/x.rs", src), vec![1]);
     assert_eq!(engine_reaches("crates/core/src/x.rs", src), vec![1]);
 }
@@ -112,8 +112,8 @@ fn l1_triggers_on_crate_root_reexports() {
     assert_eq!(engine_reaches("crates/pastry/src/x.rs", src), vec![1]);
     let src = "use past_netsim::{Addr, OpId, SimTime};\n";
     assert_eq!(engine_reaches("crates/core/src/x.rs", src), vec![1]);
-    let src = "use past_netsim::WindowTooWide;\n\
-               fn f(e: WindowTooWide) -> u64 { e.window_us }\n";
+    let src = "use past_netsim::FaultConfig;\n\
+               fn f(c: FaultConfig) -> u64 { c.jitter_us }\n";
     assert_eq!(engine_reaches("crates/pastry/src/x.rs", src), vec![1]);
 }
 
