@@ -1142,4 +1142,211 @@ mod tests {
         assert_eq!(e.node(0).timers, vec![9]);
         assert_eq!(e.now(), SimTime::from_micros(50_000));
     }
+
+    /// A gossip-ish protocol exercising every engine path at once:
+    /// randomized forwarding (per-node RNG), timers, emissions, and send
+    /// failures.
+    #[derive(Clone)]
+    enum GMsg {
+        Rumor { ttl: u32, tag: u32 },
+        Ack(u32),
+    }
+
+    impl Message for GMsg {
+        const KINDS: &'static [&'static str] = &["rumor", "ack"];
+
+        fn kind_id(&self) -> usize {
+            match self {
+                GMsg::Rumor { .. } => 0,
+                GMsg::Ack(_) => 1,
+            }
+        }
+    }
+
+    #[derive(Default)]
+    struct GNode {
+        heard: Vec<u32>,
+        acks: u64,
+        failures: u64,
+        timer_fired: bool,
+    }
+
+    impl NodeLogic for GNode {
+        type Msg = GMsg;
+        type Out = (u32, Addr);
+
+        fn on_message(&mut self, from: Addr, msg: GMsg, ctx: &mut Ctx<'_, GMsg, (u32, Addr)>) {
+            match msg {
+                GMsg::Rumor { ttl, tag } => {
+                    self.heard.push(tag);
+                    ctx.emit((tag, from));
+                    ctx.send(from, GMsg::Ack(tag));
+                    if ttl > 0 {
+                        // Randomized next hop: exercises the per-node
+                        // protocol RNG streams.
+                        let next = ctx.rng.random_range(0..GOSSIP_N as u64) as Addr;
+                        if next != ctx.me {
+                            ctx.send(next, GMsg::Rumor { ttl: ttl - 1, tag });
+                        }
+                        if !self.timer_fired {
+                            ctx.set_timer(10_000, u64::from(tag));
+                        }
+                    }
+                }
+                // Folding the tag in makes `acks` a cheap order-free
+                // checksum over which acks arrived, not just how many.
+                GMsg::Ack(tag) => self.acks += 1 + u64::from(tag) * 31,
+            }
+        }
+
+        fn on_send_failed(&mut self, _to: Addr, _msg: GMsg, _ctx: &mut Ctx<'_, GMsg, (u32, Addr)>) {
+            self.failures += 1;
+        }
+
+        fn on_timer(&mut self, _kind: u64, ctx: &mut Ctx<'_, GMsg, (u32, Addr)>) {
+            self.timer_fired = true;
+            ctx.emit((u32::MAX, ctx.me));
+        }
+    }
+
+    const GOSSIP_N: usize = 64;
+
+    fn gossip_engine() -> Engine<GNode, UniformRandom> {
+        let topo = UniformRandom::new(GOSSIP_N, 77, 2_000, 9_000);
+        let nodes = (0..GOSSIP_N).map(|_| GNode::default()).collect();
+        Engine::new(topo, nodes, 0xface)
+    }
+
+    /// Everything observable about a gossip run.
+    #[derive(Debug, PartialEq)]
+    struct Snapshot {
+        fingerprint: u64,
+        total_msgs: u64,
+        now: SimTime,
+        outputs: Vec<(SimTime, Addr, (u32, Addr))>,
+        io: Vec<NodeIo>,
+        heard: Vec<Vec<u32>>,
+        dropped: u64,
+        duplicated: u64,
+        failed_sends: u64,
+    }
+
+    /// Folds the run so far into a snapshot (draining the outputs).
+    fn snapshot(e: &mut Engine<GNode, UniformRandom>) -> Snapshot {
+        Snapshot {
+            fingerprint: e.fingerprint(),
+            total_msgs: e.stats.total_msgs,
+            now: e.now(),
+            outputs: e.drain_outputs(),
+            io: (0..GOSSIP_N).map(|a| e.node_io(a)).collect(),
+            heard: (0..GOSSIP_N).map(|a| e.node(a).heard.clone()).collect(),
+            dropped: e.stats.dropped,
+            duplicated: e.stats.duplicated,
+            failed_sends: e.stats.failed_sends,
+        }
+    }
+
+    /// Starts eight rumors with a 12-hop budget from scattered nodes.
+    fn start_rumors(e: &mut Engine<GNode, UniformRandom>) {
+        for i in 0..8 {
+            let rumor = GMsg::Rumor {
+                ttl: 12,
+                tag: i as u32,
+            };
+            e.inject(i * 7, (i * 13 + 1) % GOSSIP_N, rumor, 0);
+        }
+    }
+
+    fn gossip_run() -> Snapshot {
+        let mut e = gossip_engine();
+        start_rumors(&mut e);
+        e.run_until_quiet(u64::MAX);
+        assert_eq!(e.pending(), 0, "run must quiesce");
+        snapshot(&mut e)
+    }
+
+    #[test]
+    fn gossip_runs_replay_bit_identically() {
+        let one = gossip_run();
+        assert!(!one.outputs.is_empty(), "run must produce outputs");
+        assert_eq!(one, gossip_run());
+    }
+
+    /// A gossip run under loss, duplication and jitter, traced or not.
+    fn faulty_gossip_run(trace: bool) -> (Snapshot, u64, Option<u64>) {
+        let mut e = gossip_engine();
+        if trace {
+            e.set_tracing(TraceConfig::full());
+            e.set_series(SeriesConfig::new(1_000));
+        }
+        e.set_faults(
+            FaultConfig {
+                loss: 0.15,
+                duplicate: 0.1,
+                jitter_us: 900,
+            },
+            4242,
+        );
+        for i in 0..10 {
+            e.inject(
+                i * 5,
+                (i * 11 + 3) % GOSSIP_N,
+                GMsg::Rumor {
+                    ttl: 10,
+                    tag: i as u32,
+                },
+                0,
+            );
+        }
+        e.run_until_quiet(u64::MAX);
+        let t = e.take_tracer();
+        let series_fp = t.series().map(|s| s.fingerprint());
+        (snapshot(&mut e), t.fingerprint(), series_fp)
+    }
+
+    #[test]
+    fn faulty_gossip_runs_replay_bit_identically() {
+        let (one, _, _) = faulty_gossip_run(false);
+        assert!(one.dropped > 0, "loss must drop something");
+        assert!(one.duplicated > 0, "duplication must duplicate something");
+        assert_eq!(one, faulty_gossip_run(false).0, "faulty run diverged");
+    }
+
+    #[test]
+    fn deadline_split_gossip_run_matches_the_uncut_run() {
+        // A deadline cuts the run at an exact event, parks the clock on
+        // it, and leaves the rest queued; resuming finishes the same run.
+        let run = || {
+            let mut e = gossip_engine();
+            start_rumors(&mut e);
+            let ran = e.run_until(SimTime::from_micros(15_000));
+            assert_eq!(e.now(), SimTime::from_micros(15_000));
+            let pending = e.pending();
+            let mid = snapshot(&mut e);
+            e.run_until_quiet(u64::MAX);
+            (ran, pending, mid, snapshot(&mut e))
+        };
+        let split = run();
+        assert!(
+            split.0 > 0 && split.1 > 0,
+            "the deadline must split the run"
+        );
+        assert_eq!(split, run(), "a deadline-cut run must replay");
+        let (_, _, mid, mut whole) = split;
+        whole.outputs = [mid.outputs, whole.outputs].concat();
+        assert_eq!(whole, gossip_run(), "the cut changed the run");
+    }
+
+    #[test]
+    fn traced_faulty_gossip_runs_replay_trace_and_series() {
+        let (untraced, _, _) = faulty_gossip_run(false);
+        let (one, fp1, series1) = faulty_gossip_run(true);
+        assert_eq!(untraced, one, "tracing must not perturb outcomes");
+        assert_ne!(fp1, past_trace::fnv1a(b""), "trace must be non-empty");
+        let series1 = series1.expect("series must survive take_tracer");
+        let (again, fp2, series2) = faulty_gossip_run(true);
+        assert_eq!(one, again, "traced run diverged");
+        assert_eq!(fp1, fp2, "trace fingerprint diverged");
+        assert_eq!(Some(series1), series2, "series fingerprint diverged");
+    }
 }
