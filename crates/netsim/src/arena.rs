@@ -8,12 +8,17 @@
 //! and freed slots are recycled through a free list — after warm-up,
 //! the steady-state event loop allocates nothing per event.
 //!
-//! Indices are `u32`: four billion simultaneously in-flight messages
-//! is beyond any simulation this engine can hold in memory anyway, and
-//! halving the index width keeps event records small.
+//! Indices are `u32` below [`MAX_SLOTS`]: two billion simultaneously
+//! in-flight messages is beyond any simulation this engine can hold in
+//! memory anyway, and halving the index width keeps event records
+//! small. Only messages that carry fields park here: the engine keeps a
+//! fieldless message's kind id in the event record instead
+//! (`partition.rs`), so a stabilize round's heartbeats take no slot.
 
-/// Sentinel index for "no payload" (timer events).
-pub const NO_MSG: u32 = u32::MAX;
+/// Handles stay below this bound: the engine's event record spends the
+/// top bit of its `u32` message field on tagging a fieldless message's
+/// kind id.
+pub const MAX_SLOTS: u32 = 1 << 31;
 
 /// A recycling slab of `T` addressed by dense `u32` handles.
 pub struct Arena<T> {
@@ -51,7 +56,7 @@ impl<T> Arena<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the arena would exceed `u32::MAX - 1` slots.
+    /// Panics if the arena would exceed [`MAX_SLOTS`] slots.
     pub fn insert(&mut self, value: T) -> u32 {
         self.live += 1;
         if let Some(i) = self.free.pop() {
@@ -60,7 +65,10 @@ impl<T> Arena<T> {
             return i;
         }
         let i = self.slots.len();
-        assert!(i < NO_MSG as usize, "arena exhausted u32 index space");
+        assert!(
+            i < MAX_SLOTS as usize,
+            "arena exhausted its MAX_SLOTS (2^31) handles"
+        );
         self.slots.push(Some(value));
         i as u32
     }

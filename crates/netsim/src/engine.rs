@@ -89,11 +89,13 @@ pub struct Memory {
     pub node_inline: usize,
     /// Heap the nodes report through [`NodeLogic::heap_bytes`].
     pub node_heap: usize,
-    /// In-flight payload slots and their free list.
+    /// In-flight payload slots and their free list (a message of a
+    /// fieldless kind takes no slot).
     pub arena: usize,
     /// Event-queue buffers.
     pub wheel: usize,
-    /// The per-node columns beside the node structs: two RNG states,
+    /// The per-node columns beside the node structs: the protocol RNG
+    /// state, the fault RNG state while a fault configuration is active,
     /// the sequence counter, liveness and traffic counters.
     pub per_node_columns: usize,
 }
@@ -647,9 +649,10 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
         self.core.queue.len()
     }
 
-    /// Number of message payloads currently parked in flight.
+    /// Number of messages currently in flight, whether their payload
+    /// parks in the arena or their kind is fieldless.
     pub fn in_flight_msgs(&self) -> usize {
-        self.core.arena.len()
+        self.core.in_flight
     }
 
     /// What the engine holds right now.
@@ -694,27 +697,36 @@ mod tests {
     use crate::topology::UniformRandom;
 
     /// A toy protocol: Ping is answered with Pong; delivery is emitted.
+    /// Knock is fieldless and only counted.
     #[derive(Clone)]
     enum PingMsg {
         Ping(u32),
         Pong(u32),
+        Knock,
     }
 
     impl Message for PingMsg {
-        const KINDS: &'static [&'static str] = &["ping", "pong"];
+        const KINDS: &'static [&'static str] = &["ping", "pong", "knock"];
 
         fn kind_id(&self) -> usize {
             match self {
                 PingMsg::Ping(_) => 0,
                 PingMsg::Pong(_) => 1,
+                PingMsg::Knock => 2,
             }
+        }
+
+        fn fieldless(kind: usize) -> Option<PingMsg> {
+            (kind == 2).then_some(PingMsg::Knock)
         }
     }
 
     #[derive(Default)]
     struct PingNode {
         pongs: Vec<u32>,
+        knocks: u32,
         failures: Vec<Addr>,
+        failed_kinds: Vec<&'static str>,
         timers: Vec<u64>,
     }
 
@@ -729,11 +741,13 @@ mod tests {
                     self.pongs.push(n);
                     ctx.emit(n);
                 }
+                PingMsg::Knock => self.knocks += 1,
             }
         }
 
-        fn on_send_failed(&mut self, to: Addr, _msg: PingMsg, _ctx: &mut Ctx<'_, PingMsg, u32>) {
+        fn on_send_failed(&mut self, to: Addr, msg: PingMsg, _ctx: &mut Ctx<'_, PingMsg, u32>) {
             self.failures.push(to);
+            self.failed_kinds.push(msg.kind());
         }
 
         fn on_timer(&mut self, kind: u64, _ctx: &mut Ctx<'_, PingMsg, u32>) {
@@ -1062,6 +1076,42 @@ mod tests {
         e.run_until_quiet(1_000);
         assert_eq!(e.in_flight_msgs(), 0, "all payloads reclaimed");
         assert_eq!(e.pending(), 0);
+    }
+
+    /// A fieldless kind rides in the event record as its kind id and
+    /// takes no arena slot, and is otherwise an ordinary message: it is
+    /// delivered, bounces off a dead node back to `on_send_failed` as the
+    /// same kind, is counted in flight until it drains, and replays.
+    #[test]
+    fn fieldless_messages_ride_in_the_event_record() {
+        let run = || {
+            let mut e = engine(3);
+            e.kill(2);
+            e.inject(0, 1, PingMsg::Knock, 0);
+            e.inject(0, 2, PingMsg::Knock, 0);
+            assert_eq!(e.memory().arena, 0, "a fieldless message took a slot");
+            e.inject(1, 0, PingMsg::Ping(3), 0);
+            assert_eq!(e.in_flight_msgs(), 3, "every kind counts in flight");
+            while e.run_until_quiet(1) == 1 {
+                // No timers: every pending event is a message in flight.
+                assert_eq!(e.in_flight_msgs(), e.pending());
+            }
+            assert_eq!(e.in_flight_msgs(), 0);
+            assert_eq!(e.node(1).knocks, 1);
+            assert_eq!(e.node(1).pongs, vec![4]);
+            assert_eq!(e.node(0).failures, vec![2]);
+            assert_eq!(e.node(0).failed_kinds, vec!["knock"]);
+            assert_eq!(e.stats.kind_count("knock"), 2);
+            e.fingerprint()
+        };
+        assert_eq!(run(), run(), "a fieldless run diverged");
+    }
+
+    /// The queue moves 16-byte records (wheel entries of 40 bytes,
+    /// pinned in `wheel.rs`).
+    #[test]
+    fn event_record_stays_16_bytes() {
+        assert_eq!(std::mem::size_of::<crate::partition::EventRec>(), 16);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The keyed event core.
 //!
 //! A [`Partition`] owns the nodes, their private RNG streams, the event
-//! queue and an arena of in-flight payloads, and it holds the engine's
+//! queue and an arena of in-flight payloads (fieldless messages ride in
+//! the event record instead, as their kind id), and it holds the engine's
 //! only implementation of message dispatch (accounting, fault draws,
 //! scheduling), handler invocation (scratch buffers, effect
 //! application) and the deliver / send-failed / timer step. The
@@ -22,7 +23,7 @@
 //! bit, and the commutative [`fingerprint`](crate::Engine::fingerprint)
 //! is a digest of the event multiset, not of an accumulation order.
 
-use crate::arena::Arena;
+use crate::arena::{Arena, MAX_SLOTS};
 use crate::engine::{Ctx, Effect, FaultConfig, Memory, NetStats, NodeLogic};
 use crate::soa::NodeSlots;
 use crate::time::SimTime;
@@ -44,14 +45,20 @@ fn digest(time: u64, tie: u128, salt: u64) -> u64 {
     mix64(time ^ mix64(tie as u64) ^ mix64((tie >> 64) as u64) ^ salt)
 }
 
-/// Compact `Copy` event record carried by the queue.
+/// Set in [`EventRec::Msg`]'s `msg` field, the low bits are the kind id
+/// of a fieldless message ([`Message::fieldless`]), which parks nowhere;
+/// clear, they are an [`Arena`] handle (which stays below this bit).
+const FIELDLESS: u32 = MAX_SLOTS;
+
+/// Compact `Copy` event record carried by the queue: 16 bytes.
 ///
 /// Message payloads park in the [`Arena`]; the record holds
 /// only the `u32` slot handle, so the queue moves fixed-size records
 /// instead of full protocol messages and queue growth never re-copies
 /// payloads. Addresses are `u32` for the same reason (the engine
-/// asserts the node count fits). `at` is the node that handles the
-/// event.
+/// asserts the node count fits). A fieldless message takes no slot: the
+/// record holds its kind id, tagged with [`FIELDLESS`]. `at` is the
+/// node that handles the event.
 #[derive(Clone, Copy)]
 pub(crate) enum EventRec {
     /// A message from `peer` arriving at `at` — or, when `bounce`, the
@@ -79,7 +86,8 @@ pub(crate) struct Partition<N: NodeLogic, T> {
     /// Per-node protocol RNGs.
     rngs: Vec<Rng>,
     /// Per-node fault RNGs, independent of the protocol streams so
-    /// enabling faults never shifts protocol decisions.
+    /// enabling faults never shifts protocol decisions. Empty while the
+    /// fault configuration is inactive: `dispatch` draws nothing then.
     fault_rngs: Vec<Rng>,
     /// Per-node event sequence counters (the key tie-break).
     seqs: Vec<u64>,
@@ -87,7 +95,9 @@ pub(crate) struct Partition<N: NodeLogic, T> {
     // In-flight message payloads, addressed by the `msg` handle in
     // [`EventRec`]. Slots recycle, so the steady-state event loop
     // allocates nothing per message.
-    pub(crate) arena: Arena<N::Msg>,
+    arena: Arena<N::Msg>,
+    /// Messages in flight, parked or fieldless.
+    pub(crate) in_flight: usize,
     /// Counters accumulated since the engine last folded them into its
     /// public total.
     pub(crate) stats: NetStats,
@@ -121,6 +131,7 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
             seqs: Vec::new(),
             queue: TimerWheel::new(),
             arena: Arena::new(),
+            in_flight: 0,
             stats: NetStats::for_kinds(N::Msg::KINDS),
             tracer: Tracer::for_kinds(N::Msg::KINDS),
             outputs: Vec::new(),
@@ -139,21 +150,26 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
     }
 
     /// Appends the node with the next address. Its protocol stream
-    /// derives from the run seed and its fault stream from the current
-    /// fault seed, exactly as if it had been present at construction.
+    /// derives from the run seed and its fault stream (kept only while
+    /// faults are on) from the current fault seed, exactly as if it had
+    /// been present at construction.
     pub(crate) fn push_node(&mut self, node: N, seed: u64, fault_seed: u64) {
         let addr = self.nodes.len();
         self.nodes.push(node);
         self.rngs
             .push(Rng::seed_from_u64(seed ^ mix64(addr as u64)));
-        self.fault_rngs.push(Self::fault_rng(fault_seed, addr));
+        if self.faults.is_active() {
+            self.fault_rngs.push(Self::fault_rng(fault_seed, addr));
+        }
         self.seqs.push(0);
     }
 
     pub(crate) fn reserve(&mut self, extra: usize) {
         self.nodes.reserve(extra);
         self.rngs.reserve(extra);
-        self.fault_rngs.reserve(extra);
+        if self.faults.is_active() {
+            self.fault_rngs.reserve(extra);
+        }
         self.seqs.reserve(extra);
     }
 
@@ -172,12 +188,18 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
     }
 
     /// Installs a fault configuration and reseeds every node's fault
-    /// stream from `fault_seed` and its address.
+    /// stream from `fault_seed` and its address; an inactive
+    /// configuration frees the streams instead, since nothing draws
+    /// from them.
     pub(crate) fn set_faults(&mut self, faults: FaultConfig, fault_seed: u64) {
         self.faults = faults;
-        for (addr, r) in self.fault_rngs.iter_mut().enumerate() {
-            *r = Self::fault_rng(fault_seed, addr);
-        }
+        self.fault_rngs = if faults.is_active() {
+            (0..self.nodes.len())
+                .map(|addr| Self::fault_rng(fault_seed, addr))
+                .collect()
+        } else {
+            Vec::new()
+        };
     }
 
     /// Restarts gauge sampling (a new series starts with no sample).
@@ -197,10 +219,17 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
     }
 
     /// Keys a message event with `src`'s next sequence number, parks
-    /// its payload and enqueues it.
+    /// its payload (unless its kind is fieldless) and enqueues it.
     fn post(&mut self, time: u64, src: Addr, at: Addr, bounce: bool, msg: N::Msg) {
         let seq = self.next_seq(src);
-        let msg = self.arena.insert(msg);
+        let kind = msg.kind_id();
+        let msg = if N::Msg::fieldless(kind).is_some() {
+            debug_assert!(kind < FIELDLESS as usize);
+            FIELDLESS | kind as u32
+        } else {
+            self.arena.insert(msg)
+        };
+        self.in_flight += 1;
         // The peer of a delivery is its sender; the peer of a bounce is
         // the dead destination it comes back from. Either way, `src`.
         self.queue.push(
@@ -213,6 +242,18 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
                 msg,
             },
         );
+    }
+
+    /// The message behind an event's `msg` field: rebuilt from its kind
+    /// if fieldless, taken out of the arena otherwise.
+    fn unpark(&mut self, msg: u32) -> N::Msg {
+        self.in_flight -= 1;
+        if msg & FIELDLESS == 0 {
+            return self.arena.take(msg);
+        }
+        let kind = (msg & !FIELDLESS) as usize;
+        N::Msg::fieldless(kind)
+            .unwrap_or_else(|| panic!("fieldless({kind}) answered at post but not on delivery"))
     }
 
     /// Schedules a timer on node `at`.
@@ -332,7 +373,7 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
     /// taken at `t`, the time of the window's first event, before that
     /// event runs.
     fn sample_gauges(&mut self, t: u64) {
-        let (q, a) = (self.queue.len() as u64, self.arena.len() as u64);
+        let (q, a) = (self.queue.len() as u64, self.in_flight as u64);
         let Some(s) = self.tracer.series_mut() else {
             return;
         };
@@ -380,7 +421,7 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
             } => {
                 self.fp = self.fp.wrapping_add(digest(t, tie, 1 + u64::from(bounce)));
                 let (at, peer) = (at as Addr, peer as Addr);
-                let m = self.arena.take(msg);
+                let m = self.unpark(msg);
                 match (self.nodes.is_alive(at), bounce) {
                     (true, false) => {
                         if self.tracer.enabled() {

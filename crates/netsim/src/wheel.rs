@@ -66,10 +66,35 @@ const LEVELS: usize = 11;
 /// [`TimerWheel::capacity_bytes`] counts.
 const KEEP_ENTRIES: usize = 1024;
 
+/// One pending event. The tie is held as two `u64` halves, compared
+/// `(time, hi, lo)` — the `(time, tie)` order — because a `u128` field
+/// would align the entry to 16 bytes: around the engine's 16-byte event
+/// record, 48 bytes instead of 40.
 struct Entry<E> {
     time: u64,
-    tie: u128,
+    hi: u64,
+    lo: u64,
     payload: E,
+}
+
+impl<E> Entry<E> {
+    fn new(time: u64, tie: u128, payload: E) -> Entry<E> {
+        Entry {
+            time,
+            hi: (tie >> 64) as u64,
+            lo: tie as u64,
+            payload,
+        }
+    }
+
+    fn key(&self) -> (u64, u64, u64) {
+        (self.time, self.hi, self.lo)
+    }
+
+    fn into_parts(self) -> (u64, u128, E) {
+        let tie = (u128::from(self.hi) << 64) | u128::from(self.lo);
+        (self.time, tie, self.payload)
+    }
 }
 
 /// A hierarchical timer wheel delivering events in `(time, tie)` order.
@@ -87,7 +112,7 @@ pub struct TimerWheel<E> {
     /// `(time, tie)`; consumed from the front. `VecDeque` so the hot
     /// path (drain a slot, pop it dry) is O(1) per event while
     /// mid-drain same-tick inserts stay possible.
-    current: std::collections::VecDeque<(u64, u128, E)>,
+    current: std::collections::VecDeque<Entry<E>>,
     /// Scratch buffer reused across cascades.
     scratch: Vec<Entry<E>>,
     /// Total pending events (slots + current).
@@ -127,9 +152,10 @@ impl<E> TimerWheel<E> {
     /// Bytes of heap the wheel holds: the capacity of every slot buffer,
     /// the current-tick buffer and the cascade scratch.
     pub fn capacity_bytes(&self) -> usize {
-        let entries = self.slots.iter().map(Vec::capacity).sum::<usize>() + self.scratch.capacity();
+        let entries = self.slots.iter().map(Vec::capacity).sum::<usize>()
+            + self.scratch.capacity()
+            + self.current.capacity();
         entries * std::mem::size_of::<Entry<E>>()
-            + self.current.capacity() * std::mem::size_of::<(u64, u128, E)>()
             + self.slots.capacity() * std::mem::size_of::<Vec<Entry<E>>>()
     }
 
@@ -152,19 +178,23 @@ impl<E> TimerWheel<E> {
             floor = self.floor
         );
         self.len += 1;
+        let e = Entry::new(time, tie, payload);
         if time <= self.now {
             // At or before the cascade position (same tick as the one
             // being delivered, or behind a peek that ran ahead):
             // insert at the sorted position among the not-yet-delivered
             // entries. For keys that only grow within a tick this is
             // always the back, i.e. O(1).
-            let at = self
-                .current
-                .partition_point(|&(t, k, _)| (t, k) < (time, tie));
-            self.current.insert(at, (time, tie, payload));
+            self.insert_current(e);
             return;
         }
-        self.file(Entry { time, tie, payload });
+        self.file(e);
+    }
+
+    /// Inserts into the current-tick buffer at `e`'s sorted position.
+    fn insert_current(&mut self, e: Entry<E>) {
+        let at = self.current.partition_point(|c| c.key() < e.key());
+        self.current.insert(at, e);
     }
 
     /// Files an entry with `time > now` into its slot.
@@ -240,13 +270,10 @@ impl<E> TimerWheel<E> {
             };
             // Sorting here keeps `current` insertion linear: entries
             // arrive in ascending tie order and append at the back.
-            batch.sort_unstable_by_key(|e| (e.time, e.tie));
+            batch.sort_unstable_by_key(Entry::key);
             for e in batch.drain(..) {
                 if e.time == self.now {
-                    let at = self
-                        .current
-                        .partition_point(|&(t, k, _)| (t, k) < (e.time, e.tie));
-                    self.current.insert(at, (e.time, e.tie, e.payload));
+                    self.insert_current(e);
                 } else {
                     self.file(e);
                 }
@@ -260,10 +287,10 @@ impl<E> TimerWheel<E> {
     /// Removes and returns the earliest event as `(time, tie, payload)`.
     pub fn pop(&mut self) -> Option<(u64, u128, E)> {
         self.advance();
-        let (time, tie, payload) = self.current.pop_front()?;
+        let e = self.current.pop_front()?;
         self.len -= 1;
-        self.floor = time;
-        Some((time, tie, payload))
+        self.floor = e.time;
+        Some(e.into_parts())
     }
 
     /// The exact time of the earliest pending event.
@@ -273,7 +300,7 @@ impl<E> TimerWheel<E> {
     /// are unchanged).
     pub fn peek_time(&mut self) -> Option<u64> {
         self.advance();
-        self.current.front().map(|&(t, _, _)| t)
+        self.current.front().map(|e| e.time)
     }
 }
 
@@ -526,7 +553,7 @@ mod tests {
     fn burst_buffers_are_given_back_and_small_ones_kept() {
         // 16 bytes, like the engine's event record.
         type Payload = [u32; 4];
-        assert_eq!(std::mem::size_of::<Entry<Payload>>(), 48);
+        assert_eq!(std::mem::size_of::<Entry<Payload>>(), 40);
         let mut rng = Rng::seed_from_u64(0xb0757);
         let mut w: TimerWheel<Payload> = TimerWheel::new();
         let mut tie = 0u128;
@@ -545,7 +572,7 @@ mod tests {
             assert!(t >= now);
             now = t;
         }
-        // 48 MB of entries went through; each coarse slot they sat in
+        // 40 MB of entries went through; each coarse slot they sat in
         // would otherwise keep its doubled buffer (> 100 MB in all).
         let retained = w.capacity_bytes();
         assert!(retained <= 16 << 20, "retained {retained} bytes");

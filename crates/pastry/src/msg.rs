@@ -54,9 +54,11 @@ pub struct JoinReply {
 /// The Pastry protocol message set, generic over the application payload.
 ///
 /// The two join bodies are boxed: they are the only variants wider than
-/// a routed envelope, and every in-flight message — a stabilize round
-/// parks one heartbeat per leaf-set member per node — pays for the
-/// widest variant in its arena slot.
+/// a routed envelope, and every in-flight message that carries fields
+/// pays for the widest variant in its arena slot. The fieldless kinds
+/// ([`Message::fieldless`]: the neighbourhood and leaf requests, the
+/// heartbeat and its ack — a stabilize round's whole burst) ride in the
+/// engine's event record and take no slot.
 #[derive(Clone, Debug)]
 pub enum PastryMsg<P> {
     /// A routed application message.
@@ -194,6 +196,17 @@ impl<P: Clone + PayloadSize> Message for PastryMsg<P> {
             | PastryMsg::HeartbeatAck => OpId::NONE,
         }
     }
+
+    fn fieldless(kind: usize) -> Option<Self> {
+        match kind {
+            3 => Some(PastryMsg::NeighborhoodRequest),
+            6 => Some(PastryMsg::LeafRequest),
+            12 => Some(PastryMsg::Heartbeat),
+            13 => Some(PastryMsg::HeartbeatAck),
+            14 => P::fieldless().map(|payload| PastryMsg::AppDirect { payload }),
+            _ => None,
+        }
+    }
 }
 
 /// Application payload contract: a byte codec plus trace attribution.
@@ -208,9 +221,20 @@ pub trait PayloadSize: Wire {
     fn op_id(&self) -> OpId {
         OpId::NONE
     }
+
+    /// The payload's one value if the type encodes to no bytes, so a
+    /// direct frame carrying it is fieldless too
+    /// ([`Message::fieldless`]); the default answers `None`.
+    fn fieldless() -> Option<Self> {
+        None
+    }
 }
 
-impl PayloadSize for () {}
+impl PayloadSize for () {
+    fn fieldless() -> Option<()> {
+        Some(())
+    }
+}
 impl PayloadSize for u32 {}
 impl PayloadSize for u64 {}
 
@@ -241,13 +265,14 @@ mod tests {
     /// One constructed sample of every variant. The `match` below is
     /// intentionally exhaustive *without* a `_` arm: adding a variant to
     /// `PastryMsg` fails compilation here until a sample (and therefore a
-    /// kind id and a `KINDS` label) is provided for it.
-    fn all_variants() -> Vec<PastryMsg<u32>> {
+    /// kind id and a `KINDS` label) is provided for it. The two variants
+    /// that carry an application payload carry `payload`.
+    fn all_variants<P: Clone>(payload: P) -> Vec<PastryMsg<P>> {
         let h = NodeHandle::new(Id(1), 0);
-        let samples: Vec<PastryMsg<u32>> = vec![
+        let samples: Vec<PastryMsg<P>> = vec![
             PastryMsg::Route(RouteEnvelope {
                 key: Id(1),
-                payload: 7,
+                payload: payload.clone(),
                 origin: 0,
                 hops: 0,
                 path_us: 0,
@@ -275,7 +300,7 @@ mod tests {
             PastryMsg::RepairReply { entry: None },
             PastryMsg::Heartbeat,
             PastryMsg::HeartbeatAck,
-            PastryMsg::AppDirect { payload: 7 },
+            PastryMsg::AppDirect { payload },
         ];
         for m in &samples {
             match m {
@@ -304,7 +329,7 @@ mod tests {
     /// added without extending the table (or vice versa) fails here.
     #[test]
     fn kind_ids_are_a_permutation_of_the_kinds_table() {
-        let samples = all_variants();
+        let samples = all_variants(7u32);
         assert_eq!(samples.len(), PastryMsg::<u32>::KINDS.len());
         let mut seen = vec![false; PastryMsg::<u32>::KINDS.len()];
         for m in &samples {
@@ -322,12 +347,42 @@ mod tests {
 
     #[test]
     fn only_app_traffic_carries_an_op_id() {
-        for m in all_variants() {
+        for m in all_variants(7u32) {
             assert_eq!(m.op_id(), OpId::NONE, "u32 payloads carry no op id");
         }
     }
 
-    /// Every in-flight message occupies an arena slot of this size.
+    /// `fieldless` answers exactly the kinds whose frame is the bare
+    /// `[version, kind]` header, and rebuilds the same frame: the
+    /// engine carries such a message as its kind id alone, so a field
+    /// added to one of them must fail here rather than vanish in flight.
+    /// tests/wire.rs checks the PAST payload type the same way.
+    fn assert_fieldless_matches_the_codec<P: Clone + PayloadSize>(samples: Vec<PastryMsg<P>>) {
+        for m in samples {
+            let frame = m.to_wire();
+            let rebuilt = PastryMsg::<P>::fieldless(m.kind_id());
+            assert_eq!(
+                rebuilt.is_some(),
+                frame.len() == 2,
+                "{}: fieldless disagrees with the {}-byte frame",
+                m.kind(),
+                frame.len()
+            );
+            if let Some(r) = rebuilt {
+                assert_eq!(r.kind_id(), m.kind_id());
+                assert_eq!(r.to_wire(), frame, "{}: rebuilt frame differs", m.kind());
+            }
+        }
+    }
+
+    #[test]
+    fn fieldless_kinds_are_exactly_the_frames_without_a_body() {
+        assert_fieldless_matches_the_codec(all_variants(()));
+        assert_fieldless_matches_the_codec(all_variants(7u32));
+    }
+
+    /// Every in-flight message that carries fields occupies an arena
+    /// slot of this size.
     #[test]
     fn arena_slot_stays_within_64_bytes() {
         assert!(std::mem::size_of::<PastryMsg<()>>() <= 64);

@@ -44,6 +44,13 @@ pub trait Message: Clone {
     fn op_id(&self) -> OpId {
         OpId::NONE
     }
+
+    /// The message of kind `kind` if that kind carries no fields, so a
+    /// transport can carry the kind id alone and rebuild the message
+    /// here on arrival. The default answers `None` for every kind.
+    fn fieldless(_kind: usize) -> Option<Self> {
+        None
+    }
 }
 
 /// One protocol event delivered to a node.

@@ -109,10 +109,11 @@ grep -q '"schema": "past-series/v1"' target/BENCH_series.json
 # archived in target/.
 #
 # Beside the wall clock, a memory budget: the run's peak resident set
-# read 538 652 and 538 732 kB when the budget was set (the deleted
-# 4-thread driver read 760-791 MB on the same run); the budget is that
-# plus a quarter, so growing the footprint by a quarter fails the gate.
-rss_budget_kb=674000
+# read 422 152 and 422 088 kB when the budget was set (539 684 and
+# 539 620 the commit before, whose stabilize burst parked every
+# heartbeat in an arena slot); the budget is that plus a quarter, so
+# growing the footprint by a quarter fails the gate.
+rss_budget_kb=528000
 echo "== bench macro 100k scale gate (budget ${BENCH_MACRO_BUDGET_S:-120}s, ${rss_budget_kb} kB)"
 timeout "${BENCH_MACRO_BUDGET_S:-120}" \
   ./target/release/bench_macro --nodes 100000 --smoke --out target/BENCH_macro.100k.json

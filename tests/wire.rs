@@ -437,6 +437,48 @@ fn nested_past_in_pastry_roundtrips() {
     }
 }
 
+/// The engine carries a message whose kind `fieldless` answers as the
+/// kind id alone. Under the deployment payload, every kind must answer
+/// exactly when its frame is the bare `[version, kind]` header, and
+/// rebuild that frame (`pastry/src/msg.rs` checks `()` and `u32`).
+#[test]
+fn fieldless_kinds_are_exactly_the_past_frames_without_a_body() {
+    let mut rng = Rng::seed_from_u64(0x3133_0008);
+    let mut msgs: Vec<PastryMsg<PastMsg>> = corpus(&mut rng)
+        .iter()
+        .filter_map(|f| match f {
+            Frame::Pastry(b) => Some(PastryMsg::decode(b).expect("corpus frame decodes").0),
+            Frame::Past(_) | Frame::Chord(_) | Frame::Can(_) => None,
+        })
+        .collect();
+    msgs.extend(
+        past_samples(&mut rng)
+            .into_iter()
+            .map(|payload| PastryMsg::AppDirect { payload }),
+    );
+    let kinds: std::collections::BTreeSet<usize> = msgs.iter().map(|m| m.kind_id()).collect();
+    assert_eq!(
+        kinds.len(),
+        <PastryMsg<PastMsg> as Message>::KINDS.len(),
+        "every kind sampled"
+    );
+    for m in &msgs {
+        let frame = m.to_wire();
+        let rebuilt = <PastryMsg<PastMsg> as Message>::fieldless(m.kind_id());
+        assert_eq!(
+            rebuilt.is_some(),
+            frame.len() == 2,
+            "{}: {}-byte frame",
+            m.kind(),
+            frame.len()
+        );
+        if let Some(r) = rebuilt {
+            assert_eq!(r.kind_id(), m.kind_id());
+            assert_eq!(r.to_wire(), frame, "{}: rebuilt frame differs", m.kind());
+        }
+    }
+}
+
 // --------------------------------------------------------- fuzzing
 
 enum Frame {
