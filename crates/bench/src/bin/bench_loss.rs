@@ -160,8 +160,6 @@ fn run_level(loss: f64, n: usize, files: u64) -> Level {
     lvl.duplicated = stats.duplicated;
     lvl.failed_sends = stats.failed_sends;
     lvl.total_msgs = stats.total_msgs;
-    // `take_tracer` merges the node-side sink; reading the harness
-    // tracer alone would miss every drop/duplicate record.
     let tracer = net.sim.engine.take_tracer();
     let metrics = &tracer.metrics;
     lvl.dropped_by_kind = metrics.dropped_by_kind().filter(|(_, c)| *c > 0).collect();

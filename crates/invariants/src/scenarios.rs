@@ -238,7 +238,7 @@ pub fn lossy_churn(seed: u64) -> Findings {
 pub struct LossyChurnRun {
     /// What the quiesce-point and liveness checks found.
     pub findings: Findings,
-    /// The run's merged trace (fed to `tracecheck` by the CI gate) and,
+    /// The run's trace (fed to `tracecheck` by the CI gate) and,
     /// on traced runs, its flight-recorder series.
     pub tracer: Tracer,
     /// Every other observable of the run, folded into one comparable

@@ -52,7 +52,7 @@ fn golden(run: &LossyChurnRun) -> (&str, u64, u64) {
 
 /// One comparable line per run: the scenario's digest (snapshots,
 /// `NetStats`, per-node IO, drained events in order, engine fingerprint,
-/// clock) plus the merged trace and series.
+/// clock) plus the trace and series.
 fn observe(run: &LossyChurnRun) -> (String, u64, String) {
     let series = run.tracer.series().expect("traced runs carry a series");
     (

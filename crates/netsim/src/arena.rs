@@ -13,7 +13,7 @@
 //! memory anyway, and halving the index width keeps event records
 //! small. Only messages that carry fields park here: the engine keeps a
 //! fieldless message's kind id in the event record instead
-//! (`partition.rs`), so a stabilize round's heartbeats take no slot.
+//! (`engine/core.rs`), so a stabilize round's heartbeats take no slot.
 
 /// Handles stay below this bound: the engine's event record spends the
 /// top bit of its `u32` message field on tagging a fieldless message's

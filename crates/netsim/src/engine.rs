@@ -8,13 +8,17 @@
 //!
 //! Everything is deterministic: per-node seeded RNG streams, and events
 //! ordered by `(time, source node, per-node sequence number)` — see
-//! `partition.rs` for the model and DESIGN.md §12 for why that key,
+//! `engine/core.rs` for the model and DESIGN.md §12 for why that key,
 //! rather than a global push counter, is the one order.
 
-use crate::partition::Partition;
-use crate::soa::NodeIo;
+mod core;
+
+use self::core::{EventRec, Tagged};
+use crate::arena::Arena;
+use crate::soa::{NodeIo, NodeSlots};
 use crate::time::SimTime;
 use crate::topology::{mix64, Addr, Topology};
+use crate::wheel::TimerWheel;
 use past_crypto::rng::Rng;
 use past_trace::{SeriesConfig, TraceConfig, Tracer};
 use past_wire::{Input, Machine, Message};
@@ -81,7 +85,7 @@ impl<S: Machine> NodeLogic for S {
 /// Every figure is `capacity() × size_of` of the buffers named — what
 /// the allocator was asked for, not what is populated — so the parts
 /// add up to the engine's share of the process's resident set. Not
-/// counted: the topology, trace sinks, and heap owned by parked
+/// counted: the topology, the trace sink, and heap owned by parked
 /// messages.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Memory {
@@ -149,7 +153,7 @@ impl FaultConfig {
     }
 }
 
-pub(crate) enum Effect<M> {
+enum Effect<M> {
     Send { to: Addr, msg: M, extra_us: u64 },
     Timer { delay_us: u64, kind: u64 },
 }
@@ -172,13 +176,11 @@ pub struct Ctx<'a, M, O> {
     /// engine itself records the message plane. No-op unless enabled
     /// via [`Engine::set_tracing`].
     pub tracer: &'a mut Tracer,
-    // `pub(crate)` rather than private: `partition.rs` builds the
-    // context around each handler call.
-    pub(crate) topo: &'a dyn Topology,
-    // Partition-owned scratch buffers, reused across invocations so the
+    topo: &'a dyn Topology,
+    // Engine-owned scratch buffers, reused across invocations so the
     // per-event cost is a pointer swap rather than two allocations.
-    pub(crate) effects: &'a mut Vec<Effect<M>>,
-    pub(crate) emitted: &'a mut Vec<O>,
+    effects: &'a mut Vec<Effect<M>>,
+    emitted: &'a mut Vec<O>,
 }
 
 impl<M, O> Ctx<'_, M, O> {
@@ -291,7 +293,7 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    pub(crate) fn for_kinds(kinds: &'static [&'static str]) -> NetStats {
+    fn for_kinds(kinds: &'static [&'static str]) -> NetStats {
         NetStats {
             kinds,
             by_kind: vec![0; kinds.len()],
@@ -313,33 +315,6 @@ impl NetStats {
         self.failed_sends = 0;
     }
 
-    /// Mutable per-kind counters (the event core accounts sends on its
-    /// own stats block).
-    pub(crate) fn by_kind_mut(&mut self) -> &mut [u64] {
-        &mut self.by_kind
-    }
-
-    /// Folds another stats block into this one (summing every counter).
-    /// Used to fold the event core's counters into the engine's total.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two blocks count different kind tables.
-    pub fn merge(&mut self, other: &NetStats) {
-        assert!(
-            std::ptr::eq(self.kinds, other.kinds) || self.kinds == other.kinds,
-            "cannot merge stats over different kind tables"
-        );
-        for (mine, theirs) in self.by_kind.iter_mut().zip(other.by_kind.iter()) {
-            *mine += theirs;
-        }
-        self.total_msgs += other.total_msgs;
-        self.total_bytes += other.total_bytes;
-        self.dropped += other.dropped;
-        self.duplicated += other.duplicated;
-        self.failed_sends += other.failed_sends;
-    }
-
     /// Messages of one kind.
     pub fn kind_count(&self, kind: &str) -> u64 {
         match self.kinds.iter().position(|&k| k == kind) {
@@ -355,10 +330,33 @@ impl NetStats {
 }
 
 /// The discrete-event engine binding nodes, topology and the event
-/// queue: one keyed event core (`partition.rs`) run inline on the
-/// caller's thread, plus the harness-side RNG, trace sink and counters.
+/// queue, run inline on the caller's thread. The per-node columns and
+/// the dispatch / invoke / step core are a second `impl` block in
+/// `engine/core.rs`.
 pub struct Engine<N: NodeLogic, T: Topology> {
-    core: Partition<N, T>,
+    topo: T,
+    /// Node state, indexed by address.
+    nodes: NodeSlots<N>,
+    /// Per-node protocol RNGs.
+    rngs: Vec<Rng>,
+    /// Per-node fault RNGs, independent of the protocol streams so
+    /// enabling faults never shifts protocol decisions. Empty while the
+    /// fault configuration is inactive: `inject` draws nothing then.
+    fault_rngs: Vec<Rng>,
+    /// Per-node event sequence counters (the key tie-break).
+    seqs: Vec<u64>,
+    queue: TimerWheel<EventRec>,
+    // In-flight message payloads, addressed by the `msg` handle in
+    // `EventRec`. Slots recycle, so the steady-state event loop
+    // allocates nothing per message.
+    arena: Arena<N::Msg>,
+    /// Messages in flight, parked or fieldless.
+    in_flight: usize,
+    outputs: Vec<Tagged<N::Out>>,
+    /// The simulation clock: the time of the last executed event, or
+    /// of the deadline a run was parked on.
+    now: u64,
+    faults: FaultConfig,
     /// Construction seed: per-node protocol RNG streams derive from it.
     seed: u64,
     /// Current fault seed: per-node fault streams derive from it, both
@@ -367,11 +365,20 @@ pub struct Engine<N: NodeLogic, T: Topology> {
     epoch: u64,
     /// Harness-side RNG, separate from every node's protocol stream.
     rng: Rng,
-    /// Harness-side trace sink (op lifecycle records); merged with the
-    /// node-side sink by [`take_tracer`](Engine::take_tracer).
+    /// The one trace sink: the message plane recorded by the core,
+    /// protocol records node logic writes through [`Ctx`], and harness
+    /// records through [`tracer_mut`](Engine::tracer_mut). Off by
+    /// default.
     tracer: Tracer,
-    /// Traffic counters (public so harnesses can reset/read them);
-    /// current whenever the engine is not running.
+    /// Series window (index) the engine gauges were last sampled in.
+    sampled_window: Option<u64>,
+    fp: u64,
+    events: u64,
+    // Scratch buffers reused across invocations so the per-event cost
+    // is a pointer swap rather than two allocations.
+    scratch_effects: Vec<Effect<N::Msg>>,
+    scratch_emitted: Vec<N::Out>,
+    /// Traffic counters (public so harnesses can reset/read them).
     pub stats: NetStats,
 }
 
@@ -394,12 +401,27 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
             "node address space (u32) exhausted"
         );
         let mut e = Engine {
-            core: Partition::new(topo),
+            topo,
+            nodes: NodeSlots::new(),
+            rngs: Vec::new(),
+            fault_rngs: Vec::new(),
+            seqs: Vec::new(),
+            queue: TimerWheel::new(),
+            arena: Arena::new(),
+            in_flight: 0,
+            outputs: Vec::new(),
+            now: 0,
+            faults: FaultConfig::default(),
             seed,
             fault_seed: seed,
             epoch: 0,
             rng: Rng::seed_from_u64(seed),
             tracer: Tracer::for_kinds(N::Msg::KINDS),
+            sampled_window: None,
+            fp: 0,
+            events: 0,
+            scratch_effects: Vec::new(),
+            scratch_emitted: Vec::new(),
             stats: NetStats::for_kinds(N::Msg::KINDS),
         };
         e.reserve_nodes(nodes.len());
@@ -412,12 +434,12 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        SimTime::from_micros(self.core.now)
+        SimTime::from_micros(self.now)
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.core.nodes.len()
+        self.nodes.len()
     }
 
     /// Returns true if the engine has no nodes (the state every
@@ -428,49 +450,31 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
 
     /// The topology (proximity oracle).
     pub fn topology(&self) -> &T {
-        &self.core.topo
+        &self.topo
     }
 
     /// Immutable access to a node's state.
     pub fn node(&self, a: Addr) -> &N {
-        self.core.nodes.logic(a)
+        self.nodes.logic(a)
     }
 
     /// Mutable access to a node's state (harness-side setup only).
     pub fn node_mut(&mut self, a: Addr) -> &mut N {
-        self.core.nodes.logic_mut(a)
+        self.nodes.logic_mut(a)
     }
 
     /// Per-node traffic counters (messages sent / received).
     pub fn node_io(&self, a: Addr) -> NodeIo {
-        self.core.nodes.io(a)
-    }
-
-    /// Reserves storage for the next `extra` nodes, so bulk builds
-    /// (e.g. a 100k-node overlay) grow the node arrays once instead of
-    /// doubling through them.
-    pub fn reserve_nodes(&mut self, extra: usize) {
-        let room = self.core.topo.len() - self.len();
-        self.core.reserve(extra.min(room));
-    }
-
-    /// Adds a node (returns its address). Addresses are dense in push
-    /// order. The topology must already have a slot for it.
-    pub fn push_node(&mut self, node: N) -> Addr {
-        let addr = self.len();
-        assert!(addr < self.core.topo.len(), "no topology slot for new node");
-        self.core.push_node(node, self.seed, self.fault_seed);
-        self.epoch += 1;
-        addr
+        self.nodes.io(a)
     }
 
     /// Liveness of a node.
     pub fn is_alive(&self, a: Addr) -> bool {
-        self.core.nodes.is_alive(a)
+        self.nodes.is_alive(a)
     }
 
     fn set_alive(&mut self, a: Addr, alive: bool) {
-        self.core.nodes.set_alive(a, alive);
+        self.nodes.set_alive(a, alive);
         self.epoch += 1;
     }
 
@@ -497,7 +501,7 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
 
     /// Addresses of all live nodes, ascending.
     pub fn live_addrs(&self) -> Vec<Addr> {
-        self.core.nodes.live_addrs()
+        self.nodes.live_addrs()
     }
 
     /// The harness-side RNG (sampling, id generation). Never touched by
@@ -506,109 +510,48 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
         &mut self.rng
     }
 
-    /// Enables (or reconfigures) link-fault injection.
-    ///
-    /// Every node's fault stream is reseeded from `seed` and its
-    /// address (nodes pushed later derive theirs from the same seed):
-    /// the same seed and configuration reproduce the exact same
-    /// drop/duplicate/jitter sequence over the same message stream.
-    /// Passing [`FaultConfig::default`] turns faults off again.
-    pub fn set_faults(&mut self, faults: FaultConfig, seed: u64) {
-        assert!((0.0..=1.0).contains(&faults.loss), "loss out of [0,1]");
-        assert!(
-            (0.0..=1.0).contains(&faults.duplicate),
-            "duplicate out of [0,1]"
-        );
-        self.fault_seed = seed;
-        self.core.set_faults(faults, seed);
-    }
-
     /// The fault configuration in force.
     pub fn faults(&self) -> FaultConfig {
-        self.core.faults
+        self.faults
     }
 
-    /// Selects which trace event classes are recorded, on the harness
-    /// sink and the node-side sink. The default is everything off:
-    /// record calls return after one branch, no allocation happens, and
-    /// simulation outcomes are bit-identical to an engine that never
-    /// heard of tracing. Tracing draws no randomness, so enabling it
-    /// never perturbs outcomes either.
+    /// Selects which trace event classes are recorded. The default is
+    /// everything off: record calls return after one branch, no
+    /// allocation happens, and simulation outcomes are bit-identical to
+    /// an engine that never heard of tracing. Tracing draws no
+    /// randomness, so enabling it never perturbs outcomes either.
     pub fn set_tracing(&mut self, cfg: TraceConfig) {
         self.tracer.configure(cfg);
-        self.core.tracer.configure(cfg);
     }
 
-    /// Attaches a flight recorder (sim-time windowed series) to both
-    /// trace sinks. Like tracing, sampling is observation only: it draws
+    /// Attaches a flight recorder (sim-time windowed series) to the
+    /// trace sink. Like tracing, sampling is observation only: it draws
     /// no randomness and never perturbs event order, so golden
-    /// fingerprints stay bit-identical with a series attached. The
-    /// node-side series merges into the harness series in
-    /// [`take_tracer`](Engine::take_tracer).
+    /// fingerprints stay bit-identical with a series attached.
     pub fn set_series(&mut self, cfg: SeriesConfig) {
         self.tracer.set_series(cfg);
-        self.core.tracer.set_series(cfg);
-        self.core.reset_sampling();
+        self.sampled_window = None;
     }
 
-    /// The harness-side trace sink. Node-side records (message plane,
-    /// per-hop protocol events) are *not* visible here until
-    /// [`take_tracer`](Engine::take_tracer) merges them.
+    /// The trace sink as recorded so far: harness, protocol and
+    /// message-plane records in execution order, the metrics registry
+    /// and the series.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
 
-    /// Mutable harness-side trace sink (op lifecycle records).
+    /// Mutable trace sink (harness records: op lifecycle, samplers).
     pub fn tracer_mut(&mut self) -> &mut Tracer {
         &mut self.tracer
     }
 
-    /// Takes the full trace out of the engine (for post-run analysis):
-    /// absorbs the node-side records and metrics into the harness trace
-    /// and sorts the result canonically, so harness and node records
-    /// interleave in one defined order. Leaves fresh disabled sinks
-    /// behind.
+    /// Takes the trace out of the engine (for post-run analysis),
+    /// sorted canonically so records that share a time come out in
+    /// one defined order. Leaves a fresh disabled sink behind.
     pub fn take_tracer(&mut self) -> Tracer {
-        let fresh = || Tracer::for_kinds(N::Msg::KINDS);
-        let mut t = std::mem::replace(&mut self.tracer, fresh());
-        t.absorb(std::mem::replace(&mut self.core.tracer, fresh()));
+        let mut t = std::mem::replace(&mut self.tracer, Tracer::for_kinds(N::Msg::KINDS));
         t.sort_canonical();
         t
-    }
-
-    /// Injects a message into `to` as if sent by `from`, arriving after
-    /// the topology delay (plus `extra_us`). The fault model applies,
-    /// drawn from the sender's fault stream.
-    pub fn inject(&mut self, from: Addr, to: Addr, msg: N::Msg, extra_us: u64) {
-        self.core.dispatch(from, to, msg, extra_us);
-        self.fold_stats();
-    }
-
-    /// Runs `f` on node `a` with a live [`Ctx`] at the current time, and
-    /// schedules what it wrote exactly as if an event had run it: the
-    /// way a harness starts a protocol action the node itself owns (a
-    /// join, a revival, a client request). The node's liveness is not
-    /// consulted.
-    pub fn act<R>(
-        &mut self,
-        a: Addr,
-        f: impl FnOnce(&mut N, &mut Ctx<'_, N::Msg, N::Out>) -> R,
-    ) -> R {
-        let ret = self.core.act(a, f);
-        self.fold_stats();
-        ret
-    }
-
-    /// Arms a timer on a node from the harness side.
-    pub fn arm_timer(&mut self, at: Addr, delay_us: u64, kind: u64) {
-        self.core.push_timer(at, delay_us, kind);
-    }
-
-    /// Folds the core's counters into [`stats`](Engine::stats), which a
-    /// harness may reset or read between runs.
-    fn fold_stats(&mut self) {
-        self.stats.merge(&self.core.stats);
-        self.core.stats.reset();
     }
 
     /// Drains observations emitted by node logic since the last call,
@@ -616,18 +559,12 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
     /// [`act`](Engine::act)'s emissions, keyed by the node's next
     /// sequence number, take their place among same-time events.
     pub fn drain_outputs(&mut self) -> Vec<(SimTime, Addr, N::Out)> {
-        let outputs = &mut self.core.outputs;
+        let outputs = &mut self.outputs;
         outputs.sort_by_key(|&(t, tie, k, _, _)| (t, tie, k));
         outputs
             .drain(..)
             .map(|(t, _, _, a, o)| (SimTime::from_micros(t), a, o))
             .collect()
-    }
-
-    fn run(&mut self, deadline: u64, max_events: u64) -> u64 {
-        let n = self.core.run(deadline, max_events);
-        self.fold_stats();
-        n
     }
 
     /// Runs until the queue drains or `max_events` is hit; returns the
@@ -640,24 +577,19 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
     /// stay queued); returns events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let n = self.run(deadline.as_micros(), u64::MAX);
-        self.core.now = self.core.now.max(deadline.as_micros());
+        self.now = self.now.max(deadline.as_micros());
         n
     }
 
     /// Number of pending events.
     pub fn pending(&self) -> usize {
-        self.core.queue.len()
+        self.queue.len()
     }
 
     /// Number of messages currently in flight, whether their payload
     /// parks in the arena or their kind is fieldless.
     pub fn in_flight_msgs(&self) -> usize {
-        self.core.in_flight
-    }
-
-    /// What the engine holds right now.
-    pub fn memory(&self) -> Memory {
-        self.core.memory()
+        self.in_flight
     }
 
     /// Records the engine's [`Memory`] in the flight recorder at the
@@ -665,8 +597,8 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
     /// with every allocation-policy change, so they stay out of the
     /// canonical series and its fingerprint. No-op without a series.
     pub fn sample_memory(&mut self) {
-        let now = self.core.now;
-        let m = self.core.memory();
+        let now = self.now;
+        let m = self.memory();
         let Some(series) = self.tracer.series_mut() else {
             return;
         };
@@ -679,7 +611,7 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
 
     /// Events executed so far.
     pub fn events_executed(&self) -> u64 {
-        self.core.events
+        self.events
     }
 
     /// Commutative run fingerprint: a wrapping sum of per-event key
@@ -687,7 +619,7 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
     /// divergence in event times, sources or sequence numbers changes
     /// it.
     pub fn fingerprint(&self) -> u64 {
-        mix64(self.events_executed()).wrapping_add(self.core.fp)
+        mix64(self.events).wrapping_add(self.fp)
     }
 }
 
@@ -1111,7 +1043,7 @@ mod tests {
     /// pinned in `wheel.rs`).
     #[test]
     fn event_record_stays_16_bytes() {
-        assert_eq!(std::mem::size_of::<crate::partition::EventRec>(), 16);
+        assert_eq!(std::mem::size_of::<EventRec>(), 16);
     }
 
     #[test]
@@ -1123,8 +1055,6 @@ mod tests {
         e.inject(0, 1, PingMsg::Ping(1), 0);
         e.inject(0, 2, PingMsg::Ping(1), 0);
         e.run_until_quiet(100);
-        // Message-plane records land in the node-side sink; the merged
-        // trace is what `take_tracer` hands out.
         let t = e.take_tracer();
         let has = |f: &dyn Fn(&TraceEvent) -> bool| t.records().iter().any(|r| f(&r.ev));
         assert!(has(&|ev| matches!(
@@ -1135,6 +1065,43 @@ mod tests {
         assert!(has(&|ev| matches!(ev, TraceEvent::MsgFail { to: 2, .. })));
         // The per-kind metrics saw the same traffic.
         assert_eq!(t.metrics.failed_by_kind().next(), Some(("ping", 1)));
+    }
+
+    /// The engine has one trace sink: `tracer()` already shows the
+    /// message plane and the engine gauges mid-life, and `take_tracer`
+    /// hands out the same records in canonical order, leaving a
+    /// disabled sink behind.
+    #[test]
+    fn tracer_shows_the_message_plane_before_take() {
+        use past_trace::TraceEvent;
+        let mut e = engine(3);
+        e.set_tracing(TraceConfig::full());
+        e.set_series(SeriesConfig::new(1_000));
+        for i in 0..3 {
+            e.inject(i, (i + 1) % 3, PingMsg::Ping(1), 0);
+        }
+        e.run_until_quiet(100);
+        let live = e.tracer();
+        let has = |f: &dyn Fn(&TraceEvent) -> bool| live.records().iter().any(|r| f(&r.ev));
+        assert!(has(&|ev| matches!(ev, TraceEvent::MsgSend { .. })));
+        assert!(has(&|ev| matches!(ev, TraceEvent::MsgRecv { .. })));
+        let series = live.series().expect("series attached");
+        assert!(series
+            .windows()
+            .any(|(_, w)| w.gauge("queue_depth").is_some()));
+        let lines = |t: &Tracer| {
+            let mut v: Vec<String> = t.records().iter().map(|r| format!("{r:?}")).collect();
+            v.sort();
+            v
+        };
+        let recorded = lines(live);
+        let mut taken = e.take_tracer();
+        assert_eq!(lines(&taken), recorded, "take_tracer changed the records");
+        let canonical = taken.to_jsonl();
+        taken.sort_canonical();
+        assert_eq!(taken.to_jsonl(), canonical, "not in canonical order");
+        let left = e.tracer();
+        assert!(!left.enabled() && left.records().is_empty() && left.series().is_none());
     }
 
     #[test]
@@ -1387,6 +1354,15 @@ mod tests {
         assert_eq!(whole, gossip_run(), "the cut changed the run");
     }
 
+    /// The traced faulty gossip run's engine, trace and series
+    /// fingerprints, recorded while the engine still kept two trace
+    /// sinks and two stats blocks and merged them after every run.
+    const FAULTY_GOSSIP_GOLDEN: (u64, u64, u64) = (
+        0x46ba_b017_01f2_bdfb,
+        0x39b4_42ca_06cb_a5c3,
+        0x519a_8f91_05b2_e3b8,
+    );
+
     #[test]
     fn traced_faulty_gossip_runs_replay_trace_and_series() {
         let (untraced, _, _) = faulty_gossip_run(false);
@@ -1394,6 +1370,11 @@ mod tests {
         assert_eq!(untraced, one, "tracing must not perturb outcomes");
         assert_ne!(fp1, past_trace::fnv1a(b""), "trace must be non-empty");
         let series1 = series1.expect("series must survive take_tracer");
+        assert_eq!(
+            (one.fingerprint, fp1, series1),
+            FAULTY_GOSSIP_GOLDEN,
+            "the faulty gossip run moved off its golden"
+        );
         let (again, fp2, series2) = faulty_gossip_run(true);
         assert_eq!(one, again, "traced run diverged");
         assert_eq!(fp1, fp2, "trace fingerprint diverged");

@@ -1,13 +1,9 @@
-//! The keyed event core.
-//!
-//! A [`Partition`] owns the nodes, their private RNG streams, the event
-//! queue and an arena of in-flight payloads (fieldless messages ride in
-//! the event record instead, as their kind id), and it holds the engine's
-//! only implementation of message dispatch (accounting, fault draws,
-//! scheduling), handler invocation (scratch buffers, effect
-//! application) and the deliver / send-failed / timer step. The
-//! [`Engine`](crate::Engine) is one partition run inline on the
-//! caller's thread, plus the harness-side state around it.
+//! The event core, a second `impl` block of [`Engine`]: the per-node
+//! columns (node slots, RNG streams, sequence counters) and the engine's
+//! only message dispatch (accounting, fault draws, scheduling), handler
+//! invocation (scratch buffers, effect application) and deliver /
+//! send-failed / timer step. Fieldless messages ride in the event record
+//! as their kind id; every other payload parks in the arena.
 //!
 //! ## Determinism model
 //!
@@ -20,17 +16,14 @@
 //!
 //! Per-node decision streams depend only on the sequence of events each
 //! node observes, which the key order fixes — so a run replays bit for
-//! bit, and the commutative [`fingerprint`](crate::Engine::fingerprint)
-//! is a digest of the event multiset, not of an accumulation order.
+//! bit, and the commutative [`fingerprint`](Engine::fingerprint) is a
+//! digest of the event multiset, not of an accumulation order.
 
-use crate::arena::{Arena, MAX_SLOTS};
-use crate::engine::{Ctx, Effect, FaultConfig, Memory, NetStats, NodeLogic};
-use crate::soa::NodeSlots;
+use super::{Ctx, Effect, Engine, FaultConfig, Memory, NodeLogic};
+use crate::arena::MAX_SLOTS;
 use crate::time::SimTime;
 use crate::topology::{mix64, Addr, Topology};
-use crate::wheel::TimerWheel;
 use past_crypto::rng::Rng;
-use past_trace::Tracer;
 use past_wire::Message;
 
 /// Event key tie-break: `(source node, per-node sequence)` packed into
@@ -47,20 +40,21 @@ fn digest(time: u64, tie: u128, salt: u64) -> u64 {
 
 /// Set in [`EventRec::Msg`]'s `msg` field, the low bits are the kind id
 /// of a fieldless message ([`Message::fieldless`]), which parks nowhere;
-/// clear, they are an [`Arena`] handle (which stays below this bit).
+/// clear, they are an [`Arena`](crate::arena::Arena) handle (which stays
+/// below this bit).
 const FIELDLESS: u32 = MAX_SLOTS;
 
 /// Compact `Copy` event record carried by the queue: 16 bytes.
 ///
-/// Message payloads park in the [`Arena`]; the record holds
-/// only the `u32` slot handle, so the queue moves fixed-size records
-/// instead of full protocol messages and queue growth never re-copies
-/// payloads. Addresses are `u32` for the same reason (the engine
-/// asserts the node count fits). A fieldless message takes no slot: the
-/// record holds its kind id, tagged with [`FIELDLESS`]. `at` is the
-/// node that handles the event.
+/// Message payloads park in the arena; the record holds only the `u32`
+/// slot handle, so the queue moves fixed-size records instead of full
+/// protocol messages and queue growth never re-copies payloads.
+/// Addresses are `u32` for the same reason (the engine asserts the node
+/// count fits). A fieldless message takes no slot: the record holds its
+/// kind id, tagged with [`FIELDLESS`]. `at` is the node that handles the
+/// event.
 #[derive(Clone, Copy)]
-pub(crate) enum EventRec {
+pub(super) enum EventRec {
     /// A message from `peer` arriving at `at` — or, when `bounce`, the
     /// failure notice for a message `at` sent to the dead `peer`.
     Msg {
@@ -77,94 +71,19 @@ pub(crate) enum EventRec {
 
 /// One emission, tagged `(time, event key, per-event index)` so a
 /// drain can put it in key order.
-type Tagged<O> = (u64, u128, u32, Addr, O);
+pub(super) type Tagged<O> = (u64, u128, u32, Addr, O);
 
-pub(crate) struct Partition<N: NodeLogic, T> {
-    pub(crate) topo: T,
-    /// Node state, indexed by address.
-    pub(crate) nodes: NodeSlots<N>,
-    /// Per-node protocol RNGs.
-    rngs: Vec<Rng>,
-    /// Per-node fault RNGs, independent of the protocol streams so
-    /// enabling faults never shifts protocol decisions. Empty while the
-    /// fault configuration is inactive: `dispatch` draws nothing then.
-    fault_rngs: Vec<Rng>,
-    /// Per-node event sequence counters (the key tie-break).
-    seqs: Vec<u64>,
-    pub(crate) queue: TimerWheel<EventRec>,
-    // In-flight message payloads, addressed by the `msg` handle in
-    // [`EventRec`]. Slots recycle, so the steady-state event loop
-    // allocates nothing per message.
-    arena: Arena<N::Msg>,
-    /// Messages in flight, parked or fieldless.
-    pub(crate) in_flight: usize,
-    /// Counters accumulated since the engine last folded them into its
-    /// public total.
-    pub(crate) stats: NetStats,
-    /// Node-side trace sink: message-plane events recorded here and
-    /// protocol records written by node logic through [`Ctx`] both land
-    /// here; `Engine::take_tracer` merges it with the harness sink in
-    /// canonical order. Off by default.
-    pub(crate) tracer: Tracer,
-    pub(crate) outputs: Vec<Tagged<N::Out>>,
-    /// The simulation clock: the time of the last executed event, or
-    /// of the deadline a run was parked on.
-    pub(crate) now: u64,
-    pub(crate) faults: FaultConfig,
-    /// Series window (index) the engine gauges were last sampled in.
-    sampled_window: Option<u64>,
-    pub(crate) fp: u64,
-    pub(crate) events: u64,
-    // Scratch buffers reused across invocations so the per-event cost
-    // is a pointer swap rather than two allocations.
-    scratch_effects: Vec<Effect<N::Msg>>,
-    scratch_emitted: Vec<N::Out>,
+/// Node `addr`'s fault stream under `fault_seed`.
+fn fault_rng(fault_seed: u64, addr: Addr) -> Rng {
+    Rng::seed_from_u64(fault_seed ^ mix64(addr as u64) ^ 0x5eed_fa17)
 }
 
-impl<N: NodeLogic, T: Topology> Partition<N, T> {
-    pub(crate) fn new(topo: T) -> Partition<N, T> {
-        Partition {
-            topo,
-            nodes: NodeSlots::new(),
-            rngs: Vec::new(),
-            fault_rngs: Vec::new(),
-            seqs: Vec::new(),
-            queue: TimerWheel::new(),
-            arena: Arena::new(),
-            in_flight: 0,
-            stats: NetStats::for_kinds(N::Msg::KINDS),
-            tracer: Tracer::for_kinds(N::Msg::KINDS),
-            outputs: Vec::new(),
-            now: 0,
-            faults: FaultConfig::default(),
-            sampled_window: None,
-            fp: 0,
-            events: 0,
-            scratch_effects: Vec::new(),
-            scratch_emitted: Vec::new(),
-        }
-    }
-
-    fn fault_rng(fault_seed: u64, addr: Addr) -> Rng {
-        Rng::seed_from_u64(fault_seed ^ mix64(addr as u64) ^ 0x5eed_fa17)
-    }
-
-    /// Appends the node with the next address. Its protocol stream
-    /// derives from the run seed and its fault stream (kept only while
-    /// faults are on) from the current fault seed, exactly as if it had
-    /// been present at construction.
-    pub(crate) fn push_node(&mut self, node: N, seed: u64, fault_seed: u64) {
-        let addr = self.nodes.len();
-        self.nodes.push(node);
-        self.rngs
-            .push(Rng::seed_from_u64(seed ^ mix64(addr as u64)));
-        if self.faults.is_active() {
-            self.fault_rngs.push(Self::fault_rng(fault_seed, addr));
-        }
-        self.seqs.push(0);
-    }
-
-    pub(crate) fn reserve(&mut self, extra: usize) {
+impl<N: NodeLogic, T: Topology> Engine<N, T> {
+    /// Reserves storage for the next `extra` nodes, so bulk builds
+    /// (e.g. a 100k-node overlay) grow the node arrays once instead of
+    /// doubling through them.
+    pub fn reserve_nodes(&mut self, extra: usize) {
+        let extra = extra.min(self.topo.len() - self.len());
         self.nodes.reserve(extra);
         self.rngs.reserve(extra);
         if self.faults.is_active() {
@@ -173,8 +92,50 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
         self.seqs.reserve(extra);
     }
 
-    /// What [`Engine::memory`](crate::Engine::memory) reports.
-    pub(crate) fn memory(&self) -> Memory {
+    /// Adds a node (returns its address). Addresses are dense in push
+    /// order. The topology must already have a slot for it. Its
+    /// protocol stream derives from the run seed and its fault stream
+    /// (kept only while faults are on) from the current fault seed,
+    /// exactly as if it had been present at construction.
+    pub fn push_node(&mut self, node: N) -> Addr {
+        let addr = self.len();
+        assert!(addr < self.topo.len(), "no topology slot for new node");
+        self.nodes.push(node);
+        self.rngs
+            .push(Rng::seed_from_u64(self.seed ^ mix64(addr as u64)));
+        if self.faults.is_active() {
+            self.fault_rngs.push(fault_rng(self.fault_seed, addr));
+        }
+        self.seqs.push(0);
+        self.epoch += 1;
+        addr
+    }
+
+    /// Enables (or reconfigures) link-fault injection.
+    ///
+    /// Every node's fault stream is reseeded from `seed` and its
+    /// address (nodes pushed later derive theirs from the same seed):
+    /// the same seed and configuration reproduce the exact same
+    /// drop/duplicate/jitter sequence over the same message stream.
+    /// Passing [`FaultConfig::default`] turns faults off again and frees
+    /// the streams, since nothing draws from them.
+    pub fn set_faults(&mut self, faults: FaultConfig, seed: u64) {
+        assert!((0.0..=1.0).contains(&faults.loss), "loss out of [0,1]");
+        assert!(
+            (0.0..=1.0).contains(&faults.duplicate),
+            "duplicate out of [0,1]"
+        );
+        self.faults = faults;
+        self.fault_seed = seed;
+        self.fault_rngs = if faults.is_active() {
+            (0..self.len()).map(|addr| fault_rng(seed, addr)).collect()
+        } else {
+            Vec::new()
+        };
+    }
+
+    /// What the engine holds right now.
+    pub fn memory(&self) -> Memory {
         use std::mem::size_of;
         Memory {
             node_inline: self.nodes.inline_bytes(),
@@ -185,26 +146,6 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
                 + (self.rngs.capacity() + self.fault_rngs.capacity()) * size_of::<Rng>()
                 + self.seqs.capacity() * size_of::<u64>(),
         }
-    }
-
-    /// Installs a fault configuration and reseeds every node's fault
-    /// stream from `fault_seed` and its address; an inactive
-    /// configuration frees the streams instead, since nothing draws
-    /// from them.
-    pub(crate) fn set_faults(&mut self, faults: FaultConfig, fault_seed: u64) {
-        self.faults = faults;
-        self.fault_rngs = if faults.is_active() {
-            (0..self.nodes.len())
-                .map(|addr| Self::fault_rng(fault_seed, addr))
-                .collect()
-        } else {
-            Vec::new()
-        };
-    }
-
-    /// Restarts gauge sampling (a new series starts with no sample).
-    pub(crate) fn reset_sampling(&mut self) {
-        self.sampled_window = None;
     }
 
     fn next_seq(&mut self, addr: Addr) -> u64 {
@@ -256,8 +197,9 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
             .unwrap_or_else(|| panic!("fieldless({kind}) answered at post but not on delivery"))
     }
 
-    /// Schedules a timer on node `at`.
-    pub(crate) fn push_timer(&mut self, at: Addr, delay_us: u64, kind: u64) {
+    /// Arms a timer that fires at node `at` after `delay_us`: the
+    /// harness's timers and the ones node logic sets alike.
+    pub fn arm_timer(&mut self, at: Addr, delay_us: u64, kind: u64) {
         let seq = self.next_seq(at);
         let at32 = at as u32;
         self.queue.push(
@@ -267,15 +209,17 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
         );
     }
 
-    /// Accounts and schedules one message from node `from`,
-    /// applying the fault model to anything that crosses a link
-    /// (`from != to`). Shared by harness injection and node-effect
-    /// sends so both face the same network.
-    pub(crate) fn dispatch(&mut self, from: Addr, to: Addr, msg: N::Msg, extra_us: u64) {
+    /// Sends a message into `to` as if sent by `from`, arriving after
+    /// the topology delay (plus `extra_us`): accounts it and applies the
+    /// fault model, drawn from the sender's fault stream, to anything
+    /// that crosses a link (`from != to`). The one dispatch path, shared
+    /// by harness injection and node-effect sends so both face the same
+    /// network.
+    pub fn inject(&mut self, from: Addr, to: Addr, msg: N::Msg, extra_us: u64) {
         let bytes = msg.wire_size();
         self.stats.total_msgs += 1;
         self.stats.total_bytes += bytes;
-        self.stats.by_kind_mut()[msg.kind_id()] += 1;
+        self.stats.by_kind[msg.kind_id()] += 1;
         self.nodes.note_sent(from);
         if self.tracer.enabled() {
             self.tracer
@@ -320,16 +264,20 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
         }
     }
 
-    /// Runs a harness action on node `at`, now. What it emits
-    /// is keyed by the node's next sequence number: after everything
-    /// the node has caused so far, not after what the action schedules.
-    pub(crate) fn act<R>(
+    /// Runs `f` on node `a` with a live [`Ctx`] at the current time, and
+    /// schedules what it wrote exactly as if an event had run it: the
+    /// way a harness starts a protocol action the node itself owns (a
+    /// join, a revival, a client request). The node's liveness is not
+    /// consulted. What it emits is keyed by the node's next sequence
+    /// number: after everything the node has caused so far, not after
+    /// what the action schedules.
+    pub fn act<R>(
         &mut self,
-        at: Addr,
+        a: Addr,
         f: impl FnOnce(&mut N, &mut Ctx<'_, N::Msg, N::Out>) -> R,
     ) -> R {
-        let tie = tie_key(at, self.seqs[at]);
-        self.invoke(at, tie, f)
+        let tie = tie_key(a, self.seqs[a]);
+        self.invoke(a, tie, f)
     }
 
     fn invoke<R>(
@@ -360,8 +308,8 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
         }
         for eff in effects.drain(..) {
             match eff {
-                Effect::Send { to, msg, extra_us } => self.dispatch(at, to, msg, extra_us),
-                Effect::Timer { delay_us, kind } => self.push_timer(at, delay_us, kind),
+                Effect::Send { to, msg, extra_us } => self.inject(at, to, msg, extra_us),
+                Effect::Timer { delay_us, kind } => self.arm_timer(at, delay_us, kind),
             }
         }
         self.scratch_effects = effects;
@@ -387,7 +335,7 @@ impl<N: NodeLogic, T: Topology> Partition<N, T> {
 
     /// Executes events with time `<= last`, at most `max_events` of
     /// them; returns the number executed.
-    pub(crate) fn run(&mut self, last: u64, max_events: u64) -> u64 {
+    pub(super) fn run(&mut self, last: u64, max_events: u64) -> u64 {
         let mut count = 0u64;
         while count < max_events {
             match self.queue.peek_time() {

@@ -19,7 +19,6 @@
 
 pub mod arena;
 pub mod engine;
-mod partition;
 pub mod soa;
 pub mod stats;
 pub mod time;

@@ -11,7 +11,8 @@
 
 use crate::topology::Addr;
 
-/// Per-node send/receive counters, returned by [`NodeSlots::io`].
+/// Per-node send/receive counters, returned by
+/// [`Engine::node_io`](crate::Engine::node_io).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeIo {
     /// Messages this node sent (including ones later lost or failed).
@@ -21,18 +22,12 @@ pub struct NodeIo {
 }
 
 /// Struct-of-arrays storage: node logic, liveness bitset, IO counters.
-pub struct NodeSlots<N> {
+pub(crate) struct NodeSlots<N> {
     logic: Vec<N>,
     /// Liveness, 64 nodes per word.
     alive: Vec<u64>,
     sent: Vec<u64>,
     recv: Vec<u64>,
-}
-
-impl<N> Default for NodeSlots<N> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<N> NodeSlots<N> {
@@ -46,43 +41,9 @@ impl<N> NodeSlots<N> {
         }
     }
 
-    /// Empty storage with room for `cap` nodes.
-    pub fn with_capacity(cap: usize) -> NodeSlots<N> {
-        NodeSlots {
-            logic: Vec::with_capacity(cap),
-            alive: Vec::with_capacity(cap.div_ceil(64)),
-            sent: Vec::with_capacity(cap),
-            recv: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Builds storage from existing node logic, all alive.
-    pub fn from_logic(logic: Vec<N>) -> NodeSlots<N> {
-        let n = logic.len();
-        let mut slots = NodeSlots {
-            logic,
-            alive: vec![!0u64; n.div_ceil(64)],
-            sent: vec![0; n],
-            recv: vec![0; n],
-        };
-        // Clear the tail bits beyond `n` so popcount-style scans and
-        // `live_addrs` never see phantom nodes.
-        if !n.is_multiple_of(64) {
-            if let Some(last) = slots.alive.last_mut() {
-                *last &= (1u64 << (n % 64)) - 1;
-            }
-        }
-        slots
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.logic.len()
-    }
-
-    /// True if there are no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.logic.is_empty()
     }
 
     /// Appends a node (alive); returns its address.
@@ -189,6 +150,14 @@ impl<N> NodeSlots<N> {
 mod tests {
     use super::*;
 
+    fn pushed(n: usize) -> NodeSlots<usize> {
+        let mut s = NodeSlots::new();
+        for i in 0..n {
+            s.push(i);
+        }
+        s
+    }
+
     #[test]
     fn push_and_liveness() {
         let mut s = NodeSlots::new();
@@ -205,7 +174,7 @@ mod tests {
 
     #[test]
     fn live_addrs_matches_bitset() {
-        let mut s = NodeSlots::from_logic((0..200).collect::<Vec<_>>());
+        let mut s = pushed(200);
         for a in [0usize, 63, 64, 127, 199] {
             s.set_alive(a, false);
         }
@@ -218,14 +187,13 @@ mod tests {
     }
 
     #[test]
-    fn from_logic_has_no_phantom_tail() {
-        let s = NodeSlots::from_logic(vec![(); 70]);
-        assert_eq!(s.live_addrs().len(), 70);
+    fn pushes_leave_no_phantom_tail() {
+        assert_eq!(pushed(70).live_addrs().len(), 70);
     }
 
     #[test]
     fn io_counters() {
-        let mut s = NodeSlots::from_logic(vec![(); 3]);
+        let mut s = pushed(3);
         s.note_sent(1);
         s.note_sent(1);
         s.note_recv(2);

@@ -88,26 +88,6 @@ impl Histogram {
         Some((self.buckets.len() as u64 - 1) * self.width)
     }
 
-    /// Folds another histogram into this one (summing buckets).
-    ///
-    /// Shape mismatches (different bucket width or count) are a
-    /// caller bug — mixing scales would silently corrupt every
-    /// percentile — so they surface as a typed [`ShapeMismatch`]
-    /// error instead of blending; `self` is left untouched on error.
-    pub fn merge(&mut self, other: &Histogram) -> Result<(), ShapeMismatch> {
-        if self.width != other.width || self.buckets.len() != other.buckets.len() {
-            return Err(ShapeMismatch {
-                expected: (self.width, self.buckets.len()),
-                got: (other.width, other.buckets.len()),
-            });
-        }
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        Ok(())
-    }
-
     pub(crate) fn to_json(&self) -> String {
         let (p50, p95, p99) = (
             self.percentile(50).unwrap_or(0),
@@ -131,29 +111,6 @@ impl Histogram {
             .build()
     }
 }
-
-/// Two histograms with different bucket geometry were asked to merge
-/// (see [`Histogram::merge`]). Shapes are `(bucket_width, buckets)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShapeMismatch {
-    /// Shape of the receiving histogram.
-    pub expected: (u64, usize),
-    /// Shape of the histogram being merged in.
-    pub got: (u64, usize),
-}
-
-impl std::fmt::Display for ShapeMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cannot merge histograms with different shapes: \
-             width {} x {} buckets vs width {} x {} buckets",
-            self.expected.0, self.expected.1, self.got.0, self.got.1
-        )
-    }
-}
-
-impl std::error::Error for ShapeMismatch {}
 
 #[cfg(test)]
 mod tests {

@@ -35,7 +35,7 @@ pub mod json;
 mod metrics;
 pub mod timeseries;
 
-pub use histogram::{Histogram, ShapeMismatch};
+pub use histogram::Histogram;
 pub use metrics::Metrics;
 pub use timeseries::{SeriesConfig, TimeSeries};
 
@@ -629,30 +629,12 @@ impl Tracer {
         }
     }
 
-    /// Folds another tracer's records and metrics into this one. The
-    /// combined record buffer is a concatenation; call
-    /// [`Tracer::sort_canonical`] afterwards if a deterministic order
-    /// is needed (e.g. after merging the engine's two sinks).
-    pub fn absorb(&mut self, mut other: Tracer) {
-        self.records.append(&mut other.records);
-        self.metrics.merge(&other.metrics);
-        if let Some(theirs) = other.series.take() {
-            match &mut self.series {
-                Some(mine) => mine.merge(&theirs),
-                None => {
-                    self.series = Some(theirs);
-                    self.series_repair = std::mem::take(&mut other.series_repair);
-                }
-            }
-        }
-    }
-
     /// Sorts the record buffer into the canonical order `(t, causal
     /// rank, serialized line)`. Records with equal time and equal
     /// content are identical, so this order depends only on the
     /// *multiset* of records — two runs that produced the same records
-    /// in different interleavings (e.g. split over the engine's
-    /// harness and node-side sinks) serialize and fingerprint
+    /// in different interleavings (e.g. harness records written between
+    /// events rather than inside them) serialize and fingerprint
     /// identically after this call.
     ///
     /// The causal rank keeps same-microsecond lifecycles analyzable:

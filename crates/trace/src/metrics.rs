@@ -70,39 +70,6 @@ impl Metrics {
         self.kind_pairs(&self.failed_by_kind)
     }
 
-    /// Folds another registry into this one: counters and histograms
-    /// sum, so any merge order yields the same registry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two registries count different kind tables.
-    pub fn merge(&mut self, other: &Metrics) {
-        assert!(
-            self.kinds == other.kinds,
-            "cannot merge metrics over different kind tables"
-        );
-        let sum = |mine: &mut Vec<u64>, theirs: &[u64]| {
-            for (m, t) in mine.iter_mut().zip(theirs.iter()) {
-                *m += t;
-            }
-        };
-        sum(&mut self.recv_by_kind, &other.recv_by_kind);
-        sum(&mut self.dropped_by_kind, &other.dropped_by_kind);
-        sum(&mut self.duplicated_by_kind, &other.duplicated_by_kind);
-        sum(&mut self.failed_by_kind, &other.failed_by_kind);
-        // The registry constructs every histogram with a fixed shape,
-        // so a mismatch here is unreachable.
-        self.route_latency_us
-            .merge(&other.route_latency_us)
-            .expect("registry histograms share shape by construction");
-        self.hop_count
-            .merge(&other.hop_count)
-            .expect("registry histograms share shape by construction");
-        self.retry_count
-            .merge(&other.retry_count)
-            .expect("registry histograms share shape by construction");
-    }
-
     /// Serializes the registry as one `past-trace/v1` JSON document.
     pub fn to_json(&self) -> String {
         let kind_obj = |v: &[u64]| {

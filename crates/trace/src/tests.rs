@@ -1,4 +1,4 @@
-//! Unit tests of the crate root: tracer gating, serialization, merging.
+//! Unit tests of the crate root: tracer gating, serialization.
 
 use crate::*;
 
@@ -163,97 +163,6 @@ fn metrics_json_validates() {
     json::validate(&t.metrics.to_json()).expect("metrics JSON must validate");
 }
 
-// -- merging -------------------------------------------------------
-
-#[test]
-fn histogram_merge_sums_buckets_and_count() {
-    let mut a = Histogram::new(10, 4);
-    let mut b = Histogram::new(10, 4);
-    for v in [0, 15, 500] {
-        a.record(v);
-    }
-    for v in [5, 15] {
-        b.record(v);
-    }
-    a.merge(&b).expect("same-shape merge must succeed");
-    assert_eq!(a.buckets(), &[2, 2, 0, 1]);
-    assert_eq!(a.count(), 5);
-}
-
-#[test]
-fn histogram_merge_rejects_shape_mismatch() {
-    let mut a = Histogram::new(10, 4);
-    a.record(7);
-    let err = a
-        .merge(&Histogram::new(5, 4))
-        .expect_err("width mismatch must be rejected");
-    assert_eq!(err.expected, (10, 4));
-    assert_eq!(err.got, (5, 4));
-    assert!(err.to_string().contains("different shapes"));
-    let err = a
-        .merge(&Histogram::new(10, 8))
-        .expect_err("bucket-count mismatch must be rejected");
-    assert_eq!(err.got, (10, 8));
-    // The receiver is untouched on error.
-    assert_eq!(a.count(), 1);
-    assert_eq!(a.buckets(), &[1, 0, 0, 0]);
-}
-
-#[test]
-fn metrics_merge_combines_all_families() {
-    let mut a = Tracer::for_kinds(KINDS);
-    a.configure(TraceConfig::metrics_only());
-    a.msg_recv(1, OpId::NONE, 0, 1, 0);
-    a.route_deliver(2, OpId::NONE, 1, 42, 3, 2_500);
-    let mut b = Tracer::for_kinds(KINDS);
-    b.configure(TraceConfig::metrics_only());
-    b.msg_recv(3, OpId::NONE, 2, 0, 0);
-    b.msg_recv(3, OpId::NONE, 0, 2, 1);
-    b.msg_drop(4, OpId::NONE, 2, 0, 1);
-    a.metrics.merge(&b.metrics);
-    let recv: Vec<_> = a.metrics.recv_by_kind().collect();
-    assert_eq!(recv, vec![("ping", 2), ("pong", 1)]);
-    let dropped: u64 = a.metrics.dropped_by_kind().map(|(_, c)| c).sum();
-    assert_eq!(dropped, 1);
-    assert_eq!(a.metrics.hop_count.count(), 1);
-}
-
-/// Splitting one record stream across two tracers, absorbing, and
-/// canonically sorting must reproduce the single-tracer
-/// serialization bit for bit — the property the engine's harness and
-/// node-side sinks rely on.
-#[test]
-fn absorb_plus_canonical_sort_is_partition_independent() {
-    let record = |t: &mut Tracer, which: usize| {
-        if which == 0 {
-            t.msg_send(10, OpId(1), 0, 1, 0, 64);
-            t.route_hop(20, OpId(1), 1, 42, 0, 1);
-            t.op_start(20, OpId(1), 0, "insert", 42, 3);
-        } else {
-            t.msg_send(10, OpId(2), 2, 3, 1, 32);
-            t.msg_recv(20, OpId(2), 2, 3, 1);
-            t.join_phase(30, 3, "start");
-        }
-    };
-    let mut whole = Tracer::for_kinds(KINDS);
-    whole.configure(TraceConfig::full());
-    record(&mut whole, 0);
-    record(&mut whole, 1);
-    whole.sort_canonical();
-    // Partitioned: each half in its own tracer, absorbed in the
-    // opposite order.
-    let mut half_a = Tracer::for_kinds(KINDS);
-    half_a.configure(TraceConfig::full());
-    record(&mut half_a, 1);
-    let mut half_b = Tracer::for_kinds(KINDS);
-    half_b.configure(TraceConfig::full());
-    record(&mut half_b, 0);
-    half_a.absorb(half_b);
-    half_a.sort_canonical();
-    assert_eq!(whole.to_jsonl(), half_a.to_jsonl());
-    assert_eq!(whole.fingerprint(), half_a.fingerprint());
-}
-
 /// A same-microsecond lifecycle (op served from the local store)
 /// must stay `op_start` → work → `op_end` after the canonical sort,
 /// even though "op_end" < "op_start" lexicographically.
@@ -273,26 +182,19 @@ fn canonical_sort_keeps_same_time_lifecycles_causal() {
 }
 
 /// A series-only tracer (all trace classes off) still reports
-/// enabled, collects windowed counters from the hooks, and merges
-/// across tracers in `absorb` — the engine's `take_tracer` path.
+/// enabled and collects windowed counters from the hooks.
 #[test]
-fn series_flows_through_hooks_and_absorb() {
-    let mk = || {
-        let mut t = Tracer::for_kinds(KINDS);
-        t.set_series(SeriesConfig::new(1_000));
-        t
-    };
-    let mut a = mk();
-    assert!(a.enabled(), "series-only tracer must count as enabled");
-    assert!(!a.config().any());
-    a.msg_send(10, OpId(1), 0, 1, 0, 64);
-    a.route_deliver(30, OpId(1), 2, 42, 1, 12_345);
-    let mut b = mk();
-    b.msg_send(1_500, OpId(2), 2, 3, 1, 32);
-    b.msg_drop(1_600, OpId(2), 2, 3, 1);
-    a.absorb(b);
-    assert!(a.records().is_empty(), "no classes on, no records");
-    let s = a.series().expect("series survives absorb");
+fn series_flows_through_hooks() {
+    let mut t = Tracer::for_kinds(KINDS);
+    t.set_series(SeriesConfig::new(1_000));
+    assert!(t.enabled(), "series-only tracer must count as enabled");
+    assert!(!t.config().any());
+    t.msg_send(10, OpId(1), 0, 1, 0, 64);
+    t.route_deliver(30, OpId(1), 2, 42, 1, 12_345);
+    t.msg_send(1_500, OpId(2), 2, 3, 1, 32);
+    t.msg_drop(1_600, OpId(2), 2, 3, 1);
+    assert!(t.records().is_empty(), "no classes on, no records");
+    let s = t.series().expect("series attached");
     let w: Vec<(u64, u64, u64, u64)> = s
         .windows()
         .map(|(t, w)| {

@@ -8,9 +8,9 @@
 //! record call takes the simulated time explicitly, so the series can
 //! never observe a wall clock and is bit-reproducible across runs.
 //!
-//! The engine's harness-side and node-side sinks each keep a series,
-//! merged when the trace is taken: counters sum, gauges take the newest
-//! sample (see [`TimeSeries::merge`]), and histograms sum buckets.
+//! Within a window, counters sum, histograms count every sample, and
+//! a gauge keeps its newest sample. The engine's one trace sink holds
+//! one series, so every producer writes into the same windows.
 //! Diagnostic gauges ([`TimeSeries::diag_gauge`]: allocator capacities
 //! and the like) are kept separately and are *excluded* from the
 //! [`fingerprint`]: they move whenever an allocation policy does, while
@@ -43,8 +43,7 @@ impl SeriesConfig {
 }
 
 /// A gauge sample: the newest observation wins, carrying the time it
-/// was taken so merges across series can arbitrate (see
-/// [`TimeSeries::merge`]).
+/// was taken so a late, older sample cannot overwrite it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct GaugeCell {
     /// Simulated time of the newest sample.
@@ -53,8 +52,8 @@ struct GaugeCell {
     v: u64,
 }
 
-/// Histogram shape registry: series histograms must agree on shape
-/// across sinks so windows merge; shapes are fixed by name here.
+/// Histogram shape registry: shapes are fixed by name, so one metric's
+/// percentiles mean the same in every window and every run.
 /// `route_latency_us` mirrors the `Metrics` registry histogram (1 ms
 /// buckets up to 512 ms); everything else gets width-1 with 64
 /// buckets.
@@ -197,45 +196,6 @@ impl TimeSeries {
     /// [`TimeSeries::gauge`].
     pub fn diag_gauge(&mut self, t: u64, name: &'static str, v: u64) {
         record_gauge(&mut self.window_mut(t).diag, name, GaugeCell { t, v });
-    }
-
-    /// Folds another series into this one: counters and histograms
-    /// sum, gauges take the newest sample. Each gauge name has one
-    /// producer (the engine samples `queue_depth` and `in_flight_msgs`
-    /// on the node-side sink, harnesses sample theirs on the other), so
-    /// two series never hold one name at one instant and the merge is
-    /// order-independent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two series have different window widths.
-    pub fn merge(&mut self, other: &TimeSeries) {
-        assert!(
-            self.window_us == other.window_us,
-            "cannot merge series with different windows"
-        );
-        for (&start, w) in &other.windows {
-            let mine = self.windows.entry(start).or_default();
-            for (&k, &v) in &w.counters {
-                *mine.counters.entry(k).or_insert(0) += v;
-            }
-            for (&k, &cell) in &w.gauges {
-                record_gauge(&mut mine.gauges, k, cell);
-            }
-            for (&k, h) in &w.hists {
-                mine.hists
-                    .entry(k)
-                    .or_insert_with(|| {
-                        let (wd, n) = hist_shape(k);
-                        Histogram::new(wd, n)
-                    })
-                    .merge(h)
-                    .expect("series histograms share shape by the name registry");
-            }
-            for (&k, &cell) in &w.diag {
-                record_gauge(&mut mine.diag, k, cell);
-            }
-        }
     }
 
     /// Writes one window as a flat JSONL object (the format
@@ -398,49 +358,16 @@ mod tests {
     }
 
     #[test]
-    fn windowed_histograms_snapshot_and_merge() {
-        let mut a = TimeSeries::new(cfg());
-        for v in [100, 200, 5_000] {
-            a.hist(10, "route_latency_us", v);
+    fn windowed_histograms_snapshot() {
+        let mut s = TimeSeries::new(cfg());
+        for (t, v) in [(10, 100), (10, 200), (10, 5_000), (20, 300_000)] {
+            s.hist(t, "route_latency_us", v);
         }
-        let mut b = TimeSeries::new(cfg());
-        b.hist(20, "route_latency_us", 300_000);
-        a.merge(&b);
-        let (_, w) = a.windows().next().unwrap();
+        let (_, w) = s.windows().next().unwrap();
         let h = w.hist("route_latency_us").unwrap();
         assert_eq!(h.count(), 4);
         assert_eq!(h.percentile(50).unwrap(), 0);
         assert_eq!(h.percentile(99).unwrap(), 300_000);
-    }
-
-    #[test]
-    fn merge_is_order_independent() {
-        let build = |order: &[usize]| {
-            let mk = |i: usize| {
-                let mut s = TimeSeries::new(cfg());
-                s.bump(i as u64 * 10, "events", i as u64 + 1);
-                // An older sample must lose regardless of merge order.
-                s.gauge(400 + i as u64 * 50, "depth", i as u64);
-                s.diag_gauge(400 + i as u64 * 50, "mem", i as u64);
-                s.hist(100, "lat", i as u64);
-                s
-            };
-            let mut acc = mk(order[0]);
-            for &i in &order[1..] {
-                acc.merge(&mk(i));
-            }
-            acc.to_jsonl()
-        };
-        let a = build(&[0, 1, 2]);
-        let b = build(&[2, 0, 1]);
-        let c = build(&[1, 2, 0]);
-        assert_eq!(a, b);
-        assert_eq!(a, c);
-        // Counters summed: 1 + 2 + 3.
-        assert!(a.contains("\"events\":6"), "{a}");
-        // Newest sample won: series 2 sampled at t=500.
-        assert!(a.contains("\"depth\":2"), "{a}");
-        assert!(a.contains("\"mem\":2"), "{a}");
     }
 
     #[test]
@@ -515,13 +442,5 @@ mod tests {
         let doc = s.to_json();
         json::validate(&doc).expect("series JSON must validate");
         assert!(doc.contains("\"schema\": \"past-series/v1\""));
-    }
-
-    #[test]
-    #[should_panic(expected = "different windows")]
-    fn merge_rejects_mismatched_windows() {
-        let mut a = TimeSeries::new(SeriesConfig::new(1_000));
-        let b = TimeSeries::new(SeriesConfig::new(2_000));
-        a.merge(&b);
     }
 }

@@ -82,6 +82,14 @@ cargo test --offline -q --release -p past --test wire
 echo "== packed routing state + engine-free life cycle, release profile (hostile addresses, saturation, differential)"
 cargo test --offline -q --release -p past-pastry --lib --test sansio
 
+# The workspace run above covered the engine, wheel and arena in the
+# debug profile. Run them again optimised, as the benchmark builds them:
+# the wheel entry's tie split into two `u64` halves and the fieldless
+# tag packed into the event record's `u32` must order and round-trip
+# events where overflow checks and `debug_assert!`s are off.
+echo "== engine, wheel and arena, release profile"
+cargo test --offline -q --release -p past-netsim
+
 echo "== bench smoke (binaries run and emit valid BENCH_*.json)"
 ./target/release/bench_micro --smoke --out target/BENCH_micro.smoke.json
 ./target/release/bench_macro --smoke --out target/BENCH_macro.smoke.json \
