@@ -12,8 +12,9 @@
 #![deny(clippy::wildcard_enum_match_arm)]
 #![deny(clippy::match_wildcard_for_single_variants)]
 
-use past_netsim::{Addr, Ctx, Engine, Message, NodeLogic, SimTime, Topology};
+use past_netsim::{Addr, Engine, Message, SimTime, Topology};
 use past_pastry::Id;
+use past_wire::{Input, Io, Machine};
 
 /// A CAN key: a point in the d-dimensional unit torus.
 pub type Point = Vec<f64>;
@@ -159,51 +160,51 @@ pub struct CanNode {
     pub neighbors: Vec<(Zone, Addr)>,
 }
 
-impl NodeLogic for CanNode {
+impl Machine for CanNode {
     type Msg = CanMsg;
     type Out = CanDelivery;
 
-    fn on_message(&mut self, _from: Addr, msg: CanMsg, ctx: &mut Ctx<'_, CanMsg, CanDelivery>) {
-        let CanMsg::Lookup(mut lk) = msg;
-        if self.zone.contains(&lk.target) || lk.hops > 10_000 {
-            ctx.emit(CanDelivery {
-                origin: lk.origin,
-                delivered_at: ctx.me,
-                hops: lk.hops,
-                path_us: lk.path_us,
-                at: ctx.now,
-            });
+    fn step(&mut self, input: Input<CanMsg>, io: &mut dyn Io<CanMsg, CanDelivery>) {
+        let Input::Message {
+            msg: CanMsg::Lookup(mut lk),
+            ..
+        } = input
+        else {
+            // The overlay is static and arms no timers; a lookup that
+            // bounces off a dead node ends there.
             return;
-        }
+        };
         // Greedy: forward to the neighbor whose zone is closest to the
         // target (ties broken by address for determinism).
-        let next = self
-            .neighbors
-            .iter()
-            .min_by(|(za, aa), (zb, ab)| {
-                // total_cmp: a total order even on NaN, so the winner
-                // never depends on iteration order (rule D4).
-                za.dist_to(&lk.target)
-                    .total_cmp(&zb.dist_to(&lk.target))
-                    .then(aa.cmp(ab))
-            })
-            .map(|(_, a)| *a);
+        let next = if self.zone.contains(&lk.target) || lk.hops > 10_000 {
+            None
+        } else {
+            self.neighbors
+                .iter()
+                .min_by(|(za, aa), (zb, ab)| {
+                    // total_cmp: a total order even on NaN, so the winner
+                    // never depends on iteration order (rule D4).
+                    za.dist_to(&lk.target)
+                        .total_cmp(&zb.dist_to(&lk.target))
+                        .then(aa.cmp(ab))
+                })
+                .map(|(_, a)| *a)
+        };
         match next {
             Some(next) => {
                 lk.hops += 1;
-                lk.path_us += ctx.delay_to(next);
-                ctx.send(next, CanMsg::Lookup(lk));
+                lk.path_us += io.delay_to(next);
+                io.send(next, CanMsg::Lookup(lk));
             }
-            None => {
-                // Single-node network: deliver here.
-                ctx.emit(CanDelivery {
-                    origin: lk.origin,
-                    delivered_at: ctx.me,
-                    hops: lk.hops,
-                    path_us: lk.path_us,
-                    at: ctx.now,
-                });
-            }
+            // The zone owner, the end of the hop budget, or a
+            // single-node network: deliver here.
+            None => io.emit(CanDelivery {
+                origin: lk.origin,
+                delivered_at: io.me(),
+                hops: lk.hops,
+                path_us: lk.path_us,
+                at: SimTime::from_micros(io.now_us()),
+            }),
         }
     }
 }

@@ -12,8 +12,9 @@
 #![deny(clippy::wildcard_enum_match_arm)]
 #![deny(clippy::match_wildcard_for_single_variants)]
 
-use past_netsim::{Addr, Ctx, Engine, Message, NodeLogic, SimTime, Topology};
+use past_netsim::{Addr, Engine, Message, SimTime, Topology};
 use past_pastry::Id;
+use past_wire::{Input, Io, Machine};
 
 /// Number of finger-table entries (one per id bit).
 pub const M_BITS: usize = 128;
@@ -107,54 +108,46 @@ impl ChordNode {
     }
 }
 
-impl NodeLogic for ChordNode {
+impl Machine for ChordNode {
     type Msg = ChordMsg;
     type Out = ChordDelivery;
 
-    fn on_message(
-        &mut self,
-        _from: Addr,
-        msg: ChordMsg,
-        ctx: &mut Ctx<'_, ChordMsg, ChordDelivery>,
-    ) {
-        let ChordMsg::Lookup(mut lk) = msg;
+    fn step(&mut self, input: Input<ChordMsg>, io: &mut dyn Io<ChordMsg, ChordDelivery>) {
+        let Input::Message {
+            msg: ChordMsg::Lookup(mut lk),
+            ..
+        } = input
+        else {
+            // The ring is static and arms no timers; a lookup that
+            // bounces off a dead node ends there.
+            return;
+        };
         // Am I the responsible node? Either the previous hop determined
         // succ(key) = me, or the key hits my id exactly.
-        let to_key = self.id.cw_dist(&lk.key);
-        if lk.terminal || to_key == 0 || self.successor.1 == ctx.me {
-            ctx.emit(ChordDelivery {
+        let me = io.me();
+        if lk.terminal || self.id.cw_dist(&lk.key) == 0 || self.successor.1 == me {
+            io.emit(ChordDelivery {
                 key: lk.key,
                 origin: lk.origin,
-                delivered_at: ctx.me,
+                delivered_at: me,
                 hops: lk.hops,
                 path_us: lk.path_us,
-                at: ctx.now,
+                at: SimTime::from_micros(io.now_us()),
             });
             return;
         }
-        if self.owns_via_successor(&lk.key) {
-            // The successor is responsible: final hop.
-            let (_, saddr) = self.successor;
-            lk.hops += 1;
-            lk.path_us += ctx.delay_to(saddr);
-            lk.terminal = true;
-            ctx.send(saddr, ChordMsg::Lookup(lk));
-            return;
-        }
-        match self.closest_preceding(&lk.key) {
-            Some((_, faddr)) => {
-                lk.hops += 1;
-                lk.path_us += ctx.delay_to(faddr);
-                ctx.send(faddr, ChordMsg::Lookup(lk));
-            }
-            None => {
-                // No finger precedes the key: fall back to the successor.
-                let (_, saddr) = self.successor;
-                lk.hops += 1;
-                lk.path_us += ctx.delay_to(saddr);
-                ctx.send(saddr, ChordMsg::Lookup(lk));
-            }
-        }
+        // The successor takes the final hop when it is responsible, and
+        // also when no finger precedes the key.
+        lk.terminal = self.owns_via_successor(&lk.key);
+        let next = if lk.terminal {
+            self.successor.1
+        } else {
+            self.closest_preceding(&lk.key)
+                .map_or(self.successor.1, |(_, faddr)| faddr)
+        };
+        lk.hops += 1;
+        lk.path_us += io.delay_to(next);
+        io.send(next, ChordMsg::Lookup(lk));
     }
 }
 

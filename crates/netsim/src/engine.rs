@@ -1,10 +1,11 @@
 //! The discrete-event message engine.
 //!
-//! Nodes are state machines implementing [`NodeLogic`]; the engine owns
-//! them, delivers messages with topology-derived latency, models node
-//! failure (messages to a dead node produce a delayed send-failure
-//! notification at the sender, standing in for a timeout), and counts
-//! traffic per message kind.
+//! Nodes are sans-io [`Machine`]s; the engine owns them, runs every
+//! handler against a [`StepIo`](past_wire::StepIo) and applies what it
+//! wrote in call order, delivers messages with topology-derived latency,
+//! models node failure (messages to a dead node produce a delayed
+//! send-failure notification at the sender, standing in for a timeout),
+//! and counts traffic per message kind.
 //!
 //! Everything is deterministic: per-node seeded RNG streams, and events
 //! ordered by `(time, source node, per-node sequence number)` — see
@@ -21,9 +22,11 @@ use crate::topology::{mix64, Addr, Topology};
 use crate::wheel::TimerWheel;
 use past_crypto::rng::Rng;
 use past_trace::{SeriesConfig, TraceConfig, Tracer};
-use past_wire::{Input, Machine, Message};
+use past_wire::{Effect, Input, Io, Machine, Message};
 
-/// Per-node protocol logic driven by the engine.
+/// Per-node protocol logic driven by the engine, as callbacks. Protocol
+/// nodes implement [`Machine`] and get it from the blanket impl below;
+/// benchmark fixtures implement it directly.
 pub trait NodeLogic {
     /// The wire message type.
     type Msg: Message;
@@ -44,7 +47,7 @@ pub trait NodeLogic {
     ) {
     }
 
-    /// Handles a timer previously set with [`Ctx::set_timer`].
+    /// Handles a timer previously set with [`Io::set_timer`].
     fn on_timer(&mut self, _kind: u64, _ctx: &mut Ctx<'_, Self::Msg, Self::Out>) {}
 
     /// Bytes of heap this node owns beyond `size_of::<Self>()`, for
@@ -153,117 +156,10 @@ impl FaultConfig {
     }
 }
 
-enum Effect<M> {
-    Send { to: Addr, msg: M, extra_us: u64 },
-    Timer { delay_us: u64, kind: u64 },
-}
-
-/// The per-invocation context handed to node logic.
-///
-/// Collects effects (sends, timers, emissions) which the engine applies
-/// after the handler returns, and exposes the proximity metric and the
-/// simulation RNG.
-pub struct Ctx<'a, M, O> {
-    /// Current simulated time.
-    pub now: SimTime,
-    /// Address of the node being invoked.
-    pub me: Addr,
-    /// This node's private protocol RNG stream (seeded from the run
-    /// seed and the node address).
-    pub rng: &'a mut Rng,
-    /// The engine's trace sink. Node logic records protocol-level
-    /// events (route hops, join phases, operation lifecycle) here; the
-    /// engine itself records the message plane. No-op unless enabled
-    /// via [`Engine::set_tracing`].
-    pub tracer: &'a mut Tracer,
-    topo: &'a dyn Topology,
-    // Engine-owned scratch buffers, reused across invocations so the
-    // per-event cost is a pointer swap rather than two allocations.
-    effects: &'a mut Vec<Effect<M>>,
-    emitted: &'a mut Vec<O>,
-}
-
-impl<M, O> Ctx<'_, M, O> {
-    /// Sends `msg` to `to`; it arrives after the topology delay.
-    pub fn send(&mut self, to: Addr, msg: M) {
-        self.effects.push(Effect::Send {
-            to,
-            msg,
-            extra_us: 0,
-        });
-    }
-
-    /// Sends `msg` to `to` with additional artificial delay (e.g. local
-    /// processing or disk time).
-    pub fn send_after(&mut self, to: Addr, msg: M, extra_us: u64) {
-        self.effects.push(Effect::Send { to, msg, extra_us });
-    }
-
-    /// Arms a timer that fires at this node after `delay_us`.
-    pub fn set_timer(&mut self, delay_us: u64, kind: u64) {
-        self.effects.push(Effect::Timer { delay_us, kind });
-    }
-
-    /// One-way delay from this node to `other` (the proximity metric).
-    ///
-    /// In a deployment a node measures this by probing; the simulator
-    /// answers from the topology directly.
-    pub fn delay_to(&self, other: Addr) -> u64 {
-        self.topo.delay_us(self.me, other)
-    }
-
-    /// Pairwise delay between two arbitrary nodes.
-    pub fn delay_between(&self, a: Addr, b: Addr) -> u64 {
-        self.topo.delay_us(a, b)
-    }
-
-    /// Emits an observation for the experiment harness.
-    pub fn emit(&mut self, out: O) {
-        self.emitted.push(out);
-    }
-}
-
-/// The engine context is the simulator-side implementation of the
-/// sans-io effect sink: protocol state machines written against
-/// `past_wire::Io` run under the engine with no adapter code beyond
-/// this impl.
-impl<M, O> past_wire::Io<M, O> for Ctx<'_, M, O> {
-    fn now_us(&self) -> u64 {
-        self.now.as_micros()
-    }
-
-    fn me(&self) -> Addr {
-        self.me
-    }
-
-    fn rng(&mut self) -> &mut Rng {
-        self.rng
-    }
-
-    fn tracer(&mut self) -> &mut Tracer {
-        self.tracer
-    }
-
-    fn delay_to(&self, other: Addr) -> u64 {
-        Ctx::delay_to(self, other)
-    }
-
-    fn send(&mut self, to: Addr, msg: M) {
-        Ctx::send(self, to, msg)
-    }
-
-    fn send_after(&mut self, to: Addr, msg: M, extra_us: u64) {
-        Ctx::send_after(self, to, msg, extra_us)
-    }
-
-    fn set_timer(&mut self, delay_us: u64, kind: u64) {
-        Ctx::set_timer(self, delay_us, kind)
-    }
-
-    fn emit(&mut self, out: O) {
-        Ctx::emit(self, out)
-    }
-}
+/// The effect sink handed to node logic: the sans-io [`Io`] trait object
+/// (as `past_pastry::PastryIo`), backed by a [`past_wire::StepIo`].
+/// Node code calls `ctx.me()`, `ctx.now_us()`, `ctx.rng()`, `ctx.send(..)`.
+pub type Ctx<'a, M, O> = dyn Io<M, O> + 'a;
 
 /// Per-kind traffic counters.
 ///
@@ -287,7 +183,7 @@ pub struct NetStats {
     pub duplicated: u64,
     /// Messages that reached a dead destination (each schedules a
     /// send-failure notification back to the sender). Protocols that
-    /// ignore [`NodeLogic::on_send_failed`] still show up here, keeping
+    /// ignore [`Input::SendFailed`] still show up here, keeping
     /// cross-protocol failure comparisons honest.
     pub failed_sends: u64,
 }
@@ -374,10 +270,9 @@ pub struct Engine<N: NodeLogic, T: Topology> {
     sampled_window: Option<u64>,
     fp: u64,
     events: u64,
-    // Scratch buffers reused across invocations so the per-event cost
-    // is a pointer swap rather than two allocations.
-    scratch_effects: Vec<Effect<N::Msg>>,
-    scratch_emitted: Vec<N::Out>,
+    // Scratch buffer reused across invocations so the per-event cost
+    // is a pointer swap rather than an allocation.
+    scratch_effects: Vec<Effect<N::Msg, N::Out>>,
     /// Traffic counters (public so harnesses can reset/read them).
     pub stats: NetStats,
 }
@@ -421,7 +316,6 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
             fp: 0,
             events: 0,
             scratch_effects: Vec::new(),
-            scratch_emitted: Vec::new(),
             stats: NetStats::for_kinds(N::Msg::KINDS),
         };
         e.reserve_nodes(nodes.len());
@@ -662,28 +556,26 @@ mod tests {
         timers: Vec<u64>,
     }
 
-    impl NodeLogic for PingNode {
+    impl Machine for PingNode {
         type Msg = PingMsg;
         type Out = u32;
 
-        fn on_message(&mut self, from: Addr, msg: PingMsg, ctx: &mut Ctx<'_, PingMsg, u32>) {
-            match msg {
-                PingMsg::Ping(n) => ctx.send(from, PingMsg::Pong(n + 1)),
-                PingMsg::Pong(n) => {
-                    self.pongs.push(n);
-                    ctx.emit(n);
+        fn step(&mut self, input: Input<PingMsg>, ctx: &mut Ctx<'_, PingMsg, u32>) {
+            match input {
+                Input::Message { from, msg } => match msg {
+                    PingMsg::Ping(n) => ctx.send(from, PingMsg::Pong(n + 1)),
+                    PingMsg::Pong(n) => {
+                        self.pongs.push(n);
+                        ctx.emit(n);
+                    }
+                    PingMsg::Knock => self.knocks += 1,
+                },
+                Input::SendFailed { to, msg } => {
+                    self.failures.push(to);
+                    self.failed_kinds.push(msg.kind());
                 }
-                PingMsg::Knock => self.knocks += 1,
+                Input::Timer { kind } => self.timers.push(kind),
             }
-        }
-
-        fn on_send_failed(&mut self, to: Addr, msg: PingMsg, _ctx: &mut Ctx<'_, PingMsg, u32>) {
-            self.failures.push(to);
-            self.failed_kinds.push(msg.kind());
-        }
-
-        fn on_timer(&mut self, kind: u64, _ctx: &mut Ctx<'_, PingMsg, u32>) {
-            self.timers.push(kind);
         }
     }
 
@@ -1188,21 +1080,24 @@ mod tests {
         timer_fired: bool,
     }
 
-    impl NodeLogic for GNode {
+    impl Machine for GNode {
         type Msg = GMsg;
         type Out = (u32, Addr);
 
-        fn on_message(&mut self, from: Addr, msg: GMsg, ctx: &mut Ctx<'_, GMsg, (u32, Addr)>) {
-            match msg {
-                GMsg::Rumor { ttl, tag } => {
+        fn step(&mut self, input: Input<GMsg>, ctx: &mut Ctx<'_, GMsg, (u32, Addr)>) {
+            match input {
+                Input::Message {
+                    from,
+                    msg: GMsg::Rumor { ttl, tag },
+                } => {
                     self.heard.push(tag);
                     ctx.emit((tag, from));
                     ctx.send(from, GMsg::Ack(tag));
                     if ttl > 0 {
                         // Randomized next hop: exercises the per-node
                         // protocol RNG streams.
-                        let next = ctx.rng.random_range(0..GOSSIP_N as u64) as Addr;
-                        if next != ctx.me {
+                        let next = ctx.rng().random_range(0..GOSSIP_N as u64) as Addr;
+                        if next != ctx.me() {
                             ctx.send(next, GMsg::Rumor { ttl: ttl - 1, tag });
                         }
                         if !self.timer_fired {
@@ -1212,17 +1107,16 @@ mod tests {
                 }
                 // Folding the tag in makes `acks` a cheap order-free
                 // checksum over which acks arrived, not just how many.
-                GMsg::Ack(tag) => self.acks += 1 + u64::from(tag) * 31,
+                Input::Message {
+                    msg: GMsg::Ack(tag),
+                    ..
+                } => self.acks += 1 + u64::from(tag) * 31,
+                Input::SendFailed { .. } => self.failures += 1,
+                Input::Timer { .. } => {
+                    self.timer_fired = true;
+                    ctx.emit((u32::MAX, ctx.me()));
+                }
             }
-        }
-
-        fn on_send_failed(&mut self, _to: Addr, _msg: GMsg, _ctx: &mut Ctx<'_, GMsg, (u32, Addr)>) {
-            self.failures += 1;
-        }
-
-        fn on_timer(&mut self, _kind: u64, ctx: &mut Ctx<'_, GMsg, (u32, Addr)>) {
-            self.timer_fired = true;
-            ctx.emit((u32::MAX, ctx.me));
         }
     }
 

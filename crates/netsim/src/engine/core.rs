@@ -1,9 +1,9 @@
 //! The event core, a second `impl` block of [`Engine`]: the per-node
 //! columns (node slots, RNG streams, sequence counters) and the engine's
 //! only message dispatch (accounting, fault draws, scheduling), handler
-//! invocation (scratch buffers, effect application) and deliver /
-//! send-failed / timer step. Fieldless messages ride in the event record
-//! as their kind id; every other payload parks in the arena.
+//! invocation (one reused `StepIo` effect buffer, applied in call order)
+//! and deliver / send-failed / timer step. Fieldless messages ride in the
+//! event record as their kind id; every other payload parks in the arena.
 //!
 //! ## Determinism model
 //!
@@ -19,12 +19,11 @@
 //! bit, and the commutative [`fingerprint`](Engine::fingerprint) is a
 //! digest of the event multiset, not of an accumulation order.
 
-use super::{Ctx, Effect, Engine, FaultConfig, Memory, NodeLogic};
+use super::{Ctx, Engine, FaultConfig, Memory, NodeLogic};
 use crate::arena::MAX_SLOTS;
-use crate::time::SimTime;
 use crate::topology::{mix64, Addr, Topology};
 use past_crypto::rng::Rng;
-use past_wire::Message;
+use past_wire::{Effect, Message, StepIo};
 
 /// Event key tie-break: `(source node, per-node sequence)` packed into
 /// the wheel's 128-bit tie. Unique per event.
@@ -286,34 +285,33 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
         cur_tie: u128,
         f: impl FnOnce(&mut N, &mut Ctx<'_, N::Msg, N::Out>) -> R,
     ) -> R {
-        // Move the scratch buffers into the context for the duration
-        // of the handler, then drain and restore them. Handlers run
-        // once per event, so reusing the buffers removes two heap
-        // allocations from every event in the simulation.
+        // Move the scratch buffer into the sink for the duration of the
+        // handler, then drain and restore it: handlers run once per
+        // event, so reusing it removes an allocation from every event.
         let mut effects = std::mem::take(&mut self.scratch_effects);
-        let mut emitted = std::mem::take(&mut self.scratch_emitted);
-        debug_assert!(effects.is_empty() && emitted.is_empty());
-        let mut ctx = Ctx {
-            now: SimTime::from_micros(self.now),
+        debug_assert!(effects.is_empty());
+        let topo = &self.topo;
+        let mut io = StepIo {
+            now_us: self.now,
             me: at,
             rng: &mut self.rngs[at],
             tracer: &mut self.tracer,
-            topo: &self.topo,
+            proximity: &|a, b| topo.delay_us(a, b),
             effects: &mut effects,
-            emitted: &mut emitted,
         };
-        let ret = f(self.nodes.logic_mut(at), &mut ctx);
-        for (k, out) in emitted.drain(..).enumerate() {
-            self.outputs.push((self.now, cur_tie, k as u32, at, out));
-        }
+        let ret = f(self.nodes.logic_mut(at), &mut io);
+        let mut k = 0;
         for eff in effects.drain(..) {
             match eff {
                 Effect::Send { to, msg, extra_us } => self.inject(at, to, msg, extra_us),
                 Effect::Timer { delay_us, kind } => self.arm_timer(at, delay_us, kind),
+                Effect::Out(out) => {
+                    self.outputs.push((self.now, cur_tie, k, at, out));
+                    k += 1;
+                }
             }
         }
         self.scratch_effects = effects;
-        self.scratch_emitted = emitted;
         ret
     }
 

@@ -227,4 +227,30 @@ mod tests {
             );
         }
     }
+
+    /// E11's rendered table at two sizes, recorded before the Chord and
+    /// CAN nodes became `Machine`s.
+    #[test]
+    fn table_golden() {
+        let p = Params {
+            sizes: vec![256, 1_024],
+            trials: 300,
+            ..Params::default()
+        };
+        assert_eq!(run(&p).table().to_string(), TABLE_GOLDEN);
+    }
+
+    const TABLE_GOLDEN: &str = "\
+== E11: Pastry vs Chord vs CAN (same sphere topology, same keys) ==
+ scheme     N  mean hops  distance ratio  failed sends
+------------------------------------------------------
+ Pastry   256       1.92            2.00             0
+  Chord   256       4.76            6.01             0
+CAN d=2   256       6.90            9.18             0
+ Pastry  1024       2.52            2.43             0
+  Chord  1024       5.94            8.64             0
+CAN d=2  1024      13.65           19.84             0
+  note: paper: Chord lacks locality; CAN hops grow faster than log N
+  note: failed sends: bounced messages per scheme (0 = fully reachable)
+";
 }

@@ -3,10 +3,11 @@
 //! Protocol state machines in this workspace are written as transition
 //! functions `(state, Input) → effects`, where every effect — a message
 //! send, a timer, an observation — goes through the [`Io`] sink in call
-//! order. The deterministic simulator's `Ctx` implements [`Io`], so the
-//! same state machine runs unmodified under the engine; [`StepIo`]
-//! collects effects into a plain vector for engine-free unit tests and,
-//! later, socket transports.
+//! order. [`StepIo`] is the one implementation: it collects effects into
+//! a plain vector. The deterministic simulator runs every handler against
+//! one and then applies the effects, and an engine-free unit test steps a
+//! machine against one and inspects them; a socket transport would drain
+//! the same vector onto the network.
 
 use crate::Addr;
 use past_crypto::rng::Rng;
@@ -82,8 +83,9 @@ pub enum Input<M> {
 ///
 /// This is the whole boundary between a protocol and whatever runs it.
 /// The simulator adapts every `Machine` onto its engine with one blanket
-/// impl, a pure test steps it against a [`StepIo`], and a socket
-/// transport would be a third [`Io`] — none of them named here.
+/// impl and steps it against a [`StepIo`], a pure test steps it against
+/// a [`StepIo`] of its own, and a socket transport would drain one onto
+/// the network — none of them named here.
 pub trait Machine {
     /// The wire message type.
     type Msg: Message;
@@ -123,8 +125,8 @@ pub fn btree_heap_bytes<K, V>(len: usize) -> usize {
 
 /// The effect sink a transition function writes through.
 ///
-/// Implemented by the simulator's `Ctx` (effects enter the event queue)
-/// and by [`StepIo`] (effects collect into a vector). Environment
+/// [`StepIo`] implements it (effects collect into a vector, which the
+/// simulator then applies to its event queue). Environment
 /// queries (`now_us`, `me`, `rng`, `tracer`, `delay_to`) live here too:
 /// they are the full set of facts a node may observe about the outside
 /// world, which is what keeps runs deterministic and replayable.
@@ -193,8 +195,10 @@ impl<F: Fn(Addr, Addr) -> u64> Proximity for F {
     }
 }
 
-/// An engine-free [`Io`]: effects append to a caller-owned vector in the
-/// exact order the transition function produced them.
+/// The [`Io`]: effects append to a caller-owned vector in the exact order
+/// the transition function produced them. The simulator steps every
+/// handler against one over a reused scratch vector; a test steps a
+/// machine against one with no simulator at all.
 pub struct StepIo<'a, M, O> {
     /// Current time in microseconds.
     pub now_us: u64,

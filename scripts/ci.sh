@@ -86,9 +86,11 @@ cargo test --offline -q --release -p past-pastry --lib --test sansio
 # debug profile. Run them again optimised, as the benchmark builds them:
 # the wheel entry's tie split into two `u64` halves and the fieldless
 # tag packed into the event record's `u32` must order and round-trip
-# events where overflow checks and `debug_assert!`s are off.
-echo "== engine, wheel and arena, release profile"
-cargo test --offline -q --release -p past-netsim
+# events where overflow checks and `debug_assert!`s are off. The Chord
+# and CAN baselines ride along: they run through the engine's `StepIo`
+# dispatch optimised when `exp e11` runs them.
+echo "== engine, wheel, arena and baselines, release profile"
+cargo test --offline -q --release -p past-netsim -p past-baselines
 
 echo "== bench smoke (binaries run and emit valid BENCH_*.json)"
 ./target/release/bench_micro --smoke --out target/BENCH_micro.smoke.json
