@@ -194,4 +194,35 @@ mod tests {
         let dist_table = r.distribution_table();
         assert_eq!(dist_table.rows.len(), 2);
     }
+
+    /// E1 and E1b's rendered tables at two sizes.
+    #[test]
+    fn table_golden() {
+        let p = Params {
+            sizes: vec![128, 1_024],
+            trials: 300,
+            ..Params::default()
+        };
+        let r = run(&p);
+        assert_eq!(r.table().to_string(), TABLE_GOLDEN);
+        assert_eq!(r.distribution_table().to_string(), DISTRIBUTION_GOLDEN);
+    }
+
+    const TABLE_GOLDEN: &str = "\
+== E1: routing hops vs network size (b=4) ==
+   N  mean hops  max hops  ceil(log16 N)  correct root
+------------------------------------------------------
+ 128       1.76      2.00           2.00          1.00
+1024       2.46      3.00           3.00          1.00
+  note: paper: average hops below ceil(log_2^b N), growing logarithmically
+";
+
+    const DISTRIBUTION_GOLDEN: &str = "\
+== E1b: hop-count distribution ==
+   N      0      1      2      3      4      5      6     7+
+------------------------------------------------------------
+ 128  0.017  0.207  0.777  0.000  0.000  0.000  0.000  0.000
+1024  0.003  0.043  0.447  0.507  0.000  0.000  0.000  0.000
+  note: probability mass concentrates at ~log16 N, as in the companion figure
+";
 }

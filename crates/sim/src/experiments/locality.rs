@@ -261,4 +261,36 @@ mod tests {
             "distance ratio {ratio} out of the paper's ballpark"
         );
     }
+
+    /// E3 and E3b's rendered tables at test scale.
+    #[test]
+    fn table_golden() {
+        let p = Params {
+            sizes: vec![400],
+            trials: 200,
+            ..Params::default()
+        };
+        assert_eq!(run(&p).table().to_string(), TABLE_GOLDEN);
+        let ablation = run_ablation(300, 150, 63, Config::default());
+        assert_eq!(ablation.table().to_string(), ABLATION_GOLDEN);
+    }
+
+    const TABLE_GOLDEN: &str = "\
+== E3: route distance vs direct distance (sphere topology) ==
+  N  distance ratio  mean hops
+------------------------------
+400            1.55       2.13
+  note: paper: route distance only ~50% higher than direct (ratio ~1.5)
+";
+
+    const ABLATION_GOLDEN: &str = "\
+== E3b: locality ablation (N = 300) ==
+                     variant  distance ratio
+--------------------------------------------
+joins + 2 improvement rounds            1.48
+                  joins only            1.78
+   static, proximity entries            1.54
+      static, random entries            2.90
+  note: locality mechanisms should order the ratios: (a) <= (b) <= (d)
+";
 }
