@@ -2,12 +2,14 @@
 //!
 //! - [`timing`] is a minimal in-tree measurement harness (no external
 //!   bench framework, so `cargo bench` needs no registry access).
-//! - `benches/paper_tables.rs` regenerates every experiment table
-//!   (E1–E13) at bench scale; run with `cargo bench -p past-bench`.
 //! - `src/bin/bench_micro.rs` times the hot primitives (hashing,
 //!   signatures, routing steps, cache ops) into `BENCH_micro.json`.
-//! - `src/bin/exp.rs` runs individual experiments at paper scale
-//!   (`exp e7`, `exp all`).
+//! - `src/bin/bench_macro.rs` and `src/bin/bench_loss.rs` time whole
+//!   networks (build, route, churn; loss and retries) into
+//!   `BENCH_macro.json` and `BENCH_loss.json`.
+//!
+//! The experiment tables (E1–E13) are `past-sim`'s: its `paper_tables`
+//! bench and `exp` binary.
 
 // Library code prints nothing and drops no `#[must_use]` result (DESIGN.md §9).
 #![deny(clippy::print_stdout, clippy::print_stderr)]

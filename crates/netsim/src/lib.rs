@@ -20,7 +20,6 @@
 pub mod arena;
 pub mod engine;
 pub mod soa;
-pub mod stats;
 pub mod time;
 pub mod topology;
 pub mod wheel;
@@ -30,7 +29,6 @@ pub use engine::{Ctx, Engine, FaultConfig, Memory, NetStats, NodeLogic};
 // without an edge to the simulator; re-exported for engine users.
 pub use past_wire::Message;
 pub use soa::NodeIo;
-pub use stats::{summarize, Summary};
 pub use time::SimTime;
 pub use topology::{Addr, Plane, Sphere, Topology, TransitStub, UniformRandom};
 // The trace layer's core handles, re-exported so node logic written

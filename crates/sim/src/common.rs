@@ -37,31 +37,9 @@ pub fn pastry_joined(n: usize, seed: u64, cfg: Config) -> PastrySim<NullApp, Sph
     sim
 }
 
-/// A full PAST network on a sphere with uniform capacities and quotas.
+/// A full PAST network on a sphere with per-node capacities and a
+/// uniform quota.
 pub fn past_network(
-    n: usize,
-    seed: u64,
-    pastry_cfg: Config,
-    past_cfg: PastConfig,
-    capacity: u64,
-    quota: u64,
-    mode: BuildMode,
-) -> PastNetwork<Sphere> {
-    let ids = ids(n, seed);
-    PastNetwork::build(
-        Sphere::new(n, seed),
-        pastry_cfg,
-        past_cfg,
-        seed,
-        &ids,
-        &vec![capacity; n],
-        &vec![quota; n],
-        mode,
-    )
-}
-
-/// A full PAST network with per-node capacities.
-pub fn past_network_caps(
     n: usize,
     seed: u64,
     pastry_cfg: Config,

@@ -4,12 +4,12 @@
 //! network locality"; CAN's "number of routing hops grows faster than
 //! log N". All three run on the identical sphere topology and key set.
 
-use crate::common::ids;
+use crate::common::{ids, pastry_static};
 use crate::report::{f2, ExpTable};
 use past_baselines::{CanSim, ChordSim};
 use past_crypto::rng::Rng;
-use past_netsim::{Sphere, Topology};
-use past_pastry::{static_build, Config, Id, NullApp};
+use past_netsim::{Addr, Sphere, Topology};
+use past_pastry::{Config, Id};
 
 /// Parameters for E11.
 #[derive(Clone, Debug)]
@@ -81,83 +81,73 @@ pub fn run(p: &Params) -> Result {
             .map(|_| (Id(rng.random()), rng.random_range(0..n)))
             .collect();
 
-        // Pastry.
         {
-            let mut sim = static_build(
-                Sphere::new(n, seed),
-                Config::default(),
-                seed,
-                &node_ids,
-                |_| NullApp,
-                4,
-            );
-            let mut hops = 0u64;
-            let mut ratios = Vec::new();
-            for &(key, from) in &probes {
-                sim.route(from, key, ());
-                let rec = sim.drain_deliveries()[0];
-                hops += rec.hops as u64;
-                if rec.delivered_at != from {
-                    let direct = sim.engine.topology().delay_us(from, rec.delivered_at);
-                    ratios.push(rec.path_us as f64 / direct as f64);
-                }
-            }
-            rows.push(Row {
-                scheme: "Pastry".into(),
-                n,
-                hops: hops as f64 / probes.len() as f64,
-                ratio: ratios.iter().sum::<f64>() / ratios.len().max(1) as f64,
-                failed_sends: sim.engine.stats.failed_sends,
-            });
+            let mut sim = pastry_static(n, seed, Config::default(), 4);
+            let lookups: Vec<_> = probes
+                .iter()
+                .map(|&(key, from)| {
+                    sim.route(from, key, ());
+                    let rec = sim.drain_deliveries()[0];
+                    (from, rec.hops, rec.delivered_at, rec.path_us)
+                })
+                .collect();
+            let (topo, failed) = (sim.engine.topology(), sim.engine.stats.failed_sends);
+            rows.push(row("Pastry".into(), topo, &lookups, failed));
         }
-
-        // Chord.
         {
             let mut sim = ChordSim::build(Sphere::new(n, seed), seed, &node_ids);
-            let mut hops = 0u64;
-            let mut ratios = Vec::new();
-            for &(key, from) in &probes {
-                sim.lookup(from, key);
-                let rec = sim.drain()[0];
-                hops += rec.hops as u64;
-                if rec.delivered_at != from {
-                    let direct = sim.engine.topology().delay_us(from, rec.delivered_at);
-                    ratios.push(rec.path_us as f64 / direct as f64);
-                }
-            }
-            rows.push(Row {
-                scheme: "Chord".into(),
-                n,
-                hops: hops as f64 / probes.len() as f64,
-                ratio: ratios.iter().sum::<f64>() / ratios.len().max(1) as f64,
-                failed_sends: sim.engine.stats.failed_sends,
-            });
+            let lookups: Vec<_> = probes
+                .iter()
+                .map(|&(key, from)| {
+                    sim.lookup(from, key);
+                    let rec = sim.drain()[0];
+                    (from, rec.hops, rec.delivered_at, rec.path_us)
+                })
+                .collect();
+            let (topo, failed) = (sim.engine.topology(), sim.engine.stats.failed_sends);
+            rows.push(row("Chord".into(), topo, &lookups, failed));
         }
-
-        // CAN.
         {
             let mut sim = CanSim::build(Sphere::new(n, seed), seed, &node_ids, p.can_dims);
-            let mut hops = 0u64;
-            let mut ratios = Vec::new();
-            for &(key, from) in &probes {
-                sim.lookup(from, key);
-                let rec = sim.drain()[0].clone();
-                hops += rec.hops as u64;
-                if rec.delivered_at != from {
-                    let direct = sim.engine.topology().delay_us(from, rec.delivered_at);
-                    ratios.push(rec.path_us as f64 / direct as f64);
-                }
-            }
-            rows.push(Row {
-                scheme: format!("CAN d={}", p.can_dims),
-                n,
-                hops: hops as f64 / probes.len() as f64,
-                ratio: ratios.iter().sum::<f64>() / ratios.len().max(1) as f64,
-                failed_sends: sim.engine.stats.failed_sends,
-            });
+            let lookups: Vec<_> = probes
+                .iter()
+                .map(|&(key, from)| {
+                    sim.lookup(from, key);
+                    let rec = &sim.drain()[0];
+                    (from, rec.hops, rec.delivered_at, rec.path_us)
+                })
+                .collect();
+            let (topo, failed) = (sim.engine.topology(), sim.engine.stats.failed_sends);
+            rows.push(row(format!("CAN d={}", p.can_dims), topo, &lookups, failed));
         }
     }
     Result { rows }
+}
+
+/// One scheme's row from its lookups' `(origin, hops, delivered_at,
+/// path_us)`: hops are averaged over every lookup, the distance ratio
+/// over those delivered away from their origin.
+fn row(
+    scheme: String,
+    topo: &impl Topology,
+    lookups: &[(Addr, u32, Addr, u64)],
+    failed_sends: u64,
+) -> Row {
+    let hops: u64 = lookups.iter().map(|l| u64::from(l.1)).sum();
+    let (mut ratio_sum, mut remote) = (0.0, 0usize);
+    for &(origin, _, delivered_at, path_us) in lookups {
+        if delivered_at != origin {
+            ratio_sum += path_us as f64 / topo.delay_us(origin, delivered_at) as f64;
+            remote += 1;
+        }
+    }
+    Row {
+        scheme,
+        n: topo.len(),
+        hops: hops as f64 / lookups.len() as f64,
+        ratio: ratio_sum / remote.max(1) as f64,
+        failed_sends,
+    }
 }
 
 impl Result {

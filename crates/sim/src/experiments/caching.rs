@@ -100,7 +100,7 @@ fn run_variant(p: &Params, label: &str, cache: bool) -> Row {
         p.seed,
         pastry_cfg,
         past_cfg,
-        p.capacity,
+        &vec![p.capacity; p.n],
         u64::MAX / 2,
         BuildMode::ProtocolJoins,
     );

@@ -6,7 +6,6 @@
 
 use crate::common::pastry_static;
 use crate::report::{f2, ExpTable};
-use past_netsim::summarize;
 use past_pastry::{Config, Id};
 
 /// Parameters for E1.
@@ -75,7 +74,8 @@ pub fn run(p: &Params) -> Result {
     for (i, &n) in p.sizes.iter().enumerate() {
         let seed = p.seed + i as u64;
         let mut sim = pastry_static(n, seed, p.cfg, 2);
-        let mut hops = Vec::with_capacity(p.trials);
+        let (mut total_hops, mut max_hops) = (0u64, 0u32);
+        let mut hop_dist = [0f64; 8];
         let mut correct = 0usize;
         for _ in 0..p.trials {
             let key = Id(sim.engine.rng().random());
@@ -83,24 +83,20 @@ pub fn run(p: &Params) -> Result {
             sim.route(from, key, ());
             let recs = sim.drain_deliveries();
             let rec = recs[0];
-            hops.push(rec.hops as f64);
+            total_hops += u64::from(rec.hops);
+            max_hops = max_hops.max(rec.hops);
+            hop_dist[(rec.hops as usize).min(7)] += 1.0;
             if Some(rec.delivered_at) == sim.true_root(&key).map(|h| h.addr) {
                 correct += 1;
             }
         }
-        let s = summarize(&hops).expect("non-empty");
-        let mut hop_dist = [0f64; 8];
-        for &h in &hops {
-            let idx = (h as usize).min(7);
-            hop_dist[idx] += 1.0;
-        }
         for v in &mut hop_dist {
-            *v /= hops.len() as f64;
+            *v /= p.trials as f64;
         }
         rows.push(Row {
             n,
-            mean_hops: s.mean,
-            max_hops: s.max,
+            mean_hops: total_hops as f64 / p.trials as f64,
+            max_hops: f64::from(max_hops),
             bound: (n as f64).log(p.cfg.cols() as f64).ceil(),
             correct: correct as f64 / p.trials as f64,
             hop_dist,

@@ -5,10 +5,10 @@
 //! the corresponding 'distance' of the source and destination in the
 //! underlying network."
 
-use crate::common::pastry_joined;
+use crate::common::{pastry_joined, pastry_static};
 use crate::report::{f2, ExpTable};
-use past_netsim::Topology;
-use past_pastry::{Config, Id};
+use past_netsim::{Sphere, Topology};
+use past_pastry::{Config, Id, NullApp, PastrySim};
 
 /// Parameters for E3.
 #[derive(Clone, Debug)]
@@ -23,6 +23,10 @@ pub struct Params {
     pub seed: u64,
     /// Pastry configuration.
     pub cfg: Config,
+    /// Network size of the E3b ablation.
+    pub ablation_n: usize,
+    /// Routes per E3b variant.
+    pub ablation_trials: usize,
 }
 
 impl Default for Params {
@@ -33,6 +37,8 @@ impl Default for Params {
             improve_rounds: 2,
             seed: 62,
             cfg: Config::default(),
+            ablation_n: 400,
+            ablation_trials: 300,
         }
     }
 }
@@ -43,6 +49,8 @@ impl Params {
         Params {
             sizes: vec![1_000, 2_500, 5_000],
             trials: 2_000,
+            ablation_n: 1_000,
+            ablation_trials: 600,
             ..Params::default()
         }
     }
@@ -74,30 +82,38 @@ pub fn run(p: &Params) -> Result {
         for _ in 0..p.improve_rounds {
             sim.improve_tables();
         }
-        let mut ratios = Vec::new();
-        let mut hops = 0u64;
-        let mut measured = 0usize;
-        while measured < p.trials {
-            let key = Id(sim.engine.rng().random());
-            let from = sim.engine.rng().random_range(0..n);
-            sim.route(from, key, ());
-            let recs = sim.drain_deliveries();
-            let rec = recs[0];
-            if rec.delivered_at == from {
-                continue; // zero direct distance: ratio undefined
-            }
-            let direct = sim.engine.topology().delay_us(from, rec.delivered_at);
-            ratios.push(rec.path_us as f64 / direct as f64);
-            hops += rec.hops as u64;
-            measured += 1;
-        }
+        let (ratio, mean_hops) = measure(&mut sim, p.trials);
         rows.push(Row {
             n,
-            ratio: ratios.iter().sum::<f64>() / ratios.len() as f64,
-            mean_hops: hops as f64 / measured as f64,
+            ratio,
+            mean_hops,
         });
     }
     Result { rows }
+}
+
+/// Routes `trials` random keys from random origins over an existing
+/// network and returns the mean route-delay / direct-delay ratio and the
+/// mean hops.
+fn measure(sim: &mut PastrySim<NullApp, Sphere>, trials: usize) -> (f64, f64) {
+    let n = sim.engine.len();
+    let (mut ratio_sum, mut hops) = (0.0, 0u64);
+    let mut measured = 0usize;
+    while measured < trials {
+        let key = Id(sim.engine.rng().random());
+        let from = sim.engine.rng().random_range(0..n);
+        sim.route(from, key, ());
+        let recs = sim.drain_deliveries();
+        let rec = recs[0];
+        if rec.delivered_at == from {
+            continue; // zero direct distance: ratio undefined
+        }
+        let direct = sim.engine.topology().delay_us(from, rec.delivered_at);
+        ratio_sum += rec.path_us as f64 / direct as f64;
+        hops += u64::from(rec.hops);
+        measured += 1;
+    }
+    (ratio_sum / trials as f64, hops as f64 / trials as f64)
 }
 
 impl Result {
@@ -133,87 +149,29 @@ pub struct AblationResult {
     pub n: usize,
 }
 
-/// Measures the distance ratio over an existing network.
-fn measure_ratio<A, T>(sim: &mut past_pastry::PastrySim<A, T>, trials: usize) -> f64
-where
-    A: past_pastry::App<Payload = ()>,
-    T: Topology,
-{
-    let n = sim.engine.len();
-    let mut ratios = Vec::new();
-    while ratios.len() < trials {
-        let key = Id(sim.engine.rng().random());
-        let from = sim.engine.rng().random_range(0..n);
-        sim.route(from, key, ());
-        let recs = sim.drain_deliveries();
-        let rec = recs[0];
-        if rec.delivered_at == from {
-            continue;
-        }
-        let direct = sim.engine.topology().delay_us(from, rec.delivered_at);
-        ratios.push(rec.path_us as f64 / direct as f64);
-    }
-    ratios.iter().sum::<f64>() / ratios.len() as f64
-}
-
 /// Runs the E3b ablation: how much of the locality comes from each
 /// mechanism (nearby join contact + proximity-chosen table entries +
-/// maintenance improvement)?
-pub fn run_ablation(n: usize, trials: usize, seed: u64, cfg: Config) -> AblationResult {
-    use crate::common::ids;
-    use past_pastry::{static_build, NullApp, PastrySim};
-    let mut rows = Vec::new();
-
+/// maintenance improvement)? `ablation_n` nodes, `ablation_trials`
+/// routes per variant, seed `seed + 1`.
+pub fn run_ablation(p: &Params) -> AblationResult {
+    let (n, seed, cfg) = (p.ablation_n, p.seed + 1, p.cfg);
+    let row = |variant: &str, mut sim: PastrySim<NullApp, Sphere>| AblationRow {
+        variant: variant.into(),
+        ratio: measure(&mut sim, p.ablation_trials).0,
+    };
     // (a) Full protocol joins + improvement rounds (the real system).
-    {
-        let mut sim = crate::common::pastry_joined(n, seed, cfg);
-        sim.improve_tables();
-        sim.improve_tables();
-        rows.push(AblationRow {
-            variant: "joins + 2 improvement rounds".into(),
-            ratio: measure_ratio(&mut sim, trials),
-        });
-    }
-    // (b) Protocol joins only.
-    {
-        let mut sim = crate::common::pastry_joined(n, seed, cfg);
-        rows.push(AblationRow {
-            variant: "joins only".into(),
-            ratio: measure_ratio(&mut sim, trials),
-        });
-    }
-    // (c) Static build, proximity-chosen entries (8 samples per slot).
-    {
-        let node_ids = ids(n, seed);
-        let mut sim: PastrySim<NullApp, past_netsim::Sphere> = static_build(
-            past_netsim::Sphere::new(n, seed),
-            cfg,
-            seed,
-            &node_ids,
-            |_| NullApp,
-            8,
-        );
-        rows.push(AblationRow {
-            variant: "static, proximity entries".into(),
-            ratio: measure_ratio(&mut sim, trials),
-        });
-    }
-    // (d) Static build, random entries (no locality at all).
-    {
-        let node_ids = ids(n, seed);
-        let mut sim: PastrySim<NullApp, past_netsim::Sphere> = static_build(
-            past_netsim::Sphere::new(n, seed),
-            cfg,
-            seed,
-            &node_ids,
-            |_| NullApp,
-            1,
-        );
-        rows.push(AblationRow {
-            variant: "static, random entries".into(),
-            ratio: measure_ratio(&mut sim, trials),
-        });
-    }
+    let mut full = pastry_joined(n, seed, cfg);
+    full.improve_tables();
+    full.improve_tables();
+    let rows = vec![
+        row("joins + 2 improvement rounds", full),
+        // (b) Protocol joins only.
+        row("joins only", pastry_joined(n, seed, cfg)),
+        // (c) Static build, proximity-chosen entries (8 samples per slot).
+        row("static, proximity entries", pastry_static(n, seed, cfg, 8)),
+        // (d) Static build, random entries (no locality at all).
+        row("static, random entries", pastry_static(n, seed, cfg, 1)),
+    ];
     AblationResult { rows, n }
 }
 
@@ -236,9 +194,18 @@ impl AblationResult {
 mod tests {
     use super::*;
 
+    /// E3b at N = 300 with 150 routes per variant (seed 63).
+    fn ablation_params() -> Params {
+        Params {
+            ablation_n: 300,
+            ablation_trials: 150,
+            ..Params::default()
+        }
+    }
+
     #[test]
     fn ablation_orders_variants() {
-        let r = run_ablation(300, 150, 63, Config::default());
+        let r = run_ablation(&ablation_params());
         let full = r.rows[0].ratio;
         let none = r.rows[3].ratio;
         assert!(
@@ -271,7 +238,7 @@ mod tests {
             ..Params::default()
         };
         assert_eq!(run(&p).table().to_string(), TABLE_GOLDEN);
-        let ablation = run_ablation(300, 150, 63, Config::default());
+        let ablation = run_ablation(&ablation_params());
         assert_eq!(ablation.table().to_string(), ABLATION_GOLDEN);
     }
 

@@ -80,7 +80,7 @@ pub fn run(p: &Params) -> Result {
             ..Config::default()
         },
         past_cfg,
-        p.capacity,
+        &vec![p.capacity; p.n],
         p.quota,
         BuildMode::ProtocolJoins,
     );

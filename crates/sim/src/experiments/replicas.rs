@@ -81,13 +81,12 @@ pub fn run(p: &Params) -> Result {
         t_div: 0.5,
         ..PastConfig::default()
     };
-    let cap = 1u64 << 40;
     let mut net = past_network(
         p.n,
         p.seed,
         pastry_cfg,
         past_cfg,
-        cap,
+        &vec![1 << 40; p.n],
         u64::MAX / 2,
         BuildMode::ProtocolJoins,
     );

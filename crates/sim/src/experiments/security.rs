@@ -76,7 +76,7 @@ fn fresh_net(p: &Params, seed_offset: u64) -> past_core::PastNetwork<past_netsim
             t_div: 0.5,
             ..PastConfig::default()
         },
-        1 << 30,
+        &vec![1 << 30; p.n],
         u64::MAX / 2,
         BuildMode::ProtocolJoins,
     )

@@ -10,7 +10,7 @@
 //! ablates the two diversion mechanisms (replica diversion, file
 //! diversion).
 
-use crate::common::past_network_caps;
+use crate::common::past_network;
 use crate::report::{bytes, f2, pct, ExpTable};
 use past_core::{BuildMode, ContentRef, PastConfig, PastOut};
 use past_crypto::rng::Rng;
@@ -112,7 +112,7 @@ fn run_variant(p: &Params, label: &str, past_cfg: PastConfig) -> Row {
         neighborhood_len: 16,
         ..Config::default()
     };
-    let mut net = past_network_caps(
+    let mut net = past_network(
         p.n,
         p.seed,
         pastry_cfg,
