@@ -25,10 +25,14 @@
 //! 125554201), and the trace fingerprint is taken over the canonically
 //! sorted merged trace (12498307569152895729 → 17485865740586999351).
 //! The three goldens that draw no protocol randomness did not move.
+//!
+//! `golden_static_build_state` pins the static builder's output itself:
+//! every node's leaf set, routing table and neighbourhood set, plus the
+//! RNG draw that follows the build, on several topologies and shapes.
 
 use past_crypto::rng::Rng;
-use past_netsim::{FaultConfig, Sphere, TraceConfig};
-use past_pastry::{random_ids, static_build, Config, Id, NullApp, PastrySim};
+use past_netsim::{FaultConfig, Plane, Sphere, Topology, TraceConfig, TransitStub};
+use past_pastry::{random_ids, static_build, Config, Id, NodeHandle, NullApp, PastrySim};
 
 const N: usize = 512;
 const ROUTES: usize = 1_000;
@@ -174,4 +178,145 @@ fn golden_protocol_joins() {
          hist=[2, 68, 629, 301] \
          total_msgs=23847 total_bytes=1840034 now_us=256385578"
     );
+}
+
+/// FNV-1a over 64-bit words: the fold behind [`static_state_digest`].
+fn fold(h: &mut u64, word: u64) {
+    for byte in word.to_le_bytes() {
+        *h ^= u64::from(byte);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+fn fold_handle(h: &mut u64, handle: NodeHandle) {
+    fold(h, handle.id.0 as u64);
+    fold(h, (handle.id.0 >> 64) as u64);
+    fold(h, handle.addr as u64);
+}
+
+/// Every node's leaf halves, table slots and neighbourhood members (in
+/// order), then the engine RNG's next draw, folded into one number. A
+/// rewrite of the static builder must leave this unchanged: same state,
+/// same RNG stream consumed.
+fn static_state_digest<T: Topology>(sim: &mut PastrySim<NullApp, T>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for node in &sim.snapshot_overlay().nodes {
+        fold(&mut h, node.addr as u64);
+        for half in [&node.leaf_smaller, &node.leaf_larger] {
+            fold(&mut h, half.len() as u64);
+            for &m in half {
+                fold_handle(&mut h, m);
+            }
+        }
+        fold(&mut h, node.table_slots.len() as u64);
+        for &(row, col, m) in &node.table_slots {
+            fold(&mut h, row as u64);
+            fold(&mut h, col as u64);
+            fold_handle(&mut h, m);
+        }
+        let nbrs: Vec<NodeHandle> = sim
+            .engine
+            .node(node.addr)
+            .state
+            .neighborhood
+            .members()
+            .collect();
+        fold(&mut h, nbrs.len() as u64);
+        for m in nbrs {
+            fold_handle(&mut h, m);
+        }
+    }
+    let next: u64 = sim.engine.rng().random();
+    fold(&mut h, next);
+    h
+}
+
+fn state_of<T: Topology>(topo: T, cfg: Config, seed: u64, ids: &[Id], samples: usize) -> u64 {
+    let mut sim = static_build(topo, cfg, seed, ids, |_| NullApp, samples);
+    static_state_digest(&mut sim)
+}
+
+/// `n` distinct ids drawn from three clusters that share their top 96
+/// bits: 24 common digits at `b = 4`, so rows run deep and the builder
+/// walks long runs of nodes with equal row prefixes.
+fn clustered_ids(n: usize, seed: u64) -> Vec<Id> {
+    let mut rng = Rng::seed_from_u64(seed);
+    let bases: Vec<u128> = (0..3)
+        .map(|_| rng.random::<u128>() & !0xffff_ffff)
+        .collect();
+    let mut seen = std::collections::BTreeSet::new();
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        let id = bases[out.len() % 3] | u128::from(rng.random::<u32>());
+        if seen.insert(id) {
+            out.push(Id(id));
+        }
+    }
+    out
+}
+
+/// The static builder's full output state, pinned per case: plain
+/// sphere, a 60 ms delay floor (every candidate ties, so the first
+/// minimal draw must win), `b = 2`, the two topologies that take the
+/// default `delays_us`, clustered ids, and the tiny rings.
+#[test]
+fn golden_static_build_state() {
+    const BIG: usize = 4_096;
+    let ids = |n: usize, seed: u64| random_ids(n, &mut Rng::seed_from_u64(seed));
+    let cfg = Config::default();
+    let narrow = Config {
+        b: 2,
+        leaf_len: 8,
+        ..Config::default()
+    };
+    let got = [
+        (
+            "sphere",
+            state_of(Sphere::new(BIG, 11), cfg, 11, &ids(BIG, 11), 3),
+        ),
+        (
+            "sphere_floor_60ms",
+            state_of(
+                Sphere::with_delay_floor(BIG, 12, 60_000),
+                cfg,
+                12,
+                &ids(BIG, 12),
+                4,
+            ),
+        ),
+        (
+            "b2_leaf8",
+            state_of(Sphere::new(BIG, 13), narrow, 13, &ids(BIG, 13), 3),
+        ),
+        (
+            "plane",
+            state_of(Plane::new(BIG, 14, 60_000), cfg, 14, &ids(BIG, 14), 3),
+        ),
+        (
+            "transit_stub",
+            state_of(TransitStub::new(BIG, 15, 8, 8), cfg, 15, &ids(BIG, 15), 3),
+        ),
+        (
+            "clustered",
+            state_of(Sphere::new(BIG, 16), cfg, 16, &clustered_ids(BIG, 16), 3),
+        ),
+        ("n1", state_of(Sphere::new(1, 17), cfg, 17, &ids(1, 17), 3)),
+        ("n2", state_of(Sphere::new(2, 18), cfg, 18, &ids(2, 18), 3)),
+        (
+            "n17",
+            state_of(Sphere::new(17, 19), cfg, 19, &ids(17, 19), 3),
+        ),
+    ];
+    let want: [(&str, u64); 9] = [
+        ("sphere", 4551416465307007714),
+        ("sphere_floor_60ms", 6154463304276022461),
+        ("b2_leaf8", 9477837212366338002),
+        ("plane", 15928688293455773697),
+        ("transit_stub", 13981307399864160805),
+        ("clustered", 11089202389640558859),
+        ("n1", 3101926204610315667),
+        ("n2", 1985974936022711751),
+        ("n17", 3030254176838904889),
+    ];
+    assert_eq!(got, want, "static build state moved");
 }
