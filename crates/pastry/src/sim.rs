@@ -402,6 +402,19 @@ where
 
 /// The body of [`static_build`], for an empty overlay the caller
 /// constructed (a PAST network fills one with its own applications).
+///
+/// Nodes are visited in ring order. Each node lists its leaf positions,
+/// then draws `locality_samples` candidates per routing-table cell and
+/// its neighbourhood sample from the engine RNG, asks the topology for
+/// all of their delays in one [`Topology::delays_us`] call, and only then
+/// writes its state: leaves through `add_node`, the first nearest
+/// candidate of each cell, then the neighbourhood sample.
+///
+/// # Panics
+///
+/// Panics if the overlay is not empty, if `locality_samples` is zero, if
+/// two addresses carry the same id (both would claim the same keys), or
+/// if an address does not fit in 32 bits.
 pub fn populate_static<A, T, F>(
     sim: &mut PastrySim<A, T>,
     ids: &[Id],
@@ -416,6 +429,10 @@ pub fn populate_static<A, T, F>(
     assert!(locality_samples >= 1);
     let cfg = sim.cfg;
     let n = ids.len();
+    assert!(
+        u32::try_from(n).is_ok(),
+        "static build: {n} nodes exceed u32 addresses"
+    );
     // One allocation per struct-of-arrays column up front: at 100k+
     // nodes the incremental doubling during the push loop is measurable.
     sim.engine.reserve_nodes(n);
@@ -423,101 +440,143 @@ pub fn populate_static<A, T, F>(
         sim.push_node(id, mk_app(addr), true);
     }
 
-    // Ring order.
-    let mut sorted: Vec<NodeHandle> = ids
+    // Ring order, as two packed columns; a handle is built only for an
+    // entry that lands in some node's state (`ids` is indexed by address).
+    let mut ring: Vec<(u128, u32)> = ids
         .iter()
         .enumerate()
-        .map(|(addr, &id)| NodeHandle::new(id, addr))
+        .map(|(addr, id)| (id.0, addr as u32))
         .collect();
-    sorted.sort_by_key(|h| h.id.0);
-    let sorted_ids: Vec<u128> = sorted.iter().map(|h| h.id.0).collect();
+    // By id, then address: a repeated id names its lower address first.
+    ring.sort_unstable();
+    for w in ring.windows(2) {
+        assert!(
+            w[0].0 < w[1].0,
+            "static build: addresses {} and {} share id {}",
+            w[0].1,
+            w[1].1,
+            Id(w[0].0),
+        );
+    }
+    let (ring_ids, ring_addrs): (Vec<u128>, Vec<u32>) = ring.into_iter().unzip();
+    let handle = |a: Addr| NodeHandle::new(ids[a], a);
 
     let half = cfg.leaf_len / 2;
     let digits = cfg.digits();
-    let b = cfg.b;
+    let cols = cfg.cols();
+    let sample = (cfg.neighborhood_len * 2).min(n.saturating_sub(1));
+    // Row `r`'s column starts in ring positions, `cols + 1` per row (the
+    // last closes the row's span). Rows `0..fresh_rows` were computed
+    // for a prefix the current node shares, so ring neighbours reuse all
+    // but their last rows.
+    let mut bounds = vec![0usize; digits * (cols + 1)];
+    let mut fresh_rows = 0;
+    // Per node: the addresses of its leaves, its table candidates (one
+    // run of `locality_samples` per cell) and its neighbourhood sample,
+    // and the delays to all of them.
+    let mut to: Vec<Addr> = Vec::new();
+    let mut delays: Vec<u64> = Vec::new();
 
     for pos in 0..n {
-        let me = sorted[pos];
-        let addr = me.addr;
+        let me = Id(ring_ids[pos]);
+        let addr = ring_addrs[pos] as Addr;
+        if pos > 0 {
+            let shared = Id(ring_ids[pos - 1]).prefix_len(&me, cfg.b);
+            fresh_rows = fresh_rows.min(shared + 1);
+        }
+        to.clear();
 
         // Leaf set: l/2 ring successors and predecessors.
-        let mut leaf_changes = Vec::new();
-        for step in 1..=half.min(n.saturating_sub(1)) {
-            leaf_changes.push(sorted[(pos + step) % n]);
-            leaf_changes.push(sorted[(pos + n - step) % n]);
+        for step in 1..=half.min(n - 1) {
+            to.push(ring_addrs[(pos + step) % n] as Addr);
+            to.push(ring_addrs[(pos + n - step) % n] as Addr);
         }
-        for h in leaf_changes {
-            let prox = sim.engine.topology().delay_us(addr, h.addr);
-            sim.engine.node_mut(addr).state.add_node(h, prox);
-        }
+        let leaves = to.len();
 
-        // Routing table, row by row, using binary search over the sorted
-        // ring for each prefix range.
+        // Routing table: row by row, down the span of ids that share
+        // `row` digits with me, until nobody else does.
+        let mut span = (0, n);
         for row in 0..digits {
-            // Range of ids sharing `row` digits with me.
-            let shift = 128 - (row + 1) * b as usize;
-            let prefix_mask: u128 = if row == 0 {
-                0
-            } else {
-                (!0u128) << (128 - row * b as usize)
-            };
-            let own_base = me.id.0 & prefix_mask;
-            let own_digit = me.id.digit(row, b) as usize;
-            // If nobody else shares our first `row` digits, stop.
-            let span_lo = sorted_ids.partition_point(|&x| x < own_base);
-            let span_hi = if row == 0 {
-                n
-            } else {
-                let top = own_base | !prefix_mask;
-                sorted_ids.partition_point(|&x| x <= top)
-            };
-            if span_hi - span_lo <= 1 {
+            if span.1 - span.0 <= 1 {
                 break;
             }
-            for col in 0..cfg.cols() {
-                if col == own_digit {
+            let row_bounds = &mut bounds[row * (cols + 1)..(row + 1) * (cols + 1)];
+            if row >= fresh_rows {
+                column_bounds(&ring_ids, span, me, row, cfg.b, row_bounds);
+                fresh_rows = row + 1;
+            }
+            let own_digit = me.digit(row, cfg.b) as usize;
+            for col in 0..cols {
+                let (lo, hi) = (row_bounds[col], row_bounds[col + 1]);
+                if col == own_digit || lo >= hi {
                     continue;
                 }
-                let base = own_base | ((col as u128) << shift);
-                let top = base | ((1u128 << shift) - 1);
-                let lo = sorted_ids.partition_point(|&x| x < base);
-                let hi = sorted_ids.partition_point(|&x| x <= top);
-                if lo >= hi {
-                    continue;
-                }
-                // Pick the proximity-nearest of a few random candidates.
-                let mut best: Option<(u64, NodeHandle)> = None;
                 for _ in 0..locality_samples {
-                    let idx = {
-                        let rng = sim.engine.rng();
-                        rng.random_range(lo..hi)
-                    };
-                    let cand = sorted[idx];
-                    let d = sim.engine.topology().delay_us(addr, cand.addr);
-                    if best.map(|(bd, _)| d < bd).unwrap_or(true) {
-                        best = Some((d, cand));
-                    }
-                }
-                if let Some((d, cand)) = best {
-                    sim.engine.node_mut(addr).state.table.consider(cand, d);
+                    let at = sim.engine.rng().random_range(lo..hi);
+                    to.push(ring_addrs[at] as Addr);
                 }
             }
+            span = (row_bounds[own_digit], row_bounds[own_digit + 1]);
         }
 
-        // Neighborhood set: nearest of a modest random sample.
-        let sample = (cfg.neighborhood_len * 2).min(n.saturating_sub(1));
+        let cells_end = to.len();
+
+        // Neighbourhood set: nearest of a modest random sample.
         for _ in 0..sample {
-            let other = {
-                let rng = sim.engine.rng();
-                rng.random_range(0..n)
-            };
-            if other == addr {
-                continue;
-            }
-            let h = NodeHandle::new(ids[other], other);
-            let d = sim.engine.topology().delay_us(addr, other);
-            sim.engine.node_mut(addr).state.neighborhood.consider(h, d);
+            to.push(sim.engine.rng().random_range(0..n));
         }
+
+        delays.clear();
+        sim.engine.topology().delays_us(addr, &to, &mut delays);
+
+        let st = &mut sim.engine.node_mut(addr).state;
+        for (&a, &d) in to[..leaves].iter().zip(&delays) {
+            st.add_node(handle(a), d);
+        }
+        // Each cell keeps the first of its nearest candidates.
+        let cell_delays = delays[leaves..cells_end].chunks_exact(locality_samples);
+        for (cands, ds) in to[leaves..cells_end]
+            .chunks_exact(locality_samples)
+            .zip(cell_delays)
+        {
+            if let Some((i, &d)) = ds.iter().enumerate().min_by_key(|&(_, &d)| d) {
+                st.table.consider(handle(cands[i]), d);
+            }
+        }
+        for (&other, &d) in to[cells_end..].iter().zip(&delays[cells_end..]) {
+            if other != addr {
+                st.neighborhood.consider(handle(other), d);
+            }
+        }
+    }
+}
+
+/// Fills `out` with the ring positions where each column of `row` starts
+/// inside `span`, the run of `ring_ids` sharing `me`'s first `row` digits;
+/// the last entry closes the span. Each start is searched for only past
+/// the previous one.
+fn column_bounds(
+    ring_ids: &[u128],
+    (lo, hi): (usize, usize),
+    me: Id,
+    row: usize,
+    b: u8,
+    out: &mut [usize],
+) {
+    let b = b as usize;
+    let shift = 128 - (row + 1) * b;
+    let prefix = if row == 0 {
+        0
+    } else {
+        me.0 & ((!0u128) << (128 - row * b))
+    };
+    let cols = out.len() - 1;
+    out[0] = lo;
+    out[cols] = hi;
+    for col in 1..cols {
+        let first = prefix | ((col as u128) << shift);
+        let from = out[col - 1];
+        out[col] = from + ring_ids[from..hi].partition_point(|&x| x < first);
     }
 }
 

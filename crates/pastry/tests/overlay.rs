@@ -156,6 +156,17 @@ fn static_build_routes_correctly() {
     }
 }
 
+/// Two addresses with one id would both take full state for it and split
+/// the routes to its keys between them: the builder refuses, naming both.
+#[test]
+#[should_panic(expected = "addresses 3 and 7 share id")]
+fn static_build_rejects_a_repeated_id() {
+    let n = 12;
+    let mut ids = random_ids(n, &mut Rng::seed_from_u64(5));
+    ids[7] = ids[3];
+    static_build(Sphere::new(n, 5), small_cfg(), 5, &ids, |_| NullApp, 2);
+}
+
 /// What a node weighs: a 10 000-node default-config ring holds about
 /// 4 routing-table rows of 16 packed slots, two 9-handle leaf halves
 /// and a 17-entry neighbourhood per node. A stabilize round puts a

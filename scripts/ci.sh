@@ -79,8 +79,11 @@ cargo test --offline -q --release -p past --test wire
 # must hold where overflow checks are off, too. tests/sansio.rs also
 # carries the engine-free overlay life cycle (joins, failure, revival
 # over `step` + `StepIo` only), so that runs optimised here as well.
-echo "== packed routing state + engine-free life cycle, release profile (hostile addresses, saturation, differential)"
-cargo test --offline -q --release -p past-pastry --lib --test sansio
+# tests/determinism.rs and tests/overlay.rs pin the static builder's
+# output state and routes: the benchmark's set-up is that builder,
+# optimised, so its goldens run on the optimised code too.
+echo "== packed routing state, engine-free life cycle, static-build goldens, release profile"
+cargo test --offline -q --release -p past-pastry --lib --test sansio --test determinism --test overlay
 
 # The workspace run above covered the engine, wheel and arena in the
 # debug profile. Run them again optimised, as the benchmark builds them:
