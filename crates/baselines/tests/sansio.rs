@@ -78,7 +78,6 @@ fn chord_non_owner_forwards_one_hop_and_flags_the_final_one() {
         let [Effect::Send {
             to,
             msg: ChordMsg::Lookup(lk),
-            extra_us: 0,
         }] = effects.as_slice()
         else {
             panic!("node {at} did not forward {key:?} exactly once: {effects:?}");
@@ -161,7 +160,6 @@ fn can_non_owner_forwards_one_hop_and_owner_delivers() {
         let [Effect::Send {
             to,
             msg: CanMsg::Lookup(lk),
-            extra_us: 0,
         }] = effects.as_slice()
         else {
             panic!("node {at} did not forward {key:?} exactly once: {effects:?}");

@@ -19,7 +19,8 @@
 //! independently, so `--nodes 100000 --smoke` is the CI scale gate (big
 //! overlay, few routes) and `--nodes 1000000 --smoke` is the
 //! EXPERIMENTS.md million-node run. `--series PATH` writes the run's
-//! flight-recorder series as a `past-series/v1` document.
+//! flight-recorder series as JSONL (`TimeSeries::to_jsonl`), the format
+//! `obsreport` reads.
 
 #![expect(
     clippy::disallowed_types,
@@ -126,7 +127,7 @@ fn routes_and_churn(
 
 /// One full run (build, routes, churn) on the sphere. With `series` the
 /// flight recorder samples the run (observation only: counters are
-/// unaffected) and its `past-series/v1` document is returned.
+/// unaffected) and its JSONL lines are returned.
 fn full_run(
     n: usize,
     routes: usize,
@@ -152,7 +153,7 @@ fn full_run(
         rss_kb: proc_status_kb("VmRSS:"),
     };
     let series_doc = if series {
-        sim.engine.take_tracer().series().map(|s| s.to_json())
+        sim.engine.take_tracer().series().map(|s| s.to_jsonl())
     } else {
         None
     };
@@ -246,8 +247,7 @@ fn main() {
     std::fs::write(&out, format!("{doc}\n")).expect("write bench output");
     if let Some(series_path) = &series {
         let sdoc = series_doc.expect("series was enabled, so the tracer must carry one");
-        json::validate(&sdoc).expect("series output must be valid JSON");
-        std::fs::write(series_path, format!("{sdoc}\n")).expect("write series output");
+        std::fs::write(series_path, sdoc).expect("write series output");
         println!("wrote {series_path}");
     }
     for p in &phases {

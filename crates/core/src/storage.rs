@@ -116,11 +116,6 @@ impl Store {
         }
     }
 
-    /// Number of stored replicas.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
     /// The stored replica for `id`, if any.
     pub fn get(&self, id: &FileId) -> Option<&StoredFile> {
         self.files.get(id)

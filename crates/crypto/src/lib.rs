@@ -42,8 +42,3 @@ pub use stream::StreamCipher;
 pub fn digest256(data: &[u8]) -> Digest256 {
     Digest256(sha256::sha256(data))
 }
-
-/// Convenience: SHA-1 digest of `data` as a [`Digest160`].
-pub fn digest160(data: &[u8]) -> Digest160 {
-    Digest160(sha1::sha1(data))
-}

@@ -75,11 +75,6 @@ impl Rng {
         out
     }
 
-    /// The next raw 32-bit output.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// The next raw 128-bit output.
     pub fn next_u128(&mut self) -> u128 {
         (u128::from(self.next_u64()) << 64) | u128::from(self.next_u64())

@@ -46,6 +46,7 @@ use past_crypto::rng::Rng;
 use past_netsim::{Addr, Topology};
 use past_pastry::{
     next_hop, App, Id, NextHop, NodeSnapshot, OverlaySnapshot, PastrySim, PastryState,
+    MAX_ROUTE_HOPS,
 };
 use std::collections::BTreeMap;
 
@@ -386,7 +387,7 @@ pub fn check_routes<A: App, T: Topology>(sim: &PastrySim<A, T>, keys: &[Id]) -> 
     let mut violations = Vec::new();
     let mut rng = Rng::seed_from_u64(0);
     let mut purged: BTreeMap<Addr, PastryState> = BTreeMap::new();
-    let max_hops = sim.cfg.max_route_hops as usize;
+    let max_hops = MAX_ROUTE_HOPS as usize;
     let starts: Vec<Addr> = sim
         .engine
         .live_addrs()

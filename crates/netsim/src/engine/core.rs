@@ -303,7 +303,7 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
         let mut k = 0;
         for eff in effects.drain(..) {
             match eff {
-                Effect::Send { to, msg, extra_us } => self.inject(at, to, msg, extra_us),
+                Effect::Send { to, msg } => self.inject(at, to, msg, 0),
                 Effect::Timer { delay_us, kind } => self.arm_timer(at, delay_us, kind),
                 Effect::Out(out) => {
                     self.outputs.push((self.now, cur_tie, k, at, out));

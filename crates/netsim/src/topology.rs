@@ -9,63 +9,14 @@
 //! experiments in the companion Pastry paper: nodes are uniform random
 //! points on a sphere and the distance between two nodes is their
 //! great-circle distance.
+//!
+//! A topology is plain immutable data, `Send + Sync`: each delay is
+//! computed from the layout on every call, with no cache behind it.
 
 use past_crypto::rng::Rng;
-use std::cell::RefCell;
 
 /// A node address: an index into the topology.
 pub type Addr = usize;
-
-/// A direct-mapped memo of pairwise delay queries.
-///
-/// Routing and maintenance ask for the same few (node, neighbor) pairs
-/// over and over, and the geometric topologies pay a trig/sqrt per call.
-/// Each slot holds the last (pair, delay) that hashed to it; a hit
-/// returns exactly the value the geometry produced earlier, so this is
-/// purely an evaluation cache — simulation outcomes are bit-identical
-/// with or without it.
-///
-/// Measured on the pastbench workloads' timed sections, it answers 94 %
-/// of queries in `fill_churn`, 71 % in `lossy_churn`, 67 % in `zipf_read`
-/// and 35 % in `overlay_churn`. Bulk queries, whose pairs are mostly new
-/// (the static build's ~22M at 100k nodes), go through
-/// [`Topology::delays_us`], which [`Sphere`] answers without the memo.
-#[derive(Clone)]
-struct DelayMemo {
-    slots: RefCell<Vec<(u64, u64)>>,
-}
-
-const MEMO_SLOTS: usize = 1 << 15;
-/// Sentinel for an empty slot. Never collides with a real key: packed
-/// keys are `(lo << 32) | hi` with `lo < hi`, so all-ones would require
-/// `lo == hi`, and equal addresses short-circuit before the memo.
-const MEMO_EMPTY: u64 = u64::MAX;
-
-impl DelayMemo {
-    fn new() -> DelayMemo {
-        DelayMemo {
-            slots: RefCell::new(vec![(MEMO_EMPTY, 0); MEMO_SLOTS]),
-        }
-    }
-
-    /// Looks up the unordered pair `(a, b)`, `a != b`, computing and
-    /// caching the delay on a miss.
-    fn get_or(&self, a: Addr, b: Addr, compute: impl FnOnce() -> u64) -> u64 {
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        let key = ((lo as u64) << 32) | hi as u64;
-        let slot = (mix64(key) as usize) & (MEMO_SLOTS - 1);
-        {
-            let slots = self.slots.borrow();
-            let entry = slots[slot];
-            if entry.0 == key {
-                return entry.1;
-            }
-        }
-        let d = compute();
-        self.slots.borrow_mut()[slot] = (key, d);
-        d
-    }
-}
 
 /// A source of pairwise one-way delays (the proximity metric).
 pub trait Topology {
@@ -93,41 +44,21 @@ pub trait Topology {
 
 /// Uniform random points on a unit sphere; delay = great-circle distance.
 ///
-/// `max_delay_us` is the delay between antipodal points (default model:
-/// 120 ms round-the-world one-way path).
+/// Antipodal points are 120 ms apart, a round-the-world one-way path.
 #[derive(Clone)]
 pub struct Sphere {
     points: Vec<[f64; 3]>,
-    max_delay_us: u64,
     /// Minimum inter-node delay: geometric delays clamp up to this.
     /// Zero (the default) leaves the geometry untouched.
     floor_us: u64,
-    memo: DelayMemo,
 }
+
+/// The delay between antipodal points on a [`Sphere`].
+const MAX_DELAY_US: u64 = 120_000;
 
 impl Sphere {
     /// Samples `n` uniform points on the sphere.
     pub fn new(n: usize, seed: u64) -> Sphere {
-        Sphere::with_max_delay(n, seed, 120_000)
-    }
-
-    /// Samples `n` points whose pairwise delays are clamped up to
-    /// `floor_us`: the layout is identical to [`Sphere::new`] with the
-    /// same seed, but no two distinct nodes are closer than the floor.
-    ///
-    /// At large `n` the closest sphere pair is only microseconds apart;
-    /// a floor models the reality that even nearby hosts pay a LAN
-    /// round-trip. The lossy-churn invariant scenario and the overlay
-    /// replay suite run on a 2 ms floor, and their goldens were
-    /// recorded there.
-    pub fn with_delay_floor(n: usize, seed: u64, floor_us: u64) -> Sphere {
-        let mut s = Sphere::new(n, seed);
-        s.floor_us = floor_us;
-        s
-    }
-
-    /// Samples `n` points with a custom antipodal delay.
-    pub fn with_max_delay(n: usize, seed: u64, max_delay_us: u64) -> Sphere {
         let mut rng = Rng::seed_from_u64(seed ^ 0x5048_4552_u64);
         let mut points = Vec::with_capacity(n);
         for _ in 0..n {
@@ -147,10 +78,23 @@ impl Sphere {
         }
         Sphere {
             points,
-            max_delay_us,
             floor_us: 0,
-            memo: DelayMemo::new(),
         }
+    }
+
+    /// Samples `n` points whose pairwise delays are clamped up to
+    /// `floor_us`: the layout is identical to [`Sphere::new`] with the
+    /// same seed, but no two distinct nodes are closer than the floor.
+    ///
+    /// At large `n` the closest sphere pair is only microseconds apart;
+    /// a floor models the reality that even nearby hosts pay a LAN
+    /// round-trip. The lossy-churn invariant scenario and the overlay
+    /// replay suite run on a 2 ms floor, and their goldens were
+    /// recorded there.
+    pub fn with_delay_floor(n: usize, seed: u64, floor_us: u64) -> Sphere {
+        let mut s = Sphere::new(n, seed);
+        s.floor_us = floor_us;
+        s
     }
 
     /// The dot product of the points at `a` and `b` (the cosine of their
@@ -166,7 +110,7 @@ impl Sphere {
         let angle = dot.clamp(-1.0, 1.0).acos(); // in [0, pi]
         let frac = angle / std::f64::consts::PI;
         // Add 1 to keep distinct nodes at non-zero delay.
-        ((frac * self.max_delay_us as f64) as u64 + 1).max(self.floor_us)
+        ((frac * MAX_DELAY_US as f64) as u64 + 1).max(self.floor_us)
     }
 }
 
@@ -179,13 +123,12 @@ impl Topology for Sphere {
         if a == b {
             return 0;
         }
-        self.memo.get_or(a, b, || self.delay_of_dot(self.dot(a, b)))
+        self.delay_of_dot(self.dot(a, b))
     }
 
     /// Two passes: every dot product first, so the random loads of
     /// `points[b]` overlap instead of each waiting behind an `acos`, then
-    /// the `acos` pass. The memo is neither read nor filled: a batch's
-    /// pairs are mostly new.
+    /// the `acos` pass.
     fn delays_us(&self, a: Addr, to: &[Addr], out: &mut Vec<u64>) {
         let start = out.len();
         // The first pass parks each dot product's bits in its output slot.
@@ -205,7 +148,6 @@ impl Topology for Sphere {
 pub struct Plane {
     points: Vec<[f64; 2]>,
     scale_us: f64,
-    memo: DelayMemo,
 }
 
 impl Plane {
@@ -218,7 +160,6 @@ impl Plane {
         Plane {
             points,
             scale_us: diag_delay_us as f64 / std::f64::consts::SQRT_2,
-            memo: DelayMemo::new(),
         }
     }
 }
@@ -232,12 +173,10 @@ impl Topology for Plane {
         if a == b {
             return 0;
         }
-        self.memo.get_or(a, b, || {
-            let pa = self.points[a];
-            let pb = self.points[b];
-            let d = ((pa[0] - pb[0]).powi(2) + (pa[1] - pb[1]).powi(2)).sqrt();
-            (d * self.scale_us) as u64 + 1
-        })
+        let pa = self.points[a];
+        let pb = self.points[b];
+        let d = ((pa[0] - pb[0]).powi(2) + (pa[1] - pb[1]).powi(2)).sqrt();
+        (d * self.scale_us) as u64 + 1
     }
 }
 
@@ -382,10 +321,10 @@ mod tests {
 
     #[test]
     fn sphere_bounded_by_antipodal() {
-        let s = Sphere::with_max_delay(100, 7, 120_000);
+        let s = Sphere::new(100, 7);
         for a in 0..100 {
             for b in 0..100 {
-                assert!(s.delay_us(a, b) <= 120_001);
+                assert!(s.delay_us(a, b) <= MAX_DELAY_US + 1);
             }
         }
     }
@@ -475,6 +414,18 @@ mod tests {
         check_batch(&Plane::new(64, 2, 60_000));
         check_batch(&TransitStub::new(64, 3, 4, 4));
         check_batch(&UniformRandom::new(64, 4, 1_000, 50_000));
+    }
+
+    /// Topologies are plain data: no interior cache, so a layout can be
+    /// shared across threads. The check is the type bound: a topology
+    /// that is not `Send + Sync` fails to compile here.
+    #[test]
+    fn topologies_are_send_and_sync() {
+        fn plain_data<T: Send + Sync>() {}
+        plain_data::<Sphere>();
+        plain_data::<Plane>();
+        plain_data::<TransitStub>();
+        plain_data::<UniformRandom>();
     }
 
     #[test]

@@ -129,12 +129,6 @@ impl<'a, 'b, P: Clone + PayloadSize, O> AppCtx<'a, 'b, P, O> {
         self.io.send(to, PastryMsg::AppDirect { payload });
     }
 
-    /// Sends `payload` directly with additional local processing delay.
-    pub fn send_direct_after(&mut self, to: Addr, payload: P, extra_us: u64) {
-        self.io
-            .send_after(to, PastryMsg::AppDirect { payload }, extra_us);
-    }
-
     /// Arms an application timer (delivered via [`App::on_timer`]).
     pub fn set_app_timer(&mut self, delay_us: u64, kind: u64) {
         self.io

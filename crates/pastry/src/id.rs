@@ -91,14 +91,18 @@ pub struct Config {
     /// distribution is heavily biased towards the best choice"). `0.0`
     /// disables randomization.
     pub route_randomization: f64,
-    /// Hop TTL on routed messages. Legitimate routes take O(log N) hops;
-    /// the TTL only fires when overlapping failures leave leaf sets
-    /// inconsistent enough for a routing cycle (the situation behind the
-    /// paper's "eventual delivery is guaranteed unless ⌊l/2⌋ adjacent
-    /// nodes fail" caveat). Such messages are dropped and the client
-    /// retries.
-    pub max_route_hops: u32,
 }
+
+/// Hop TTL on routed messages. Legitimate routes take O(log N) hops;
+/// the TTL only fires when overlapping failures leave leaf sets
+/// inconsistent enough for a routing cycle (the situation behind the
+/// paper's "eventual delivery is guaranteed unless ⌊l/2⌋ adjacent
+/// nodes fail" caveat). Such messages are dropped and the client
+/// retries.
+pub const MAX_ROUTE_HOPS: u32 = 128;
+
+// The TTL must allow legitimate routes.
+const _: () = assert!(MAX_ROUTE_HOPS >= 8);
 
 impl Default for Config {
     fn default() -> Config {
@@ -107,7 +111,6 @@ impl Default for Config {
             leaf_len: 16,
             neighborhood_len: 16,
             route_randomization: 0.0,
-            max_route_hops: 128,
         }
     }
 }
@@ -121,7 +124,6 @@ impl Config {
             leaf_len: 32,
             neighborhood_len: 32,
             route_randomization: 0.0,
-            max_route_hops: 128,
         }
     }
 
@@ -155,7 +157,6 @@ impl Config {
             (0.0..=1.0).contains(&self.route_randomization),
             "randomization must be a probability"
         );
-        assert!(self.max_route_hops >= 8, "TTL must allow legitimate routes");
     }
 }
 

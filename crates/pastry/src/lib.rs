@@ -47,7 +47,7 @@ pub mod wire;
 
 pub use app::{App, AppCtx, NullApp, PastryOut, RouteInfo};
 pub use handle::NodeHandle;
-pub use id::{Config, Id};
+pub use id::{Config, Id, MAX_ROUTE_HOPS};
 pub use leafset::{LeafInsert, LeafSet, Side};
 pub use msg::{JoinReply, JoinRequest, PastryMsg, PayloadSize, RouteEnvelope};
 pub use node::{Behavior, PastryNode, RecoveryConfig, APP_TIMER_BASE};

@@ -16,7 +16,7 @@
 
 use crate::app::{App, AppCtx, PastryOut, RouteInfo};
 use crate::handle::NodeHandle;
-use crate::id::Config;
+use crate::id::{Config, MAX_ROUTE_HOPS};
 use crate::msg::{JoinReply, JoinRequest, PastryMsg, PayloadSize, RouteEnvelope};
 use crate::route::{next_hop, NextHop};
 use crate::state::PastryState;
@@ -254,7 +254,7 @@ impl<A: App> PastryNode<A> {
 
     /// Routes or delivers an envelope currently held by this node.
     fn route_env(&mut self, mut env: RouteEnvelope<A::Payload>, io: &mut PastryIo<'_, A>) {
-        if env.hops > self.state.cfg.max_route_hops {
+        if env.hops > MAX_ROUTE_HOPS {
             // A cycle through inconsistent (failure-damaged) state; drop
             // and let the client retry after repair.
             let (now, me) = (io.now_us(), io.me());
@@ -431,7 +431,7 @@ impl<A: App> PastryNode<A> {
                 // Decide before learning the joiner, so we never forward
                 // the join to the joiner itself. Past the hop TTL (cycle
                 // through damaged state), answer as Z instead of looping.
-                let decision = if req.hops > self.state.cfg.max_route_hops {
+                let decision = if req.hops > MAX_ROUTE_HOPS {
                     NextHop::DeliverHere
                 } else {
                     next_hop(&self.state, &joiner.id, io.rng())

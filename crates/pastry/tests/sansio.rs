@@ -318,9 +318,9 @@ impl Ring {
         let ret = f(&mut self.nodes[at], &mut io);
         for effect in effects {
             match effect {
-                Effect::Send { to, msg, extra_us } => {
+                Effect::Send { to, msg } => {
                     let input = Input::Message { from: at, msg };
-                    self.post(self.now + delay(at, to) + extra_us, at, to, input);
+                    self.post(self.now + delay(at, to), at, to, input);
                 }
                 Effect::Timer { delay_us, kind } => {
                     self.post(self.now + delay_us, at, at, Input::Timer { kind });

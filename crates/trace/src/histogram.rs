@@ -1,7 +1,5 @@
 //! Fixed-bucket integer histograms with exact rank-based percentiles.
 
-use crate::json;
-
 /// A fixed-bucket integer histogram with a saturating last bucket.
 ///
 /// Values land in bucket `min(v / width, n - 1)`; the final bucket
@@ -86,29 +84,6 @@ impl Histogram {
             }
         }
         Some((self.buckets.len() as u64 - 1) * self.width)
-    }
-
-    pub(crate) fn to_json(&self) -> String {
-        let (p50, p95, p99) = (
-            self.percentile(50).unwrap_or(0),
-            self.percentile(95).unwrap_or(0),
-            self.percentile(99).unwrap_or(0),
-        );
-        json::Obj::new()
-            .int("width", self.width)
-            .int("count", self.count)
-            .int("p50", p50)
-            .int("p95", p95)
-            .int("p99", p99)
-            // Clipped upper percentiles are invisible in the numbers
-            // alone; readers must be able to see the last bucket
-            // saturated without re-deriving it from `buckets`.
-            .bool("saturated", self.saturated())
-            .raw(
-                "buckets",
-                &json::array(self.buckets.iter().map(|c| c.to_string())),
-            )
-            .build()
     }
 }
 

@@ -1,11 +1,11 @@
 //! Minimal JSON emission and validation.
 //!
-//! Both the trace/metrics exports of this crate and the bench binaries'
-//! `BENCH_*.json` documents (re-exported as `past_bench::json`) are
-//! produced through this module. The workspace is hermetic (no serde),
-//! so it provides the ~hundred lines actually needed: an object/array
-//! writer with correct string escaping, and a recursive-descent
-//! validator callers run over their own output before writing it.
+//! The bench binaries' `BENCH_*.json` documents (re-exported as
+//! `past_bench::json`) are produced through this module. The workspace
+//! is hermetic (no serde), so it provides the ~hundred lines actually
+//! needed: an object/array writer with correct string escaping, and a
+//! recursive-descent validator callers run over their own output before
+//! writing it.
 
 /// Escapes a string for inclusion in a JSON document (quotes included).
 pub fn quote(s: &str) -> String {
@@ -57,12 +57,6 @@ impl Obj {
     /// Adds an integer field.
     pub fn int(mut self, k: &str, v: u64) -> Obj {
         self.key(k).push_str(&v.to_string());
-        self
-    }
-
-    /// Adds a boolean field.
-    pub fn bool(mut self, k: &str, v: bool) -> Obj {
-        self.key(k).push_str(if v { "true" } else { "false" });
         self
     }
 

@@ -1,7 +1,6 @@
 //! The metrics registry the tracer feeds.
 
 use crate::histogram::Histogram;
-use crate::json;
 
 /// The metrics registry: per-kind message counters and the standard
 /// latency/hop/retry histograms. Updated by the [`Tracer`] when
@@ -68,28 +67,5 @@ impl Metrics {
     /// Dead-destination failures per kind, in `Message::KINDS` order.
     pub fn failed_by_kind(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.kind_pairs(&self.failed_by_kind)
-    }
-
-    /// Serializes the registry as one `past-trace/v1` JSON document.
-    pub fn to_json(&self) -> String {
-        let kind_obj = |v: &[u64]| {
-            let mut o = json::Obj::new();
-            for (k, c) in self.kind_pairs(v) {
-                if c > 0 {
-                    o = o.int(k, c);
-                }
-            }
-            o.build()
-        };
-        json::Obj::new()
-            .str("schema", "past-trace/v1")
-            .raw("recv_by_kind", &kind_obj(&self.recv_by_kind))
-            .raw("dropped_by_kind", &kind_obj(&self.dropped_by_kind))
-            .raw("duplicated_by_kind", &kind_obj(&self.duplicated_by_kind))
-            .raw("failed_by_kind", &kind_obj(&self.failed_by_kind))
-            .raw("route_latency_us", &self.route_latency_us.to_json())
-            .raw("hop_count", &self.hop_count.to_json())
-            .raw("retry_count", &self.retry_count.to_json())
-            .build()
     }
 }

@@ -52,24 +52,14 @@ fn percentiles_are_exact_at_width_one() {
 #[test]
 fn percentile_on_saturated_histogram_clips_to_last_bucket() {
     let mut h = Histogram::new(10, 3);
+    h.record(15);
+    assert!(!h.saturated(), "an empty last bucket is not saturated");
     for _ in 0..10 {
         h.record(500); // all land in the saturating bucket at 20+
     }
     assert!(h.saturated());
     assert_eq!(h.percentile(50), Some(20));
     assert_eq!(h.percentile(99), Some(20));
-    assert!(h.to_json().contains("\"saturated\": true"));
-}
-
-#[test]
-fn histogram_json_validates() {
-    let mut h = Histogram::new(2, 4);
-    h.record(0);
-    h.record(3);
-    h.record(5);
-    let doc = h.to_json();
-    json::validate(&doc).expect("histogram JSON must validate");
-    assert!(doc.contains("\"saturated\": false"));
 }
 
 // -- tracer gating -------------------------------------------------
@@ -153,14 +143,6 @@ fn jsonl_lines_are_valid_json_and_fingerprint_is_stable() {
     }
     assert_eq!(t.fingerprint(), build().fingerprint());
     assert_ne!(t.fingerprint(), fnv1a(b""));
-}
-
-#[test]
-fn metrics_json_validates() {
-    let mut t = Tracer::for_kinds(KINDS);
-    t.configure(TraceConfig::full());
-    t.msg_recv(1, OpId::NONE, 0, 1, 0);
-    json::validate(&t.metrics.to_json()).expect("metrics JSON must validate");
 }
 
 /// A same-microsecond lifecycle (op served from the local store)

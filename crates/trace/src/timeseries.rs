@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{fnv1a, json, wfmt, Histogram};
+use crate::{fnv1a, wfmt, Histogram};
 
 /// Flight-recorder configuration: the sampling window, in simulated
 /// microseconds.
@@ -291,43 +291,12 @@ impl TimeSeries {
         }
         out
     }
-
-    /// Serializes the series as one `past-series/v1` JSON document
-    /// (for `BENCH_series.json`-style archives).
-    pub fn to_json(&self) -> String {
-        let windows = json::array(self.windows.iter().map(|(&start, w)| {
-            let mut o = json::Obj::new().int("t", start);
-            for (&k, &v) in &w.counters {
-                o = o.int(k, v);
-            }
-            for (&k, cell) in &w.gauges {
-                o = o.int(k, cell.v);
-            }
-            for (&k, h) in &w.hists {
-                o = o
-                    .int(&format!("{k}_count"), h.count())
-                    .int(&format!("{k}_p50"), h.percentile(50).unwrap_or(0))
-                    .int(&format!("{k}_p95"), h.percentile(95).unwrap_or(0))
-                    .int(&format!("{k}_p99"), h.percentile(99).unwrap_or(0));
-            }
-            for (&k, cell) in &w.diag {
-                o = o.int(k, cell.v);
-            }
-            o.build()
-        }));
-        json::Obj::new()
-            .str("schema", "past-series/v1")
-            .int("window_us", self.window_us)
-            .int("fp", self.fingerprint())
-            .raw("windows", &windows)
-            .build()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze;
+    use crate::{analyze, json};
 
     fn cfg() -> SeriesConfig {
         SeriesConfig::new(1_000)
@@ -432,6 +401,8 @@ mod tests {
         assert_eq!(s.windows().next().unwrap().1.counter("events"), 2);
     }
 
+    /// Every line of both JSONL forms is strict JSON, not only what the
+    /// flat parser accepts.
     #[test]
     fn json_document_validates() {
         let mut s = TimeSeries::new(cfg());
@@ -439,8 +410,11 @@ mod tests {
         s.gauge(700, "depth", 11);
         s.hist(10, "lat", 3);
         s.diag_gauge(700, "mem_arena", 5);
-        let doc = s.to_json();
-        json::validate(&doc).expect("series JSON must validate");
-        assert!(doc.contains("\"schema\": \"past-series/v1\""));
+        for doc in [s.to_jsonl(), s.to_canonical_jsonl()] {
+            assert_eq!(doc.lines().count(), 2);
+            for line in doc.lines() {
+                json::validate(line).expect("series JSONL lines must validate");
+            }
+        }
     }
 }

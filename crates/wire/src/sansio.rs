@@ -150,9 +150,6 @@ pub trait Io<M, O> {
     /// Sends `msg` to `to`.
     fn send(&mut self, to: Addr, msg: M);
 
-    /// Sends `msg` to `to` with additional local processing delay.
-    fn send_after(&mut self, to: Addr, msg: M, extra_us: u64);
-
     /// Arms a timer that fires back into this node after `delay_us`.
     fn set_timer(&mut self, delay_us: u64, kind: u64);
 
@@ -163,14 +160,12 @@ pub trait Io<M, O> {
 /// One collected effect of a pure transition step.
 #[derive(Clone, Debug)]
 pub enum Effect<M, O> {
-    /// Send `msg` to `to` after `extra_us` of local delay.
+    /// Send `msg` to `to`.
     Send {
         /// Destination node.
         to: Addr,
         /// The message.
         msg: M,
-        /// Additional local processing delay.
-        extra_us: u64,
     },
     /// Arm a timer on the stepped node.
     Timer {
@@ -236,15 +231,7 @@ impl<M, O> Io<M, O> for StepIo<'_, M, O> {
     }
 
     fn send(&mut self, to: Addr, msg: M) {
-        self.effects.push(Effect::Send {
-            to,
-            msg,
-            extra_us: 0,
-        });
-    }
-
-    fn send_after(&mut self, to: Addr, msg: M, extra_us: u64) {
-        self.effects.push(Effect::Send { to, msg, extra_us });
+        self.effects.push(Effect::Send { to, msg });
     }
 
     fn set_timer(&mut self, delay_us: u64, kind: u64) {
@@ -281,15 +268,7 @@ mod tests {
         io.send(7, 10);
         io.set_timer(99, 1);
         io.emit("done");
-        io.send_after(8, 11, 4);
-        assert!(matches!(
-            effects[0],
-            Effect::Send {
-                to: 7,
-                msg: 10,
-                extra_us: 0
-            }
-        ));
+        assert!(matches!(effects[0], Effect::Send { to: 7, msg: 10 }));
         assert!(matches!(
             effects[1],
             Effect::Timer {
@@ -298,13 +277,6 @@ mod tests {
             }
         ));
         assert!(matches!(effects[2], Effect::Out("done")));
-        assert!(matches!(
-            effects[3],
-            Effect::Send {
-                to: 8,
-                msg: 11,
-                extra_us: 4
-            }
-        ));
+        assert_eq!(effects.len(), 3);
     }
 }

@@ -35,11 +35,19 @@ cargo build --offline --release --workspace
 echo "== cargo test -q"
 cargo test --offline -q --workspace
 
-# The benchmark runs past-crypto at release optimisation, where a limb
-# carry that debug overflow checks would turn into a panic wraps instead:
-# the arithmetic's tests must pass there too.
-echo "== past-crypto tests, release profile"
-cargo test --offline -q --release -p past-crypto
+# The benchmark builds the workspace at release optimisation, where
+# overflow checks and `debug_assert!`s are off, so the whole suite runs
+# again there. Among what that catches: a limb carry in past-crypto's
+# arithmetic that wraps instead of panicking; the codec's
+# `debug_assert`-guarded `usize -> u16/u32` narrowings (tests/wire.rs:
+# round-trip, goldens, seeded fuzz); the packed routing state's 4-byte
+# addresses and u32 proximities (hostile-address, saturation and
+# differential tests); the static builder's state golden and routes,
+# which pin the benchmark's set-up; and the engine wheel's split tie
+# halves and packed event tags, with the Chord and CAN baselines that
+# `exp e11` steps through it.
+echo "== cargo test -q --release (every crate at the benchmark's optimisation)"
+cargo test --offline -q --release --workspace
 
 # pastbench is a package of its own, outside the workspace: build and
 # run it here so an engine API change cannot break the benchmark
@@ -65,40 +73,10 @@ if awk -v r="$past_rss" -v b="$past_rss_budget_kb_per_node" 'BEGIN { exit !(r ==
 fi
 echo "PAST memory gate: zipf_read rss_kb_per_node ${past_rss} KiB"
 
-# The workspace run above covered tests/wire.rs in the debug profile.
-# Run it again optimised: the codec's `usize -> u16/u32` narrowings are
-# `debug_assert`-guarded and wrap silently only here, and the seeded
-# fuzzer (total decoding, canonical form, non-canonical bools refused)
-# must hold on the code the benchmark builds.
-echo "== codec conformance, release profile (round-trip, goldens, fuzz: total + canonical)"
-cargo test --offline -q --release -p past --test wire
-
-# The packed routing state narrows 8-byte wire addresses to 4 and µs
-# proximities to u32: the hostile-address, saturation and column-bound
-# tests (and the differential tests against the old representation)
-# must hold where overflow checks are off, too. tests/sansio.rs also
-# carries the engine-free overlay life cycle (joins, failure, revival
-# over `step` + `StepIo` only), so that runs optimised here as well.
-# tests/determinism.rs and tests/overlay.rs pin the static builder's
-# output state and routes: the benchmark's set-up is that builder,
-# optimised, so its goldens run on the optimised code too.
-echo "== packed routing state, engine-free life cycle, static-build goldens, release profile"
-cargo test --offline -q --release -p past-pastry --lib --test sansio --test determinism --test overlay
-
-# The workspace run above covered the engine, wheel and arena in the
-# debug profile. Run them again optimised, as the benchmark builds them:
-# the wheel entry's tie split into two `u64` halves and the fieldless
-# tag packed into the event record's `u32` must order and round-trip
-# events where overflow checks and `debug_assert!`s are off. The Chord
-# and CAN baselines ride along: they run through the engine's `StepIo`
-# dispatch optimised when `exp e11` runs them.
-echo "== engine, wheel, arena and baselines, release profile"
-cargo test --offline -q --release -p past-netsim -p past-baselines
-
 echo "== bench smoke (binaries run and emit valid BENCH_*.json)"
 ./target/release/bench_micro --smoke --out target/BENCH_micro.smoke.json
 ./target/release/bench_macro --smoke --out target/BENCH_macro.smoke.json \
-  --series target/BENCH_series.json
+  --series target/BENCH_series.jsonl
 ./target/release/bench_loss --smoke --out target/BENCH_loss.smoke.json
 grep -q '"schema": "past-bench/v1"' target/BENCH_micro.smoke.json
 # The fixed-base rows are what the sign/keygen numbers are read against:
@@ -114,7 +92,9 @@ for row in node_inline node_heap arena wheel per_node_columns gauged rss; do
 done
 grep -q '"peak_rss_kb":' target/BENCH_macro.smoke.json
 grep -q '"schema": "past-bench/v1"' target/BENCH_loss.smoke.json
-grep -q '"schema": "past-series/v1"' target/BENCH_series.json
+# obsreport exits non-zero on a series it cannot parse; without
+# --require-slo it only reports the SLOs.
+cargo run --offline -q -p past-trace --bin obsreport -- target/BENCH_series.jsonl
 
 # Scale gate: a 100k-node overlay must build, route, and survive churn
 # inside the wall-clock budget (the budget only catches
