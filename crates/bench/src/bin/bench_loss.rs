@@ -86,7 +86,7 @@ fn run_level(loss: f64, n: usize, files: u64) -> Level {
         &vec![4_000 * MB; n],
         BuildMode::Static,
     );
-    net.sim.set_recovery(RecoveryConfig::default());
+    net.sim.set_recovery(RecoveryConfig);
     // Metrics only: per-kind drop/duplicate attribution without paying
     // for event records.
     net.sim.engine.set_tracing(TraceConfig::metrics_only());

@@ -11,7 +11,7 @@
 //! This file holds the node's parameters, its state and the Pastry
 //! callbacks, which only dispatch: what a node does for its own requests
 //! is in [`crate::client`], what it does for other nodes' files in
-//! [`crate::holder`].
+//! `crate::holder`.
 
 use crate::broker::Broker;
 use crate::cert::ReclaimReceipt;

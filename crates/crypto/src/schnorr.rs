@@ -64,7 +64,7 @@ const G_COMB: [U256; 16] = [
 ];
 
 /// Computes `g^exp mod p` for the generator [`group_g`] with the
-/// fixed-base comb [`G_COMB`]: for bit column 63 down to 0, square the
+/// fixed-base comb `G_COMB`: for bit column 63 down to 0, square the
 /// accumulator and multiply by the entry selected by that bit of each
 /// limb — 63 squarings and at most 64 multiplies for any 256-bit scalar,
 /// against about 330 for `modmath::powmod`, which must build a window

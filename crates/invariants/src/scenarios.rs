@@ -291,7 +291,7 @@ fn drive_lossy_churn(
     net.run();
 
     // Switch the overlay into loss-recovery mode, then turn the faults on.
-    net.sim.set_recovery(RecoveryConfig::default());
+    net.sim.set_recovery(RecoveryConfig);
     net.sim.engine.set_faults(
         FaultConfig {
             loss: 0.05,

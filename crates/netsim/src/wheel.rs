@@ -9,7 +9,7 @@
 //!
 //! ## Layout
 //!
-//! [`LEVELS`] levels of [`SLOTS`] slots each. Level `k` has slot width
+//! `LEVELS` levels of `SLOTS` slots each. Level `k` has slot width
 //! `64^k` microseconds, so level 0 resolves single ticks and the top
 //! level spans the entire `u64` tick range — there is no overflow list
 //! and no horizon. An event at time `t` is filed at the level of the

@@ -50,7 +50,10 @@ pub use handle::NodeHandle;
 pub use id::{Config, Id, MAX_ROUTE_HOPS};
 pub use leafset::{LeafInsert, LeafSet, Side};
 pub use msg::{JoinReply, JoinRequest, PastryMsg, PayloadSize, RouteEnvelope};
-pub use node::{Behavior, PastryNode, RecoveryConfig, APP_TIMER_BASE};
+pub use node::{
+    Behavior, PastryNode, RecoveryConfig, APP_TIMER_BASE, HEARTBEAT_TIMEOUT_US, JOIN_ATTEMPTS,
+    JOIN_TIMEOUT_US, MISSED_ACK_LIMIT,
+};
 pub use route::{next_hop, NextHop};
 pub use sim::{
     populate_static, random_ids, static_build, DeliveryRecord, NodeSnapshot, OverlaySnapshot,

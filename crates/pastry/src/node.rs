@@ -33,43 +33,35 @@ pub const TIMER_JOIN_RETRY: u64 = 3;
 /// Application timers are offset by this base.
 pub const APP_TIMER_BASE: u64 = 1 << 32;
 
-/// Loss-recovery parameters for the maintenance protocol.
-///
-/// `None` (the default on every node) preserves the crash-only behavior:
-/// failure detection relies purely on send-failure notifications, joins
-/// are single-shot, and no extra timers or messages exist — runs without
-/// faults stay bit-identical. With a config installed, heartbeat rounds
-/// track acknowledgments (suspecting silent peers after
-/// [`missed_ack_limit`] quiet rounds), piggyback anti-entropy traffic
-/// that re-teaches state lost to dropped messages, and joins retry with
-/// a deadline.
-///
-/// [`missed_ack_limit`]: RecoveryConfig::missed_ack_limit
-#[derive(Clone, Copy, Debug)]
-pub struct RecoveryConfig {
-    /// How long after a heartbeat round the ack check fires. Must exceed
-    /// a round trip to the farthest leaf-set member.
-    pub heartbeat_timeout_us: u64,
-    /// Consecutive unacknowledged rounds before a peer is suspected dead.
-    pub missed_ack_limit: u32,
-    /// Deadline for one join attempt before the next retry.
-    pub join_timeout_us: u64,
-    /// Join attempts before giving up with [`PastryOut::JoinFailed`].
-    pub join_attempts: u32,
-}
+/// How long after a heartbeat round the ack check fires (loss recovery
+/// only). Must exceed a round trip to the farthest leaf-set member: the
+/// default sphere topology's one-way delay tops out at 120 ms, and
+/// 500 ms clears a round trip with ample jitter room.
+pub const HEARTBEAT_TIMEOUT_US: u64 = 500_000;
+/// Consecutive unacknowledged heartbeat rounds before a peer is
+/// suspected dead (loss recovery only).
+pub const MISSED_ACK_LIMIT: u32 = 3;
+/// Deadline for one join attempt before the next retry (loss recovery
+/// only).
+pub const JOIN_TIMEOUT_US: u64 = 2_000_000;
+/// Join attempts before giving up with [`PastryOut::JoinFailed`] (loss
+/// recovery only).
+pub const JOIN_ATTEMPTS: u32 = 5;
 
-impl Default for RecoveryConfig {
-    fn default() -> RecoveryConfig {
-        RecoveryConfig {
-            // The default sphere topology's one-way delay tops out at
-            // 120 ms; 500 ms clears a round trip with ample jitter room.
-            heartbeat_timeout_us: 500_000,
-            missed_ack_limit: 3,
-            join_timeout_us: 2_000_000,
-            join_attempts: 5,
-        }
-    }
-}
+/// The switch that puts an overlay in loss-recovery mode
+/// ([`PastrySim::set_recovery`](crate::PastrySim::set_recovery)).
+///
+/// Without it (the default on every node) the maintenance protocol is
+/// crash-only: failure detection relies purely on send-failure
+/// notifications, joins are single-shot, and no extra timers or messages
+/// exist — runs without faults stay bit-identical. In recovery mode,
+/// heartbeat rounds track acknowledgments (suspecting silent peers after
+/// [`MISSED_ACK_LIMIT`] quiet rounds), piggyback anti-entropy traffic
+/// that re-teaches state lost to dropped messages, and joins retry with
+/// a deadline. The mode has no parameters: its timings are the
+/// constants above.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RecoveryConfig;
 
 /// An in-flight (possibly retried) join.
 struct PendingJoin {
@@ -80,7 +72,6 @@ struct PendingJoin {
 /// What a node holds only in loss-recovery mode.
 #[derive(Default)]
 struct Recovery {
-    cfg: RecoveryConfig,
     /// Leaf-set peers probed in the current heartbeat round that have not
     /// answered yet.
     awaiting_ack: BTreeSet<Addr>,
@@ -141,10 +132,10 @@ impl<A: App> PastryNode<A> {
         }
     }
 
-    /// Puts this node in loss-recovery mode with `cfg` (or replaces the
-    /// parameters of a node already in it).
-    pub fn set_recovery(&mut self, cfg: RecoveryConfig) {
-        self.recovery.get_or_insert_with(Box::default).cfg = cfg;
+    /// Puts this node in loss-recovery mode (a node already in it keeps
+    /// its recovery state).
+    pub fn set_recovery(&mut self) {
+        self.recovery.get_or_insert_with(Box::default);
     }
 
     /// True if this node currently suspects `addr` of being dead.
@@ -297,7 +288,7 @@ impl<A: App> PastryNode<A> {
                 if !self.app.forward(&self.state, &mut env, next, &mut cx) {
                     return;
                 }
-                if io.tracer().config().routes {
+                if io.tracer().config().routes() {
                     // Prefix-match depth: how many digits of the key this
                     // hop already resolves (computed only when recording).
                     let depth = self.state.me.id.prefix_len(&env.key, self.state.cfg.b) as u32;
@@ -567,7 +558,7 @@ impl<A: App> PastryNode<A> {
                         r.awaiting_ack.insert(addr);
                     }
                     if !members.is_empty() {
-                        io.set_timer(r.cfg.heartbeat_timeout_us, TIMER_HEARTBEAT_CHECK);
+                        io.set_timer(HEARTBEAT_TIMEOUT_US, TIMER_HEARTBEAT_CHECK);
                     }
                 } else {
                     for addr in members {
@@ -582,7 +573,7 @@ impl<A: App> PastryNode<A> {
                 for addr in std::mem::take(&mut r.awaiting_ack) {
                     let missed = r.missed_acks.entry(addr).or_insert(0);
                     *missed += 1;
-                    if *missed >= r.cfg.missed_ack_limit {
+                    if *missed >= MISSED_ACK_LIMIT {
                         suspects.push((addr, *missed));
                         r.missed_acks.remove(&addr);
                     }
@@ -602,7 +593,7 @@ impl<A: App> PastryNode<A> {
                 let Some(pj) = &mut r.pending_join else {
                     return;
                 };
-                if pj.attempts >= r.cfg.join_attempts {
+                if pj.attempts >= JOIN_ATTEMPTS {
                     let attempts = pj.attempts;
                     r.pending_join = None;
                     let (now, me) = (io.now_us(), io.me());
@@ -612,9 +603,9 @@ impl<A: App> PastryNode<A> {
                 }
                 pj.attempts += 1;
                 let phase = if pj.attempts == 1 { "start" } else { "retry" };
-                let (contact, timeout_us) = (pj.contact, r.cfg.join_timeout_us);
+                let contact = pj.contact;
                 self.send_join(contact, phase, io);
-                io.set_timer(timeout_us, TIMER_JOIN_RETRY);
+                io.set_timer(JOIN_TIMEOUT_US, TIMER_JOIN_RETRY);
             }
             _ => {}
         }

@@ -85,9 +85,9 @@ pub struct PastrySim<A: App, T: Topology> {
     pub engine: Engine<PastryNode<A>, T>,
     /// The shared protocol configuration.
     pub cfg: Config,
-    /// Loss-recovery parameters every node is created with; `None`
-    /// (default) keeps the crash-only maintenance protocol.
-    recovery: Option<RecoveryConfig>,
+    /// True once every node (current and future) runs in loss-recovery
+    /// mode; false (default) keeps the crash-only maintenance protocol.
+    recovery: bool,
     /// Live handles sorted by id, rebuilt lazily whenever the engine's
     /// membership epoch moves; `true_root` answers from this index with a
     /// binary search instead of scanning every node per query.
@@ -105,23 +105,18 @@ impl<A: App, T: Topology> PastrySim<A, T> {
         PastrySim {
             engine: Engine::new(topo, Vec::new(), seed),
             cfg,
-            recovery: None,
+            recovery: false,
             root_index: RefCell::new((STALE_EPOCH, Vec::new())),
         }
     }
 
-    /// Installs loss-recovery parameters on every current and future node
+    /// Puts every current and future node in loss-recovery mode
     /// (ack-tracked heartbeats, anti-entropy rounds, join retries).
-    pub fn set_recovery(&mut self, rc: RecoveryConfig) {
-        self.recovery = Some(rc);
+    pub fn set_recovery(&mut self, _: RecoveryConfig) {
+        self.recovery = true;
         for a in 0..self.engine.len() {
-            self.engine.node_mut(a).set_recovery(rc);
+            self.engine.node_mut(a).set_recovery();
         }
-    }
-
-    /// The loss-recovery parameters in force.
-    pub fn recovery(&self) -> Option<RecoveryConfig> {
-        self.recovery
     }
 
     /// Pushes a node with the next address, in the recovery mode in
@@ -130,8 +125,8 @@ impl<A: App, T: Topology> PastrySim<A, T> {
         let me = NodeHandle::new(id, self.engine.len());
         let mut node = PastryNode::new(self.cfg, me, app);
         node.joined = joined;
-        if let Some(rc) = self.recovery {
-            node.set_recovery(rc);
+        if self.recovery {
+            node.set_recovery();
         }
         self.engine.push_node(node)
     }
@@ -153,7 +148,7 @@ impl<A: App, T: Topology> PastrySim<A, T> {
             .act(addr, |node, ctx| node.start_join(contact, ctx));
         self.engine.run_until_quiet(QUIET_BUDGET);
         debug_assert!(
-            self.recovery.is_some() || self.engine.node(addr).joined,
+            self.recovery || self.engine.node(addr).joined,
             "join did not complete"
         );
         addr

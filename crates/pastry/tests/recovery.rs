@@ -5,6 +5,7 @@ use past_crypto::rng::Rng;
 use past_netsim::{FaultConfig, Sphere};
 use past_pastry::{
     random_ids, Config, Id, NullApp, PastryMsg, PastryOut, PastrySim, RecoveryConfig,
+    JOIN_ATTEMPTS, MISSED_ACK_LIMIT,
 };
 
 fn small_cfg() -> Config {
@@ -26,7 +27,7 @@ fn build_with_slots(n: usize, slots: usize, seed: u64) -> PastrySim<NullApp, Sph
     let ids = random_ids(n, &mut rng);
     let topo = Sphere::new(slots, seed);
     let mut sim = PastrySim::new(topo, small_cfg(), seed);
-    sim.set_recovery(RecoveryConfig::default());
+    sim.set_recovery(RecoveryConfig);
     sim.build_by_joins(&ids, |_| NullApp, 8);
     sim
 }
@@ -61,8 +62,7 @@ fn silent_peers_are_suspected_after_missed_ack_limit() {
         },
         7,
     );
-    let limit = RecoveryConfig::default().missed_ack_limit;
-    for round in 0..limit {
+    for round in 0..MISSED_ACK_LIMIT {
         assert!(
             !sim.engine.node(0).suspects(1),
             "suspected too early, round {round}"
@@ -83,7 +83,7 @@ fn proof_of_life_clears_suspicion() {
         },
         7,
     );
-    for _ in 0..RecoveryConfig::default().missed_ack_limit {
+    for _ in 0..MISSED_ACK_LIMIT {
         sim.stabilize();
     }
     assert!(sim.engine.node(0).suspects(1));
@@ -141,7 +141,7 @@ fn join_gives_up_with_explicit_failure_when_all_requests_vanish() {
     );
     let addr = sim.join_node_via(Id(0x00aa_bbcc_dd11_2233), NullApp, 0);
     assert!(!sim.engine.node(addr).joined);
-    let attempts = RecoveryConfig::default().join_attempts;
+    let attempts = JOIN_ATTEMPTS;
     let failed: Vec<u32> = sim
         .engine
         .drain_outputs()

@@ -223,12 +223,18 @@ impl Report {
     }
 }
 
-/// Smallest `h` with `(2^b)^h ≥ n` — the expected routing bound.
+/// Smallest `h` with `(2^b)^h ≥ n` — the expected routing bound. A
+/// radix too wide for `u128` saturates (one hop reaches every node);
+/// `b = 0` reaches no one, so its bound for `n > 1` is `u64::MAX`.
 pub fn hop_bound(n: usize, b: u32) -> u64 {
+    let radix = 1u128.checked_shl(b).unwrap_or(u128::MAX);
+    if radix == 1 {
+        return if n > 1 { u64::MAX } else { 0 };
+    }
     let mut h = 0u64;
     let mut reach = 1u128;
     while reach < n as u128 {
-        reach = reach.saturating_mul(1u128 << b);
+        reach = reach.saturating_mul(radix);
         h += 1;
     }
     h
@@ -426,6 +432,12 @@ mod tests {
         assert_eq!(hop_bound(256, 4), 2);
         assert_eq!(hop_bound(512, 4), 3);
         assert_eq!(hop_bound(512, 1), 9);
+        // Radices too wide for `u128` saturate instead of overflowing.
+        assert_eq!(hop_bound(512, 127), 1);
+        assert_eq!(hop_bound(512, 128), 1);
+        assert_eq!(hop_bound(512, u32::MAX), 1);
+        assert_eq!(hop_bound(1, 128), 0);
+        assert_eq!(hop_bound(2, 0), u64::MAX);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! tracecheck [--b BITS] [--op ID] [--require-clean] TRACE.jsonl
 //! ```
 //!
+//! `BITS` is the overlay's digit width: 1, 2, 4 (the default) or 8.
+//!
 //! Rebuilds per-operation timelines and reports:
 //! - stuck operations (issued but never explicitly terminated),
 //! - successful inserts whose replica fan-out ≠ the requested `k`,
@@ -33,7 +35,8 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--b" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => b = v,
+                // The digit widths `past_pastry::Config::validate` accepts.
+                Some(v @ (1 | 2 | 4 | 8)) => b = v,
                 _ => return usage(),
             },
             "--op" => match args.next().and_then(|v| v.parse().ok()) {

@@ -4,14 +4,14 @@
 //! and flat traffic counters; this crate gives it an *execution
 //! history*. Three pieces:
 //!
-//! - a [`Tracer`] sink recording typed [`TraceEvent`]s (message
-//!   send/recv/drop/duplicate, route hops with prefix-match depth, join
-//!   phases, suspicion, operation lifecycle) stamped with **simulated
-//!   time** — never wall clock — and a causal [`OpId`] so one client
-//!   insert can be reconstructed hop by hop across nodes;
-//! - a [`Metrics`] registry: per-message-kind counters and
-//!   fixed-bucket integer [`Histogram`]s (route latency, hop count,
-//!   retry count) with exact rank-based percentile extraction;
+//! - a [`Tracer`] sink whose hooks (message send/recv/drop/duplicate,
+//!   route hops with prefix-match depth, join phases, suspicion,
+//!   operation lifecycle) each write one JSONL [`TraceRecord`] stamped
+//!   with **simulated time** — never wall clock — and a causal [`OpId`]
+//!   so one client insert can be reconstructed hop by hop across nodes;
+//! - a [`Metrics`] registry: per-message-kind counters and the
+//!   hop-count [`Histogram`], with exact rank-based percentile
+//!   extraction (the flight recorder, [`TimeSeries`], holds the rest);
 //! - the analyzer ([`analyze`] + the `tracecheck` binary) that rebuilds
 //!   per-operation timelines from a JSONL trace and reports stuck
 //!   operations, replica fan-out vs. `k`, and the hop distribution vs.
@@ -58,22 +58,22 @@ impl OpId {
     }
 }
 
-/// Which event classes a [`Tracer`] records.
-///
-/// The all-false default records nothing; `metrics` additionally gates
-/// the counter/histogram registry so a pure event trace stays cheap.
+/// Which record classes a [`Tracer`] writes: one of the four presets
+/// [`off`](TraceConfig::off), [`full`](TraceConfig::full),
+/// [`lifecycle`](TraceConfig::lifecycle) and
+/// [`metrics_only`](TraceConfig::metrics_only).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Per-message events: send, recv, drop, duplicate, dead-dest fail.
-    pub messages: bool,
-    /// Per-hop routing events: hop (with prefix depth), deliver, drop.
-    pub routes: bool,
-    /// Overlay maintenance events: join phases, suspicion.
-    pub overlay: bool,
+    /// Per-message records: send, recv, drop, duplicate, dead-dest fail.
+    messages: bool,
+    /// Per-hop routing records: hop (with prefix depth), deliver, drop.
+    routes: bool,
+    /// Overlay maintenance records: join phases, suspicion.
+    overlay: bool,
     /// Operation lifecycle: start, retry, end, replica stored.
-    pub ops: bool,
-    /// Counter/gauge/histogram registry updates.
-    pub metrics: bool,
+    ops: bool,
+    /// Counter/histogram registry updates.
+    metrics: bool,
 }
 
 impl TraceConfig {
@@ -82,7 +82,7 @@ impl TraceConfig {
         TraceConfig::default()
     }
 
-    /// Records every event class and the metrics registry.
+    /// Records every class and the metrics registry.
     pub fn full() -> TraceConfig {
         TraceConfig {
             messages: true,
@@ -93,7 +93,7 @@ impl TraceConfig {
         }
     }
 
-    /// Operation lifecycle plus routing events — what `tracecheck`
+    /// Operation lifecycle plus routing records — what `tracecheck`
     /// needs to judge liveness, fan-out and the hop bound.
     pub fn lifecycle() -> TraceConfig {
         TraceConfig {
@@ -103,7 +103,7 @@ impl TraceConfig {
         }
     }
 
-    /// Only the metrics registry, no event records.
+    /// Only the metrics registry, no records.
     pub fn metrics_only() -> TraceConfig {
         TraceConfig {
             metrics: true,
@@ -115,157 +115,25 @@ impl TraceConfig {
     pub fn any(&self) -> bool {
         self.messages || self.routes || self.overlay || self.ops || self.metrics
     }
+
+    /// True if per-hop routing records are written (callers skip
+    /// computing a hop's prefix depth otherwise).
+    pub fn routes(&self) -> bool {
+        self.routes
+    }
 }
 
-/// One typed trace event. Message kinds are stored as indices into the
-/// engine's `Message::KINDS` table (the [`Tracer`] holds the table for
-/// name resolution at serialization time).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A message was accounted and scheduled.
-    MsgSend {
-        /// Sender address.
-        from: usize,
-        /// Destination address.
-        to: usize,
-        /// `Message::kind_id()`.
-        kind: usize,
-        /// Wire size in bytes.
-        bytes: u64,
-    },
-    /// A message reached a live destination's handler.
-    MsgRecv {
-        /// Sender address.
-        from: usize,
-        /// Destination address.
-        to: usize,
-        /// `Message::kind_id()`.
-        kind: usize,
-    },
-    /// Fault injection silently dropped a message.
-    MsgDrop {
-        /// Sender address.
-        from: usize,
-        /// Destination address.
-        to: usize,
-        /// `Message::kind_id()`.
-        kind: usize,
-    },
-    /// Fault injection scheduled an extra delivery.
-    MsgDup {
-        /// Sender address.
-        from: usize,
-        /// Destination address.
-        to: usize,
-        /// `Message::kind_id()`.
-        kind: usize,
-    },
-    /// A message reached a dead destination (send-failure bounce).
-    MsgFail {
-        /// Sender address.
-        from: usize,
-        /// Destination address.
-        to: usize,
-        /// `Message::kind_id()`.
-        kind: usize,
-    },
-    /// A node forwarded a routed message one hop closer to the key.
-    RouteHop {
-        /// The forwarding node.
-        node: usize,
-        /// Destination key.
-        key: u128,
-        /// Hop count so far (before this forward).
-        hop: u32,
-        /// Shared-prefix length (in digits) between node id and key.
-        depth: u32,
-    },
-    /// A routed message reached its root and was delivered.
-    RouteDeliver {
-        /// The delivering node.
-        node: usize,
-        /// Destination key.
-        key: u128,
-        /// Total overlay hops taken.
-        hops: u32,
-        /// Accumulated path latency in microseconds.
-        lat_us: u64,
-    },
-    /// A routed message exhausted its TTL and was dropped.
-    RouteDrop {
-        /// The dropping node.
-        node: usize,
-        /// Destination key.
-        key: u128,
-    },
-    /// A node's join protocol changed phase
-    /// (`start`/`retry`/`complete`/`failed`).
-    JoinPhase {
-        /// The joining node.
-        node: usize,
-        /// Phase label.
-        phase: &'static str,
-    },
-    /// A node declared a peer failed after missed heartbeat acks.
-    Suspect {
-        /// The suspecting node.
-        node: usize,
-        /// The suspected peer.
-        peer: usize,
-        /// Consecutive heartbeat rounds without an ack.
-        missed: u32,
-    },
-    /// A client operation (insert/lookup/reclaim) was issued.
-    OpStart {
-        /// The client node.
-        node: usize,
-        /// Operation kind label.
-        kind: &'static str,
-        /// The key the operation targets.
-        key: u128,
-        /// Requested replication factor (0 where not applicable).
-        k: u32,
-    },
-    /// A client operation was retransmitted.
-    OpRetry {
-        /// The client node.
-        node: usize,
-        /// Operation kind label.
-        kind: &'static str,
-        /// Attempt number (1 = first retry).
-        attempt: u32,
-    },
-    /// A client operation terminated explicitly.
-    OpEnd {
-        /// The client node.
-        node: usize,
-        /// Operation kind label.
-        kind: &'static str,
-        /// Success or explicit failure.
-        ok: bool,
-        /// Replicas confirmed (inserts; 0 where not applicable).
-        fanout: u32,
-    },
-    /// A node accepted a replica of a file (directly or via diversion).
-    ReplicaStored {
-        /// The storing node.
-        node: usize,
-        /// The file's routing key.
-        key: u128,
-        /// True if stored through replica diversion.
-        diverted: bool,
-    },
-}
-
-/// A timestamped, operation-attributed trace record.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One trace record: its JSONL line and the key it sorts on. The fields
+/// are declared in sort order, so the derived `Ord` is the canonical
+/// order `(t, causal rank, line)` of [`Tracer::sort_canonical`].
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TraceRecord {
     /// Simulated time in microseconds.
     pub t: u64,
-    /// The operation this record belongs to ([`OpId::NONE`] if none).
-    pub op: OpId,
-    /// The event.
-    pub ev: TraceEvent,
+    /// 0 for `op_start`, 2 for `op_end`, 1 for every other record.
+    rank: u8,
+    /// The flat JSON object, without its newline.
+    pub line: String,
 }
 
 /// FNV-1a 64-bit hash (trace fingerprints).
@@ -321,7 +189,7 @@ impl Tracer {
         }
     }
 
-    /// Sets which event classes are recorded (existing records are
+    /// Sets which record classes are written (existing records are
     /// kept; use [`Tracer::clear`] to reset).
     pub fn configure(&mut self, cfg: TraceConfig) {
         self.cfg = cfg;
@@ -332,7 +200,7 @@ impl Tracer {
         self.cfg
     }
 
-    /// True if any event class is enabled or a series is attached —
+    /// True if any record class is enabled or a series is attached —
     /// engines use this to gate their instrumentation hook calls, so
     /// a series-only tracer (all classes off) must still count as
     /// enabled or the flight recorder would see no message plane.
@@ -378,6 +246,30 @@ impl Tracer {
         }
     }
 
+    /// Writes one record: the common `{"t":…,"op":…,"ev":"…"` head, the
+    /// hook's `fields` (each with its leading comma) and the closing
+    /// brace.
+    fn push(&mut self, t: u64, op: OpId, ev: &str, fields: std::fmt::Arguments<'_>) {
+        let rank = match ev {
+            "op_start" => 0,
+            "op_end" => 2,
+            _ => 1,
+        };
+        let line = format!("{{\"t\":{t},\"op\":{},\"ev\":\"{ev}\"{fields}}}", op.0);
+        self.records.push(TraceRecord { t, rank, line });
+    }
+
+    /// A message-plane record without a size: recv, drop, dup, fail.
+    fn push_msg(&mut self, t: u64, op: OpId, ev: &str, from: usize, to: usize, kind: usize) {
+        let kind = self.kind_name(kind);
+        let fields = format_args!(",\"from\":{from},\"to\":{to},\"kind\":\"{kind}\"");
+        self.push(t, op, ev, fields);
+    }
+
+    fn kind_name(&self, kind: usize) -> &'static str {
+        self.kinds.get(kind).copied().unwrap_or("?")
+    }
+
     // -- message plane -------------------------------------------------
 
     /// A message was accounted and scheduled.
@@ -392,16 +284,10 @@ impl Tracer {
             }
         }
         if self.cfg.messages {
-            self.push(
-                t,
-                op,
-                TraceEvent::MsgSend {
-                    from,
-                    to,
-                    kind,
-                    bytes,
-                },
-            );
+            let kind = self.kind_name(kind);
+            let fields =
+                format_args!(",\"from\":{from},\"to\":{to},\"kind\":\"{kind}\",\"bytes\":{bytes}");
+            self.push(t, op, "send", fields);
         }
     }
 
@@ -415,7 +301,7 @@ impl Tracer {
             s.bump(t, "recv", 1);
         }
         if self.cfg.messages {
-            self.push(t, op, TraceEvent::MsgRecv { from, to, kind });
+            self.push_msg(t, op, "recv", from, to, kind);
         }
     }
 
@@ -429,7 +315,7 @@ impl Tracer {
             s.bump(t, "dropped", 1);
         }
         if self.cfg.messages {
-            self.push(t, op, TraceEvent::MsgDrop { from, to, kind });
+            self.push_msg(t, op, "drop", from, to, kind);
         }
     }
 
@@ -443,44 +329,38 @@ impl Tracer {
             s.bump(t, "duplicated", 1);
         }
         if self.cfg.messages {
-            self.push(t, op, TraceEvent::MsgDup { from, to, kind });
+            self.push_msg(t, op, "dup", from, to, kind);
         }
     }
 
     /// A message hit a dead destination.
     #[inline]
     pub fn msg_fail(&mut self, t: u64, op: OpId, from: usize, to: usize, kind: usize) {
-        if self.cfg.metrics {
-            Metrics::bump(&mut self.metrics.failed_by_kind, kind);
-        }
         if let Some(s) = &mut self.series {
             s.bump(t, "failed_sends", 1);
         }
         if self.cfg.messages {
-            self.push(t, op, TraceEvent::MsgFail { from, to, kind });
+            self.push_msg(t, op, "fail", from, to, kind);
         }
     }
 
     // -- routing plane -------------------------------------------------
 
-    /// A node forwarded a routed message.
+    /// A node forwarded a routed message one hop closer to `key`: `hop`
+    /// hops taken before this forward, `depth` digits of `key` shared
+    /// with the node's id.
     #[inline]
     pub fn route_hop(&mut self, t: u64, op: OpId, node: usize, key: u128, hop: u32, depth: u32) {
         if self.cfg.routes {
-            self.push(
-                t,
-                op,
-                TraceEvent::RouteHop {
-                    node,
-                    key,
-                    hop,
-                    depth,
-                },
+            let fields = format_args!(
+                ",\"node\":{node},\"key\":\"{key:032x}\",\"hop\":{hop},\"depth\":{depth}"
             );
+            self.push(t, op, "hop", fields);
         }
     }
 
-    /// A routed message was delivered at its root.
+    /// A routed message was delivered at its root after `hops` overlay
+    /// hops and `lat_us` of path latency.
     #[inline]
     pub fn route_deliver(
         &mut self,
@@ -493,23 +373,16 @@ impl Tracer {
     ) {
         if self.cfg.metrics {
             self.metrics.hop_count.record(u64::from(hops));
-            self.metrics.route_latency_us.record(lat_us);
         }
         if let Some(s) = &mut self.series {
             s.bump(t, "delivered", 1);
             s.hist(t, "route_latency_us", lat_us);
         }
         if self.cfg.routes {
-            self.push(
-                t,
-                op,
-                TraceEvent::RouteDeliver {
-                    node,
-                    key,
-                    hops,
-                    lat_us,
-                },
+            let fields = format_args!(
+                ",\"node\":{node},\"key\":\"{key:032x}\",\"hops\":{hops},\"lat_us\":{lat_us}"
             );
+            self.push(t, op, "deliver", fields);
         }
     }
 
@@ -517,34 +390,40 @@ impl Tracer {
     #[inline]
     pub fn route_drop(&mut self, t: u64, op: OpId, node: usize, key: u128) {
         if self.cfg.routes {
-            self.push(t, op, TraceEvent::RouteDrop { node, key });
+            let fields = format_args!(",\"node\":{node},\"key\":\"{key:032x}\"");
+            self.push(t, op, "route_drop", fields);
         }
     }
 
     // -- overlay plane -------------------------------------------------
 
-    /// A join protocol phase transition.
+    /// A join protocol phase transition
+    /// (`start`/`retry`/`complete`/`failed`).
     #[inline]
     pub fn join_phase(&mut self, t: u64, node: usize, phase: &'static str) {
         if self.cfg.overlay {
-            self.push(t, OpId::NONE, TraceEvent::JoinPhase { node, phase });
+            let fields = format_args!(",\"node\":{node},\"phase\":\"{phase}\"");
+            self.push(t, OpId::NONE, "join", fields);
         }
     }
 
-    /// A peer was declared failed after missed heartbeat acks.
+    /// A peer was declared failed after `missed` heartbeat rounds
+    /// without an ack.
     #[inline]
     pub fn suspect(&mut self, t: u64, node: usize, peer: usize, missed: u32) {
         if let Some(s) = &mut self.series {
             s.bump(t, "suspicions", 1);
         }
         if self.cfg.overlay {
-            self.push(t, OpId::NONE, TraceEvent::Suspect { node, peer, missed });
+            let fields = format_args!(",\"node\":{node},\"peer\":{peer},\"missed\":{missed}");
+            self.push(t, OpId::NONE, "suspect", fields);
         }
     }
 
     // -- operation plane -----------------------------------------------
 
-    /// A client operation was issued.
+    /// A client operation was issued, asking for `k` replicas (0 where
+    /// not applicable).
     #[inline]
     pub fn op_start(
         &mut self,
@@ -556,33 +435,28 @@ impl Tracer {
         k: u32,
     ) {
         if self.cfg.ops && !op.is_none() {
-            self.push(t, op, TraceEvent::OpStart { node, kind, key, k });
+            let fields = format_args!(
+                ",\"node\":{node},\"kind\":\"{kind}\",\"key\":\"{key:032x}\",\"k\":{k}"
+            );
+            self.push(t, op, "op_start", fields);
         }
     }
 
-    /// A client operation was retransmitted.
+    /// A client operation was retransmitted (`attempt` 1 is the first
+    /// retry).
     #[inline]
     pub fn op_retry(&mut self, t: u64, op: OpId, node: usize, kind: &'static str, attempt: u32) {
-        if self.cfg.metrics {
-            self.metrics.retry_count.record(u64::from(attempt));
-        }
         if let Some(s) = &mut self.series {
             s.bump(t, "retries", 1);
         }
         if self.cfg.ops && !op.is_none() {
-            self.push(
-                t,
-                op,
-                TraceEvent::OpRetry {
-                    node,
-                    kind,
-                    attempt,
-                },
-            );
+            let fields = format_args!(",\"node\":{node},\"kind\":\"{kind}\",\"attempt\":{attempt}");
+            self.push(t, op, "op_retry", fields);
         }
     }
 
-    /// A client operation terminated explicitly.
+    /// A client operation terminated explicitly, with `fanout` replicas
+    /// confirmed (inserts; 0 where not applicable).
     #[inline]
     pub fn op_end(
         &mut self,
@@ -594,20 +468,15 @@ impl Tracer {
         fanout: u32,
     ) {
         if self.cfg.ops && !op.is_none() {
-            self.push(
-                t,
-                op,
-                TraceEvent::OpEnd {
-                    node,
-                    kind,
-                    ok,
-                    fanout,
-                },
+            let fields = format_args!(
+                ",\"node\":{node},\"kind\":\"{kind}\",\"ok\":{ok},\"fanout\":{fanout}"
             );
+            self.push(t, op, "op_end", fields);
         }
     }
 
-    /// A node stored a replica on behalf of an insert.
+    /// A node stored a replica on behalf of an insert (`diverted`: via
+    /// replica diversion).
     #[inline]
     pub fn replica_stored(&mut self, t: u64, op: OpId, node: usize, key: u128, diverted: bool) {
         if let Some(s) = &mut self.series {
@@ -617,25 +486,19 @@ impl Tracer {
             }
         }
         if self.cfg.ops && !op.is_none() {
-            self.push(
-                t,
-                op,
-                TraceEvent::ReplicaStored {
-                    node,
-                    key,
-                    diverted,
-                },
-            );
+            let fields =
+                format_args!(",\"node\":{node},\"key\":\"{key:032x}\",\"diverted\":{diverted}");
+            self.push(t, op, "replica", fields);
         }
     }
 
     /// Sorts the record buffer into the canonical order `(t, causal
-    /// rank, serialized line)`. Records with equal time and equal
-    /// content are identical, so this order depends only on the
-    /// *multiset* of records — two runs that produced the same records
-    /// in different interleavings (e.g. harness records written between
-    /// events rather than inside them) serialize and fingerprint
-    /// identically after this call.
+    /// rank, line)`. Records with equal time and equal content are
+    /// identical, so this order depends only on the *multiset* of
+    /// records — two runs that produced the same records in different
+    /// interleavings (e.g. harness records written between events
+    /// rather than inside them) serialize and fingerprint identically
+    /// after this call.
     ///
     /// The causal rank keeps same-microsecond lifecycles analyzable:
     /// `op_start` sorts before the records it caused and `op_end` after
@@ -643,166 +506,18 @@ impl Tracer {
     /// the same `t`; plain lexicographic order would put the end first
     /// and the analyzer would call the op stuck).
     pub fn sort_canonical(&mut self) {
-        fn rank(ev: &TraceEvent) -> u8 {
-            match ev {
-                TraceEvent::OpStart { .. } => 0,
-                TraceEvent::OpEnd { .. } => 2,
-                _ => 1,
-            }
-        }
-        let records = std::mem::take(&mut self.records);
-        let mut keyed: Vec<(String, TraceRecord)> = records
-            .into_iter()
-            .map(|r| {
-                let mut line = String::new();
-                self.write_line(&mut line, &r);
-                (line, r)
-            })
-            .collect();
-        keyed.sort_by(|a, b| {
-            (a.1.t, rank(&a.1.ev), a.0.as_str()).cmp(&(b.1.t, rank(&b.1.ev), b.0.as_str()))
-        });
-        self.records = keyed.into_iter().map(|(_, r)| r).collect();
+        self.records.sort_unstable();
     }
 
-    fn push(&mut self, t: u64, op: OpId, ev: TraceEvent) {
-        self.records.push(TraceRecord { t, op, ev });
-    }
-
-    fn kind_name(&self, kind: usize) -> &'static str {
-        self.kinds.get(kind).copied().unwrap_or("?")
-    }
-
-    /// Serializes the record stream as JSONL (one flat object per
-    /// line, stable field order — the fingerprint hashes these bytes).
+    /// The record stream as JSONL (one flat object per line, stable
+    /// field order — the fingerprint hashes these bytes).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for r in &self.records {
-            self.write_line(&mut out, r);
+            out.push_str(&r.line);
             out.push('\n');
         }
         out
-    }
-
-    fn write_line(&self, out: &mut String, r: &TraceRecord) {
-        let head = |out: &mut String, ev: &str| {
-            wfmt(
-                out,
-                format_args!("{{\"t\":{},\"op\":{},\"ev\":\"{ev}\"", r.t, r.op.0),
-            );
-        };
-        let msg = |out: &mut String, ev: &str, from: usize, to: usize, kind: usize| {
-            head(out, ev);
-            wfmt(
-                out,
-                format_args!(
-                    ",\"from\":{from},\"to\":{to},\"kind\":\"{}\"",
-                    self.kind_name(kind)
-                ),
-            );
-        };
-        match &r.ev {
-            TraceEvent::MsgSend {
-                from,
-                to,
-                kind,
-                bytes,
-            } => {
-                msg(out, "send", *from, *to, *kind);
-                wfmt(out, format_args!(",\"bytes\":{bytes}"));
-            }
-            TraceEvent::MsgRecv { from, to, kind } => msg(out, "recv", *from, *to, *kind),
-            TraceEvent::MsgDrop { from, to, kind } => msg(out, "drop", *from, *to, *kind),
-            TraceEvent::MsgDup { from, to, kind } => msg(out, "dup", *from, *to, *kind),
-            TraceEvent::MsgFail { from, to, kind } => msg(out, "fail", *from, *to, *kind),
-            TraceEvent::RouteHop {
-                node,
-                key,
-                hop,
-                depth,
-            } => {
-                head(out, "hop");
-                wfmt(
-                    out,
-                    format_args!(
-                        ",\"node\":{node},\"key\":\"{key:032x}\",\"hop\":{hop},\"depth\":{depth}"
-                    ),
-                );
-            }
-            TraceEvent::RouteDeliver {
-                node,
-                key,
-                hops,
-                lat_us,
-            } => {
-                head(out, "deliver");
-                wfmt(
-                    out,
-                    format_args!(",\"node\":{node},\"key\":\"{key:032x}\",\"hops\":{hops},\"lat_us\":{lat_us}"),
-                );
-            }
-            TraceEvent::RouteDrop { node, key } => {
-                head(out, "route_drop");
-                wfmt(out, format_args!(",\"node\":{node},\"key\":\"{key:032x}\""));
-            }
-            TraceEvent::JoinPhase { node, phase } => {
-                head(out, "join");
-                wfmt(out, format_args!(",\"node\":{node},\"phase\":\"{phase}\""));
-            }
-            TraceEvent::Suspect { node, peer, missed } => {
-                head(out, "suspect");
-                wfmt(
-                    out,
-                    format_args!(",\"node\":{node},\"peer\":{peer},\"missed\":{missed}"),
-                );
-            }
-            TraceEvent::OpStart { node, kind, key, k } => {
-                head(out, "op_start");
-                wfmt(
-                    out,
-                    format_args!(
-                        ",\"node\":{node},\"kind\":\"{kind}\",\"key\":\"{key:032x}\",\"k\":{k}"
-                    ),
-                );
-            }
-            TraceEvent::OpRetry {
-                node,
-                kind,
-                attempt,
-            } => {
-                head(out, "op_retry");
-                wfmt(
-                    out,
-                    format_args!(",\"node\":{node},\"kind\":\"{kind}\",\"attempt\":{attempt}"),
-                );
-            }
-            TraceEvent::OpEnd {
-                node,
-                kind,
-                ok,
-                fanout,
-            } => {
-                head(out, "op_end");
-                wfmt(
-                    out,
-                    format_args!(
-                        ",\"node\":{node},\"kind\":\"{kind}\",\"ok\":{ok},\"fanout\":{fanout}"
-                    ),
-                );
-            }
-            TraceEvent::ReplicaStored {
-                node,
-                key,
-                diverted,
-            } => {
-                head(out, "replica");
-                wfmt(
-                    out,
-                    format_args!(",\"node\":{node},\"key\":\"{key:032x}\",\"diverted\":{diverted}"),
-                );
-            }
-        }
-        out.push('}');
     }
 
     /// FNV-1a 64 fingerprint of the JSONL serialization: the

@@ -2,25 +2,22 @@
 
 use crate::histogram::Histogram;
 
-/// The metrics registry: per-kind message counters and the standard
-/// latency/hop/retry histograms. Updated by the [`Tracer`] when
-/// [`TraceConfig::metrics`] is on.
+/// The metrics registry: per-kind receive, drop and duplicate counters
+/// and the hop-count histogram — what the time series does not already
+/// count. Updated by the [`Tracer`] under [`TraceConfig::full`] and
+/// [`TraceConfig::metrics_only`].
 ///
 /// [`Tracer`]: crate::Tracer
-/// [`TraceConfig::metrics`]: crate::TraceConfig::metrics
+/// [`TraceConfig::full`]: crate::TraceConfig::full
+/// [`TraceConfig::metrics_only`]: crate::TraceConfig::metrics_only
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
     kinds: &'static [&'static str],
     pub(crate) recv_by_kind: Vec<u64>,
     pub(crate) dropped_by_kind: Vec<u64>,
     pub(crate) duplicated_by_kind: Vec<u64>,
-    pub(crate) failed_by_kind: Vec<u64>,
-    /// Route path latency, 1 ms buckets up to 512 ms.
-    pub route_latency_us: Histogram,
     /// Overlay hops per delivered route, width 1.
     pub hop_count: Histogram,
-    /// Retransmission attempt numbers, width 1.
-    pub retry_count: Histogram,
 }
 
 impl Metrics {
@@ -30,10 +27,7 @@ impl Metrics {
             recv_by_kind: vec![0; kinds.len()],
             dropped_by_kind: vec![0; kinds.len()],
             duplicated_by_kind: vec![0; kinds.len()],
-            failed_by_kind: vec![0; kinds.len()],
-            route_latency_us: Histogram::new(1_000, 512),
             hop_count: Histogram::new(1, 32),
-            retry_count: Histogram::new(1, 16),
         }
     }
 
@@ -62,10 +56,5 @@ impl Metrics {
     /// Fault-injected duplicates per kind, in `Message::KINDS` order.
     pub fn duplicated_by_kind(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.kind_pairs(&self.duplicated_by_kind)
-    }
-
-    /// Dead-destination failures per kind, in `Message::KINDS` order.
-    pub fn failed_by_kind(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.kind_pairs(&self.failed_by_kind)
     }
 }

@@ -113,7 +113,6 @@ fn metrics_only_counts_without_recording() {
     let dup: u64 = t.metrics.duplicated_by_kind().map(|(_, c)| c).sum();
     assert_eq!(dup, 1);
     assert_eq!(t.metrics.hop_count.percentile(50), Some(3));
-    assert_eq!(t.metrics.route_latency_us.percentile(50), Some(2_000));
     let recv: Vec<_> = t.metrics.recv_by_kind().collect();
     assert_eq!(recv, vec![("ping", 1), ("pong", 0)]);
 }
@@ -143,6 +142,50 @@ fn jsonl_lines_are_valid_json_and_fingerprint_is_stable() {
     }
     assert_eq!(t.fingerprint(), build().fingerprint());
     assert_ne!(t.fingerprint(), fnv1a(b""));
+}
+
+/// The bytes of every record kind, pinned: one record of each of the
+/// fourteen kinds under `full()`, emitted out of order (same-`t`
+/// lifecycles included) and sorted canonically. An unknown kind id
+/// prints as `?`.
+#[test]
+fn every_record_kind_serializes_to_its_pinned_line() {
+    let mut t = Tracer::for_kinds(KINDS);
+    t.configure(TraceConfig::full());
+    t.op_end(90, OpId(3), 4, "insert", false, 2);
+    t.replica_stored(90, OpId(3), 5, 0xfeed, true);
+    t.op_start(90, OpId(3), 4, "insert", 0xfeed, 3);
+    t.op_retry(80, OpId(3), 4, "insert", 2);
+    t.msg_send(10, OpId(3), 4, 5, 0, 64);
+    t.msg_recv(20, OpId(3), 4, 5, 1);
+    t.msg_drop(20, OpId::NONE, 5, 6, 0);
+    t.msg_dup(30, OpId(3), 6, 7, 1);
+    t.msg_fail(30, OpId::NONE, 7, 8, 9);
+    t.route_hop(40, OpId(3), 5, u128::MAX, 1, 7);
+    t.route_deliver(50, OpId(3), 6, 0xfeed, 2, 12_345);
+    t.route_drop(60, OpId(3), 7, 1);
+    t.join_phase(70, 8, "retry");
+    t.suspect(70, 8, 9, 3);
+    t.sort_canonical();
+    assert_eq!(
+        t.to_jsonl(),
+        concat!(
+            "{\"t\":10,\"op\":3,\"ev\":\"send\",\"from\":4,\"to\":5,\"kind\":\"ping\",\"bytes\":64}\n",
+            "{\"t\":20,\"op\":0,\"ev\":\"drop\",\"from\":5,\"to\":6,\"kind\":\"ping\"}\n",
+            "{\"t\":20,\"op\":3,\"ev\":\"recv\",\"from\":4,\"to\":5,\"kind\":\"pong\"}\n",
+            "{\"t\":30,\"op\":0,\"ev\":\"fail\",\"from\":7,\"to\":8,\"kind\":\"?\"}\n",
+            "{\"t\":30,\"op\":3,\"ev\":\"dup\",\"from\":6,\"to\":7,\"kind\":\"pong\"}\n",
+            "{\"t\":40,\"op\":3,\"ev\":\"hop\",\"node\":5,\"key\":\"ffffffffffffffffffffffffffffffff\",\"hop\":1,\"depth\":7}\n",
+            "{\"t\":50,\"op\":3,\"ev\":\"deliver\",\"node\":6,\"key\":\"0000000000000000000000000000feed\",\"hops\":2,\"lat_us\":12345}\n",
+            "{\"t\":60,\"op\":3,\"ev\":\"route_drop\",\"node\":7,\"key\":\"00000000000000000000000000000001\"}\n",
+            "{\"t\":70,\"op\":0,\"ev\":\"join\",\"node\":8,\"phase\":\"retry\"}\n",
+            "{\"t\":70,\"op\":0,\"ev\":\"suspect\",\"node\":8,\"peer\":9,\"missed\":3}\n",
+            "{\"t\":80,\"op\":3,\"ev\":\"op_retry\",\"node\":4,\"kind\":\"insert\",\"attempt\":2}\n",
+            "{\"t\":90,\"op\":3,\"ev\":\"op_start\",\"node\":4,\"kind\":\"insert\",\"key\":\"0000000000000000000000000000feed\",\"k\":3}\n",
+            "{\"t\":90,\"op\":3,\"ev\":\"replica\",\"node\":5,\"key\":\"0000000000000000000000000000feed\",\"diverted\":true}\n",
+            "{\"t\":90,\"op\":3,\"ev\":\"op_end\",\"node\":4,\"kind\":\"insert\",\"ok\":false,\"fanout\":2}\n",
+        )
+    );
 }
 
 /// A same-microsecond lifecycle (op served from the local store)

@@ -54,8 +54,8 @@ struct GaugeCell {
 
 /// Histogram shape registry: shapes are fixed by name, so one metric's
 /// percentiles mean the same in every window and every run.
-/// `route_latency_us` mirrors the `Metrics` registry histogram (1 ms
-/// buckets up to 512 ms); everything else gets width-1 with 64
+/// `route_latency_us` gets 1 ms buckets up to 512 ms (the only route
+/// latency histogram kept); everything else gets width-1 with 64
 /// buckets.
 fn hist_shape(name: &str) -> (u64, usize) {
     match name {

@@ -16,6 +16,11 @@ cargo fmt --check
 echo "== cargo clippy (determinism / panic policy / library output / message hygiene)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Public docs must build clean: a doc link to a private or deleted item
+# is a warning, and `-D warnings` fails it.
+echo "== cargo doc (no rustdoc warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # I6 (every route ends at the closest live node) gates bulk-join,
 # quota-reclaim and wheel-horizon; churn and lossy-churn print its count.
 echo "== invariant gate (I1-I6 over bulk-join / churn / quota-reclaim / lossy-churn / wheel-horizon)"
