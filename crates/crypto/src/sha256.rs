@@ -199,6 +199,37 @@ mod tests {
     }
 
     #[test]
+    fn padding_boundary_vectors() {
+        // `n` bytes of `a` where the length field still fits the last
+        // block (55, 119), just does not (63, 120), or the message fills
+        // a block exactly (64).
+        for (n, want) in [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+        ] {
+            assert_eq!(hex(&sha256(&vec![b'a'; n])), want, "n={n}");
+        }
+    }
+
+    #[test]
     fn incremental_matches_oneshot_at_block_boundaries() {
         let data: Vec<u8> = (0..257u16).map(|i| i as u8).collect();
         for split in [0, 1, 55, 56, 63, 64, 65, 128, 200, 257] {
