@@ -215,7 +215,7 @@ impl PastApp {
                     // certificate (§2.1).
                     content.hash.0[0] ^= 0xff;
                 }
-                if self.cfg.cache_enabled && self.cfg.cache_on_insert_path {
+                if self.cfg.cache_enabled {
                     self.store.offer_cache(*cert);
                 }
                 true

@@ -41,12 +41,11 @@ pub struct PastConfig {
     pub max_insert_attempts: u32,
     /// Leaf-set nodes probed during replica diversion before giving up.
     pub divert_candidates: usize,
-    /// Master switch for caching.
+    /// Master switch for caching: off, a node keeps no cached copy, be it
+    /// of an insert routed through it, a lookup's push or a demoted replica.
     pub cache_enabled: bool,
     /// Route-path nodes a serving node pushes a cache copy to.
     pub cache_push: usize,
-    /// Cache files passing through on the insert path.
-    pub cache_on_insert_path: bool,
     /// Verify signatures end to end. Large storage/caching experiments
     /// (E7, E8) disable this to measure storage policy rather than
     /// big-integer arithmetic; structural checks (content hash vs
@@ -77,7 +76,6 @@ impl Default for PastConfig {
             divert_candidates: 3,
             cache_enabled: true,
             cache_push: 1,
-            cache_on_insert_path: true,
             crypto_checks: true,
             request_timeout_us: None,
             request_attempts: 4,

@@ -472,7 +472,6 @@ fn popular_files_get_cached_and_served_from_cache() {
 fn cache_disabled_means_no_cache_hits() {
     let cfg = PastConfig {
         cache_enabled: false,
-        cache_on_insert_path: false,
         ..PastConfig::default()
     };
     let mut net = build(40, 16, 100 * MB, 1_000 * MB, cfg);
@@ -622,7 +621,6 @@ fn reclaimed_diverted_file_is_not_served_from_stale_state() {
         t_pri: 0.6,
         t_div: 0.55,
         cache_enabled: false,
-        cache_on_insert_path: false,
         ..PastConfig::default()
     };
     let mut net = build(30, 26, 12 * MB, 10_000 * MB, cfg);

@@ -38,15 +38,8 @@ fn build_n(n: usize, seed: u64, cfg: PastConfig) -> PastNetwork<Sphere> {
     )
 }
 
-/// Every cache copy of a file comes from a `CachePush`, none from an
-/// insert passing through.
-fn pushed_caches_only() -> PastConfig {
-    PastConfig {
-        cache_on_insert_path: false,
-        ..PastConfig::default()
-    }
-}
-
+/// Inserts `name` and drops the copies the insert left in caches along
+/// its route, so every cache copy after it comes from a `CachePush`.
 fn inserted(net: &mut PastNetwork<Sphere>, client: usize, name: &str) -> FileId {
     let content = ContentRef::synthetic(client, name, MB);
     net.insert(client, name, content, 3).unwrap();
@@ -55,7 +48,11 @@ fn inserted(net: &mut PastNetwork<Sphere>, client: usize, name: &str) -> FileId 
         PastOut::InsertOk { file_id, .. } => Some(*file_id),
         _ => None,
     });
-    ok.unwrap_or_else(|| panic!("insert of {name} failed: {events:?}"))
+    let fid = ok.unwrap_or_else(|| panic!("insert of {name} failed: {events:?}"));
+    for a in net.cache_holders(&fid) {
+        net.sim.engine.node_mut(a).app.store.cache.invalidate(&fid);
+    }
+    fid
 }
 
 /// The handle each replica holder keeps for `fid`.
@@ -75,7 +72,7 @@ fn all_one_allocation(handles: &[SharedCert]) -> bool {
 
 #[test]
 fn the_k_replicas_of_an_insert_share_one_certificate() {
-    let mut net = build(41, pushed_caches_only());
+    let mut net = build(41, PastConfig::default());
     let fid = inserted(&mut net, 0, "shared");
     let handles = replica_handles(&net, &fid);
     assert_eq!(handles.len(), 3);
@@ -90,7 +87,7 @@ fn cache_pushes_hand_on_the_replicas_certificate() {
     // Big enough that lookups take a hop or two before a replica holder
     // answers: a push goes to the route's earlier nodes.
     const NODES: usize = 120;
-    let mut net = build_n(NODES, 42, pushed_caches_only());
+    let mut net = build_n(NODES, 42, PastConfig::default());
     let fid = inserted(&mut net, 0, "popular");
     for client in 0..NODES {
         net.lookup(client, fid);
@@ -112,7 +109,7 @@ fn cache_pushes_hand_on_the_replicas_certificate() {
 
 #[test]
 fn a_resalted_attempt_is_a_distinct_allocation() {
-    let mut net = build(43, pushed_caches_only());
+    let mut net = build(43, PastConfig::default());
     let client = 5;
     let first = inserted(&mut net, client, "resalted");
     // The certificate file diversion issues for the next attempt: same
@@ -175,7 +172,7 @@ fn a_forged_certificate_is_refused_in_a_replicate_and_a_divert_store() {
             44,
             PastConfig {
                 crypto_checks,
-                ..pushed_caches_only()
+                ..PastConfig::default()
             },
         );
         let genuine = inserted(&mut net, 0, "genuine");

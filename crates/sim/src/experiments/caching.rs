@@ -89,7 +89,6 @@ fn run_variant(p: &Params, label: &str, cache: bool) -> Row {
         default_k: 3,
         crypto_checks: false,
         cache_enabled: cache,
-        cache_on_insert_path: cache,
         cache_push: 2,
         t_pri: 1.0,
         t_div: 0.5,

@@ -75,7 +75,6 @@ pub fn run(p: &Params) -> Result {
     let past_cfg = PastConfig {
         default_k: p.k,
         cache_enabled: false,
-        cache_on_insert_path: false,
         crypto_checks: false,
         t_pri: 1.0,
         t_div: 0.5,

@@ -188,7 +188,6 @@ pub fn run(p: &Params) -> Result {
         default_k: p.k,
         crypto_checks: false,
         cache_enabled: false,
-        cache_on_insert_path: false,
         t_pri: 0.1,
         t_div: 0.05,
         ..PastConfig::default()

@@ -3,39 +3,18 @@
 //!
 //! This is the library half of the `tracecheck` binary, kept here so
 //! the checks are unit-testable and usable in-process. The input is
-//! the flat JSONL produced by [`Tracer::to_jsonl`](crate::Tracer):
-//! one object per line, string/integer/boolean fields only.
+//! the JSONL produced by [`Tracer::to_jsonl`](crate::Tracer) and
+//! [`TimeSeries::to_jsonl`](crate::TimeSeries::to_jsonl): one object per
+//! line, each read through [`json::parse`] and then held to `u64`,
+//! string and boolean fields.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One parsed field value.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Val {
-    /// A non-negative integer.
-    U(u64),
-    /// A string (keys are 032x-hex strings).
-    S(String),
-    /// A boolean.
-    B(bool),
-}
+use crate::json::{self, Value};
 
-impl Val {
-    /// The integer value, if this is one.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Val::U(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Val::S(s) => Some(s),
-            _ => None,
-        }
-    }
-}
+/// Longest route [`Report::hop_hist`] keeps a slot for, whatever `hops`
+/// a line claims; every bound for `b ≥ 1` is at most 64.
+const HOP_HIST_MAX: u64 = 255;
 
 /// One parsed trace record: the common header plus remaining fields.
 #[derive(Clone, Debug)]
@@ -47,101 +26,36 @@ pub struct Rec {
     /// Event name (`send`, `hop`, `op_start`, ...).
     pub ev: String,
     /// Event-specific fields.
-    pub fields: BTreeMap<String, Val>,
+    pub fields: BTreeMap<String, Value>,
 }
 
 impl Rec {
     /// Integer field accessor.
     pub fn u(&self, k: &str) -> Option<u64> {
-        self.fields.get(k).and_then(Val::as_u64)
+        self.fields.get(k).and_then(Value::as_u64)
     }
 
     /// String field accessor.
     pub fn s(&self, k: &str) -> Option<&str> {
-        self.fields.get(k).and_then(Val::as_str)
+        self.fields.get(k).and_then(Value::as_str)
     }
 }
 
-/// Parses one flat JSON object line (as written by the tracer).
+/// Parses one trace or series line: a JSON object with `u64`s `t` and
+/// `op`, a string `ev`, and `u64`, string or boolean other fields.
 pub fn parse_line(line: &str) -> Result<Rec, String> {
-    let b = line.as_bytes();
-    let mut pos = 0usize;
-    let fail = |what: &str, pos: usize| format!("{what} at byte {pos}");
-    let expect = |b: &[u8], pos: &mut usize, c: u8| -> Result<(), String> {
-        if b.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, pos))
-        }
+    let Value::Obj(mut fields) = json::parse(line)? else {
+        return Err("not a JSON object".into());
     };
-    let string = |b: &[u8], pos: &mut usize| -> Result<String, String> {
-        expect(b, pos, b'"')?;
-        let start = *pos;
-        while *pos < b.len() && b[*pos] != b'"' {
-            if b[*pos] == b'\\' {
-                return Err(fail("escapes unsupported in trace lines", *pos));
-            }
-            *pos += 1;
-        }
-        if *pos >= b.len() {
-            return Err("unterminated string".into());
-        }
-        let s = String::from_utf8_lossy(&b[start..*pos]).into_owned();
-        *pos += 1;
-        Ok(s)
+    let mut header = |k: &str| fields.remove(k).ok_or_else(|| format!("missing \"{k}\""));
+    let (t, op, ev) = (header("t")?, header("op")?, header("ev")?);
+    let (Some(t), Some(op), Value::Str(ev)) = (t.as_u64(), op.as_u64(), ev) else {
+        return Err("\"t\" and \"op\" must be u64s and \"ev\" a string".into());
     };
-    let mut fields = BTreeMap::new();
-    expect(b, &mut pos, b'{')?;
-    loop {
-        let key = string(b, &mut pos)?;
-        expect(b, &mut pos, b':')?;
-        let val = match b.get(pos) {
-            Some(b'"') => Val::S(string(b, &mut pos)?),
-            Some(b't') if b[pos..].starts_with(b"true") => {
-                pos += 4;
-                Val::B(true)
-            }
-            Some(b'f') if b[pos..].starts_with(b"false") => {
-                pos += 5;
-                Val::B(false)
-            }
-            Some(c) if c.is_ascii_digit() => {
-                let start = pos;
-                while b.get(pos).is_some_and(u8::is_ascii_digit) {
-                    pos += 1;
-                }
-                let digits =
-                    std::str::from_utf8(&b[start..pos]).map_err(|_| fail("bad number", start))?;
-                Val::U(digits.parse().map_err(|_| fail("bad number", start))?)
-            }
-            _ => return Err(fail("expected a value", pos)),
-        };
-        fields.insert(key, val);
-        match b.get(pos) {
-            Some(b',') => pos += 1,
-            Some(b'}') => {
-                pos += 1;
-                break;
-            }
-            _ => return Err(fail("expected ',' or '}'", pos)),
-        }
+    let flat = |v: &Value| matches!(v, Value::Str(_) | Value::Bool(_)) || v.as_u64().is_some();
+    if let Some(k) = fields.iter().find_map(|(k, v)| (!flat(v)).then_some(k)) {
+        return Err(format!("field \"{k}\" is not a u64, string or boolean"));
     }
-    if pos != b.len() {
-        return Err(fail("trailing data", pos));
-    }
-    let t = fields
-        .remove("t")
-        .and_then(|v| v.as_u64())
-        .ok_or("missing \"t\"")?;
-    let op = fields
-        .remove("op")
-        .and_then(|v| v.as_u64())
-        .ok_or("missing \"op\"")?;
-    let ev = match fields.remove("ev") {
-        Some(Val::S(s)) => s,
-        _ => return Err("missing \"ev\"".into()),
-    };
     Ok(Rec { t, op, ev, fields })
 }
 
@@ -203,7 +117,8 @@ pub struct Report {
     pub stuck: Vec<u64>,
     /// Successful inserts whose confirmed fan-out ≠ requested `k`.
     pub bad_fanout: Vec<u64>,
-    /// Hop-count distribution over delivered routes (index = hops).
+    /// Hop-count distribution over delivered routes (index = hops); a
+    /// route of over 255 hops counts only in `deliveries` and `over_bound`.
     pub hop_hist: Vec<u64>,
     /// Delivered routes.
     pub deliveries: u64,
@@ -277,7 +192,7 @@ pub fn analyze(recs: &[Rec], b: u32) -> Report {
             "op_end" => {
                 if let Some(info) = ops.get_mut(&r.op) {
                     info.end_t = Some(r.t);
-                    info.ok = r.fields.get("ok").map(|v| v == &Val::B(true));
+                    info.ok = r.fields.get("ok").map(|v| v == &Value::Bool(true));
                     info.fanout = r.u("fanout");
                 }
             }
@@ -288,11 +203,12 @@ pub fn analyze(recs: &[Rec], b: u32) -> Report {
             }
             "deliver" => {
                 deliveries += 1;
-                let h = r.u("hops").unwrap_or(0) as usize;
-                if hop_hist.len() <= h {
-                    hop_hist.resize(h + 1, 0);
+                let h = r.u("hops").unwrap_or(0);
+                if h <= HOP_HIST_MAX {
+                    let len = hop_hist.len().max(h as usize + 1);
+                    hop_hist.resize(len, 0);
+                    hop_hist[h as usize] += 1;
                 }
-                hop_hist[h] += 1;
             }
             _ => {}
         }
@@ -304,12 +220,10 @@ pub fn analyze(recs: &[Rec], b: u32) -> Report {
         .map(|o| o.op)
         .collect();
     let bound = hop_bound(nodes.len(), b);
-    let over_bound = hop_hist
+    let over_bound = recs
         .iter()
-        .enumerate()
-        .filter(|&(h, _)| h as u64 > bound)
-        .map(|(_, &c)| c)
-        .sum();
+        .filter(|r| r.ev == "deliver" && r.u("hops").unwrap_or(0) > bound)
+        .count() as u64;
     Report {
         records: recs.len(),
         ops,
@@ -332,9 +246,9 @@ pub fn timeline(recs: &[Rec], op: u64) -> Vec<String> {
             let mut line = format!("{:>12} µs  {:<10}", r.t, r.ev);
             for (k, v) in &r.fields {
                 match v {
-                    Val::U(n) => line.push_str(&format!(" {k}={n}")),
-                    Val::S(s) => line.push_str(&format!(" {k}={s}")),
-                    Val::B(x) => line.push_str(&format!(" {k}={x}")),
+                    Value::Num(s) | Value::Str(s) => line.push_str(&format!(" {k}={s}")),
+                    Value::Bool(x) => line.push_str(&format!(" {k}={x}")),
+                    v => line.push_str(&format!(" {k}={v:?}")),
                 }
             }
             line
@@ -449,6 +363,71 @@ mod tests {
         assert!(lines[0].contains("op_start"));
         assert!(lines[8].contains("op_end"));
         assert!(lines.iter().all(|l| !l.contains("lookup")));
+    }
+
+    #[test]
+    fn header_integers_read_back_exactly() {
+        let mut t = Tracer::for_kinds(KINDS);
+        t.configure(TraceConfig::lifecycle());
+        t.op_start(u64::MAX, OpId(u64::MAX), 0, "insert", 0x1, 3);
+        let recs = parse_jsonl(&t.to_jsonl()).expect("parse");
+        assert_eq!((recs[0].t, recs[0].op), (u64::MAX, u64::MAX));
+        let series = |fp: &str| {
+            format!(
+                "{{\"t\":0,\"op\":0,\"ev\":\"series\",\"window_us\":1,\"windows\":0,\"fp\":{fp}}}"
+            )
+        };
+        let max = parse_line(&series("18446744073709551615")).expect("parse");
+        assert_eq!(max.u("fp"), Some(u64::MAX));
+        assert!(parse_line(&series("18446744073709551616")).is_err());
+        assert!(parse_line("{\"t\":18446744073709551616,\"op\":0,\"ev\":\"x\"}").is_err());
+    }
+
+    #[test]
+    fn escaped_fields_decode() {
+        let kind = "in\"sert\\ \u{1}é";
+        let line = format!(
+            "{{\"t\":1, \"op\":2, \"ev\":\"op_start\", \"kind\":{}}}",
+            crate::json::quote(kind)
+        );
+        let rec = parse_line(&line).expect("escaped strings parse");
+        assert_eq!(rec.s("kind"), Some(kind));
+        let rec = parse_line("{\"t\":1,\"op\":2,\"ev\":\"op_\\u0073tart\"}").unwrap();
+        assert_eq!(rec.ev, "op_start");
+    }
+
+    /// A delivery's `hops` sizes nothing: a claimed 4·10^18 hops is one
+    /// delivery over the bound, not a 32 EB histogram.
+    #[test]
+    fn a_huge_hop_count_is_over_the_bound() {
+        let line = "{\"t\":5,\"op\":1,\"ev\":\"deliver\",\"node\":1,\"key\":\"00\",\"hops\":4000000000000000000}";
+        let rep = analyze(&parse_jsonl(line).expect("parse"), 4);
+        assert_eq!((rep.deliveries, rep.over_bound), (1, 1));
+        assert!(rep.hop_hist.is_empty());
+        let near = line.replace("4000000000000000000", "256");
+        let rep = analyze(&parse_jsonl(&near).expect("parse"), 1);
+        assert_eq!((rep.deliveries, rep.over_bound), (1, 1));
+        let at_cap = line.replace("4000000000000000000", "255");
+        let rep = analyze(&parse_jsonl(&at_cap).expect("parse"), 1);
+        assert_eq!((rep.hop_hist.len(), rep.hop_hist[255]), (256, 1));
+    }
+
+    #[test]
+    fn parser_holds_fields_to_u64_string_or_bool() {
+        let ok = "{\"t\":1,\"op\":2,\"ev\":\"x\",\"n\":3,\"s\":\"y\",\"b\":true}";
+        assert!(parse_line(ok).is_ok());
+        for field in ["null", "[1]", "{}", "1.5", "-1", "1e3"] {
+            let bad = ok.replace("true", field);
+            assert!(parse_line(&bad).is_err(), "{bad:?} should be rejected");
+        }
+        for bad in [
+            "[]",
+            "7",
+            "{\"t\":\"1\",\"op\":2,\"ev\":\"x\"}",
+            "{\"t\":1,\"op\":2,\"ev\":1}",
+        ] {
+            assert!(parse_line(bad).is_err(), "{bad:?} should be rejected");
+        }
     }
 
     #[test]

@@ -115,11 +115,17 @@ fn main() -> ExitCode {
     }
 
     // -- rejection-rate trajectory.
-    let sum = |name: &str| -> u64 { windows.iter().map(|w| w.u(name).unwrap_or(0)).sum() };
+    // Sums and basis points are u128: a u64 gauge times 10 000 overflows.
+    let sum = |name: &str| -> u128 {
+        windows
+            .iter()
+            .map(|w| u128::from(w.u(name).unwrap_or(0)))
+            .sum()
+    };
     let (ok, failed) = (sum("insert_ok"), sum("insert_failed"));
     if let Some(reject_bp) = (failed * 10_000).checked_div(ok + failed) {
         println!("  inserts: ok={ok} failed={failed} reject_bp={reject_bp} (slo<={max_reject_bp})");
-        if reject_bp > max_reject_bp {
+        if reject_bp > u128::from(max_reject_bp) {
             violations.push(format!(
                 "rejection rate {reject_bp} bp exceeds SLO {max_reject_bp} bp"
             ));
@@ -128,12 +134,12 @@ fn main() -> ExitCode {
 
     // -- utilization trajectory (per-window gauges; capacity can be 0
     //    in windows before any store sampler ran).
-    let mut worst_util_bp = 0u64;
+    let mut worst_util_bp = 0u128;
     let mut worst_util_t = 0u64;
     for w in &windows {
         let (used, cap) = (
-            w.u("store_used").unwrap_or(0),
-            w.u("store_capacity").unwrap_or(0),
+            u128::from(w.u("store_used").unwrap_or(0)),
+            u128::from(w.u("store_capacity").unwrap_or(0)),
         );
         if let Some(bp) = (used * 10_000).checked_div(cap) {
             if bp >= worst_util_bp {
@@ -143,7 +149,7 @@ fn main() -> ExitCode {
     }
     if worst_util_bp > 0 {
         println!("  utilization: peak={worst_util_bp}bp at t={worst_util_t} (slo<={max_util_bp})");
-        if worst_util_bp > max_util_bp {
+        if worst_util_bp > u128::from(max_util_bp) {
             violations.push(format!(
                 "utilization {worst_util_bp} bp at t={worst_util_t} exceeds SLO {max_util_bp} bp"
             ));

@@ -1,11 +1,13 @@
-//! Minimal JSON emission and validation.
+//! Minimal JSON emission and parsing.
 //!
 //! The bench binaries' `BENCH_*.json` documents (re-exported as
 //! `past_bench::json`) are produced through this module. The workspace
-//! is hermetic (no serde), so it provides the ~hundred lines actually
-//! needed: an object/array writer with correct string escaping, and a
-//! recursive-descent validator callers run over their own output before
-//! writing it.
+//! is hermetic (no serde), so it provides what is actually needed: an
+//! object/array writer with correct string escaping, and one
+//! recursive-descent [`parse`] that the analyzer reads trace and series
+//! lines with and that [`validate`] runs over a writer's own output.
+
+use std::collections::BTreeMap;
 
 /// Escapes a string for inclusion in a JSON document (quotes included).
 pub fn quote(s: &str) -> String {
@@ -85,165 +87,255 @@ pub fn array<I: IntoIterator<Item = String>>(items: I) -> String {
     format!("[{}]", items.join(", "))
 }
 
+/// Nesting deeper than this many arrays and objects is an error, so a
+/// hostile document cannot exhaust the stack. The deepest document the
+/// tree writes has five levels (`BENCH_loss.json` and pastbench's
+/// `result.json`).
+const MAX_DEPTH: usize = 64;
+
+/// One parsed JSON value.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Value {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool(bool),
+    /// A number, kept as written so an integer above 2^53 stays exact.
+    Num(String),
+    /// A string, escapes decoded.
+    Str(String),
+    /// An array.
+    Arr(Vec<Value>),
+    /// An object; a repeated key keeps its last value.
+    Obj(BTreeMap<String, Value>),
+}
+
+impl Value {
+    /// The number as a `u64`, if it is a non-negative integer that fits.
+    pub fn as_u64(&self) -> Option<u64> {
+        let Value::Num(n) = self else { return None };
+        n.parse().ok()
+    }
+
+    /// The string, if this is one.
+    pub fn as_str(&self) -> Option<&str> {
+        let Value::Str(s) = self else { return None };
+        Some(s)
+    }
+}
+
+/// Parses `s` as one complete JSON value. Returns a position-annotated
+/// error otherwise.
+pub fn parse(s: &str) -> Result<Value, String> {
+    let mut p = Parser { s, pos: 0 };
+    let v = p.value(0)?;
+    p.ws();
+    if p.pos != s.len() {
+        return Err(format!("trailing data at byte {}", p.pos));
+    }
+    Ok(v)
+}
+
 /// Validates that `s` is one complete, syntactically well-formed JSON
-/// value. Returns a position-annotated error otherwise.
+/// value: [`parse`] with the value discarded.
 pub fn validate(s: &str) -> Result<(), String> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
+    parse(s).map(|_| ())
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// A recursive-descent parser; `pos` is a byte offset on a char boundary.
+struct Parser<'a> {
+    s: &'a str,
+    pos: usize,
 }
 
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {}", c as char, pos))
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.s.as_bytes().get(self.pos).copied()
     }
-}
 
-fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array_val(b, pos),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, b"true"),
-        Some(b'f') => literal(b, pos, b"false"),
-        Some(b'n') => literal(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-        _ => Err(format!("expected a JSON value at byte {pos}")),
-    }
-}
-
-fn object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    expect(b, pos, b'{')?;
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        string(b, pos)?;
-        skip_ws(b, pos);
-        expect(b, pos, b':')?;
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+    fn ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
-}
 
-fn array_val(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    expect(b, pos, b'[')?;
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
+    fn eat(&mut self, c: u8) -> bool {
+        let hit = self.peek() == Some(c);
+        self.pos += usize::from(hit);
+        hit
     }
-    loop {
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
+
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        if self.eat(c) {
+            Ok(())
+        } else {
+            Err(format!("expected '{}' at byte {}", c as char, self.pos))
         }
     }
-}
 
-fn string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    expect(b, pos, b'"')?;
-    while *pos < b.len() {
-        match b[*pos] {
-            b'"' => {
-                *pos += 1;
+    /// One value nested inside `depth` arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Value, String> {
+        self.ws();
+        match self.peek() {
+            Some(b'{') => {
+                let mut fields = BTreeMap::new();
+                self.seq(b'{', b'}', depth, |p| {
+                    p.ws();
+                    let k = p.string()?;
+                    p.ws();
+                    p.expect(b':')?;
+                    fields.insert(k, p.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(Value::Obj(fields))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.seq(b'[', b']', depth, |p| {
+                    items.push(p.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(Value::Arr(items))
+            }
+            Some(b'"') => self.string().map(Value::Str),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(c) if c.is_ascii_digit() || c == b'-' => self.number(),
+            _ => Err(format!("expected a JSON value at byte {}", self.pos)),
+        }
+    }
+
+    /// `open close` or `open item (, item)* close`, one `item` call per
+    /// element, for a container opened inside `depth` others.
+    fn seq(
+        &mut self,
+        open: u8,
+        close: u8,
+        depth: usize,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if depth >= MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.expect(open)?;
+        self.ws();
+        if self.eat(close) {
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            self.ws();
+            if self.eat(close) {
                 return Ok(());
             }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        for i in 1..=4 {
-                            if !b.get(*pos + i).is_some_and(u8::is_ascii_hexdigit) {
-                                return Err(format!("bad \\u escape at byte {pos}"));
-                            }
-                        }
-                        *pos += 5;
+            if !self.eat(b',') {
+                return Err(format!(
+                    "expected ',' or '{}' at byte {}",
+                    close as char, self.pos
+                ));
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            let at = self.pos;
+            let c = self.s[at..].chars().next().ok_or("unterminated string")?;
+            self.pos += c.len_utf8();
+            let c = match c {
+                '"' => return Ok(out),
+                '\\' => {
+                    self.pos += 1;
+                    match self.s.as_bytes().get(at + 1) {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'u') => self.unicode()?,
+                        _ => return Err(format!("bad escape at byte {at}")),
                     }
-                    _ => return Err(format!("bad escape at byte {pos}")),
                 }
+                c if c < ' ' => return Err(format!("raw control byte at {at}")),
+                c => c,
+            };
+            out.push(c);
+        }
+    }
+
+    /// The code point of a `\uXXXX` escape (its `\u` already read),
+    /// joined with a following low surrogate escape when it is a high
+    /// one. A surrogate left unpaired decodes as U+FFFD.
+    fn unicode(&mut self) -> Result<char, String> {
+        let mut unit = self.hex4()?;
+        if (0xd800..0xdc00).contains(&unit) && self.s[self.pos..].starts_with("\\u") {
+            let back = self.pos;
+            self.pos += 2;
+            let low = self.hex4()?;
+            if (0xdc00..0xe000).contains(&low) {
+                unit = 0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00);
+            } else {
+                self.pos = back;
             }
-            c if c < 0x20 => return Err(format!("raw control byte at {pos}")),
-            _ => *pos += 1,
+        }
+        Ok(char::from_u32(unit).unwrap_or(char::REPLACEMENT_CHARACTER))
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let hex = self.s.get(self.pos..self.pos + 4);
+        let unit = hex
+            .filter(|h| h.bytes().all(|c| c.is_ascii_hexdigit()))
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+        self.pos += 4;
+        Ok(unit)
+    }
+
+    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
+        if self.s[self.pos..].starts_with(lit) {
+            self.pos += lit.len();
+            Ok(v)
+        } else {
+            Err(format!("bad literal at byte {}", self.pos))
         }
     }
-    Err("unterminated string".into())
-}
 
-fn literal(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b[*pos..].starts_with(lit) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
-}
-
-fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits = |b: &[u8], pos: &mut usize| {
-        let s = *pos;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.pos;
+        self.eat(b'-');
+        if !self.digits() {
+            return Err(format!("bad number at byte {start}"));
         }
-        *pos > s
-    };
-    if !digits(b, pos) {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !digits(b, pos) {
+        if self.eat(b'.') && !self.digits() {
             return Err(format!("bad fraction at byte {start}"));
         }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
+        if self.eat(b'e') || self.eat(b'E') {
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if !self.digits() {
+                return Err(format!("bad exponent at byte {start}"));
+            }
         }
-        if !digits(b, pos) {
-            return Err(format!("bad exponent at byte {start}"));
-        }
+        Ok(Value::Num(self.s[start..self.pos].to_string()))
     }
-    Ok(())
+
+    fn digits(&mut self) -> bool {
+        let start = self.pos;
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos > start
+    }
 }
 
 #[cfg(test)]
@@ -306,6 +398,67 @@ mod tests {
         ] {
             assert!(validate(bad).is_err(), "{bad:?} should be rejected");
         }
+    }
+
+    #[test]
+    fn numbers_keep_their_digits() {
+        let max = u64::MAX.to_string();
+        assert_eq!(parse(&max).unwrap().as_u64(), Some(u64::MAX));
+        let past = parse("18446744073709551616").unwrap();
+        assert_eq!(past, Value::Num("18446744073709551616".into()));
+        assert_eq!(past.as_u64(), None);
+        for not_u64 in ["-1", "1.5", "1e3"] {
+            assert_eq!(parse(not_u64).unwrap().as_u64(), None, "{not_u64}");
+        }
+    }
+
+    #[test]
+    fn parse_builds_the_value() {
+        let v = parse(" {\"a\": [1, true, null, \"x\"], \"a\": {}, \"b\": false} ").unwrap();
+        let Value::Obj(fields) = v else {
+            panic!("not an object")
+        };
+        assert_eq!(fields.len(), 2);
+        assert_eq!(fields["a"], Value::Obj(BTreeMap::new()), "last key wins");
+        assert_eq!(fields["b"], Value::Bool(false));
+        let arr = parse("[1, true, null, \"x\"]").unwrap();
+        let items = vec![
+            Value::Num("1".into()),
+            Value::Bool(true),
+            Value::Null,
+            Value::Str("x".into()),
+        ];
+        assert_eq!(arr, Value::Arr(items));
+    }
+
+    #[test]
+    fn escapes_decode() {
+        let raw = "line\nbreak\ttab \"q\" \\ / \u{1} \u{8}\u{c}\r é 😀";
+        assert_eq!(parse(&quote(raw)).unwrap().as_str(), Some(raw));
+        let escaped = r#""\/\b\f\u00e9\uD83D\uDE00\ud800x\udc00""#;
+        let want = "/\u{8}\u{c}é😀\u{fffd}x\u{fffd}";
+        assert_eq!(parse(escaped).unwrap().as_str(), Some(want));
+        for bad in [
+            r#""\x""#,
+            r#""\u12""#,
+            r#""\u+123""#,
+            r#""\uD83D\u12""#,
+            "\"\\",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} should be rejected");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&deep).is_err());
+        let hostile = "[".repeat(100_000);
+        assert!(parse(&hostile).is_err());
+        assert!(validate(&hostile).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -198,11 +198,10 @@ impl TimeSeries {
         record_gauge(&mut self.window_mut(t).diag, name, GaugeCell { t, v });
     }
 
-    /// Writes one window as a flat JSONL object (the format
-    /// [`analyze::parse_line`](crate::analyze::parse_line) reads:
-    /// no spaces, no escapes). `diag` controls whether diagnostic
-    /// gauges are included — the fingerprint hashes the line *without*
-    /// them.
+    /// Writes one window as a flat JSONL object of `u64` fields, the
+    /// form [`analyze::parse_line`](crate::analyze::parse_line) reads.
+    /// `diag` controls whether diagnostic gauges are included — the
+    /// fingerprint hashes the line *without* them.
     fn write_window_line(&self, out: &mut String, start: u64, w: &Window, diag: bool) {
         wfmt(
             out,

@@ -24,7 +24,7 @@ pub mod codec;
 pub mod sansio;
 
 pub use codec::{DecodeError, Reader, Sink, Wire, WIRE_VERSION};
-pub use sansio::{btree_heap_bytes, Effect, Input, Io, Machine, Message, Proximity, StepIo};
+pub use sansio::{btree_heap_bytes, Effect, Input, Io, Machine, Message, StepIo};
 
 // The handles node logic needs, re-exported so a sans-io protocol crate
 // can name them without depending on the simulator.

@@ -178,18 +178,6 @@ pub enum Effect<M, O> {
     Out(O),
 }
 
-/// A proximity oracle: pairwise one-way delay in microseconds.
-pub trait Proximity {
-    /// One-way delay from `a` to `b`.
-    fn delay_us(&self, a: Addr, b: Addr) -> u64;
-}
-
-impl<F: Fn(Addr, Addr) -> u64> Proximity for F {
-    fn delay_us(&self, a: Addr, b: Addr) -> u64 {
-        self(a, b)
-    }
-}
-
 /// The [`Io`]: effects append to a caller-owned vector in the exact order
 /// the transition function produced them. The simulator steps every
 /// handler against one over a reused scratch vector; a test steps a
@@ -203,8 +191,9 @@ pub struct StepIo<'a, M, O> {
     pub rng: &'a mut Rng,
     /// The trace sink.
     pub tracer: &'a mut Tracer,
-    /// The proximity oracle.
-    pub proximity: &'a dyn Proximity,
+    /// The proximity oracle: one-way delay in microseconds from the
+    /// first address to the second.
+    pub proximity: &'a dyn Fn(Addr, Addr) -> u64,
     /// Collected effects, in call order.
     pub effects: &'a mut Vec<Effect<M, O>>,
 }
@@ -227,7 +216,7 @@ impl<M, O> Io<M, O> for StepIo<'_, M, O> {
     }
 
     fn delay_to(&self, other: Addr) -> u64 {
-        self.proximity.delay_us(self.me, other)
+        (self.proximity)(self.me, other)
     }
 
     fn send(&mut self, to: Addr, msg: M) {

@@ -26,7 +26,6 @@ fn main() {
         PastConfig {
             default_k: 5,
             cache_enabled: false, // isolate pure replica locality
-            cache_on_insert_path: false,
             t_pri: 1.0,
             t_div: 0.5,
             ..PastConfig::default()
