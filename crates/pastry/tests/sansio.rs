@@ -10,8 +10,8 @@
 use past_crypto::rng::Rng;
 use past_pastry::node::TIMER_HEARTBEAT;
 use past_pastry::{
-    AppCtx, Config, Effect, Id, Input, JoinReply, NodeHandle, NullApp, PastryMsg, PastryNode,
-    PastryOut, StepIo, Wire,
+    AppCtx, Config, Effect, Id, Input, JoinReply, JoinRequest, NodeHandle, NullApp, PastryMsg,
+    PastryNode, PastryOut, StepIo, Wire,
 };
 use past_trace::Tracer;
 use std::collections::BTreeMap;
@@ -123,6 +123,86 @@ fn send_failed_input_is_accepted() {
     // A failed heartbeat against an unknown peer produces no effects —
     // but the input is consumed without an engine or a panic.
     assert!(effects.is_empty(), "got {effects:?}");
+}
+
+/// A joined node at 1·2^124 that knows three peers: `peer` at 5·2^124,
+/// the `joiner` one id above it (learned, say, from an attempt whose
+/// reply was lost), and `other` at 9·2^124.
+fn node_knowing_a_joiner() -> (PastryNode<NullApp>, NodeHandle, NodeHandle, NodeHandle) {
+    let h = |id: u128, addr| NodeHandle { id: Id(id), addr };
+    let (peer, joiner, other) = (h(5 << 124, 2), h((5 << 124) + 1, 3), h(9 << 124, 4));
+    let mut n = node(1, 1 << 124);
+    n.joined = true;
+    for p in [peer, joiner, other] {
+        step(
+            &mut n,
+            Input::Message {
+                from: p.addr,
+                msg: PastryMsg::Announce { from: p },
+            },
+        );
+    }
+    (n, peer, joiner, other)
+}
+
+fn join_request(joiner: NodeHandle) -> Msg {
+    PastryMsg::JoinRequest(Box::new(JoinRequest {
+        joiner,
+        rows: Vec::new(),
+        rows_done: 0,
+        hops: 1,
+    }))
+}
+
+/// The addresses `effects` sends a `JoinRequest` to.
+fn join_forwards(effects: &[Effect<Msg, Out>]) -> Vec<usize> {
+    effects
+        .iter()
+        .filter_map(|e| match e {
+            Effect::Send {
+                to,
+                msg: PastryMsg::JoinRequest(_),
+            } => Some(*to),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The joiner is the closest node to its own id, but it has not joined
+/// and cannot answer as its root: a node that knows it routes the
+/// joiner's request as if it did not.
+#[test]
+fn a_join_request_is_never_forwarded_to_its_joiner() {
+    let (mut n, peer, joiner, _) = node_knowing_a_joiner();
+    let before = format!("{:?}", n.state);
+    let effects = step(
+        &mut n,
+        Input::Message {
+            from: 7,
+            msg: join_request(joiner),
+        },
+    );
+    assert_eq!(join_forwards(&effects), [peer.addr], "{effects:?}");
+    assert_eq!(format!("{:?}", n.state), before);
+}
+
+/// The same holds when a forward fails and the sender routes the
+/// request again: the retry drops the dead peer and still leaves the
+/// joiner out.
+#[test]
+fn a_failed_join_forward_is_retried_without_its_joiner() {
+    let (mut n, peer, joiner, other) = node_knowing_a_joiner();
+    let mut expect = n.state.clone();
+    expect.remove_addr(other.addr);
+    let effects = step(
+        &mut n,
+        Input::SendFailed {
+            to: other.addr,
+            msg: join_request(joiner),
+        },
+    );
+    assert_eq!(join_forwards(&effects), [peer.addr], "{effects:?}");
+    assert_eq!(format!("{:?}", n.state), format!("{expect:?}"));
 }
 
 /// The message as it would arrive: through the codec.
