@@ -14,7 +14,7 @@
 
 use past_netsim::{Addr, Engine, Message, SimTime, Topology};
 use past_pastry::Id;
-use past_wire::{Input, Io, Machine};
+use past_wire::{Input, Machine, StepIo};
 
 /// A CAN key: a point in the d-dimensional unit torus.
 pub type Point = Vec<f64>;
@@ -164,7 +164,7 @@ impl Machine for CanNode {
     type Msg = CanMsg;
     type Out = CanDelivery;
 
-    fn step(&mut self, input: Input<CanMsg>, io: &mut dyn Io<CanMsg, CanDelivery>) {
+    fn step(&mut self, input: Input<CanMsg>, io: &mut StepIo<'_, CanMsg, CanDelivery>) {
         let Input::Message {
             msg: CanMsg::Lookup(mut lk),
             ..

@@ -14,7 +14,7 @@
 
 use past_netsim::{Addr, Engine, Message, SimTime, Topology};
 use past_pastry::Id;
-use past_wire::{Input, Io, Machine};
+use past_wire::{Input, Machine, StepIo};
 
 /// Number of finger-table entries (one per id bit).
 pub const M_BITS: usize = 128;
@@ -112,7 +112,7 @@ impl Machine for ChordNode {
     type Msg = ChordMsg;
     type Out = ChordDelivery;
 
-    fn step(&mut self, input: Input<ChordMsg>, io: &mut dyn Io<ChordMsg, ChordDelivery>) {
+    fn step(&mut self, input: Input<ChordMsg>, io: &mut StepIo<'_, ChordMsg, ChordDelivery>) {
         let Input::Message {
             msg: ChordMsg::Lookup(mut lk),
             ..

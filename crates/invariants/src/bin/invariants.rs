@@ -1,10 +1,8 @@
 //! CI gate: run the canned scenarios and fail on any invariant violation.
 //!
 //! Each violation is reported as `<invariant> @node <addr>: <detail>`.
-//! I6 (every route ends at the closest live node) gates the scenarios in
-//! which no failure precedes a join; `churn` and `lossy-churn` join
-//! nodes after others failed, which is where roadmap item E's bug
-//! lives, so there the I6 count is printed and does not fail the run.
+//! Every scenario gates I1–I6, I6 (every route ends at the closest live
+//! node) included.
 //!
 //! With `--emit-trace PATH` the lossy-churn scenario runs with the
 //! operation-lifecycle trace classes enabled and its trace is written
@@ -14,7 +12,7 @@
 //! ready for `obsreport --require-slo`.
 
 use past_invariants::scenarios::{
-    bulk_join, churn, lossy_churn, lossy_churn_traced, quota_reclaim, wheel_horizon, Findings,
+    bulk_join, churn, lossy_churn_traced, quota_reclaim, wheel_horizon,
 };
 use past_netsim::TraceConfig;
 
@@ -47,53 +45,43 @@ fn main() {
         }
     }
 
-    // (scenario, findings, whether I6 gates it)
     let mut results = vec![
-        ("bulk-join", bulk_join(1), true),
-        ("churn", churn(2), false),
-        ("quota-reclaim", quota_reclaim(3), true),
+        ("bulk-join", bulk_join(1)),
+        ("churn", churn(2)),
+        ("quota-reclaim", quota_reclaim(3)),
     ];
-    if emit_trace.is_some() || emit_series.is_some() {
-        let run = lossy_churn_traced(4, TraceConfig::lifecycle());
-        if let Some(path) = &emit_trace {
-            write_or_exit(path, "trace", run.tracer.to_jsonl());
-            println!(
-                "invariants: wrote {} trace record(s) to {path}",
-                run.tracer.records().len()
-            );
-        }
-        if let Some(path) = &emit_series {
-            let Some(series) = run.tracer.series() else {
-                eprintln!("invariants: traced run produced no series for {path}");
-                std::process::exit(2);
-            };
-            write_or_exit(path, "series", series.to_canonical_jsonl());
-            println!(
-                "invariants: wrote {} series window(s) to {path}",
-                series.len()
-            );
-        }
-        results.push(("lossy-churn", run.findings, false));
+    let trace = if emit_trace.is_some() || emit_series.is_some() {
+        TraceConfig::lifecycle()
     } else {
-        results.push(("lossy-churn", lossy_churn(4), false));
+        TraceConfig::off()
+    };
+    let run = lossy_churn_traced(4, trace);
+    if let Some(path) = &emit_trace {
+        write_or_exit(path, "trace", run.tracer.to_jsonl());
+        println!(
+            "invariants: wrote {} trace record(s) to {path}",
+            run.tracer.records().len()
+        );
     }
-    results.push(("wheel-horizon", wheel_horizon(5), true));
+    if let Some(path) = &emit_series {
+        let Some(series) = run.tracer.series() else {
+            eprintln!("invariants: traced run produced no series for {path}");
+            std::process::exit(2);
+        };
+        write_or_exit(path, "series", series.to_canonical_jsonl());
+        println!(
+            "invariants: wrote {} series window(s) to {path}",
+            series.len()
+        );
+    }
+    results.push(("lossy-churn", run.findings));
+    results.push(("wheel-horizon", wheel_horizon(5)));
 
     let mut failed = false;
-    for (name, findings, gate_routes) in results {
-        let Findings {
-            mut violations,
-            misroutes,
-        } = findings;
-        let routes = if gate_routes {
-            violations.extend(misroutes);
-            "I6 holds".to_string()
-        } else {
-            format!("I6: {} route failure(s), not gated", misroutes.len())
-        };
+    for (name, violations) in results {
         if violations.is_empty() {
             println!(
-                "invariants: scenario {name:<14} ok (I1-I5 hold at every quiesce point; {routes})"
+                "invariants: scenario {name:<14} ok (I1-I5 hold at every quiesce point; I6 holds)"
             );
         } else {
             failed = true;

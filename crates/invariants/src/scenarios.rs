@@ -54,35 +54,23 @@ fn build_net(
     (net, ids)
 }
 
-/// What a scenario's quiesce-point checks found.
-#[derive(Default)]
-pub struct Findings {
-    /// I1–I5 and liveness ("OP") violations: empty, or the gate fails.
-    pub violations: Vec<Violation>,
-    /// I6 route failures, kept apart because whether they fail the gate
-    /// depends on the scenario: one that joins nodes after others failed
-    /// walks into roadmap item E's bug, and only reports them.
-    pub misroutes: Vec<Violation>,
-}
-
-fn check_at(context: &str, net: &PastNetwork<Sphere>, out: &mut Findings) {
-    let tag = |mut v: Violation| {
-        v.detail = format!("[{context}] {}", v.detail);
-        v
-    };
+/// Checks I1–I6 on `net`, tagging each violation with `context`.
+fn check_at(context: &str, net: &PastNetwork<Sphere>, out: &mut Vec<Violation>) {
     let snapshot = check_all(&net.snapshot());
-    out.violations.extend(snapshot.into_iter().map(tag));
     // Beside the live ids and owner-change midpoints: the same eight
     // seeded keys at every quiesce point.
     let routes = check_routes(&net.sim, &route_keys(&net.sim, 6, 8));
-    out.misroutes.extend(routes.into_iter().map(tag));
+    out.extend(snapshot.into_iter().chain(routes).map(|mut v| {
+        v.detail = format!("[{context}] {}", v.detail);
+        v
+    }));
 }
 
 /// Scenario 1 — bulk join: 40 protocol joins, an insert/lookup workload,
 /// and a duplicate insert (which must conserve quota via zero-`stored`
 /// receipts).
-pub fn bulk_join(seed: u64) -> Findings {
-    let mut findings = Findings::default();
+pub fn bulk_join(seed: u64) -> Vec<Violation> {
+    let mut findings = Vec::new();
     let (mut net, _) = build_net(
         Sphere::new(40, seed),
         40,
@@ -130,8 +118,8 @@ pub fn bulk_join(seed: u64) -> Findings {
 
 /// Scenario 2 — churn: an insert workload, then node failures, repair,
 /// recoveries and fresh joins, checking at every quiesce point.
-pub fn churn(seed: u64) -> Findings {
-    let mut findings = Findings::default();
+pub fn churn(seed: u64) -> Vec<Violation> {
+    let mut findings = Vec::new();
     let (mut net, ids) = build_net(
         Sphere::new(48, seed),
         40,
@@ -185,8 +173,8 @@ pub fn churn(seed: u64) -> Findings {
 /// Scenario 3 — quota/reclaim under storage pressure: tiny disks force
 /// replica diversion (pointers), then reclaims must settle every card's
 /// quota exactly.
-pub fn quota_reclaim(seed: u64) -> Findings {
-    let mut findings = Findings::default();
+pub fn quota_reclaim(seed: u64) -> Vec<Violation> {
+    let mut findings = Vec::new();
     let cfg = PastConfig {
         t_pri: 0.6,
         t_div: 0.55,
@@ -221,23 +209,10 @@ pub fn quota_reclaim(seed: u64) -> Findings {
     findings
 }
 
-/// Scenario 4 — lossy churn: the churn scenario's shape re-run over a
-/// faulty network (5% loss, 1% duplication, 20 ms jitter) with the
-/// recovery machinery on, over a delay-floored sphere. Beyond I1–I5 at
-/// every quiesce point, it
-/// asserts liveness: every client operation issued under loss must
-/// terminate in an explicit success or failure event (reported as a
-/// synthetic "OP" violation otherwise — a hung request).
-pub fn lossy_churn(seed: u64) -> Findings {
-    // Tracing never perturbs the simulation, so delegating with tracing
-    // off yields exactly the violations a dedicated untraced run would.
-    lossy_churn_traced(seed, TraceConfig::off()).findings
-}
-
 /// What one lossy-churn run leaves behind.
 pub struct LossyChurnRun {
-    /// What the quiesce-point and liveness checks found.
-    pub findings: Findings,
+    /// What the quiesce-point (I1–I6) and liveness checks found.
+    pub findings: Vec<Violation>,
     /// The run's trace (fed to `tracecheck` by the CI gate) and,
     /// on traced runs, its flight-recorder series.
     pub tracer: Tracer,
@@ -248,7 +223,14 @@ pub struct LossyChurnRun {
     pub digest: String,
 }
 
-/// [`lossy_churn`] with a trace sink attached.
+/// Scenario 4 — lossy churn: the churn scenario's shape re-run over a
+/// faulty network (5% loss, 1% duplication, 20 ms jitter) with the
+/// recovery machinery on, over a delay-floored sphere, with `trace`
+/// recorded. Beyond I1–I6 at every quiesce point, it asserts liveness:
+/// every client operation issued under loss must terminate in an
+/// explicit success or failure event (reported as a synthetic "OP"
+/// violation otherwise — a hung request). Tracing never perturbs the
+/// simulation: with it off, every other observable is the same.
 pub fn lossy_churn_traced(seed: u64, trace: TraceConfig) -> LossyChurnRun {
     let (mut net, ids) = build_net(
         Sphere::with_delay_floor(48, seed, LOSSY_FLOOR_US),
@@ -270,7 +252,7 @@ fn lossy_cfg() -> PastConfig {
 }
 
 /// The lossy-churn workload: inserts under loss, node failures,
-/// recoveries, fresh joins, lookups and reclaims, with I1–I5 checked at
+/// recoveries, fresh joins, lookups and reclaims, with I1–I6 checked at
 /// every quiesce point and explicit termination demanded for every
 /// issued operation.
 fn drive_lossy_churn(
@@ -279,7 +261,7 @@ fn drive_lossy_churn(
     seed: u64,
     trace: TraceConfig,
 ) -> LossyChurnRun {
-    let mut findings = Findings::default();
+    let mut findings = Vec::new();
     // Ample disks and quotas (set by the builders): this scenario
     // stresses message loss, not storage pressure.
     net.sim.engine.set_tracing(trace);
@@ -397,7 +379,7 @@ fn drive_lossy_churn(
     }
     for req in &insert_reqs {
         if !insert_done.contains(req) {
-            findings.violations.push(Violation {
+            findings.push(Violation {
                 invariant: "OP",
                 addr: None,
                 detail: format!("[lossy] insert request {req} never terminated"),
@@ -406,7 +388,7 @@ fn drive_lossy_churn(
     }
     for fid in &inserted {
         if !lookup_done.contains(fid) {
-            findings.violations.push(Violation {
+            findings.push(Violation {
                 invariant: "OP",
                 addr: None,
                 detail: format!("[lossy] lookup of {fid:?} never terminated"),
@@ -415,7 +397,7 @@ fn drive_lossy_churn(
     }
     for fid in &reclaimed {
         if !reclaim_done.contains(fid) {
-            findings.violations.push(Violation {
+            findings.push(Violation {
                 invariant: "OP",
                 addr: None,
                 detail: format!("[lossy] reclaim of {fid:?} never terminated"),
@@ -461,7 +443,7 @@ pub fn diversion_traced(seed: u64, trace: TraceConfig) -> LossyChurnRun {
         ..PastConfig::default()
     };
     let (mut net, _) = build_net(Sphere::new(30, seed), 30, seed, 12 * MB, 10_000 * MB, cfg);
-    let mut findings = Findings::default();
+    let mut findings = Vec::new();
     net.sim.engine.set_tracing(trace);
     if trace.any() {
         net.sim.engine.set_series(SeriesConfig::new(1_000_000));
@@ -505,7 +487,7 @@ pub fn diversion_traced(seed: u64, trace: TraceConfig) -> LossyChurnRun {
         (refused, "an InsertFailed"),
     ] {
         if !seen {
-            findings.violations.push(Violation {
+            findings.push(Violation {
                 invariant: "OP",
                 addr: None,
                 detail: format!("[diversion] the fill never produced {what}"),
@@ -534,8 +516,8 @@ pub fn diversion_traced(seed: u64, trace: TraceConfig) -> LossyChurnRun {
 /// where a filing bug would reorder or drop timers; it would surface
 /// here as stuck heartbeats, failed repair (I1–I5 violations) or a
 /// lookup that never completes.
-pub fn wheel_horizon(seed: u64) -> Findings {
-    let mut findings = Findings::default();
+pub fn wheel_horizon(seed: u64) -> Vec<Violation> {
+    let mut findings = Vec::new();
     let (mut net, _) = build_net(
         Sphere::new(40, seed),
         40,
@@ -576,7 +558,7 @@ pub fn wheel_horizon(seed: u64) -> Findings {
             }
         }
         if !found {
-            findings.violations.push(Violation {
+            findings.push(Violation {
                 invariant: "OP",
                 addr: None,
                 detail: format!("[wheel] lookup issued after the {span} µs edge never succeeded"),

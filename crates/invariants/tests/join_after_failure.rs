@@ -76,9 +76,10 @@ fn join_after_one_failure_routes_to_the_root() {
 /// 44 and 76 of seeds 0..100): routes reach their roots, but one leaf
 /// half is wrong. The story in the trace:
 ///
-/// - Node 27 died. Node 29 purged it, but some node on the joiner's
-///   path still held 27 in its routing table, and that stale entry rode
-///   the `JoinRequest`'s `rows` to the joiner (addr 64).
+/// - Node 27 died, but the joiner's contact (49) still held it in its
+///   routing table: 49 forwarded the `JoinRequest` to 27 first (that
+///   forward failed and the retry went elsewhere), and the stale entry
+///   rode the request's `rows` to the joiner (addr 64).
 /// - The joiner announced itself to everyone it knew, 27 included. That
 ///   `Announce` failed; the joiner purged 27 and, 27 being in its leaf
 ///   set, sent a `LeafRequest` to the far end of that half (48).
@@ -104,18 +105,10 @@ fn join_after_failure_leaves_a_leaf_asymmetry() {
 #[test]
 #[ignore = "churn breaks I1/I2 at seeds 3-5 and I5 at seeds 4 and 7"]
 fn churn_scenario_holds_on_seeds_0_to_7() {
-    let mut failing = Vec::new();
-    for seed in 0..8 {
-        let f = churn(seed);
-        let found: Vec<String> = f
-            .violations
-            .iter()
-            .chain(&f.misroutes)
-            .map(|v| v.to_string())
-            .collect();
-        if !found.is_empty() {
-            failing.push((seed, found));
-        }
-    }
+    let failing: Vec<(u64, Vec<String>)> = (0..8)
+        .map(|seed| (seed, churn(seed)))
+        .filter(|(_, found)| !found.is_empty())
+        .map(|(seed, found)| (seed, found.iter().map(Violation::to_string).collect()))
+        .collect();
     assert!(failing.is_empty(), "{failing:#?}");
 }

@@ -1,7 +1,7 @@
 //! The discrete-event message engine.
 //!
 //! Nodes are sans-io [`Machine`]s; the engine owns them, runs every
-//! handler against a [`StepIo`](past_wire::StepIo) and applies what it
+//! handler against a [`StepIo`] and applies what it
 //! wrote in call order, delivers messages with topology-derived latency,
 //! models node failure (messages to a dead node produce a delayed
 //! send-failure notification at the sender, standing in for a timeout),
@@ -22,7 +22,7 @@ use crate::topology::{mix64, Addr, Topology};
 use crate::wheel::TimerWheel;
 use past_crypto::rng::Rng;
 use past_trace::{SeriesConfig, TraceConfig, Tracer};
-use past_wire::{Effect, Input, Io, Machine, Message};
+use past_wire::{Effect, Input, Machine, Message, StepIo};
 
 /// Per-node protocol logic driven by the engine, as callbacks. Protocol
 /// nodes implement [`Machine`] and get it from the blanket impl below;
@@ -47,7 +47,7 @@ pub trait NodeLogic {
     ) {
     }
 
-    /// Handles a timer previously set with [`Io::set_timer`].
+    /// Handles a timer previously set with [`StepIo::set_timer`].
     fn on_timer(&mut self, _kind: u64, _ctx: &mut Ctx<'_, Self::Msg, Self::Out>) {}
 
     /// Bytes of heap this node owns beyond `size_of::<Self>()`, for
@@ -156,10 +156,10 @@ impl FaultConfig {
     }
 }
 
-/// The effect sink handed to node logic: the sans-io [`Io`] trait object
-/// (as `past_pastry::PastryIo`), backed by a [`past_wire::StepIo`].
-/// Node code calls `ctx.me()`, `ctx.now_us()`, `ctx.rng()`, `ctx.send(..)`.
-pub type Ctx<'a, M, O> = dyn Io<M, O> + 'a;
+/// The effect sink handed to node logic: a [`StepIo`] over the engine's
+/// clock, RNG, tracer and topology. Node code calls `ctx.me()`,
+/// `ctx.now_us()`, `ctx.rng()`, `ctx.send(..)`.
+pub type Ctx<'a, M, O> = StepIo<'a, M, O>;
 
 /// Per-kind traffic counters.
 ///

@@ -11,7 +11,7 @@ use crate::handle::NodeHandle;
 use crate::id::Id;
 use crate::msg::{PastryMsg, PayloadSize, RouteEnvelope};
 use crate::state::PastryState;
-use past_wire::{Addr, Io, Rng, Tracer};
+use past_wire::{Addr, Rng, StepIo, Tracer};
 
 /// Observations surfaced by the overlay (and the app) to the experiment
 /// harness.
@@ -64,19 +64,19 @@ pub struct RouteInfo {
 
 /// The effect context handed to application callbacks.
 ///
-/// Wraps the node's sans-io effect sink ([`Io`]), translating
+/// Wraps the node's sans-io effect sink ([`StepIo`]), translating
 /// application actions into Pastry messages. Because it holds the sink
 /// and not the engine, application logic is as engine-free as the node
 /// logic it rides on.
 pub struct AppCtx<'a, 'b, P: Clone + PayloadSize, O> {
-    pub(crate) io: &'a mut (dyn Io<PastryMsg<P>, PastryOut<O>> + 'b),
+    pub(crate) io: &'a mut StepIo<'b, PastryMsg<P>, PastryOut<O>>,
 }
 
 impl<'a, 'b, P: Clone + PayloadSize, O> AppCtx<'a, 'b, P, O> {
     /// The application's view of `io`: how whoever drives a node starts
     /// an application action on it (a route, a direct send) with the
     /// same code the application's own callbacks use.
-    pub fn new(io: &'a mut (dyn Io<PastryMsg<P>, PastryOut<O>> + 'b)) -> Self {
+    pub fn new(io: &'a mut StepIo<'b, PastryMsg<P>, PastryOut<O>>) -> Self {
         AppCtx { io }
     }
 

@@ -62,4 +62,4 @@ pub use sim::{
 pub use state::PastryState;
 // The codec and sans-io vocabulary node logic is written against, so
 // dependents name one crate for the protocol surface.
-pub use past_wire::{DecodeError, Effect, Input, Io, StepIo, Wire, WIRE_VERSION};
+pub use past_wire::{DecodeError, Effect, Input, StepIo, Wire, WIRE_VERSION};

@@ -52,9 +52,20 @@ impl NeighborhoodSet {
 
     /// Removes the member at `addr`.
     pub fn remove_addr(&mut self, addr: Addr) -> Option<NodeHandle> {
+        self.take(addr)?.1.handle()
+    }
+
+    /// Removes the member at `addr`, returning its position and entry for
+    /// [`Self::put_back`].
+    pub(crate) fn take(&mut self, addr: Addr) -> Option<(usize, Slot)> {
         let addr = pack_addr(addr)?;
         let pos = self.entries.iter().position(|m| m.addr() == addr)?;
-        self.entries.remove(pos).handle()
+        Some((pos, self.entries.remove(pos)))
+    }
+
+    /// Puts back what [`Self::take`] removed, at its old position.
+    pub(crate) fn put_back(&mut self, (pos, slot): (usize, Slot)) {
+        self.entries.insert(pos, slot);
     }
 
     /// Members, nearest first.

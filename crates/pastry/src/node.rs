@@ -6,21 +6,21 @@
 //!
 //! The logic is **sans-io**: [`PastryNode::step`] is a pure transition
 //! function `(state, Input) → effects` whose only coupling to the
-//! outside world is the [`Io`] effect sink it writes through. Every
+//! outside world is the [`StepIo`] effect sink it writes through. Every
 //! protocol action is written here once, the ones a harness starts
 //! included: [`PastryNode::start_join`], the two halves of revival,
 //! [`PastryNode::probe_row`]. The node is a [`Machine`]; the simulator's
-//! blanket adapter runs it under the engine, and an engine-free driver
-//! (`past_wire::StepIo`) runs the same machine in pure tests and, later,
-//! socket transports.
+//! blanket adapter runs it under the engine against a `StepIo`, and pure
+//! tests (and, later, socket transports) run the same machine against
+//! one of their own.
 
 use crate::app::{App, AppCtx, PastryOut, RouteInfo};
 use crate::handle::NodeHandle;
 use crate::id::{Config, MAX_ROUTE_HOPS};
 use crate::msg::{JoinReply, JoinRequest, PastryMsg, PayloadSize, RouteEnvelope};
-use crate::route::{next_hop, NextHop};
+use crate::route::{next_hop, next_hop_without, NextHop};
 use crate::state::PastryState;
-use past_wire::{btree_heap_bytes, Addr, Input, Io, Machine};
+use past_wire::{btree_heap_bytes, Addr, Input, Machine, StepIo};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Timer id for leaf-set heartbeats.
@@ -92,9 +92,9 @@ pub enum Behavior {
     DropRoutes,
 }
 
-/// The effect sink a Pastry node writes through: any [`Io`] over the
+/// The effect sink a Pastry node writes through: a [`StepIo`] over the
 /// Pastry message set and overlay observations.
-pub type PastryIo<'i, A> = dyn Io<PastryMsg<<A as App>::Payload>, PastryOut<<A as App>::Out>> + 'i;
+pub type PastryIo<'i, A> = StepIo<'i, PastryMsg<<A as App>::Payload>, PastryOut<<A as App>::Out>>;
 
 /// A Pastry node: routing state, application, and protocol behavior.
 pub struct PastryNode<A: App> {
@@ -360,14 +360,22 @@ impl<A: App> PastryNode<A> {
         }
     }
 
-    /// Sends a join request held by this node onward: answered as Z when
-    /// the route ends here, forwarded one hop otherwise.
-    fn pass_join(&self, mut req: Box<JoinRequest>, decision: NextHop, io: &mut PastryIo<'_, A>) {
+    /// Sends a join request held by this node onward: forwarded one hop,
+    /// or answered as Z when the route ends here or the request has
+    /// outlived the hop TTL (a cycle through damaged state). Every join
+    /// hop, on arrival and on a failed forward's retry, is decided here
+    /// and with the joiner left out: it is the closest node to its own
+    /// id, but it has not joined and cannot answer as its own Z.
+    fn pass_join(&mut self, mut req: Box<JoinRequest>, io: &mut PastryIo<'_, A>) {
+        let joiner = req.joiner;
+        let decision = if req.hops > MAX_ROUTE_HOPS {
+            NextHop::DeliverHere
+        } else {
+            next_hop_without(&mut self.state, joiner.addr, &joiner.id, io.rng())
+        };
         match decision {
             NextHop::DeliverHere => {
-                let JoinRequest {
-                    joiner, rows, hops, ..
-                } = *req;
+                let JoinRequest { rows, hops, .. } = *req;
                 let leaf: Vec<NodeHandle> = self.state.leaf.members().copied().collect();
                 io.send(
                     joiner.addr,
@@ -403,11 +411,8 @@ impl<A: App> PastryNode<A> {
             }
             // A node that has not completed its own join has no state to
             // seed another's with: answering would make it Z of a ring of
-            // one. Dropped, so the joiner's retry deadline reports it. (Its
-            // own retried request, routed back by nodes that learned it
-            // on a lost attempt, is still handled below, as it always was.)
-            PastryMsg::NeighborhoodRequest if !self.joined => {}
-            PastryMsg::JoinRequest(req) if !self.joined && req.joiner.addr != io.me() => {}
+            // one. Dropped, so the joiner's retry deadline reports it.
+            PastryMsg::NeighborhoodRequest | PastryMsg::JoinRequest(_) if !self.joined => {}
             PastryMsg::JoinRequest(mut req) => {
                 // Contribute our routing-table rows usable by the joiner:
                 // rows up to the shared-prefix length.
@@ -419,15 +424,7 @@ impl<A: App> PastryNode<A> {
                     req.rows_done += 1;
                 }
                 req.rows.push(self.state.me);
-                // Decide before learning the joiner, so we never forward
-                // the join to the joiner itself. Past the hop TTL (cycle
-                // through damaged state), answer as Z instead of looping.
-                let decision = if req.hops > MAX_ROUTE_HOPS {
-                    NextHop::DeliverHere
-                } else {
-                    next_hop(&self.state, &joiner.id, io.rng())
-                };
-                self.pass_join(req, decision, io);
+                self.pass_join(req, io);
                 self.learn(joiner, io);
             }
             PastryMsg::JoinReply(reply) => {
@@ -520,11 +517,7 @@ impl<A: App> PastryNode<A> {
                 // the dead node (it is no longer in our state).
                 self.route_env(env, io);
             }
-            PastryMsg::JoinRequest(req) => {
-                // Re-route the join with our updated state.
-                let decision = next_hop(&self.state, &req.joiner.id, io.rng());
-                self.pass_join(req, decision, io);
-            }
+            PastryMsg::JoinRequest(req) => self.pass_join(req, io),
             PastryMsg::AppDirect { payload } => {
                 let mut cx = AppCtx { io: &mut *io };
                 self.app.on_direct_failed(&self.state, to, payload, &mut cx);
@@ -616,7 +609,7 @@ impl<A: App> Machine for PastryNode<A> {
     type Msg = PastryMsg<A::Payload>;
     type Out = PastryOut<A::Out>;
 
-    fn step(&mut self, input: Input<Self::Msg>, io: &mut dyn Io<Self::Msg, Self::Out>) {
+    fn step(&mut self, input: Input<Self::Msg>, io: &mut StepIo<'_, Self::Msg, Self::Out>) {
         PastryNode::step(self, input, io);
     }
 

@@ -16,6 +16,7 @@ use crate::handle::NodeHandle;
 use crate::id::Id;
 use crate::state::PastryState;
 use past_crypto::rng::Rng;
+use past_wire::Addr;
 use std::cmp::Reverse;
 
 /// The outcome of one routing step.
@@ -136,6 +137,30 @@ pub fn next_hop(state: &PastryState, key: &Id, rng: &mut Rng) -> NextHop {
         Some((_, next)) => NextHop::Forward(next),
         None => NextHop::DeliverHere,
     }
+}
+
+/// [`next_hop`] as if this node did not know the node at `skip`, whose
+/// entries are set aside for the decision and then put back in place.
+pub(crate) fn next_hop_without(
+    state: &mut PastryState,
+    skip: Addr,
+    key: &Id,
+    rng: &mut Rng,
+) -> NextHop {
+    let slot = state.table.take(skip);
+    let leaf = state.leaf.remove_addr(skip);
+    let near = state.neighborhood.take(skip);
+    let hop = next_hop(state, key, rng);
+    if let Some(slot) = slot {
+        state.table.put_back(slot);
+    }
+    if let Some(h) = leaf {
+        state.leaf.insert(h);
+    }
+    if let Some(near) = near {
+        state.neighborhood.put_back(near);
+    }
+    hop
 }
 
 /// Among valid candidates, prefer the longest prefix, then the numerically

@@ -187,6 +187,19 @@ impl RoutingTable {
         vacated
     }
 
+    /// Vacates the first slot holding `addr`, returning where it was and
+    /// what it held, for [`Self::put_back`].
+    pub(crate) fn take(&mut self, addr: Addr) -> Option<(usize, Slot)> {
+        let addr = pack_addr(addr)?;
+        let at = self.slots.iter().position(|s| s.addr == addr)?;
+        Some((at, std::mem::replace(&mut self.slots[at], Slot::VACANT)))
+    }
+
+    /// Puts back what [`Self::take`] vacated.
+    pub(crate) fn put_back(&mut self, (at, slot): (usize, Slot)) {
+        self.slots[at] = slot;
+    }
+
     /// All populated slots as `(row, col, entry)` (snapshot/invariant
     /// support).
     pub fn slots(&self) -> impl Iterator<Item = (usize, usize, NodeHandle)> + '_ {

@@ -9,12 +9,13 @@
 //!   every top-level message — and the typed [`DecodeError`] that makes
 //!   malformed input a value, never a panic. DESIGN.md §13 is the
 //!   normative spec.
-//! - [`sansio`]: the [`Io`] effect sink and [`Input`] event type that
-//!   protocol state machines are written against, the [`Machine`] trait
-//!   they implement and the [`Message`] trait their frames implement, so
-//!   the same `(state, input) → effects` transition functions run under
-//!   the deterministic simulator today and real sockets later.
-//!   [`StepIo`] is the engine-free driver used by pure tests.
+//! - [`sansio`]: the [`StepIo`] effect sink and [`Input`] event type
+//!   that protocol state machines are written against, the [`Machine`]
+//!   trait they implement and the [`Message`] trait their frames
+//!   implement, so the same `(state, input) → effects` transition
+//!   functions run under the deterministic simulator today and real
+//!   sockets later. The simulator and the engine-free pure tests step
+//!   machines against the same `StepIo`.
 
 // Library code prints nothing and drops no `#[must_use]` result (DESIGN.md §9).
 #![deny(clippy::print_stdout, clippy::print_stderr)]
@@ -24,7 +25,7 @@ pub mod codec;
 pub mod sansio;
 
 pub use codec::{DecodeError, Reader, Sink, Wire, WIRE_VERSION};
-pub use sansio::{btree_heap_bytes, Effect, Input, Io, Machine, Message, StepIo};
+pub use sansio::{btree_heap_bytes, Effect, Input, Machine, Message, StepIo};
 
 // The handles node logic needs, re-exported so a sans-io protocol crate
 // can name them without depending on the simulator.

@@ -2,12 +2,12 @@
 //!
 //! Protocol state machines in this workspace are written as transition
 //! functions `(state, Input) → effects`, where every effect — a message
-//! send, a timer, an observation — goes through the [`Io`] sink in call
-//! order. [`StepIo`] is the one implementation: it collects effects into
-//! a plain vector. The deterministic simulator runs every handler against
-//! one and then applies the effects, and an engine-free unit test steps a
-//! machine against one and inspects them; a socket transport would drain
-//! the same vector onto the network.
+//! send, a timer, an observation — goes through a [`StepIo`] in call
+//! order. It collects them into a plain vector. The deterministic
+//! simulator runs every handler against one and then applies the
+//! effects, and an engine-free unit test steps a machine against one and
+//! inspects them; a socket transport would drain the same vector onto
+//! the network.
 
 use crate::Addr;
 use past_crypto::rng::Rng;
@@ -79,7 +79,7 @@ pub enum Input<M> {
 }
 
 /// A sans-io protocol state machine: one transition function over
-/// [`Input`], every effect written through [`Io`].
+/// [`Input`], every effect written through a [`StepIo`].
 ///
 /// This is the whole boundary between a protocol and whatever runs it.
 /// The simulator adapts every `Machine` onto its engine with one blanket
@@ -95,7 +95,7 @@ pub trait Machine {
 
     /// Applies one input, writing the resulting effects through `io` in
     /// call order.
-    fn step(&mut self, input: Input<Self::Msg>, io: &mut dyn Io<Self::Msg, Self::Out>);
+    fn step(&mut self, input: Input<Self::Msg>, io: &mut StepIo<'_, Self::Msg, Self::Out>);
 
     /// Bytes of heap this machine owns beyond `size_of::<Self>()`; the
     /// default counts none.
@@ -123,40 +123,6 @@ pub fn btree_heap_bytes<K, V>(len: usize) -> usize {
     len.div_ceil(KEYS_PER_NODE) * node_bytes
 }
 
-/// The effect sink a transition function writes through.
-///
-/// [`StepIo`] implements it (effects collect into a vector, which the
-/// simulator then applies to its event queue). Environment
-/// queries (`now_us`, `me`, `rng`, `tracer`, `delay_to`) live here too:
-/// they are the full set of facts a node may observe about the outside
-/// world, which is what keeps runs deterministic and replayable.
-pub trait Io<M, O> {
-    /// Current time in microseconds.
-    fn now_us(&self) -> u64;
-
-    /// This node's address.
-    fn me(&self) -> Addr;
-
-    /// The seeded RNG.
-    fn rng(&mut self) -> &mut Rng;
-
-    /// The trace sink (no-op unless tracing is enabled).
-    fn tracer(&mut self) -> &mut Tracer;
-
-    /// One-way delay to another node (the proximity metric). A real
-    /// transport answers from probe measurements.
-    fn delay_to(&self, other: Addr) -> u64;
-
-    /// Sends `msg` to `to`.
-    fn send(&mut self, to: Addr, msg: M);
-
-    /// Arms a timer that fires back into this node after `delay_us`.
-    fn set_timer(&mut self, delay_us: u64, kind: u64);
-
-    /// Emits an observation to the harness.
-    fn emit(&mut self, out: O);
-}
-
 /// One collected effect of a pure transition step.
 #[derive(Clone, Debug)]
 pub enum Effect<M, O> {
@@ -178,10 +144,10 @@ pub enum Effect<M, O> {
     Out(O),
 }
 
-/// The [`Io`]: effects append to a caller-owned vector in the exact order
-/// the transition function produced them. The simulator steps every
-/// handler against one over a reused scratch vector; a test steps a
-/// machine against one with no simulator at all.
+/// The effect sink a transition function writes through: effects append
+/// to a caller-owned vector in the order they were produced. Its queries
+/// (`now_us`, `me`, `rng`, `tracer`, `delay_to`) are all a node may
+/// observe of the outside world, which keeps runs replayable.
 pub struct StepIo<'a, M, O> {
     /// Current time in microseconds.
     pub now_us: u64,
@@ -198,36 +164,45 @@ pub struct StepIo<'a, M, O> {
     pub effects: &'a mut Vec<Effect<M, O>>,
 }
 
-impl<M, O> Io<M, O> for StepIo<'_, M, O> {
-    fn now_us(&self) -> u64 {
+impl<M, O> StepIo<'_, M, O> {
+    /// Current time in microseconds.
+    pub fn now_us(&self) -> u64 {
         self.now_us
     }
 
-    fn me(&self) -> Addr {
+    /// This node's address.
+    pub fn me(&self) -> Addr {
         self.me
     }
 
-    fn rng(&mut self) -> &mut Rng {
+    /// The seeded RNG.
+    pub fn rng(&mut self) -> &mut Rng {
         self.rng
     }
 
-    fn tracer(&mut self) -> &mut Tracer {
+    /// The trace sink (no-op unless tracing is enabled).
+    pub fn tracer(&mut self) -> &mut Tracer {
         self.tracer
     }
 
-    fn delay_to(&self, other: Addr) -> u64 {
+    /// One-way delay to another node (the proximity metric). A real
+    /// transport answers from probe measurements.
+    pub fn delay_to(&self, other: Addr) -> u64 {
         (self.proximity)(self.me, other)
     }
 
-    fn send(&mut self, to: Addr, msg: M) {
+    /// Sends `msg` to `to`.
+    pub fn send(&mut self, to: Addr, msg: M) {
         self.effects.push(Effect::Send { to, msg });
     }
 
-    fn set_timer(&mut self, delay_us: u64, kind: u64) {
+    /// Arms a timer that fires back into this node after `delay_us`.
+    pub fn set_timer(&mut self, delay_us: u64, kind: u64) {
         self.effects.push(Effect::Timer { delay_us, kind });
     }
 
-    fn emit(&mut self, out: O) {
+    /// Emits an observation to the harness.
+    pub fn emit(&mut self, out: O) {
         self.effects.push(Effect::Out(out));
     }
 }

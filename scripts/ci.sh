@@ -21,8 +21,8 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo doc (no rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-# I6 (every route ends at the closest live node) gates bulk-join,
-# quota-reclaim and wheel-horizon; churn and lossy-churn print its count.
+# I6 (every route ends at the closest live node) gates every scenario,
+# as I1-I5 do.
 echo "== invariant gate (I1-I6 over bulk-join / churn / quota-reclaim / lossy-churn / wheel-horizon)"
 mkdir -p target
 cargo run --offline -q -p past-invariants --bin invariants -- \
