@@ -17,7 +17,7 @@ use past_crypto::modmath::{mulmod, powmod, powmod2};
 use past_crypto::rng::Rng;
 use past_crypto::schnorr::pow_g;
 use past_crypto::u256::U256;
-use past_crypto::KeyPair;
+use past_crypto::{AnchorKey, KeyPair};
 use past_netsim::wheel::TimerWheel;
 use past_netsim::{Addr, Ctx, Engine, Message, NodeLogic, Plane, Sphere, Topology, UniformRandom};
 use past_pastry::{next_hop, Config, Id, NodeHandle, PastryState};
@@ -68,6 +68,12 @@ fn bench_crypto(b: &mut Bench) {
     let sig = kp.sign(msg);
     b.run("verify", || {
         black_box(kp.public.verify(black_box(msg), black_box(&sig)))
+    });
+    // The same check against a key that carries its own comb, as every
+    // node holds the broker's.
+    let anchor = AnchorKey::new(kp.public);
+    b.run("verify_anchor", || {
+        black_box(anchor.verify(black_box(msg), black_box(&sig)))
     });
 
     b.group("crypto/modmath");

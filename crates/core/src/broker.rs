@@ -13,11 +13,12 @@
 
 use crate::cert::CardCert;
 use crate::smartcard::Smartcard;
-use past_crypto::{KeyPair, PublicKey};
+use past_crypto::{AnchorKey, KeyPair};
 
 /// A smartcard issuer and supply/demand ledger.
 pub struct Broker {
     keys: KeyPair,
+    anchor: AnchorKey,
     cards_issued: u64,
     quota_issued_total: u64,
     contribution_total: u64,
@@ -28,8 +29,10 @@ impl Broker {
     pub fn new(seed: &[u8]) -> Broker {
         let mut key_seed = b"past-broker-v1".to_vec();
         key_seed.extend_from_slice(seed);
+        let keys = KeyPair::from_seed(&key_seed);
         Broker {
-            keys: KeyPair::from_seed(&key_seed),
+            anchor: AnchorKey::new(keys.public),
+            keys,
             cards_issued: 0,
             quota_issued_total: 0,
             contribution_total: 0,
@@ -37,9 +40,10 @@ impl Broker {
     }
 
     /// The broker's public key (the trust anchor every node verifies
-    /// certificates against).
-    pub fn public(&self) -> PublicKey {
-        self.keys.public
+    /// certificates against), with its verification table built once in
+    /// [`Broker::new`]: a clone shares that table.
+    pub fn public(&self) -> AnchorKey {
+        self.anchor.clone()
     }
 
     /// Issues a smartcard with a usage quota and a storage contribution.

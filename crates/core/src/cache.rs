@@ -104,6 +104,12 @@ impl Cache {
         self.entries.contains_key(id)
     }
 
+    /// The cached certificate for `id`, read without counting a hit or
+    /// a miss and without refreshing its credit.
+    pub(crate) fn peek(&self, id: &FileId) -> Option<&SharedCert> {
+        self.entries.get(id).map(|e| &e.cert)
+    }
+
     /// False when [`Cache::offer`] would refuse `cert` whatever the
     /// incumbents' credits: an empty file, one larger than the whole
     /// `budget`, or one already cached. Reads no counter and changes

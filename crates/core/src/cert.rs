@@ -15,7 +15,7 @@
 //! broker → card → certificate offline.
 
 use crate::fileid::{ContentRef, FileId};
-use past_crypto::{Digest256, PublicKey, Signature};
+use past_crypto::{AnchorKey, Digest256, PublicKey, Signature};
 use std::sync::Arc;
 
 /// A smartcard credential: the card's public key signed by its broker.
@@ -38,11 +38,9 @@ impl CardCert {
     }
 
     /// Verifies the broker's signature (against the expected broker key).
-    pub fn verify(&self, broker: &PublicKey) -> bool {
-        self.broker_key == *broker
-            && self
-                .broker_key
-                .verify(&Self::message(&self.card_key), &self.broker_sig)
+    pub fn verify(&self, broker: &AnchorKey) -> bool {
+        self.broker_key == broker.key()
+            && broker.verify(&Self::message(&self.card_key), &self.broker_sig)
     }
 }
 
@@ -102,7 +100,7 @@ impl FileCertificate {
     }
 
     /// Verifies the full chain: broker → owner card → certificate.
-    pub fn verify(&self, broker: &PublicKey) -> bool {
+    pub fn verify(&self, broker: &AnchorKey) -> bool {
         self.owner.verify(broker)
             && self.owner.card_key.verify(
                 &Self::message(
@@ -171,7 +169,7 @@ impl StoreReceipt {
     }
 
     /// Verifies the chain broker → storer card → receipt.
-    pub fn verify(&self, broker: &PublicKey) -> bool {
+    pub fn verify(&self, broker: &AnchorKey) -> bool {
         self.storer.verify(broker)
             && self.storer.card_key.verify(
                 &Self::message(&self.file_id, self.stored, self.diverted),
@@ -200,7 +198,7 @@ impl ReclaimCertificate {
     }
 
     /// Verifies the chain broker → owner card → certificate.
-    pub fn verify(&self, broker: &PublicKey) -> bool {
+    pub fn verify(&self, broker: &AnchorKey) -> bool {
         self.owner.verify(broker)
             && self
                 .owner
@@ -233,7 +231,7 @@ impl ReclaimReceipt {
     }
 
     /// Verifies the chain broker → storer card → receipt.
-    pub fn verify(&self, broker: &PublicKey) -> bool {
+    pub fn verify(&self, broker: &AnchorKey) -> bool {
         self.storer.verify(broker)
             && self
                 .storer
@@ -273,7 +271,7 @@ mod tests {
             .issue_file_certificate("kat-file", &content, 3, 7, 42)
             .unwrap();
         assert_eq!(
-            hex(&broker.public().to_bytes()),
+            hex(&broker.public().key().to_bytes()),
             "2082c92f76756ea9bd83bcd2353fee1bb148391f1c9b0102006418f31575b49f"
         );
         assert_eq!(

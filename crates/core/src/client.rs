@@ -374,12 +374,18 @@ impl PastApp {
     /// A response to one of this node's own requests arrived from `from`.
     pub(crate) fn on_response(&mut self, from: Addr, payload: PastMsg, cx: &mut Cx) {
         match payload {
-            PastMsg::StoreAck { receipt, op }
-                if !self.cfg.crypto_checks || receipt.verify(&self.broker_key) =>
-            {
-                let storer = receipt.storer.card_key.to_bytes();
-                let response = Ok((storer, receipt.stored));
-                self.note_insert_response(receipt.file_id, op, response, cx);
+            PastMsg::StoreAck { receipt, op } => {
+                // Two signature checks are only worth paying for an
+                // insert still waiting: a late or duplicated ack is
+                // dropped either way.
+                let key = (Kind::Insert, receipt.file_id, op);
+                if self.requests.contains_key(&key)
+                    && (!self.cfg.crypto_checks || receipt.verify(&self.broker_key))
+                {
+                    let storer = receipt.storer.card_key.to_bytes();
+                    let response = Ok((storer, receipt.stored));
+                    self.note_insert_response(receipt.file_id, op, response, cx);
+                }
             }
             PastMsg::InsertNack {
                 file_id,

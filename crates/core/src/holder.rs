@@ -320,10 +320,10 @@ impl PastApp {
                     cx.send_direct(primary, PastMsg::DivertNack { file_id, op });
                 }
             }
-            PastMsg::DivertAck { file_id, .. }
-                if self.pending_diverts.remove(&file_id).is_some() =>
-            {
-                self.store.add_pointer(file_id, from);
+            PastMsg::DivertAck { file_id, .. } => {
+                if let Some(st) = self.pending_diverts.remove(&file_id) {
+                    self.store.add_pointer(st.cert, from);
+                }
             }
             PastMsg::DivertNack { file_id, .. } => self.divert_refused(file_id, cx),
             PastMsg::LookupHop {
@@ -604,15 +604,17 @@ impl PastApp {
     ) {
         let fid = rcert.file_id;
         let owner = rcert.owner.card_key;
-        let held = self
-            .store
-            .get(&fid)
-            .map(|f| (f.cert.owner.card_key, f.cert.replication));
+        let held = self.store.get(&fid).map(|f| f.cert.replication);
         // "The smartcard of a storage node first verifies that the
         // signature in the reclaim certificate matches that in the file
-        // certificate stored with the file."
+        // certificate stored with the file." A diversion pointer and a
+        // cached copy carry that certificate too: another card's reclaim
+        // must not drop them either.
         if (self.cfg.crypto_checks && !rcert.verify(&self.broker_key))
-            || held.is_some_and(|(holder_of, _)| holder_of != owner)
+            || self
+                .store
+                .certs(&fid)
+                .any(|cert| cert.owner.card_key != owner)
         {
             cx.send_direct(client, PastMsg::ReclaimDenied { file_id: fid, op });
             return;
@@ -652,7 +654,7 @@ impl PastApp {
         }
         if propagate {
             let me = cx.me();
-            let replication = held.map_or(self.cfg.default_k, |(_, k)| k);
+            let replication = held.unwrap_or(self.cfg.default_k);
             for h in kset(state, fid.routing_id(), replication) {
                 if h.addr != me {
                     cx.send_direct(h.addr, free());

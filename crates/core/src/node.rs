@@ -21,7 +21,7 @@ use crate::holder::DivertState;
 use crate::msg::PastMsg;
 use crate::smartcard::Smartcard;
 use crate::storage::Store;
-use past_crypto::{Digest256, PublicKey};
+use past_crypto::{AnchorKey, Digest256};
 use past_pastry::{App, AppCtx, Id, NodeHandle, PastryState, RouteEnvelope, RouteInfo};
 use past_wire::{btree_heap_bytes, Addr};
 use std::collections::{BTreeMap, BTreeSet};
@@ -164,8 +164,9 @@ pub struct PastApp {
     pub card: Smartcard,
     /// The local store.
     pub store: Store,
-    /// The broker's public key (trust anchor).
-    pub broker_key: PublicKey,
+    /// The broker's public key (trust anchor), sharing the broker's
+    /// verification table.
+    pub broker_key: AnchorKey,
     /// Fault injection: corrupt insert contents passing through.
     pub corrupts_content: bool,
     /// Fault injection: acknowledge stores without keeping the data

@@ -14,7 +14,7 @@
 
 use crate::cert::{CardCert, FileCertificate, ReclaimCertificate, ReclaimReceipt, StoreReceipt};
 use crate::fileid::{ContentRef, FileId};
-use past_crypto::{KeyPair, PublicKey};
+use past_crypto::{AnchorKey, KeyPair, PublicKey};
 use std::collections::BTreeSet;
 
 /// Errors raised by smartcard operations.
@@ -196,7 +196,7 @@ impl Smartcard {
     pub fn credit_reclaim(
         &mut self,
         receipt: &ReclaimReceipt,
-        broker: &PublicKey,
+        broker: &AnchorKey,
     ) -> Result<u64, CardError> {
         if !receipt.verify(broker) {
             return Err(CardError::BadReceipt);

@@ -67,8 +67,9 @@ pub struct Store {
     // hash order would leak into which replicas move first (rule D3,
     // `clippy.toml`).
     files: BTreeMap<FileId, StoredFile>,
-    /// fileId → node holding the replica this node diverted.
-    pointers: BTreeMap<FileId, Addr>,
+    /// fileId → node holding the replica this node diverted, and the
+    /// replica's certificate (a reclaim is checked against its owner).
+    pointers: BTreeMap<FileId, (Addr, SharedCert)>,
     /// The cache living in unused space.
     pub cache: Cache,
     /// Primary-replica acceptance threshold (`t_pri`).
@@ -123,7 +124,18 @@ impl Store {
 
     /// The diversion pointer for `id`, if this node diverted it.
     pub fn pointer(&self, id: &FileId) -> Option<Addr> {
-        self.pointers.get(id).copied()
+        self.pointers.get(id).map(|(holder, _)| *holder)
+    }
+
+    /// The certificates this node holds for `id`: its replica's, its
+    /// diversion pointer's and its cached copy's, whichever exist.
+    pub(crate) fn certs(&self, id: &FileId) -> impl Iterator<Item = &SharedCert> {
+        let replica = self.files.get(id).map(|f| &f.cert);
+        let pointer = self.pointers.get(id).map(|(_, cert)| cert);
+        replica
+            .into_iter()
+            .chain(pointer)
+            .chain(self.cache.peek(id))
     }
 
     /// Iterates over stored replicas, handles and all.
@@ -144,7 +156,7 @@ impl Store {
 
     /// Iterates over diversion pointers (snapshot/invariant support).
     pub fn pointers(&self) -> impl Iterator<Item = (&FileId, Addr)> {
-        self.pointers.iter().map(|(id, a)| (id, *a))
+        self.pointers.iter().map(|(id, (a, _))| (id, *a))
     }
 
     /// Tests the acceptance policy without storing.
@@ -184,9 +196,10 @@ impl Store {
         Ok(())
     }
 
-    /// Records that this node diverted `id` to `holder`.
-    pub fn add_pointer(&mut self, id: FileId, holder: Addr) {
-        self.pointers.insert(id, holder);
+    /// Records that this node diverted the replica `cert` to `holder`.
+    pub fn add_pointer(&mut self, cert: impl Into<SharedCert>, holder: Addr) {
+        let cert = cert.into();
+        self.pointers.insert(cert.file_id, (holder, cert));
     }
 
     /// Removes a replica, returning the bytes freed (0 if absent).
@@ -209,7 +222,7 @@ impl Store {
 
     /// Removes a diversion pointer, returning the holder if present.
     pub fn remove_pointer(&mut self, id: &FileId) -> Option<Addr> {
-        self.pointers.remove(id)
+        self.pointers.remove(id).map(|(holder, _)| holder)
     }
 
     /// True if the node can serve `id` from primary, diverted, or cache.
@@ -248,13 +261,16 @@ impl Store {
     /// store's share of each certificate it holds a handle on, and the
     /// cache.
     pub(crate) fn heap_bytes(&self) -> usize {
+        let pointed = self.pointers.values().map(|(_, cert)| cert);
         btree_heap_bytes::<FileId, StoredFile>(self.files.len())
+            + btree_heap_bytes::<FileId, (Addr, SharedCert)>(self.pointers.len())
             + self
                 .files
                 .values()
-                .map(|f| cert_share(&f.cert))
+                .map(|f| &f.cert)
+                .chain(pointed)
+                .map(cert_share)
                 .sum::<usize>()
-            + btree_heap_bytes::<FileId, Addr>(self.pointers.len())
             + self.cache.heap_bytes()
     }
 }
@@ -339,7 +355,7 @@ mod tests {
         let mut s = Store::new(1000, 1.0, 1.0);
         let c = cert_of(100, 1);
         s.insert(c, ReplicaKind::Primary).unwrap();
-        s.add_pointer(c.file_id, 42);
+        s.add_pointer(c, 42);
         // Force a cache copy alongside (simulates a pre-insert cached copy
         // plus a pointer left by an earlier diversion of the same id).
         assert!(s.cache.offer(c, 500));
@@ -353,8 +369,10 @@ mod tests {
     fn pointers_roundtrip() {
         let mut s = Store::new(1000, 1.0, 1.0);
         let c = cert_of(100, 1);
-        s.add_pointer(c.file_id, 42);
+        s.add_pointer(c, 42);
         assert_eq!(s.pointer(&c.file_id), Some(42));
+        let certs: Vec<_> = s.certs(&c.file_id).map(|cert| **cert).collect();
+        assert_eq!(certs, [c], "a pointer keeps the replica's certificate");
         assert_eq!(s.remove_pointer(&c.file_id), Some(42));
         assert_eq!(s.pointer(&c.file_id), None);
     }

@@ -196,3 +196,52 @@ fn every_client_request_lives_the_same_life() {
         assert!(late.is_empty(), "{name}: {late:?}");
     }
 }
+
+#[test]
+fn a_store_ack_after_insert_ok_changes_nothing() {
+    // A late or duplicated receipt for a concluded insert is dropped
+    // before any signature is checked: no output, no quota movement —
+    // also for a zero-`stored` receipt, which a pending insert would
+    // credit back.
+    let content = ContentRef::synthetic(0, "acked", 4_096);
+    let (mut node, storer) = fixture();
+    let (_, req) = node
+        .app
+        .insert_request("acked", content, 1, 0, OpId(11))
+        .expect("quota");
+    let (frame, _) = node.app.begin(ME, req);
+    let PastMsg::Insert { cert, .. } = &frame else {
+        panic!("not an insert: {frame:?}");
+    };
+    let ack = |stored| Input::Message {
+        from: 9,
+        msg: PastryMsg::AppDirect {
+            payload: PastMsg::StoreAck {
+                receipt: storer.issue_store_receipt(&cert.file_id, stored, false),
+                op: frame.op_id(),
+            },
+        },
+    };
+    let answered = step(&mut node, ack(content.size));
+    assert!(
+        matches!(
+            outputs(&answered)[..],
+            [PastOut::InsertOk { receipts: 1, .. }]
+        ),
+        "{answered:?}"
+    );
+    let card = |node: &PastryNode<PastApp>| {
+        let card = &node.app.card;
+        (
+            card.quota_remaining(),
+            card.debited_total(),
+            card.credited_total(),
+        )
+    };
+    let settled = card(&node);
+    for stored in [content.size, 0] {
+        let late = step(&mut node, ack(stored));
+        assert!(late.is_empty(), "stored {stored}: {late:?}");
+        assert_eq!(card(&node), settled, "stored {stored}");
+    }
+}

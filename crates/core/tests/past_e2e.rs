@@ -209,6 +209,70 @@ fn reclaim_by_non_owner_is_denied() {
 }
 
 #[test]
+fn denied_reclaim_keeps_diversion_pointers() {
+    // Regression: a node holding only a diversion pointer (or a cached
+    // copy) had no certificate to check a reclaim's owner against, so it
+    // dropped the pointer and passed the reclaim on to the diverted
+    // holder, which denied it: the replica stayed stored but could no
+    // longer be found. Tiny disks force diversion.
+    let cfg = PastConfig {
+        t_pri: 0.6,
+        t_div: 0.55,
+        ..PastConfig::default()
+    };
+    let pointers = |net: &PastNetwork<Sphere>, fid: &FileId| {
+        let engine = &net.sim.engine;
+        engine
+            .live_addrs()
+            .into_iter()
+            .filter(|&a| engine.node(a).app.store.pointer(fid).is_some())
+            .count()
+    };
+    let mut pointed = 0;
+    for seed in [26, 9, 3, 4] {
+        let mut net = build(30, seed, 12 * MB, 10_000 * MB, cfg);
+        let mut inserted = Vec::new();
+        for owner in 0..10usize {
+            let name = format!("pointed-{owner}");
+            let content = ContentRef::synthetic(17, &name, 4 * MB);
+            if net.insert(owner, &name, content, 3).is_err() {
+                continue;
+            }
+            for (_, fid) in insert_ok(&net.run()) {
+                inserted.push((owner, fid));
+            }
+        }
+        for (owner, fid) in inserted {
+            let before = (pointers(&net, &fid), net.replica_holders(&fid));
+            pointed += usize::from(before.0 > 0);
+            let thief = (owner + 7) % 30;
+            net.reclaim(thief, fid);
+            let events = net.run();
+            assert!(
+                events
+                    .iter()
+                    .any(|(_, a, e)| *a == thief && matches!(e, PastOut::ReclaimDenied { .. })),
+                "seed {seed}: non-owner reclaim must be denied: {events:?}"
+            );
+            assert_eq!(
+                (pointers(&net, &fid), net.replica_holders(&fid)),
+                before,
+                "seed {seed}: a denied reclaim must leave pointers and replicas"
+            );
+            // The owner's reclaim still clears every pointer and replica.
+            net.reclaim(owner, fid);
+            net.run();
+            assert_eq!(
+                (pointers(&net, &fid), net.replica_holders(&fid)),
+                (0, vec![]),
+                "seed {seed}: owner reclaim"
+            );
+        }
+    }
+    assert!(pointed >= 5, "too few diverted files exercised: {pointed}");
+}
+
+#[test]
 fn files_survive_failures_and_replicas_are_restored() {
     let mut net = build(50, 6, 100 * MB, 1_000 * MB, PastConfig::default());
     let content = ContentRef::synthetic(4, "precious", MB);

@@ -35,7 +35,7 @@ pub mod u256;
 
 pub use digest::{Digest160, Digest256};
 pub use rng::Rng;
-pub use schnorr::{KeyPair, PublicKey, Signature};
+pub use schnorr::{AnchorKey, KeyPair, PublicKey, Signature};
 pub use stream::StreamCipher;
 
 /// Convenience: SHA-256 digest of `data` as a [`Digest256`].

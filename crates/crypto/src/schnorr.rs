@@ -12,6 +12,7 @@
 use crate::modmath::{addmod, mulmod, powmod2, rem256};
 use crate::sha256::Sha256;
 use crate::u256::U256;
+use std::sync::Arc;
 
 /// The 256-bit safe prime `p` defining the group `Z_p^*`.
 pub fn group_p() -> U256 {
@@ -304,34 +305,74 @@ const G_COMB: [U256; 256] = [
     U256([0x32e7860859bbc531, 0x1c42841d9aed48cd, 0xfb10cd3bd5ad0f73, 0x78c967b8809d2cb6]),
 ];
 
-/// Computes `g^exp mod p` for the generator [`group_g`] with the
-/// fixed-base comb `G_COMB`: for bit column 31 down to 0, square the
-/// accumulator and multiply by the entry selected by that bit of each
-/// 32-bit part — 31 squarings and at most 32 multiplies for any 256-bit
-/// scalar, against about 330 for `modmath::powmod`, which must build a
-/// window table for a base it has never seen and walk all 252 squarings.
-/// Equal to `powmod(&group_g(), exp, &group_p())` for every `exp`, and
-/// variable-time like it.
-pub fn pow_g(exp: &U256) -> U256 {
+/// Builds the eight-tooth comb of `base` that `G_COMB` is for `g`:
+/// entry `j` is the product of `base^(2^(32·i)) mod p` over the set bits
+/// `i` of `j`. 224 squarings for the eight single-tooth entries, then one
+/// multiply for each of the other 247 (entry `j` is entry `j` without its
+/// lowest set bit times that bit's entry).
+fn comb_table(base: &U256) -> [U256; 256] {
     let p = group_p();
-    let all = exp.0.iter().fold(0, |all, limb| all | limb);
+    let mut table = [U256::ONE; 256];
+    let mut tooth = rem256(base, &p);
+    for i in 0..8 {
+        if i > 0 {
+            for _ in 0..32 {
+                tooth = mulmod(&tooth, &tooth, &p);
+            }
+        }
+        table[1 << i] = tooth;
+    }
+    for j in 1..256usize {
+        let low = j & j.wrapping_neg();
+        if j != low {
+            table[j] = mulmod(&table[j ^ low], &table[low], &p);
+        }
+    }
+    table
+}
+
+/// The comb walk `∏ baseᵢ^expᵢ mod p` behind [`pow_g`] (one term) and
+/// [`AnchorKey::verify`] (two), each base given by its [`comb_table`]:
+/// for bit column 31 down to 0, square the shared accumulator and multiply
+/// by each term's entry selected by that bit of its exponent's eight
+/// 32-bit parts — 31 squarings and at most 32 multiplies per term for
+/// 256-bit exponents. Leading columns where every exponent is zero are
+/// skipped (variable-time, like `modmath::powmod`).
+fn comb_product<const N: usize>(terms: [(&[U256; 256], &U256); N]) -> U256 {
+    let p = group_p();
+    let all = terms
+        .iter()
+        .flat_map(|(_, exp)| exp.0)
+        .fold(0, |all, limb| all | limb);
     let columns = 32 - ((all | all >> 32) as u32).leading_zeros();
     let mut result = U256::ONE;
     for col in (0..columns).rev() {
         if col + 1 < columns {
             result = mulmod(&result, &result, &p);
         }
-        // Bit `col` of part `i` (bits 32·i.. of `exp`) is bit `i` of the
-        // digit; limb `l` holds parts `2l` (low half) and `2l + 1`.
-        let mut digit = 0;
-        for limb in exp.0.iter().rev() {
-            digit = digit << 2 | (limb >> (col + 32) & 1) << 1 | (limb >> col & 1);
-        }
-        if digit != 0 {
-            result = mulmod(&result, &G_COMB[digit as usize], &p);
+        for (table, exp) in &terms {
+            // Bit `col` of part `i` (bits 32·i.. of `exp`) is bit `i` of
+            // the digit; limb `l` holds parts `2l` (low half) and `2l + 1`.
+            let mut digit = 0;
+            for limb in exp.0.iter().rev() {
+                digit = digit << 2 | (limb >> (col + 32) & 1) << 1 | (limb >> col & 1);
+            }
+            if digit != 0 {
+                result = mulmod(&result, &table[digit as usize], &p);
+            }
         }
     }
     result
+}
+
+/// Computes `g^exp mod p` for the generator [`group_g`] with the
+/// fixed-base comb `G_COMB`: 31 squarings and at most 32 multiplies for
+/// any 256-bit scalar, against about 330 for `modmath::powmod`, which must
+/// build a window table for a base it has never seen and walk all 252
+/// squarings. Equal to `powmod(&group_g(), exp, &group_p())` for every
+/// `exp`, and variable-time like it.
+pub fn pow_g(exp: &U256) -> U256 {
+    comb_product([(&G_COMB, exp)])
 }
 
 /// A public verification key (a group element `y = g^x mod p`).
@@ -455,26 +496,96 @@ impl PublicKey {
     /// satisfy the equation whenever `(R, s)` does, and a signature must
     /// have one encoding.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
-        let p = group_p();
-        if sig.commitment.is_zero()
-            || sig.commitment >= p
-            || self.0.is_zero()
-            || self.0 >= p
-            || sig.response >= group_q()
-        {
-            return false;
-        }
-        let e = challenge(&sig.commitment, self, msg);
-        let (p_minus_1, _) = p.overflowing_sub(&U256::ONE);
-        let (neg_e, _) = p_minus_1.overflowing_sub(&e);
-        powmod2(&group_g(), &sig.response, &self.0, &neg_e, &p) == sig.commitment
+        verify_with(self, msg, sig, |s, neg_e| {
+            powmod2(&group_g(), s, &self.0, neg_e, &group_p())
+        })
+    }
+}
+
+/// The verification predicate shared by [`PublicKey::verify`] and
+/// [`AnchorKey::verify`]: the range checks, the challenge `e`, and
+/// `g^s · y^(p−1−e) == R` with the product computed by `product(s, p−1−e)`.
+fn verify_with(
+    key: &PublicKey,
+    msg: &[u8],
+    sig: &Signature,
+    product: impl FnOnce(&U256, &U256) -> U256,
+) -> bool {
+    let p = group_p();
+    if sig.commitment.is_zero()
+        || sig.commitment >= p
+        || key.0.is_zero()
+        || key.0 >= p
+        || sig.response >= group_q()
+    {
+        return false;
+    }
+    let e = challenge(&sig.commitment, key, msg);
+    let (p_minus_1, _) = p.overflowing_sub(&U256::ONE);
+    let (neg_e, _) = p_minus_1.overflowing_sub(&e);
+    product(&sig.response, &neg_e) == sig.commitment
+}
+
+/// A verification key that carries its own fixed-base comb: the trust
+/// anchor (the broker's key) that every node checks half of all
+/// signatures against. [`AnchorKey::verify`] answers exactly as
+/// [`PublicKey::verify`] does — same range checks, same challenge, same
+/// equation — but walks `G_COMB` and the key's table together over 32
+/// columns: 31 squarings and at most 64 multiplies instead of about 400.
+///
+/// Building the table costs about 470 multiplies, once per key. Cloning
+/// is an `Arc` clone, so every holder of the anchor shares one 8 KiB
+/// table; nothing caches a verification result.
+#[derive(Clone)]
+pub struct AnchorKey(Arc<Anchor>);
+
+struct Anchor {
+    key: PublicKey,
+    comb: [U256; 256],
+}
+
+impl AnchorKey {
+    /// Builds the comb for `key`.
+    pub fn new(key: PublicKey) -> AnchorKey {
+        AnchorKey(Arc::new(Anchor {
+            key,
+            comb: comb_table(&key.0),
+        }))
+    }
+
+    /// The plain public key.
+    pub fn key(&self) -> PublicKey {
+        self.0.key
+    }
+
+    /// Verifies `sig` over `msg` under this key; equal to
+    /// `self.key().verify(msg, sig)` for every input.
+    pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
+        verify_with(&self.0.key, msg, sig, |s, neg_e| {
+            comb_product([(&G_COMB, s), (&self.0.comb, neg_e)])
+        })
+    }
+}
+
+impl PartialEq for AnchorKey {
+    // The table is a function of the key, so the keys decide.
+    fn eq(&self, other: &AnchorKey) -> bool {
+        self.0.key == other.0.key
+    }
+}
+
+impl Eq for AnchorKey {}
+
+impl std::fmt::Debug for AnchorKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("AnchorKey").field(&self.0.key).finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modmath::powmod;
+    use crate::modmath::{powmod, powmod2};
     use crate::rng::Rng;
 
     /// The verification equation as it stood before the double
@@ -737,6 +848,137 @@ mod tests {
             accepted >= 300 && accepted_outside >= 20 && over_q >= 100,
             "{accepted} {accepted_outside} {over_q}"
         );
+    }
+
+    #[test]
+    fn comb_table_of_g_is_g_comb() {
+        assert!(comb_table(&group_g()) == G_COMB);
+    }
+
+    #[test]
+    fn two_term_comb_matches_powmod2() {
+        let p = group_p();
+        let (p_minus_1, _) = p.overflowing_sub(&U256::ONE);
+        let bases = [group_g(), KeyPair::from_seed(b"anchor").public.0, p_minus_1];
+        let mut rng = Rng::seed_from_u64(0xa2c4);
+        // Each 32-bit part's width drawn independently, as in the `pow_g`
+        // test: zero upper parts, and columns only one exponent reaches.
+        let mut part = || match rng.next_u64() % 33 {
+            0 => 0,
+            width => rng.next_u64() >> (64 - width),
+        };
+        for base in bases {
+            let table = comb_table(&base);
+            let mut exps = vec![U256::ZERO, U256::ONE, U256::MAX];
+            exps.extend((0..8).map(|i| {
+                let mut k = U256::ZERO;
+                k.0[i / 2] = (u32::MAX as u64) << (32 * (i % 2));
+                k
+            }));
+            for _ in 0..150 {
+                exps.push(U256(std::array::from_fn(|_| part() | part() << 32)));
+            }
+            for (i, x) in exps.iter().enumerate() {
+                let y = &exps[(i * 7 + 3) % exps.len()];
+                assert_eq!(
+                    comb_product([(&G_COMB, x), (&table, y)]),
+                    powmod2(&group_g(), x, &base, y, &p),
+                    "base={base:?} x={x:?} y={y:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn anchor_verify_matches_public_key_and_oracle() {
+        let p = group_p();
+        let q = group_q();
+        let (p_minus_1, _) = p.overflowing_sub(&U256::ONE);
+        let mut rng = Rng::seed_from_u64(0xa4c4_0707);
+        let (mut accepted, mut accepted_outside, mut cases) = (0, 0, 0);
+        for round in 0..60u32 {
+            let kp = KeyPair::from_seed(&rng.next_u64().to_be_bytes());
+            // Every other anchor lies outside the order-q subgroup:
+            // y = −g^x, or the order-2 element p − 1 itself.
+            let outside = match round % 4 {
+                1 => Some(mulmod(&kp.public.0, &p_minus_1, &p)),
+                3 => Some(p_minus_1),
+                _ => None,
+            };
+            let key = PublicKey(outside.unwrap_or(kp.public.0));
+            let anchor = AnchorKey::new(key);
+            assert_eq!(anchor.key(), key);
+            for case in 0..14u32 {
+                let mut msg = rng.next_u64().to_be_bytes().to_vec();
+                let mut sig = match outside {
+                    // A signature made for the outside key with x (0 for
+                    // p − 1): y^e = (−1)^e · g^(xe), so the equation holds
+                    // exactly when e is even and both answers occur.
+                    Some(_) => {
+                        let k = U256::from_u64(rng.next_u64() | 1);
+                        let commitment = powmod(&group_g(), &k, &p);
+                        let e = challenge(&commitment, &key, &msg);
+                        let x = if key.0 == p_minus_1 {
+                            U256::ZERO
+                        } else {
+                            kp.secret
+                        };
+                        let response = addmod(&k, &mulmod(&e, &x, &q), &q);
+                        Signature {
+                            commitment,
+                            response,
+                        }
+                    }
+                    None => kp.sign(&msg),
+                };
+                let pick = rng.next_u64() as usize;
+                let flip = |v: &mut U256| v.0[pick % 4] ^= 1 << (pick / 4 % 64);
+                match case {
+                    0..=3 => {}
+                    4 => msg[pick % 8] ^= 1 << (pick / 8 % 8),
+                    5 => flip(&mut sig.commitment),
+                    6 => flip(&mut sig.response),
+                    7 => sig.response = q,
+                    8 => sig.response = sig.response.overflowing_add(&q).0,
+                    9 => sig.response = U256::MAX,
+                    10 => sig.commitment = U256::ZERO,
+                    11 => sig.commitment = [p, U256::MAX][pick % 2],
+                    // A response whose upper 32-bit parts are all zero.
+                    12 => sig.response = U256::from_u64(pick as u64 >> 32),
+                    _ => sig.commitment = mulmod(&sig.commitment, &p_minus_1, &p),
+                }
+                let got = anchor.verify(&msg, &sig);
+                assert_eq!(got, key.verify(&msg, &sig), "round {round} case {case}");
+                if sig.response < q {
+                    assert_eq!(
+                        got,
+                        verify_two_powmods(&key, &msg, &sig),
+                        "round {round} case {case}"
+                    );
+                } else {
+                    assert!(!got, "round {round} case {case}: s >= q accepted");
+                }
+                cases += 1;
+                accepted += got as u32;
+                accepted_outside += (got && outside.is_some()) as u32;
+            }
+        }
+        assert!(
+            cases == 840 && accepted >= 150 && accepted_outside >= 20,
+            "{cases} {accepted} {accepted_outside}"
+        );
+    }
+
+    #[test]
+    fn anchor_keys_compare_by_key_and_share_their_table() {
+        let a = AnchorKey::new(KeyPair::from_seed(b"a").public);
+        let b = AnchorKey::new(KeyPair::from_seed(b"b").public);
+        let a2 = a.clone();
+        assert!(Arc::ptr_eq(&a.0, &a2.0));
+        assert_eq!(a, a2);
+        assert_eq!(a, AnchorKey::new(a.key()));
+        assert_ne!(a, b);
+        assert_eq!(std::mem::size_of::<AnchorKey>(), 8);
     }
 
     #[test]

@@ -84,10 +84,11 @@ echo "== bench smoke (binaries run and emit valid BENCH_*.json)"
   --series target/BENCH_series.jsonl
 ./target/release/bench_loss --smoke --out target/BENCH_loss.smoke.json
 grep -q '"schema": "past-bench/v1"' target/BENCH_micro.smoke.json
-# The fixed-base rows are what the sign/keygen numbers are read against:
+# The fixed-base rows are what the sign/keygen/verify numbers are read against:
 # a rename must not drop them silently.
 grep -q '"name": "crypto/schnorr/keygen"' target/BENCH_micro.smoke.json
 grep -q '"name": "crypto/schnorr/sign"' target/BENCH_micro.smoke.json
+grep -q '"name": "crypto/schnorr/verify_anchor"' target/BENCH_micro.smoke.json
 grep -q '"name": "crypto/modmath/pow_g"' target/BENCH_micro.smoke.json
 # Likewise the rows the memory work is read against.
 grep -q '"name": "pastry/table/consider_remove"' target/BENCH_micro.smoke.json

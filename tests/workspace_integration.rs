@@ -164,7 +164,7 @@ fn crypto_chain_is_exercised_end_to_end() {
     // everything it is asked to store.
     let victim = 7;
     net.sim.engine.node_mut(victim).app.broker_key =
-        past::crypto::KeyPair::from_seed(b"other broker").public;
+        past::crypto::AnchorKey::new(past::crypto::KeyPair::from_seed(b"other broker").public);
     let content2 = ContentRef::from_bytes(b"will be partially refused");
     net.insert(victim, "refused", content2, 1).expect("quota");
     let events = net.run();
