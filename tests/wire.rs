@@ -324,6 +324,14 @@ fn assert_roundtrip<T: Wire + std::fmt::Debug>(m: &T, what: &str) {
         m.encoded_len(),
         "{what}: encoded_len() lies about encode().len()"
     );
+    // `Vec` reads bound a length prefix by this floor before allocating;
+    // a floor above a real encoding would refuse honest frames.
+    assert!(
+        m.encoded_len() >= T::MIN_WIRE_LEN as u64,
+        "{what}: encodes to {} bytes, below MIN_WIRE_LEN {}",
+        m.encoded_len(),
+        T::MIN_WIRE_LEN
+    );
     let (back, used) = match T::decode(&bytes) {
         Ok(r) => r,
         Err(e) => panic!("{what}: decode failed: {e}"),
@@ -417,6 +425,56 @@ fn baseline_variants_roundtrip_and_size_honestly() {
         let a = can_sample(&mut rng);
         assert_roundtrip(&a, &format!("CanMsg (round {round})"));
         assert_eq!(a.wire_size(), a.to_wire().len() as u64);
+    }
+}
+
+/// The size floors, pinned, and every fixed-size structure encodes to
+/// exactly its floor: the certificates and receipts of §2.1, the node
+/// handle, the signature and an envelope around an empty payload.
+#[test]
+fn fixed_size_structs_encode_to_exactly_their_min_wire_len() {
+    assert_eq!(CardCert::MIN_WIRE_LEN, 128);
+    assert_eq!(FileCertificate::MIN_WIRE_LEN, 269);
+    assert_eq!(StoreReceipt::MIN_WIRE_LEN, 221);
+    assert_eq!(ReclaimReceipt::MIN_WIRE_LEN, 220);
+    assert_eq!(ReclaimCertificate::MIN_WIRE_LEN, 212);
+    assert_eq!(NodeHandle::MIN_WIRE_LEN, 24);
+    assert_eq!(Signature::MIN_WIRE_LEN, 64);
+    assert_eq!(RouteEnvelope::<()>::MIN_WIRE_LEN, 36);
+
+    fn exact<T: Wire + std::fmt::Debug>(v: &T, what: &str) {
+        assert_roundtrip(v, what);
+        assert_eq!(v.to_wire().len(), T::MIN_WIRE_LEN, "{what}: not fixed-size");
+    }
+    let mut rng = Rng::seed_from_u64(0x3133_0009);
+    for round in 0..16 {
+        let size = rng.random();
+        exact(&card(&mut rng), &format!("CardCert (round {round})"));
+        exact(
+            &fcert(&mut rng, size),
+            &format!("FileCertificate (round {round})"),
+        );
+        exact(&receipt(&mut rng), &format!("StoreReceipt (round {round})"));
+        exact(
+            &rreceipt(&mut rng),
+            &format!("ReclaimReceipt (round {round})"),
+        );
+        exact(
+            &rcert(&mut rng),
+            &format!("ReclaimCertificate (round {round})"),
+        );
+        exact(&handle(&mut rng), &format!("NodeHandle (round {round})"));
+        exact(&sig(&mut rng), &format!("Signature (round {round})"));
+        exact(
+            &RouteEnvelope {
+                key: Id(rng.random::<u128>()),
+                payload: (),
+                origin: rng.random_range(0..512),
+                hops: rng.random_range(0..8) as u32,
+                path_us: rng.random(),
+            },
+            &format!("RouteEnvelope<()> (round {round})"),
+        );
     }
 }
 
@@ -691,6 +749,23 @@ fn typed_errors_name_the_failure() {
         PastMsg::decode(&bad_kind).unwrap_err(),
         DecodeError::UnknownKind(18)
     ));
+    // The first kind byte past each enum's last variant.
+    assert_eq!(
+        PastryMsg::<PastMsg>::decode(&[WIRE_VERSION, 15]).unwrap_err(),
+        DecodeError::UnknownKind(15)
+    );
+    let mut chord = chord_sample(&mut rng).to_wire();
+    chord[1] = 1;
+    assert_eq!(
+        ChordMsg::decode(&chord).unwrap_err(),
+        DecodeError::UnknownKind(1)
+    );
+    let mut can = can_sample(&mut rng).to_wire();
+    can[1] = 1;
+    assert_eq!(
+        CanMsg::decode(&can).unwrap_err(),
+        DecodeError::UnknownKind(1)
+    );
     // A forged vector length that multiplies past the buffer.
     let lk = PastMsg::Lookup {
         file_id: FileId(d160(&mut rng)),
