@@ -15,7 +15,21 @@
 use crate::can::{CanLookup, CanMsg};
 use crate::chord::{ChordLookup, ChordMsg};
 use past_netsim::Message;
-use past_wire::{DecodeError, Reader, Sink, Wire, WIRE_VERSION};
+use past_wire::{wire_struct, DecodeError, Reader, Sink, Wire, WIRE_VERSION};
+
+wire_struct!(ChordLookup {
+    key,
+    origin,
+    hops,
+    path_us,
+    terminal
+});
+wire_struct!(CanLookup {
+    target,
+    origin,
+    hops,
+    path_us
+});
 
 impl Wire for ChordMsg {
     const MIN_WIRE_LEN: usize = 2;
@@ -23,22 +37,12 @@ impl Wire for ChordMsg {
     fn encode<S: Sink>(&self, out: &mut S) {
         out.put(&[WIRE_VERSION, self.kind_id() as u8]);
         let ChordMsg::Lookup(lk) = self;
-        lk.key.encode(out);
-        lk.origin.encode(out);
-        lk.hops.encode(out);
-        lk.path_us.encode(out);
-        lk.terminal.encode(out);
+        lk.encode(out);
     }
 
     fn read(r: &mut Reader<'_>) -> Result<ChordMsg, DecodeError> {
         match r.kind()? {
-            0 => Ok(ChordMsg::Lookup(ChordLookup {
-                key: r.get()?,
-                origin: r.get()?,
-                hops: r.get()?,
-                path_us: r.get()?,
-                terminal: r.get()?,
-            })),
+            0 => Ok(ChordMsg::Lookup(r.get()?)),
             other => Err(DecodeError::UnknownKind(other)),
         }
     }
@@ -50,20 +54,12 @@ impl Wire for CanMsg {
     fn encode<S: Sink>(&self, out: &mut S) {
         out.put(&[WIRE_VERSION, self.kind_id() as u8]);
         let CanMsg::Lookup(lk) = self;
-        lk.target.encode(out);
-        lk.origin.encode(out);
-        lk.hops.encode(out);
-        lk.path_us.encode(out);
+        lk.encode(out);
     }
 
     fn read(r: &mut Reader<'_>) -> Result<CanMsg, DecodeError> {
         match r.kind()? {
-            0 => Ok(CanMsg::Lookup(CanLookup {
-                target: r.get()?,
-                origin: r.get()?,
-                hops: r.get()?,
-                path_us: r.get()?,
-            })),
+            0 => Ok(CanMsg::Lookup(r.get()?)),
             other => Err(DecodeError::UnknownKind(other)),
         }
     }

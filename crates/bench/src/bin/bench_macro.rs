@@ -193,9 +193,9 @@ fn main() {
     let (phases, counters, series_doc, footprint) = full_run(n, routes, kills, series.is_some());
     let peak_rss_kb = proc_status_kb("VmHWM:");
 
-    // Where a node's bytes go (ROADMAP item M): the engine's gauges after
-    // the stabilize round, per node, beside the resident set they are a
-    // part of.
+    // Where a node's bytes go (ROADMAP H1, formerly item M): the engine's
+    // gauges after the stabilize round, per node, beside the resident set
+    // they are a part of.
     let bytes_per_node: Vec<(&str, f64)> = footprint
         .memory
         .rows()

@@ -144,9 +144,9 @@ impl Store {
     }
 
     /// Iterates over stored replicas by value. The benchmark harness reads
-    /// `cert` here as a plain `FileCertificate`; once it builds against the
-    /// `past-sim` aliases (ROADMAP item L, its benchmark step) this view
-    /// folds into [`Store::replicas`].
+    /// `cert` here as a plain `FileCertificate`; once it reads
+    /// [`Store::replicas`] instead (ROADMAP H1), H1's `simplicity`
+    /// follow-up deletes this view and [`FileCopy`].
     pub fn files(&self) -> impl Iterator<Item = (&FileId, FileCopy)> {
         self.files.iter().map(|(id, f)| {
             let (cert, kind) = (*f.cert, f.kind);

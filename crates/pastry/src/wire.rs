@@ -1,8 +1,9 @@
 //! Byte-level codec for the Pastry message set (DESIGN.md §13.2).
 //!
 //! Frame layout: `[version:1][kind:1]` (the kind byte is `kind_id()`),
-//! then the variant's fields in the order `encode` writes them, vectors
-//! and the payload last — little-endian integers, 24-byte node handles
+//! then the variant's fields in the order `encode` writes them (for the
+//! structs, the order their `wire_struct!` line lists), vectors and the
+//! payload last — little-endian integers, 24-byte node handles
 //! (16-byte id + 8-byte address), `u32` length-prefixed handle vectors.
 //! Row/column coordinates travel as `u16` (the id space has at most 128
 //! digit rows and `2^b ≤ 256` columns). The application payload `P` is
@@ -17,61 +18,18 @@
 use crate::handle::NodeHandle;
 use crate::id::Id;
 use crate::msg::{JoinReply, JoinRequest, PastryMsg, RouteEnvelope};
-use past_wire::{DecodeError, Reader, Sink, Wire, WIRE_VERSION};
+use past_wire::{wire_struct, DecodeError, Reader, Sink, Wire, WIRE_VERSION};
 
-impl Wire for Id {
-    const MIN_WIRE_LEN: usize = 16;
-
-    fn encode<S: Sink>(&self, out: &mut S) {
-        out.put(&self.0.to_le_bytes());
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<Id, DecodeError> {
-        Ok(Id(u128::from_le_bytes(r.array()?)))
-    }
-}
-
-impl Wire for NodeHandle {
-    const MIN_WIRE_LEN: usize = 24;
-
-    fn encode<S: Sink>(&self, out: &mut S) {
-        self.id.encode(out);
-        self.addr.encode(out);
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<NodeHandle, DecodeError> {
-        Ok(NodeHandle {
-            id: r.get()?,
-            addr: r.get()?,
-        })
-    }
-}
-
-impl<P: Wire> Wire for RouteEnvelope<P> {
-    const MIN_WIRE_LEN: usize = 36 + P::MIN_WIRE_LEN;
-
-    // Inlined (here and on `PastryMsg`) into `encoded_len`, the one codec
-    // call the simulator makes per send: the count stays in a register.
-    #[inline]
-    fn encode<S: Sink>(&self, out: &mut S) {
-        self.key.encode(out);
-        self.origin.encode(out);
-        self.hops.encode(out);
-        self.path_us.encode(out);
-        self.payload.encode(out);
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<RouteEnvelope<P>, DecodeError> {
-        // Wire order, not declaration order: the payload travels last.
-        Ok(RouteEnvelope {
-            key: r.get()?,
-            origin: r.get()?,
-            hops: r.get()?,
-            path_us: r.get()?,
-            payload: r.get()?,
-        })
-    }
-}
+wire_struct!(Id { 0 });
+wire_struct!(NodeHandle { id, addr });
+// Wire order, not declaration order: the payload travels last.
+wire_struct!(RouteEnvelope<P> { key, origin, hops, path_us, payload });
+wire_struct!(JoinReply {
+    z,
+    hops,
+    rows,
+    leaf
+});
 
 /// A row, column or row count as the `u16` it travels as.
 fn narrow(index: usize) -> u16 {
@@ -82,6 +40,8 @@ fn narrow(index: usize) -> u16 {
 impl<P: Wire> Wire for PastryMsg<P> {
     const MIN_WIRE_LEN: usize = 2;
 
+    // Inlined into `encoded_len`, the one codec call the simulator makes
+    // per send, so that the count stays in a register.
     #[inline]
     fn encode<S: Sink>(&self, out: &mut S) {
         out.put(&[WIRE_VERSION, self.kind_id() as u8]);
@@ -93,12 +53,7 @@ impl<P: Wire> Wire for PastryMsg<P> {
                 req.hops.encode(out);
                 req.rows.encode(out);
             }
-            PastryMsg::JoinReply(rep) => {
-                rep.z.encode(out);
-                rep.hops.encode(out);
-                rep.rows.encode(out);
-                rep.leaf.encode(out);
-            }
+            PastryMsg::JoinReply(rep) => rep.encode(out),
             PastryMsg::NeighborhoodReply { members } => members.encode(out),
             PastryMsg::Announce { from } => from.encode(out),
             PastryMsg::LeafReply { members } => members.encode(out),
@@ -126,12 +81,7 @@ impl<P: Wire> Wire for PastryMsg<P> {
                 hops: r.get()?,
                 rows: r.get()?,
             })),
-            2 => PastryMsg::JoinReply(Box::new(JoinReply {
-                z: r.get()?,
-                hops: r.get()?,
-                rows: r.get()?,
-                leaf: r.get()?,
-            })),
+            2 => PastryMsg::JoinReply(Box::new(r.get()?)),
             3 => PastryMsg::NeighborhoodRequest,
             4 => PastryMsg::NeighborhoodReply { members: r.get()? },
             5 => PastryMsg::Announce { from: r.get()? },

@@ -15,10 +15,17 @@
 //! - cryptographic digests, keys, and signatures are their canonical
 //!   big-endian byte arrays (matching the signed-message encodings).
 //!
-//! A layout is stated twice and no more: [`Wire::encode`] writes the
-//! fields into a [`Sink`], [`Wire::read`] reads them back through a
-//! [`Reader`], in the same order. [`Wire::encoded_len`] is `encode` into
-//! a counting sink, so a size cannot disagree with the bytes.
+//! A layout is stated once. A composite type's impl is one line of
+//! [`wire_struct!`](crate::wire_struct) or [`wire_enum!`](crate::wire_enum):
+//! its field list, in wire order, from which the macro generates
+//! [`Wire::encode`] (the fields into a [`Sink`]), [`Wire::read`] (the
+//! same fields back through a [`Reader`]) and the size floor
+//! [`Wire::MIN_WIRE_LEN`] (the sum of the fields' floors).
+//! [`Wire::encoded_len`] is `encode` into a counting sink, so a size
+//! cannot disagree with the bytes. Hand-written impls are left to the
+//! primitives and to types whose representation is their own (a
+//! content body, a tag enum, a message enum with boxed, narrowed or
+//! fieldless variants).
 //!
 //! Decoding is total: every read returns a typed [`DecodeError`]
 //! instead of panicking, and length prefixes are validated against the
@@ -146,9 +153,11 @@ impl<'a> Reader<'a> {
 
 /// A value with a byte-level encoding.
 ///
-/// An impl states the layout in `encode` and again in `read`, field by
-/// field in wire order; sizes and framing are provided on top of those.
-/// Implementations must never panic on any input.
+/// `encode` and `read` walk the same fields in wire order; sizes and
+/// framing are provided on top of those. A struct or message enum made
+/// of fields gets both, and its `MIN_WIRE_LEN`, from one
+/// [`wire_struct!`](crate::wire_struct) or [`wire_enum!`](crate::wire_enum)
+/// line. Implementations must never panic on any input.
 pub trait Wire: Sized {
     /// Minimum encoded size in bytes, used to bound vector length
     /// prefixes before allocating.
@@ -183,6 +192,125 @@ pub trait Wire: Sized {
     }
 }
 
+/// The floor a field adds to its struct's [`Wire::MIN_WIRE_LEN`]: the
+/// floor of the field's type, which the accessor names so that
+/// [`wire_struct!`](crate::wire_struct) needs the field's name only.
+pub const fn field_min_len<S, T: Wire>(_field: fn(&S) -> &T) -> usize {
+    T::MIN_WIRE_LEN
+}
+
+/// Implements [`Wire`] for a struct from its fields, listed in wire
+/// order (which need not be the declaration order): `encode` writes
+/// them, `read` reads them back with one `r.get()?` each, and
+/// `MIN_WIRE_LEN` is the sum of their floors. `Ty<P> { .. }` implements
+/// it for every `P: Wire`; a tuple struct lists its fields by index,
+/// as in `PublicKey { 0 }`.
+///
+/// ```
+/// use past_wire::{wire_struct, Wire};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Probe {
+///     seq: u32,
+///     urgent: bool,
+/// }
+/// wire_struct!(Probe { seq, urgent });
+///
+/// let p = Probe { seq: 7, urgent: true };
+/// assert_eq!(Probe::MIN_WIRE_LEN, 5);
+/// assert_eq!(p.to_wire(), [7, 0, 0, 0, 1]);
+/// assert_eq!(Probe::decode(&p.to_wire()), Ok((p, 5)));
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident $(<$($p:ident),+>)? { $($field:tt),+ $(,)? }) => {
+        impl $(<$($p: $crate::Wire),+>)? $crate::Wire for $ty $(<$($p),+>)? {
+            const MIN_WIRE_LEN: usize =
+                0 $(+ $crate::codec::field_min_len(|s: &Self| &s.$field))+;
+
+            // Inlined into the encode of the message that carries it.
+            #[inline]
+            fn encode<S: $crate::Sink>(&self, out: &mut S) {
+                $($crate::Wire::encode(&self.$field, out);)+
+            }
+
+            fn read(
+                r: &mut $crate::Reader<'_>,
+            ) -> ::core::result::Result<Self, $crate::DecodeError> {
+                ::core::result::Result::Ok(Self { $($field: r.get()?),+ })
+            }
+        }
+    };
+}
+
+/// Implements [`Wire`] for a top-level message enum whose variants are
+/// named fields: each variant is `tag => Variant { fields }` in wire
+/// order, and `body(field)` after a variant appends a content body of
+/// `field.size` bytes after its fields (skipped, not held, on read). The
+/// frame is `[WIRE_VERSION][tag]` then the fields; `encode` matches
+/// every variant, so a variant left out does not compile, and `read`
+/// answers an unlisted tag with [`DecodeError::UnknownKind`].
+///
+/// ```
+/// use past_wire::{wire_enum, DecodeError, Wire, WIRE_VERSION};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Chat {
+///     Ping { seq: u32 },
+///     Say { seq: u32, loud: bool },
+/// }
+/// wire_enum!(Chat {
+///     0 => Ping { seq },
+///     1 => Say { seq, loud },
+/// });
+///
+/// let m = Chat::Say { seq: 9, loud: false };
+/// assert_eq!(Chat::MIN_WIRE_LEN, 2);
+/// assert_eq!(m.to_wire(), [WIRE_VERSION, 1, 9, 0, 0, 0, 0]);
+/// assert_eq!(Chat::decode(&m.to_wire()), Ok((m, 7)));
+/// assert_eq!(Chat::decode(&[WIRE_VERSION, 2]), Err(DecodeError::UnknownKind(2)));
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident {
+        $($tag:literal => $variant:ident { $($field:ident),* $(,)? } $(body($body:ident))?),+ $(,)?
+    }) => {
+        impl $crate::Wire for $ty {
+            const MIN_WIRE_LEN: usize = 2;
+
+            // Inlined into `encoded_len`, the one codec call the simulator
+            // makes per send, so that the count stays in a register.
+            #[inline]
+            fn encode<S: $crate::Sink>(&self, out: &mut S) {
+                match self {
+                    $($ty::$variant { $($field),* } => {
+                        $crate::Sink::put(out, &[$crate::WIRE_VERSION, $tag]);
+                        $($crate::Wire::encode($field, out);)*
+                        $($crate::Sink::body(out, $body.size);)?
+                    })+
+                }
+            }
+
+            fn read(
+                r: &mut $crate::Reader<'_>,
+            ) -> ::core::result::Result<Self, $crate::DecodeError> {
+                let m = match r.kind()? {
+                    $($tag => $ty::$variant { $($field: r.get()?),* },)+
+                    other => {
+                        return ::core::result::Result::Err($crate::DecodeError::UnknownKind(other))
+                    }
+                };
+                r.skip_body(match &m {
+                    $($ty::$variant { $($body,)? .. } => $crate::wire_enum!(@body $($body)?),)+
+                })?;
+                ::core::result::Result::Ok(m)
+            }
+        }
+    };
+    (@body) => { 0 };
+    (@body $body:ident) => { $body.size };
+}
+
 // ---------------- Wire impls for primitives -------------------------
 
 impl Wire for () {
@@ -195,54 +323,24 @@ impl Wire for () {
     }
 }
 
-impl Wire for u8 {
-    const MIN_WIRE_LEN: usize = 1;
+// Integers travel little-endian at their own width.
+macro_rules! le_int {
+    ($($t:ty),+) => {$(
+        impl Wire for $t {
+            const MIN_WIRE_LEN: usize = std::mem::size_of::<$t>();
 
-    fn encode<S: Sink>(&self, out: &mut S) {
-        out.put(&[*self]);
-    }
+            fn encode<S: Sink>(&self, out: &mut S) {
+                out.put(&self.to_le_bytes());
+            }
 
-    fn read(r: &mut Reader<'_>) -> Result<u8, DecodeError> {
-        let [b] = r.array()?;
-        Ok(b)
-    }
+            fn read(r: &mut Reader<'_>) -> Result<$t, DecodeError> {
+                Ok(<$t>::from_le_bytes(r.array()?))
+            }
+        }
+    )+};
 }
 
-impl Wire for u16 {
-    const MIN_WIRE_LEN: usize = 2;
-
-    fn encode<S: Sink>(&self, out: &mut S) {
-        out.put(&self.to_le_bytes());
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(r.array()?))
-    }
-}
-
-impl Wire for u32 {
-    const MIN_WIRE_LEN: usize = 4;
-
-    fn encode<S: Sink>(&self, out: &mut S) {
-        out.put(&self.to_le_bytes());
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(r.array()?))
-    }
-}
-
-impl Wire for u64 {
-    const MIN_WIRE_LEN: usize = 8;
-
-    fn encode<S: Sink>(&self, out: &mut S) {
-        out.put(&self.to_le_bytes());
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(r.array()?))
-    }
-}
+le_int!(u8, u16, u32, u64, u128);
 
 // Addresses (`usize` in the simulator) travel as `u64`.
 impl Wire for usize {
@@ -382,45 +480,12 @@ impl Wire for U256 {
     }
 }
 
-impl Wire for PublicKey {
-    const MIN_WIRE_LEN: usize = 32;
-
-    fn encode<S: Sink>(&self, out: &mut S) {
-        self.0.encode(out);
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<PublicKey, DecodeError> {
-        Ok(PublicKey(r.get()?))
-    }
-}
-
-impl Wire for Signature {
-    const MIN_WIRE_LEN: usize = 64;
-
-    fn encode<S: Sink>(&self, out: &mut S) {
-        self.commitment.encode(out);
-        self.response.encode(out);
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<Signature, DecodeError> {
-        Ok(Signature {
-            commitment: r.get()?,
-            response: r.get()?,
-        })
-    }
-}
-
-impl Wire for OpId {
-    const MIN_WIRE_LEN: usize = 8;
-
-    fn encode<S: Sink>(&self, out: &mut S) {
-        self.0.encode(out);
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<OpId, DecodeError> {
-        Ok(OpId(r.get()?))
-    }
-}
+wire_struct!(PublicKey { 0 });
+wire_struct!(Signature {
+    commitment,
+    response
+});
+wire_struct!(OpId { 0 });
 
 #[cfg(test)]
 mod tests {

@@ -6,9 +6,10 @@
 //!
 //! - [`codec`]: the [`Wire`] trait — explicit field order, little-endian
 //!   integers, `u32` length-prefixed vectors, a leading version byte on
-//!   every top-level message — and the typed [`DecodeError`] that makes
-//!   malformed input a value, never a panic. DESIGN.md §13 is the
-//!   normative spec.
+//!   every top-level message — the [`wire_struct!`] and [`wire_enum!`]
+//!   macros that generate an impl from one field list, and the typed
+//!   [`DecodeError`] that makes malformed input a value, never a panic.
+//!   DESIGN.md §13 is the normative spec.
 //! - [`sansio`]: the [`StepIo`] effect sink and [`Input`] event type
 //!   that protocol state machines are written against, the [`Machine`]
 //!   trait they implement and the [`Message`] trait their frames

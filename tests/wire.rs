@@ -8,6 +8,8 @@
 //! 2. **Honest sizes** — `wire_size()` / `encoded_len()` equal
 //!    `encode().len()`. These counters feed every bandwidth number in
 //!    EXPERIMENTS.md; an estimate that drifts from the codec is a bug.
+//!    No value encodes below its `MIN_WIRE_LEN`, and the fixed-size
+//!    structures encode to exactly theirs (pinned).
 //! 3. **Total decoding** — `decode` on arbitrary mutated frames returns
 //!    `Ok` or a typed `DecodeError`, never panics (seeded corpus of
 //!    >10 000 truncations, bit flips, and length-prefix splices).
@@ -374,7 +376,9 @@ fn every_pastry_variant_roundtrips_and_sizes_honestly() {
 #[test]
 fn every_past_variant_roundtrips_and_sizes_honestly() {
     // Compile-time exhaustiveness: adding a `PastMsg` variant breaks
-    // this match, forcing the sample list (and the codec) to grow.
+    // this match, forcing the sample list (and the codec) to grow. The
+    // tags are written here apart from the codec's `wire_enum!` line, so
+    // each table checks the other.
     fn wire_tag(m: &PastMsg) -> u8 {
         match m {
             PastMsg::Insert { .. } => 0,
