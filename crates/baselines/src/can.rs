@@ -12,7 +12,7 @@
 #![deny(clippy::wildcard_enum_match_arm)]
 #![deny(clippy::match_wildcard_for_single_variants)]
 
-use past_netsim::{Addr, Engine, Message, SimTime, Topology};
+use past_netsim::{Addr, Engine, SimTime, Topology};
 use past_pastry::Id;
 use past_wire::{Input, Machine, StepIo};
 
@@ -115,26 +115,11 @@ pub struct CanLookup {
     pub path_us: u64,
 }
 
-/// CAN wire messages.
+/// CAN wire messages; the codec and kind table are `crate::wire`.
 #[derive(Clone, Debug)]
 pub enum CanMsg {
     /// A greedy-routed lookup.
     Lookup(CanLookup),
-}
-
-impl Message for CanMsg {
-    const KINDS: &'static [&'static str] = &["can_lookup"];
-
-    fn kind_id(&self) -> usize {
-        let CanMsg::Lookup(_) = self;
-        0
-    }
-
-    fn wire_size(&self) -> u64 {
-        // Exact encoded length from the codec in `crate::wire`.
-        use past_wire::Wire;
-        self.encoded_len()
-    }
 }
 
 /// A delivered CAN lookup.

@@ -12,7 +12,7 @@
 #![deny(clippy::wildcard_enum_match_arm)]
 #![deny(clippy::match_wildcard_for_single_variants)]
 
-use past_netsim::{Addr, Engine, Message, SimTime, Topology};
+use past_netsim::{Addr, Engine, SimTime, Topology};
 use past_pastry::Id;
 use past_wire::{Input, Machine, StepIo};
 
@@ -34,26 +34,11 @@ pub struct ChordLookup {
     pub terminal: bool,
 }
 
-/// Chord wire messages.
+/// Chord wire messages; the codec and kind table are `crate::wire`.
 #[derive(Clone, Debug)]
 pub enum ChordMsg {
     /// A lookup making its way around the ring.
     Lookup(ChordLookup),
-}
-
-impl Message for ChordMsg {
-    const KINDS: &'static [&'static str] = &["chord_lookup"];
-
-    fn kind_id(&self) -> usize {
-        let ChordMsg::Lookup(_) = self;
-        0
-    }
-
-    fn wire_size(&self) -> u64 {
-        // Exact encoded length from the codec in `crate::wire`.
-        use past_wire::Wire;
-        self.encoded_len()
-    }
 }
 
 /// A delivered Chord lookup.

@@ -5,7 +5,8 @@
 //! fails with a typed error rather than a misparse. Integers are
 //! little-endian; the CAN target point is a `u32` length-prefixed
 //! vector of `f64` coordinates (the dimension is a per-experiment
-//! constant, but the frame stays self-describing).
+//! constant, but the frame stays self-describing). Each enum's
+//! `wire_enum!(message ..)` is its codec and its `Message` impl.
 
 // No wildcard arms: a new variant must be named wherever messages are
 // matched, or it silently escapes the codec, kind ids and trace attribution.
@@ -14,8 +15,7 @@
 
 use crate::can::{CanLookup, CanMsg};
 use crate::chord::{ChordLookup, ChordMsg};
-use past_netsim::Message;
-use past_wire::{wire_struct, DecodeError, Reader, Sink, Wire, WIRE_VERSION};
+use past_wire::{wire_enum, wire_struct};
 
 wire_struct!(ChordLookup {
     key,
@@ -31,44 +31,18 @@ wire_struct!(CanLookup {
     path_us
 });
 
-impl Wire for ChordMsg {
-    const MIN_WIRE_LEN: usize = 2;
-
-    fn encode<S: Sink>(&self, out: &mut S) {
-        out.put(&[WIRE_VERSION, self.kind_id() as u8]);
-        let ChordMsg::Lookup(lk) = self;
-        lk.encode(out);
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<ChordMsg, DecodeError> {
-        match r.kind()? {
-            0 => Ok(ChordMsg::Lookup(r.get()?)),
-            other => Err(DecodeError::UnknownKind(other)),
-        }
-    }
-}
-
-impl Wire for CanMsg {
-    const MIN_WIRE_LEN: usize = 2;
-
-    fn encode<S: Sink>(&self, out: &mut S) {
-        out.put(&[WIRE_VERSION, self.kind_id() as u8]);
-        let CanMsg::Lookup(lk) = self;
-        lk.encode(out);
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<CanMsg, DecodeError> {
-        match r.kind()? {
-            0 => Ok(CanMsg::Lookup(r.get()?)),
-            other => Err(DecodeError::UnknownKind(other)),
-        }
-    }
-}
+wire_enum!(message ChordMsg {
+    0 "chord_lookup" => Lookup { 0: lookup },
+});
+wire_enum!(message CanMsg {
+    0 "can_lookup" => Lookup { 0: lookup },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use past_pastry::Id;
+    use past_wire::{DecodeError, Wire, WIRE_VERSION};
 
     #[test]
     fn baseline_frames_have_versioned_headers() {

@@ -7,7 +7,7 @@
 
 use crate::handle::NodeHandle;
 use crate::id::Id;
-use past_wire::{Addr, Message, OpId, Wire};
+use past_wire::{Addr, OpId, Wire};
 
 /// A routed application message in flight.
 #[derive(Clone, Debug)]
@@ -33,7 +33,7 @@ pub struct JoinRequest {
     /// of the routing table from the i-th node encountered").
     pub rows: Vec<NodeHandle>,
     /// Highest row index already contributed.
-    pub rows_done: usize,
+    pub rows_done: u16,
     /// Hops taken so far.
     pub hops: u32,
 }
@@ -56,9 +56,11 @@ pub struct JoinReply {
 /// The two join bodies are boxed: they are the only variants wider than
 /// a routed envelope, and every in-flight message that carries fields
 /// pays for the widest variant in its arena slot. The fieldless kinds
-/// ([`Message::fieldless`]: the neighbourhood and leaf requests, the
-/// heartbeat and its ack — a stabilize round's whole burst) ride in the
-/// engine's event record and take no slot.
+/// ([`Message::fieldless`](past_wire::Message::fieldless): the
+/// neighbourhood and leaf requests, the heartbeat and its ack — a
+/// stabilize round's whole burst) ride in the engine's event record and
+/// take no slot. Its codec and kind table are one `wire_enum!` line per
+/// variant in `crate::wire`.
 #[derive(Clone, Debug)]
 pub enum PastryMsg<P> {
     /// A routed application message.
@@ -91,7 +93,7 @@ pub enum PastryMsg<P> {
     /// Ask for the receiver's routing-table row (table improvement).
     RowRequest {
         /// Row index requested.
-        row: usize,
+        row: u16,
     },
     /// Entries of the requested row.
     RowReply {
@@ -101,9 +103,9 @@ pub enum PastryMsg<P> {
     /// Ask for a replacement routing-table entry (lazy repair).
     RepairRequest {
         /// Row of the vacated slot.
-        row: usize,
+        row: u16,
         /// Column of the vacated slot.
-        col: usize,
+        col: u16,
     },
     /// A replacement entry, if the replier has one.
     RepairReply {
@@ -121,94 +123,6 @@ pub enum PastryMsg<P> {
     },
 }
 
-impl<P> PastryMsg<P> {
-    /// The variant's index in [`Message::KINDS`], which is also the kind
-    /// byte of its frame (crate::wire).
-    pub fn kind_id(&self) -> usize {
-        match self {
-            PastryMsg::Route(_) => 0,
-            PastryMsg::JoinRequest(_) => 1,
-            PastryMsg::JoinReply(_) => 2,
-            PastryMsg::NeighborhoodRequest => 3,
-            PastryMsg::NeighborhoodReply { .. } => 4,
-            PastryMsg::Announce { .. } => 5,
-            PastryMsg::LeafRequest => 6,
-            PastryMsg::LeafReply { .. } => 7,
-            PastryMsg::RowRequest { .. } => 8,
-            PastryMsg::RowReply { .. } => 9,
-            PastryMsg::RepairRequest { .. } => 10,
-            PastryMsg::RepairReply { .. } => 11,
-            PastryMsg::Heartbeat => 12,
-            PastryMsg::HeartbeatAck => 13,
-            PastryMsg::AppDirect { .. } => 14,
-        }
-    }
-}
-
-impl<P: Clone + PayloadSize> Message for PastryMsg<P> {
-    const KINDS: &'static [&'static str] = &[
-        "route",
-        "join_request",
-        "join_reply",
-        "neighborhood_request",
-        "neighborhood_reply",
-        "announce",
-        "leaf_request",
-        "leaf_reply",
-        "row_request",
-        "row_reply",
-        "repair_request",
-        "repair_reply",
-        "heartbeat",
-        "heartbeat_ack",
-        "app_direct",
-    ];
-
-    fn kind_id(&self) -> usize {
-        PastryMsg::kind_id(self)
-    }
-
-    fn wire_size(&self) -> u64 {
-        // Not an estimate: `Wire::encode` (crate::wire) into a counter.
-        self.encoded_len()
-    }
-
-    fn op_id(&self) -> OpId {
-        // Only application traffic can belong to a client operation;
-        // overlay maintenance never does. Every maintenance variant is
-        // named (rule M1): a new variant must decide its attribution
-        // here explicitly instead of falling into a wildcard.
-        match self {
-            PastryMsg::Route(env) => env.payload.op_id(),
-            PastryMsg::AppDirect { payload } => payload.op_id(),
-            PastryMsg::JoinRequest(_)
-            | PastryMsg::JoinReply(_)
-            | PastryMsg::NeighborhoodRequest
-            | PastryMsg::NeighborhoodReply { .. }
-            | PastryMsg::Announce { .. }
-            | PastryMsg::LeafRequest
-            | PastryMsg::LeafReply { .. }
-            | PastryMsg::RowRequest { .. }
-            | PastryMsg::RowReply { .. }
-            | PastryMsg::RepairRequest { .. }
-            | PastryMsg::RepairReply { .. }
-            | PastryMsg::Heartbeat
-            | PastryMsg::HeartbeatAck => OpId::NONE,
-        }
-    }
-
-    fn fieldless(kind: usize) -> Option<Self> {
-        match kind {
-            3 => Some(PastryMsg::NeighborhoodRequest),
-            6 => Some(PastryMsg::LeafRequest),
-            12 => Some(PastryMsg::Heartbeat),
-            13 => Some(PastryMsg::HeartbeatAck),
-            14 => P::fieldless().map(|payload| PastryMsg::AppDirect { payload }),
-            _ => None,
-        }
-    }
-}
-
 /// Application payload contract: a byte codec plus trace attribution.
 ///
 /// `Wire` is a supertrait so that a `PastryMsg<P>` frame (and with it
@@ -217,59 +131,28 @@ impl<P: Clone + PayloadSize> Message for PastryMsg<P> {
 pub trait PayloadSize: Wire {
     /// The client operation this payload belongs to, for causal trace
     /// attribution (default: none). Carried up into
-    /// [`Message::op_id`] by both routed and direct Pastry frames.
+    /// [`Message::op_id`](past_wire::Message::op_id) by both routed and
+    /// direct Pastry frames.
     fn op_id(&self) -> OpId {
         OpId::NONE
     }
-
-    /// The payload's one value if the type encodes to no bytes, so a
-    /// direct frame carrying it is fieldless too
-    /// ([`Message::fieldless`]); the default answers `None`.
-    fn fieldless() -> Option<Self> {
-        None
-    }
 }
 
-impl PayloadSize for () {
-    fn fieldless() -> Option<()> {
-        Some(())
-    }
-}
+impl PayloadSize for () {}
 impl PayloadSize for u32 {}
 impl PayloadSize for u64 {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use past_wire::Message;
 
-    #[test]
-    fn kinds_are_distinct_for_accounting() {
-        let msgs: Vec<PastryMsg<u32>> = vec![
-            PastryMsg::Route(RouteEnvelope {
-                key: Id(1),
-                payload: 7,
-                origin: 0,
-                hops: 0,
-                path_us: 0,
-            }),
-            PastryMsg::NeighborhoodRequest,
-            PastryMsg::LeafRequest,
-            PastryMsg::Heartbeat,
-            PastryMsg::HeartbeatAck,
-            PastryMsg::AppDirect { payload: 7 },
-        ];
-        let kinds: std::collections::BTreeSet<&str> = msgs.iter().map(|m| m.kind()).collect();
-        assert_eq!(kinds.len(), msgs.len());
-    }
-
-    /// One constructed sample of every variant. The `match` below is
-    /// intentionally exhaustive *without* a `_` arm: adding a variant to
-    /// `PastryMsg` fails compilation here until a sample (and therefore a
-    /// kind id and a `KINDS` label) is provided for it. The two variants
-    /// that carry an application payload carry `payload`.
+    /// One constructed sample of every variant, in `KINDS` order; a
+    /// variant without one fails the permutation test below. The two
+    /// variants that carry an application payload carry `payload`.
     fn all_variants<P: Clone>(payload: P) -> Vec<PastryMsg<P>> {
         let h = NodeHandle::new(Id(1), 0);
-        let samples: Vec<PastryMsg<P>> = vec![
+        vec![
             PastryMsg::Route(RouteEnvelope {
                 key: Id(1),
                 payload: payload.clone(),
@@ -301,32 +184,11 @@ mod tests {
             PastryMsg::Heartbeat,
             PastryMsg::HeartbeatAck,
             PastryMsg::AppDirect { payload },
-        ];
-        for m in &samples {
-            match m {
-                PastryMsg::Route(_)
-                | PastryMsg::JoinRequest(_)
-                | PastryMsg::JoinReply(_)
-                | PastryMsg::NeighborhoodRequest
-                | PastryMsg::NeighborhoodReply { .. }
-                | PastryMsg::Announce { .. }
-                | PastryMsg::LeafRequest
-                | PastryMsg::LeafReply { .. }
-                | PastryMsg::RowRequest { .. }
-                | PastryMsg::RowReply { .. }
-                | PastryMsg::RepairRequest { .. }
-                | PastryMsg::RepairReply { .. }
-                | PastryMsg::Heartbeat
-                | PastryMsg::HeartbeatAck
-                | PastryMsg::AppDirect { .. } => {}
-            }
-        }
-        samples
+        ]
     }
 
-    /// Every variant must map to a distinct, in-range kind id, and the
-    /// `KINDS` table must cover exactly those ids: a new message kind
-    /// added without extending the table (or vice versa) fails here.
+    /// The samples' kind ids are a permutation of the `KINDS` indices,
+    /// so every kind is sampled once and the tests below see them all.
     #[test]
     fn kind_ids_are_a_permutation_of_the_kinds_table() {
         let samples = all_variants(7u32);

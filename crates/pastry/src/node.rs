@@ -226,7 +226,8 @@ impl<A: App> PastryNode<A> {
     /// locality-improvement maintenance; whoever drives the node picks
     /// the peer among that row's entries).
     pub fn probe_row(&self, row: usize, peer: Addr, io: &mut PastryIo<'_, A>) {
-        io.send(peer, PastryMsg::RowRequest { row });
+        // `Config::validate` bounds rows below 128, so a row fits its `u16`.
+        io.send(peer, PastryMsg::RowRequest { row: row as u16 });
     }
 
     /// Applies one protocol input to this node, writing every resulting
@@ -353,8 +354,10 @@ impl<A: App> PastryNode<A> {
             }
         }
         for (row, col) in removal.table_slots {
-            // Ask any live same-row peer for a replacement entry.
+            // Ask any live same-row peer for a replacement entry (row and
+            // column fit a `u16`: `Config::validate` bounds them by 128, 256).
             if let Some(peer) = self.state.table.row_entries(row).first() {
+                let (row, col) = (row as u16, col as u16);
                 io.send(peer.addr, PastryMsg::RepairRequest { row, col });
             }
         }
@@ -419,8 +422,9 @@ impl<A: App> PastryNode<A> {
                 let joiner = req.joiner;
                 let p = self.state.me.id.prefix_len(&joiner.id, self.state.cfg.b);
                 let max_row = p.min(self.state.cfg.digits() - 1);
-                while req.rows_done <= max_row {
-                    req.rows.extend(self.state.table.row_entries(req.rows_done));
+                while usize::from(req.rows_done) <= max_row {
+                    req.rows
+                        .extend(self.state.table.row_entries(req.rows_done.into()));
                     req.rows_done += 1;
                 }
                 req.rows.push(self.state.me);
@@ -479,14 +483,14 @@ impl<A: App> PastryNode<A> {
                 self.learn_batch(&members, io);
             }
             PastryMsg::RowRequest { row } => {
-                let entries = self.state.table.row_entries(row);
+                let entries = self.state.table.row_entries(row.into());
                 io.send(from, PastryMsg::RowReply { entries });
             }
             PastryMsg::RowReply { entries } => {
                 self.learn_batch(&entries, io);
             }
             PastryMsg::RepairRequest { row, col } => {
-                let entry = self.state.table.get(row, col);
+                let entry = self.state.table.get(row.into(), col.into());
                 io.send(from, PastryMsg::RepairReply { entry });
             }
             PastryMsg::RepairReply { entry } => {

@@ -1,14 +1,17 @@
 //! Byte-level codec for the Pastry message set (DESIGN.md §13.2).
 //!
-//! Frame layout: `[version:1][kind:1]` (the kind byte is `kind_id()`),
-//! then the variant's fields in the order `encode` writes them (for the
-//! structs, the order their `wire_struct!` line lists), vectors and the
-//! payload last — little-endian integers, 24-byte node handles
-//! (16-byte id + 8-byte address), `u32` length-prefixed handle vectors.
-//! Row/column coordinates travel as `u16` (the id space has at most 128
-//! digit rows and `2^b ≤ 256` columns). The application payload `P` is
-//! encoded inline by its own [`Wire`] impl; its length is implied by its
-//! content, not prefixed.
+//! Frame layout: `[version:1][kind:1]`, then the variant's fields in the
+//! order its line in the `wire_enum!` below lists them (for the structs,
+//! the order their `wire_struct!` line lists), vectors and the payload
+//! last — little-endian integers, 24-byte node handles (16-byte id +
+//! 8-byte address), `u32` length-prefixed handle vectors. Row/column
+//! coordinates are `u16` fields (the id space has at most 128 digit rows
+//! and `2^b ≤ 256` columns). The application payload `P` is encoded
+//! inline by its own [`Wire`](past_wire::Wire) impl; its length is
+//! implied by its content, not prefixed. The same line per variant
+//! states its kind label and trace attribution: `wire_enum!(message ..)`
+//! generates the [`Message`](past_wire::Message) impl, kind table
+//! included.
 
 // No wildcard arms: a new variant must be named wherever messages are
 // matched, or it silently escapes the codec, kind ids and trace attribution.
@@ -17,13 +20,19 @@
 
 use crate::handle::NodeHandle;
 use crate::id::Id;
-use crate::msg::{JoinReply, JoinRequest, PastryMsg, RouteEnvelope};
-use past_wire::{wire_struct, DecodeError, Reader, Sink, Wire, WIRE_VERSION};
+use crate::msg::{JoinReply, JoinRequest, PastryMsg, PayloadSize, RouteEnvelope};
+use past_wire::{wire_enum, wire_struct};
 
 wire_struct!(Id { 0 });
 wire_struct!(NodeHandle { id, addr });
 // Wire order, not declaration order: the payload travels last.
 wire_struct!(RouteEnvelope<P> { key, origin, hops, path_us, payload });
+wire_struct!(JoinRequest {
+    joiner,
+    rows_done,
+    hops,
+    rows
+});
 wire_struct!(JoinReply {
     z,
     hops,
@@ -31,82 +40,30 @@ wire_struct!(JoinReply {
     leaf
 });
 
-/// A row, column or row count as the `u16` it travels as.
-fn narrow(index: usize) -> u16 {
-    debug_assert!(index <= u16::MAX as usize);
-    index as u16
-}
-
-impl<P: Wire> Wire for PastryMsg<P> {
-    const MIN_WIRE_LEN: usize = 2;
-
-    // Inlined into `encoded_len`, the one codec call the simulator makes
-    // per send, so that the count stays in a register.
-    #[inline]
-    fn encode<S: Sink>(&self, out: &mut S) {
-        out.put(&[WIRE_VERSION, self.kind_id() as u8]);
-        match self {
-            PastryMsg::Route(env) => env.encode(out),
-            PastryMsg::JoinRequest(req) => {
-                req.joiner.encode(out);
-                narrow(req.rows_done).encode(out);
-                req.hops.encode(out);
-                req.rows.encode(out);
-            }
-            PastryMsg::JoinReply(rep) => rep.encode(out),
-            PastryMsg::NeighborhoodReply { members } => members.encode(out),
-            PastryMsg::Announce { from } => from.encode(out),
-            PastryMsg::LeafReply { members } => members.encode(out),
-            PastryMsg::RowRequest { row } => narrow(*row).encode(out),
-            PastryMsg::RowReply { entries } => entries.encode(out),
-            PastryMsg::RepairRequest { row, col } => {
-                narrow(*row).encode(out);
-                narrow(*col).encode(out);
-            }
-            PastryMsg::RepairReply { entry } => entry.encode(out),
-            PastryMsg::AppDirect { payload } => payload.encode(out),
-            PastryMsg::NeighborhoodRequest
-            | PastryMsg::LeafRequest
-            | PastryMsg::Heartbeat
-            | PastryMsg::HeartbeatAck => {}
-        }
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<PastryMsg<P>, DecodeError> {
-        Ok(match r.kind()? {
-            0 => PastryMsg::Route(r.get()?),
-            1 => PastryMsg::JoinRequest(Box::new(JoinRequest {
-                joiner: r.get()?,
-                rows_done: r.get::<u16>()? as usize,
-                hops: r.get()?,
-                rows: r.get()?,
-            })),
-            2 => PastryMsg::JoinReply(Box::new(r.get()?)),
-            3 => PastryMsg::NeighborhoodRequest,
-            4 => PastryMsg::NeighborhoodReply { members: r.get()? },
-            5 => PastryMsg::Announce { from: r.get()? },
-            6 => PastryMsg::LeafRequest,
-            7 => PastryMsg::LeafReply { members: r.get()? },
-            8 => PastryMsg::RowRequest {
-                row: r.get::<u16>()? as usize,
-            },
-            9 => PastryMsg::RowReply { entries: r.get()? },
-            10 => PastryMsg::RepairRequest {
-                row: r.get::<u16>()? as usize,
-                col: r.get::<u16>()? as usize,
-            },
-            11 => PastryMsg::RepairReply { entry: r.get()? },
-            12 => PastryMsg::Heartbeat,
-            13 => PastryMsg::HeartbeatAck,
-            14 => PastryMsg::AppDirect { payload: r.get()? },
-            other => return Err(DecodeError::UnknownKind(other)),
-        })
-    }
-}
+// Only application traffic can belong to a client operation; overlay
+// maintenance never does.
+wire_enum!(message PastryMsg<P: Clone + PayloadSize> {
+    0 "route" => Route { 0: env } op(env.payload.op_id()),
+    1 "join_request" => JoinRequest { 0: req },
+    2 "join_reply" => JoinReply { 0: rep },
+    3 "neighborhood_request" => NeighborhoodRequest {},
+    4 "neighborhood_reply" => NeighborhoodReply { members },
+    5 "announce" => Announce { from },
+    6 "leaf_request" => LeafRequest {},
+    7 "leaf_reply" => LeafReply { members },
+    8 "row_request" => RowRequest { row },
+    9 "row_reply" => RowReply { entries },
+    10 "repair_request" => RepairRequest { row, col },
+    11 "repair_reply" => RepairReply { entry },
+    12 "heartbeat" => Heartbeat {},
+    13 "heartbeat_ack" => HeartbeatAck {},
+    14 "app_direct" => AppDirect { payload } op(payload.op_id()),
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use past_wire::{DecodeError, Wire, WIRE_VERSION};
 
     #[test]
     fn header_and_handle_layout() {

@@ -14,6 +14,7 @@ use past_pastry::{
     PastryNode, PastryOut, StepIo, Wire,
 };
 use past_trace::Tracer;
+use past_wire::Message;
 use std::collections::BTreeMap;
 
 type Msg = PastryMsg<()>;
@@ -84,7 +85,7 @@ fn row_request_returns_known_entries() {
         learned.is_empty(),
         "announce should only update state, got {learned:?}"
     );
-    let row = n.state.me.id.prefix_len(&peer.id, n.state.cfg.b);
+    let row = n.state.me.id.prefix_len(&peer.id, n.state.cfg.b) as u16;
     let effects = step(
         &mut n,
         Input::Message {
@@ -310,11 +311,7 @@ fn repair_request_past_the_row_end_finds_nothing() {
     );
     assert_eq!(n.state.table.get(1, 5), Some(peer));
     let cols = n.state.cfg.cols();
-    for (row, col) in [
-        (0, cols + 5),
-        (0, u16::MAX as usize),
-        (u16::MAX as usize, 5),
-    ] {
+    for (row, col) in [(0, cols as u16 + 5), (0, u16::MAX), (u16::MAX, 5)] {
         let effects = step(
             &mut n,
             Input::Message {

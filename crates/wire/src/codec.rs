@@ -10,7 +10,7 @@
 //! - `Option<T>` is a `bool` presence tag followed by the payload when
 //!   present;
 //! - every **top-level** message enum leads with `[version][kind]`, one
-//!   byte each ([`WIRE_VERSION`] and the enum's `kind_id`); nested
+//!   byte each ([`WIRE_VERSION`] and the variant's tag); nested
 //!   structs are encoded inline with no version or kind byte;
 //! - cryptographic digests, keys, and signatures are their canonical
 //!   big-endian byte arrays (matching the signed-message encodings).
@@ -22,10 +22,11 @@
 //! same fields back through a [`Reader`]) and the size floor
 //! [`Wire::MIN_WIRE_LEN`] (the sum of the fields' floors).
 //! [`Wire::encoded_len`] is `encode` into a counting sink, so a size
-//! cannot disagree with the bytes. Hand-written impls are left to the
-//! primitives and to types whose representation is their own (a
-//! content body, a tag enum, a message enum with boxed, narrowed or
-//! fieldless variants).
+//! cannot disagree with the bytes. A message enum's line also states
+//! each kind's label, so `wire_enum!(message ..)` generates its
+//! [`Message`](crate::Message) impl too. Hand-written impls are left to
+//! the primitives and to types whose representation is their own (a
+//! content body, a tag enum).
 //!
 //! Decoding is total: every read returns a typed [`DecodeError`]
 //! instead of panicking, and length prefixes are validated against the
@@ -190,6 +191,13 @@ pub trait Wire: Sized {
         self.encode(&mut out);
         out
     }
+
+    /// The type's one value if it encodes to no bytes (`()`), else `None`:
+    /// a message kind whose fields all have one is fieldless
+    /// ([`Message::fieldless`](crate::Message::fieldless)).
+    fn empty() -> Option<Self> {
+        None
+    }
 }
 
 /// The floor a field adds to its struct's [`Wire::MIN_WIRE_LEN`]: the
@@ -197,6 +205,19 @@ pub trait Wire: Sized {
 /// [`wire_struct!`](crate::wire_struct) needs the field's name only.
 pub const fn field_min_len<S, T: Wire>(_field: fn(&S) -> &T) -> usize {
     T::MIN_WIRE_LEN
+}
+
+/// Checks, in a `const`, that a [`wire_enum!`](crate::wire_enum) line's
+/// tags run 0, 1, 2, … in order: the tag is the variant's kind id.
+pub const fn tags_in_order(tags: &[u8]) {
+    let mut i = 0;
+    while i < tags.len() {
+        assert!(
+            tags[i] as usize == i,
+            "wire_enum! tags must run 0, 1, 2, … in order"
+        );
+        i += 1;
+    }
 }
 
 /// Implements [`Wire`] for a struct from its fields, listed in wire
@@ -243,13 +264,15 @@ macro_rules! wire_struct {
     };
 }
 
-/// Implements [`Wire`] for a top-level message enum whose variants are
-/// named fields: each variant is `tag => Variant { fields }` in wire
-/// order, and `body(field)` after a variant appends a content body of
-/// `field.size` bytes after its fields (skipped, not held, on read). The
-/// frame is `[WIRE_VERSION][tag]` then the fields; `encode` matches
-/// every variant, so a variant left out does not compile, and `read`
-/// answers an unlisted tag with [`DecodeError::UnknownKind`].
+/// Implements [`Wire`] for a top-level message enum, one line per
+/// variant: `tag => Variant { fields }`, the fields in wire order. The
+/// frame is `[WIRE_VERSION][tag]` then the fields; `body(field)` after a
+/// variant appends a content body of `field.size` bytes after them
+/// (skipped, not held, on read). The tags must run 0, 1, 2, … in line
+/// order, or the line does not compile. `encode` matches every variant,
+/// so a variant left out does not compile, and `read` answers an
+/// unlisted tag with [`DecodeError::UnknownKind`]. A tuple or unit
+/// variant takes the braced form: `Route { 0: env }`, `Heartbeat {}`.
 ///
 /// ```
 /// use past_wire::{wire_enum, DecodeError, Wire, WIRE_VERSION};
@@ -270,12 +293,65 @@ macro_rules! wire_struct {
 /// assert_eq!(Chat::decode(&m.to_wire()), Ok((m, 7)));
 /// assert_eq!(Chat::decode(&[WIRE_VERSION, 2]), Err(DecodeError::UnknownKind(2)));
 /// ```
+///
+/// **The `message` form**, `wire_enum!(message Ty { .. })`, also
+/// implements [`Message`](crate::Message) for an enum a transport
+/// carries. Each line names its kind label, `tag "label" => Variant {
+/// fields }`, and may end in `op(expr)`, its `op_id` over the bound
+/// fields ([`OpId::NONE`] without one). `KINDS` lists the labels,
+/// `kind_id` is the tag, `wire_size` is `encoded_len`, and `fieldless`
+/// rebuilds a kind from its id when each of its fields has an
+/// [`empty`](Wire::empty) value. A type parameter states its bounds,
+/// `Msg<P: Clone + Payload>`, for both impls.
+///
+/// ```
+/// use past_wire::{wire_enum, Message, OpId, Wire};
+///
+/// #[derive(Clone, Debug, PartialEq)]
+/// enum Msg<P> {
+///     Tagged(OpId),
+///     Big(Box<u64>),
+///     Beat,
+///     Direct { payload: P },
+/// }
+/// wire_enum!(message Msg<P: Clone> {
+///     0 "tagged" => Tagged { 0: op } op(*op),
+///     1 "big" => Big { 0: n },
+///     2 "beat" => Beat {},
+///     3 "direct" => Direct { payload },
+/// });
+///
+/// let m: Msg<()> = Msg::Tagged(OpId(5));
+/// assert_eq!((m.kind(), m.op_id(), m.wire_size()), ("tagged", OpId(5), 10));
+/// assert_eq!(Msg::<()>::KINDS, ["tagged", "big", "beat", "direct"]);
+/// let big: Msg<()> = Msg::Big(Box::new(7));
+/// assert_eq!(Msg::decode(&big.to_wire()), Ok((big, 10)));
+/// // `Beat` has no fields and `()` encodes to nothing, so both kinds
+/// // rebuild from their id; a `u32` payload does not.
+/// assert_eq!(Msg::<()>::fieldless(2), Some(Msg::Beat));
+/// assert_eq!(Msg::<()>::fieldless(3), Some(Msg::Direct { payload: () }));
+/// assert_eq!(Msg::<u32>::fieldless(3), None);
+/// assert_eq!(Msg::<()>::fieldless(1), None);
+/// ```
+///
+/// A tag out of order does not compile:
+///
+/// ```compile_fail
+/// enum Two { A, B }
+/// past_wire::wire_enum!(Two { 1 => A {}, 0 => B {} });
+/// ```
 #[macro_export]
 macro_rules! wire_enum {
-    ($ty:ident {
-        $($tag:literal => $variant:ident { $($field:ident),* $(,)? } $(body($body:ident))?),+ $(,)?
+    (message $($line:tt)+) => {
+        $crate::wire_enum!(@enum [message] $($line)+);
+    };
+    (@enum [$($message:ident)?] $ty:ident $(<$($p:ident $(: $b0:ident $(+ $b:ident)*)?),+>)? {
+        $($tag:literal $($label:literal)? => $variant:ident { $($field:tt $(: $bind:ident)?),* $(,)? }
+            $(body($body:ident))? $(op($op:expr))?),+ $(,)?
     }) => {
-        impl $crate::Wire for $ty {
+        const _: () = $crate::codec::tags_in_order(&[$($tag),+]);
+
+        impl $(<$($p: $crate::Wire $(+ $b0 $(+ $b)*)?),+>)? $crate::Wire for $ty $(<$($p),+>)? {
             const MIN_WIRE_LEN: usize = 2;
 
             // Inlined into `encoded_len`, the one codec call the simulator
@@ -283,9 +359,9 @@ macro_rules! wire_enum {
             #[inline]
             fn encode<S: $crate::Sink>(&self, out: &mut S) {
                 match self {
-                    $($ty::$variant { $($field),* } => {
+                    $(Self::$variant { $($field $(: $bind)?),* } => {
                         $crate::Sink::put(out, &[$crate::WIRE_VERSION, $tag]);
-                        $($crate::Wire::encode($field, out);)*
+                        $($crate::Wire::encode($crate::wire_enum!(@bind $field $($bind)?), out);)*
                         $($crate::Sink::body(out, $body.size);)?
                     })+
                 }
@@ -295,20 +371,66 @@ macro_rules! wire_enum {
                 r: &mut $crate::Reader<'_>,
             ) -> ::core::result::Result<Self, $crate::DecodeError> {
                 let m = match r.kind()? {
-                    $($tag => $ty::$variant { $($field: r.get()?),* },)+
+                    $($tag => Self::$variant { $($field: r.get()?),* },)+
                     other => {
                         return ::core::result::Result::Err($crate::DecodeError::UnknownKind(other))
                     }
                 };
                 r.skip_body(match &m {
-                    $($ty::$variant { $($body,)? .. } => $crate::wire_enum!(@body $($body)?),)+
+                    $(Self::$variant { $($body,)? .. } => $crate::wire_enum!(@body $($body)?),)+
                 })?;
                 ::core::result::Result::Ok(m)
             }
         }
+
+        $crate::wire_enum!(@if [$($message)?] {
+            impl $(<$($p: $crate::Wire $(+ $b0 $(+ $b)*)?),+>)? $crate::Message for $ty $(<$($p),+>)? {
+                const KINDS: &'static [&'static str] = &[$($crate::wire_enum!(@label $($label)?)),+];
+
+                fn kind_id(&self) -> usize {
+                    match self {
+                        $(Self::$variant { .. } => $tag,)+
+                    }
+                }
+
+                fn wire_size(&self) -> u64 {
+                    $crate::Wire::encoded_len(self)
+                }
+
+                fn op_id(&self) -> $crate::OpId {
+                    match self {
+                        $($crate::wire_enum!(@pat [$(op($op))?] $variant { $($field $(: $bind)?),* })
+                            => $crate::wire_enum!(@op $($op)?),)+
+                    }
+                }
+
+                fn fieldless(kind: usize) -> ::core::option::Option<Self> {
+                    match kind {
+                        $($tag => ::core::option::Option::Some(Self::$variant {
+                            $($field: $crate::Wire::empty()?),*
+                        }),)+
+                        _ => ::core::option::Option::None,
+                    }
+                }
+            }
+        });
     };
+    (@if [] { $($item:tt)* }) => {};
+    (@if [message] { $($item:tt)* }) => { $($item)* };
+    (@bind $field:tt) => { $field };
+    (@bind $field:tt $bind:ident) => { $bind };
+    // Without an `op(..)`, no field is read, so none is bound.
+    (@pat [] $variant:ident { $($field:tt)* }) => { Self::$variant { .. } };
+    (@pat [$($op:tt)+] $variant:ident { $($field:tt)* }) => { Self::$variant { $($field)* } };
     (@body) => { 0 };
     (@body $body:ident) => { $body.size };
+    (@label) => { ::core::compile_error!("a `message` line names its kind label") };
+    (@label $label:literal) => { $label };
+    (@op) => { $crate::OpId::NONE };
+    (@op $op:expr) => { $op };
+    ($ty:ident $($line:tt)+) => {
+        $crate::wire_enum!(@enum [] $ty $($line)+);
+    };
 }
 
 // ---------------- Wire impls for primitives -------------------------
@@ -320,6 +442,10 @@ impl Wire for () {
 
     fn read(_r: &mut Reader<'_>) -> Result<(), DecodeError> {
         Ok(())
+    }
+
+    fn empty() -> Option<()> {
+        Some(())
     }
 }
 
@@ -412,6 +538,20 @@ impl<T: Wire> Wire for Arc<T> {
 
     fn read(r: &mut Reader<'_>) -> Result<Arc<T>, DecodeError> {
         T::read(r).map(Arc::new)
+    }
+}
+
+/// A boxed value encodes as the value itself, as a shared one does.
+impl<T: Wire> Wire for Box<T> {
+    const MIN_WIRE_LEN: usize = T::MIN_WIRE_LEN;
+
+    #[inline]
+    fn encode<S: Sink>(&self, out: &mut S) {
+        (**self).encode(out);
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<Box<T>, DecodeError> {
+        T::read(r).map(Box::new)
     }
 }
 
@@ -569,6 +709,14 @@ mod tests {
         assert_eq!(shared.encoded_len(), 8);
         let (back, used) = Arc::<u64>::decode(&shared.to_wire()).unwrap();
         assert_eq!((back, used), (shared, 8));
+    }
+
+    #[test]
+    fn a_boxed_value_encodes_as_the_value() {
+        assert_eq!(Box::<Signature>::MIN_WIRE_LEN, Signature::MIN_WIRE_LEN);
+        let boxed = Box::new(0x0123_4567_89ab_cdefu64);
+        assert_eq!(boxed.to_wire(), 0x0123_4567_89ab_cdefu64.to_wire());
+        assert_eq!(Box::<u64>::decode(&boxed.to_wire()), Ok((boxed, 8)));
     }
 
     #[test]

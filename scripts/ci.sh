@@ -44,7 +44,7 @@ cargo test --offline -q --workspace
 # overflow checks and `debug_assert!`s are off, so the whole suite runs
 # again there. Among what that catches: a limb carry in past-crypto's
 # arithmetic that wraps instead of panicking; the codec's
-# `debug_assert`-guarded `usize -> u16/u32` narrowings (tests/wire.rs:
+# `debug_assert`-guarded `usize -> u32` vector length prefix (tests/wire.rs:
 # round-trip, goldens, seeded fuzz); the packed routing state's 4-byte
 # addresses and u32 proximities (hostile-address, saturation and
 # differential tests); the static builder's state golden and routes,

@@ -143,7 +143,7 @@ fn pastry_samples(rng: &mut Rng) -> Vec<PastryMsg<u64>> {
         PastryMsg::JoinRequest(Box::new(JoinRequest {
             joiner: handle(rng),
             rows: handles(rng, 5),
-            rows_done: rng.random_range(0..32) as usize,
+            rows_done: rng.random_range(0..32) as u16,
             hops: rng.random_range(0..8) as u32,
         })),
         PastryMsg::JoinReply(Box::new(JoinReply {
@@ -162,14 +162,14 @@ fn pastry_samples(rng: &mut Rng) -> Vec<PastryMsg<u64>> {
             members: handles(rng, 6),
         },
         PastryMsg::RowRequest {
-            row: rng.random_range(0..32) as usize,
+            row: rng.random_range(0..32) as u16,
         },
         PastryMsg::RowReply {
             entries: handles(rng, 2),
         },
         PastryMsg::RepairRequest {
-            row: rng.random_range(0..32) as usize,
-            col: rng.random_range(0..16) as usize,
+            row: rng.random_range(0..32) as u16,
+            col: rng.random_range(0..16) as u16,
         },
         PastryMsg::RepairReply {
             entry: if rng.random_range(0..2) == 1 {
@@ -506,24 +506,14 @@ fn nested_past_in_pastry_roundtrips() {
 #[test]
 fn fieldless_kinds_are_exactly_the_past_frames_without_a_body() {
     let mut rng = Rng::seed_from_u64(0x3133_0008);
-    let mut msgs: Vec<PastryMsg<PastMsg>> = corpus(&mut rng)
+    // The corpus holds every kind (`corpus` checks).
+    let msgs: Vec<PastryMsg<PastMsg>> = corpus(&mut rng)
         .iter()
         .filter_map(|f| match f {
             Frame::Pastry(b) => Some(PastryMsg::decode(b).expect("corpus frame decodes").0),
             Frame::Past(_) | Frame::Chord(_) | Frame::Can(_) => None,
         })
         .collect();
-    msgs.extend(
-        past_samples(&mut rng)
-            .into_iter()
-            .map(|payload| PastryMsg::AppDirect { payload }),
-    );
-    let kinds: std::collections::BTreeSet<usize> = msgs.iter().map(|m| m.kind_id()).collect();
-    assert_eq!(
-        kinds.len(),
-        <PastryMsg<PastMsg> as Message>::KINDS.len(),
-        "every kind sampled"
-    );
     for m in &msgs {
         let frame = m.to_wire();
         let rebuilt = <PastryMsg<PastMsg> as Message>::fieldless(m.kind_id());
@@ -538,6 +528,20 @@ fn fieldless_kinds_are_exactly_the_past_frames_without_a_body() {
             assert_eq!(r.kind_id(), m.kind_id());
             assert_eq!(r.to_wire(), frame, "{}: rebuilt frame differs", m.kind());
         }
+    }
+}
+
+/// The engine's per-kind counters, the trace and the metrics look a
+/// kind up by its label, so no kind table may list a label twice.
+#[test]
+fn every_kind_table_has_distinct_labels() {
+    for kinds in [
+        <PastryMsg<PastMsg> as Message>::KINDS,
+        ChordMsg::KINDS,
+        CanMsg::KINDS,
+    ] {
+        let distinct: std::collections::BTreeSet<&str> = kinds.iter().copied().collect();
+        assert_eq!(distinct.len(), kinds.len(), "a label repeats in {kinds:?}");
     }
 }
 
@@ -606,19 +610,21 @@ fn body_span(m: &PastMsg) -> Option<(usize, u64)> {
 
 fn corpus(rng: &mut Rng) -> Vec<Frame> {
     let mut out: Vec<Frame> = Vec::new();
+    // Every Pastry kind, with the PAST payload type plugged in: each PAST
+    // sample routed and sent direct, then the maintenance frames.
+    let mut pastry: Vec<PastryMsg<PastMsg>> = Vec::new();
     for m in past_samples(rng) {
-        let framed = PastryMsg::Route(RouteEnvelope {
+        pastry.push(PastryMsg::Route(RouteEnvelope {
             key: Id(rng.random::<u64>() as u128),
             payload: m.clone(),
             origin: 1,
             hops: 0,
             path_us: 0,
-        });
-        out.push(Frame::Pastry(framed.to_wire()));
+        }));
+        pastry.push(PastryMsg::AppDirect { payload: m.clone() });
         out.push(Frame::Past(m.to_wire()));
     }
-    // Pastry maintenance frames, with the PAST payload type plugged in.
-    let maint: Vec<PastryMsg<PastMsg>> = vec![
+    pastry.extend([
         PastryMsg::JoinRequest(Box::new(JoinRequest {
             joiner: handle(rng),
             rows: handles(rng, 6),
@@ -650,10 +656,15 @@ fn corpus(rng: &mut Rng) -> Vec<Frame> {
         },
         PastryMsg::Heartbeat,
         PastryMsg::HeartbeatAck,
-    ];
-    for m in &maint {
-        out.push(Frame::Pastry(m.to_wire()));
-    }
+    ]);
+    // So the fuzzer mutates every kind's read arm.
+    let kinds: std::collections::BTreeSet<usize> = pastry.iter().map(|m| m.kind_id()).collect();
+    assert_eq!(
+        kinds.len(),
+        <PastryMsg<PastMsg> as Message>::KINDS.len(),
+        "the corpus must hold every Pastry kind"
+    );
+    out.extend(pastry.iter().map(|m| Frame::Pastry(m.to_wire())));
     out.push(Frame::Chord(chord_sample(rng).to_wire()));
     out.push(Frame::Can(can_sample(rng).to_wire()));
     out
