@@ -77,11 +77,12 @@ impl Cache {
         self.evictions
     }
 
-    /// The GreedyDual-Size credit for a file of `size` bytes.
-    fn credit(&self, size: u64) -> f64 {
+    /// The GreedyDual-Size credit for a file of `size` bytes over the
+    /// aging floor `floor`.
+    fn credit(floor: f64, size: u64) -> f64 {
         // Cost 1 per retrieval (uniform miss penalty), so H = L + 1/size:
         // small popular files are worth more per byte.
-        self.aging_floor + 1.0 / size.max(1) as f64
+        floor + 1.0 / size.max(1) as f64
     }
 
     /// Looks a file up, refreshing its credit on a hit.
@@ -89,7 +90,7 @@ impl Cache {
         match self.entries.get_mut(id) {
             Some(e) => {
                 self.hits += 1;
-                e.h = self.aging_floor + 1.0 / e.cert.size.max(1) as f64;
+                e.h = Cache::credit(self.aging_floor, e.cert.size);
                 Some(&e.cert)
             }
             None => {
@@ -130,24 +131,13 @@ impl Cache {
             return false;
         }
         let size = cert.size;
-        let new_h = self.credit(size);
+        let new_h = Cache::credit(self.aging_floor, size);
         // Evict until it fits, but never evict an entry more valuable than
         // the newcomer.
         while self.used + size > budget {
-            let victim = self
-                .entries
-                .iter()
-                .min_by(|a, b| a.1.h.total_cmp(&b.1.h))
-                .map(|(id, e)| (*id, e.h));
-            let Some((vid, vh)) = victim else {
-                return false;
-            };
-            if vh > new_h {
+            if !self.evict_one(new_h) {
                 return false;
             }
-            self.remove_entry(&vid);
-            self.aging_floor = vh;
-            self.evictions += 1;
         }
         self.used += size;
         self.insertions += 1;
@@ -159,17 +149,7 @@ impl Cache {
     /// Shrinks the cache to at most `budget` bytes (called when primary
     /// storage grows into space the cache was borrowing).
     pub fn shrink_to(&mut self, budget: u64) {
-        while self.used > budget {
-            let victim = self
-                .entries
-                .iter()
-                .min_by(|a, b| a.1.h.total_cmp(&b.1.h))
-                .map(|(id, e)| (*id, e.h));
-            let Some((vid, vh)) = victim else { return };
-            self.remove_entry(&vid);
-            self.aging_floor = vh;
-            self.evictions += 1;
-        }
+        while self.used > budget && self.evict_one(f64::INFINITY) {}
     }
 
     /// Drops a specific entry (e.g. after the file is reclaimed).
@@ -192,6 +172,24 @@ impl Cache {
                 .values()
                 .map(|e| cert_share(&e.cert))
                 .sum::<usize>()
+    }
+
+    /// Evicts the lowest-credit entry unless the cache is empty or that
+    /// credit exceeds `ceiling`, and answers whether it did. The evicted
+    /// credit becomes the aging floor.
+    fn evict_one(&mut self, ceiling: f64) -> bool {
+        let victim = self
+            .entries
+            .iter()
+            .min_by(|a, b| a.1.h.total_cmp(&b.1.h))
+            .map(|(id, e)| (*id, e.h));
+        let Some((vid, vh)) = victim.filter(|&(_, vh)| vh <= ceiling) else {
+            return false;
+        };
+        self.remove_entry(&vid);
+        self.aging_floor = vh;
+        self.evictions += 1;
+        true
     }
 
     fn remove_entry(&mut self, id: &FileId) {

@@ -437,6 +437,32 @@ mod tests {
         assert!(s.can_serve(&c.file_id));
     }
 
+    /// Promoting a cached file to a replica must not evict other cached
+    /// files for the copy it drops. `insert` shrinks the cache to the new
+    /// free space before it invalidates the file's own cached copy, so
+    /// that copy still counts against the budget: capacity 100, A (50 B)
+    /// and X (40 B) cached, X inserted as a primary; free space falls to
+    /// 60, the cache holds 90, the lowest credit (A's) is evicted, and
+    /// then X's copy is dropped too, leaving the cache empty though A
+    /// fits. Invalidating first leaves A cached. The fix changes which
+    /// files stay cached, so it rides the GreedyDual-Size item's declared
+    /// semantic change (ROADMAP).
+    #[test]
+    #[ignore = "known bug: promoting a cached file evicts others for its dropped copy"]
+    fn promoting_a_cached_file_evicts_nothing_else() {
+        let mut s = Store::new(100, 1.0, 1.0);
+        let (a, x) = (cert_of(50, 1), cert_of(40, 2));
+        assert!(s.offer_cache(a));
+        assert!(s.offer_cache(x));
+        assert!(s.insert(x, ReplicaKind::Primary).is_ok());
+        assert!(!s.cache.contains(&x.file_id));
+        assert!(
+            s.cache.contains(&a.file_id),
+            "A evicted for X's dropped copy"
+        );
+        assert_eq!(s.cache.evictions(), 0);
+    }
+
     #[test]
     fn heap_bytes_count_replicas_and_give_them_back() {
         const N: u64 = 40;

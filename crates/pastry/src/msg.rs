@@ -147,102 +147,6 @@ mod tests {
     use super::*;
     use past_wire::Message;
 
-    /// One constructed sample of every variant, in `KINDS` order; a
-    /// variant without one fails the permutation test below. The two
-    /// variants that carry an application payload carry `payload`.
-    fn all_variants<P: Clone>(payload: P) -> Vec<PastryMsg<P>> {
-        let h = NodeHandle::new(Id(1), 0);
-        vec![
-            PastryMsg::Route(RouteEnvelope {
-                key: Id(1),
-                payload: payload.clone(),
-                origin: 0,
-                hops: 0,
-                path_us: 0,
-            }),
-            PastryMsg::JoinRequest(Box::new(JoinRequest {
-                joiner: h,
-                rows: vec![],
-                rows_done: 0,
-                hops: 0,
-            })),
-            PastryMsg::JoinReply(Box::new(JoinReply {
-                z: h,
-                rows: vec![],
-                leaf: vec![],
-                hops: 0,
-            })),
-            PastryMsg::NeighborhoodRequest,
-            PastryMsg::NeighborhoodReply { members: vec![] },
-            PastryMsg::Announce { from: h },
-            PastryMsg::LeafRequest,
-            PastryMsg::LeafReply { members: vec![] },
-            PastryMsg::RowRequest { row: 0 },
-            PastryMsg::RowReply { entries: vec![] },
-            PastryMsg::RepairRequest { row: 0, col: 0 },
-            PastryMsg::RepairReply { entry: None },
-            PastryMsg::Heartbeat,
-            PastryMsg::HeartbeatAck,
-            PastryMsg::AppDirect { payload },
-        ]
-    }
-
-    /// The samples' kind ids are a permutation of the `KINDS` indices,
-    /// so every kind is sampled once and the tests below see them all.
-    #[test]
-    fn kind_ids_are_a_permutation_of_the_kinds_table() {
-        let samples = all_variants(7u32);
-        assert_eq!(samples.len(), PastryMsg::<u32>::KINDS.len());
-        let mut seen = vec![false; PastryMsg::<u32>::KINDS.len()];
-        for m in &samples {
-            let id = m.kind_id();
-            assert!(id < seen.len(), "kind_id {id} out of KINDS range");
-            assert!(!seen[id], "kind_id {id} assigned twice");
-            seen[id] = true;
-            assert_eq!(m.kind(), PastryMsg::<u32>::KINDS[id]);
-        }
-        assert!(
-            seen.iter().all(|&s| s),
-            "every KINDS entry must be reachable"
-        );
-    }
-
-    #[test]
-    fn only_app_traffic_carries_an_op_id() {
-        for m in all_variants(7u32) {
-            assert_eq!(m.op_id(), OpId::NONE, "u32 payloads carry no op id");
-        }
-    }
-
-    /// `fieldless` answers exactly the kinds whose frame is the bare
-    /// `[version, kind]` header, and rebuilds the same frame: the
-    /// engine carries such a message as its kind id alone, so a field
-    /// added to one of them must fail here rather than vanish in flight.
-    /// tests/wire.rs checks the PAST payload type the same way.
-    fn assert_fieldless_matches_the_codec<P: Clone + PayloadSize>(samples: Vec<PastryMsg<P>>) {
-        for m in samples {
-            let frame = m.to_wire();
-            let rebuilt = PastryMsg::<P>::fieldless(m.kind_id());
-            assert_eq!(
-                rebuilt.is_some(),
-                frame.len() == 2,
-                "{}: fieldless disagrees with the {}-byte frame",
-                m.kind(),
-                frame.len()
-            );
-            if let Some(r) = rebuilt {
-                assert_eq!(r.kind_id(), m.kind_id());
-                assert_eq!(r.to_wire(), frame, "{}: rebuilt frame differs", m.kind());
-            }
-        }
-    }
-
-    #[test]
-    fn fieldless_kinds_are_exactly_the_frames_without_a_body() {
-        assert_fieldless_matches_the_codec(all_variants(()));
-        assert_fieldless_matches_the_codec(all_variants(7u32));
-    }
-
     /// Every in-flight message that carries fields occupies an arena
     /// slot of this size.
     #[test]

@@ -40,6 +40,30 @@ cargo build --offline --release --workspace
 echo "== cargo test -q"
 cargo test --offline -q --workspace
 
+# Each `#[ignore]`d test reproduces an open bug and must still fail, run
+# alone by its exact name. One that passes names a bug that is fixed: the
+# change that fixed it un-ignores it, so it guards the fix from then on.
+echo "== open reproducers (each #[ignore]d test still fails)"
+for reproducer in \
+  "-p past-core --lib cache::tests::a_refused_offer_evicts_nothing" \
+  "-p past-core --lib storage::tests::promoting_a_cached_file_evicts_nothing_else" \
+  "-p past-invariants --test join_after_failure join_after_failure_leaves_a_leaf_asymmetry" \
+  "-p past-invariants --test join_after_failure churn_scenario_holds_on_seeds_0_to_7"; do
+  read -r -a args <<<"$reproducer"
+  name=${args[${#args[@]} - 1]}
+  out=$(cargo test --offline -q "${args[@]}" -- --ignored --exact 2>&1 || true)
+  if grep -q "1 passed; 0 failed" <<<"$out"; then
+    echo "reproducer $name now passes: un-ignore it"
+    exit 1
+  fi
+  if ! grep -q "0 passed; 1 failed" <<<"$out"; then
+    echo "$out"
+    echo "reproducer $name did not run as one test"
+    exit 1
+  fi
+  echo "reproducer $name: still fails"
+done
+
 # The benchmark builds the workspace at release optimisation, where
 # overflow checks and `debug_assert!`s are off, so the whole suite runs
 # again there. Among what that catches: a limb carry in past-crypto's

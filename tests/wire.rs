@@ -11,8 +11,9 @@
 //!    No value encodes below its `MIN_WIRE_LEN`, and the fixed-size
 //!    structures encode to exactly theirs (pinned).
 //! 3. **Total decoding** — `decode` on arbitrary mutated frames returns
-//!    `Ok` or a typed `DecodeError`, never panics (seeded corpus of
-//!    >10 000 truncations, bit flips, and length-prefix splices).
+//!    `Ok` or a typed `DecodeError`, never panics (a seeded corpus of
+//!    over 10 000 truncations, bit flips, and length-prefix splices, and
+//!    every integer field of every kind at 0, 1, MAX−1 and MAX).
 //! 4. **Canonical form** — every frame of that corpus that decodes
 //!    re-encodes to exactly the bytes it was decoded from, so no two
 //!    frames stand for the same message (content bodies aside: the
@@ -20,7 +21,9 @@
 //!
 //! Golden hex vectors pin one frame of every kind so accidental layout
 //! changes (field order, endianness, header bytes) fail loudly even if
-//! they round-trip.
+//! they round-trip. Otherwise the tests restate no layout: where a field
+//! or a content body sits is what `encode` reports to a recording
+//! [`Sink`] ([`Spans`]).
 
 use past::baselines::can::{CanLookup, CanMsg};
 use past::baselines::chord::{ChordLookup, ChordMsg};
@@ -32,8 +35,9 @@ use past::crypto::rng::Rng;
 use past::crypto::u256::U256;
 use past::crypto::{Digest160, Digest256, PublicKey, Signature};
 use past::netsim::{Message, OpId};
-use past::pastry::{Id, JoinReply, JoinRequest, NodeHandle, PastryMsg, RouteEnvelope};
-use past::wire::{DecodeError, Wire, WIRE_VERSION};
+use past::pastry::{Id, JoinReply, JoinRequest, NodeHandle, PastryMsg, PayloadSize, RouteEnvelope};
+use past::wire::{DecodeError, Sink, Wire, WIRE_VERSION};
+use std::collections::BTreeSet;
 
 // ---------------------------------------------------------- fixtures
 
@@ -130,12 +134,13 @@ fn addrs(rng: &mut Rng, n: usize) -> Vec<usize> {
     (0..n).map(|_| rng.random_range(0usize..1 << 32)).collect()
 }
 
-/// One sample of every `PastryMsg` variant (in `KINDS` order).
-fn pastry_samples(rng: &mut Rng) -> Vec<PastryMsg<u64>> {
+/// One sample of every `PastryMsg` variant (in `KINDS` order), the two
+/// that carry an application payload carrying `payload(rng)`.
+fn pastry_samples<P>(rng: &mut Rng, mut payload: impl FnMut(&mut Rng) -> P) -> Vec<PastryMsg<P>> {
     vec![
         PastryMsg::Route(RouteEnvelope {
             key: Id(rng.random::<u64>() as u128),
-            payload: rng.random::<u64>(),
+            payload: payload(rng),
             origin: rng.random_range(0..512),
             hops: rng.random_range(0..8) as u32,
             path_us: rng.random(),
@@ -181,7 +186,7 @@ fn pastry_samples(rng: &mut Rng) -> Vec<PastryMsg<u64>> {
         PastryMsg::Heartbeat,
         PastryMsg::HeartbeatAck,
         PastryMsg::AppDirect {
-            payload: rng.random::<u64>(),
+            payload: payload(rng),
         },
     ]
 }
@@ -346,17 +351,47 @@ fn assert_roundtrip<T: Wire + std::fmt::Debug>(m: &T, what: &str) {
     );
 }
 
+/// Where `encode` writes, as a recording [`Sink`] sees it: the
+/// `(offset, len)` of each `put` and the `(offset, size)` of each
+/// content body, in wire order, and the frame's length.
+#[derive(Default)]
+struct Spans {
+    puts: Vec<(usize, usize)>,
+    bodies: Vec<(usize, usize)>,
+    len: usize,
+}
+
+impl Sink for Spans {
+    fn put(&mut self, bytes: &[u8]) {
+        self.puts.push((self.len, bytes.len()));
+        self.len += bytes.len();
+    }
+
+    fn body(&mut self, size: u64) {
+        self.bodies.push((self.len, size as usize));
+        self.len += size as usize;
+    }
+}
+
+fn spans<T: Wire>(m: &T) -> Spans {
+    let mut s = Spans::default();
+    m.encode(&mut s);
+    s
+}
+
 // ------------------------------------------------- per-variant audit
 
 #[test]
 fn every_pastry_variant_roundtrips_and_sizes_honestly() {
     let mut rng = Rng::seed_from_u64(0x3133_0001);
     for round in 0..16 {
-        let samples = pastry_samples(&mut rng);
+        let samples = pastry_samples(&mut rng, |rng| rng.random::<u64>());
+        let ids: Vec<usize> = samples.iter().map(Message::kind_id).collect();
+        let kinds = <PastryMsg<u64> as Message>::KINDS.len();
         assert_eq!(
-            samples.len(),
-            <PastryMsg<u64> as Message>::KINDS.len(),
-            "sample list must cover every variant"
+            ids,
+            Vec::from_iter(0..kinds),
+            "one sample per kind, in KINDS order"
         );
         for m in &samples {
             let what = format!(
@@ -500,33 +535,55 @@ fn nested_past_in_pastry_roundtrips() {
 }
 
 /// The engine carries a message whose kind `fieldless` answers as the
-/// kind id alone. Under the deployment payload, every kind must answer
-/// exactly when its frame is the bare `[version, kind]` header, and
-/// rebuild that frame (`pastry/src/msg.rs` checks `()` and `u32`).
+/// kind id alone, so a field added to such a kind must fail here rather
+/// than vanish in flight. Under the `()`, `u64` and deployment (every
+/// PAST kind) payloads, every kind must answer exactly when its frame is
+/// the bare `[version, kind]` header, and rebuild that frame.
 #[test]
 fn fieldless_kinds_are_exactly_the_past_frames_without_a_body() {
+    fn check<P: Clone + PayloadSize>(samples: Vec<PastryMsg<P>>) {
+        for m in samples {
+            let frame = m.to_wire();
+            let rebuilt = PastryMsg::<P>::fieldless(m.kind_id());
+            assert_eq!(
+                rebuilt.is_some(),
+                frame.len() == 2,
+                "{}: {}-byte frame",
+                m.kind(),
+                frame.len()
+            );
+            if let Some(r) = rebuilt {
+                assert_eq!(r.kind_id(), m.kind_id());
+                assert_eq!(r.to_wire(), frame, "{}: rebuilt frame differs", m.kind());
+            }
+        }
+    }
     let mut rng = Rng::seed_from_u64(0x3133_0008);
-    // The corpus holds every kind (`corpus` checks).
-    let msgs: Vec<PastryMsg<PastMsg>> = corpus(&mut rng)
-        .iter()
-        .filter_map(|f| match f {
-            Frame::Pastry(b) => Some(PastryMsg::decode(b).expect("corpus frame decodes").0),
-            Frame::Past(_) | Frame::Chord(_) | Frame::Can(_) => None,
-        })
-        .collect();
-    for m in &msgs {
-        let frame = m.to_wire();
-        let rebuilt = <PastryMsg<PastMsg> as Message>::fieldless(m.kind_id());
+    check(pastry_samples(&mut rng, |_| ()));
+    check(pastry_samples(&mut rng, |rng| rng.random::<u64>()));
+    for p in past_samples(&mut rng) {
+        check(pastry_samples(&mut rng, |_| p.clone()));
+    }
+}
+
+/// Only application traffic belongs to a client operation: overlay
+/// maintenance and payloads that are not PAST requests carry none.
+#[test]
+fn only_app_traffic_carries_an_op_id() {
+    let mut rng = Rng::seed_from_u64(0x3133_000a);
+    for m in pastry_samples(&mut rng, |rng| rng.random::<u64>()) {
         assert_eq!(
-            rebuilt.is_some(),
-            frame.len() == 2,
-            "{}: {}-byte frame",
-            m.kind(),
-            frame.len()
+            m.op_id(),
+            OpId::NONE,
+            "{}: u64 payloads carry no op id",
+            m.kind()
         );
-        if let Some(r) = rebuilt {
-            assert_eq!(r.kind_id(), m.kind_id());
-            assert_eq!(r.to_wire(), frame, "{}: rebuilt frame differs", m.kind());
+    }
+    for p in past_samples(&mut rng) {
+        for m in pastry_samples(&mut rng, |_| p.clone()) {
+            let app = matches!(m, PastryMsg::Route(_) | PastryMsg::AppDirect { .. });
+            let op = if app { p.op_id() } else { OpId::NONE };
+            assert_eq!(m.op_id(), op, "{}", m.kind());
         }
     }
 }
@@ -547,127 +604,89 @@ fn every_kind_table_has_distinct_labels() {
 
 // --------------------------------------------------------- fuzzing
 
-enum Frame {
-    Pastry(Vec<u8>),
-    Past(Vec<u8>),
-    Chord(Vec<u8>),
-    Can(Vec<u8>),
+/// A corpus frame: its bytes, where `encode` wrote each of its fields,
+/// and the decoder of its type.
+struct Frame {
+    bytes: Vec<u8>,
+    spans: Spans,
+    decode: fn(&[u8]) -> Result<usize, DecodeError>,
 }
 
 impl Frame {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Frame::Pastry(b) | Frame::Past(b) | Frame::Chord(b) | Frame::Can(b) => b,
-        }
-    }
-
-    /// Decoding must be total: `Ok` or a typed error, never a panic.
-    /// A successful decode never claims more bytes than it got, and the
-    /// message it returns re-encodes to exactly the bytes it claimed —
-    /// outside the content body, which the decoder skips and the
-    /// simulator's message value does not hold (it re-encodes as filler).
-    fn try_decode(&self, buf: &[u8]) -> Result<usize, DecodeError> {
-        fn canonical<T: Wire>(
-            buf: &[u8],
-            body: impl Fn(&T) -> Option<(usize, u64)>,
-        ) -> Result<usize, DecodeError> {
-            let (m, used) = T::decode(buf)?;
-            assert!(used <= buf.len(), "decode claimed {used} of {}", buf.len());
-            let mut claimed = buf[..used].to_vec();
-            if let Some((at, len)) = body(&m) {
-                claimed[at..at + len as usize].fill(0);
-            }
-            assert!(m.to_wire() == claimed, "accepted frame is not canonical");
-            Ok(used)
-        }
-        match self {
-            Frame::Pastry(_) => canonical(buf, |m: &PastryMsg<PastMsg>| match m {
-                // header(2) key(16) origin(8) hops(4) path_us(8)
-                PastryMsg::Route(env) => body_span(&env.payload).map(|(at, n)| (38 + at, n)),
-                PastryMsg::AppDirect { payload } => body_span(payload).map(|(at, n)| (2 + at, n)),
-                _ => None,
-            }),
-            Frame::Past(_) => canonical(buf, body_span),
-            Frame::Chord(_) => canonical(buf, |_: &ChordMsg| None),
-            Frame::Can(_) => canonical(buf, |_: &CanMsg| None),
+    fn of<T: Wire>(m: &T) -> Frame {
+        Frame {
+            bytes: m.to_wire(),
+            spans: spans(m),
+            decode: canonical::<T>,
         }
     }
 }
 
-/// Where a PAST frame carries its content body: `(offset, length)`.
-fn body_span(m: &PastMsg) -> Option<(usize, u64)> {
-    match m {
-        // header(2) cert(269) content hash(32) size(8)
-        PastMsg::Insert { content, .. }
-        | PastMsg::Replicate { content, .. }
-        | PastMsg::DivertStore { content, .. } => Some((311, content.size)),
-        // header(2) cert(269) from_cache(1) op(8)
-        PastMsg::FileReply { cert, .. } => Some((280, cert.size)),
-        PastMsg::CachePush { cert } => Some((271, cert.size)),
-        _ => None,
+/// Decoding must be total: `Ok` or a typed error, never a panic. A
+/// successful decode never claims more bytes than it got, and the
+/// message it returns re-encodes to exactly the bytes it claimed —
+/// outside its content bodies, which the decoder skips and the
+/// simulator's message value does not hold (they re-encode as filler).
+fn canonical<T: Wire>(buf: &[u8]) -> Result<usize, DecodeError> {
+    let (m, used) = T::decode(buf)?;
+    assert!(used <= buf.len(), "decode claimed {used} of {}", buf.len());
+    let mut claimed = buf[..used].to_vec();
+    for (at, size) in spans(&m).bodies {
+        claimed[at..at + size].fill(0);
     }
+    assert!(m.to_wire() == claimed, "accepted frame is not canonical");
+    Ok(used)
 }
 
-fn corpus(rng: &mut Rng) -> Vec<Frame> {
-    let mut out: Vec<Frame> = Vec::new();
-    // Every Pastry kind, with the PAST payload type plugged in: each PAST
-    // sample routed and sent direct, then the maintenance frames.
-    let mut pastry: Vec<PastryMsg<PastMsg>> = Vec::new();
-    for m in past_samples(rng) {
-        pastry.push(PastryMsg::Route(RouteEnvelope {
-            key: Id(rng.random::<u64>() as u128),
-            payload: m.clone(),
-            origin: 1,
-            hops: 0,
-            path_us: 0,
-        }));
-        pastry.push(PastryMsg::AppDirect { payload: m.clone() });
-        out.push(Frame::Past(m.to_wire()));
-    }
-    pastry.extend([
-        PastryMsg::JoinRequest(Box::new(JoinRequest {
-            joiner: handle(rng),
-            rows: handles(rng, 6),
-            rows_done: 3,
-            hops: 2,
-        })),
-        PastryMsg::JoinReply(Box::new(JoinReply {
-            z: handle(rng),
-            rows: handles(rng, 6),
-            leaf: handles(rng, 4),
-            hops: 3,
-        })),
-        PastryMsg::NeighborhoodRequest,
-        PastryMsg::NeighborhoodReply {
-            members: handles(rng, 4),
-        },
-        PastryMsg::Announce { from: handle(rng) },
-        PastryMsg::LeafRequest,
-        PastryMsg::LeafReply {
-            members: handles(rng, 8),
-        },
-        PastryMsg::RowRequest { row: 4 },
-        PastryMsg::RowReply {
-            entries: handles(rng, 3),
-        },
-        PastryMsg::RepairRequest { row: 2, col: 9 },
-        PastryMsg::RepairReply {
-            entry: Some(handle(rng)),
-        },
-        PastryMsg::Heartbeat,
-        PastryMsg::HeartbeatAck,
-    ]);
-    // So the fuzzer mutates every kind's read arm.
-    let kinds: std::collections::BTreeSet<usize> = pastry.iter().map(|m| m.kind_id()).collect();
+/// Asserts that `msgs` hold every kind of their type's `KINDS` table.
+fn assert_every_kind<M: Message>(msgs: &[M]) {
+    let kinds: BTreeSet<usize> = msgs.iter().map(Message::kind_id).collect();
     assert_eq!(
-        kinds.len(),
-        <PastryMsg<PastMsg> as Message>::KINDS.len(),
-        "the corpus must hold every Pastry kind"
+        kinds,
+        BTreeSet::from_iter(0..M::KINDS.len()),
+        "the corpus must hold every {} kind",
+        std::any::type_name::<M>()
     );
-    out.extend(pastry.iter().map(|m| Frame::Pastry(m.to_wire())));
-    out.push(Frame::Chord(chord_sample(rng).to_wire()));
-    out.push(Frame::Can(can_sample(rng).to_wire()));
-    out
+}
+
+/// Every PAST kind on its own, and every Pastry kind with the PAST
+/// payload type plugged in (each PAST sample both routed and sent
+/// direct), then the baselines' lookups: the fuzzers reach every kind's
+/// read arm.
+fn corpus(rng: &mut Rng) -> Vec<Frame> {
+    let past = past_samples(rng);
+    let mut pastry: Vec<PastryMsg<PastMsg>> = Vec::new();
+    for (i, m) in past.iter().enumerate() {
+        let samples = pastry_samples(rng, |_| m.clone()).into_iter();
+        pastry.extend(
+            samples.filter(|p| {
+                i == 0 || matches!(p, PastryMsg::Route(_) | PastryMsg::AppDirect { .. })
+            }),
+        );
+    }
+    let (chord, can) = (chord_sample(rng), can_sample(rng));
+    assert_every_kind(&pastry);
+    assert_every_kind(std::slice::from_ref(&chord));
+    assert_every_kind(std::slice::from_ref(&can));
+    // `PastMsg`'s tags run from 0 to the first kind byte it refuses.
+    let refused = (0..=u8::MAX)
+        .find(|&t| {
+            matches!(
+                PastMsg::decode(&[WIRE_VERSION, t]),
+                Err(DecodeError::UnknownKind(_))
+            )
+        })
+        .expect("some kind byte is unassigned");
+    let tags: BTreeSet<u8> = past.iter().map(|m| m.to_wire()[1]).collect();
+    assert_eq!(
+        tags,
+        BTreeSet::from_iter(0..refused),
+        "the corpus must hold every PAST kind"
+    );
+    (past.iter().map(Frame::of))
+        .chain(pastry.iter().map(Frame::of))
+        .chain([Frame::of(&chord), Frame::of(&can)])
+        .collect()
 }
 
 #[test]
@@ -680,10 +699,10 @@ fn decode_never_panics_on_mutated_frames() {
 
     // Systematic truncation: every prefix of every corpus frame.
     for frame in &corpus {
-        let b = frame.bytes();
+        let b = &frame.bytes;
         for cut in 0..=b.len() {
             attempts += 1;
-            match frame.try_decode(&b[..cut]) {
+            match (frame.decode)(&b[..cut]) {
                 Ok(_) => oks += 1,
                 Err(_) => errs += 1,
             }
@@ -695,7 +714,7 @@ fn decode_never_panics_on_mutated_frames() {
     for _ in 0..12_000 {
         attempts += 1;
         let frame = &corpus[rng.random_range(0..corpus.len() as u64) as usize];
-        let mut b = frame.bytes().to_vec();
+        let mut b = frame.bytes.clone();
         match rng.random_range(0..4) {
             0 => {
                 // Flip 1..=8 random bits.
@@ -732,7 +751,7 @@ fn decode_never_panics_on_mutated_frames() {
                 }
             }
         }
-        match frame.try_decode(&b) {
+        match (frame.decode)(&b) {
             Ok(_) => oks += 1,
             Err(_) => errs += 1,
         }
@@ -743,10 +762,54 @@ fn decode_never_panics_on_mutated_frames() {
     assert!(oks > 0, "even pristine prefixes never decoded?");
 }
 
+/// Every integer field of every corpus frame at its boundaries: each
+/// 1-, 2-, 4-, 8- or 16-byte `put` (integers, tags, the header, `u32`
+/// length prefixes and content sizes) is written as 0, 1, MAX−1 and MAX,
+/// little-endian, and the frame must still decode to a typed error or a
+/// canonical message. The other `put`s are digests and keys, whose every
+/// value is valid. The spans are read from `encode`, so they must tile
+/// the frame.
+#[test]
+fn decode_is_total_at_every_field_boundary() {
+    let mut rng = Rng::seed_from_u64(0xb0d5_0001);
+    let (mut fields, mut oks, mut errs) = (0usize, 0usize, 0usize);
+    for frame in corpus(&mut rng) {
+        let Spans { puts, bodies, .. } = &frame.spans;
+        let mut tiles: Vec<(usize, usize)> = puts.iter().chain(bodies).copied().collect();
+        tiles.sort_unstable();
+        let end = tiles.iter().fold(0, |end, &(at, n)| {
+            assert_eq!(at, end, "a gap or an overlap at byte {at}");
+            at + n
+        });
+        assert_eq!(end, frame.bytes.len(), "the spans must cover the frame");
+        for &(at, n) in puts {
+            if !matches!(n, 1 | 2 | 4 | 8 | 16) {
+                assert!(matches!(n, 20 | 32), "a {n}-byte field escapes the fuzz");
+                continue;
+            }
+            fields += 1;
+            let max = u128::MAX >> (128 - 8 * n);
+            for v in [0, 1, max - 1, max] {
+                let mut b = frame.bytes.clone();
+                b[at..at + n].copy_from_slice(&v.to_le_bytes()[..n]);
+                match (frame.decode)(&b) {
+                    Ok(_) => oks += 1,
+                    Err(_) => errs += 1,
+                }
+            }
+        }
+    }
+    assert_eq!(oks + errs, 4 * fields, "every field takes all four values");
+    assert!(oks > 0 && errs > 0, "{oks} decoded, {errs} refused");
+}
+
 #[test]
 fn typed_errors_name_the_failure() {
     let mut rng = Rng::seed_from_u64(0x3133_0005);
-    let m = past_samples(&mut rng).remove(11); // LookupMiss: compact frame
+    // LookupMiss: a compact frame.
+    let m = (past_samples(&mut rng).into_iter())
+        .find(|m| matches!(m, PastMsg::LookupMiss { .. }))
+        .unwrap();
     let bytes = m.to_wire();
     assert!(matches!(
         PastMsg::decode(&bytes[..bytes.len() - 1]).unwrap_err(),
@@ -790,7 +853,8 @@ fn typed_errors_name_the_failure() {
         op: OpId(9),
     };
     let mut bytes = lk.to_wire();
-    let off = 2 + 20 + 8; // header, file_id, client — the path length prefix
+    // Its one 4-byte field: the path's length prefix.
+    let (off, _) = spans(&lk).puts.into_iter().find(|&(_, n)| n == 4).unwrap();
     bytes[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(matches!(
         PastMsg::decode(&bytes).unwrap_err(),
@@ -811,7 +875,8 @@ fn non_canonical_bool_is_rejected() {
         op: OpId(9),
     };
     let mut bytes = lk.to_wire();
-    let off = 2 + 20 + 8 + 4 + 2 * 8; // header, file_id, client, path
+    // Its one 1-byte field: `redirected`.
+    let (off, _) = spans(&lk).puts.into_iter().find(|&(_, n)| n == 1).unwrap();
     assert_eq!(bytes[off], 1, "offset of the `redirected` byte");
     assert!(PastMsg::decode(&bytes).is_ok());
     bytes[off] = 2;
@@ -862,7 +927,7 @@ fn fixed_rng() -> Rng {
 fn golden_frames() -> Vec<(String, Vec<u8>)> {
     let mut rng = fixed_rng();
     let mut out: Vec<(String, Vec<u8>)> = Vec::new();
-    for m in pastry_samples(&mut rng) {
+    for m in pastry_samples(&mut rng, |rng| rng.random::<u64>()) {
         let name = format!("pastry/{}", <PastryMsg<u64> as Message>::KINDS[m.kind_id()]);
         out.push((name, m.to_wire()));
     }
