@@ -145,7 +145,66 @@ impl PayloadSize for u64 {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use past_wire::Message;
+    use past_wire::{DecodeError, Message, WIRE_VERSION};
+
+    /// The frame `[WIRE_VERSION, kind]` followed by zero bytes. Every
+    /// field then reads as zero, empty or `None`, so an assigned kind
+    /// decodes to its smallest message; no sample list is restated here.
+    fn decode_zeroed<P: Clone + PayloadSize>(kind: u8) -> Result<PastryMsg<P>, DecodeError> {
+        let mut frame = vec![0u8; 256];
+        frame[..2].copy_from_slice(&[WIRE_VERSION, kind]);
+        PastryMsg::<P>::decode(&frame).map(|(m, _)| m)
+    }
+
+    /// Exactly the kind bytes below `KINDS.len()` decode, each to the
+    /// message whose `kind_id` is that byte and whose label is its
+    /// `KINDS` entry: the kind ids are a permutation of the table.
+    #[test]
+    fn kind_ids_are_a_permutation_of_the_kinds_table() {
+        let kinds = PastryMsg::<u32>::KINDS;
+        for kind in 0..=u8::MAX {
+            match decode_zeroed::<u32>(kind) {
+                Ok(m) => {
+                    assert_eq!(m.kind_id(), usize::from(kind));
+                    assert_eq!(m.kind(), kinds[usize::from(kind)]);
+                }
+                Err(e) => {
+                    assert!(usize::from(kind) >= kinds.len(), "kind {kind}: {e:?}");
+                    assert_eq!(e, DecodeError::UnknownKind(kind));
+                }
+            }
+        }
+    }
+
+    /// `fieldless` answers exactly the kinds whose frame is the bare
+    /// `[version, kind]` header, and rebuilds the same frame: the
+    /// engine carries such a message as its kind id alone, so a field
+    /// added to one of them must fail here rather than vanish in flight.
+    /// tests/wire.rs checks the PAST payload type the same way.
+    fn assert_fieldless_matches_the_codec<P: Clone + PayloadSize>() {
+        for kind in 0..PastryMsg::<P>::KINDS.len() {
+            let m = decode_zeroed::<P>(kind as u8).expect("an assigned kind decodes");
+            let frame = m.to_wire();
+            let rebuilt = PastryMsg::<P>::fieldless(kind);
+            assert_eq!(
+                rebuilt.is_some(),
+                frame.len() == 2,
+                "{}: fieldless disagrees with the {}-byte frame",
+                m.kind(),
+                frame.len()
+            );
+            if let Some(r) = rebuilt {
+                assert_eq!(r.kind_id(), kind);
+                assert_eq!(r.to_wire(), frame, "{}: rebuilt frame differs", m.kind());
+            }
+        }
+    }
+
+    #[test]
+    fn fieldless_kinds_are_exactly_the_frames_without_a_body() {
+        assert_fieldless_matches_the_codec::<()>();
+        assert_fieldless_matches_the_codec::<u32>();
+    }
 
     /// Every in-flight message that carries fields occupies an arena
     /// slot of this size.
