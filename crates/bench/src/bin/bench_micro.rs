@@ -88,8 +88,9 @@ fn bench_crypto(b: &mut Bench) {
     b.run("powmod", || {
         black_box(powmod(black_box(&a), black_box(&e), black_box(&p)))
     });
-    // Full-width exponents, as a signature check hands them over (`s`,
-    // `p − 1 − e`): 255 random bits each.
+    // The reference walk, with full-width exponents as a signature check
+    // hands them over (`s`, `p − 1 − e`): 255 random bits each. `verify`
+    // itself runs the same walk on Montgomery multiplies mod `p`.
     let mut exp255 = || {
         U256([
             rng.random(),

@@ -10,6 +10,10 @@
 //!   derives 128-bit nodeIds from public keys and content hashes; SHA-1
 //!   produces the 160-bit fileIds the paper specifies.
 //! - [`u256`] / [`modmath`]: fixed-width big-integer and modular arithmetic.
+//!   `modmath` reduces by long division; it does the arithmetic mod `q` and
+//!   the fixed-base combs, and is the reference the faster walk is tested
+//!   against. The private `fp` module multiplies mod `p` in Montgomery
+//!   form, with no division, under `PublicKey::verify`.
 //! - [`schnorr`]: Schnorr signatures over a baked-in 256-bit safe-prime
 //!   group, with deterministic nonces so simulations are reproducible.
 //! - [`digest`]: digest newtypes shared by the higher layers.
@@ -25,6 +29,7 @@
 #![deny(clippy::let_underscore_must_use)]
 
 pub mod digest;
+mod fp;
 pub mod modmath;
 pub mod rng;
 pub mod schnorr;

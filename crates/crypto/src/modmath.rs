@@ -1,5 +1,12 @@
 //! Modular arithmetic over 256-bit moduli.
 //!
+//! What runs here: the scalar arithmetic mod `q` under `sign` and the
+//! challenge (`rem256`, `addmod`, `mulmod`), and every multiply mod `p`
+//! of the fixed-base combs under `pow_g` and `AnchorKey::verify`.
+//! `PublicKey::verify` multiplies mod `p` in Montgomery form instead
+//! (the crate's private `fp` module); `powmod` and `powmod2` are the
+//! independent references that walk and the combs are tested against.
+//!
 //! The reduction routine is word-wise long division (Knuth's Algorithm D
 //! over 64-bit limbs): every Schnorr sign/verify performs hundreds of
 //! reductions under `powmod`, so the former bit-serial loop (512 shift-
@@ -128,17 +135,6 @@ pub fn addmod(a: &U256, b: &U256, m: &U256) -> U256 {
     }
 }
 
-/// Computes `(a - b) mod m` for `a, b < m`.
-pub fn submod(a: &U256, b: &U256, m: &U256) -> U256 {
-    debug_assert!(a < m && b < m);
-    if a >= b {
-        a.overflowing_sub(b).0
-    } else {
-        let (gap, _) = m.overflowing_sub(b);
-        a.overflowing_add(&gap).0
-    }
-}
-
 /// Computes `(a * b) mod m` for `a, b < m`.
 pub fn mulmod(a: &U256, b: &U256, m: &U256) -> U256 {
     rem512(&a.widening_mul(b), m)
@@ -213,64 +209,6 @@ fn pow_product<const N: usize>(terms: [(&U256, &U256); N], m: &U256) -> U256 {
     result
 }
 
-/// Computes the inverse of `a` modulo a prime `p` via Fermat's little
-/// theorem (`a^(p-2) mod p`).
-///
-/// Returns `None` if `a ≡ 0 (mod p)`.
-pub fn invmod_prime(a: &U256, p: &U256) -> Option<U256> {
-    let a = rem256(a, p);
-    if a.is_zero() {
-        return None;
-    }
-    let two = U256::from_u64(2);
-    let (pm2, _) = p.overflowing_sub(&two);
-    Some(powmod(&a, &pm2, p))
-}
-
-/// Miller–Rabin primality test with the given number of random-ish fixed
-/// bases derived from small primes.
-///
-/// Deterministically correct for the sizes we care about with overwhelming
-/// probability; used in tests to validate the baked-in group parameters.
-pub fn is_probable_prime(n: &U256) -> bool {
-    if *n < U256::from_u64(2) {
-        return false;
-    }
-    const SMALL: [u64; 15] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47];
-    for &p in &SMALL {
-        let pv = U256::from_u64(p);
-        if *n == pv {
-            return true;
-        }
-        if rem256(n, &pv).is_zero() {
-            return false;
-        }
-    }
-    // Write n - 1 = d * 2^r.
-    let (nm1, _) = n.overflowing_sub(&U256::ONE);
-    let mut d = nm1;
-    let mut r = 0u32;
-    while d.is_even() {
-        d = d.shr1();
-        r += 1;
-    }
-    'base: for &a in &SMALL {
-        let a = U256::from_u64(a);
-        let mut x = powmod(&a, &d, n);
-        if x == U256::ONE || x == nm1 {
-            continue;
-        }
-        for _ in 0..r.saturating_sub(1) {
-            x = mulmod(&x, &x, n);
-            if x == nm1 {
-                continue 'base;
-            }
-        }
-        return false;
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,6 +217,47 @@ mod tests {
 
     fn u(v: u64) -> U256 {
         U256::from_u64(v)
+    }
+
+    /// Miller–Rabin primality test over the fixed bases of the first
+    /// fifteen primes; it validates the baked-in group parameters.
+    fn is_probable_prime(n: &U256) -> bool {
+        if *n < U256::from_u64(2) {
+            return false;
+        }
+        const SMALL: [u64; 15] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47];
+        for &p in &SMALL {
+            let pv = U256::from_u64(p);
+            if *n == pv {
+                return true;
+            }
+            if rem256(n, &pv).is_zero() {
+                return false;
+            }
+        }
+        // Write n - 1 = d * 2^r.
+        let (nm1, _) = n.overflowing_sub(&U256::ONE);
+        let mut d = nm1;
+        let mut r = 0u32;
+        while d.is_even() {
+            d = d.shr1();
+            r += 1;
+        }
+        'base: for &a in &SMALL {
+            let a = U256::from_u64(a);
+            let mut x = powmod(&a, &d, n);
+            if x == U256::ONE || x == nm1 {
+                continue;
+            }
+            for _ in 0..r.saturating_sub(1) {
+                x = mulmod(&x, &x, n);
+                if x == nm1 {
+                    continue 'base;
+                }
+            }
+            return false;
+        }
+        true
     }
 
     /// The original bit-serial shift-subtract reduction, kept as an
@@ -512,14 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn submod_wraps() {
-        let m = u(13);
-        assert_eq!(submod(&u(3), &u(8), &m), u(8));
-        assert_eq!(submod(&u(8), &u(3), &m), u(5));
-        assert_eq!(submod(&u(5), &u(5), &m), u(0));
-    }
-
-    #[test]
     fn mulmod_matches_u128() {
         let m = u(1_000_000_007);
         for (a, b) in [(123456789u64, 987654321u64), (999999999, 999999998)] {
@@ -540,15 +511,6 @@ mod tests {
     #[test]
     fn powmod_modulus_one() {
         assert_eq!(powmod(&u(5), &u(3), &U256::ONE), U256::ZERO);
-    }
-
-    #[test]
-    fn invmod_works() {
-        let p = u(1_000_000_007);
-        let a = u(123456789);
-        let inv = invmod_prime(&a, &p).unwrap();
-        assert_eq!(mulmod(&a, &inv, &p), U256::ONE);
-        assert!(invmod_prime(&U256::ZERO, &p).is_none());
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //! deterministically from the secret key and the message (RFC-6979 style),
 //! which keeps simulations reproducible and avoids nonce-reuse pitfalls.
 
-use crate::modmath::{addmod, mulmod, powmod2, rem256};
+use crate::fp;
+use crate::modmath::{addmod, mulmod, rem256};
 use crate::sha256::Sha256;
 use crate::u256::U256;
 use std::sync::Arc;
 
 /// The 256-bit safe prime `p` defining the group `Z_p^*`.
-pub fn group_p() -> U256 {
+pub const fn group_p() -> U256 {
     U256([
         0x24784f933634954f,
         0xe50f848f2335e646,
@@ -486,7 +487,8 @@ fn challenge(commitment: &U256, public: &PublicKey, msg: &[u8]) -> U256 {
 
 impl PublicKey {
     /// Verifies `sig` over `msg`: checks `g^s · y^(p−1−e) ≡ R (mod p)`,
-    /// one interleaved double exponentiation ([`powmod2`]).
+    /// one interleaved double exponentiation — `modmath::powmod2`'s walk,
+    /// on Montgomery multiplies modulo `p`.
     ///
     /// That is `g^s ≡ R · y^e` with `y^e` moved across: the range checks
     /// put `y` in `Z_p^*`, where `y^(p−1) = 1` whether or not `y` lies in
@@ -497,7 +499,7 @@ impl PublicKey {
     /// have one encoding.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
         verify_with(self, msg, sig, |s, neg_e| {
-            powmod2(&group_g(), s, &self.0, neg_e, &group_p())
+            fp::pow2(&group_g(), s, &self.0, neg_e)
         })
     }
 }

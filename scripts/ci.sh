@@ -112,6 +112,7 @@ grep -q '"schema": "past-bench/v1"' target/BENCH_micro.smoke.json
 # a rename must not drop them silently.
 grep -q '"name": "crypto/schnorr/keygen"' target/BENCH_micro.smoke.json
 grep -q '"name": "crypto/schnorr/sign"' target/BENCH_micro.smoke.json
+grep -q '"name": "crypto/schnorr/verify"' target/BENCH_micro.smoke.json
 grep -q '"name": "crypto/schnorr/verify_anchor"' target/BENCH_micro.smoke.json
 grep -q '"name": "crypto/modmath/pow_g"' target/BENCH_micro.smoke.json
 # Likewise the rows the memory work is read against.

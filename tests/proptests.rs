@@ -7,7 +7,7 @@
 //! exactly; to explore more of the space, bump `CASES` locally.
 
 use past::core::{ContentRef, ReplicaKind, Store};
-use past::crypto::modmath::{addmod, invmod_prime, mulmod, powmod, rem256, submod};
+use past::crypto::modmath::{addmod, mulmod, powmod, rem256};
 use past::crypto::rng::Rng;
 use past::crypto::schnorr::{group_p, group_q, KeyPair};
 use past::crypto::sha256::{sha256, Sha256};
@@ -90,10 +90,6 @@ fn modmath_matches_u128() {
             mulmod(&a256, &b256, &m256),
             U256::from_u64(((am as u128 * bm as u128) % m as u128) as u64)
         );
-        assert_eq!(
-            submod(&a256, &b256, &m256),
-            U256::from_u64(((am as u128 + m as u128 - bm as u128) % m as u128) as u64)
-        );
     }
 }
 
@@ -101,10 +97,11 @@ fn modmath_matches_u128() {
 fn fermat_inverse_in_group() {
     let mut rng = Rng::seed_from_u64(0x0256_0006);
     let p = group_p();
+    let (p_minus_2, _) = p.overflowing_sub(&U256::from_u64(2));
     for _ in 0..CASES {
         let x = rem256(&rand_u256(&mut rng), &p);
         if !x.is_zero() {
-            let inv = invmod_prime(&x, &p).expect("nonzero");
+            let inv = powmod(&x, &p_minus_2, &p);
             assert_eq!(mulmod(&x, &inv, &p), U256::ONE);
         }
     }
