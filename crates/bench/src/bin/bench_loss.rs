@@ -195,6 +195,19 @@ fn kind_obj(pairs: &[(&'static str, u64)]) -> String {
     o.build()
 }
 
+/// What `bench_loss` accepts, printed on a bad command line.
+const USAGE: &str = "usage: bench_loss [--smoke] [--out PATH]";
+
+/// Prints `problem` (if any) and the usage to stderr and exits with
+/// status 2: a bad command line is the caller's error, not a crash.
+fn usage_exit(problem: Option<&str>) -> ! {
+    if let Some(problem) = problem {
+        eprintln!("bench_loss: {problem}");
+    }
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut smoke = false;
     let mut out = format!("{}/../../BENCH_loss.json", env!("CARGO_MANIFEST_DIR"));
@@ -202,8 +215,13 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--out" => out = args.next().expect("--out needs a path"),
-            other => panic!("unknown flag {other}; supported: --smoke, --out PATH"),
+            "--out" => {
+                out = args
+                    .next()
+                    .unwrap_or_else(|| usage_exit(Some("--out needs a path")))
+            }
+            "--help" | "-h" => usage_exit(None),
+            other => usage_exit(Some(&format!("unknown flag {other}"))),
         }
     }
     let (n, files) = if smoke { (30, 6) } else { (150, 40) };

@@ -160,6 +160,19 @@ fn full_run(
     (phases, counters, series_doc, footprint)
 }
 
+/// What `bench_macro` accepts, printed on a bad command line.
+const USAGE: &str = "usage: bench_macro [--smoke] [--nodes N] [--out PATH] [--series PATH]";
+
+/// Prints `problem` (if any) and the usage to stderr and exits with
+/// status 2: a bad command line is the caller's error, not a crash.
+fn usage_exit(problem: Option<&str>) -> ! {
+    if let Some(problem) = problem {
+        eprintln!("bench_macro: {problem}");
+    }
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut smoke = false;
     let mut nodes: Option<usize> = None;
@@ -170,22 +183,31 @@ fn main() {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--nodes" => {
-                let v = args.next().expect("--nodes needs a count");
-                nodes = Some(v.parse().expect("--nodes must be an integer"));
+                let v = args
+                    .next()
+                    .unwrap_or_else(|| usage_exit(Some("--nodes needs a count")));
+                nodes = match v.parse() {
+                    Ok(n) if n > 0 => Some(n),
+                    _ => usage_exit(Some("--nodes must be a positive integer")),
+                };
             }
-            "--out" => out = args.next().expect("--out needs a path"),
-            "--series" => series = Some(args.next().expect("--series needs a path")),
-            other => {
-                panic!(
-                    "unknown flag {other}; supported: --smoke, --nodes N, --out PATH, \
-                     --series PATH"
+            "--out" => {
+                out = args
+                    .next()
+                    .unwrap_or_else(|| usage_exit(Some("--out needs a path")))
+            }
+            "--series" => {
+                series = Some(
+                    args.next()
+                        .unwrap_or_else(|| usage_exit(Some("--series needs a path"))),
                 )
             }
+            "--help" | "-h" => usage_exit(None),
+            other => usage_exit(Some(&format!("unknown flag {other}"))),
         }
     }
     let (mut n, routes) = if smoke { (300, 200) } else { (10_000, 10_000) };
     if let Some(v) = nodes {
-        assert!(v > 0, "--nodes must be positive");
         n = v;
     }
     let kills = n / 20;

@@ -111,6 +111,9 @@ fn bench_crypto(b: &mut Bench) {
     });
     // The fixed-base comb under `sign` and `keygen`, at the width their
     // scalars have (the `powmod` row above keeps its 192-bit exponent).
+    // Its multiplies are Montgomery ones on the crate's private `Fp`, not
+    // `mulmod`; the row keeps its `crypto/modmath` name so its history
+    // reads on.
     b.run("pow_g", || black_box(pow_g(black_box(&x))));
 }
 
@@ -235,6 +238,19 @@ fn measurement_json(m: &Measurement) -> String {
         .build()
 }
 
+/// What `bench_micro` accepts, printed on a bad command line.
+const USAGE: &str = "usage: bench_micro [--smoke] [--out PATH]";
+
+/// Prints `problem` (if any) and the usage to stderr and exits with
+/// status 2: a bad command line is the caller's error, not a crash.
+fn usage_exit(problem: Option<&str>) -> ! {
+    if let Some(problem) = problem {
+        eprintln!("bench_micro: {problem}");
+    }
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut smoke = false;
     let mut out = format!("{}/../../BENCH_micro.json", env!("CARGO_MANIFEST_DIR"));
@@ -242,8 +258,13 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--out" => out = args.next().expect("--out needs a path"),
-            other => panic!("unknown flag {other}; supported: --smoke, --out PATH"),
+            "--out" => {
+                out = args
+                    .next()
+                    .unwrap_or_else(|| usage_exit(Some("--out needs a path")))
+            }
+            "--help" | "-h" => usage_exit(None),
+            other => usage_exit(Some(&format!("unknown flag {other}"))),
         }
     }
 

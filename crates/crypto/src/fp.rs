@@ -10,9 +10,12 @@
 //! shift out `R`. `modmath::mulmod` pays a long division for every
 //! product instead.
 //!
-//! Only `PublicKey::verify` runs here, through [`pow2`]. The arithmetic
-//! mod `q`, the fixed-base combs under `pow_g` and `AnchorKey::verify`,
-//! and the test oracles stay on `modmath`.
+//! Every multiply mod `p` in the signature scheme runs here:
+//! `PublicKey::verify` through [`pow2`], and the fixed-base combs under
+//! `pow_g` (`sign`, `keygen`) and `AnchorKey::verify` through
+//! `schnorr::comb_product`. `from_u256` and `mul` are `const fn`s, so the
+//! same code puts `G_COMB` into Montgomery form at compile time. The
+//! arithmetic mod `q` and the test oracles stay on `modmath`.
 
 use crate::schnorr::group_p;
 use crate::u256::U256;
@@ -90,21 +93,21 @@ const fn reduce_once(x: U256, carry: u64) -> U256 {
 /// `p`. Keeping it a type of its own keeps plain and Montgomery-form
 /// values apart.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct Fp(U256);
+pub(crate) struct Fp(U256);
 
 impl Fp {
     /// The Montgomery form of 1.
-    const ONE: Fp = Fp(R1);
+    pub(crate) const ONE: Fp = Fp(R1);
 
     /// The Montgomery form of `x mod p`. Every `x < 2^256` is below `2p`,
     /// so one conditional subtraction reduces it; a Montgomery multiply
     /// by `R²` then gives `x·R mod p`.
-    fn from_u256(x: &U256) -> Fp {
+    pub(crate) const fn from_u256(x: &U256) -> Fp {
         Fp(reduce_once(*x, 0)).mul(&Fp(R2))
     }
 
     /// The plain value: a Montgomery multiply by 1 divides out `R`.
-    fn to_u256(self) -> U256 {
+    pub(crate) const fn to_u256(self) -> U256 {
         self.mul(&Fp(U256::ONE)).0
     }
 
@@ -113,16 +116,23 @@ impl Fp {
     /// every limb of `b`, so it needs a fifth limb. The final sum is below
     /// `a·b/R + p`, which for this `p` (under `0.62·R`) stays under `R`;
     /// [`reduce_once`] reads the fifth limb all the same, which is what
-    /// any `p > 2^255` needs.
-    fn mul(&self, rhs: &Fp) -> Fp {
+    /// any `p > 2^255` needs. A `const fn` (hence the `while` loops), so
+    /// the same multiply also puts `G_COMB` into Montgomery form at
+    /// compile time.
+    pub(crate) const fn mul(&self, rhs: &Fp) -> Fp {
+        let (a, b) = (&self.0 .0, &rhs.0 .0);
         let mut t = [0u64; 5];
-        for &bi in &rhs.0 .0 {
+        let mut i = 0;
+        while i < 4 {
+            let bi = b[i] as u128;
             // t += a·bᵢ, into six limbs.
             let mut c = 0u128;
-            for (tj, &aj) in t.iter_mut().zip(&self.0 .0) {
-                let s = *tj as u128 + aj as u128 * bi as u128 + c;
-                *tj = s as u64;
+            let mut j = 0;
+            while j < 4 {
+                let s = t[j] as u128 + a[j] as u128 * bi + c;
+                t[j] = s as u64;
                 c = s >> 64;
+                j += 1;
             }
             let s = t[4] as u128 + c;
             t[4] = s as u64;
@@ -130,14 +140,17 @@ impl Fp {
             // t = (t + m·p) / 2^64, with m chosen so the low limb is zero.
             let m = t[0].wrapping_mul(N0) as u128;
             let mut c = (t[0] as u128 + m * P.0[0] as u128) >> 64;
-            for j in 1..4 {
+            let mut j = 1;
+            while j < 4 {
                 let s = t[j] as u128 + m * P.0[j] as u128 + c;
                 t[j - 1] = s as u64;
                 c = s >> 64;
+                j += 1;
             }
             let s = t[4] as u128 + c;
             t[3] = s as u64;
             t[4] = t5 + (s >> 64) as u64;
+            i += 1;
         }
         Fp(reduce_once(U256([t[0], t[1], t[2], t[3]]), t[4]))
     }

@@ -10,10 +10,11 @@
 //!   derives 128-bit nodeIds from public keys and content hashes; SHA-1
 //!   produces the 160-bit fileIds the paper specifies.
 //! - [`u256`] / [`modmath`]: fixed-width big-integer and modular arithmetic.
-//!   `modmath` reduces by long division; it does the arithmetic mod `q` and
-//!   the fixed-base combs, and is the reference the faster walk is tested
-//!   against. The private `fp` module multiplies mod `p` in Montgomery
-//!   form, with no division, under `PublicKey::verify`.
+//!   `modmath` reduces by long division; it does the arithmetic mod `q`,
+//!   and is the reference the faster walks are tested against. The
+//!   private `fp` module multiplies mod `p` in Montgomery form, with no
+//!   division: every multiply mod `p` of `sign`, `keygen`, `verify` and
+//!   `AnchorKey::verify` runs there.
 //! - [`schnorr`]: Schnorr signatures over a baked-in 256-bit safe-prime
 //!   group, with deterministic nonces so simulations are reproducible.
 //! - [`digest`]: digest newtypes shared by the higher layers.

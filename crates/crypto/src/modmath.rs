@@ -1,11 +1,11 @@
 //! Modular arithmetic over 256-bit moduli.
 //!
 //! What runs here: the scalar arithmetic mod `q` under `sign` and the
-//! challenge (`rem256`, `addmod`, `mulmod`), and every multiply mod `p`
-//! of the fixed-base combs under `pow_g` and `AnchorKey::verify`.
-//! `PublicKey::verify` multiplies mod `p` in Montgomery form instead
-//! (the crate's private `fp` module); `powmod` and `powmod2` are the
-//! independent references that walk and the combs are tested against.
+//! challenge (`rem256`, `addmod`, `mulmod`). Every multiply mod `p` —
+//! `PublicKey::verify`'s walk and the fixed-base combs under `pow_g` and
+//! `AnchorKey::verify` — runs in Montgomery form instead (the crate's
+//! private `fp` module); `powmod` and `powmod2` are the independent
+//! references that those walks are tested against.
 //!
 //! The reduction routine is word-wise long division (Knuth's Algorithm D
 //! over 64-bit limbs): every Schnorr sign/verify performs hundreds of

@@ -9,7 +9,7 @@
 //! deterministically from the secret key and the message (RFC-6979 style),
 //! which keeps simulations reproducible and avoids nonce-reuse pitfalls.
 
-use crate::fp;
+use crate::fp::{self, Fp};
 use crate::modmath::{addmod, mulmod, rem256};
 use crate::sha256::Sha256;
 use crate::u256::U256;
@@ -45,7 +45,8 @@ pub fn group_g() -> U256 {
 /// `g^(2^(32·i)) mod p` over the set bits `i` of `j`, so one lookup
 /// contributes the same bit position of all eight parts at once. A
 /// constant of the group like `p` and `q` (8 KiB of read-only data,
-/// re-derived from `powmod` by a test), not a cache.
+/// re-derived from `powmod` by a test), not a cache. The walks read it as
+/// [`G_COMB_FP`].
 #[rustfmt::skip]
 const G_COMB: [U256; 256] = [
     U256([0x0000000000000001, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000]),
@@ -306,19 +307,32 @@ const G_COMB: [U256; 256] = [
     U256([0x32e7860859bbc531, 0x1c42841d9aed48cd, 0xfb10cd3bd5ad0f73, 0x78c967b8809d2cb6]),
 ];
 
-/// Builds the eight-tooth comb of `base` that `G_COMB` is for `g`:
-/// entry `j` is the product of `base^(2^(32·i)) mod p` over the set bits
-/// `i` of `j`. 224 squarings for the eight single-tooth entries, then one
-/// multiply for each of the other 247 (entry `j` is entry `j` without its
-/// lowest set bit times that bit's entry).
-fn comb_table(base: &U256) -> [U256; 256] {
-    let p = group_p();
-    let mut table = [U256::ONE; 256];
-    let mut tooth = rem256(base, &p);
+/// `G_COMB` in Montgomery form, the table [`comb_product`] walks for `g`.
+/// `Fp::from_u256` is a `const fn`, so the compiler converts each entry
+/// and the result is read-only data like `G_COMB` itself: nothing runs at
+/// start-up or on first use.
+const G_COMB_FP: [Fp; 256] = {
+    let mut table = [Fp::ONE; 256];
+    let mut j = 0;
+    while j < 256 {
+        table[j] = Fp::from_u256(&G_COMB[j]);
+        j += 1;
+    }
+    table
+};
+
+/// Builds the eight-tooth comb of `base` that `G_COMB_FP` is for `g`, in
+/// Montgomery form: entry `j` is the product of `base^(2^(32·i)) mod p`
+/// over the set bits `i` of `j`. 224 squarings for the eight single-tooth
+/// entries, then one multiply for each of the other 247 (entry `j` is
+/// entry `j` without its lowest set bit times that bit's entry).
+fn comb_table(base: &U256) -> [Fp; 256] {
+    let mut table = [Fp::ONE; 256];
+    let mut tooth = Fp::from_u256(base);
     for i in 0..8 {
         if i > 0 {
             for _ in 0..32 {
-                tooth = mulmod(&tooth, &tooth, &p);
+                tooth = tooth.mul(&tooth);
             }
         }
         table[1 << i] = tooth;
@@ -326,7 +340,7 @@ fn comb_table(base: &U256) -> [U256; 256] {
     for j in 1..256usize {
         let low = j & j.wrapping_neg();
         if j != low {
-            table[j] = mulmod(&table[j ^ low], &table[low], &p);
+            table[j] = table[j ^ low].mul(&table[low]);
         }
     }
     table
@@ -337,19 +351,19 @@ fn comb_table(base: &U256) -> [U256; 256] {
 /// for bit column 31 down to 0, square the shared accumulator and multiply
 /// by each term's entry selected by that bit of its exponent's eight
 /// 32-bit parts — 31 squarings and at most 32 multiplies per term for
-/// 256-bit exponents. Leading columns where every exponent is zero are
-/// skipped (variable-time, like `modmath::powmod`).
-fn comb_product<const N: usize>(terms: [(&[U256; 256], &U256); N]) -> U256 {
-    let p = group_p();
+/// 256-bit exponents, each a Montgomery multiply, and one conversion out
+/// of Montgomery form at the end. Leading columns where every exponent is
+/// zero are skipped (variable-time, like `modmath::powmod`).
+fn comb_product<const N: usize>(terms: [(&[Fp; 256], &U256); N]) -> U256 {
     let all = terms
         .iter()
         .flat_map(|(_, exp)| exp.0)
         .fold(0, |all, limb| all | limb);
     let columns = 32 - ((all | all >> 32) as u32).leading_zeros();
-    let mut result = U256::ONE;
+    let mut result = Fp::ONE;
     for col in (0..columns).rev() {
         if col + 1 < columns {
-            result = mulmod(&result, &result, &p);
+            result = result.mul(&result);
         }
         for (table, exp) in &terms {
             // Bit `col` of part `i` (bits 32·i.. of `exp`) is bit `i` of
@@ -359,21 +373,21 @@ fn comb_product<const N: usize>(terms: [(&[U256; 256], &U256); N]) -> U256 {
                 digit = digit << 2 | (limb >> (col + 32) & 1) << 1 | (limb >> col & 1);
             }
             if digit != 0 {
-                result = mulmod(&result, &table[digit as usize], &p);
+                result = result.mul(&table[digit as usize]);
             }
         }
     }
-    result
+    result.to_u256()
 }
 
 /// Computes `g^exp mod p` for the generator [`group_g`] with the
-/// fixed-base comb `G_COMB`: 31 squarings and at most 32 multiplies for
+/// fixed-base comb `G_COMB_FP`: 31 squarings and at most 32 multiplies for
 /// any 256-bit scalar, against about 330 for `modmath::powmod`, which must
 /// build a window table for a base it has never seen and walk all 252
 /// squarings. Equal to `powmod(&group_g(), exp, &group_p())` for every
 /// `exp`, and variable-time like it.
 pub fn pow_g(exp: &U256) -> U256 {
-    comb_product([(&G_COMB, exp)])
+    comb_product([(&G_COMB_FP, exp)])
 }
 
 /// A public verification key (a group element `y = g^x mod p`).
@@ -532,7 +546,7 @@ fn verify_with(
 /// anchor (the broker's key) that every node checks half of all
 /// signatures against. [`AnchorKey::verify`] answers exactly as
 /// [`PublicKey::verify`] does — same range checks, same challenge, same
-/// equation — but walks `G_COMB` and the key's table together over 32
+/// equation — but walks `G_COMB_FP` and the key's table together over 32
 /// columns: 31 squarings and at most 64 multiplies instead of about 400.
 ///
 /// Building the table costs about 470 multiplies, once per key. Cloning
@@ -543,7 +557,7 @@ pub struct AnchorKey(Arc<Anchor>);
 
 struct Anchor {
     key: PublicKey,
-    comb: [U256; 256],
+    comb: [Fp; 256],
 }
 
 impl AnchorKey {
@@ -564,7 +578,7 @@ impl AnchorKey {
     /// `self.key().verify(msg, sig)` for every input.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
         verify_with(&self.0.key, msg, sig, |s, neg_e| {
-            comb_product([(&G_COMB, s), (&self.0.comb, neg_e)])
+            comb_product([(&G_COMB_FP, s), (&self.0.comb, neg_e)])
         })
     }
 }
@@ -662,6 +676,21 @@ mod tests {
                 .filter(|i| j >> i & 1 == 1)
                 .fold(U256::ONE, |acc, i| mulmod(&acc, &part_bases[i], &p));
             assert_eq!(*entry, want, "G_COMB[{j}]");
+        }
+    }
+
+    #[test]
+    fn g_comb_fp_is_g_comb_in_montgomery_form() {
+        let p = group_p();
+        for (j, entry) in G_COMB_FP.iter().enumerate() {
+            // g to the sum of 2^(32·i) over the set bits i of j, one powmod.
+            let mut e = U256::ZERO;
+            for i in (0..8).filter(|i| j >> i & 1 == 1) {
+                e.0[i / 2] |= 1 << (32 * (i % 2));
+            }
+            let plain = powmod(&group_g(), &e, &p);
+            assert_eq!(*entry, Fp::from_u256(&plain), "G_COMB_FP[{j}]");
+            assert_eq!(entry.to_u256(), plain, "G_COMB_FP[{j}]");
         }
     }
 
@@ -854,7 +883,7 @@ mod tests {
 
     #[test]
     fn comb_table_of_g_is_g_comb() {
-        assert!(comb_table(&group_g()) == G_COMB);
+        assert!(comb_table(&group_g()) == G_COMB_FP);
     }
 
     #[test]
@@ -883,7 +912,7 @@ mod tests {
             for (i, x) in exps.iter().enumerate() {
                 let y = &exps[(i * 7 + 3) % exps.len()];
                 assert_eq!(
-                    comb_product([(&G_COMB, x), (&table, y)]),
+                    comb_product([(&G_COMB_FP, x), (&table, y)]),
                     powmod2(&group_g(), x, &base, y, &p),
                     "base={base:?} x={x:?} y={y:?}"
                 );

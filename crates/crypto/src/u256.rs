@@ -3,8 +3,11 @@
 //! These are the arithmetic substrate for the Schnorr signature scheme in
 //! [`crate::schnorr`]. Only the operations needed by modular arithmetic are
 //! provided: wrapping add/sub with carry/borrow reporting, full 256×256→512
-//! multiplication, shifts, comparison and byte/hex conversions. All
-//! operations are constant-size loops over the limbs (no heap allocation).
+//! multiplication, comparison and byte/hex conversions. The one-bit shifts
+//! and the parity test serve only `modmath`'s test references (the
+//! bit-serial reduction and the primality check), so they are compiled for
+//! tests alone. All operations are constant-size loops over the limbs (no
+//! heap allocation).
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -39,6 +42,7 @@ impl U256 {
     }
 
     /// Returns true if the value is even.
+    #[cfg(test)]
     pub fn is_even(&self) -> bool {
         self.0[0] & 1 == 0
     }
@@ -113,9 +117,10 @@ impl U256 {
     }
 
     /// Shifts left by one bit, returning `(value << 1 mod 2^256, carry_out)`.
+    #[cfg(test)]
     #[expect(
         clippy::needless_range_loop,
-        reason = "one index walks the limbs of both operands and the result; hot code the micro rows time"
+        reason = "one index walks the limbs of both operands and the result"
     )]
     pub fn shl1(&self) -> (U256, bool) {
         let mut out = [0u64; 4];
@@ -128,6 +133,7 @@ impl U256 {
     }
 
     /// Shifts right by one bit.
+    #[cfg(test)]
     pub fn shr1(&self) -> U256 {
         let mut out = [0u64; 4];
         let mut carry = 0u64;

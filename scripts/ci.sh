@@ -128,6 +128,16 @@ grep -q '"schema": "past-bench/v1"' target/BENCH_loss.smoke.json
 # --require-slo it only reports the SLOs.
 cargo run --offline -q -p past-trace --bin obsreport -- target/BENCH_series.jsonl
 
+# A bad command line is the caller's error: the bench binaries print
+# their usage and exit 2 rather than panic (exit 101).
+echo "== bench flags (an unknown flag prints the usage and exits 2)"
+status=0
+./target/release/bench_micro --bogus 2>/dev/null || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "bench_micro --bogus exited with $status, not 2"
+  exit 1
+fi
+
 # Scale gate: a 100k-node overlay must build, route, and survive churn
 # inside the wall-clock budget (the budget only catches
 # order-of-magnitude regressions in the event loop). The JSON is
