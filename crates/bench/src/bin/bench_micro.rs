@@ -75,6 +75,11 @@ fn bench_crypto(b: &mut Bench) {
     b.run("verify_anchor", || {
         black_box(anchor.verify(black_box(msg), black_box(&sig)))
     });
+    // Building that comb: the one run-time call of `comb_table`, which
+    // the compiler runs for `g`.
+    b.run("anchor_new", || {
+        black_box(AnchorKey::new(black_box(kp.public)))
+    });
 
     b.group("crypto/modmath");
     let p = past_crypto::schnorr::group_p();

@@ -189,9 +189,11 @@ impl Store {
         }
         self.admits(cert.size, kind)?;
         self.used += cert.size;
-        // The cache borrows free space only; give it back.
-        self.cache.shrink_to(self.free());
+        // The file's own cached copy goes first, so that the cache,
+        // which borrows free space only, gives back the rest without
+        // evicting other files for a copy it is about to drop.
         self.cache.invalidate(&cert.file_id);
+        self.cache.shrink_to(self.free());
         self.files.insert(cert.file_id, StoredFile { cert, kind });
         Ok(())
     }
@@ -438,17 +440,12 @@ mod tests {
     }
 
     /// Promoting a cached file to a replica must not evict other cached
-    /// files for the copy it drops. `insert` shrinks the cache to the new
-    /// free space before it invalidates the file's own cached copy, so
-    /// that copy still counts against the budget: capacity 100, A (50 B)
-    /// and X (40 B) cached, X inserted as a primary; free space falls to
-    /// 60, the cache holds 90, the lowest credit (A's) is evicted, and
-    /// then X's copy is dropped too, leaving the cache empty though A
-    /// fits. Invalidating first leaves A cached. The fix changes which
-    /// files stay cached, so it rides the GreedyDual-Size item's declared
-    /// semantic change (ROADMAP).
+    /// files for the copy it drops: capacity 100, A (50 B) and X (40 B)
+    /// cached, X inserted as a primary. Free space falls to 60; had the
+    /// cache been shrunk before X's own copy was invalidated, it would
+    /// still hold 90, evict A (the lowest credit) and then drop X's copy
+    /// too, leaving the cache empty though A fits.
     #[test]
-    #[ignore = "known bug: promoting a cached file evicts others for its dropped copy"]
     fn promoting_a_cached_file_evicts_nothing_else() {
         let mut s = Store::new(100, 1.0, 1.0);
         let (a, x) = (cert_of(50, 1), cert_of(40, 2));

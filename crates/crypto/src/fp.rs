@@ -14,7 +14,7 @@
 //! `PublicKey::verify` through [`pow2`], and the fixed-base combs under
 //! `pow_g` (`sign`, `keygen`) and `AnchorKey::verify` through
 //! `schnorr::comb_product`. `from_u256` and `mul` are `const fn`s, so the
-//! same code puts `G_COMB` into Montgomery form at compile time. The
+//! same code builds `g`'s comb `G_COMB_FP` at compile time. The
 //! arithmetic mod `q` and the test oracles stay on `modmath`.
 
 use crate::schnorr::group_p;
@@ -117,8 +117,7 @@ impl Fp {
     /// `a·b/R + p`, which for this `p` (under `0.62·R`) stays under `R`;
     /// [`reduce_once`] reads the fifth limb all the same, which is what
     /// any `p > 2^255` needs. A `const fn` (hence the `while` loops), so
-    /// the same multiply also puts `G_COMB` into Montgomery form at
-    /// compile time.
+    /// the same multiply also builds `g`'s comb at compile time.
     pub(crate) const fn mul(&self, rhs: &Fp) -> Fp {
         let (a, b) = (&self.0 .0, &rhs.0 .0);
         let mut t = [0u64; 5];

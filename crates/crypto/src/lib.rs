@@ -14,9 +14,12 @@
 //!   and is the reference the faster walks are tested against. The
 //!   private `fp` module multiplies mod `p` in Montgomery form, with no
 //!   division: every multiply mod `p` of `sign`, `keygen`, `verify` and
-//!   `AnchorKey::verify` runs there.
-//! - [`schnorr`]: Schnorr signatures over a baked-in 256-bit safe-prime
-//!   group, with deterministic nonces so simulations are reproducible.
+//!   `AnchorKey::verify` runs there, and its `const fn` multiply builds
+//!   the generator's fixed-base comb at compile time.
+//! - [`schnorr`]: Schnorr signatures over a 256-bit safe-prime group, with
+//!   deterministic nonces so simulations are reproducible. The prime `p`
+//!   and the generator `g` are the group's only literals: the order `q`
+//!   and `g`'s comb are derived from them at compile time.
 //! - [`digest`]: digest newtypes shared by the higher layers.
 //! - [`rng`]: the deterministic, seedable PRNG every other crate draws
 //!   randomness from (no OS entropy anywhere in the workspace).

@@ -3,11 +3,11 @@
 //! These are the arithmetic substrate for the Schnorr signature scheme in
 //! [`crate::schnorr`]. Only the operations needed by modular arithmetic are
 //! provided: wrapping add/sub with carry/borrow reporting, full 256×256→512
-//! multiplication, comparison and byte/hex conversions. The one-bit shifts
-//! and the parity test serve only `modmath`'s test references (the
-//! bit-serial reduction and the primality check), so they are compiled for
-//! tests alone. All operations are constant-size loops over the limbs (no
-//! heap allocation).
+//! multiplication, comparison and byte/hex conversions. The right shift
+//! derives the group order `q` from `p`; the left shift and the parity
+//! test serve only `modmath`'s test references (the bit-serial reduction
+//! and the primality check), so they are compiled for tests alone. All
+//! operations are constant-size loops over the limbs (no heap allocation).
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -132,12 +132,14 @@ impl U256 {
         (U256(out), carry != 0)
     }
 
-    /// Shifts right by one bit.
-    #[cfg(test)]
-    pub fn shr1(&self) -> U256 {
+    /// Shifts right by one bit. A `const fn` (hence the `while` loop):
+    /// it derives the group order `q = p >> 1` at compile time.
+    pub(crate) const fn shr1(&self) -> U256 {
         let mut out = [0u64; 4];
         let mut carry = 0u64;
-        for i in (0..4).rev() {
+        let mut i = 4;
+        while i > 0 {
+            i -= 1;
             out[i] = (self.0[i] >> 1) | (carry << 63);
             carry = self.0[i] & 1;
         }

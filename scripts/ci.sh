@@ -37,6 +37,30 @@ cargo run --offline -q -p past-trace --bin obsreport -- --require-slo target/ser
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 
+# The examples are the end-to-end surface (a network built, files
+# inserted, looked up and reclaimed), and their output is deterministic:
+# each runs twice and must exit 0 and print the same both times.
+echo "== examples (each runs twice in release: exit 0, identical output)"
+cargo build --offline --release --examples
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  runs=()
+  for _ in 1 2; do
+    if ! out=$(./target/release/examples/"$name" 2>&1); then
+      echo "$out"
+      echo "example $name exited non-zero"
+      exit 1
+    fi
+    runs+=("$out")
+  done
+  if [ "${runs[0]}" != "${runs[1]}" ]; then
+    diff <(echo "${runs[0]}") <(echo "${runs[1]}") || true
+    echo "example $name printed different output on its second run"
+    exit 1
+  fi
+  echo "example $name: same output twice"
+done
+
 echo "== cargo test -q"
 cargo test --offline -q --workspace
 
@@ -46,7 +70,6 @@ cargo test --offline -q --workspace
 echo "== open reproducers (each #[ignore]d test still fails)"
 for reproducer in \
   "-p past-core --lib cache::tests::a_refused_offer_evicts_nothing" \
-  "-p past-core --lib storage::tests::promoting_a_cached_file_evicts_nothing_else" \
   "-p past-invariants --test join_after_failure join_after_failure_leaves_a_leaf_asymmetry" \
   "-p past-invariants --test join_after_failure churn_scenario_holds_on_seeds_0_to_7"; do
   read -r -a args <<<"$reproducer"
@@ -114,6 +137,7 @@ grep -q '"name": "crypto/schnorr/keygen"' target/BENCH_micro.smoke.json
 grep -q '"name": "crypto/schnorr/sign"' target/BENCH_micro.smoke.json
 grep -q '"name": "crypto/schnorr/verify"' target/BENCH_micro.smoke.json
 grep -q '"name": "crypto/schnorr/verify_anchor"' target/BENCH_micro.smoke.json
+grep -q '"name": "crypto/schnorr/anchor_new"' target/BENCH_micro.smoke.json
 grep -q '"name": "crypto/modmath/pow_g"' target/BENCH_micro.smoke.json
 # Likewise the rows the memory work is read against.
 grep -q '"name": "pastry/table/consider_remove"' target/BENCH_micro.smoke.json
